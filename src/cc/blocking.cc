@@ -6,7 +6,7 @@ namespace partdb {
 
 void BlockingCc::OnFragment(FragmentRequest frag) {
   if (active_.has_value()) {
-    if (frag.multi_partition && frag.txn_id == active_->id) {
+    if (frag.multi_partition && frag.txn_id == active_->rec.txn_id) {
       ContinueMp(frag);
       return;
     }
@@ -39,22 +39,12 @@ void BlockingCc::ExecuteSp(FragmentRequest& f) {
     part_->Send(f.coordinator, resp);
     return;
   }
-  part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
-  ReplicaShip ship;
-  ship.txn_id = f.txn_id;
-  ship.outcome_known = true;
-  ship.args = f.args;
-  ship.round_inputs = {f.round_input};
-  part_->SendDurable(f.coordinator, resp, std::move(ship));
+  part_->CommitSp({f.txn_id, false, f.proc, f.args, {f.round_input}}, f.coordinator, resp);
 }
 
 void BlockingCc::StartMp(FragmentRequest& f) {
   active_.emplace();
-  active_->id = f.txn_id;
-  active_->coord = f.coordinator;
-  active_->proc = f.proc;
-  active_->args = f.args;
-  active_->round_inputs.push_back(f.round_input);
+  active_->rec = {f.txn_id, true, f.proc, f.args, {f.round_input}};
   ExecResult r = part_->RunFragment(f, &active_->undo);
   if (r.aborted) active_->aborted_locally = true;
   active_->finished = f.last_round;
@@ -63,7 +53,7 @@ void BlockingCc::StartMp(FragmentRequest& f) {
 
 void BlockingCc::ContinueMp(FragmentRequest& f) {
   PARTDB_CHECK(!active_->finished);
-  active_->round_inputs.push_back(f.round_input);
+  active_->rec.round_inputs.push_back(f.round_input);
   ExecResult r = part_->RunFragment(f, &active_->undo);
   if (r.aborted) active_->aborted_locally = true;
   active_->finished = f.last_round;
@@ -82,12 +72,7 @@ void BlockingCc::RespondMp(const FragmentRequest& f, const ExecResult& r) {
   resp.vote = r.aborted ? Vote::kAbort : (f.last_round ? Vote::kCommit : Vote::kNone);
   if (f.last_round && !r.aborted) {
     part_->Charge(part_->cost().twopc_vote);
-    ReplicaShip ship;
-    ship.txn_id = f.txn_id;
-    ship.outcome_known = false;
-    ship.args = active_->args;
-    ship.round_inputs = active_->round_inputs;
-    part_->SendDurable(f.coordinator, resp, std::move(ship));
+    part_->PrepareMp(active_->rec, f.coordinator, resp);
     return;
   }
   part_->Send(f.coordinator, resp);
@@ -95,18 +80,16 @@ void BlockingCc::RespondMp(const FragmentRequest& f, const ExecResult& r) {
 
 void BlockingCc::OnDecision(const DecisionMessage& d) {
   PARTDB_CHECK(active_.has_value());
-  PARTDB_CHECK(active_->id == d.txn_id);
+  PARTDB_CHECK(active_->rec.txn_id == d.txn_id);
   if (d.commit) {
     PARTDB_CHECK(!active_->aborted_locally);
     active_->undo.Clear();
-    part_->LogCommit(active_->id, true, active_->proc, active_->args, active_->round_inputs);
-    part_->ShipDecision(active_->id, true);
   } else {
     ++epoch_;
     part_->ChargeUndo(active_->undo.size());
     active_->undo.Rollback();
-    part_->ShipDecision(active_->id, false);
   }
+  part_->DecideMp(active_->rec, d.commit);
   active_.reset();
   Drain();
 }

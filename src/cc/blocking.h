@@ -7,7 +7,6 @@
 
 #include <deque>
 #include <optional>
-#include <vector>
 
 #include "cc/cc_scheme.h"
 
@@ -23,11 +22,7 @@ class BlockingCc : public CcScheme {
 
  private:
   struct ActiveMp {
-    TxnId id;
-    NodeId coord;
-    ProcId proc = kInvalidProc;
-    PayloadPtr args;
-    std::vector<PayloadPtr> round_inputs;
+    CommitRecord rec;
     UndoBuffer undo;
     bool finished = false;         // last fragment executed (vote sent)
     bool aborted_locally = false;  // user abort during a fragment

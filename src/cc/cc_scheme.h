@@ -41,25 +41,26 @@ class PartitionExec {
   /// Sends a message at the current virtual instant.
   virtual void Send(NodeId dst, MessageBody body) = 0;
 
-  /// Sends a message once `ship` has been acknowledged by all backups
-  /// (immediately when replication is off). Used for 2PC votes and client
-  /// responses that must be durable first (paper §3.2/§3.3).
-  virtual void SendDurable(NodeId dst, MessageBody body, ReplicaShip ship) = 0;
-
-  /// Tells backups the outcome of a previously shipped transaction.
-  virtual void ShipDecision(TxnId txn, bool commit) = 0;
-
   /// Delivers a TimerFire to this partition after `d` ns.
   virtual void SetTimer(Duration d, TimerFire t) = 0;
 
-  /// Records a committed transaction: in the test-only commit log (for
-  /// serializability checking, no cost) and in the partition's command log
-  /// when durability is on. `proc` is the registry id of the stored
-  /// procedure, stamped into the durable record so recovery can re-resolve
-  /// it by name.
-  virtual void LogCommit(TxnId id, bool multi_partition, ProcId proc,
-                         const PayloadPtr& args,
-                         const std::vector<PayloadPtr>& round_inputs) = 0;
+  // The commit stream: one call per commit event, each fanned out to the
+  // verifier's commit log (when enabled), the command log (when durability
+  // is on) and the backups (when replicated). A reply that must be durable
+  // first (paper §3.2/§3.3) leaves once every backup has acked the record;
+  // immediately when replication is off. None of them charges CPU.
+
+  /// A single-partition transaction committed: logs `rec`, ships it with
+  /// its outcome known, and sends `reply` to `dst` once it is durable.
+  virtual void CommitSp(CommitRecord rec, NodeId dst, MessageBody reply) = 0;
+
+  /// A multi-partition transaction voted commit: ships `rec` with its
+  /// outcome unknown and sends `vote` to `dst` once it is durable.
+  virtual void PrepareMp(CommitRecord rec, NodeId dst, MessageBody vote) = 0;
+
+  /// The 2PC outcome of a prepared transaction arrived: on commit logs
+  /// `rec`; either way tells the backups the outcome.
+  virtual void DecideMp(const CommitRecord& rec, bool commit) = 0;
 
   virtual Engine& engine() = 0;
   virtual const CostModel& cost() const = 0;

@@ -20,17 +20,13 @@ void LockingCc::OnFragment(FragmentRequest frag) {
   if (t == nullptr) {
     auto owned = std::make_unique<LTxn>();
     t = owned.get();
-    t->id = frag.txn_id;
+    t->rec = {frag.txn_id, frag.multi_partition, frag.proc, frag.args, {}};
     t->attempt = frag.attempt;
-    t->mp = frag.multi_partition;
-    t->can_abort = frag.can_abort;
     t->coord = frag.coordinator;
-    t->proc = frag.proc;
-    t->args = frag.args;
     txns_.emplace(frag.txn_id, std::move(owned));
     if (part_->metrics().recording) part_->metrics().locked_txns++;
   } else {
-    PARTDB_CHECK(t->mp && !t->has_pending && !t->prepared);  // next round
+    PARTDB_CHECK(t->rec.multi_partition && !t->has_pending && !t->prepared);  // next round
   }
   BeginFragment(t, std::move(frag));
 }
@@ -50,13 +46,7 @@ void LockingCc::FastPathSp(FragmentRequest& f) {
     part_->Send(f.coordinator, resp);
     return;
   }
-  part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
-  ReplicaShip ship;
-  ship.txn_id = f.txn_id;
-  ship.outcome_known = true;
-  ship.args = f.args;
-  ship.round_inputs = {f.round_input};
-  part_->SendDurable(f.coordinator, resp, std::move(ship));
+  part_->CommitSp({f.txn_id, false, f.proc, f.args, {f.round_input}}, f.coordinator, resp);
 }
 
 void LockingCc::BeginFragment(LTxn* t, FragmentRequest f) {
@@ -85,7 +75,7 @@ void LockingCc::AdvanceLocks(LTxn* t) {
 }
 
 void LockingCc::HandleBlocked(LTxn* t) {
-  const TxnId tid = t->id;
+  const TxnId tid = t->rec.txn_id;
   std::vector<void*> cycle;
   if (lm_.FindCycle(t, &cycle)) {
     if (part_->metrics().recording) part_->metrics().local_deadlocks++;
@@ -95,7 +85,7 @@ void LockingCc::HandleBlocked(LTxn* t) {
   // Arm a distributed-deadlock timeout if the requester is still waiting.
   // Only multi-partition transactions can be in a distributed cycle.
   LTxn* cur = FindTxn(tid);
-  if (cur != nullptr && cur->mp && lm_.IsWaiting(cur)) {
+  if (cur != nullptr && cur->rec.multi_partition && lm_.IsWaiting(cur)) {
     cur->wait_generation = ++generation_counter_;
     part_->SetTimer(part_->lock_timeout(), TimerFire{tid, cur->wait_generation});
   }
@@ -107,7 +97,7 @@ LockingCc::LTxn* LockingCc::ChooseVictim(const std::vector<void*>& cycle) {
   // wastes the least work.
   for (void* v : cycle) {
     auto* t = static_cast<LTxn*>(v);
-    if (!t->mp) return t;
+    if (!t->rec.multi_partition) return t;
   }
   // Otherwise kill the requester (the transaction that closed the cycle).
   return static_cast<LTxn*>(cycle.front());
@@ -123,12 +113,12 @@ void LockingCc::KillTxn(LTxn* victim, bool timeout) {
     part_->ChargeUndo(victim->undo.size());
     victim->undo.Rollback();
   }
-  const bool mp = victim->mp;
+  const bool mp = victim->rec.multi_partition;
   FragmentRequest retry_frag;
   NodeId coord = victim->coord;
   FragmentResponse resp;
   if (mp) {
-    resp.txn_id = victim->id;
+    resp.txn_id = victim->rec.txn_id;
     resp.attempt = victim->attempt;
     resp.round = victim->pending_frag.round;
     resp.last_round = victim->pending_frag.last_round;
@@ -145,7 +135,7 @@ void LockingCc::KillTxn(LTxn* victim, bool timeout) {
   WorkMeter m;
   lm_.ReleaseAll(victim, &m, &granted);
   part_->ChargeLockWork(m);
-  txns_.erase(victim->id);  // frees victim
+  txns_.erase(victim->rec.txn_id);  // frees victim
   ProcessGrants(granted);
 
   if (mp) {
@@ -178,7 +168,7 @@ void LockingCc::ExecutePending(LTxn* t) {
   PARTDB_CHECK(t->has_pending);
   t->has_pending = false;
   FragmentRequest f = std::move(t->pending_frag);
-  t->round_inputs.push_back(f.round_input);
+  t->rec.round_inputs.push_back(f.round_input);
   // Locking always records undo while other transactions are active: a
   // deadlock abort may roll the transaction back (paper §4.3).
   WorkMeter receipt;
@@ -200,7 +190,7 @@ void LockingCc::ExecutePending(LTxn* t) {
     part_->ChargeLockWork(lock_work);
   }
 
-  if (!t->mp) {
+  if (!t->rec.multi_partition) {
     ClientResponse resp;
     resp.txn_id = f.txn_id;
     resp.attempt = f.attempt;
@@ -212,13 +202,7 @@ void LockingCc::ExecutePending(LTxn* t) {
       part_->Send(f.coordinator, resp);
     } else {
       t->undo.Clear();
-      part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
-      ReplicaShip ship;
-      ship.txn_id = f.txn_id;
-      ship.outcome_known = true;
-      ship.args = f.args;
-      ship.round_inputs = {f.round_input};
-      part_->SendDurable(f.coordinator, resp, std::move(ship));
+      part_->CommitSp(t->rec, f.coordinator, resp);
     }
     FinishTxn(t);
     return;
@@ -243,12 +227,7 @@ void LockingCc::ExecutePending(LTxn* t) {
   if (f.last_round) {
     t->prepared = true;
     part_->Charge(part_->cost().twopc_vote);
-    ReplicaShip ship;
-    ship.txn_id = t->id;
-    ship.outcome_known = false;
-    ship.args = t->args;
-    ship.round_inputs = t->round_inputs;
-    part_->SendDurable(f.coordinator, resp, std::move(ship));
+    part_->PrepareMp(t->rec, f.coordinator, resp);
   } else {
     part_->Send(f.coordinator, resp);
   }
@@ -259,7 +238,7 @@ void LockingCc::FinishTxn(LTxn* t) {
   WorkMeter m;
   lm_.ReleaseAll(t, &m, &granted);
   part_->ChargeLockWork(m);
-  txns_.erase(t->id);
+  txns_.erase(t->rec.txn_id);
   ProcessGrants(granted);
 }
 
@@ -280,13 +259,11 @@ void LockingCc::OnDecision(const DecisionMessage& d) {
   }
   if (d.commit) {
     t->undo.Clear();
-    part_->LogCommit(t->id, true, t->proc, t->args, t->round_inputs);
-    part_->ShipDecision(t->id, true);
   } else {
     part_->ChargeUndo(t->undo.size());
     t->undo.Rollback();
-    part_->ShipDecision(t->id, false);
   }
+  part_->DecideMp(t->rec, d.commit);
   FinishTxn(t);
 }
 
@@ -295,7 +272,7 @@ void LockingCc::OnTimer(const TimerFire& tf) {
   if (t == nullptr || t->wait_generation != tf.generation || !lm_.IsWaiting(t)) {
     return;  // stale timer
   }
-  PARTDB_CHECK(t->mp);
+  PARTDB_CHECK(t->rec.multi_partition);
   KillTxn(t, /*timeout=*/true);
 }
 

@@ -35,14 +35,9 @@ class LockingCc : public CcScheme {
 
  private:
   struct LTxn {
-    TxnId id = kInvalidTxn;
+    CommitRecord rec;
     uint32_t attempt = 0;
-    bool mp = false;
-    bool can_abort = false;
     NodeId coord = kInvalidNode;
-    ProcId proc = kInvalidProc;
-    PayloadPtr args;
-    std::vector<PayloadPtr> round_inputs;
     UndoBuffer undo;
     // Current fragment's lock acquisition state.
     std::vector<LockRequest> lock_plan;

@@ -6,7 +6,7 @@ namespace partdb {
 
 void MvccCc::OnFragment(FragmentRequest frag) {
   if (frag.multi_partition) {
-    if (pending_.has_value() && frag.txn_id == pending_->id) {
+    if (pending_.has_value() && frag.txn_id == pending_->rec.txn_id) {
       ContinueMp(frag);
       return;
     }
@@ -34,7 +34,7 @@ void MvccCc::OnFragment(FragmentRequest frag) {
     waiting_.push_back(std::move(frag));
     return;
   }
-  ExecuteSpAt(frag, needs_snapshot);
+  ExecuteSp(frag, needs_snapshot);
 }
 
 void MvccCc::ClassifySp(const FragmentRequest& f, bool* writes_conflict,
@@ -64,31 +64,7 @@ void MvccCc::AccumulateMpAccess(const FragmentRequest& f) {
   part_->ChargeLockWork(tracking);
 }
 
-void MvccCc::ExecuteSp(FragmentRequest& f) {
-  UndoBuffer undo;
-  ExecResult r = part_->RunFragment(f, f.can_abort ? &undo : nullptr);
-  ClientResponse resp;
-  resp.txn_id = f.txn_id;
-  resp.attempt = f.attempt;
-  resp.committed = !r.aborted;
-  resp.result = r.result;
-  if (r.aborted) {
-    part_->ChargeUndo(undo.size());
-    undo.Rollback();
-    part_->Send(f.coordinator, resp);
-    return;
-  }
-  ++commit_ts_;
-  part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
-  ReplicaShip ship;
-  ship.txn_id = f.txn_id;
-  ship.outcome_known = true;
-  ship.args = f.args;
-  ship.round_inputs = {f.round_input};
-  part_->SendDurable(f.coordinator, resp, std::move(ship));
-}
-
-void MvccCc::ExecuteSpAt(FragmentRequest& f, bool on_snapshot) {
+void MvccCc::ExecuteSp(FragmentRequest& f, bool on_snapshot) {
   if (on_snapshot) {
     // Lift the pending version chain off the store: what remains is the
     // committed snapshot at commit_ts_ — exactly the replay-prefix state.
@@ -102,7 +78,6 @@ void MvccCc::ExecuteSpAt(FragmentRequest& f, bool on_snapshot) {
     undo.Rollback();
   } else {
     ++commit_ts_;
-    part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
   }
   if (on_snapshot) {
     pending_->versions.Reinstall();
@@ -119,22 +94,12 @@ void MvccCc::ExecuteSpAt(FragmentRequest& f, bool on_snapshot) {
     part_->Send(f.coordinator, resp);
     return;
   }
-  ReplicaShip ship;
-  ship.txn_id = f.txn_id;
-  ship.outcome_known = true;
-  ship.args = f.args;
-  ship.round_inputs = {f.round_input};
-  part_->SendDurable(f.coordinator, resp, std::move(ship));
+  part_->CommitSp({f.txn_id, false, f.proc, f.args, {f.round_input}}, f.coordinator, resp);
 }
 
 void MvccCc::StartMp(FragmentRequest& f) {
   pending_.emplace();
-  pending_->id = f.txn_id;
-  pending_->coord = f.coordinator;
-  pending_->begin_ts = commit_ts_;
-  pending_->proc = f.proc;
-  pending_->args = f.args;
-  pending_->round_inputs.push_back(f.round_input);
+  pending_->rec = {f.txn_id, true, f.proc, f.args, {f.round_input}};
   pending_->versions.EnableRedo();
   AccumulateMpAccess(f);
   ExecResult r = part_->RunFragment(f, &pending_->versions);
@@ -145,7 +110,7 @@ void MvccCc::StartMp(FragmentRequest& f) {
 
 void MvccCc::ContinueMp(FragmentRequest& f) {
   PARTDB_CHECK(!pending_->finished);
-  pending_->round_inputs.push_back(f.round_input);
+  pending_->rec.round_inputs.push_back(f.round_input);
   AccumulateMpAccess(f);
   ExecResult r = part_->RunFragment(f, &pending_->versions);
   if (r.aborted) pending_->aborted_locally = true;
@@ -165,12 +130,7 @@ void MvccCc::RespondMp(const FragmentRequest& f, const ExecResult& r) {
   resp.vote = r.aborted ? Vote::kAbort : (f.last_round ? Vote::kCommit : Vote::kNone);
   if (f.last_round && !r.aborted) {
     part_->Charge(part_->cost().twopc_vote);
-    ReplicaShip ship;
-    ship.txn_id = f.txn_id;
-    ship.outcome_known = false;
-    ship.args = pending_->args;
-    ship.round_inputs = pending_->round_inputs;
-    part_->SendDurable(f.coordinator, resp, std::move(ship));
+    part_->PrepareMp(pending_->rec, f.coordinator, resp);
     return;
   }
   part_->Send(f.coordinator, resp);
@@ -178,7 +138,7 @@ void MvccCc::RespondMp(const FragmentRequest& f, const ExecResult& r) {
 
 void MvccCc::OnDecision(const DecisionMessage& d) {
   PARTDB_CHECK(pending_.has_value());
-  PARTDB_CHECK(pending_->id == d.txn_id);
+  PARTDB_CHECK(pending_->rec.txn_id == d.txn_id);
   if (d.commit) {
     PARTDB_CHECK(!pending_->aborted_locally);
     // The pending versions become the committed state; dropping the chain is
@@ -186,14 +146,12 @@ void MvccCc::OnDecision(const DecisionMessage& d) {
     // 2PC window).
     pending_->versions.Clear();
     ++commit_ts_;
-    part_->LogCommit(pending_->id, true, pending_->proc, pending_->args, pending_->round_inputs);
-    part_->ShipDecision(pending_->id, true);
   } else {
     ++epoch_;
     part_->ChargeUndo(pending_->versions.size());
     pending_->versions.Rollback();  // unlink the pending versions
-    part_->ShipDecision(pending_->id, false);
   }
+  part_->DecideMp(pending_->rec, d.commit);
   pending_.reset();
   Drain();
 }
@@ -209,7 +167,7 @@ void MvccCc::Drain() {
       if (writes_conflict) break;  // still stalled on the new pending MP
       FragmentRequest f = std::move(front);
       waiting_.pop_front();
-      ExecuteSpAt(f, needs_snapshot);
+      ExecuteSp(f, needs_snapshot);
       continue;
     }
     FragmentRequest f = std::move(front);

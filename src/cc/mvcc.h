@@ -34,7 +34,6 @@
 #include <deque>
 #include <optional>
 #include <unordered_set>
-#include <vector>
 
 #include "cc/cc_scheme.h"
 
@@ -61,12 +60,7 @@ class MvccCc : public CcScheme {
 
  private:
   struct PendingMp {
-    TxnId id = kInvalidTxn;
-    NodeId coord = kInvalidNode;
-    uint64_t begin_ts = 0;
-    ProcId proc = kInvalidProc;
-    PayloadPtr args;
-    std::vector<PayloadPtr> round_inputs;
+    CommitRecord rec;
     /// Pending version chain: undo (before-image) + redo (after-image) per
     /// written record, in write order.
     UndoBuffer versions;
@@ -77,12 +71,10 @@ class MvccCc : public CcScheme {
     std::unordered_set<uint64_t> writes;  // exclusive subset of `accesses`
   };
 
-  /// Fast path, nothing pending: identical to blocking's single-partition
-  /// execution (no version machinery, no lock-set work).
-  void ExecuteSp(FragmentRequest& f);
-  /// Runs an SP that was classified against the pending MP; `on_snapshot`
-  /// lifts the pending versions around the execution.
-  void ExecuteSpAt(FragmentRequest& f, bool on_snapshot);
+  /// Runs and commits a single-partition transaction. `on_snapshot` lifts
+  /// the pending MP's versions around the execution; without it this is
+  /// blocking's single-partition execution (no version machinery).
+  void ExecuteSp(FragmentRequest& f, bool on_snapshot = false);
   void StartMp(FragmentRequest& f);
   void ContinueMp(FragmentRequest& f);
   void RespondMp(const FragmentRequest& f, const ExecResult& r);

@@ -26,7 +26,7 @@ void OccCc::TrackAccess(Txn* t, const FragmentRequest& f) {
 
 void OccCc::OnFragment(FragmentRequest frag) {
   if (!uncommitted_.empty() && frag.multi_partition &&
-      frag.txn_id == uncommitted_.back()->id && !uncommitted_.back()->finished) {
+      frag.txn_id == uncommitted_.back()->rec.txn_id && !uncommitted_.back()->finished) {
     ContinueTail(frag);
     DrainQueue();
     return;
@@ -46,6 +46,14 @@ void OccCc::OnFragment(FragmentRequest frag) {
   DrainQueue();
 }
 
+OccCc::TxnPtr OccCc::NewTxn(const FragmentRequest& f) {
+  auto t = std::make_unique<Txn>();
+  t->rec = {f.txn_id, f.multi_partition, f.proc, f.args, {}};
+  t->coord = f.coordinator;
+  TrackAccess(t.get(), f);
+  return t;
+}
+
 void OccCc::ExecuteFresh(FragmentRequest& f) {
   if (!f.multi_partition) {
     UndoBuffer undo;
@@ -61,67 +69,38 @@ void OccCc::ExecuteFresh(FragmentRequest& f) {
       part_->Send(f.coordinator, resp);
       return;
     }
-    part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
-    ReplicaShip ship;
-    ship.txn_id = f.txn_id;
-    ship.outcome_known = true;
-    ship.args = f.args;
-    ship.round_inputs = {f.round_input};
-    part_->SendDurable(f.coordinator, resp, std::move(ship));
+    part_->CommitSp({f.txn_id, false, f.proc, f.args, {f.round_input}}, f.coordinator, resp);
     return;
   }
-  auto t = std::make_unique<Txn>();
-  t->id = f.txn_id;
-  t->mp = true;
-  t->can_abort = f.can_abort;
-  t->coord = f.coordinator;
-  t->proc = f.proc;
-  t->args = f.args;
-  TrackAccess(t.get(), f);
+  TxnPtr t = NewTxn(f);
   RunMpFragment(*t, f, kInvalidTxn);
   uncommitted_.push_back(std::move(t));
 }
 
 void OccCc::SpeculateSp(FragmentRequest& f) {
-  auto t = std::make_unique<Txn>();
-  t->id = f.txn_id;
-  t->mp = false;
-  t->can_abort = f.can_abort;
-  t->coord = f.coordinator;
-  t->proc = f.proc;
-  t->args = f.args;
+  TxnPtr t = NewTxn(f);
   t->frags.push_back(f);
-  t->round_inputs.push_back(f.round_input);
-  TrackAccess(t.get(), f);
+  t->rec.round_inputs.push_back(f.round_input);
   ExecResult r = part_->RunFragment(f, &t->undo);
   if (part_->metrics().recording) part_->metrics().speculative_execs++;
   t->finished = true;
-  ClientResponse resp;
-  resp.txn_id = f.txn_id;
-  resp.attempt = f.attempt;
-  resp.committed = !r.aborted;
-  resp.result = r.result;
+  t->held.txn_id = f.txn_id;
+  t->held.attempt = f.attempt;
+  t->held.committed = !r.aborted;
+  t->held.result = r.result;
   if (r.aborted) {
     t->aborted_locally = true;
     part_->ChargeUndo(t->undo.size());
     t->undo.Rollback();
     t->undo_applied = true;
   }
-  t->held.emplace_back(f.coordinator, resp);
   uncommitted_.push_back(std::move(t));
 }
 
 void OccCc::SpeculateMp(FragmentRequest& f) {
-  auto t = std::make_unique<Txn>();
-  t->id = f.txn_id;
-  t->mp = true;
-  t->can_abort = f.can_abort;
-  t->coord = f.coordinator;
-  t->proc = f.proc;
-  t->args = f.args;
   const TxnId dep = LastMpId();
   PARTDB_CHECK(dep != kInvalidTxn);
-  TrackAccess(t.get(), f);
+  TxnPtr t = NewTxn(f);
   RunMpFragment(*t, f, dep);
   if (part_->metrics().recording) part_->metrics().speculative_execs++;
   uncommitted_.push_back(std::move(t));
@@ -136,7 +115,7 @@ void OccCc::ContinueTail(FragmentRequest& f) {
 
 void OccCc::RunMpFragment(Txn& t, FragmentRequest& f, TxnId dep) {
   t.frags.push_back(f);
-  t.round_inputs.push_back(f.round_input);
+  t.rec.round_inputs.push_back(f.round_input);
   ExecResult r = part_->RunFragment(f, &t.undo);
   if (r.aborted) t.aborted_locally = true;
   t.finished = f.last_round;
@@ -155,24 +134,15 @@ void OccCc::RunMpFragment(Txn& t, FragmentRequest& f, TxnId dep) {
   t.has_response = true;
   if (f.last_round && !r.aborted) {
     part_->Charge(part_->cost().twopc_vote);
-    part_->SendDurable(t.coord, resp, ShipFor(t));
+    part_->PrepareMp(t.rec, t.coord, resp);
     return;
   }
   part_->Send(t.coord, resp);
 }
 
-ReplicaShip OccCc::ShipFor(const Txn& t) const {
-  ReplicaShip ship;
-  ship.txn_id = t.id;
-  ship.outcome_known = !t.mp;
-  ship.args = t.args;
-  ship.round_inputs = t.round_inputs;
-  return ship;
-}
-
 TxnId OccCc::LastMpId() const {
   for (auto it = uncommitted_.rbegin(); it != uncommitted_.rend(); ++it) {
-    if ((*it)->mp) return (*it)->id;
+    if ((*it)->rec.multi_partition) return (*it)->rec.txn_id;
   }
   return kInvalidTxn;
 }
@@ -180,14 +150,13 @@ TxnId OccCc::LastMpId() const {
 void OccCc::OnDecision(const DecisionMessage& d) {
   PARTDB_CHECK(!uncommitted_.empty());
   Txn* head = uncommitted_.front().get();
-  PARTDB_CHECK(head->id == d.txn_id);
-  PARTDB_CHECK(head->mp);
+  PARTDB_CHECK(head->rec.txn_id == d.txn_id);
+  PARTDB_CHECK(head->rec.multi_partition);
 
   if (d.commit) {
     PARTDB_CHECK(head->finished && !head->aborted_locally);
     head->undo.Clear();
-    part_->LogCommit(head->id, true, head->proc, head->args, head->round_inputs);
-    part_->ShipDecision(head->id, true);
+    part_->DecideMp(head->rec, true);
     uncommitted_.pop_front();
     ReleaseCommittedSp();
     DrainQueue();
@@ -224,9 +193,9 @@ void OccCc::OnDecision(const DecisionMessage& d) {
     // every later MP transaction re-executes as well; only single-partition
     // transactions — which have no cross-partition ordering constraints —
     // enjoy fully selective validation.
-    if (t->mp && mp_poisoned) conflict = true;
+    if (t->rec.multi_partition && mp_poisoned) conflict = true;
     if (conflict) {
-      if (t->mp) mp_poisoned = true;
+      if (t->rec.multi_partition) mp_poisoned = true;
       for (uint64_t k : t->writes) poisoned.insert(k);
       invalid.push_back(std::move(t));
     } else {
@@ -250,7 +219,7 @@ void OccCc::OnDecision(const DecisionMessage& d) {
     part_->ChargeUndo(h->undo.size());
     h->undo.Rollback();
   }
-  part_->ShipDecision(h->id, false);
+  part_->DecideMp(h->rec, false);
 
   // Requeue invalidated transactions for re-execution, preserving order.
   for (auto it = invalid.rbegin(); it != invalid.rend(); ++it) {
@@ -269,14 +238,14 @@ void OccCc::OnDecision(const DecisionMessage& d) {
   // aborted head); resend them revalidated so the coordinator can proceed.
   TxnId prev_mp = kInvalidTxn;
   for (TxnPtr& t : uncommitted_) {
-    if (t->mp && t->has_response) {
+    if (t->rec.multi_partition && t->has_response) {
       FragmentResponse resp = t->last_response;
       resp.epoch = epoch_;
       resp.depends_on = prev_mp;
       t->last_response = resp;
       part_->Send(t->coord, resp);
     }
-    if (t->mp) prev_mp = t->id;
+    if (t->rec.multi_partition) prev_mp = t->rec.txn_id;
   }
 
   // A surviving single-partition prefix has no uncommitted predecessors left.
@@ -285,17 +254,14 @@ void OccCc::OnDecision(const DecisionMessage& d) {
 }
 
 void OccCc::ReleaseCommittedSp() {
-  while (!uncommitted_.empty() && !uncommitted_.front()->mp) {
+  while (!uncommitted_.empty() && !uncommitted_.front()->rec.multi_partition) {
     Txn* t = uncommitted_.front().get();
     PARTDB_CHECK(t->finished);
     if (t->aborted_locally) {
-      for (auto& [dst, body] : t->held) part_->Send(dst, std::move(body));
+      part_->Send(t->coord, std::move(t->held));
     } else {
       t->undo.Clear();
-      part_->LogCommit(t->id, false, t->proc, t->args, t->round_inputs);
-      for (auto& [dst, body] : t->held) {
-        part_->SendDurable(dst, std::move(body), ShipFor(*t));
-      }
+      part_->CommitSp(std::move(t->rec), t->coord, std::move(t->held));
     }
     uncommitted_.pop_front();
   }
@@ -311,7 +277,7 @@ void OccCc::DrainQueue() {
     }
     Txn* tail = uncommitted_.back().get();
     FragmentRequest& peek = unexecuted_.front();
-    if (peek.multi_partition && peek.txn_id == tail->id && !tail->finished) {
+    if (peek.multi_partition && peek.txn_id == tail->rec.txn_id && !tail->finished) {
       FragmentRequest f = std::move(unexecuted_.front());
       unexecuted_.pop_front();
       ContinueTail(f);

@@ -28,19 +28,14 @@ class OccCc : public CcScheme {
 
  private:
   struct Txn {
-    TxnId id = kInvalidTxn;
-    bool mp = false;
-    bool can_abort = false;
+    CommitRecord rec;
     NodeId coord = kInvalidNode;
-    ProcId proc = kInvalidProc;
-    PayloadPtr args;
     std::vector<FragmentRequest> frags;
-    std::vector<PayloadPtr> round_inputs;
     UndoBuffer undo;
     bool finished = false;
     bool aborted_locally = false;
     bool undo_applied = false;
-    std::vector<std::pair<NodeId, MessageBody>> held;  // buffered SP results
+    ClientResponse held;  // buffered result of a speculated SP
     // Access tracking (lock ids double as item ids).
     std::vector<uint64_t> reads;
     std::vector<uint64_t> writes;
@@ -50,6 +45,8 @@ class OccCc : public CcScheme {
   };
   using TxnPtr = std::unique_ptr<Txn>;
 
+  /// A Txn for `f`'s transaction, with its access tracked.
+  TxnPtr NewTxn(const FragmentRequest& f);
   void ExecuteFresh(FragmentRequest& f);
   void SpeculateSp(FragmentRequest& f);
   void SpeculateMp(FragmentRequest& f);
@@ -59,7 +56,6 @@ class OccCc : public CcScheme {
   void DrainQueue();
   void ReleaseCommittedSp();
   TxnId LastMpId() const;
-  ReplicaShip ShipFor(const Txn& t) const;
 
   PartitionExec* part_;
   std::deque<FragmentRequest> unexecuted_;

@@ -10,29 +10,32 @@ namespace {
 constexpr size_t kTxnPoolMax = 64;
 }  // namespace
 
-SpeculativeCc::TxnPtr SpeculativeCc::NewTxn() {
-  if (txn_pool_.empty()) return std::make_unique<Txn>();
-  TxnPtr t = std::move(txn_pool_.back());
-  txn_pool_.pop_back();
+SpeculativeCc::TxnPtr SpeculativeCc::NewTxn(const FragmentRequest& f) {
+  TxnPtr t;
+  if (txn_pool_.empty()) {
+    t = std::make_unique<Txn>();
+  } else {
+    t = std::move(txn_pool_.back());
+    txn_pool_.pop_back();
+  }
+  t->rec.txn_id = f.txn_id;
+  t->rec.multi_partition = f.multi_partition;
+  t->rec.proc = f.proc;
+  t->rec.args = f.args;
+  t->coord = f.coordinator;
   return t;
 }
 
 void SpeculativeCc::RecycleTxn(TxnPtr t) {
   if (t == nullptr || txn_pool_.size() >= kTxnPoolMax) return;
-  t->id = kInvalidTxn;
-  t->mp = false;
-  t->can_abort = false;
-  t->coord = kInvalidNode;
-  t->proc = kInvalidProc;
-  t->args = nullptr;
+  t->rec.args = nullptr;
+  t->rec.round_inputs.clear();
   t->frags.clear();
-  t->round_inputs.clear();
   t->undo.Clear();
   t->finished = false;
   t->aborted_locally = false;
   t->undo_applied = false;
-  t->speculative = false;
-  t->held.clear();
+  t->held = {};
   txn_pool_.push_back(std::move(t));
 }
 
@@ -42,7 +45,7 @@ void SpeculativeCc::OnFragment(FragmentRequest frag) {
   // every earlier transaction here has committed, so the target is both head
   // and tail of the uncommitted queue.
   if (!uncommitted_.empty() && frag.multi_partition &&
-      frag.txn_id == uncommitted_.back()->id && !uncommitted_.back()->finished) {
+      frag.txn_id == uncommitted_.back()->rec.txn_id && !uncommitted_.back()->finished) {
     ContinueTail(frag);
     DrainQueue();
     return;
@@ -84,47 +87,29 @@ void SpeculativeCc::ExecuteFresh(FragmentRequest& f) {
       part_->Send(f.coordinator, resp);
       return;
     }
-    part_->LogCommit(f.txn_id, false, f.proc, f.args, {f.round_input});
-    ReplicaShip ship;
-    ship.txn_id = f.txn_id;
-    ship.outcome_known = true;
-    ship.args = f.args;
-    ship.round_inputs = {f.round_input};
-    part_->SendDurable(f.coordinator, resp, std::move(ship));
+    part_->CommitSp({f.txn_id, false, f.proc, f.args, {f.round_input}}, f.coordinator, resp);
     return;
   }
   // New non-speculative head.
-  TxnPtr t = NewTxn();
-  t->id = f.txn_id;
-  t->mp = true;
-  t->can_abort = f.can_abort;
-  t->coord = f.coordinator;
-  t->proc = f.proc;
-  t->args = f.args;
+  TxnPtr t = NewTxn(f);
   RunMpFragment(*t, f, kInvalidTxn);
   uncommitted_.push_back(std::move(t));
 }
 
 void SpeculativeCc::SpeculateSp(FragmentRequest& f) {
-  TxnPtr t = NewTxn();
-  t->id = f.txn_id;
-  t->mp = false;
-  t->can_abort = f.can_abort;
-  t->coord = f.coordinator;
-  t->proc = f.proc;
-  t->args = f.args;
-  t->speculative = true;
+  TxnPtr t = NewTxn(f);
   t->frags.push_back(f);
-  t->round_inputs.push_back(f.round_input);
+  t->rec.round_inputs.push_back(f.round_input);
   ExecResult r = part_->RunFragment(f, &t->undo);
   if (part_->metrics().recording) part_->metrics().speculative_execs++;
   t->finished = true;
 
-  ClientResponse resp;
-  resp.txn_id = f.txn_id;
-  resp.attempt = f.attempt;
-  resp.committed = !r.aborted;
-  resp.result = r.result;
+  // Results of speculated single-partition transactions cannot leave the
+  // database until every earlier transaction has committed (§4.2.1).
+  t->held.txn_id = f.txn_id;
+  t->held.attempt = f.attempt;
+  t->held.committed = !r.aborted;
+  t->held.result = r.result;
   if (r.aborted) {
     // A self-aborting speculation must roll back immediately so later
     // speculations never observe its dirty writes.
@@ -133,21 +118,11 @@ void SpeculativeCc::SpeculateSp(FragmentRequest& f) {
     t->undo.Rollback();
     t->undo_applied = true;
   }
-  // Results of speculated single-partition transactions cannot leave the
-  // database until every earlier transaction has committed (§4.2.1).
-  t->held.emplace_back(f.coordinator, resp);
   uncommitted_.push_back(std::move(t));
 }
 
 void SpeculativeCc::SpeculateMp(FragmentRequest& f) {
-  TxnPtr t = NewTxn();
-  t->id = f.txn_id;
-  t->mp = true;
-  t->can_abort = f.can_abort;
-  t->coord = f.coordinator;
-  t->proc = f.proc;
-  t->args = f.args;
-  t->speculative = true;
+  TxnPtr t = NewTxn(f);
   const TxnId dep = LastMpId();
   PARTDB_CHECK(dep != kInvalidTxn);
   RunMpFragment(*t, f, dep);
@@ -164,7 +139,7 @@ void SpeculativeCc::ContinueTail(FragmentRequest& f) {
 
 void SpeculativeCc::RunMpFragment(Txn& t, FragmentRequest& f, TxnId dep) {
   t.frags.push_back(f);
-  t.round_inputs.push_back(f.round_input);
+  t.rec.round_inputs.push_back(f.round_input);
   ExecResult r = part_->RunFragment(f, &t.undo);
   if (r.aborted) t.aborted_locally = true;
   t.finished = f.last_round;
@@ -181,24 +156,15 @@ void SpeculativeCc::RunMpFragment(Txn& t, FragmentRequest& f, TxnId dep) {
   resp.vote = r.aborted ? Vote::kAbort : (f.last_round ? Vote::kCommit : Vote::kNone);
   if (f.last_round && !r.aborted) {
     part_->Charge(part_->cost().twopc_vote);
-    part_->SendDurable(t.coord, resp, ShipFor(t));
+    part_->PrepareMp(t.rec, t.coord, resp);
     return;
   }
   part_->Send(t.coord, resp);
 }
 
-ReplicaShip SpeculativeCc::ShipFor(const Txn& t) const {
-  ReplicaShip ship;
-  ship.txn_id = t.id;
-  ship.outcome_known = !t.mp;
-  ship.args = t.args;
-  ship.round_inputs = t.round_inputs;
-  return ship;
-}
-
 TxnId SpeculativeCc::LastMpId() const {
   for (auto it = uncommitted_.rbegin(); it != uncommitted_.rend(); ++it) {
-    if ((*it)->mp) return (*it)->id;
+    if ((*it)->rec.multi_partition) return (*it)->rec.txn_id;
   }
   return kInvalidTxn;
 }
@@ -206,14 +172,13 @@ TxnId SpeculativeCc::LastMpId() const {
 void SpeculativeCc::OnDecision(const DecisionMessage& d) {
   PARTDB_CHECK(!uncommitted_.empty());
   Txn* head = uncommitted_.front().get();
-  PARTDB_CHECK(head->id == d.txn_id);
-  PARTDB_CHECK(head->mp);
+  PARTDB_CHECK(head->rec.txn_id == d.txn_id);
+  PARTDB_CHECK(head->rec.multi_partition);
 
   if (d.commit) {
     PARTDB_CHECK(head->finished && !head->aborted_locally);
     head->undo.Clear();
-    part_->LogCommit(head->id, true, head->proc, head->args, head->round_inputs);
-    part_->ShipDecision(head->id, true);
+    part_->DecideMp(head->rec, true);
     RecycleTxn(std::move(uncommitted_.front()));
     uncommitted_.pop_front();
     ReleaseCommittedSp();
@@ -244,7 +209,7 @@ void SpeculativeCc::OnDecision(const DecisionMessage& d) {
       part_->ChargeUndo(h->undo.size());
       h->undo.Rollback();
     }
-    part_->ShipDecision(h->id, false);
+    part_->DecideMp(h->rec, false);
     RecycleTxn(std::move(h));
     // requeue holds [newest, ..., oldest]; push_front restores queue order.
     for (auto& f : requeue) unexecuted_.push_front(std::move(f));
@@ -255,17 +220,14 @@ void SpeculativeCc::OnDecision(const DecisionMessage& d) {
 void SpeculativeCc::ReleaseCommittedSp() {
   // Commit speculated single-partition transactions up to the next
   // multi-partition transaction and release their buffered results.
-  while (!uncommitted_.empty() && !uncommitted_.front()->mp) {
+  while (!uncommitted_.empty() && !uncommitted_.front()->rec.multi_partition) {
     Txn* t = uncommitted_.front().get();
     PARTDB_CHECK(t->finished);
     if (t->aborted_locally) {
-      for (auto& [dst, body] : t->held) part_->Send(dst, std::move(body));
+      part_->Send(t->coord, std::move(t->held));
     } else {
       t->undo.Clear();
-      part_->LogCommit(t->id, false, t->proc, t->args, t->round_inputs);
-      for (auto& [dst, body] : t->held) {
-        part_->SendDurable(dst, std::move(body), ShipFor(*t));
-      }
+      part_->CommitSp(t->rec, t->coord, std::move(t->held));
     }
     RecycleTxn(std::move(uncommitted_.front()));
     uncommitted_.pop_front();
@@ -282,7 +244,7 @@ void SpeculativeCc::DrainQueue() {
     }
     Txn* tail = uncommitted_.back().get();
     FragmentRequest& peek = unexecuted_.front();
-    if (peek.multi_partition && peek.txn_id == tail->id && !tail->finished) {
+    if (peek.multi_partition && peek.txn_id == tail->rec.txn_id && !tail->finished) {
       FragmentRequest f = std::move(unexecuted_.front());
       unexecuted_.pop_front();
       ContinueTail(f);

@@ -13,7 +13,6 @@
 
 #include <deque>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "cc/cc_scheme.h"
@@ -37,28 +36,22 @@ class SpeculativeCc : public CcScheme {
 
  private:
   struct Txn {
-    TxnId id = kInvalidTxn;
-    bool mp = false;
-    bool can_abort = false;
+    CommitRecord rec;
     NodeId coord = kInvalidNode;
-    ProcId proc = kInvalidProc;
-    PayloadPtr args;
     std::vector<FragmentRequest> frags;  // executed fragments (for requeue)
-    std::vector<PayloadPtr> round_inputs;
     UndoBuffer undo;
     bool finished = false;         // executed its last local fragment
     bool aborted_locally = false;  // user abort during execution
     bool undo_applied = false;     // rollback already performed (SP self-abort)
-    bool speculative = false;
-    std::vector<std::pair<NodeId, MessageBody>> held;  // buffered SP results
+    ClientResponse held;           // buffered result of a speculated SP
   };
   using TxnPtr = std::unique_ptr<Txn>;
 
   /// Txn structs are recycled through a freelist: a speculation burst churns
   /// one per transaction, and the recycled structs keep their frags /
   /// round_inputs / undo vector capacities, so steady-state speculation
-  /// allocates no bookkeeping at all.
-  TxnPtr NewTxn();
+  /// allocates no bookkeeping at all. NewTxn starts one for `f`'s txn.
+  TxnPtr NewTxn(const FragmentRequest& f);
   void RecycleTxn(TxnPtr t);
 
   void ExecuteFresh(FragmentRequest& f);  // uncommitted queue empty
@@ -69,7 +62,6 @@ class SpeculativeCc : public CcScheme {
   void DrainQueue();
   void ReleaseCommittedSp();
   TxnId LastMpId() const;  // most recent MP txn in the uncommitted queue
-  ReplicaShip ShipFor(const Txn& t) const;
 
   PartitionExec* part_;
   bool speculate_mp_;

@@ -93,19 +93,17 @@ void PartitionLog::Start() {
   writer_ = std::thread([this] { WriterLoop(); });
 }
 
-uint64_t PartitionLog::Append(TxnId txn, bool multi_partition, ProcId proc,
-                              const PayloadPtr& args,
-                              const std::vector<PayloadPtr>& round_inputs) {
+uint64_t PartitionLog::Append(const CommitRecord& committed) {
   LogRecord rec;
-  rec.txn_id = txn;
-  rec.multi_partition = multi_partition;
-  rec.proc = proc;
+  rec.txn_id = committed.txn_id;
+  rec.multi_partition = committed.multi_partition;
+  rec.proc = committed.proc;
   {
     WireWriter w(&rec.args);
-    PARTDB_CHECK(args != nullptr);
-    args->SerializeTo(w);
+    PARTDB_CHECK(committed.args != nullptr);
+    committed.args->SerializeTo(w);
   }
-  for (const PayloadPtr& in : round_inputs) {
+  for (const PayloadPtr& in : committed.round_inputs) {
     std::string bytes;
     if (in != nullptr) {
       WireWriter w(&bytes);
@@ -118,10 +116,10 @@ uint64_t PartitionLog::Append(TxnId txn, bool multi_partition, ProcId proc,
   // partition worker appends, so enqueue order is sequence order.
   MutexLock lock(mu_);
   rec.commit_seq = next_seq_++;
-  if (multi_partition) mp_epoch_.push_back(txn);
+  if (rec.multi_partition) mp_epoch_.push_back(rec.txn_id);
   const size_t before = pending_bytes_.size();
   EncodeLogRecord(rec, &pending_bytes_);
-  pending_recs_.push_back(PendingRec{txn, rec.commit_seq,
+  pending_recs_.push_back(PendingRec{rec.txn_id, rec.commit_seq,
                                      static_cast<uint32_t>(pending_bytes_.size() - before)});
   work_cv_.NotifyOne();
   return rec.commit_seq;

@@ -15,7 +15,7 @@
 #include "common/mutex.h"
 #include "common/types.h"
 #include "durability/log_format.h"
-#include "msg/payload.h"
+#include "msg/message.h"
 
 namespace partdb {
 
@@ -61,8 +61,7 @@ class PartitionLog {
 
   /// Serializes and enqueues one committed invocation. Called on the owning
   /// partition's worker thread only. Returns the assigned commit sequence.
-  uint64_t Append(TxnId txn, bool multi_partition, ProcId proc, const PayloadPtr& args,
-                  const std::vector<PayloadPtr>& round_inputs);
+  uint64_t Append(const CommitRecord& committed);
 
   /// Blocks until every record appended so far is durable (or dropped by
   /// crash injection — waiting on records a simulated crash discarded would

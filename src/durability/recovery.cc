@@ -15,7 +15,7 @@
 
 #include "common/logging.h"
 #include "durability/log_format.h"
-#include "engine/work_meter.h"
+#include "engine/replay.h"
 
 namespace partdb {
 
@@ -200,6 +200,26 @@ std::string StagePartition(const RecoveryOptions& options, PartitionId p,
   return "";
 }
 
+/// Runs `fn(p)` for every partition on `workers` threads (the caller is one
+/// of them), one partition per worker at a time; the workers share nothing
+/// but the partition index.
+template <typename Fn>
+void ForEachPartition(int num_partitions, int workers, Fn&& fn) {
+  std::atomic<int> next_partition{0};
+  auto work = [&] {
+    while (true) {
+      const int p = next_partition.fetch_add(1, std::memory_order_relaxed);
+      if (p >= num_partitions) return;
+      fn(p);
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<size_t>(workers - 1));
+  for (int w = 1; w < workers; ++w) pool.emplace_back(work);
+  work();
+  for (std::thread& t : pool) t.join();
+}
+
 }  // namespace
 
 RecoveryReport RecoverDatabase(const RecoveryOptions& options,
@@ -217,13 +237,18 @@ RecoveryReport RecoverDatabase(const RecoveryOptions& options,
     return report;
   }
 
-  // Stage every partition's files (cheap relative to replay: reads + frame
-  // checks, no procedure execution).
+  // Stage every partition's files in parallel (reads + frame checks, no
+  // procedure execution; about as costly as the replay itself).
+  const int workers =
+      std::max(1, std::min(options.workers, options.num_partitions));
   std::vector<StagedPartition> staged(static_cast<size_t>(options.num_partitions));
+  std::vector<std::string> errors(static_cast<size_t>(options.num_partitions));
+  ForEachPartition(options.num_partitions, workers, [&](PartitionId p) {
+    errors[static_cast<size_t>(p)] = StagePartition(options, p, &staged[static_cast<size_t>(p)]);
+  });
   for (PartitionId p = 0; p < options.num_partitions; ++p) {
-    const std::string err = StagePartition(options, p, &staged[static_cast<size_t>(p)]);
-    if (!err.empty()) {
-      report.error = err;
+    if (!errors[static_cast<size_t>(p)].empty()) {
+      report.error = errors[static_cast<size_t>(p)];
       return report;
     }
     report.performed = report.performed || staged[static_cast<size_t>(p)].any_files;
@@ -262,13 +287,8 @@ RecoveryReport RecoverDatabase(const RecoveryOptions& options,
     }
   }
 
-  // Parallel replay: one partition per worker at a time. Each partition's
-  // engine is touched by exactly one thread, and the workers share nothing
-  // but the partition index.
-  const int workers =
-      std::max(1, std::min(options.workers, options.num_partitions));
-  std::atomic<int> next_partition{0};
-  std::vector<std::string> errors(static_cast<size_t>(options.num_partitions));
+  // Parallel replay: each partition's engine is touched by exactly one
+  // thread.
   std::vector<uint64_t> replayed(static_cast<size_t>(options.num_partitions), 0);
   std::vector<uint64_t> skipped(static_cast<size_t>(options.num_partitions), 0);
   std::vector<uint64_t> aborted(static_cast<size_t>(options.num_partitions), 0);
@@ -306,10 +326,10 @@ RecoveryReport RecoverDatabase(const RecoveryOptions& options,
           return;
         }
       }
-      std::vector<PayloadPtr> inputs;
+      CommitRecord committed{s.rec.txn_id, s.rec.multi_partition, s.live_proc, s.args, {}};
       for (size_t i = 0; i < s.rec.round_inputs.size(); ++i) {
         if (!s.rec.round_input_present[i]) {
-          inputs.push_back(nullptr);
+          committed.round_inputs.push_back(nullptr);
           continue;
         }
         if (d.decode_round_input == nullptr) {
@@ -323,31 +343,15 @@ RecoveryReport RecoverDatabase(const RecoveryOptions& options,
               p, "undecodable round input in record seq " + std::to_string(s.rec.commit_seq));
           return;
         }
-        inputs.push_back(std::move(in));
+        committed.round_inputs.push_back(std::move(in));
       }
-      const int rounds = inputs.empty() ? 1 : static_cast<int>(inputs.size());
-      for (int r = 0; r < rounds; ++r) {
-        WorkMeter m;
-        const Payload* input =
-            r < static_cast<int>(inputs.size()) ? inputs[static_cast<size_t>(r)].get() : nullptr;
-        ExecResult res = engine.Execute(*s.args, r, input, nullptr, &m);
+      ReplayRecord(engine, committed, [&](const WorkMeter&, const ExecResult& res) {
         if (res.aborted) ++aborted[static_cast<size_t>(p)];
-      }
+      });
       ++replayed[static_cast<size_t>(p)];
     }
   };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      while (true) {
-        const int p = next_partition.fetch_add(1, std::memory_order_relaxed);
-        if (p >= options.num_partitions) return;
-        replay_partition(p);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
+  ForEachPartition(options.num_partitions, workers, replay_partition);
 
   std::unordered_set<TxnId> recovered;
   for (PartitionId p = 0; p < options.num_partitions; ++p) {

@@ -75,38 +75,44 @@ void PartitionActor::Send(NodeId dst, MessageBody body) {
   ctx_->Send(dst, std::move(body));
 }
 
-void PartitionActor::SendDurable(NodeId dst, MessageBody body, ReplicaShip ship) {
+void PartitionActor::SetTimer(Duration d, TimerFire t) {
+  PARTDB_CHECK(ctx_ != nullptr);
+  ctx_->SetTimer(d, t);
+}
+
+void PartitionActor::CommitSp(CommitRecord rec, NodeId dst, MessageBody reply) {
+  AppendToLogs(rec);
+  ShipThenSend(/*outcome_known=*/true, std::move(rec), dst, std::move(reply));
+}
+
+void PartitionActor::PrepareMp(CommitRecord rec, NodeId dst, MessageBody vote) {
+  ShipThenSend(/*outcome_known=*/false, std::move(rec), dst, std::move(vote));
+}
+
+void PartitionActor::DecideMp(const CommitRecord& rec, bool commit) {
+  if (commit) AppendToLogs(rec);
+  if (backups_.empty()) return;
+  PARTDB_CHECK(ctx_ != nullptr);
+  for (NodeId b : backups_) ctx_->Send(b, ReplicaDecision{rec.txn_id, commit});
+}
+
+void PartitionActor::AppendToLogs(const CommitRecord& rec) {
+  if (durability_log_ != nullptr) durability_log_->Append(rec);
+  if (log_commits_) commit_log_.push_back(rec);
+}
+
+void PartitionActor::ShipThenSend(bool outcome_known, CommitRecord rec, NodeId dst,
+                                  MessageBody body) {
   PARTDB_CHECK(ctx_ != nullptr);
   if (backups_.empty()) {
     ctx_->Send(dst, std::move(body));
     return;
   }
   const uint64_t seq = next_ship_seq_++;
-  ship.order_seq = seq;
+  const ReplicaShip ship{seq, outcome_known, std::move(rec)};
   for (NodeId b : backups_) ctx_->Send(b, ship);
   pending_durable_[seq] =
       PendingDurable{static_cast<int>(backups_.size()), dst, std::move(body)};
-}
-
-void PartitionActor::ShipDecision(TxnId txn, bool commit) {
-  if (backups_.empty()) return;
-  PARTDB_CHECK(ctx_ != nullptr);
-  for (NodeId b : backups_) ctx_->Send(b, ReplicaDecision{txn, commit});
-}
-
-void PartitionActor::SetTimer(Duration d, TimerFire t) {
-  PARTDB_CHECK(ctx_ != nullptr);
-  ctx_->SetTimer(d, t);
-}
-
-void PartitionActor::LogCommit(TxnId id, bool multi_partition, ProcId proc,
-                               const PayloadPtr& args,
-                               const std::vector<PayloadPtr>& round_inputs) {
-  if (durability_log_ != nullptr) {
-    durability_log_->Append(id, multi_partition, proc, args, round_inputs);
-  }
-  if (!log_commits_) return;
-  commit_log_.push_back(CommitRecord{id, multi_partition, proc, args, round_inputs});
 }
 
 }  // namespace partdb

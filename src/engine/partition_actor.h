@@ -16,17 +16,6 @@
 
 namespace partdb {
 
-/// One committed transaction at this partition, in local commit order.
-/// Recorded only when commit logging is enabled (tests): replaying the log
-/// serially on a fresh engine must reproduce the partition state.
-struct CommitRecord {
-  TxnId txn_id = kInvalidTxn;
-  bool multi_partition = false;
-  ProcId proc = kInvalidProc;
-  PayloadPtr args;
-  std::vector<PayloadPtr> round_inputs;  // entry r = input for round r (null for 0)
-};
-
 class PartitionLog;
 
 class PartitionActor : public Actor, public PartitionExec {
@@ -43,6 +32,8 @@ class PartitionActor : public Actor, public PartitionExec {
   /// Must be called once before the simulation starts.
   void InstallScheme(std::unique_ptr<CcScheme> scheme) { scheme_ = std::move(scheme); }
   void SetBackups(std::vector<NodeId> backups) { backups_ = std::move(backups); }
+  /// Keeps every committed record in commit_log(), in local commit order, so
+  /// tests can replay it serially on a fresh engine (no cost — diagnostic).
   void EnableCommitLog() { log_commits_ = true; }
   /// Routes every committed transaction into the durable command log
   /// (durability tier; `log` must outlive the actor).
@@ -58,19 +49,15 @@ class PartitionActor : public Actor, public PartitionExec {
   void ChargeLockWork(const WorkMeter& m) override;
   void ChargeUndo(size_t records) override;
   void Send(NodeId dst, MessageBody body) override;
-  void SendDurable(NodeId dst, MessageBody body, ReplicaShip ship) override;
-  void ShipDecision(TxnId txn, bool commit) override;
   void SetTimer(Duration d, TimerFire t) override;
+  void CommitSp(CommitRecord rec, NodeId dst, MessageBody reply) override;
+  void PrepareMp(CommitRecord rec, NodeId dst, MessageBody vote) override;
+  void DecideMp(const CommitRecord& rec, bool commit) override;
   Engine& engine() override { return *engine_; }
   const CostModel& cost() const override { return cost_; }
   Metrics& metrics() override { return *metrics_; }
   PartitionId partition_id() const override { return pid_; }
   Duration lock_timeout() const override { return lock_timeout_; }
-
-  /// Appends to the durable command log (when installed) and the test-only
-  /// commit log (when enabled; no cost — diagnostic machinery).
-  void LogCommit(TxnId id, bool multi_partition, ProcId proc, const PayloadPtr& args,
-                 const std::vector<PayloadPtr>& round_inputs) override;
 
  protected:
   void OnMessage(Message& msg, ActorContext& ctx) override;
@@ -81,6 +68,11 @@ class PartitionActor : public Actor, public PartitionExec {
     NodeId dst = kInvalidNode;
     MessageBody body;
   };
+
+  /// Appends a committed record to the command log and the commit log.
+  void AppendToLogs(const CommitRecord& rec);
+  /// Ships `rec` to every backup and holds `body` until all of them ack.
+  void ShipThenSend(bool outcome_known, CommitRecord rec, NodeId dst, MessageBody body);
 
   PartitionId pid_;
   std::unique_ptr<Engine> engine_;

@@ -1,6 +1,7 @@
 #include "engine/replication.h"
 
 #include "common/logging.h"
+#include "engine/replay.h"
 
 namespace partdb {
 
@@ -8,9 +9,9 @@ void BackupActor::OnMessage(Message& msg, ActorContext& ctx) {
   if (auto* ship = std::get_if<ReplicaShip>(&msg.body)) {
     ctx.Charge(cost_.partition_msg);
     if (ship->outcome_known) {
-      Apply(*ship, ctx);
+      Apply(ship->rec, ctx);
     } else {
-      pending_[ship->txn_id] = *ship;
+      pending_[ship->rec.txn_id] = std::move(ship->rec);
     }
     ctx.Send(msg.src, ReplicaAck{ship->order_seq});
     return;
@@ -27,21 +28,16 @@ void BackupActor::OnMessage(Message& msg, ActorContext& ctx) {
   PARTDB_CHECK(false);  // backups receive only replication traffic
 }
 
-void BackupActor::Apply(const ReplicaShip& ship, ActorContext& ctx) {
+void BackupActor::Apply(const CommitRecord& rec, ActorContext& ctx) {
   if (!execute_) {
     // Charge a nominal apply cost proportional to one fragment.
     ctx.Charge(cost_.fragment_base);
     return;
   }
-  const int rounds = ship.round_inputs.empty() ? 1 : static_cast<int>(ship.round_inputs.size());
-  for (int r = 0; r < rounds; ++r) {
-    WorkMeter m;
-    const Payload* input =
-        (r < static_cast<int>(ship.round_inputs.size())) ? ship.round_inputs[r].get() : nullptr;
-    ExecResult res = engine_->Execute(*ship.args, r, input, nullptr, &m);
+  ReplayRecord(*engine_, rec, [&](const WorkMeter& m, const ExecResult& res) {
     PARTDB_CHECK(!res.aborted);  // only committed transactions are applied
     ctx.Charge(cost_.ExecCost(m));
-  }
+  });
 }
 
 }  // namespace partdb

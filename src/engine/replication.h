@@ -34,14 +34,14 @@ class BackupActor : public Actor {
   void OnMessage(Message& msg, ActorContext& ctx) override;
 
  private:
-  void Apply(const ReplicaShip& ship, ActorContext& ctx);
+  void Apply(const CommitRecord& rec, ActorContext& ctx);
 
   PartitionId pid_;
   std::unique_ptr<Engine> engine_;
   CostModel cost_;
   bool execute_;
   // MP transactions shipped at vote time, awaiting their outcome.
-  std::unordered_map<TxnId, ReplicaShip> pending_;
+  std::unordered_map<TxnId, CommitRecord> pending_;
 };
 
 }  // namespace partdb

@@ -21,8 +21,8 @@ size_t MessageByteSize(const MessageBody& body) {
         } else if constexpr (std::is_same_v<T, ClientResponse>) {
           return kHeader + PayloadBytes(m.result);
         } else if constexpr (std::is_same_v<T, ReplicaShip>) {
-          size_t n = kHeader + PayloadBytes(m.args);
-          for (const auto& r : m.round_inputs) n += PayloadBytes(r);
+          size_t n = kHeader + PayloadBytes(m.rec.args);
+          for (const auto& r : m.rec.round_inputs) n += PayloadBytes(r);
           return n;
         } else {
           return kHeader;

@@ -77,13 +77,22 @@ struct ClientResponse {
   PayloadPtr result;
 };
 
+/// One transaction at one partition, as a serial replay needs it. The same
+/// record feeds the verifier's commit log, the durable command log and the
+/// backups (a multi-partition one ships at vote time, before its outcome).
+struct CommitRecord {
+  TxnId txn_id = kInvalidTxn;
+  bool multi_partition = false;
+  ProcId proc = kInvalidProc;  // registry id; recovery re-resolves it by name
+  PayloadPtr args;
+  std::vector<PayloadPtr> round_inputs;  // entry r = input for round r (null for 0)
+};
+
 /// Primary -> backup: ship one transaction for durability (paper 2.2/3.2).
 struct ReplicaShip {
   uint64_t order_seq = 0;
-  TxnId txn_id = kInvalidTxn;
   bool outcome_known = true;  // SP txns ship committed; MP ship at vote time
-  PayloadPtr args;
-  std::vector<PayloadPtr> round_inputs;
+  CommitRecord rec;
 };
 
 /// Primary -> backup: outcome for a previously shipped MP transaction.

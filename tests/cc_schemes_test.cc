@@ -3,10 +3,15 @@
 // (speculating single-partition transactions behind a multi-partition
 // transaction) and §4.2.2 (speculating multi-partition transactions with
 // dependency tracking).
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cc/blocking.h"
 #include "cc/locking.h"
+#include "cc/scheme_registry.h"
 #include "cc/speculative.h"
 #include "fake_partition.h"
 #include "gtest/gtest.h"
@@ -533,6 +538,87 @@ TEST(LockingScheme, LocalDeadlockBetweenTwoTxnsResolved) {
   EXPECT_EQ(ValueOf(part, 0, 0), 2u);
   EXPECT_EQ(ValueOf(part, 0, 1), 2u);
 }
+
+// ------------------------------------------- Commit stream (all schemes) --
+//
+// Every registered scheme hands the partition one record per commit event:
+// a committed SP is logged and shipped outcome-known exactly once, a
+// user-aborted SP leaves no record, and an MP ships outcome-unknown at its
+// vote, is logged only on a commit decision, and has its outcome shipped
+// either way.
+
+class CommitStream : public ::testing::TestWithParam<std::string> {
+ protected:
+  std::unique_ptr<CcScheme> MakeScheme(FakePartition* part) {
+    return CcSchemeRegistry::Global().Make(GetParam(), part);
+  }
+};
+
+TEST_P(CommitStream, CommittedSpIsLoggedAndShippedOnce) {
+  FakePartition part(0, MakeEngine(0));
+  auto cc = MakeScheme(&part);
+  cc->OnFragment(SpFrag(1, SpArgs(0, 0)));
+  ASSERT_EQ(part.Bodies<ClientResponse>().size(), 1u);
+  ASSERT_EQ(part.log.size(), 1u);
+  EXPECT_EQ(part.log[0].txn_id, 1u);
+  EXPECT_FALSE(part.log[0].multi_partition);
+  ASSERT_EQ(part.ships.size(), 1u);
+  EXPECT_TRUE(part.ships[0].outcome_known);
+  EXPECT_EQ(part.ships[0].rec.txn_id, 1u);
+  EXPECT_TRUE(part.decisions_shipped.empty());
+}
+
+TEST_P(CommitStream, UserAbortedSpLeavesNoRecord) {
+  FakePartition part(0, MakeEngine(0));
+  auto cc = MakeScheme(&part);
+  cc->OnFragment(SpFrag(1, MpArgs(0, 0, /*abort_here=*/true), /*can_abort=*/true));
+  auto resp = part.Bodies<ClientResponse>();
+  ASSERT_EQ(resp.size(), 1u);
+  EXPECT_FALSE(resp[0].committed);
+  EXPECT_TRUE(part.log.empty());
+  EXPECT_TRUE(part.ships.empty());
+  EXPECT_TRUE(part.decisions_shipped.empty());
+  EXPECT_EQ(ValueOf(part, 0, 0), 0u);
+}
+
+TEST_P(CommitStream, MpShipsAtVoteAndIsLoggedOnlyOnCommit) {
+  for (const bool commit : {true, false}) {
+    SCOPED_TRACE(commit ? "commit" : "abort");
+    FakePartition part(0, MakeEngine(0));
+    auto cc = MakeScheme(&part);
+    cc->OnFragment(MpFrag(10, MpArgs(0, 0)));
+    ASSERT_EQ(part.ships.size(), 1u);
+    EXPECT_FALSE(part.ships[0].outcome_known);
+    EXPECT_EQ(part.ships[0].rec.txn_id, 10u);
+    EXPECT_TRUE(part.ships[0].rec.multi_partition);
+    EXPECT_EQ(part.ships[0].rec.round_inputs.size(), 1u);
+    EXPECT_TRUE(part.log.empty());
+    EXPECT_TRUE(part.decisions_shipped.empty());
+
+    // A disjoint SP during the 2PC window commits exactly once whatever the
+    // scheme does with it (queue, speculate, lock, or run on a snapshot).
+    cc->OnFragment(SpFrag(11, SpArgs(0, 1)));
+    cc->OnDecision(DecisionMessage{10, 0, commit});
+    EXPECT_TRUE(cc->Idle());
+
+    std::vector<TxnId> logged;
+    for (const CommitRecord& rec : part.log) logged.push_back(rec.txn_id);
+    std::sort(logged.begin(), logged.end());
+    const std::vector<TxnId> expect = commit ? std::vector<TxnId>{10, 11} : std::vector<TxnId>{11};
+    EXPECT_EQ(logged, expect);
+    ASSERT_EQ(part.ships.size(), 2u);
+    EXPECT_TRUE(part.ships[1].outcome_known);
+    EXPECT_EQ(part.ships[1].rec.txn_id, 11u);
+    ASSERT_EQ(part.decisions_shipped.size(), 1u);
+    EXPECT_EQ(part.decisions_shipped[0], std::make_pair(TxnId{10}, commit));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, CommitStream,
+                         ::testing::ValuesIn(CcSchemeRegistry::Global().Names()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
 
 }  // namespace
 }  // namespace partdb

@@ -1,6 +1,6 @@
 // A PartitionExec test double: runs fragments on a real engine synchronously
-// and captures every outbound message, timer, and commit-log entry so scheme
-// behaviour can be asserted step by step.
+// and captures every outbound message, timer, and commit-stream event so
+// scheme behaviour can be asserted step by step.
 #ifndef PARTDB_TESTS_FAKE_PARTITION_H_
 #define PARTDB_TESTS_FAKE_PARTITION_H_
 
@@ -10,7 +10,6 @@
 
 #include "cc/cc_scheme.h"
 #include "engine/engine.h"
-#include "engine/partition_actor.h"  // CommitRecord
 
 namespace partdb {
 
@@ -25,11 +24,17 @@ class FakePartition : public PartitionExec {
     NodeId dst;
     MessageBody body;
   };
-  std::vector<Sent> sent;
-  std::vector<ReplicaShip> ships;
-  std::vector<std::pair<TxnId, bool>> decisions_shipped;
+  /// What the backups would receive: every CommitSp ships outcome-known,
+  /// every PrepareMp outcome-unknown.
+  struct Ship {
+    bool outcome_known;
+    CommitRecord rec;
+  };
+  std::vector<Sent> sent;  // replies are sent at once (no backups to wait for)
+  std::vector<Ship> ships;
+  std::vector<std::pair<TxnId, bool>> decisions_shipped;  // every DecideMp
   std::vector<std::pair<Duration, TimerFire>> timers;
-  std::vector<CommitRecord> log;
+  std::vector<CommitRecord> log;  // committed records, in commit order
   Duration charged = 0;
 
   // Typed accessors over `sent`.
@@ -61,17 +66,19 @@ class FakePartition : public PartitionExec {
     charged += cost_.per_undo * static_cast<Duration>(records);
   }
   void Send(NodeId dst, MessageBody body) override { sent.push_back({dst, std::move(body)}); }
-  void SendDurable(NodeId dst, MessageBody body, ReplicaShip ship) override {
-    ships.push_back(std::move(ship));
-    sent.push_back({dst, std::move(body)});
-  }
-  void ShipDecision(TxnId txn, bool commit) override {
-    decisions_shipped.emplace_back(txn, commit);
-  }
   void SetTimer(Duration d, TimerFire t) override { timers.emplace_back(d, t); }
-  void LogCommit(TxnId id, bool multi_partition, ProcId proc, const PayloadPtr& args,
-                 const std::vector<PayloadPtr>& round_inputs) override {
-    log.push_back(CommitRecord{id, multi_partition, proc, args, round_inputs});
+  void CommitSp(CommitRecord rec, NodeId dst, MessageBody reply) override {
+    log.push_back(rec);
+    ships.push_back({true, std::move(rec)});
+    sent.push_back({dst, std::move(reply)});
+  }
+  void PrepareMp(CommitRecord rec, NodeId dst, MessageBody vote) override {
+    ships.push_back({false, std::move(rec)});
+    sent.push_back({dst, std::move(vote)});
+  }
+  void DecideMp(const CommitRecord& rec, bool commit) override {
+    if (commit) log.push_back(rec);
+    decisions_shipped.emplace_back(rec.txn_id, commit);
   }
   Engine& engine() override { return *engine_; }
   const CostModel& cost() const override { return cost_; }

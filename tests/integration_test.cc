@@ -6,6 +6,7 @@
 // orders must agree.
 #include <string>
 
+#include "cc/scheme_registry.h"
 #include "gtest/gtest.h"
 #include "kv/kv_procedures.h"
 #include "test_util.h"
@@ -170,14 +171,16 @@ TEST(Integration, ReplicationBackupsConverge) {
   mb.mp_fraction = 0.3;
   mb.abort_prob = 0.05;
 
-  KvRun run = RunKvSim(mb, "speculation", 77, Micros(10000), Micros(80000),
-                       /*log_commits=*/false, /*replication=*/2, /*backups_execute=*/true);
-  EXPECT_GT(run.metrics.completions(), 100u);
+  for (const std::string& scheme : CcSchemeRegistry::Global().Names()) {
+    KvRun run = RunKvSim(mb, scheme, 77, Micros(10000), Micros(80000),
+                         /*log_commits=*/false, /*replication=*/2, /*backups_execute=*/true);
+    EXPECT_GT(run.metrics.completions(), 100u) << scheme;
 
-  for (PartitionId p = 0; p < 2; ++p) {
-    EXPECT_EQ(run.db->cluster().engine(p).StateHash(),
-              run.db->cluster().backup_engine(p, 0).StateHash())
-        << "backup of partition " << p << " diverged";
+    for (PartitionId p = 0; p < 2; ++p) {
+      EXPECT_EQ(run.db->cluster().engine(p).StateHash(),
+                run.db->cluster().backup_engine(p, 0).StateHash())
+          << "backup of partition " << p << " diverged (" << scheme << ")";
+    }
   }
 }
 

@@ -25,6 +25,7 @@ struct KvFigConfig {
   bool local_spec = false;
   bool force_locks = false;
   bool force_undo = false;
+  int replication = 1;  // > 1 adds backups: votes and SP replies wait for acks
 };
 
 KvWorkloadOptions FigWorkload(const KvFigConfig& c) {
@@ -45,6 +46,7 @@ Metrics RunFig(const KvFigConfig& c, const std::string& scheme, uint64_t seed = 
   DbOptions opts = KvDbOptions(mb, scheme, RunMode::kSimulated, seed);
   opts.local_speculation_only = c.local_spec;
   opts.force_locks = c.force_locks;
+  opts.replication = c.replication;
   auto db = Database::Open(std::move(opts));
   ClosedLoopOptions loop;
   loop.num_clients = mb.num_clients;
@@ -76,7 +78,9 @@ struct FigGolden {
 };
 
 // One representative cell per figure, all four schemes, seed 12345,
-// 40 clients, 20 ms warmup + 100 ms measure (virtual).
+// 40 clients, 20 ms warmup + 100 ms measure (virtual). fig04_mp10_repl2 adds
+// one backup per partition, pinning when replica ships and acks release
+// votes and single-partition replies.
 struct FigCase {
   const char* name;
   KvFigConfig config;
@@ -90,6 +94,7 @@ const FigCase kFigCases[] = {
     {"fig10_localspec_mp50", {0.50, 0, 0, 1, false, true, false, false}},
     {"table2_forcelocks", {0.0, 0, 0, 1, false, false, true, false}},
     {"table2_undo", {0.0, 0, 0, 1, false, false, false, true}},
+    {"fig04_mp10_repl2", {0.10, 0, 0, 1, false, false, false, false, 2}},
 };
 
 const FigGolden kFigGoldens[] = {
@@ -127,6 +132,12 @@ const FigGolden kFigGoldens[] = {
     {"table2_undo_speculation", 2542, 2542, 0, 0, 0, 0, 0, 2542, 0, 192954000, 0},
     {"table2_undo_locking", 2542, 2542, 0, 0, 0, 0, 0, 2542, 0, 192954000, 0},
     {"table2_undo_occ", 2542, 2542, 0, 0, 0, 0, 0, 2542, 0, 192954000, 0},
+    {"fig04_mp10_repl2_blocking", 1712, 1555, 157, 0, 0, 0, 0, 1555, 157, 131284300,
+     15510000},
+    {"fig04_mp10_repl2_speculation", 2207, 1993, 214, 0, 0, 0, 0, 1993, 214, 187833400,
+     20900000},
+    {"fig04_mp10_repl2_locking", 2049, 1854, 195, 0, 0, 0, 0, 1854, 195, 194416920, 0},
+    {"fig04_mp10_repl2_occ", 2080, 1878, 202, 0, 0, 0, 0, 1878, 202, 188700840, 19868000},
 };
 
 // The goldens pin exactly the paper's four schemes (captured at the seed
