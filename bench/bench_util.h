@@ -7,11 +7,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/affinity.h"
 #include "common/csv.h"
 #include "common/flags.h"
 #include "common/types.h"
+#include "db/database.h"
 #include "engine/replay.h"
-#include "runtime/cluster.h"
 
 namespace partdb {
 
@@ -41,17 +42,20 @@ inline std::string FmtInt(double v) { return StrFormat("%.0f", v); }
 inline std::string FmtPct(double v) { return StrFormat("%.1f%%", v * 100.0); }
 inline std::string Fmt2(double v) { return StrFormat("%.2f", v); }
 
-/// Per-scheme result of a self-verifying bench run. `scheme` is the
-/// registry name ("blocking", "speculation", "locking", "occ", "mvcc", …).
+/// One row of a self-verifying bench run. `scheme` is the registry name
+/// ("blocking", "speculation", "locking", "occ", "mvcc", …) or, for a sweep,
+/// the row label (e.g. "c64" for 64 connections).
 struct SchemeResult {
   std::string scheme;
   Metrics m;
 };
 
 /// Writes the machine-readable results file the perf-tracking CI compares
-/// across PRs (tools/check_bench.py): bench name, scalar config fields, and
-/// per-scheme throughput + committed count + latency percentiles. Returns
-/// false (after printing) when the file cannot be written.
+/// across PRs (tools/check_bench.py): bench name, scalar config fields, the
+/// host's online CPU count (numbers are only comparable across hosts of the
+/// same width), and per-row throughput + committed count + latency
+/// percentiles. Returns false (after printing) when the file cannot be
+/// written.
 inline bool WriteSchemeJson(const std::string& path, const char* bench_name,
                             const std::vector<std::pair<const char*, long long>>& config,
                             const std::vector<SchemeResult>& results) {
@@ -64,6 +68,7 @@ inline bool WriteSchemeJson(const std::string& path, const char* bench_name,
   for (const auto& [key, value] : config) {
     std::fprintf(f, "  \"%s\": %lld,\n", key, value);
   }
+  std::fprintf(f, "  \"host_cpus\": %d,\n", OnlineCpuCount());
   std::fprintf(f, "  \"schemes\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const Metrics& m = results[i].m;
@@ -88,12 +93,15 @@ inline bool WriteSchemeJson(const std::string& path, const char* bench_name,
 /// replays each partition's commit log serially on a fresh engine and
 /// compares against the live state (requires log_commits). Prints a verdict
 /// line tagged `label`; returns false on any mismatch or replay-time abort.
-inline bool VerifyReplay(Cluster& cluster, const EngineFactory& factory, const char* label) {
+inline bool VerifyReplay(Database& db, const char* label) {
+  Cluster& cluster = db.cluster();
+  const int num_partitions = db.options().num_partitions;
   bool ok = true;
-  for (PartitionId p = 0; p < cluster.config().num_partitions; ++p) {
+  for (PartitionId p = 0; p < num_partitions; ++p) {
     const uint64_t live = cluster.engine(p).StateHash();
     size_t aborted = 0;
-    const uint64_t replayed = ReplayStateHash(factory, p, cluster.commit_log(p), &aborted);
+    const uint64_t replayed =
+        ReplayStateHash(db.options().engine_factory, p, cluster.commit_log(p), &aborted);
     if (aborted != 0) {
       std::printf("%s: partition %d had %zu committed txns abort on replay\n", label, p,
                   aborted);
@@ -107,7 +115,7 @@ inline bool VerifyReplay(Cluster& cluster, const EngineFactory& factory, const c
     }
   }
   std::printf("%s: serial commit-log replay %s (%d partitions)\n", label,
-              ok ? "matches live state" : "FAILED", cluster.config().num_partitions);
+              ok ? "matches live state" : "FAILED", num_partitions);
   return ok;
 }
 

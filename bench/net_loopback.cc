@@ -119,8 +119,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
     if (*verify != 0) {
-      ok = VerifyReplay(db->cluster(), db->options().engine_factory, scheme.c_str()) &&
-           ok;
+      ok = VerifyReplay(*db, scheme.c_str()) && ok;
     }
     results.push_back({scheme, m});
   }
@@ -131,7 +130,6 @@ int main(int argc, char** argv) {
                           {"clients", *clients},
                           {"mp_pct", *mp_pct},
                           {"measure_ms", *bench.measure_ms},
-                          {"host_cpus", OnlineCpuCount()},
                           {"pin", *pin}},
                          results) &&
          ok;

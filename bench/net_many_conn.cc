@@ -21,49 +21,6 @@
 
 using namespace partdb;
 
-namespace {
-
-struct RowResult {
-  std::string label;
-  Metrics m;
-};
-
-/// WriteSchemeJson's exact shape, with free-form row labels in the "scheme"
-/// field so check_bench.py compares the sweep points by name.
-bool WriteRowJson(const std::string& path, const char* bench_name,
-                  const std::vector<std::pair<const char*, long long>>& config,
-                  const std::vector<RowResult>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("ERROR: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench_name);
-  for (const auto& [key, value] : config) {
-    std::fprintf(f, "  \"%s\": %lld,\n", key, value);
-  }
-  std::fprintf(f, "  \"schemes\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Metrics& m = results[i].m;
-    std::fprintf(f,
-                 "    {\"scheme\": \"%s\", \"txn_per_sec\": %.0f, "
-                 "\"committed\": %llu, "
-                 "\"sp_p50_us\": %.1f, \"sp_p99_us\": %.1f, "
-                 "\"mp_p50_us\": %.1f, \"mp_p99_us\": %.1f}%s\n",
-                 results[i].label.c_str(), m.Throughput(),
-                 static_cast<unsigned long long>(m.committed),
-                 m.sp_latency.Percentile(50) / 1000.0, m.sp_latency.Percentile(99) / 1000.0,
-                 m.mp_latency.Percentile(50) / 1000.0, m.mp_latency.Percentile(99) / 1000.0,
-                 i + 1 == results.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   FlagSet flags;
   BenchFlags bench(&flags, /*warmup_default=*/100, /*measure_default=*/300);
@@ -82,7 +39,7 @@ int main(int argc, char** argv) {
   // Fail fast (listing the registered schemes) before the sweep starts.
   CcSchemeRegistry::Global().Get(*scheme);
   bool ok = true;
-  std::vector<RowResult> results;
+  std::vector<SchemeResult> results;
 
   // One sweep point: `sessions` closed-loop clients over the wire, either
   // one per connection (connection sweep) or all on one (session sweep).
@@ -149,13 +106,13 @@ int main(int argc, char** argv) {
   }
 
   if (!json->empty()) {
-    ok = WriteRowJson(*json, "net_many_conn",
-                      {{"partitions", *partitions},
-                       {"mp_pct", *mp_pct},
-                       {"loops", *num_loops},
-                       {"max_conns", *max_conns},
-                       {"measure_ms", *bench.measure_ms}},
-                      results) &&
+    ok = WriteSchemeJson(*json, "net_many_conn",
+                         {{"partitions", *partitions},
+                          {"mp_pct", *mp_pct},
+                          {"loops", *num_loops},
+                          {"max_conns", *max_conns},
+                          {"measure_ms", *bench.measure_ms}},
+                         results) &&
          ok;
   }
   return ok ? 0 : 1;

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     if (*verify != 0) {
       char label[32];
       std::snprintf(label, sizeof(label), "rate %lld", static_cast<long long>(rate));
-      ok = VerifyReplay(db->cluster(), db->options().engine_factory, label) && ok;
+      ok = VerifyReplay(*db, label) && ok;
     }
   }
   table.PrintAligned();

@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
     if (*verify != 0) {
-      ok = VerifyReplay(db->cluster(), db->options().engine_factory, scheme.c_str()) && ok;
+      ok = VerifyReplay(*db, scheme.c_str()) && ok;
     }
     results.push_back({scheme, m});
   }
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
     db->Close();
     std::printf("sim cross-check: %.0f txn/s (virtual), %llu events\n", sm.Throughput(),
                 static_cast<unsigned long long>(db->cluster().sim().events_processed()));
-    ok = VerifyReplay(db->cluster(), db->options().engine_factory, "sim") && ok;
+    ok = VerifyReplay(*db, "sim") && ok;
   }
 
   if (!json->empty()) {
@@ -120,9 +120,6 @@ int main(int argc, char** argv) {
                           {"mp_pct", *mp_pct},
                           {"read_only_pct", *read_only_pct},
                           {"measure_ms", *bench.measure_ms},
-                          // Box class: numbers are only comparable across runs
-                          // on hosts of the same width.
-                          {"host_cpus", OnlineCpuCount()},
                           {"pin", *pin}},
                          results) &&
          ok;

@@ -224,8 +224,7 @@ int main(int argc, char** argv) {
                           {"mp_pct", *mp_pct},
                           {"window_us", *window_us},
                           {"recover_txns", *recover_txns},
-                          {"measure_ms", *bench.measure_ms},
-                          {"host_cpus", OnlineCpuCount()}},
+                          {"measure_ms", *bench.measure_ms}},
                          results) &&
          ok;
   }

@@ -101,8 +101,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
     if (*verify != 0) {
-      ok = VerifyReplay(db->cluster(), db->options().engine_factory, scheme.c_str()) &&
-           ok;
+      ok = VerifyReplay(*db, scheme.c_str()) && ok;
       std::vector<const TpccDb*> dbs;
       for (PartitionId p = 0; p < wl.scale.num_partitions; ++p) {
         dbs.push_back(&static_cast<TpccEngine&>(db->cluster().engine(p)).db());

@@ -79,21 +79,22 @@ void CoordinatorActor::TryAdvance(MpTxn* t, ActorContext& ctx) {
     if (!pr.received) return;
   }
   // Dependency gate (§4.2.2): every speculative result must have its
-  // dependency committed before we can act on this round.
+  // dependency committed before we can act on this round. A dependency is
+  // always a multi-partition transaction this coordinator ordered before
+  // `t`, so it is undecided exactly while it is still in txns_.
   for (const auto& pr : t->resp) {
     const TxnId dep = pr.resp.depends_on;
     if (dep == kInvalidTxn) continue;
-    auto dit = decided_.find(dep);
-    if (dit == decided_.end()) {
+    if (txns_.count(dep) != 0) {
       if (!t->parked) {
         t->parked = true;
         waiters_[dep].push_back(t->id);
       }
       return;  // wait for the dependency's outcome
     }
-    // An aborted dependency invalidates the response; InvalidateStale already
-    // cleared it when the abort was sent, so reaching here means committed.
-    PARTDB_CHECK(dit->second);
+    // A decided dependency here has committed. Had it aborted, this response
+    // would carry a pre-abort epoch: InvalidateStale cleared it when the
+    // abort was sent, and OnResponse drops one that arrives later.
   }
   t->parked = false;
 
@@ -149,7 +150,6 @@ void CoordinatorActor::Decide(MpTxn* t, bool commit, ActorContext& ctx) {
   ctx.Send(t->client, cr);
 
   const TxnId id = t->id;
-  decided_[id] = commit;
   txns_.erase(id);
 
   // Wake transactions parked on this outcome.

@@ -72,9 +72,8 @@ class CoordinatorActor : public Actor {
   std::vector<NodeId> partition_nodes_;
   std::vector<uint32_t> expected_epoch_;  // abort decisions sent, per partition
 
-  std::unordered_map<TxnId, std::unique_ptr<MpTxn>> txns_;
-  std::unordered_map<TxnId, bool> decided_;              // txn -> committed?
-  std::unordered_map<TxnId, std::vector<TxnId>> waiters_;  // dep -> parked txns
+  std::unordered_map<TxnId, std::unique_ptr<MpTxn>> txns_;  // undecided, by id
+  std::unordered_map<TxnId, std::vector<TxnId>> waiters_;   // dep -> parked txns
   uint64_t next_seq_ = 1;
 };
 

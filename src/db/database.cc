@@ -42,22 +42,7 @@ Database::Database(DbOptions options) : options_(std::move(options)) {
   const CcSchemeCapabilities scheme_caps =
       CcSchemeRegistry::Global().Get(options_.scheme).caps;
 
-  ClusterConfig cfg;
-  cfg.scheme = options_.scheme;
-  cfg.mode = options_.mode;
-  cfg.num_partitions = options_.num_partitions;
-  cfg.num_sessions = options_.max_sessions;
-  cfg.session_workers = options_.session_workers;
-  cfg.replication = options_.replication;
-  cfg.backups_execute = options_.backups_execute;
-  cfg.net = options_.net;
-  cfg.cost = options_.cost;
-  cfg.lock_timeout = options_.lock_timeout;
-  cfg.log_commits = options_.log_commits;
-  cfg.local_speculation_only = options_.local_speculation_only;
-  cfg.force_locks = options_.force_locks;
-  cfg.worker_affinity = options_.worker_affinity;
-  cluster_ = std::make_unique<Cluster>(cfg, options_.engine_factory, &registry_);
+  cluster_ = std::make_unique<Cluster>(options_, &registry_);
 
   if (options_.durability != DurabilityMode::kOff) {
     std::filesystem::create_directories(options_.log_dir);
@@ -112,7 +97,7 @@ Database::Database(DbOptions options) : options_(std::move(options)) {
   }
   for (int i = options_.max_sessions - 1; i >= 0; --i) free_slots_.push_back(i);
 
-  if (options_.mode == RunMode::kParallel) cluster_->StartParallel();
+  cluster_->Start();
   if (durability_ != nullptr) durability_->Start(&cluster_->exec());
 }
 
@@ -152,34 +137,10 @@ void Database::ReleaseSession(SessionActor* actor) {
 
 void Database::BeginMeasurement() {
   registry_.ResetProcMetrics();
-  if (options_.mode == RunMode::kParallel) {
-    cluster_->BeginWindow();
-    return;
-  }
-  Metrics& m = cluster_->metrics();
-  m.Reset();
-  m.recording = true;
-  for (PartitionId p = 0; p < options_.num_partitions; ++p) {
-    cluster_->partition(p).ResetBusy();
-  }
-  cluster_->coordinator()->ResetBusy();
-  sim_window_start_ = cluster_->sim().Now();
+  cluster_->BeginWindow();
 }
 
-Metrics Database::EndMeasurement() {
-  if (options_.mode == RunMode::kParallel) return cluster_->EndWindow();
-  Metrics& m = cluster_->metrics();
-  m.recording = false;
-  Metrics out = m;
-  out.window_ns = cluster_->sim().Now() - sim_window_start_;
-  out.num_partitions = options_.num_partitions;
-  out.partition_busy_ns = 0;
-  for (PartitionId p = 0; p < options_.num_partitions; ++p) {
-    out.partition_busy_ns += cluster_->partition(p).busy_ns();
-  }
-  out.coord_busy_ns = cluster_->coordinator()->busy_ns();
-  return out;
-}
+Metrics Database::EndMeasurement() { return cluster_->EndWindow(); }
 
 Database::DbStats Database::Stats() const {
   DbStats out;
@@ -293,18 +254,16 @@ void Database::Close() {
     if (closed_) return;
     closed_ = true;
   }
+  // Submissions have ceased (sessions drain on destruction; any still-open
+  // session must be idle by now). In parallel mode wait out stragglers; the
+  // simulator runs them dry in Stop.
   if (options_.mode == RunMode::kParallel) {
-    // Submissions have ceased (sessions drain on destruction; any still-open
-    // session must be idle by now). Wait out stragglers, then join.
     for (auto& a : session_actors_) {
       PARTDB_CHECK(a->WaitDrained(std::chrono::seconds(30)));
     }
-    cluster_->StopParallel();
-    if (durability_ != nullptr) durability_->Shutdown();
-    return;
   }
-  // Simulated: run the event queue dry and verify quiescence.
-  cluster_->Quiesce();
+  cluster_->Stop();
+  if (durability_ != nullptr) durability_->Shutdown();
   for (auto& a : session_actors_) {
     PARTDB_CHECK(a->outstanding() == 0);
   }

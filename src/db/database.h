@@ -17,83 +17,16 @@
 #include <string_view>
 #include <vector>
 
-#include "common/affinity.h"
 #include "common/mutex.h"
+#include "db/cluster.h"
 #include "db/db_handle.h"
+#include "db/db_options.h"
 #include "db/procedure_registry.h"
 #include "db/session.h"
 #include "durability/durability_manager.h"
 #include "durability/recovery.h"
-#include "runtime/cluster.h"
 
 namespace partdb {
-
-struct DbOptions {
-  /// Registered name of the concurrency-control scheme, resolved through
-  /// CcSchemeRegistry::Global() at Open ("blocking", "speculation",
-  /// "locking", "occ", "mvcc", or anything registered since). An unknown
-  /// name fails loudly, listing the registered schemes.
-  std::string scheme = "speculation";
-  RunMode mode = RunMode::kParallel;
-  int num_partitions = 2;
-  /// Total copies of each partition including the primary (k in §2.2).
-  int replication = 1;
-  bool backups_execute = false;
-  /// Session slots created at Open (sessions must bind before the parallel
-  /// workers start); CreateSession hands them out and recycles them.
-  int max_sessions = 16;
-  /// Parallel-mode worker threads shared by the session ingress actors.
-  int session_workers = 2;
-  /// Admission control / backpressure: at most this many transactions
-  /// admitted-and-uncompleted per session (0 = unlimited). Submissions past
-  /// the bound return SubmitResult{accepted = false} instead of queueing —
-  /// the overload signal open-loop drivers surface. Enforced identically by
-  /// embedded sessions and remote sessions (the server's handshake carries
-  /// the bound to clients).
-  uint64_t max_inflight_per_session = 0;
-  NetworkConfig net;
-  CostModel cost;
-  Duration lock_timeout = Micros(20000);
-  uint64_t seed = 12345;
-  /// Record per-partition commit logs (serializability verification).
-  bool log_commits = false;
-  bool local_speculation_only = false;
-  bool force_locks = false;
-  /// Parallel mode: pin the runtime's worker threads (partitions, backups,
-  /// coordinator, session workers) round-robin over the CPU list, or over
-  /// all online CPUs when the list is empty with pin set. Advisory — failed
-  /// pins are counted in Stats().pinned_workers, never an error.
-  CpuAffinity worker_affinity;
-  /// Builds the engine for each partition, primaries and backups alike.
-  /// Required.
-  EngineFactory engine_factory;
-  /// Stored procedures to register. The registry is sealed once Open returns
-  /// (sessions and the coordinator read it concurrently afterwards).
-  std::vector<ProcedureDescriptor> procedures;
-
-  // Durability (command logging, README "Durability"). Parallel mode only.
-  /// kOff: memory only. kAsync: commits are logged+fsynced off the critical
-  /// path but completions do not wait. kGroupCommit: completions are held
-  /// until the commit's batch is durable on every participant's log.
-  DurabilityMode durability = DurabilityMode::kOff;
-  /// Log/checkpoint directory (required when durability != kOff). Open on a
-  /// directory with existing logs recovers: latest checkpoint per partition,
-  /// then parallel log replay through the registered procedures.
-  std::string log_dir;
-  /// Group-commit window: how long the log writer holds a batch open after
-  /// its first record so concurrent commits share one fsync.
-  uint32_t group_commit_window_us = 200;
-  /// Deterministic crash injection (tests): after this many records have
-  /// been admitted across all logs, drop everything later and flip
-  /// durability()->crashed() (0 = disabled). Env var
-  /// PARTDB_DURABILITY_CRASH_AFTER_N_COMMITS overrides when set.
-  uint64_t durability_crash_after_n_commits = 0;
-  /// Replay worker threads used by recovery (0 = one per partition).
-  int recovery_workers = 0;
-  /// Keep log segments behind a checkpoint instead of truncating them
-  /// (tests compare checkpoint+tail replay against full-history replay).
-  bool keep_truncated_log_segments = false;
-};
 
 class Database : public DbHandle {
  public:
@@ -123,9 +56,8 @@ class Database : public DbHandle {
   std::unique_ptr<Session> TryCreateSession();
 
   /// Begins/ends a metrics window (throughput, latency histograms, CPU
-  /// utilization). In parallel mode the flips run on each actor's worker;
-  /// in simulated mode they gate the shared metrics instance. Begin also
-  /// zeroes the per-procedure outcome stats.
+  /// utilization) through Cluster::BeginWindow/EndWindow, the same in both
+  /// modes. Begin also zeroes the per-procedure outcome stats.
   void BeginMeasurement() override;
   Metrics EndMeasurement() override;
 
@@ -193,8 +125,6 @@ class Database : public DbHandle {
   Mutex mu_;
   std::vector<int> free_slots_ PARTDB_GUARDED_BY(mu_);
   bool closed_ PARTDB_GUARDED_BY(mu_) = false;
-
-  Time sim_window_start_ = 0;  // simulated-mode measurement window
 };
 
 }  // namespace partdb

@@ -10,8 +10,8 @@
 #include <memory>
 #include <string_view>
 
+#include "db/db_options.h"
 #include "db/session.h"
-#include "runtime/cluster.h"
 #include "runtime/metrics.h"
 
 namespace partdb {

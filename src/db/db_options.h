@@ -1,0 +1,102 @@
+// DbOptions: the one configuration of a database instance. Database::Open
+// takes it, and the Cluster underneath is built straight from the Database's
+// own copy.
+#ifndef PARTDB_DB_DB_OPTIONS_H_
+#define PARTDB_DB_DB_OPTIONS_H_
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/affinity.h"
+#include "common/types.h"
+#include "db/procedure_registry.h"
+#include "durability/durability_manager.h"
+#include "engine/cost_model.h"
+#include "engine/engine.h"
+#include "sim/network.h"
+
+namespace partdb {
+
+/// How a database executes: on the virtual clock (deterministic, models the
+/// paper's hardware) or on real threads at hardware speed.
+enum class RunMode { kSimulated, kParallel };
+
+struct DbOptions {
+  /// Registered name of the concurrency-control scheme, resolved through
+  /// CcSchemeRegistry::Global() at Open ("blocking", "speculation",
+  /// "locking", "occ", "mvcc", or anything registered since). An unknown
+  /// name fails loudly, listing the registered schemes.
+  std::string scheme = "speculation";
+  RunMode mode = RunMode::kParallel;
+  int num_partitions = 2;
+  /// Total copies of each partition including the primary (k in §2.2).
+  int replication = 1;
+  /// Backups replay transactions for real (tests) vs. charging cost only.
+  bool backups_execute = false;
+  /// Session slots created at Open (sessions must bind before the parallel
+  /// workers start); CreateSession hands them out and recycles them.
+  int max_sessions = 16;
+  /// Parallel-mode worker threads shared by the session ingress actors.
+  int session_workers = 2;
+  /// Admission control / backpressure: at most this many transactions
+  /// admitted-and-uncompleted per session (0 = unlimited). Submissions past
+  /// the bound return SubmitResult{accepted = false} instead of queueing —
+  /// the overload signal open-loop drivers surface. Enforced identically by
+  /// embedded sessions and remote sessions (the server's handshake carries
+  /// the bound to clients).
+  uint64_t max_inflight_per_session = 0;
+  NetworkConfig net;
+  CostModel cost;
+  /// Distributed-deadlock timeout (paper §4.3). Real systems use tens to
+  /// hundreds of milliseconds; 20 ms makes each distributed deadlock clearly
+  /// expensive (the paper: timeouts "hurt throughput significantly").
+  Duration lock_timeout = Micros(20000);
+  uint64_t seed = 12345;
+  /// Record per-partition commit logs (serializability verification).
+  bool log_commits = false;
+  /// Restrict speculation to local speculation (§4.2.1): multi-partition
+  /// transactions are never speculated. Used by the fig. 10 "Local Spec"
+  /// curves and the speculation ablation.
+  bool local_speculation_only = false;
+  /// Disable the locking scheme's no-lock fast path (§5.1 remark).
+  bool force_locks = false;
+  /// Parallel mode: pin the runtime's worker threads (partitions, backups,
+  /// coordinator, session workers) round-robin over the CPU list, or over
+  /// all online CPUs when the list is empty with pin set. Advisory — failed
+  /// pins are counted in Stats().pinned_workers, never an error.
+  CpuAffinity worker_affinity;
+  /// Builds the engine for each partition, primaries and backups alike.
+  /// Required.
+  EngineFactory engine_factory;
+  /// Stored procedures to register. The registry is sealed once Open returns
+  /// (sessions and the coordinator read it concurrently afterwards).
+  std::vector<ProcedureDescriptor> procedures;
+
+  // Durability (command logging, README "Durability"). Parallel mode only.
+  /// kOff: memory only. kAsync: commits are logged+fsynced off the critical
+  /// path but completions do not wait. kGroupCommit: completions are held
+  /// until the commit's batch is durable on every participant's log.
+  DurabilityMode durability = DurabilityMode::kOff;
+  /// Log/checkpoint directory (required when durability != kOff). Open on a
+  /// directory with existing logs recovers: latest checkpoint per partition,
+  /// then parallel log replay through the registered procedures.
+  std::string log_dir;
+  /// Group-commit window: how long the log writer holds a batch open after
+  /// its first record so concurrent commits share one fsync.
+  uint32_t group_commit_window_us = 200;
+  /// Deterministic crash injection (tests): after this many records have
+  /// been admitted across all logs, drop everything later and flip
+  /// durability()->crashed() (0 = disabled). Env var
+  /// PARTDB_DURABILITY_CRASH_AFTER_N_COMMITS overrides when set.
+  uint64_t durability_crash_after_n_commits = 0;
+  /// Replay worker threads used by recovery (0 = one per partition).
+  int recovery_workers = 0;
+  /// Keep log segments behind a checkpoint instead of truncating them
+  /// (tests compare checkpoint+tail replay against full-history replay).
+  bool keep_truncated_log_segments = false;
+};
+
+}  // namespace partdb
+
+#endif  // PARTDB_DB_DB_OPTIONS_H_

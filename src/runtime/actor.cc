@@ -1,7 +1,5 @@
 #include "runtime/actor.h"
 
-#include "common/logging.h"
-
 namespace partdb {
 
 void ActorContext::Send(NodeId dst, MessageBody body) {
@@ -16,28 +14,11 @@ void ActorContext::SetTimer(Duration after, TimerFire t) {
   actor_->exec()->SetTimer(actor_->node_id(), now() + after, t);
 }
 
-void Actor::Deliver(Message msg) {
-  inbox_.push_back(std::move(msg));
-  if (!busy_) StartNext(exec_->Now());
-}
-
-void Actor::StartNext(Time at) {
-  PARTDB_CHECK(!inbox_.empty());
-  busy_ = true;
-  Message msg = std::move(inbox_.front());
-  inbox_.pop_front();
-
-  ActorContext ctx(this, at);
+Duration Actor::Handle(Message& msg, Time start) {
+  ActorContext ctx(this, start);
   OnMessage(msg, ctx);
-
-  const Duration cost = ctx.charged();
-  busy_ns_ += cost;
-  exec_->HandlerDone(this, at, cost);
-}
-
-void Actor::FinishHandler(Time done) {
-  busy_ = false;
-  if (!inbox_.empty()) StartNext(done);
+  busy_ns_ += ctx.charged();
+  return ctx.charged();
 }
 
 }  // namespace partdb

@@ -1,13 +1,13 @@
-// Actor: a single-threaded process with one CPU. Messages queue in an inbox;
-// the actor processes one message at a time, and the CPU time charged by the
-// handler determines when the next message starts. Outbound messages depart
-// at the instant they were produced. Actors are runtime-agnostic: the bound
-// ExecutionContext decides whether time is virtual (discrete-event
-// simulation) or wall-clock (thread-per-partition parallel execution).
+// Actor: a single-threaded process with one CPU. The runtime hands it one
+// message at a time; the handler charges CPU time, and outbound messages
+// depart at the instant they were produced. Actors are runtime-agnostic: the
+// bound ExecutionContext decides whether time is virtual (discrete-event
+// simulation, which also holds each message until the CPU time charged by
+// the previous handler has elapsed) or wall-clock (thread-per-partition
+// parallel execution, where a drained message runs at once).
 #ifndef PARTDB_RUNTIME_ACTOR_H_
 #define PARTDB_RUNTIME_ACTOR_H_
 
-#include <deque>
 #include <string>
 
 #include "common/types.h"
@@ -63,19 +63,16 @@ class Actor {
   const std::string& name() const { return name_; }
   ExecutionContext* exec() const { return exec_; }
 
-  /// Runtime entry point: enqueue and start processing if idle. Must only be
-  /// called by the thread that owns this actor (the simulator's event loop,
-  /// or the actor's worker thread in parallel execution).
-  void Deliver(Message msg);
-
-  /// Runtime callback: the CPU time charged by the last handler has elapsed
-  /// (see ExecutionContext::HandlerDone); resumes the inbox if non-empty.
-  void FinishHandler(Time done);
+  /// Runtime entry point: runs the handler for `msg` starting at `start`,
+  /// accrues the CPU time it charged into busy_ns() and returns it. Must only
+  /// be called by the thread that owns this actor (the simulator's event
+  /// loop, or the actor's worker thread in parallel execution), one message
+  /// at a time.
+  Duration Handle(Message& msg, Time start);
 
   /// Total CPU time consumed (for utilization reporting).
   Duration busy_ns() const { return busy_ns_; }
   void ResetBusy() { busy_ns_ = 0; }
-  size_t inbox_depth() const { return inbox_.size(); }
 
  protected:
   /// Processes one message. Implementations charge CPU and send replies via
@@ -83,14 +80,9 @@ class Actor {
   virtual void OnMessage(Message& msg, ActorContext& ctx) = 0;
 
  private:
-  friend class ActorContext;
-  void StartNext(Time at);
-
   std::string name_;
   ExecutionContext* exec_ = nullptr;
   NodeId node_ = kInvalidNode;
-  std::deque<Message> inbox_;
-  bool busy_ = false;
   Duration busy_ns_ = 0;
 };
 

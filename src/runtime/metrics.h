@@ -1,6 +1,7 @@
-// Run-wide counters, latency histograms, and time breakdowns. One Metrics
-// instance is shared by all actors of a cluster; `recording` gates updates to
-// the measurement window (after warm-up).
+// Run-wide counters, latency histograms, and time breakdowns. Each measured
+// actor records into its own Metrics instance, and the cluster merges them
+// when a measurement window ends; `recording` gates updates to the window
+// (after warm-up).
 #ifndef PARTDB_RUNTIME_METRICS_H_
 #define PARTDB_RUNTIME_METRICS_H_
 
@@ -55,7 +56,7 @@ struct Metrics {
   }
 
   /// Accumulates another instance's counters, histograms, and time
-  /// breakdowns (parallel runtime: per-actor metrics merged after a run).
+  /// breakdowns (per-actor metrics merged at the end of a window).
   /// Leaves `recording` and the cluster-filled window fields alone.
   void Merge(const Metrics& o);
 

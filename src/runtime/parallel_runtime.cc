@@ -75,12 +75,6 @@ void ParallelRuntime::SetTimer(NodeId self, Time at, TimerFire t) {
   workers_[worker_of(self)]->mailbox.PushTimer(self, at, t);
 }
 
-void ParallelRuntime::HandlerDone(Actor* actor, Time /*start*/, Duration /*charged*/) {
-  // Wall-clock execution: the handler's real elapsed time is its cost; the
-  // charged virtual cost only feeds busy_ns accounting. Resume immediately.
-  actor->FinishHandler(Now());
-}
-
 void ParallelRuntime::Start() {
   PARTDB_CHECK(!started_.load());
   start_tp_ = steady_clock::now();
@@ -130,7 +124,7 @@ void ParallelRuntime::FireDueTimers(Worker* w) {
     m.src = e.self;
     m.dst = e.self;
     m.body = e.t;
-    endpoint(e.self)->Deliver(std::move(m));
+    endpoint(e.self)->Handle(m, Now());
   }
 }
 
@@ -150,11 +144,14 @@ void ParallelRuntime::WorkerLoop(Worker* w, int index) {
     }
 
     // Lock-free batch drain. Due timers still fire between items, so timer
-    // fidelity matches the one-message-at-a-time loop.
+    // fidelity matches the one-message-at-a-time loop. A message runs its
+    // handler straight from the mailbox node: the mailbox is the only queue
+    // on this path, and the handler's real elapsed time is its cost (the
+    // charged virtual cost only feeds busy_ns accounting).
     w->mailbox.DrainUntil(deadline, kDrainBatch, [&](MailboxNode* n) {
       switch (n->kind) {
         case MailboxNode::Kind::kMessage:
-          endpoint(n->msg.dst)->Deliver(std::move(n->msg));
+          endpoint(n->msg.dst)->Handle(n->msg, Now());
           break;
         case MailboxNode::Kind::kTimer:
           w->timers.push(TimerEntry{n->timer.at, n->timer.self, n->timer.fire});

@@ -87,7 +87,6 @@ class ParallelRuntime : public ExecutionContext {
   void Send(Message msg, Time depart) override;
   void Register(NodeId node, Actor* actor) override;
   void SetTimer(NodeId self, Time at, TimerFire t) override;
-  void HandlerDone(Actor* actor, Time start, Duration charged) override;
 
  private:
   struct TimerEntry {

@@ -1,35 +1,13 @@
 #include "sim/network.h"
 
-#include "common/logging.h"
-#include "runtime/actor.h"
-
 namespace partdb {
 
-void Network::Register(NodeId node, Actor* actor) {
-  PARTDB_CHECK_GE(node, 0);
-  if (static_cast<size_t>(node) >= endpoints_.size()) {
-    endpoints_.resize(node + 1, nullptr);
-  }
-  PARTDB_CHECK(endpoints_[node] == nullptr);
-  endpoints_[node] = actor;
-}
-
-Actor* Network::actor(NodeId node) const {
-  PARTDB_CHECK(node >= 0 && static_cast<size_t>(node) < endpoints_.size());
-  PARTDB_CHECK(endpoints_[node] != nullptr);
-  return endpoints_[node];
-}
-
-void Network::Send(Message msg, Time depart) {
-  Actor* dst = actor(msg.dst);
+Time Network::Arrival(const Message& msg, Time depart) {
   stats_.messages++;
   const size_t bytes = MessageByteSize(msg.body);
   stats_.bytes += bytes;
 
-  if (config_.loopback_free && msg.src == msg.dst) {
-    sim_->Schedule(depart, [dst, m = std::move(msg)]() mutable { dst->Deliver(std::move(m)); });
-    return;
-  }
+  if (config_.loopback_free && msg.src == msg.dst) return depart;
 
   const Duration wire = config_.one_way_latency +
                         static_cast<Duration>(config_.ns_per_byte * static_cast<double>(bytes));
@@ -42,7 +20,7 @@ void Network::Send(Message msg, Time depart) {
     if (arrive < it->second) arrive = it->second;
     it->second = arrive;
   }
-  sim_->Schedule(arrive, [dst, m = std::move(msg)]() mutable { dst->Deliver(std::move(m)); });
+  return arrive;
 }
 
 }  // namespace partdb

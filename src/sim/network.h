@@ -6,12 +6,9 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.h"
 #include "msg/message.h"
-#include "runtime/execution_context.h"
-#include "sim/simulator.h"
 
 namespace partdb {
 
@@ -31,25 +28,21 @@ struct NetworkStats {
   uint64_t bytes = 0;
 };
 
-class Network : public Transport {
+/// The link model only: it computes when a message arrives. SimContext owns
+/// the endpoints and schedules the delivery.
+class Network {
  public:
-  Network(Simulator* sim, NetworkConfig config) : sim_(sim), config_(config) {}
+  explicit Network(NetworkConfig config) : config_(config) {}
 
-  /// Registers `actor` as the endpoint for `node`. Nodes are dense ints.
-  void Register(NodeId node, Actor* actor);
-
-  /// Sends msg.body from msg.src to msg.dst, departing at `depart` (>= now).
-  /// Delivery preserves per-link FIFO order.
-  void Send(Message msg, Time depart) override;
+  /// Returns the time at which `msg`, departing at `depart` (>= now),
+  /// arrives at msg.dst, and counts it in stats(). Preserves per-link FIFO
+  /// order: a message never arrives before one sent earlier on its link.
+  Time Arrival(const Message& msg, Time depart);
 
   const NetworkStats& stats() const { return stats_; }
-  Actor* actor(NodeId node) const;
-  size_t num_nodes() const { return endpoints_.size(); }
 
  private:
-  Simulator* sim_;
   NetworkConfig config_;
-  std::vector<Actor*> endpoints_;
   std::unordered_map<uint64_t, Time> link_last_delivery_;
   NetworkStats stats_;
 };

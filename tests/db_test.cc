@@ -267,6 +267,34 @@ TEST(ClosedLoopAdapter, DrivesWorkloadOverSessionsInParallel) {
   ExpectReplayClean(*db, mb);
 }
 
+// Both modes fill the measurement window through the same Cluster path: the
+// window length, the partition count, busy time, and a commit count that
+// decomposes exactly into the per-procedure counts.
+TEST(MeasurementWindow, BothModesFillTheWindow) {
+  for (RunMode mode : {RunMode::kSimulated, RunMode::kParallel}) {
+    SCOPED_TRACE(mode == RunMode::kSimulated ? "simulated" : "parallel");
+    const KvWorkloadOptions mb = SmallConfig(6, 0.2);
+    auto db = Database::Open(SmallDb(mb, "speculation", mode, 6));
+
+    ClosedLoopOptions loop;
+    loop.num_clients = 6;
+    loop.next = KvInvocations(mb, *db);
+    loop.warmup = Micros(10000);
+    loop.measure = Micros(50000);
+    const Metrics m = RunClosedLoop(*db, loop);
+    uint64_t proc_committed = 0;
+    for (const ProcMetricsSnapshot& s : db->ProcMetrics()) proc_committed += s.committed;
+    db->Close();
+
+    EXPECT_GT(m.committed, 0u);
+    EXPECT_EQ(m.committed, proc_committed);
+    EXPECT_GT(m.window_ns, 0);
+    EXPECT_EQ(m.num_partitions, mb.num_partitions);
+    EXPECT_GT(m.partition_busy_ns, 0);
+    EXPECT_GT(m.coord_busy_ns, 0);  // multi-partition traffic runs through it
+  }
+}
+
 TEST(OpenLoopDriver, HitsTargetRateWithinTolerance) {
   const KvWorkloadOptions mb = SmallConfig(2, 0.1);
   auto db = Database::Open(SmallDb(mb, "speculation", RunMode::kParallel, 2));

@@ -1,0 +1,100 @@
+// Parallel-mode message delivery allocates nothing at steady state: a message
+// goes from the sender's mailbox node straight to the receiver's handler.
+// This executable replaces the global operator new with a counting one, so
+// the test sees every heap allocation any thread makes while it counts.
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <thread>
+
+#include "gtest/gtest.h"
+#include "runtime/actor.h"
+#include "runtime/parallel_runtime.h"
+
+namespace {
+std::atomic<bool> g_counting{false};
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace partdb {
+namespace {
+
+constexpr uint64_t kWarmupHops = 20000;
+constexpr uint64_t kCountedHops = 100000;
+
+// Bounces DecisionMessages with its peer: txn_id is the hop count, attempt
+// the ball. Two balls warm every thread's mailbox-node cache up to the
+// depth one ball needs (a node can still be on its way home when its owner
+// sends the next message); ball 1 then retires and ball 0 bounces alone
+// through the counted hops.
+class Bouncer : public Actor {
+ public:
+  Bouncer(std::string name, NodeId peer, std::atomic<bool>* done)
+      : Actor(std::move(name)), peer_(peer), done_(done) {}
+
+ protected:
+  void OnMessage(Message& msg, ActorContext& ctx) override {
+    const auto& d = std::get<DecisionMessage>(msg.body);
+    const uint64_t hop = d.txn_id;
+    if (d.attempt == 1) {
+      if (hop < kWarmupHops / 2) ctx.Send(peer_, DecisionMessage{hop + 1, 1, true});
+      return;
+    }
+    if (hop == kWarmupHops) g_counting.store(true, std::memory_order_relaxed);
+    if (hop == kWarmupHops + kCountedHops) {
+      g_counting.store(false, std::memory_order_relaxed);
+      done_->store(true, std::memory_order_release);
+      return;
+    }
+    ctx.Send(peer_, DecisionMessage{hop + 1, 0, true});
+  }
+
+ private:
+  NodeId peer_;
+  std::atomic<bool>* done_;
+};
+
+TEST(ParallelDelivery, BounceAllocatesNothing) {
+  std::atomic<bool> done{false};
+  ParallelRuntime rt(2);
+  rt.MapNode(0, 0);
+  rt.MapNode(1, 1);
+  Bouncer a("a", 1, &done);
+  Bouncer b("b", 0, &done);
+  a.Bind(&rt, 0);
+  b.Bind(&rt, 1);
+  rt.Start();
+  for (uint32_t ball : {0u, 1u}) {
+    Message m;
+    m.src = 1;
+    m.dst = 0;
+    m.body = DecisionMessage{0, ball, true};
+    rt.Send(std::move(m), 0);
+  }
+
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!done.load(std::memory_order_acquire) && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(done.load()) << "bounce did not finish";
+  ASSERT_TRUE(rt.WaitQuiescent(std::chrono::seconds(30)));
+  rt.Stop();
+  EXPECT_EQ(g_allocations.load(), 0u) << "heap allocations during " << kCountedHops
+                                      << " delivered messages";
+}
+
+}  // namespace
+}  // namespace partdb

@@ -184,13 +184,13 @@ void CheckReplayEquivalence(Database& db) {
   Cluster& cluster = db.cluster();
   const EngineFactory& factory = db.options().engine_factory;
   std::vector<const std::vector<CommitRecord>*> logs;
-  for (PartitionId p = 0; p < cluster.config().num_partitions; ++p) {
+  for (PartitionId p = 0; p < db.options().num_partitions; ++p) {
     EXPECT_EQ(cluster.engine(p).StateHash(),
               ExpectCleanReplayStateHash(factory, p, cluster.commit_log(p)))
         << "partition " << p << " diverges from serial replay";
     logs.push_back(&cluster.commit_log(p));
   }
-  ExpectMpOrderConsistent(logs, cluster.config().scheme);
+  ExpectMpOrderConsistent(logs, db.options().scheme);
 }
 
 TEST(ParallelRuntime, SpeculativeCommitsAndReplaysSerially) {

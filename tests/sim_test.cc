@@ -87,13 +87,13 @@ TEST(Network, DeliversWithLatency) {
   NetworkConfig cfg;
   cfg.one_way_latency = Micros(20);
   cfg.ns_per_byte = 0;
-  Network net(&sim, cfg);
+  Network net(cfg);
   SimContext exec(&sim, &net);
   RecordingActor a("a", 0), b("b", 0);
   a.Bind(&exec, 0);
   b.Bind(&exec, 1);
 
-  net.Send(TimerMsg(0, 1, 7), /*depart=*/0);
+  exec.Send(TimerMsg(0, 1, 7), /*depart=*/0);
   sim.Run();
   ASSERT_EQ(b.starts.size(), 1u);
   EXPECT_EQ(b.starts[0], Micros(20));
@@ -104,15 +104,15 @@ TEST(Network, PerLinkFifoEvenWithEqualDeparture) {
   NetworkConfig cfg;
   cfg.one_way_latency = Micros(10);
   cfg.ns_per_byte = 0;
-  Network net(&sim, cfg);
+  Network net(cfg);
   SimContext exec(&sim, &net);
   RecordingActor a("a", 0), b("b", 0);
   a.Bind(&exec, 0);
   b.Bind(&exec, 1);
 
-  net.Send(TimerMsg(0, 1, 1), 0);
-  net.Send(TimerMsg(0, 1, 2), 0);
-  net.Send(TimerMsg(0, 1, 3), 0);
+  exec.Send(TimerMsg(0, 1, 1), 0);
+  exec.Send(TimerMsg(0, 1, 2), 0);
+  exec.Send(TimerMsg(0, 1, 3), 0);
   sim.Run();
   EXPECT_EQ(b.ids, (std::vector<TxnId>{1, 2, 3}));
 }
@@ -122,13 +122,13 @@ TEST(Network, BandwidthDelaysLargeMessages) {
   NetworkConfig cfg;
   cfg.one_way_latency = 0;
   cfg.ns_per_byte = 8.0;  // 1 Gbit/s
-  Network net(&sim, cfg);
+  Network net(cfg);
   SimContext exec(&sim, &net);
   RecordingActor a("a", 0), b("b", 0);
   a.Bind(&exec, 0);
   b.Bind(&exec, 1);
 
-  net.Send(TimerMsg(0, 1, 1), 0);  // TimerFire serializes to the 24-byte header
+  exec.Send(TimerMsg(0, 1, 1), 0);  // TimerFire serializes to the 24-byte header
   sim.Run();
   ASSERT_EQ(b.starts.size(), 1u);
   EXPECT_EQ(b.starts[0], 24 * 8);
@@ -139,16 +139,16 @@ TEST(Actor, BusyCpuSerializesMessages) {
   NetworkConfig cfg;
   cfg.one_way_latency = 0;
   cfg.ns_per_byte = 0;
-  Network net(&sim, cfg);
+  Network net(cfg);
   SimContext exec(&sim, &net);
   RecordingActor a("a", 0);
   RecordingActor b("b", Micros(50));
   a.Bind(&exec, 0);
   b.Bind(&exec, 1);
 
-  net.Send(TimerMsg(0, 1, 1), 0);
-  net.Send(TimerMsg(0, 1, 2), 0);
-  net.Send(TimerMsg(0, 1, 3), 0);
+  exec.Send(TimerMsg(0, 1, 1), 0);
+  exec.Send(TimerMsg(0, 1, 2), 0);
+  exec.Send(TimerMsg(0, 1, 3), 0);
   sim.Run();
   ASSERT_EQ(b.starts.size(), 3u);
   EXPECT_EQ(b.starts[0], 0);
@@ -179,14 +179,14 @@ TEST(Actor, SendDepartsAfterChargedWork) {
   NetworkConfig cfg;
   cfg.one_way_latency = Micros(5);
   cfg.ns_per_byte = 0;
-  Network net(&sim, cfg);
+  Network net(cfg);
   SimContext exec(&sim, &net);
   RecordingActor a("a", 0);
   EchoActor b("b", Micros(30), Micros(100));
   a.Bind(&exec, 0);
   b.Bind(&exec, 1);
 
-  net.Send(TimerMsg(0, 1, 1), 0);
+  exec.Send(TimerMsg(0, 1, 1), 0);
   sim.Run();
   ASSERT_EQ(a.starts.size(), 1u);
   // 5us flight + 30us pre-charge + 5us flight back; the 100us post-charge
@@ -197,7 +197,7 @@ TEST(Actor, SendDepartsAfterChargedWork) {
 TEST(Actor, TimerFiresAfterDelay) {
   Simulator sim;
   NetworkConfig cfg;
-  Network net(&sim, cfg);
+  Network net(cfg);
   SimContext exec(&sim, &net);
 
   class TimerActor : public Actor {
@@ -222,7 +222,7 @@ TEST(Actor, TimerFiresAfterDelay) {
   m.src = 0;
   m.dst = 0;
   m.body = TimerFire{0, 0};
-  a.Deliver(std::move(m));
+  exec.Deliver(std::move(m));
   sim.Run();
   ASSERT_EQ(a.fires.size(), 1u);
   EXPECT_EQ(a.fires[0], Micros(70));
