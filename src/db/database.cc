@@ -65,9 +65,7 @@ Database::Database(DbOptions options) : options_(std::move(options)) {
     mo.mode = options_.durability;
     mo.dir = options_.log_dir;
     mo.num_partitions = options_.num_partitions;
-    if (options_.durability == DurabilityMode::kGroupCommit) {
-      mo.group_commit_window = Micros(options_.group_commit_window_us);
-    }
+    mo.group_commit_window = Micros(options_.group_commit_window_us);
     mo.crash_after_n_commits = options_.durability_crash_after_n_commits;
     mo.keep_truncated_segments = options_.keep_truncated_log_segments;
     for (ProcId id = 0; id < static_cast<ProcId>(registry_.size()); ++id) {

@@ -75,15 +75,18 @@ struct DbOptions {
 
   // Durability (command logging, README "Durability"). Parallel mode only.
   /// kOff: memory only. kAsync: commits are logged+fsynced off the critical
-  /// path but completions do not wait. kGroupCommit: completions are held
-  /// until the commit's batch is durable on every participant's log.
+  /// path but completions do not wait, so a crash may lose about one
+  /// group_commit_window plus one fsync of acknowledged commits.
+  /// kGroupCommit: completions are held until the commit's batch is durable
+  /// on every participant's log.
   DurabilityMode durability = DurabilityMode::kOff;
   /// Log/checkpoint directory (required when durability != kOff). Open on a
   /// directory with existing logs recovers: latest checkpoint per partition,
   /// then parallel log replay through the registered procedures.
   std::string log_dir;
-  /// Group-commit window: how long the log writer holds a batch open after
-  /// its first record so concurrent commits share one fsync.
+  /// Batch window, in both kAsync and kGroupCommit: how long each log writer
+  /// holds a batch open after its first record so concurrent commits share
+  /// one write+fsync.
   uint32_t group_commit_window_us = 200;
   /// Deterministic crash injection (tests): after this many records have
   /// been admitted across all logs, drop everything later and flip

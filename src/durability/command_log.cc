@@ -1,6 +1,7 @@
 #include "durability/command_log.h"
 
 #include <fcntl.h>
+#include <sys/prctl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -33,13 +34,22 @@ void WriteAll(int fd, const char* data, size_t n) {
 /// simulated crash leaves exactly the torn tail a real one would.
 constexpr size_t kTornPrefixBytes = 11;
 
+/// `u32 len | bytes` of one payload, serialized straight into `out` (the
+/// buffer `w` appends to): the length slot is reserved first and patched
+/// once the payload's size is known.
+void WriteSizedPayload(std::string* out, WireWriter& w, const Payload& p) {
+  const size_t at = out->size();
+  w.U32(0);
+  p.SerializeTo(w);
+  PatchU32(out, at, static_cast<uint32_t>(out->size() - at - 4));
+}
+
 }  // namespace
 
 PartitionLog::PartitionLog(DurabilityManager* manager, Config config)
     : manager_(manager), config_(std::move(config)) {
   MutexLock lock(mu_);
   next_seq_ = config_.next_seq;
-  durable_seq_ = config_.next_seq - 1;  // nothing pending from this incarnation
   segment_index_ = config_.next_segment;
   // Seeded ids were appended before recovery, so every participant's first
   // post-recovery rotate captures them: the first fully-successful checkpoint
@@ -94,48 +104,64 @@ void PartitionLog::Start() {
 }
 
 uint64_t PartitionLog::Append(const CommitRecord& committed) {
-  LogRecord rec;
-  rec.txn_id = committed.txn_id;
-  rec.multi_partition = committed.multi_partition;
-  rec.proc = committed.proc;
-  {
-    WireWriter w(&rec.args);
-    PARTDB_CHECK(committed.args != nullptr);
-    committed.args->SerializeTo(w);
-  }
-  for (const PayloadPtr& in : committed.round_inputs) {
-    std::string bytes;
-    if (in != nullptr) {
-      WireWriter w(&bytes);
-      in->SerializeTo(w);
-    }
-    rec.round_input_present.push_back(in != nullptr);
-    rec.round_inputs.push_back(std::move(bytes));
-  }
+  PARTDB_CHECK(committed.args != nullptr);
   // The sequence is assigned at enqueue time under the lock; only the owning
   // partition worker appends, so enqueue order is sequence order.
   MutexLock lock(mu_);
-  rec.commit_seq = next_seq_++;
-  if (rec.multi_partition) mp_epoch_.push_back(rec.txn_id);
-  const size_t before = pending_bytes_.size();
-  EncodeLogRecord(rec, &pending_bytes_);
-  pending_recs_.push_back(PendingRec{rec.txn_id, rec.commit_seq,
-                                     static_cast<uint32_t>(pending_bytes_.size() - before)});
-  work_cv_.NotifyOne();
-  return rec.commit_seq;
+  const uint64_t seq = next_seq_++;
+  if (committed.multi_partition) mp_epoch_.push_back(committed.txn_id);
+  std::string* out = &pending_bytes_;  // the analysis cannot see mu_ held in the lambda
+  const size_t before = out->size();
+  // The body layout of EncodeLogRecord (log_format.h), written straight from
+  // the payloads into the buffer the writer swaps out.
+  AppendFramedRecord(out, [&](WireWriter& w) {
+    w.U64(seq);
+    w.U64(committed.txn_id);
+    w.U8(committed.multi_partition ? 1 : 0);
+    w.U32(static_cast<uint32_t>(committed.proc));
+    WriteSizedPayload(out, w, *committed.args);
+    w.U16(static_cast<uint16_t>(committed.round_inputs.size()));
+    for (const PayloadPtr& in : committed.round_inputs) {
+      w.U8(in != nullptr ? 1 : 0);
+      if (in != nullptr) {
+        WriteSizedPayload(out, w, *in);
+      } else {
+        w.U32(0);
+      }
+    }
+  });
+  const auto framed = static_cast<uint32_t>(out->size() - before);
+  pending_recs_.push_back(PendingRec{committed.txn_id, framed});
+  // Edge-only wake: only a parked writer is signalled, and the flag is
+  // cleared in the same step, so a burst costs one signal and appends made
+  // while the writer holds its window open or does I/O cost none.
+  if (writer_parked_) {
+    writer_parked_ = false;
+    ++stats_.wakes;
+    work_cv_.NotifyOne();
+  }
+  return seq;
 }
 
 void PartitionLog::WriterLoop() {
+  // The window is a deadline this thread sleeps to, and nothing wakes it
+  // early: the default 50 us timer slack would stretch every window (and so
+  // every group-commit completion) by up to that much.
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   std::string batch_bytes;
   std::vector<PendingRec> batch_recs;
   std::vector<TxnId> durable_txns;
   mu_.Lock();
   while (true) {
-    while (pending_recs_.empty() && !stop_) work_cv_.Wait(mu_);
+    while (pending_recs_.empty() && !stop_) {
+      writer_parked_ = true;
+      work_cv_.Wait(mu_);
+    }
+    writer_parked_ = false;
     if (pending_recs_.empty() && stop_) break;
-    // Group commit: the batch stays open for the window after its first
-    // record, so concurrent commits share one fsync. Shutdown cuts the
-    // window short.
+    // The batch stays open for the window after its first record, in both
+    // durability modes, so concurrent commits share one fsync; appends
+    // during the window do not signal. Shutdown cuts the window short.
     if (config_.window > 0 && !stop_) {
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::nanoseconds(config_.window);
@@ -178,7 +204,6 @@ void PartitionLog::WriterLoop() {
 
     mu_.Lock();
     io_in_progress_ = false;
-    durable_seq_ = batch_recs.back().seq;  // dropped records count as settled
     if (crash_now) crashed_ = true;
     if (!dropped) {
       stats_.batches++;
@@ -197,12 +222,6 @@ void PartitionLog::WriterLoop() {
     mu_.Lock();
   }
   mu_.Unlock();
-}
-
-void PartitionLog::Flush() {
-  MutexLock lock(mu_);
-  const uint64_t target = next_seq_ - 1;
-  while (durable_seq_ < target) flush_cv_.Wait(mu_);
 }
 
 void PartitionLog::CheckpointRotate(uint64_t* covered_seq, std::vector<TxnId>* mp_history,

@@ -1,9 +1,15 @@
 // PartitionLog: one partition's command log — an append path called on the
 // partition's worker thread at commit time, and a dedicated log-writer thread
-// that batches appends and pays the write+fsync off the critical path (group
-// commit). Completion gating (holding client callbacks until the batch is
-// durable) lives in DurabilityManager; this class reports batch durability to
-// it and otherwise only moves bytes.
+// that batches appends and pays the write+fsync off the critical path.
+//
+// Append frames each record once, in place: it serializes the payloads
+// straight into the pending buffer the writer swaps out (both buffers keep
+// their capacity, so the steady state allocates nothing) and signals the
+// writer only when it is parked. The writer holds every batch open for the
+// window after its first record, in both durability modes, so concurrent
+// commits share one write+fsync. Completion gating (holding client callbacks
+// until the batch is durable, group commit only) lives in DurabilityManager;
+// this class reports batch durability to it and otherwise only moves bytes.
 #ifndef PARTDB_DURABILITY_COMMAND_LOG_H_
 #define PARTDB_DURABILITY_COMMAND_LOG_H_
 
@@ -26,6 +32,8 @@ struct PartitionLogStats {
   uint64_t bytes_logged = 0;
   uint64_t batches = 0;
   uint64_t fsyncs = 0;
+  /// Signals Append sent to a parked writer (at most one per batch).
+  uint64_t wakes = 0;
 };
 
 class PartitionLog {
@@ -34,8 +42,9 @@ class PartitionLog {
     std::string dir;
     PartitionId partition = -1;
     int num_partitions = 0;
-    /// Group-commit window: after the first append of a batch the writer
-    /// collects further appends for up to this long before fsyncing.
+    /// Batch window: after the first append of a batch the writer collects
+    /// further appends for this long before writing and fsyncing (0 = write
+    /// as soon as a record is pending).
     Duration window = 0;
     /// Proc table written into every segment header.
     std::vector<LogProcEntry> procs;
@@ -59,14 +68,10 @@ class PartitionLog {
   /// Opens the first segment and launches the writer thread.
   void Start();
 
-  /// Serializes and enqueues one committed invocation. Called on the owning
-  /// partition's worker thread only. Returns the assigned commit sequence.
+  /// Frames one committed invocation straight into the pending buffer and
+  /// wakes the writer if it is parked. Called on the owning partition's
+  /// worker thread only. Returns the assigned commit sequence.
   uint64_t Append(const CommitRecord& committed);
-
-  /// Blocks until every record appended so far is durable (or dropped by
-  /// crash injection — waiting on records a simulated crash discarded would
-  /// hang forever).
-  void Flush();
 
   /// Checkpoint support, called with the owning partition quiescent (inside
   /// the RunOn rendezvous, so no append can race): flushes, rotates to a
@@ -113,23 +118,24 @@ class PartitionLog {
   Config config_;
 
   mutable Mutex mu_;
-  CondVar work_cv_;   // appends -> writer
-  CondVar flush_cv_;  // writer -> Flush/rotate waiters
+  CondVar work_cv_;   // parked writer <- first append, Shutdown
+  CondVar flush_cv_;  // writer -> rotate waiters
   /// One enqueued-but-not-yet-durable record (frame bytes live in
   /// pending_bytes_ at the matching offset).
   struct PendingRec {
     TxnId txn = kInvalidTxn;
-    uint64_t seq = 0;
     uint32_t bytes = 0;  // framed size, for the crash-injection prefix split
   };
 
   std::string pending_bytes_ PARTDB_GUARDED_BY(mu_);
   std::vector<PendingRec> pending_recs_ PARTDB_GUARDED_BY(mu_);
   uint64_t next_seq_ PARTDB_GUARDED_BY(mu_) = 1;
-  uint64_t durable_seq_ PARTDB_GUARDED_BY(mu_) = 0;  // highest fsynced (or dropped) seq
   uint64_t segment_index_ PARTDB_GUARDED_BY(mu_) = 0;
   int fd_ PARTDB_GUARDED_BY(mu_) = -1;  // writer touches it only while io_in_progress_
   bool io_in_progress_ PARTDB_GUARDED_BY(mu_) = false;
+  /// The writer is waiting for work: the next Append signals it and clears
+  /// the flag, so only the empty-to-nonempty edge costs a signal.
+  bool writer_parked_ PARTDB_GUARDED_BY(mu_) = false;
   bool stop_ PARTDB_GUARDED_BY(mu_) = false;
   bool crashed_ PARTDB_GUARDED_BY(mu_) = false;  // crash injection tripped: drop writes
   /// Multi-partition ids by age, so the history stays bounded instead of

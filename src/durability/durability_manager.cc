@@ -131,6 +131,7 @@ DurabilityStats DurabilityManager::GetStats() const {
     out.bytes_logged += s.bytes_logged;
     out.batches += s.batches;
     out.fsyncs += s.fsyncs;
+    out.writer_wakes += s.wakes;
   }
   MutexLock lock(mu_);
   out.deferred_completions = deferred_completions_;

@@ -3,6 +3,10 @@
 // callbacks until every participant's log record is fsynced (group commit),
 // the deterministic crash-injection counter tests use to kill the log
 // mid-stream, and the aggregated counters Database::Stats() surfaces.
+//
+// Both logging modes run the same writers at the same cadence (one
+// write+fsync per batch window); they differ only in SealOrDefer, i.e.
+// whether completions wait for the fsync.
 #ifndef PARTDB_DURABILITY_DURABILITY_MANAGER_H_
 #define PARTDB_DURABILITY_DURABILITY_MANAGER_H_
 
@@ -23,8 +27,9 @@ namespace partdb {
 /// What "committed" means to the client (DbOptions::durability).
 ///  - kOff:         memory only, no log.
 ///  - kAsync:       every commit is logged and fsynced by the writer thread,
-///                  but completions do not wait for it — a crash may lose the
-///                  most recent acknowledged commits.
+///                  one batch per group_commit_window, but completions do not
+///                  wait for it — a crash may lose the acknowledged commits of
+///                  about one window plus one fsync.
 ///  - kGroupCommit: completions are held until the commit's batch is durable
 ///                  on every participating partition's log.
 enum class DurabilityMode { kOff, kAsync, kGroupCommit };
@@ -37,6 +42,8 @@ struct DurabilityStats {
   uint64_t bytes_logged = 0;
   uint64_t batches = 0;
   uint64_t fsyncs = 0;
+  /// Signals appends sent to parked log writers (edge-only: <= batches).
+  uint64_t writer_wakes = 0;
   /// Completions that had to park waiting for their batch (group commit).
   uint64_t deferred_completions = 0;
   double avg_batch_size() const {
@@ -50,6 +57,7 @@ class DurabilityManager {
     DurabilityMode mode = DurabilityMode::kOff;
     std::string dir;
     int num_partitions = 0;
+    /// Batch window of every log writer, in both modes.
     Duration group_commit_window = 0;
     /// Crash injection: after this many records have been admitted across
     /// all partition logs, every later record is dropped and crashed() flips

@@ -6,24 +6,49 @@ namespace partdb {
 
 namespace {
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> t{};
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+/// t[0] is the bytewise table; t[k][b] is the crc of byte b followed by k
+/// zero bytes, so one step can fold eight input bytes with independent
+/// lookups instead of a chain of eight dependent ones.
+constexpr CrcTables BuildCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < 8; ++k) t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
   }
   return t;
+}
+
+constexpr CrcTables kCrcTables = BuildCrcTables();
+
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n) {
-  static const std::array<uint32_t, 256> table = BuildCrcTable();
+  const CrcTables& t = kCrcTables;
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = c ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+void PatchU32(std::string* out, size_t at, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) (*out)[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
 }
 
 void EncodeLogSegmentHeader(const LogSegmentHeader& h, std::string* out) {
@@ -41,8 +66,9 @@ void EncodeLogSegmentHeader(const LogSegmentHeader& h, std::string* out) {
   }
 }
 
-void EncodeLogRecordBody(const LogRecord& rec, std::string* out) {
-  WireWriter w(out);
+namespace {
+
+void WriteLogRecordBody(const LogRecord& rec, WireWriter& w) {
   w.U64(rec.commit_seq);
   w.U64(rec.txn_id);
   w.U8(rec.multi_partition ? 1 : 0);
@@ -58,13 +84,15 @@ void EncodeLogRecordBody(const LogRecord& rec, std::string* out) {
   }
 }
 
-void EncodeLogRecord(const LogRecord& rec, std::string* out) {
-  std::string body;
-  EncodeLogRecordBody(rec, &body);
+}  // namespace
+
+void EncodeLogRecordBody(const LogRecord& rec, std::string* out) {
   WireWriter w(out);
-  w.U32(static_cast<uint32_t>(body.size()));
-  w.U32(Crc32(body));
-  w.Raw(body.data(), body.size());
+  WriteLogRecordBody(rec, w);
+}
+
+void EncodeLogRecord(const LogRecord& rec, std::string* out) {
+  AppendFramedRecord(out, [&rec](WireWriter& w) { WriteLogRecordBody(rec, w); });
 }
 
 bool DecodeLogRecordBody(std::string_view body, LogRecord* out) {
@@ -164,8 +192,8 @@ LogSegmentContents ParseLogSegment(std::string_view data) {
       out.valid_bytes = consumed;
       return out;
     }
-    std::string body(body_len, '\0');
-    r.Raw(body.data(), body_len);
+    const std::string_view body = data.substr(data.size() - r.remaining(), body_len);
+    r.Skip(body_len);
     LogRecord rec;
     if (Crc32(body) != crc || !DecodeLogRecordBody(body, &rec)) {
       // Damaged frame: torn only if nothing follows it.

@@ -241,6 +241,10 @@ bool Mailbox::WaitNonEmptyUntil(std::chrono::steady_clock::time_point deadline) 
   parked_.store(true, std::memory_order_seq_cst);
   if (!Empty()) {
     parked_.store(false, std::memory_order_release);
+    // A producer that landed between the flag and the re-check may have seen
+    // parked_ and fired a wake anyway; count the aborted park too, so every
+    // wake has its park.
+    parks_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
   parks_.fetch_add(1, std::memory_order_relaxed);

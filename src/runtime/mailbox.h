@@ -137,7 +137,9 @@ class Mailbox {
     uint64_t popped = 0;
     uint64_t wakes = 0;        // condvar notifies: empty->nonempty edges that
                                // found the consumer parked
-    uint64_t parks = 0;        // times the consumer blocked (park epoch)
+    uint64_t parks = 0;        // times the consumer raised its parked flag
+                               // (park epoch), including ones a racing push
+                               // cut short; bounds wakes from above
     uint64_t pop_retries = 0;  // consumer retries on a producer's in-flight
                                // link (the lock-free analogue of contention)
   };

@@ -1,7 +1,8 @@
 // Durability tier end-to-end: crash-restart-verify for every scheme (KV and
 // TPC-C), checkpoint + log-truncation round trips, torn-tail tolerance vs
-// mid-file corruption rejection, group-commit acked-subset guarantee, and
-// the log-writer counters.
+// mid-file corruption rejection, group-commit acked-subset guarantee, the
+// crc and the in-place record encoder against their references, the log
+// writer's edge-only wake and batch cadence, and the log-writer counters.
 //
 // The central invariant (kill-and-recover): every transaction whose
 // completion callback observed crashed() == false must be in the recovered
@@ -12,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -23,10 +25,13 @@
 #include <utility>
 #include <vector>
 
+#include "durability/command_log.h"
+#include "durability/durability_manager.h"
 #include "durability/log_format.h"
 #include "durability/recovery.h"
 #include "engine/replay.h"
 #include "gtest/gtest.h"
+#include "kv/kv_engine.h"
 #include "kv/kv_procedures.h"
 #include "test_util.h"
 #include "tpcc/tpcc_consistency.h"
@@ -609,6 +614,226 @@ TEST(DurabilityLogDamage, CorruptCheckpointIsRejected) {
   f.close();
   const RecoveryReport rep = h.Recover();
   EXPECT_FALSE(rep.ok);
+}
+
+// --- log format: crc and in-place framing ----------------------------------
+
+/// Bit-at-a-time CRC-32 (IEEE, reflected): the definition the table-driven
+/// Crc32 must agree with.
+uint32_t ReferenceCrc32(const unsigned char* p, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(DurabilityLogFormat, Crc32MatchesBitwiseReference) {
+  EXPECT_EQ(Crc32(std::string_view("123456789")), 0xCBF43926u);
+  EXPECT_EQ(Crc32(std::string_view()), 0u);
+  Rng rng(17);
+  std::vector<unsigned char> buf(8 + 300);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next());
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + align, len), ReferenceCrc32(buf.data() + align, len))
+          << "len " << len << " align " << align;
+    }
+  }
+}
+
+/// A one-partition log driven directly (no Database): the manager's own log
+/// is started by hand, so Append/Shutdown run exactly as on a partition
+/// worker, and nothing but the test appends.
+struct DirectLog {
+  std::string dir = MakeTempDir("direct");
+  std::unique_ptr<DurabilityManager> manager;
+
+  explicit DirectLog(Duration window) {
+    DurabilityManager::Options mo;
+    mo.mode = DurabilityMode::kAsync;
+    mo.dir = dir;
+    mo.num_partitions = 1;
+    mo.group_commit_window = window;
+    mo.procs.push_back(LogProcEntry{0, kKvReadUpdateProc});
+    manager = std::make_unique<DurabilityManager>(
+        std::move(mo), std::vector<DurabilityManager::PartitionSeed>(1));
+    log().Start();
+  }
+  ~DirectLog() {
+    manager.reset();
+    std::filesystem::remove_all(dir);
+  }
+  PartitionLog& log() { return *manager->log(0); }
+
+  /// Polls until the writer has completed `batches` batches (5 s cap).
+  void AwaitBatches(uint64_t batches) {
+    for (int i = 0; i < 5000 && log().GetStats().batches < batches; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+};
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
+}
+
+std::string Serialized(const Payload& p) {
+  std::string out;
+  WireWriter w(&out);
+  p.SerializeTo(w);
+  return out;
+}
+
+TEST(DurabilityLogFormat, InPlaceAppendMatchesEncodeLogRecord) {
+  auto args = std::make_shared<KvArgs>();
+  args->keys = {{MicrobenchKey(0, 0, 0), MicrobenchKey(0, 0, 1)}, {MicrobenchKey(1, 0, 2)}};
+  args->rounds = 2;
+  auto input = std::make_shared<KvRoundInput>();
+  input->values = {{7, 8}, {9}};
+
+  CommitRecord sp;  // single-partition, one round without an input
+  sp.txn_id = 5001;
+  sp.proc = 0;
+  sp.args = args;
+  sp.round_inputs = {nullptr};
+  CommitRecord mp;  // multi-partition, a null round-0 input then a real one
+  mp.txn_id = 5002;
+  mp.multi_partition = true;
+  mp.proc = 0;
+  mp.args = args;
+  mp.round_inputs = {nullptr, input};
+
+  std::vector<LogRecord> expect(2);
+  expect[0].commit_seq = 1;
+  expect[0].txn_id = sp.txn_id;
+  expect[0].proc = 0;
+  expect[0].args = Serialized(*args);
+  expect[0].round_inputs = {""};
+  expect[0].round_input_present = {false};
+  expect[1] = expect[0];
+  expect[1].commit_seq = 2;
+  expect[1].txn_id = mp.txn_id;
+  expect[1].multi_partition = true;
+  expect[1].round_inputs = {"", Serialized(*input)};
+  expect[1].round_input_present = {false, true};
+
+  DirectLog d(0);
+  EXPECT_EQ(d.log().Append(sp), 1u);
+  EXPECT_EQ(d.log().Append(mp), 2u);
+  d.log().Shutdown();
+
+  LogSegmentHeader h;
+  h.partition = 0;
+  h.num_partitions = 1;
+  h.first_seq = 1;
+  h.procs.push_back(LogProcEntry{0, kKvReadUpdateProc});
+  std::string want;
+  EncodeLogSegmentHeader(h, &want);
+  for (const LogRecord& rec : expect) EncodeLogRecord(rec, &want);
+  const std::string got = ReadFile(PartitionLog::SegmentPath(d.dir, 0, 0));
+  EXPECT_EQ(got, want);
+
+  const LogSegmentContents seg = ParseLogSegment(got);
+  ASSERT_EQ(seg.status, LogReadStatus::kCleanEof);
+  ASSERT_EQ(seg.records.size(), expect.size());
+  for (size_t i = 0; i < expect.size(); ++i) {
+    const LogRecord& r = seg.records[i];
+    EXPECT_EQ(r.commit_seq, expect[i].commit_seq);
+    EXPECT_EQ(r.txn_id, expect[i].txn_id);
+    EXPECT_EQ(r.multi_partition, expect[i].multi_partition);
+    EXPECT_EQ(r.proc, expect[i].proc);
+    EXPECT_EQ(r.args, expect[i].args);
+    EXPECT_EQ(r.round_inputs, expect[i].round_inputs);
+    EXPECT_EQ(r.round_input_present, expect[i].round_input_present);
+  }
+}
+
+// --- log writer: edge-only wake, one cadence for both modes ----------------
+
+TEST(DurabilityLogWriter, BurstIntoParkedWriterCostsOneWake) {
+  auto args = std::make_shared<KvArgs>();
+  args->keys = {{MicrobenchKey(0, 0, 0)}};
+  CommitRecord rec;
+  rec.proc = 0;
+  rec.args = args;
+  rec.round_inputs = {nullptr};
+
+  DirectLog d(50 * kMillisecond);
+  // Give the writer time to park on its first wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (int i = 0; i < 1000; ++i) {
+    rec.txn_id = static_cast<TxnId>(i + 1);
+    d.log().Append(rec);
+  }
+  d.AwaitBatches(1);
+  PartitionLogStats s = d.log().GetStats();
+  EXPECT_EQ(s.wakes, 1u);
+  EXPECT_EQ(s.batches, 1u);
+  EXPECT_EQ(s.records, 1000u);
+
+  // More bursts: every signal finds a parked writer, which then writes at
+  // least one batch before it parks again.
+  for (int burst = 0; burst < 5; ++burst) {
+    for (int i = 0; i < 10; ++i) d.log().Append(rec);
+    d.AwaitBatches(s.batches + 1);
+    s = d.log().GetStats();
+  }
+  d.log().Shutdown();
+  s = d.log().GetStats();
+  EXPECT_EQ(s.records, 1050u);
+  EXPECT_LE(s.wakes, s.batches);
+}
+
+TEST(DurabilityLogWriter, AsyncNeverWaitsForTheWindow) {
+  KvWorkloadOptions mb;
+  mb.num_partitions = 2;
+  mb.num_clients = 1;
+  mb.keys_per_txn = 4;
+  mb.mp_fraction = 0;
+  const std::string dir = MakeTempDir("async_window");
+  constexpr int kTxns = 200;
+  constexpr uint32_t kWindowUs = 50000;
+
+  const auto t0 = std::chrono::steady_clock::now();
+  DbOptions opts = KvDbOptions(mb, "speculation", RunMode::kParallel, 94);
+  opts.durability = DurabilityMode::kAsync;
+  opts.log_dir = dir;
+  opts.group_commit_window_us = kWindowUs;
+  auto db = Database::Open(std::move(opts));
+  const ProcId proc = db->proc(kKvReadUpdateProc);
+  {
+    auto session = db->CreateSession();
+    Rng rng(8);
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kTxns; ++i) {
+      ASSERT_TRUE(session->Execute(proc, DrawKvTxn(mb, 0, rng)).committed);
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2))
+        << "async completions waited for the batch window";
+  }
+  db->Close();
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  const auto windows = static_cast<uint64_t>(elapsed / std::chrono::microseconds(kWindowUs));
+  const DurabilityStats stats = db->Stats().durability;
+  EXPECT_EQ(stats.records, static_cast<uint64_t>(kTxns));
+  EXPECT_EQ(stats.deferred_completions, 0u);
+  // Every batch but a final one cut short by Close is held open a full
+  // window, so the writers cannot fsync back to back.
+  EXPECT_LE(stats.fsyncs, static_cast<uint64_t>(mb.num_partitions) * (windows + 2));
+  EXPECT_LE(stats.writer_wakes, stats.batches);
+  db.reset();
+
+  DbOptions reopen = KvDbOptions(mb, "speculation", RunMode::kParallel, 95);
+  reopen.durability = DurabilityMode::kAsync;
+  reopen.log_dir = dir;
+  auto db2 = Database::Open(std::move(reopen));
+  ASSERT_TRUE(db2->recovery_report().ok) << db2->recovery_report().error;
+  EXPECT_EQ(db2->recovery_report().replayed, static_cast<uint64_t>(kTxns));
+  db2.reset();
+  std::filesystem::remove_all(dir);
 }
 
 // --- modes and counters ----------------------------------------------------

@@ -88,9 +88,11 @@ TEST(BPlusTree, MetersNodeVisits) {
   EXPECT_GE(m.index_nodes, 4u);
 }
 
+// No padding: gtest prints the param's raw bytes into the test name, so a
+// padding hole would leak indeterminate bytes and make the name unstable.
 struct BTreeParam {
   uint64_t seed;
-  int ops;
+  int64_t ops;
   uint64_t key_space;
 };
 
@@ -102,7 +104,7 @@ TEST_P(BTreeRandomized, MatchesReferenceModel) {
   std::map<uint64_t, uint64_t> ref;
   Rng rng(param.seed);
 
-  for (int i = 0; i < param.ops; ++i) {
+  for (int64_t i = 0; i < param.ops; ++i) {
     const uint64_t k = rng.Uniform(param.key_space);
     switch (rng.Uniform(4)) {
       case 0:

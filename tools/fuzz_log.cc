@@ -5,6 +5,8 @@
 // final record must be *tolerated* (LogReadStatus::kTornTail) while anything
 // malformed earlier must be *rejected* (kCorrupt / decode failure) — and
 // nothing in either case may crash, trip a sanitizer, or fail a PARTDB_CHECK.
+// What the decoders accept must also re-encode byte for byte, which pins the
+// encoders (and the crc) to the format the decoders read.
 // Anything that does is a recovery-time kill on real data and belongs in
 // tests/durability_test.cc as a regression.
 //
@@ -22,6 +24,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/logging.h"
 #include "durability/log_format.h"
 #include "kv/kv_engine.h"
 
@@ -33,9 +36,17 @@ void FuzzOneInput(const uint8_t* data, size_t size) {
 
   // 1. Whole-segment parse — what recovery runs on every p<p>-<i>.log image.
   //    Every status (clean, torn tail, torn header, corrupt) is a legal
-  //    outcome; only crashes count.
+  //    outcome; only crashes count. Whatever the parser accepted (the header
+  //    and every intact frame, up to valid_bytes) must re-encode to exactly
+  //    the input bytes, crc included: the encoders write the one format the
+  //    decoders read.
   const LogSegmentContents seg = ParseLogSegment(input);
-  (void)seg;
+  if (seg.valid_bytes > 0) {
+    std::string again;
+    EncodeLogSegmentHeader(seg.header, &again);
+    for (const LogRecord& rec : seg.records) EncodeLogRecord(rec, &again);
+    PARTDB_CHECK(again == input.substr(0, seg.valid_bytes));
+  }
 
   // 2. Strict checkpoint decode — what recovery runs on every .ckpt image.
   CheckpointImage img;
@@ -43,10 +54,16 @@ void FuzzOneInput(const uint8_t* data, size_t size) {
 
   // 3. Direct record-body dispatch (skipping one selector byte), so the body
   //    decoder also sees inputs the length/crc framing would have rejected
-  //    before it ever ran.
+  //    before it ever ran. An accepted body re-frames to a frame whose body
+  //    is exactly those bytes.
   if (!input.empty()) {
+    const std::string_view body = input.substr(1);
     LogRecord rec;
-    DecodeLogRecordBody(input.substr(1), &rec);
+    if (DecodeLogRecordBody(body, &rec)) {
+      std::string frame;
+      EncodeLogRecord(rec, &frame);
+      PARTDB_CHECK(std::string_view(frame).substr(8) == body);
+    }
   }
 }
 
