@@ -1,9 +1,11 @@
 // Concurrency-control scheme interface. A scheme decides when fragments
-// execute, when results become visible, and what happens on abort. The
-// implementations mirror the paper — BlockingCc (§4.1), SpeculativeCc (§4.2),
-// LockingCc (§4.3), OccCc (§5.7) — plus MvccCc (multiversion snapshot reads).
-// Schemes are selected by name through the CcSchemeRegistry
-// (cc/scheme_registry.h); concrete types are named only by their registrant.
+// execute, when results become visible, and what happens on abort. Three
+// classes implement the registered schemes: SpeculativeCc, one FIFO queue
+// executor whose policies give blocking (§4.1), speculation (§4.2) and OCC
+// (§5.7); LockingCc (§4.3); and MvccCc (multiversion snapshot reads). All of
+// them answer a transaction through ReplySp / VoteMp below. Schemes are
+// selected by name through the CcSchemeRegistry (cc/scheme_registry.h);
+// concrete types are named only by their registrant.
 #ifndef PARTDB_CC_CC_SCHEME_H_
 #define PARTDB_CC_CC_SCHEME_H_
 
@@ -68,6 +70,19 @@ class PartitionExec {
   virtual PartitionId partition_id() const = 0;
   virtual Duration lock_timeout() const = 0;
 };
+
+/// Answers the executed single-partition transaction `f` with result `r`. On
+/// a user abort rolls back `undo` (when non-null) and sends the abort; else
+/// clears `undo` (when non-null) and commits `f` through CommitSp.
+void ReplySp(PartitionExec* part, const FragmentRequest& f, const ExecResult& r, UndoBuffer* undo);
+
+/// Answers one executed round `f` of the multi-partition transaction `rec`.
+/// A commit vote (last round, no user abort) charges the 2PC vote and goes
+/// out through PrepareMp; an abort vote or a non-final round is sent as is.
+/// Returns the response it sent.
+FragmentResponse VoteMp(PartitionExec* part, const FragmentRequest& f, const ExecResult& r,
+                        const CommitRecord& rec, uint32_t epoch = 0,
+                        TxnId depends_on = kInvalidTxn);
 
 class CcScheme {
  public:

@@ -35,18 +35,7 @@ void LockingCc::FastPathSp(FragmentRequest& f) {
   if (part_->metrics().recording) part_->metrics().lock_fast_path++;
   UndoBuffer undo;
   ExecResult r = part_->RunFragment(f, f.can_abort ? &undo : nullptr);
-  ClientResponse resp;
-  resp.txn_id = f.txn_id;
-  resp.attempt = f.attempt;
-  resp.committed = !r.aborted;
-  resp.result = r.result;
-  if (r.aborted) {
-    part_->ChargeUndo(undo.size());
-    undo.Rollback();
-    part_->Send(f.coordinator, resp);
-    return;
-  }
-  part_->CommitSp({f.txn_id, false, f.proc, f.args, {f.round_input}}, f.coordinator, resp);
+  ReplySp(part_, f, r, &undo);
 }
 
 void LockingCc::BeginFragment(LTxn* t, FragmentRequest f) {
@@ -191,46 +180,20 @@ void LockingCc::ExecutePending(LTxn* t) {
   }
 
   if (!t->rec.multi_partition) {
-    ClientResponse resp;
-    resp.txn_id = f.txn_id;
-    resp.attempt = f.attempt;
-    resp.committed = !r.aborted;
-    resp.result = r.result;
-    if (r.aborted) {
-      part_->ChargeUndo(t->undo.size());
-      t->undo.Rollback();
-      part_->Send(f.coordinator, resp);
-    } else {
-      t->undo.Clear();
-      part_->CommitSp(t->rec, f.coordinator, resp);
-    }
+    ReplySp(part_, f, r, &t->undo);
     FinishTxn(t);
     return;
   }
-
-  FragmentResponse resp;
-  resp.txn_id = f.txn_id;
-  resp.attempt = f.attempt;
-  resp.round = f.round;
-  resp.last_round = f.last_round;
-  resp.partition = part_->partition_id();
-  resp.result = r.result;
-  resp.vote = r.aborted ? Vote::kAbort : (f.last_round ? Vote::kCommit : Vote::kNone);
   if (r.aborted) {
     // Unilateral abort before voting: roll back, release, forget.
     part_->ChargeUndo(t->undo.size());
     t->undo.Rollback();
-    part_->Send(f.coordinator, resp);
+    VoteMp(part_, f, r, t->rec);
     FinishTxn(t);
     return;
   }
-  if (f.last_round) {
-    t->prepared = true;
-    part_->Charge(part_->cost().twopc_vote);
-    part_->PrepareMp(t->rec, f.coordinator, resp);
-  } else {
-    part_->Send(f.coordinator, resp);
-  }
+  t->prepared = f.last_round;
+  VoteMp(part_, f, r, t->rec);
 }
 
 void LockingCc::FinishTxn(LTxn* t) {

@@ -84,28 +84,14 @@ void MvccCc::ExecuteSp(FragmentRequest& f, bool on_snapshot) {
     part_->ChargeUndo(pending_->versions.size());
     if (part_->metrics().recording) part_->metrics().mvcc_snapshot_reads++;
   }
-
-  ClientResponse resp;
-  resp.txn_id = f.txn_id;
-  resp.attempt = f.attempt;
-  resp.committed = !r.aborted;
-  resp.result = r.result;
-  if (r.aborted) {
-    part_->Send(f.coordinator, resp);
-    return;
-  }
-  part_->CommitSp({f.txn_id, false, f.proc, f.args, {f.round_input}}, f.coordinator, resp);
+  ReplySp(part_, f, r, nullptr);  // already rolled back, under the snapshot
 }
 
 void MvccCc::StartMp(FragmentRequest& f) {
   pending_.emplace();
-  pending_->rec = {f.txn_id, true, f.proc, f.args, {f.round_input}};
+  pending_->rec = {f.txn_id, true, f.proc, f.args, {}};
   pending_->versions.EnableRedo();
-  AccumulateMpAccess(f);
-  ExecResult r = part_->RunFragment(f, &pending_->versions);
-  if (r.aborted) pending_->aborted_locally = true;
-  pending_->finished = f.last_round;
-  RespondMp(f, r);
+  ContinueMp(f);
 }
 
 void MvccCc::ContinueMp(FragmentRequest& f) {
@@ -115,25 +101,7 @@ void MvccCc::ContinueMp(FragmentRequest& f) {
   ExecResult r = part_->RunFragment(f, &pending_->versions);
   if (r.aborted) pending_->aborted_locally = true;
   pending_->finished = f.last_round;
-  RespondMp(f, r);
-}
-
-void MvccCc::RespondMp(const FragmentRequest& f, const ExecResult& r) {
-  FragmentResponse resp;
-  resp.txn_id = f.txn_id;
-  resp.attempt = f.attempt;
-  resp.round = f.round;
-  resp.last_round = f.last_round;
-  resp.partition = part_->partition_id();
-  resp.epoch = epoch_;
-  resp.result = r.result;
-  resp.vote = r.aborted ? Vote::kAbort : (f.last_round ? Vote::kCommit : Vote::kNone);
-  if (f.last_round && !r.aborted) {
-    part_->Charge(part_->cost().twopc_vote);
-    part_->PrepareMp(pending_->rec, f.coordinator, resp);
-    return;
-  }
-  part_->Send(f.coordinator, resp);
+  VoteMp(part_, f, r, pending_->rec, epoch_);
 }
 
 void MvccCc::OnDecision(const DecisionMessage& d) {

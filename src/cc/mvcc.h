@@ -77,7 +77,6 @@ class MvccCc : public CcScheme {
   void ExecuteSp(FragmentRequest& f, bool on_snapshot = false);
   void StartMp(FragmentRequest& f);
   void ContinueMp(FragmentRequest& f);
-  void RespondMp(const FragmentRequest& f, const ExecResult& r);
   /// Folds the fragment's declared lock set into the pending MP's access
   /// sets (charged like lock-manager work, as OCC charges its tracking).
   void AccumulateMpAccess(const FragmentRequest& f);

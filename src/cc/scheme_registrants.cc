@@ -2,32 +2,35 @@
 // four schemes and mvcc register themselves here, in the order they appear in
 // the paper (registration order is the registry's enumeration order). Adding
 // a scheme means adding one Register call here — nothing else in the runtime,
-// db, bench, or test layers names scheme types.
-#include "cc/blocking.h"
+// db, bench, or test layers names scheme types. blocking, speculation and occ
+// are three fixed policies of one queue executor (cc/speculative.h).
 #include "cc/locking.h"
 #include "cc/mvcc.h"
-#include "cc/occ.h"
 #include "cc/scheme_registry.h"
 #include "cc/speculative.h"
 
 namespace partdb {
 
 void RegisterBuiltinSchemes(CcSchemeRegistry& r) {
-  r.Register("blocking", CcSchemeCapabilities{},
-             [](PartitionExec* part, const SchemeOptions&) {
-               return std::make_unique<BlockingCc>(part);
-             });
+  using RunBehind = SpeculativeCc::RunBehind;
+  using AbortUndoes = SpeculativeCc::AbortUndoes;
+  r.Register("blocking", CcSchemeCapabilities{}, [](PartitionExec* part, const SchemeOptions&) {
+    return std::make_unique<SpeculativeCc>(part, RunBehind::kNothing, AbortUndoes::kEverything);
+  });
   r.Register("speculation", CcSchemeCapabilities{},
              [](PartitionExec* part, const SchemeOptions& options) {
-               return std::make_unique<SpeculativeCc>(part, !options.local_speculation_only);
+               const auto run_behind = options.local_speculation_only ? RunBehind::kSinglePartition
+                                                                      : RunBehind::kEverything;
+               return std::make_unique<SpeculativeCc>(part, run_behind, AbortUndoes::kEverything);
              });
   CcSchemeCapabilities locking_caps;
   locking_caps.client_coordinated_2pc = true;
   r.Register("locking", locking_caps, [](PartitionExec* part, const SchemeOptions& options) {
     return std::make_unique<LockingCc>(part, options.force_locks);
   });
+  // OCC speculates everything whatever local_speculation_only says.
   r.Register("occ", CcSchemeCapabilities{}, [](PartitionExec* part, const SchemeOptions&) {
-    return std::make_unique<OccCc>(part);
+    return std::make_unique<SpeculativeCc>(part, RunBehind::kEverything, AbortUndoes::kConflicting);
   });
   CcSchemeCapabilities mvcc_caps;
   mvcc_caps.snapshot_reads = true;

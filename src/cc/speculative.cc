@@ -1,5 +1,7 @@
 #include "cc/speculative.h"
 
+#include <unordered_set>
+
 #include "common/logging.h"
 
 namespace partdb {
@@ -23,6 +25,7 @@ SpeculativeCc::TxnPtr SpeculativeCc::NewTxn(const FragmentRequest& f) {
   t->rec.proc = f.proc;
   t->rec.args = f.args;
   t->coord = f.coordinator;
+  if (validate_) TrackAccess(*t, f);
   return t;
 }
 
@@ -36,7 +39,29 @@ void SpeculativeCc::RecycleTxn(TxnPtr t) {
   t->aborted_locally = false;
   t->undo_applied = false;
   t->held = {};
+  t->reads.clear();
+  t->writes.clear();
+  t->last_response = {};
   txn_pool_.push_back(std::move(t));
+}
+
+void SpeculativeCc::TrackAccess(Txn& t, const FragmentRequest& f) {
+  // The declared lock set is exactly the access set; tracking it is the
+  // read/write-set bookkeeping the paper says OCC cannot avoid (§5.7).
+  std::vector<LockRequest> plan;
+  part_->engine().LockSet(*f.args, f.round, &plan);
+  WorkMeter tracking;
+  for (const LockRequest& lr : plan) {
+    (lr.exclusive ? t.writes : t.reads).push_back(lr.lock_id);
+    tracking.lock_acquires++;  // charged like lock-manager traffic
+    tracking.lock_table_ops++;
+  }
+  part_->ChargeLockWork(tracking);
+}
+
+bool SpeculativeCc::MayRunBehind(const FragmentRequest& f) const {
+  return run_behind_ == RunBehind::kEverything ||
+         (run_behind_ == RunBehind::kSinglePartition && !f.multi_partition);
 }
 
 void SpeculativeCc::OnFragment(FragmentRequest frag) {
@@ -54,8 +79,7 @@ void SpeculativeCc::OnFragment(FragmentRequest frag) {
   if (uncommitted_.empty()) {
     PARTDB_DCHECK(unexecuted_.empty());
     ExecuteFresh(frag);
-  } else if (unexecuted_.empty() && uncommitted_.back()->finished &&
-             (speculate_mp_ || !frag.multi_partition)) {
+  } else if (unexecuted_.empty() && uncommitted_.back()->finished && MayRunBehind(frag)) {
     if (frag.multi_partition) {
       SpeculateMp(frag);
     } else {
@@ -63,8 +87,8 @@ void SpeculativeCc::OnFragment(FragmentRequest frag) {
     }
   } else {
     // Either the tail is still executing rounds, or earlier fragments are
-    // already queued (FIFO), or this is a multi-partition transaction under
-    // local-only speculation: wait.
+    // already queued (FIFO), or the policy keeps this transaction out of
+    // the stall: wait.
     unexecuted_.push_back(std::move(frag));
   }
   DrainQueue();
@@ -76,18 +100,7 @@ void SpeculativeCc::ExecuteFresh(FragmentRequest& f) {
     // Undo is kept only if the procedure may user-abort.
     UndoBuffer undo;
     ExecResult r = part_->RunFragment(f, f.can_abort ? &undo : nullptr);
-    ClientResponse resp;
-    resp.txn_id = f.txn_id;
-    resp.attempt = f.attempt;
-    resp.committed = !r.aborted;
-    resp.result = r.result;
-    if (r.aborted) {
-      part_->ChargeUndo(undo.size());
-      undo.Rollback();
-      part_->Send(f.coordinator, resp);
-      return;
-    }
-    part_->CommitSp({f.txn_id, false, f.proc, f.args, {f.round_input}}, f.coordinator, resp);
+    ReplySp(part_, f, r, &undo);
     return;
   }
   // New non-speculative head.
@@ -100,23 +113,16 @@ void SpeculativeCc::SpeculateSp(FragmentRequest& f) {
   TxnPtr t = NewTxn(f);
   t->frags.push_back(f);
   t->rec.round_inputs.push_back(f.round_input);
-  ExecResult r = part_->RunFragment(f, &t->undo);
+  t->held = part_->RunFragment(f, &t->undo);
   if (part_->metrics().recording) part_->metrics().speculative_execs++;
   t->finished = true;
-
   // Results of speculated single-partition transactions cannot leave the
-  // database until every earlier transaction has committed (§4.2.1).
-  t->held.txn_id = f.txn_id;
-  t->held.attempt = f.attempt;
-  t->held.committed = !r.aborted;
-  t->held.result = r.result;
-  if (r.aborted) {
-    // A self-aborting speculation must roll back immediately so later
-    // speculations never observe its dirty writes.
+  // database until every earlier transaction has committed (§4.2.1). A
+  // self-aborting speculation must roll back immediately so later
+  // speculations never observe its dirty writes.
+  if (t->held.aborted) {
     t->aborted_locally = true;
-    part_->ChargeUndo(t->undo.size());
-    t->undo.Rollback();
-    t->undo_applied = true;
+    RollBack(*t);
   }
   uncommitted_.push_back(std::move(t));
 }
@@ -134,6 +140,7 @@ void SpeculativeCc::ContinueTail(FragmentRequest& f) {
   Txn& t = *uncommitted_.back();
   // Rounds past 0 run only once the transaction is the head (see above).
   PARTDB_CHECK(uncommitted_.size() == 1 || f.round == 0);
+  if (validate_) TrackAccess(t, f);
   RunMpFragment(t, f, kInvalidTxn);
 }
 
@@ -143,23 +150,15 @@ void SpeculativeCc::RunMpFragment(Txn& t, FragmentRequest& f, TxnId dep) {
   ExecResult r = part_->RunFragment(f, &t.undo);
   if (r.aborted) t.aborted_locally = true;
   t.finished = f.last_round;
+  FragmentResponse sent = VoteMp(part_, f, r, t.rec, epoch_, dep);
+  if (validate_) t.last_response = std::move(sent);
+}
 
-  FragmentResponse resp;
-  resp.txn_id = f.txn_id;
-  resp.attempt = f.attempt;
-  resp.round = f.round;
-  resp.last_round = f.last_round;
-  resp.partition = part_->partition_id();
-  resp.epoch = epoch_;
-  resp.depends_on = dep;
-  resp.result = r.result;
-  resp.vote = r.aborted ? Vote::kAbort : (f.last_round ? Vote::kCommit : Vote::kNone);
-  if (f.last_round && !r.aborted) {
-    part_->Charge(part_->cost().twopc_vote);
-    part_->PrepareMp(t.rec, t.coord, resp);
-    return;
-  }
-  part_->Send(t.coord, resp);
+void SpeculativeCc::RollBack(Txn& t) {
+  if (t.undo_applied) return;
+  part_->ChargeUndo(t.undo.size());
+  t.undo.Rollback();
+  t.undo_applied = true;
 }
 
 TxnId SpeculativeCc::LastMpId() const {
@@ -183,52 +182,90 @@ void SpeculativeCc::OnDecision(const DecisionMessage& d) {
     uncommitted_.pop_front();
     ReleaseCommittedSp();
   } else {
-    ++epoch_;
-    // Cascade: undo speculated transactions newest-first and requeue them in
-    // their original order for re-execution (paper Fig. 3).
-    std::vector<FragmentRequest> requeue;
-    while (uncommitted_.size() > 1) {
-      TxnPtr t = std::move(uncommitted_.back());
-      uncommitted_.pop_back();
-      if (!t->undo_applied) {
-        part_->ChargeUndo(t->undo.size());
-        t->undo.Rollback();
-      }
-      if (part_->metrics().recording) part_->metrics().cascading_reexecs++;
-      // Speculated transactions have executed exactly one fragment (round 0);
-      // multi-round transactions past round 0 can no longer be cascaded.
-      PARTDB_CHECK(t->frags.size() == 1);
-      FragmentRequest f = std::move(t->frags[0]);
-      f.attempt++;
-      requeue.push_back(std::move(f));
-      RecycleTxn(std::move(t));
-    }
-    TxnPtr h = std::move(uncommitted_.front());
-    uncommitted_.pop_front();
-    if (!h->undo_applied) {
-      part_->ChargeUndo(h->undo.size());
-      h->undo.Rollback();
-    }
-    part_->DecideMp(h->rec, false);
-    RecycleTxn(std::move(h));
-    // requeue holds [newest, ..., oldest]; push_front restores queue order.
-    for (auto& f : requeue) unexecuted_.push_front(std::move(f));
+    AbortHead();
   }
   DrainQueue();
+}
+
+void SpeculativeCc::AbortHead() {
+  ++epoch_;
+  TxnPtr h = std::move(uncommitted_.front());
+  uncommitted_.pop_front();
+
+  // The validation walk, oldest first: a transaction is invalid iff its
+  // access set meets the written keys of the head and of every invalidated
+  // transaction before it. Without validation every transaction is invalid
+  // (speculation's cascade, paper Fig. 3). Invalid entries move out of the
+  // queue; the survivors keep their order.
+  std::unordered_set<uint64_t> poisoned;
+  poisoned.insert(h->writes.begin(), h->writes.end());
+  bool mp_poisoned = false;
+  WorkMeter validation;
+  std::vector<TxnPtr> invalid;  // queue order
+  for (TxnPtr& t : uncommitted_) {
+    bool conflict = !validate_;
+    for (uint64_t k : t->reads) {
+      validation.lock_table_ops++;
+      if (poisoned.count(k)) conflict = true;
+    }
+    for (uint64_t k : t->writes) {
+      validation.lock_table_ops++;
+      if (poisoned.count(k)) conflict = true;
+    }
+    // Multi-partition transactions must keep their relative order identical
+    // on every participant (otherwise per-partition dependency chains can
+    // cycle at the coordinator). Once one MP transaction is invalidated,
+    // every later MP transaction re-executes as well; only single-partition
+    // transactions enjoy fully selective validation.
+    if (t->rec.multi_partition && mp_poisoned) conflict = true;
+    if (!conflict) continue;
+    if (t->rec.multi_partition) mp_poisoned = true;
+    poisoned.insert(t->writes.begin(), t->writes.end());
+    invalid.push_back(std::move(t));
+  }
+  std::erase(uncommitted_, nullptr);
+  if (validate_) part_->ChargeLockWork(validation);
+
+  // Undo the invalid transactions newest first (their keys are disjoint from
+  // every survivor's, so rolling them back leaves surviving state alone),
+  // then the head. push_front requeues them in their original order.
+  for (auto it = invalid.rbegin(); it != invalid.rend(); ++it) {
+    RollBack(**it);
+    if (part_->metrics().recording) part_->metrics().cascading_reexecs++;
+    // Speculated transactions have executed exactly one fragment (round 0);
+    // multi-round transactions past round 0 can no longer be cascaded.
+    PARTDB_CHECK((*it)->frags.size() == 1);
+    FragmentRequest f = std::move((*it)->frags[0]);
+    f.attempt++;
+    unexecuted_.push_front(std::move(f));
+    RecycleTxn(std::move(*it));
+  }
+  RollBack(*h);
+  part_->DecideMp(h->rec, false);
+  RecycleTxn(std::move(h));
+
+  if (part_->metrics().recording) part_->metrics().occ_survivors += uncommitted_.size();
+  // Survivors' speculative votes referenced the old epoch (and possibly the
+  // aborted head); resend them revalidated so the coordinator can proceed.
+  TxnId prev_mp = kInvalidTxn;
+  for (TxnPtr& t : uncommitted_) {
+    if (!t->rec.multi_partition) continue;
+    t->last_response.epoch = epoch_;
+    t->last_response.depends_on = prev_mp;
+    part_->Send(t->coord, t->last_response);
+    prev_mp = t->rec.txn_id;
+  }
+  // A surviving single-partition prefix has no uncommitted predecessors left.
+  ReleaseCommittedSp();
 }
 
 void SpeculativeCc::ReleaseCommittedSp() {
   // Commit speculated single-partition transactions up to the next
   // multi-partition transaction and release their buffered results.
   while (!uncommitted_.empty() && !uncommitted_.front()->rec.multi_partition) {
-    Txn* t = uncommitted_.front().get();
-    PARTDB_CHECK(t->finished);
-    if (t->aborted_locally) {
-      part_->Send(t->coord, std::move(t->held));
-    } else {
-      t->undo.Clear();
-      part_->CommitSp(t->rec, t->coord, std::move(t->held));
-    }
+    Txn& t = *uncommitted_.front();
+    PARTDB_CHECK(t.finished);
+    ReplySp(part_, t.frags[0], t.held, t.undo_applied ? nullptr : &t.undo);
     RecycleTxn(std::move(uncommitted_.front()));
     uncommitted_.pop_front();
   }
@@ -251,7 +288,7 @@ void SpeculativeCc::DrainQueue() {
       continue;
     }
     if (tail->finished) {
-      if (peek.multi_partition && !speculate_mp_) break;  // wait for commit
+      if (!MayRunBehind(peek)) break;  // wait for the decision
       FragmentRequest f = std::move(unexecuted_.front());
       unexecuted_.pop_front();
       if (f.multi_partition) {

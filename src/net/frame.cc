@@ -228,6 +228,8 @@ std::string EncodeMetrics(const Metrics& m) {
   w.U64(m.timeout_aborts);
   w.U64(m.txn_retries);
   w.U64(m.occ_survivors);
+  w.U64(m.mvcc_snapshot_reads);
+  w.U64(m.mvcc_conflict_waits);
   w.I64(m.lock_acquire_ns);
   w.I64(m.lock_release_ns);
   w.I64(m.lock_table_ns);
@@ -256,6 +258,8 @@ bool DecodeMetrics(std::string_view body, Metrics* out) {
   m.timeout_aborts = r.U64();
   m.txn_retries = r.U64();
   m.occ_survivors = r.U64();
+  m.mvcc_snapshot_reads = r.U64();
+  m.mvcc_conflict_waits = r.U64();
   m.lock_acquire_ns = r.I64();
   m.lock_release_ns = r.I64();
   m.lock_table_ns = r.I64();

@@ -1,18 +1,17 @@
-// Direct unit tests of the three concurrency-control schemes against the
-// paper's pseudocode (Fig. 2, Fig. 3) and the worked examples of §4.2.1
+// Direct unit tests of the paper's three concurrency-control schemes against
+// its pseudocode (Fig. 2, Fig. 3) and the worked examples of §4.2.1
 // (speculating single-partition transactions behind a multi-partition
 // transaction) and §4.2.2 (speculating multi-partition transactions with
-// dependency tracking).
+// dependency tracking). Blocking and speculation are built by registry name,
+// so each test pins that registrant's policy of the shared queue executor.
 #include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "cc/blocking.h"
 #include "cc/locking.h"
 #include "cc/scheme_registry.h"
-#include "cc/speculative.h"
 #include "fake_partition.h"
 #include "gtest/gtest.h"
 #include "kv/kv_engine.h"
@@ -78,69 +77,69 @@ uint64_t ValueOf(FakePartition& part, PartitionId pid, int slot) {
 
 TEST(BlockingScheme, SpExecutesImmediatelyWhenIdle) {
   FakePartition part(0, MakeEngine(0));
-  BlockingCc cc(&part);
-  cc.OnFragment(SpFrag(1, SpArgs(0, 0)));
+  auto cc = CcSchemeRegistry::Global().Make("blocking", &part);
+  cc->OnFragment(SpFrag(1, SpArgs(0, 0)));
   auto resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_TRUE(resp[0].committed);
   EXPECT_EQ(ValueOf(part, 0, 0), 1u);
-  EXPECT_TRUE(cc.Idle());
+  EXPECT_TRUE(cc->Idle());
   ASSERT_EQ(part.log.size(), 1u);  // committed SP logged
 }
 
 TEST(BlockingScheme, QueuesEverythingBehindActiveMp) {
   FakePartition part(0, MakeEngine(0));
-  BlockingCc cc(&part);
-  cc.OnFragment(MpFrag(10, MpArgs(0, 0)));
+  auto cc = CcSchemeRegistry::Global().Make("blocking", &part);
+  cc->OnFragment(MpFrag(10, MpArgs(0, 0)));
   auto votes = part.Bodies<FragmentResponse>();
   ASSERT_EQ(votes.size(), 1u);
   EXPECT_EQ(votes[0].vote, Vote::kCommit);
 
   // Queued while the MP transaction is in 2PC.
-  cc.OnFragment(SpFrag(11, SpArgs(0, 1)));
-  cc.OnFragment(SpFrag(12, SpArgs(0, 2)));
+  cc->OnFragment(SpFrag(11, SpArgs(0, 1)));
+  cc->OnFragment(SpFrag(12, SpArgs(0, 2)));
   EXPECT_TRUE(part.Bodies<ClientResponse>().empty());
   EXPECT_EQ(ValueOf(part, 0, 1), 0u);  // not executed yet
 
-  cc.OnDecision(DecisionMessage{10, 0, true});
+  cc->OnDecision(DecisionMessage{10, 0, true});
   auto resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 2u);
   EXPECT_EQ(ValueOf(part, 0, 1), 1u);
   EXPECT_EQ(ValueOf(part, 0, 2), 1u);
-  EXPECT_TRUE(cc.Idle());
+  EXPECT_TRUE(cc->Idle());
 }
 
 TEST(BlockingScheme, AbortDecisionRollsBack) {
   FakePartition part(0, MakeEngine(0));
-  BlockingCc cc(&part);
-  cc.OnFragment(MpFrag(10, MpArgs(0, 0)));
+  auto cc = CcSchemeRegistry::Global().Make("blocking", &part);
+  cc->OnFragment(MpFrag(10, MpArgs(0, 0)));
   EXPECT_EQ(ValueOf(part, 0, 0), 1u);  // dirty
-  cc.OnDecision(DecisionMessage{10, 0, false});
+  cc->OnDecision(DecisionMessage{10, 0, false});
   EXPECT_EQ(ValueOf(part, 0, 0), 0u);  // undone
   EXPECT_TRUE(part.log.empty());
-  EXPECT_TRUE(cc.Idle());
+  EXPECT_TRUE(cc->Idle());
 }
 
 TEST(BlockingScheme, UserAbortVotesAbortAndKeepsDirtyUntilDecision) {
   FakePartition part(0, MakeEngine(0));
-  BlockingCc cc(&part);
-  cc.OnFragment(MpFrag(10, MpArgs(0, 0, /*abort_here=*/true)));
+  auto cc = CcSchemeRegistry::Global().Make("blocking", &part);
+  cc->OnFragment(MpFrag(10, MpArgs(0, 0, /*abort_here=*/true)));
   auto votes = part.Bodies<FragmentResponse>();
   ASSERT_EQ(votes.size(), 1u);
   EXPECT_EQ(votes[0].vote, Vote::kAbort);
-  cc.OnDecision(DecisionMessage{10, 0, false});
+  cc->OnDecision(DecisionMessage{10, 0, false});
   EXPECT_EQ(ValueOf(part, 0, 0), 0u);
-  EXPECT_TRUE(cc.Idle());
+  EXPECT_TRUE(cc->Idle());
 }
 
 TEST(BlockingScheme, SpUserAbortRepliesNotCommitted) {
   FakePartition part(0, MakeEngine(0));
-  BlockingCc cc(&part);
+  auto cc = CcSchemeRegistry::Global().Make("blocking", &part);
   auto args = std::make_shared<KvArgs>();
   args->keys.resize(1);
   args->keys[0].push_back(MicrobenchKey(0, 0, 0));
   args->abort_txn = true;
-  cc.OnFragment(SpFrag(1, args, /*can_abort=*/true));
+  cc->OnFragment(SpFrag(1, args, /*can_abort=*/true));
   auto resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_FALSE(resp[0].committed);
@@ -155,18 +154,18 @@ TEST(BlockingScheme, SpUserAbortRepliesNotCommitted) {
 // are withheld until A commits.
 TEST(SpeculativeScheme, Paper421_SpSpeculationCommit) {
   FakePartition part(0, MakeEngine(0));
-  SpeculativeCc cc(&part);
+  auto cc = CcSchemeRegistry::Global().Make("speculation", &part);
 
-  cc.OnFragment(MpFrag(100, MpArgs(0, 0)));  // A (finished locally)
+  cc->OnFragment(MpFrag(100, MpArgs(0, 0)));  // A (finished locally)
   part.ClearSent();
-  cc.OnFragment(SpFrag(101, SpArgs(0, 0)));  // B1
-  cc.OnFragment(SpFrag(102, SpArgs(0, 0)));  // B2
+  cc->OnFragment(SpFrag(101, SpArgs(0, 0)));  // B1
+  cc->OnFragment(SpFrag(102, SpArgs(0, 0)));  // B2
   // Speculated (state advanced) but results buffered inside the partition.
   EXPECT_EQ(ValueOf(part, 0, 0), 3u);
   EXPECT_TRUE(part.sent.empty());
   EXPECT_EQ(part.metrics().speculative_execs, 2u);
 
-  cc.OnDecision(DecisionMessage{100, 0, true});  // A commits
+  cc->OnDecision(DecisionMessage{100, 0, true});  // A commits
   auto resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 2u);
   EXPECT_EQ(resp[0].txn_id, 101u);
@@ -174,7 +173,7 @@ TEST(SpeculativeScheme, Paper421_SpSpeculationCommit) {
   // B1 observed A's write (1), B2 observed B1's (2).
   EXPECT_EQ(PayloadCast<KvResult>(*resp[0].result).values[0], 1u);
   EXPECT_EQ(PayloadCast<KvResult>(*resp[1].result).values[0], 2u);
-  EXPECT_TRUE(cc.Idle());
+  EXPECT_TRUE(cc->Idle());
   // Commit order: A, B1, B2.
   ASSERT_EQ(part.log.size(), 3u);
   EXPECT_EQ(part.log[0].txn_id, 100u);
@@ -186,14 +185,14 @@ TEST(SpeculativeScheme, Paper421_SpSpeculationCommit) {
 // queue to be re-executed".
 TEST(SpeculativeScheme, Paper421_AbortCascadesAndReexecutes) {
   FakePartition part(0, MakeEngine(0));
-  SpeculativeCc cc(&part);
+  auto cc = CcSchemeRegistry::Global().Make("speculation", &part);
 
-  cc.OnFragment(MpFrag(100, MpArgs(0, 0)));  // A writes slot0 = 1
-  cc.OnFragment(SpFrag(101, SpArgs(0, 0)));  // B1 -> 2 (speculative)
-  cc.OnFragment(SpFrag(102, SpArgs(0, 0)));  // B2 -> 3 (speculative)
+  cc->OnFragment(MpFrag(100, MpArgs(0, 0)));  // A writes slot0 = 1
+  cc->OnFragment(SpFrag(101, SpArgs(0, 0)));  // B1 -> 2 (speculative)
+  cc->OnFragment(SpFrag(102, SpArgs(0, 0)));  // B2 -> 3 (speculative)
   part.ClearSent();
 
-  cc.OnDecision(DecisionMessage{100, 0, false});  // A aborts
+  cc->OnDecision(DecisionMessage{100, 0, false});  // A aborts
   // B1 and B2 were undone and re-executed against the clean state.
   EXPECT_EQ(ValueOf(part, 0, 0), 2u);
   auto resp = part.Bodies<ClientResponse>();
@@ -202,7 +201,7 @@ TEST(SpeculativeScheme, Paper421_AbortCascadesAndReexecutes) {
   EXPECT_EQ(PayloadCast<KvResult>(*resp[0].result).values[0], 0u);  // A's write gone
   EXPECT_EQ(PayloadCast<KvResult>(*resp[1].result).values[0], 1u);
   EXPECT_EQ(part.metrics().cascading_reexecs, 2u);
-  EXPECT_TRUE(cc.Idle());
+  EXPECT_TRUE(cc->Idle());
   // A is not in the commit log.
   ASSERT_EQ(part.log.size(), 2u);
   EXPECT_EQ(part.log[0].txn_id, 101u);
@@ -212,13 +211,13 @@ TEST(SpeculativeScheme, Paper421_AbortCascadesAndReexecutes) {
 // is sent immediately, tagged with a dependency on A; B1/B2 stay buffered.
 TEST(SpeculativeScheme, Paper422_MpSpeculationSendsDependentVote) {
   FakePartition part(0, MakeEngine(0));
-  SpeculativeCc cc(&part);
+  auto cc = CcSchemeRegistry::Global().Make("speculation", &part);
 
-  cc.OnFragment(MpFrag(100, MpArgs(0, 0)));  // A
+  cc->OnFragment(MpFrag(100, MpArgs(0, 0)));  // A
   part.ClearSent();
-  cc.OnFragment(SpFrag(101, SpArgs(0, 1)));  // B1 (buffered)
-  cc.OnFragment(MpFrag(102, MpArgs(0, 0)));  // C: speculated, vote sent now
-  cc.OnFragment(SpFrag(103, SpArgs(0, 1)));  // B2 (buffered)
+  cc->OnFragment(SpFrag(101, SpArgs(0, 1)));  // B1 (buffered)
+  cc->OnFragment(MpFrag(102, MpArgs(0, 0)));  // C: speculated, vote sent now
+  cc->OnFragment(SpFrag(103, SpArgs(0, 1)));  // B2 (buffered)
 
   auto votes = part.Bodies<FragmentResponse>();
   ASSERT_EQ(votes.size(), 1u);
@@ -228,30 +227,30 @@ TEST(SpeculativeScheme, Paper422_MpSpeculationSendsDependentVote) {
   EXPECT_TRUE(part.Bodies<ClientResponse>().empty());
 
   part.ClearSent();
-  cc.OnDecision(DecisionMessage{100, 0, true});  // A commits
+  cc->OnDecision(DecisionMessage{100, 0, true});  // A commits
   auto resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 1u);  // B1 released; C is the new head
   EXPECT_EQ(resp[0].txn_id, 101u);
 
   part.ClearSent();
-  cc.OnDecision(DecisionMessage{102, 0, true});  // C commits
+  cc->OnDecision(DecisionMessage{102, 0, true});  // C commits
   resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 1u);  // B2 released
   EXPECT_EQ(resp[0].txn_id, 103u);
-  EXPECT_TRUE(cc.Idle());
+  EXPECT_TRUE(cc->Idle());
 }
 
 // Paper §4.2.2 abort path: "the partitions would then resend results for C"
 // with a bumped epoch so the coordinator can discard the stale ones.
 TEST(SpeculativeScheme, Paper422_AbortInvalidatesSpeculativeVote) {
   FakePartition part(0, MakeEngine(0));
-  SpeculativeCc cc(&part);
+  auto cc = CcSchemeRegistry::Global().Make("speculation", &part);
 
-  cc.OnFragment(MpFrag(100, MpArgs(0, 0)));  // A
-  cc.OnFragment(MpFrag(102, MpArgs(0, 0)));  // C (speculative, dep A)
+  cc->OnFragment(MpFrag(100, MpArgs(0, 0)));  // A
+  cc->OnFragment(MpFrag(102, MpArgs(0, 0)));  // C (speculative, dep A)
   part.ClearSent();
 
-  cc.OnDecision(DecisionMessage{100, 0, false});  // A aborts
+  cc->OnDecision(DecisionMessage{100, 0, false});  // A aborts
   // C was undone, re-executed as the new head, and re-voted: no dependency,
   // higher epoch, bumped attempt.
   auto votes = part.Bodies<FragmentResponse>();
@@ -262,25 +261,25 @@ TEST(SpeculativeScheme, Paper422_AbortInvalidatesSpeculativeVote) {
   EXPECT_EQ(votes[0].attempt, 1u);
   EXPECT_EQ(ValueOf(part, 0, 0), 1u);  // only C's write remains
 
-  cc.OnDecision(DecisionMessage{102, 0, true});
-  EXPECT_TRUE(cc.Idle());
+  cc->OnDecision(DecisionMessage{102, 0, true});
+  EXPECT_TRUE(cc->Idle());
   ASSERT_EQ(part.log.size(), 1u);
   EXPECT_EQ(part.log[0].txn_id, 102u);
 }
 
 TEST(SpeculativeScheme, SelfAbortingSpSpeculationRollsBackImmediately) {
   FakePartition part(0, MakeEngine(0));
-  SpeculativeCc cc(&part);
-  cc.OnFragment(MpFrag(100, MpArgs(0, 0)));  // head
+  auto cc = CcSchemeRegistry::Global().Make("speculation", &part);
+  cc->OnFragment(MpFrag(100, MpArgs(0, 0)));  // head
 
   auto abort_args = std::make_shared<KvArgs>();
   abort_args->keys.resize(1);
   abort_args->keys[0].push_back(MicrobenchKey(0, 0, 1));
   abort_args->abort_txn = true;
-  cc.OnFragment(SpFrag(101, abort_args, /*can_abort=*/true));
-  cc.OnFragment(SpFrag(102, SpArgs(0, 1)));  // must not see 101's dirty state
+  cc->OnFragment(SpFrag(101, abort_args, /*can_abort=*/true));
+  cc->OnFragment(SpFrag(102, SpArgs(0, 1)));  // must not see 101's dirty state
 
-  cc.OnDecision(DecisionMessage{100, 0, true});
+  cc->OnDecision(DecisionMessage{100, 0, true});
   auto resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 2u);
   EXPECT_FALSE(resp[0].committed);  // 101 user-aborted
@@ -291,14 +290,14 @@ TEST(SpeculativeScheme, SelfAbortingSpSpeculationRollsBackImmediately) {
 
 TEST(SpeculativeScheme, MultiRoundHeadBlocksSpeculationUntilFinished) {
   FakePartition part(0, MakeEngine(0));
-  SpeculativeCc cc(&part);
+  auto cc = CcSchemeRegistry::Global().Make("speculation", &part);
 
   auto args = std::make_shared<KvArgs>();
   args->keys.resize(1);
   args->keys[0].push_back(MicrobenchKey(0, 0, 0));
   args->rounds = 2;
-  cc.OnFragment(MpFrag(100, args, /*last=*/false, /*round=*/0));
-  cc.OnFragment(SpFrag(101, SpArgs(0, 1)));  // must queue: head unfinished
+  cc->OnFragment(MpFrag(100, args, /*last=*/false, /*round=*/0));
+  cc->OnFragment(SpFrag(101, SpArgs(0, 1)));  // must queue: head unfinished
   EXPECT_EQ(ValueOf(part, 0, 1), 0u);
 
   // Round 1 (the write round) arrives with the coordinator-echoed input.
@@ -306,12 +305,12 @@ TEST(SpeculativeScheme, MultiRoundHeadBlocksSpeculationUntilFinished) {
   input->values.push_back({0});
   FragmentRequest r1 = MpFrag(100, args, /*last=*/true, /*round=*/1);
   r1.round_input = input;
-  cc.OnFragment(std::move(r1));
+  cc->OnFragment(std::move(r1));
   // Head finished: the queued SP speculates now.
   EXPECT_EQ(ValueOf(part, 0, 1), 1u);
 
-  cc.OnDecision(DecisionMessage{100, 0, true});
-  EXPECT_TRUE(cc.Idle());
+  cc->OnDecision(DecisionMessage{100, 0, true});
+  EXPECT_TRUE(cc->Idle());
   ASSERT_EQ(part.log.size(), 2u);
   EXPECT_EQ(part.log[0].txn_id, 100u);
   ASSERT_EQ(part.log[0].round_inputs.size(), 2u);  // both rounds recorded
@@ -319,16 +318,17 @@ TEST(SpeculativeScheme, MultiRoundHeadBlocksSpeculationUntilFinished) {
 
 TEST(SpeculativeScheme, LocalOnlyModeQueuesMpInsteadOfSpeculating) {
   FakePartition part(0, MakeEngine(0));
-  SpeculativeCc cc(&part, /*speculate_mp=*/false);
+  auto cc = CcSchemeRegistry::Global().Make("speculation", &part,
+                                            SchemeOptions{.local_speculation_only = true});
 
-  cc.OnFragment(MpFrag(100, MpArgs(0, 0)));
+  cc->OnFragment(MpFrag(100, MpArgs(0, 0)));
   part.ClearSent();
-  cc.OnFragment(MpFrag(102, MpArgs(0, 0)));  // would speculate in full mode
-  EXPECT_TRUE(part.sent.empty());            // queued instead
-  cc.OnFragment(SpFrag(101, SpArgs(0, 1)));  // SPs queue behind the queued MP
+  cc->OnFragment(MpFrag(102, MpArgs(0, 0)));  // would speculate in full mode
+  EXPECT_TRUE(part.sent.empty());             // queued instead
+  cc->OnFragment(SpFrag(101, SpArgs(0, 1)));  // SPs queue behind the queued MP
   EXPECT_EQ(ValueOf(part, 0, 1), 0u);
 
-  cc.OnDecision(DecisionMessage{100, 0, true});
+  cc->OnDecision(DecisionMessage{100, 0, true});
   auto votes = part.Bodies<FragmentResponse>();
   ASSERT_EQ(votes.size(), 1u);  // 102 executed non-speculatively
   EXPECT_EQ(votes[0].depends_on, kInvalidTxn);

@@ -3,7 +3,7 @@
 // ones cascade exactly as under plain speculation.
 #include <memory>
 
-#include "cc/occ.h"
+#include "cc/scheme_registry.h"
 #include "fake_partition.h"
 #include "gtest/gtest.h"
 #include "kv/kv_engine.h"
@@ -58,14 +58,14 @@ uint64_t ValueOf(FakePartition& part, int slot) {
 
 TEST(OccScheme, NonConflictingSurvivorsSkipReexecution) {
   FakePartition part(0, MakeEngine(0));
-  OccCc cc(&part);
+  auto cc = CcSchemeRegistry::Global().Make("occ", &part);
 
-  cc.OnFragment(MpFrag(100, Args(0, {0})));  // head writes slot0
-  cc.OnFragment(SpFrag(101, Args(0, {1})));  // disjoint: survives
-  cc.OnFragment(SpFrag(102, Args(0, {2})));  // disjoint: survives
+  cc->OnFragment(MpFrag(100, Args(0, {0})));  // head writes slot0
+  cc->OnFragment(SpFrag(101, Args(0, {1})));  // disjoint: survives
+  cc->OnFragment(SpFrag(102, Args(0, {2})));  // disjoint: survives
   part.ClearSent();
 
-  cc.OnDecision(DecisionMessage{100, 0, false});  // head aborts
+  cc->OnDecision(DecisionMessage{100, 0, false});  // head aborts
   // Both SPs survive untouched and release their (valid) results.
   EXPECT_EQ(part.metrics().cascading_reexecs, 0u);
   EXPECT_EQ(part.metrics().occ_survivors, 2u);
@@ -74,19 +74,19 @@ TEST(OccScheme, NonConflictingSurvivorsSkipReexecution) {
   EXPECT_EQ(ValueOf(part, 0), 0u);  // head undone
   EXPECT_EQ(ValueOf(part, 1), 1u);
   EXPECT_EQ(ValueOf(part, 2), 1u);
-  EXPECT_TRUE(cc.Idle());
+  EXPECT_TRUE(cc->Idle());
 }
 
 TEST(OccScheme, ConflictingTransactionsStillCascade) {
   FakePartition part(0, MakeEngine(0));
-  OccCc cc(&part);
+  auto cc = CcSchemeRegistry::Global().Make("occ", &part);
 
-  cc.OnFragment(MpFrag(100, Args(0, {0})));  // head writes slot0
-  cc.OnFragment(SpFrag(101, Args(0, {0})));  // conflicts: must re-execute
-  cc.OnFragment(SpFrag(102, Args(0, {1})));  // disjoint from head AND 101
+  cc->OnFragment(MpFrag(100, Args(0, {0})));  // head writes slot0
+  cc->OnFragment(SpFrag(101, Args(0, {0})));  // conflicts: must re-execute
+  cc->OnFragment(SpFrag(102, Args(0, {1})));  // disjoint from head AND 101
   part.ClearSent();
 
-  cc.OnDecision(DecisionMessage{100, 0, false});
+  cc->OnDecision(DecisionMessage{100, 0, false});
   EXPECT_EQ(part.metrics().cascading_reexecs, 1u);  // only 101
   EXPECT_EQ(part.metrics().occ_survivors, 1u);      // only 102
   auto resp = part.Bodies<ClientResponse>();
@@ -98,23 +98,23 @@ TEST(OccScheme, ConflictingTransactionsStillCascade) {
     }
   }
   EXPECT_EQ(ValueOf(part, 0), 1u);  // only 101's committed increment
-  EXPECT_TRUE(cc.Idle());
+  EXPECT_TRUE(cc->Idle());
 }
 
 TEST(OccScheme, TransitiveConflictsPropagate) {
   FakePartition part(0, MakeEngine(0));
-  OccCc cc(&part);
+  auto cc = CcSchemeRegistry::Global().Make("occ", &part);
 
-  cc.OnFragment(MpFrag(100, Args(0, {0})));     // head writes slot0
-  cc.OnFragment(SpFrag(101, Args(0, {0, 1})));  // conflicts with head, writes slot1
-  cc.OnFragment(SpFrag(102, Args(0, {1, 2})));  // conflicts with 101 transitively
-  cc.OnFragment(SpFrag(103, Args(0, {3})));     // independent of all
+  cc->OnFragment(MpFrag(100, Args(0, {0})));     // head writes slot0
+  cc->OnFragment(SpFrag(101, Args(0, {0, 1})));  // conflicts with head, writes slot1
+  cc->OnFragment(SpFrag(102, Args(0, {1, 2})));  // conflicts with 101 transitively
+  cc->OnFragment(SpFrag(103, Args(0, {3})));     // independent of all
   part.ClearSent();
 
-  cc.OnDecision(DecisionMessage{100, 0, false});
+  cc->OnDecision(DecisionMessage{100, 0, false});
   EXPECT_EQ(part.metrics().cascading_reexecs, 2u);  // 101 and 102
   EXPECT_EQ(part.metrics().occ_survivors, 1u);      // 103
-  EXPECT_TRUE(cc.Idle());
+  EXPECT_TRUE(cc->Idle());
   EXPECT_EQ(ValueOf(part, 0), 1u);
   EXPECT_EQ(ValueOf(part, 1), 2u);  // 101 and 102
   EXPECT_EQ(ValueOf(part, 2), 1u);
@@ -123,13 +123,13 @@ TEST(OccScheme, TransitiveConflictsPropagate) {
 
 TEST(OccScheme, SurvivingMpVoteResentWithNewEpochAndDep) {
   FakePartition part(0, MakeEngine(0));
-  OccCc cc(&part);
+  auto cc = CcSchemeRegistry::Global().Make("occ", &part);
 
-  cc.OnFragment(MpFrag(100, Args(0, {0})));  // head
-  cc.OnFragment(MpFrag(102, Args(0, {1})));  // speculated, disjoint, dep=100
+  cc->OnFragment(MpFrag(100, Args(0, {0})));  // head
+  cc->OnFragment(MpFrag(102, Args(0, {1})));  // speculated, disjoint, dep=100
   part.ClearSent();
 
-  cc.OnDecision(DecisionMessage{100, 0, false});
+  cc->OnDecision(DecisionMessage{100, 0, false});
   // 102 survived: its vote is resent with the bumped epoch and no dep, and
   // it was NOT re-executed.
   EXPECT_EQ(part.metrics().cascading_reexecs, 0u);
@@ -140,17 +140,17 @@ TEST(OccScheme, SurvivingMpVoteResentWithNewEpochAndDep) {
   EXPECT_EQ(votes[0].depends_on, kInvalidTxn);
   EXPECT_EQ(ValueOf(part, 1), 1u);
 
-  cc.OnDecision(DecisionMessage{102, 0, true});
-  EXPECT_TRUE(cc.Idle());
+  cc->OnDecision(DecisionMessage{102, 0, true});
+  EXPECT_TRUE(cc->Idle());
 }
 
 TEST(OccScheme, CommitPathMatchesSpeculation) {
   FakePartition part(0, MakeEngine(0));
-  OccCc cc(&part);
-  cc.OnFragment(MpFrag(100, Args(0, {0})));
-  cc.OnFragment(SpFrag(101, Args(0, {0})));
+  auto cc = CcSchemeRegistry::Global().Make("occ", &part);
+  cc->OnFragment(MpFrag(100, Args(0, {0})));
+  cc->OnFragment(SpFrag(101, Args(0, {0})));
   part.ClearSent();
-  cc.OnDecision(DecisionMessage{100, 0, true});
+  cc->OnDecision(DecisionMessage{100, 0, true});
   auto resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_EQ(PayloadCast<KvResult>(*resp[0].result).values[0], 1u);  // saw head's write

@@ -10,6 +10,8 @@
 #include "kv/kv_engine.h"
 #include "kv/kv_workload.h"
 #include "msg/wire.h"
+#include "net/frame.h"
+#include "runtime/metrics.h"
 #include "tpcc/tpcc_engine.h"
 #include "tpcc/tpcc_loader.h"
 
@@ -305,6 +307,70 @@ TEST(TpccCodec, DeliveryStockLevelResultRoundTrip) {
   PayloadPtr rback = ExpectRoundTrip(res, DecodeTpccResult);
   EXPECT_EQ(PayloadCast<TpccResult>(*rback).id, 4242);
   EXPECT_EQ(PayloadCast<TpccResult>(*rback).amount, 99.5);
+}
+
+// The kMetrics frame carries every Metrics counter and both histograms, so a
+// remote EndMeasurement() returns the same Metrics an embedded one does.
+TEST(MetricsCodec, EveryFieldRoundTrips) {
+  Metrics m;
+  m.committed = 1;
+  m.sp_committed = 2;
+  m.mp_committed = 3;
+  m.user_aborts = 4;
+  m.speculative_execs = 5;
+  m.cascading_reexecs = 6;
+  m.lock_fast_path = 7;
+  m.locked_txns = 8;
+  m.lock_waits = 9;
+  m.local_deadlocks = 10;
+  m.timeout_aborts = 11;
+  m.txn_retries = 12;
+  m.occ_survivors = 13;
+  m.mvcc_snapshot_reads = 14;
+  m.mvcc_conflict_waits = 15;
+  m.lock_acquire_ns = 16;
+  m.lock_release_ns = 17;
+  m.lock_table_ns = 18;
+  m.window_ns = 19;
+  m.partition_busy_ns = 20;
+  m.coord_busy_ns = 21;
+  m.num_partitions = 22;
+  for (int64_t v : {5, 70, 900, 12000}) m.sp_latency.Add(v);
+  for (int64_t v : {3, 4000, 250000}) m.mp_latency.Add(v);
+
+  Metrics back;
+  ASSERT_TRUE(DecodeMetrics(EncodeMetrics(m), &back));
+  EXPECT_EQ(back.committed, m.committed);
+  EXPECT_EQ(back.sp_committed, m.sp_committed);
+  EXPECT_EQ(back.mp_committed, m.mp_committed);
+  EXPECT_EQ(back.user_aborts, m.user_aborts);
+  EXPECT_EQ(back.speculative_execs, m.speculative_execs);
+  EXPECT_EQ(back.cascading_reexecs, m.cascading_reexecs);
+  EXPECT_EQ(back.lock_fast_path, m.lock_fast_path);
+  EXPECT_EQ(back.locked_txns, m.locked_txns);
+  EXPECT_EQ(back.lock_waits, m.lock_waits);
+  EXPECT_EQ(back.local_deadlocks, m.local_deadlocks);
+  EXPECT_EQ(back.timeout_aborts, m.timeout_aborts);
+  EXPECT_EQ(back.txn_retries, m.txn_retries);
+  EXPECT_EQ(back.occ_survivors, m.occ_survivors);
+  EXPECT_EQ(back.mvcc_snapshot_reads, m.mvcc_snapshot_reads);
+  EXPECT_EQ(back.mvcc_conflict_waits, m.mvcc_conflict_waits);
+  EXPECT_EQ(back.lock_acquire_ns, m.lock_acquire_ns);
+  EXPECT_EQ(back.lock_release_ns, m.lock_release_ns);
+  EXPECT_EQ(back.lock_table_ns, m.lock_table_ns);
+  EXPECT_EQ(back.window_ns, m.window_ns);
+  EXPECT_EQ(back.partition_busy_ns, m.partition_busy_ns);
+  EXPECT_EQ(back.coord_busy_ns, m.coord_busy_ns);
+  EXPECT_EQ(back.num_partitions, m.num_partitions);
+  for (auto hist : {&Metrics::sp_latency, &Metrics::mp_latency}) {
+    const Histogram& want = m.*hist;
+    const Histogram& got = back.*hist;
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.min(), want.min());
+    EXPECT_EQ(got.max(), want.max());
+    EXPECT_EQ(got.raw_sum(), want.raw_sum());
+    EXPECT_EQ(got.NonZeroBuckets(), want.NonZeroBuckets());
+  }
 }
 
 }  // namespace
