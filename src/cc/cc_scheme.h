@@ -49,19 +49,20 @@ class PartitionExec {
   // The commit stream: one call per commit event, each fanned out to the
   // verifier's commit log (when enabled), the command log (when durability
   // is on) and the backups (when replicated). A reply that must be durable
-  // first (paper §3.2/§3.3) leaves once every backup has acked the record;
-  // immediately when replication is off. None of them charges CPU.
+  // first (paper §3.2/§3.3) waits for one count of acks: each backup's, plus
+  // the local log's under group commit. None of them charges CPU.
 
   /// A single-partition transaction committed: logs `rec`, ships it with
   /// its outcome known, and sends `reply` to `dst` once it is durable.
   virtual void CommitSp(CommitRecord rec, NodeId dst, MessageBody reply) = 0;
 
   /// A multi-partition transaction voted commit: ships `rec` with its
-  /// outcome unknown and sends `vote` to `dst` once it is durable.
+  /// outcome unknown and sends `vote` to `dst` once the backups have it.
   virtual void PrepareMp(CommitRecord rec, NodeId dst, MessageBody vote) = 0;
 
   /// The 2PC outcome of a prepared transaction arrived: on commit logs
-  /// `rec`; either way tells the backups the outcome.
+  /// `rec` (under group commit a DurableNotice answers the decider once the
+  /// log has it); either way tells the backups the outcome.
   virtual void DecideMp(const CommitRecord& rec, bool commit) = 0;
 
   virtual Engine& engine() = 0;

@@ -27,6 +27,9 @@ struct TxnRouting {
 struct Topology {
   std::vector<NodeId> partition_primary;  // indexed by PartitionId
   NodeId coordinator = kInvalidNode;
+  /// Group commit: a committed multi-partition transaction's reply waits for
+  /// a DurableNotice from every participant.
+  bool durable_notices = false;
 };
 
 }  // namespace partdb

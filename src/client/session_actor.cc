@@ -1,7 +1,5 @@
 #include "client/session_actor.h"
 
-#include "durability/durability_manager.h"
-
 #include <algorithm>
 #include <utility>
 
@@ -130,17 +128,9 @@ void SessionActor::OnMessage(Message& msg, ActorContext& ctx) {
     return;
   }
   if (auto* d = std::get_if<DurableNotice>(&msg.body)) {
-    // The durability manager only sends a notice for a sealed (parked) gate,
-    // so an unknown or unparked txn here is stale — ignore.
     auto it = txns_.find(d->txn_id);
-    if (it == txns_.end() || !it->second.parked) return;
-    Txn& t = it->second;
-    t.parked = false;
-    t.durable = true;
-    PayloadPtr result = std::move(t.parked_result);
-    const uint32_t attempts = t.parked_attempts;
-    t.parked_result = nullptr;
-    Complete(d->txn_id, true, std::move(result), attempts, ctx);
+    PARTDB_CHECK(it != txns_.end() && it->second.notices_due > 0);
+    if (--it->second.notices_due == 0) CompleteLockingCommit(d->txn_id, it->second, ctx);
     return;
   }
   PARTDB_CHECK(false);
@@ -311,37 +301,33 @@ void SessionActor::FinishLockingTxn(TxnId id, Txn& t, bool commit, bool retry,
     ctx.SetTimer(backoff, TimerFire{id, t.attempt});
     return;
   }
+  if (!commit) {
+    Complete(id, false, nullptr, t.attempt + 1, ctx);
+    return;
+  }
+  if (topology_.durable_notices) {
+    // Group commit: the reply waits until every participant has logged it.
+    t.notices_due = static_cast<uint32_t>(t.route.participants.size());
+    return;
+  }
+  CompleteLockingCommit(id, t, ctx);
+}
+
+void SessionActor::CompleteLockingCommit(TxnId id, Txn& t, ActorContext& ctx) {
   PayloadPtr result;
-  if (commit) {
-    for (const auto& fr : t.resp) {
-      if (fr.result != nullptr) {
-        result = fr.result;
-        break;
-      }
+  for (const auto& fr : t.resp) {
+    if (fr.result != nullptr) {
+      result = fr.result;
+      break;
     }
   }
-  Complete(id, commit, std::move(result), t.attempt + 1, ctx);
+  Complete(id, true, std::move(result), t.attempt + 1, ctx);
 }
 
 void SessionActor::Complete(TxnId id, bool committed, PayloadPtr result, uint32_t attempts,
                             ActorContext& ctx) {
   auto it = txns_.find(id);
   PARTDB_CHECK(it != txns_.end());
-  // Group commit: a committed transaction's completion (callback, metrics,
-  // admission slot — the full latency path) waits for its log records to be
-  // durable on every participant. The DurableNotice handler re-enters here
-  // with durable already set.
-  if (durability_ != nullptr && committed && !it->second.durable) {
-    Txn& t = it->second;
-    const auto need = static_cast<uint32_t>(t.route.participants.size());
-    if (!durability_->SealOrDefer(id, need)) {
-      t.parked = true;
-      t.parked_result = std::move(result);
-      t.parked_attempts = attempts;
-      return;
-    }
-    t.durable = true;
-  }
   auto nh = txns_.extract(it);
   Txn& t = nh.mapped();
 
@@ -397,10 +383,6 @@ void SessionActor::Complete(TxnId id, bool committed, PayloadPtr result, uint32_
   t.round = 0;
   t.got.clear();
   t.resp.clear();
-  t.parked = false;
-  t.durable = false;
-  t.parked_result = nullptr;
-  t.parked_attempts = 0;
   if (txn_stash_.size() < kTxnStashMax) txn_stash_.push_back(std::move(nh));
 
   // The callback runs before outstanding_ drops: a Drain that returns must

@@ -42,8 +42,6 @@
 
 namespace partdb {
 
-class DurabilityManager;
-
 /// Outcome of one transaction, as observed by the submitting session.
 struct TxnResult {
   /// True when the transaction committed; false means a user abort (system
@@ -108,11 +106,6 @@ class SessionActor : public Actor {
   /// connection setup), not concurrently with submissions.
   void set_max_inflight(uint64_t n) { max_inflight_ = n; }
 
-  /// Durability tier hookup (set before traffic starts). Under group commit,
-  /// committed completions park until the manager confirms the transaction's
-  /// log records are fsynced on every participant (DurableNotice).
-  void set_durability(DurabilityManager* d) { durability_ = d; }
-
   /// Queues one invocation and wakes the actor (at most one wake per pending
   /// batch: submissions arriving while a wake is already scheduled coalesce
   /// into it). Thread-safe. Routing comes from the actor's ProcRouter.
@@ -170,12 +163,8 @@ class SessionActor : public Actor {
     int round = 0;
     std::vector<bool> got;
     std::vector<FragmentResponse> resp;
-    // Group-commit gating state: a committed completion whose log records
-    // are not yet durable parks here until its DurableNotice arrives.
-    bool parked = false;
-    bool durable = false;
-    PayloadPtr parked_result;
-    uint32_t parked_attempts = 0;
+    // DurableNotices still due after a commit decision (topology_.durable_notices).
+    uint32_t notices_due = 0;
   };
 
   SubmitResult Enqueue(PendingSubmit p);
@@ -185,6 +174,7 @@ class SessionActor : public Actor {
   void SendLockingRound(TxnId id, Txn& t, PayloadPtr round_input, ActorContext& ctx);
   void OnFragmentResponse(FragmentResponse& r, ActorContext& ctx);
   void FinishLockingTxn(TxnId id, Txn& t, bool commit, bool retry, ActorContext& ctx);
+  void CompleteLockingCommit(TxnId id, Txn& t, ActorContext& ctx);
   void Complete(TxnId id, bool committed, PayloadPtr result, uint32_t attempts,
                 ActorContext& ctx);
 
@@ -195,7 +185,6 @@ class SessionActor : public Actor {
   CostModel cost_;
   Metrics* metrics_ = nullptr;
   ProcMetricsSink* proc_metrics_ = nullptr;
-  DurabilityManager* durability_ = nullptr;
   Rng rng_;
 
   uint64_t max_inflight_ = 0;  // 0 = unlimited; set before traffic

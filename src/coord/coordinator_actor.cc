@@ -17,7 +17,18 @@ void CoordinatorActor::OnMessage(Message& msg, ActorContext& ctx) {
     OnResponse(*r, ctx);
     return;
   }
-  PARTDB_CHECK(false);  // coordinator receives only requests and responses
+  if (auto* d = std::get_if<DurableNotice>(&msg.body)) {
+    ctx.Charge(cost_.coord_msg);
+    auto it = held_replies_.find(d->txn_id);
+    PARTDB_CHECK(it != held_replies_.end());
+    if (--it->second.notices_due == 0) {
+      ctx.Charge(cost_.coord_send);
+      ctx.Send(it->second.client, std::move(it->second.reply));
+      held_replies_.erase(it);
+    }
+    return;
+  }
+  PARTDB_CHECK(false);  // coordinator receives requests, responses and notices
 }
 
 void CoordinatorActor::OnRequest(ClientRequest& r, NodeId src, ActorContext& ctx) {
@@ -146,8 +157,12 @@ void CoordinatorActor::Decide(MpTxn* t, bool commit, ActorContext& ctx) {
       }
     }
   }
-  ctx.Charge(cost_.coord_send);
-  ctx.Send(t->client, cr);
+  if (commit && durable_notices_) {
+    held_replies_[t->id] = {static_cast<uint32_t>(t->parts.size()), t->client, std::move(cr)};
+  } else {
+    ctx.Charge(cost_.coord_send);
+    ctx.Send(t->client, cr);
+  }
 
   const TxnId id = t->id;
   txns_.erase(id);

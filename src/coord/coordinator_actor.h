@@ -4,7 +4,8 @@
 // additionally tracks dependencies of speculative results (§4.2.2): a
 // transaction commits only once the transactions its results depend on have
 // committed; an abort invalidates dependent results, which the partitions
-// re-execute and resend.
+// re-execute and resend. Under group commit a commit's client reply waits
+// for one DurableNotice per participant, sent once its decided record is logged.
 #ifndef PARTDB_COORD_COORDINATOR_ACTOR_H_
 #define PARTDB_COORD_COORDINATOR_ACTOR_H_
 
@@ -22,13 +23,16 @@ namespace partdb {
 
 class CoordinatorActor : public Actor {
  public:
+  /// `durable_notices`: commit replies wait for every participant's DurableNotice.
   CoordinatorActor(std::string name, const CostModel& cost, Metrics* metrics,
-                   TxnContinuations* continuations, std::vector<NodeId> partition_nodes)
+                   TxnContinuations* continuations, std::vector<NodeId> partition_nodes,
+                   bool durable_notices)
       : Actor(std::move(name)),
         cost_(cost),
         metrics_(metrics),
         continuations_(continuations),
         partition_nodes_(std::move(partition_nodes)),
+        durable_notices_(durable_notices),
         expected_epoch_(partition_nodes_.size(), 0) {}
 
   uint64_t transactions_ordered() const { return next_seq_ - 1; }
@@ -55,6 +59,12 @@ class CoordinatorActor : public Actor {
     std::vector<std::pair<PartitionId, PayloadPtr>> last_results;
     bool parked = false;  // waiting on an undecided dependency
   };
+  /// A committed transaction's client reply, held for its DurableNotices.
+  struct HeldReply {
+    uint32_t notices_due = 0;
+    NodeId client = kInvalidNode;
+    ClientResponse reply;
+  };
 
   void OnRequest(ClientRequest& r, NodeId src, ActorContext& ctx);
   void OnResponse(FragmentResponse& r, ActorContext& ctx);
@@ -70,10 +80,12 @@ class CoordinatorActor : public Actor {
   Metrics* metrics_;
   TxnContinuations* continuations_;
   std::vector<NodeId> partition_nodes_;
+  bool durable_notices_;
   std::vector<uint32_t> expected_epoch_;  // abort decisions sent, per partition
 
   std::unordered_map<TxnId, std::unique_ptr<MpTxn>> txns_;  // undecided, by id
   std::unordered_map<TxnId, std::vector<TxnId>> waiters_;   // dep -> parked txns
+  std::unordered_map<TxnId, HeldReply> held_replies_;       // committed, not yet logged
   uint64_t next_seq_ = 1;
 };
 

@@ -17,6 +17,7 @@ Cluster::Cluster(const DbOptions& options, TxnContinuations* continuations)
   // session slots last.
   const NodeId coord_node = 0;
   topology_.coordinator = coord_node;
+  topology_.durable_notices = options_.durability == DurabilityMode::kGroupCommit;
   for (int p = 0; p < P; ++p) topology_.partition_primary.push_back(coord_node + 1 + p);
   const int num_backups = P * (options_.replication - 1);
   first_session_node_ = coord_node + 1 + P + num_backups;
@@ -77,7 +78,8 @@ Cluster::Cluster(const DbOptions& options, TxnContinuations* continuations)
   // self-coordinate, so it simply stays idle).
   auto sink = std::make_unique<Metrics>();
   coordinator_ = std::make_unique<CoordinatorActor>("coordinator", options_.cost, sink.get(),
-                                                    continuations, topology_.partition_primary);
+                                                    continuations, topology_.partition_primary,
+                                                    topology_.durable_notices);
   coordinator_->Bind(exec_, coord_node);
   measured_.push_back({coordinator_.get(), std::move(sink), &Metrics::coord_busy_ns});
 }

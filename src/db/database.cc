@@ -67,13 +67,13 @@ Database::Database(DbOptions options) : options_(std::move(options)) {
     mo.num_partitions = options_.num_partitions;
     mo.group_commit_window = Micros(options_.group_commit_window_us);
     mo.crash_after_n_commits = options_.durability_crash_after_n_commits;
-    mo.keep_truncated_segments = options_.keep_truncated_log_segments;
     for (ProcId id = 0; id < static_cast<ProcId>(registry_.size()); ++id) {
       mo.procs.push_back(LogProcEntry{id, registry_.Get(id).name});
     }
     durability_ = std::make_unique<DurabilityManager>(std::move(mo), recovery_report_.seeds);
     for (PartitionId p = 0; p < options_.num_partitions; ++p) {
-      cluster_->partition(p).InstallDurabilityLog(durability_->log(p));
+      cluster_->partition(p).InstallDurabilityLog(durability_->log(p),
+                                                  durability_->holds_replies());
     }
   }
 
@@ -90,13 +90,14 @@ Database::Database(DbOptions options) : options_(std::move(options)) {
     actor->set_metrics(cluster_->BindSession(i, actor.get()));
     actor->set_proc_metrics(&registry_);
     actor->set_max_inflight(options_.max_inflight_per_session);
-    actor->set_durability(durability_.get());
     session_actors_.push_back(std::move(actor));
   }
   for (int i = options_.max_sessions - 1; i >= 0; --i) free_slots_.push_back(i);
 
   cluster_->Start();
-  if (durability_ != nullptr) durability_->Start(&cluster_->exec());
+  if (durability_ != nullptr) {
+    durability_->Start(&cluster_->exec(), cluster_->topology().partition_primary);
+  }
 }
 
 Database::~Database() { Close(); }

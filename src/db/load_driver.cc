@@ -53,11 +53,13 @@ LoadDriverReport RunOpenLoop(DbHandle& db, const LoadDriverOptions& options) {
         const double u = 1.0 - rng.NextDouble();  // (0, 1]
         next_ns += -std::log(u) / per_thread_tps * 1e9;
         if (next_ns >= static_cast<double>(options.duration)) break;
-        std::this_thread::sleep_until(
-            start + std::chrono::nanoseconds(static_cast<int64_t>(next_ns)));
+        const steady_clock::time_point due =
+            start + std::chrono::nanoseconds(static_cast<int64_t>(next_ns));
+        std::this_thread::sleep_until(due);
         PayloadPtr args = options.next_args(t, rng);
         const SubmitResult sr =
-            session->Submit(options.proc, std::move(args), [st](const TxnResult& r) {
+            session->Submit(options.proc, std::move(args), [st, due](const TxnResult& r) {
+              const std::chrono::nanoseconds latency = steady_clock::now() - due;
               MutexLock lock(st->mu);
               st->completed++;
               if (r.committed) {
@@ -65,7 +67,7 @@ LoadDriverReport RunOpenLoop(DbHandle& db, const LoadDriverOptions& options) {
               } else {
                 st->user_aborts++;
               }
-              st->latency.Add(r.latency_ns);
+              st->latency.Add(latency.count());
             });
         if (!sr.accepted) {
           // Admission control refused the arrival: open-loop overload. The

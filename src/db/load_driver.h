@@ -4,8 +4,8 @@
 // so queueing delay shows up as latency instead of throttling the offered
 // load (the classic open- vs closed-loop distinction the paper's closed-loop
 // harness cannot express). Latency is recorded per completion into
-// histograms and merged into the report. Parallel mode only: arrivals are
-// scheduled on the wall clock.
+// histograms, timed from each arrival's due time, and merged into the
+// report. Parallel mode only: arrivals are scheduled on the wall clock.
 #ifndef PARTDB_DB_LOAD_DRIVER_H_
 #define PARTDB_DB_LOAD_DRIVER_H_
 
@@ -42,7 +42,9 @@ struct LoadDriverReport {
   double offered_tps = 0.0;
   /// Completions per second over elapsed_ns.
   double completed_tps = 0.0;
-  Histogram latency;  // ns, submission to completion
+  /// ns, from each arrival's due time to its completion: a driver thread
+  /// running behind its schedule counts the delay against the late arrivals.
+  Histogram latency;
 };
 
 /// Runs the open-loop load against `db` (RunMode::kParallel; embedded or

@@ -11,6 +11,7 @@
 #include "common/logging.h"
 #include "durability/durability_manager.h"
 #include "msg/wire.h"
+#include "runtime/execution_context.h"
 
 namespace partdb {
 
@@ -95,12 +96,23 @@ void PartitionLog::OpenSegment() {
   SyncDir(config_.dir);
 }
 
-void PartitionLog::Start() {
+void PartitionLog::Start(ExecutionContext* report_to, NodeId partition) {
+  report_to_ = report_to;
+  partition_node_ = partition;
   {
     MutexLock lock(mu_);
     OpenSegment();
   }
   writer_ = std::thread([this] { WriterLoop(); });
+}
+
+void PartitionLog::ReportDurable(uint64_t through_seq) {
+  if (report_to_ == nullptr) return;
+  Message msg;
+  msg.src = partition_node_;
+  msg.dst = partition_node_;
+  msg.body = LogDurable{through_seq};
+  report_to_->Send(std::move(msg), report_to_->Now());
 }
 
 uint64_t PartitionLog::Append(const CommitRecord& committed) {
@@ -130,8 +142,7 @@ uint64_t PartitionLog::Append(const CommitRecord& committed) {
       }
     }
   });
-  const auto framed = static_cast<uint32_t>(out->size() - before);
-  pending_recs_.push_back(PendingRec{committed.txn_id, framed});
+  pending_sizes_.push_back(static_cast<uint32_t>(out->size() - before));
   // Edge-only wake: only a parked writer is signalled, and the flag is
   // cleared in the same step, so a burst costs one signal and appends made
   // while the writer holds its window open or does I/O cost none.
@@ -149,16 +160,15 @@ void PartitionLog::WriterLoop() {
   // every group-commit completion) by up to that much.
   ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   std::string batch_bytes;
-  std::vector<PendingRec> batch_recs;
-  std::vector<TxnId> durable_txns;
+  std::vector<uint32_t> batch_sizes;
   mu_.Lock();
   while (true) {
-    while (pending_recs_.empty() && !stop_) {
+    while (pending_sizes_.empty() && !stop_) {
       writer_parked_ = true;
       work_cv_.Wait(mu_);
     }
     writer_parked_ = false;
-    if (pending_recs_.empty() && stop_) break;
+    if (pending_sizes_.empty() && stop_) break;
     // The batch stays open for the window after its first record, in both
     // durability modes, so concurrent commits share one fsync; appends
     // during the window do not signal. Shutdown cuts the window short.
@@ -170,22 +180,23 @@ void PartitionLog::WriterLoop() {
       }
     }
     batch_bytes.clear();
-    batch_recs.clear();
+    batch_sizes.clear();
     batch_bytes.swap(pending_bytes_);
-    batch_recs.swap(pending_recs_);
+    batch_sizes.swap(pending_sizes_);
+    const uint64_t through = next_seq_ - 1;  // the batch's last record
     const bool dropped = crashed_;
     io_in_progress_ = true;
     const int fd = fd_;
     mu_.Unlock();
 
-    uint64_t admitted = batch_recs.size();
+    uint64_t admitted = batch_sizes.size();
     bool crash_now = false;
     uint64_t written_bytes = 0;
     if (!dropped) {
-      admitted = manager_->AdmitRecords(batch_recs.size());
-      crash_now = admitted < batch_recs.size();
+      admitted = manager_->AdmitRecords(batch_sizes.size());
+      crash_now = admitted < batch_sizes.size();
       size_t n = 0;
-      for (uint64_t i = 0; i < admitted; ++i) n += batch_recs[i].bytes;
+      for (uint64_t i = 0; i < admitted; ++i) n += batch_sizes[i];
       if (crash_now) {
         // Persist the admitted prefix plus a few bytes of the first dropped
         // record: the segment ends in exactly the torn tail a power cut
@@ -198,8 +209,6 @@ void PartitionLog::WriterLoop() {
       }
       PARTDB_CHECK(::fsync(fd) == 0);
       written_bytes = n;
-      durable_txns.clear();
-      for (uint64_t i = 0; i < admitted; ++i) durable_txns.push_back(batch_recs[i].txn);
     }
 
     mu_.Lock();
@@ -211,14 +220,17 @@ void PartitionLog::WriterLoop() {
       stats_.records += admitted;
       stats_.bytes_logged += written_bytes;
     }
+    if (report_to_ != nullptr) stats_.reported += batch_sizes.size();
     flush_cv_.NotifyAll();
     mu_.Unlock();
-    // Completion gating runs outside the log lock: MarkDurable takes the
-    // manager's lock and may send wake messages.
-    if (!dropped) {
-      if (!durable_txns.empty()) manager_->OnRecordsDurable(durable_txns);
-      if (crash_now) manager_->TriggerCrash();
+    // Reports leave outside the log lock. This writer publishes the crash
+    // flag before it reports any dropped record, so a reply released while
+    // crashed() reads false was durable; after the crash everything completes.
+    if (crash_now) {
+      if (admitted > 0) ReportDurable(through - (batch_sizes.size() - admitted));
+      manager_->TriggerCrash();
     }
+    ReportDurable(through);
     mu_.Lock();
   }
   mu_.Unlock();
@@ -229,7 +241,7 @@ void PartitionLog::CheckpointRotate(uint64_t* covered_seq, std::vector<TxnId>* m
   MutexLock lock(mu_);
   // The owning partition is quiescent (we run inside its RunOn rendezvous),
   // so no new appends can arrive: draining the writer settles everything.
-  while (!pending_recs_.empty() || io_in_progress_) flush_cv_.Wait(mu_);
+  while (!pending_sizes_.empty() || io_in_progress_) flush_cv_.Wait(mu_);
   *covered_seq = next_seq_ - 1;
   mp_history->clear();
   mp_history->insert(mp_history->end(), mp_old_.begin(), mp_old_.end());

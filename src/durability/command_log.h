@@ -7,9 +7,10 @@
 // their capacity, so the steady state allocates nothing) and signals the
 // writer only when it is parked. The writer holds every batch open for the
 // window after its first record, in both durability modes, so concurrent
-// commits share one write+fsync. Completion gating (holding client callbacks
-// until the batch is durable, group commit only) lives in DurabilityManager;
-// this class reports batch durability to it and otherwise only moves bytes.
+// commits share one write+fsync. Under group commit the writer ends every
+// batch with one LogDurable{through_seq} message to its partition, which
+// holds each reply until both its backups and this log have acked the
+// record (PartitionActor); otherwise the class only moves bytes.
 #ifndef PARTDB_DURABILITY_COMMAND_LOG_H_
 #define PARTDB_DURABILITY_COMMAND_LOG_H_
 
@@ -26,6 +27,7 @@
 namespace partdb {
 
 class DurabilityManager;
+class ExecutionContext;
 
 struct PartitionLogStats {
   uint64_t records = 0;
@@ -34,6 +36,8 @@ struct PartitionLogStats {
   uint64_t fsyncs = 0;
   /// Signals Append sent to a parked writer (at most one per batch).
   uint64_t wakes = 0;
+  /// Records reported to the partition in LogDurable messages (group commit).
+  uint64_t reported = 0;
 };
 
 class PartitionLog {
@@ -65,8 +69,10 @@ class PartitionLog {
   PartitionLog(const PartitionLog&) = delete;
   PartitionLog& operator=(const PartitionLog&) = delete;
 
-  /// Opens the first segment and launches the writer thread.
-  void Start();
+  /// Opens the first segment and launches the writer thread. With a non-null
+  /// `report_to` the writer sends node `partition` one LogDurable through it
+  /// after every batch (group commit); `report_to` must outlive Shutdown.
+  void Start(ExecutionContext* report_to = nullptr, NodeId partition = kInvalidNode);
 
   /// Frames one committed invocation straight into the pending buffer and
   /// wakes the writer if it is parked. Called on the owning partition's
@@ -113,22 +119,23 @@ class PartitionLog {
  private:
   void WriterLoop();
   void OpenSegment() PARTDB_REQUIRES(mu_);
+  /// Sends the partition LogDurable{through_seq} (no-op without a report target).
+  void ReportDurable(uint64_t through_seq);
 
   DurabilityManager* manager_;
   Config config_;
+  // Set by Start before the writer launches; read by the writer only.
+  ExecutionContext* report_to_ = nullptr;
+  NodeId partition_node_ = kInvalidNode;
 
   mutable Mutex mu_;
   CondVar work_cv_;   // parked writer <- first append, Shutdown
   CondVar flush_cv_;  // writer -> rotate waiters
-  /// One enqueued-but-not-yet-durable record (frame bytes live in
-  /// pending_bytes_ at the matching offset).
-  struct PendingRec {
-    TxnId txn = kInvalidTxn;
-    uint32_t bytes = 0;  // framed size, for the crash-injection prefix split
-  };
 
   std::string pending_bytes_ PARTDB_GUARDED_BY(mu_);
-  std::vector<PendingRec> pending_recs_ PARTDB_GUARDED_BY(mu_);
+  /// Framed size of each enqueued-but-not-yet-durable record, in sequence
+  /// order (for the crash-injection prefix split).
+  std::vector<uint32_t> pending_sizes_ PARTDB_GUARDED_BY(mu_);
   uint64_t next_seq_ PARTDB_GUARDED_BY(mu_) = 1;
   uint64_t segment_index_ PARTDB_GUARDED_BY(mu_) = 0;
   int fd_ PARTDB_GUARDED_BY(mu_) = -1;  // writer touches it only while io_in_progress_

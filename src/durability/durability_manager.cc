@@ -37,34 +37,15 @@ DurabilityManager::DurabilityManager(Options options,
 
 DurabilityManager::~DurabilityManager() { Shutdown(); }
 
-void DurabilityManager::Start(ExecutionContext* exec) {
+void DurabilityManager::Start(ExecutionContext* exec, const std::vector<NodeId>& partition_nodes) {
   PARTDB_CHECK(exec != nullptr);
-  exec_ = exec;
-  for (auto& log : logs_) log->Start();
-  started_ = true;
+  for (size_t p = 0; p < logs_.size(); ++p) {
+    logs_[p]->Start(holds_replies() ? exec : nullptr, partition_nodes[p]);
+  }
 }
 
 void DurabilityManager::Shutdown() {
-  if (!started_) return;
-  started_ = false;
   for (auto& log : logs_) log->Shutdown();
-  MutexLock lock(mu_);
-  gates_.clear();
-}
-
-bool DurabilityManager::SealOrDefer(TxnId txn, uint32_t need) {
-  if (!gating()) return true;
-  PARTDB_CHECK(need > 0);
-  MutexLock lock(mu_);
-  if (released_all_) return true;  // injected crash: everything completes
-  Gate& g = gates_[txn];
-  if (g.durable >= need) {
-    gates_.erase(txn);
-    return true;
-  }
-  g.need = need;
-  ++deferred_completions_;
-  return false;
 }
 
 uint64_t DurabilityManager::AdmitRecords(uint64_t n) {
@@ -73,54 +54,6 @@ uint64_t DurabilityManager::AdmitRecords(uint64_t n) {
   if (before >= options_.crash_after_n_commits) return 0;
   const uint64_t room = options_.crash_after_n_commits - before;
   return room < n ? room : n;
-}
-
-void DurabilityManager::OnRecordsDurable(const std::vector<TxnId>& txns) {
-  // Only group commit tracks per-txn durability; async mode would grow the
-  // gate table without bound (nothing ever seals).
-  if (!gating()) return;
-  // Collect the wakes under the lock, send them outside it (Send takes the
-  // runtime's mailbox paths; no reason to hold the gate lock across them).
-  std::vector<TxnId> wakes;
-  {
-    MutexLock lock(mu_);
-    if (released_all_) return;
-    for (TxnId txn : txns) {
-      Gate& g = gates_[txn];
-      ++g.durable;
-      if (g.need > 0 && g.durable >= g.need) {
-        wakes.push_back(txn);
-        gates_.erase(txn);
-      }
-    }
-  }
-  for (TxnId txn : wakes) Wake(txn);
-}
-
-void DurabilityManager::TriggerCrash() {
-  // Publish the flag before releasing anyone: a completion callback that
-  // observes crashed() == false was woken by a genuinely durable batch.
-  crashed_.store(true, std::memory_order_release);
-  std::vector<TxnId> wakes;
-  {
-    MutexLock lock(mu_);
-    if (released_all_) return;
-    released_all_ = true;
-    for (const auto& [txn, gate] : gates_) {
-      if (gate.need > 0) wakes.push_back(txn);
-    }
-    gates_.clear();
-  }
-  for (TxnId txn : wakes) Wake(txn);
-}
-
-void DurabilityManager::Wake(TxnId txn) {
-  const NodeId session = static_cast<NodeId>(TxnClient(txn));
-  Message msg;
-  msg.src = session;
-  msg.dst = session;
-  msg.body = DurableNotice{txn};
-  exec_->Send(std::move(msg), exec_->Now());
 }
 
 DurabilityStats DurabilityManager::GetStats() const {
@@ -132,9 +65,8 @@ DurabilityStats DurabilityManager::GetStats() const {
     out.batches += s.batches;
     out.fsyncs += s.fsyncs;
     out.writer_wakes += s.wakes;
+    out.deferred_completions += s.reported;
   }
-  MutexLock lock(mu_);
-  out.deferred_completions = deferred_completions_;
   return out;
 }
 

@@ -1,12 +1,12 @@
 // DurabilityManager: the database-wide face of the durability tier. Owns one
-// PartitionLog per partition, the completion-gating table that holds client
-// callbacks until every participant's log record is fsynced (group commit),
-// the deterministic crash-injection counter tests use to kill the log
-// mid-stream, and the aggregated counters Database::Stats() surfaces.
+// PartitionLog per partition, the deterministic crash-injection counter tests
+// use to kill the log mid-stream, and the aggregated counters
+// Database::Stats() surfaces.
 //
 // Both logging modes run the same writers at the same cadence (one
-// write+fsync per batch window); they differ only in SealOrDefer, i.e.
-// whether completions wait for the fsync.
+// write+fsync per batch window). Under group commit each writer also reports
+// its durable records to its partition, which holds replies until the
+// backups and the log have acked them (PartitionActor).
 #ifndef PARTDB_DURABILITY_DURABILITY_MANAGER_H_
 #define PARTDB_DURABILITY_DURABILITY_MANAGER_H_
 
@@ -14,10 +14,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/types.h"
 #include "durability/command_log.h"
 #include "runtime/execution_context.h"
@@ -44,7 +42,8 @@ struct DurabilityStats {
   uint64_t fsyncs = 0;
   /// Signals appends sent to parked log writers (edge-only: <= batches).
   uint64_t writer_wakes = 0;
-  /// Completions that had to park waiting for their batch (group commit).
+  /// Records the writers reported durable to a partition holding replies on
+  /// them (every record under group commit, 0 under async).
   uint64_t deferred_completions = 0;
   double avg_batch_size() const {
     return batches == 0 ? 0.0 : static_cast<double>(records) / static_cast<double>(batches);
@@ -63,7 +62,6 @@ class DurabilityManager {
     /// all partition logs, every later record is dropped and crashed() flips
     /// (0 = disabled). Used by the crash-restart tests.
     uint64_t crash_after_n_commits = 0;
-    bool keep_truncated_segments = false;
     /// Proc table stamped into every segment header (id -> name, re-resolved
     /// by name at recovery).
     std::vector<LogProcEntry> procs;
@@ -81,30 +79,24 @@ class DurabilityManager {
   DurabilityManager(const DurabilityManager&) = delete;
   DurabilityManager& operator=(const DurabilityManager&) = delete;
 
-  /// Opens the logs and launches the writer threads. `exec` delivers the
-  /// DurableNotice wake messages (must be the parallel runtime; it stays
-  /// valid until Shutdown).
-  void Start(ExecutionContext* exec);
+  /// Opens the logs and launches the writer threads. When holds_replies(),
+  /// writer p reports its durable records to node `partition_nodes[p]`
+  /// through `exec` (the parallel runtime; it must stay valid until
+  /// Shutdown).
+  void Start(ExecutionContext* exec, const std::vector<NodeId>& partition_nodes);
 
   /// Final flush on every log, then joins the writers. Idempotent. Call with
   /// the partitions quiescent (no appends in flight).
   void Shutdown();
 
   PartitionLog* log(PartitionId p) { return logs_[static_cast<size_t>(p)].get(); }
-  DurabilityMode mode() const { return options_.mode; }
-  bool gating() const { return options_.mode == DurabilityMode::kGroupCommit; }
+  /// Group commit: partitions hold every reply until the log acks its record.
+  bool holds_replies() const { return options_.mode == DurabilityMode::kGroupCommit; }
 
-  /// Completion gate, called by the session actor for a committed txn with
-  /// `need` participating partitions. Returns true when the commit is already
-  /// durable everywhere (or gating is off / the injected crash fired — after
-  /// a crash everything completes so the bench can wind down; the test
-  /// separates genuinely-acked txns by checking crashed() in the callback).
-  /// Returns false after registering the txn: a DurableNotice{txn} will be
-  /// sent to node TxnClient(txn) once the last record fsyncs.
-  bool SealOrDefer(TxnId txn, uint32_t need);
-
-  /// True once crash injection has tripped: records stopped persisting and
-  /// all gating is released.
+  /// True once crash injection has tripped: records stopped persisting, and
+  /// the writers report them anyway so every transaction still completes (a
+  /// test separates genuinely-acked ones by checking crashed() in the
+  /// completion callback).
   bool crashed() const { return crashed_.load(std::memory_order_acquire); }
 
   DurabilityStats GetStats() const;
@@ -114,32 +106,14 @@ class DurabilityManager {
   /// Crash-injection budget: of `n` records about to be written, how many may
   /// actually persist. Returns n when injection is disabled.
   uint64_t AdmitRecords(uint64_t n);
-  /// Marks one fsynced record per entry and wakes completed waiters.
-  void OnRecordsDurable(const std::vector<TxnId>& txns);
-  /// Flips crashed() and releases every present and future waiter. The flag
-  /// is published before any dropped record's waiter is woken, so a
-  /// completion callback observing crashed() == false was genuinely durable.
-  void TriggerCrash();
+  /// Flips crashed(). A writer calls it before it reports any dropped record.
+  void TriggerCrash() { crashed_.store(true, std::memory_order_release); }
 
  private:
-  struct Gate {
-    uint32_t durable = 0;
-    uint32_t need = 0;  // 0 until the session seals
-  };
-
-  void Wake(TxnId txn);
-
   Options options_;
   std::vector<std::unique_ptr<PartitionLog>> logs_;
-  ExecutionContext* exec_ = nullptr;
   std::atomic<bool> crashed_{false};
   std::atomic<uint64_t> admitted_records_{0};
-
-  mutable Mutex mu_;
-  std::unordered_map<TxnId, Gate> gates_ PARTDB_GUARDED_BY(mu_);
-  uint64_t deferred_completions_ PARTDB_GUARDED_BY(mu_) = 0;
-  bool released_all_ PARTDB_GUARDED_BY(mu_) = false;
-  bool started_ = false;
 };
 
 }  // namespace partdb

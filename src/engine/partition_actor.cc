@@ -15,16 +15,18 @@ void PartitionActor::OnMessage(Message& msg, ActorContext& ctx) {
           scheme_->OnFragment(std::move(m));
         } else if constexpr (std::is_same_v<T, DecisionMessage>) {
           ctx.Charge(cost_.partition_msg + cost_.twopc_decide);
+          decider_ = msg.src;
           scheme_->OnDecision(m);
         } else if constexpr (std::is_same_v<T, TimerFire>) {
           scheme_->OnTimer(m);
         } else if constexpr (std::is_same_v<T, ReplicaAck>) {
           ctx.Charge(cost_.partition_msg);
-          auto it = pending_durable_.find(m.order_seq);
-          PARTDB_CHECK(it != pending_durable_.end());
-          if (--it->second.acks_remaining == 0) {
-            ctx.Send(it->second.dst, std::move(it->second.body));
-            pending_durable_.erase(it);
+          Ack(m.order_seq);
+        } else if constexpr (std::is_same_v<T, LogDurable>) {
+          ctx.Charge(cost_.partition_msg);
+          while (!log_waits_.empty() && log_waits_.front().log_seq <= m.through_seq) {
+            Ack(log_waits_.front().hold);
+            log_waits_.pop_front();
           }
         } else {
           PARTDB_CHECK(false);  // unexpected message at a primary
@@ -81,38 +83,61 @@ void PartitionActor::SetTimer(Duration d, TimerFire t) {
 }
 
 void PartitionActor::CommitSp(CommitRecord rec, NodeId dst, MessageBody reply) {
-  AppendToLogs(rec);
-  ShipThenSend(/*outcome_known=*/true, std::move(rec), dst, std::move(reply));
+  const uint64_t log_seq = AppendToLogs(rec);
+  ShipThenSend(/*outcome_known=*/true, std::move(rec), log_seq, dst, std::move(reply));
 }
 
 void PartitionActor::PrepareMp(CommitRecord rec, NodeId dst, MessageBody vote) {
-  ShipThenSend(/*outcome_known=*/false, std::move(rec), dst, std::move(vote));
+  ShipThenSend(/*outcome_known=*/false, std::move(rec), /*log_seq=*/0, dst, std::move(vote));
 }
 
 void PartitionActor::DecideMp(const CommitRecord& rec, bool commit) {
-  if (commit) AppendToLogs(rec);
+  if (commit) {
+    // The vote already waited for the backups; the decider replies to the
+    // client once every participant's decided record is in its log too.
+    const uint64_t log_seq = AppendToLogs(rec);
+    if (log_seq != 0) Hold(/*backup_acks=*/0, log_seq, decider_, DurableNotice{rec.txn_id});
+  }
   if (backups_.empty()) return;
   PARTDB_CHECK(ctx_ != nullptr);
   for (NodeId b : backups_) ctx_->Send(b, ReplicaDecision{rec.txn_id, commit});
 }
 
-void PartitionActor::AppendToLogs(const CommitRecord& rec) {
-  if (durability_log_ != nullptr) durability_log_->Append(rec);
+uint64_t PartitionActor::AppendToLogs(const CommitRecord& rec) {
   if (log_commits_) commit_log_.push_back(rec);
+  if (durability_log_ == nullptr) return 0;
+  const uint64_t log_seq = durability_log_->Append(rec);
+  return hold_for_log_ ? log_seq : 0;
 }
 
-void PartitionActor::ShipThenSend(bool outcome_known, CommitRecord rec, NodeId dst,
-                                  MessageBody body) {
-  PARTDB_CHECK(ctx_ != nullptr);
-  if (backups_.empty()) {
-    ctx_->Send(dst, std::move(body));
-    return;
-  }
-  const uint64_t seq = next_ship_seq_++;
-  const ReplicaShip ship{seq, outcome_known, std::move(rec)};
+void PartitionActor::ShipThenSend(bool outcome_known, CommitRecord rec, uint64_t log_seq,
+                                  NodeId dst, MessageBody body) {
+  const uint64_t hold = Hold(static_cast<int>(backups_.size()), log_seq, dst, std::move(body));
+  if (backups_.empty()) return;
+  const ReplicaShip ship{hold, outcome_known, std::move(rec)};
   for (NodeId b : backups_) ctx_->Send(b, ship);
-  pending_durable_[seq] =
-      PendingDurable{static_cast<int>(backups_.size()), dst, std::move(body)};
+}
+
+uint64_t PartitionActor::Hold(int backup_acks, uint64_t log_seq, NodeId dst, MessageBody body) {
+  PARTDB_CHECK(ctx_ != nullptr);
+  const int acks = backup_acks + (log_seq != 0 ? 1 : 0);
+  if (acks == 0) {
+    ctx_->Send(dst, std::move(body));
+    return 0;
+  }
+  const uint64_t hold = next_hold_seq_++;
+  if (log_seq != 0) log_waits_.push_back(LogWait{log_seq, hold});
+  held_.emplace(hold, Held{acks, dst, std::move(body)});
+  return hold;
+}
+
+void PartitionActor::Ack(uint64_t hold) {
+  auto it = held_.find(hold);
+  PARTDB_CHECK(it != held_.end());
+  if (--it->second.acks_remaining == 0) {
+    ctx_->Send(it->second.dst, std::move(it->second.body));
+    held_.erase(it);
+  }
 }
 
 }  // namespace partdb

@@ -4,6 +4,7 @@
 #ifndef PARTDB_ENGINE_PARTITION_ACTOR_H_
 #define PARTDB_ENGINE_PARTITION_ACTOR_H_
 
+#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -36,8 +37,14 @@ class PartitionActor : public Actor, public PartitionExec {
   /// tests can replay it serially on a fresh engine (no cost — diagnostic).
   void EnableCommitLog() { log_commits_ = true; }
   /// Routes every committed transaction into the durable command log
-  /// (durability tier; `log` must outlive the actor).
-  void InstallDurabilityLog(PartitionLog* log) { durability_log_ = log; }
+  /// (durability tier; `log` must outlive the actor). With `hold_replies`
+  /// (group commit) each held reply also waits for the log's LogDurable
+  /// covering its record, and a committed multi-partition decision answers
+  /// its decider with a DurableNotice once logged.
+  void InstallDurabilityLog(PartitionLog* log, bool hold_replies) {
+    durability_log_ = log;
+    hold_for_log_ = hold_replies;
+  }
 
   CcScheme& cc() { return *scheme_; }
   const std::vector<CommitRecord>& commit_log() const { return commit_log_; }
@@ -63,16 +70,30 @@ class PartitionActor : public Actor, public PartitionExec {
   void OnMessage(Message& msg, ActorContext& ctx) override;
 
  private:
-  struct PendingDurable {
+  /// A reply held until its record is durable: acked by every backup and,
+  /// under group commit, in the local log.
+  struct Held {
     int acks_remaining = 0;
     NodeId dst = kInvalidNode;
     MessageBody body;
   };
+  struct LogWait {
+    uint64_t log_seq = 0;
+    uint64_t hold = 0;
+  };
 
   /// Appends a committed record to the command log and the commit log.
-  void AppendToLogs(const CommitRecord& rec);
-  /// Ships `rec` to every backup and holds `body` until all of them ack.
-  void ShipThenSend(bool outcome_known, CommitRecord rec, NodeId dst, MessageBody body);
+  /// Returns its log sequence when replies wait for the log, else 0.
+  uint64_t AppendToLogs(const CommitRecord& rec);
+  /// Ships `rec` to every backup and holds `body` (see Hold).
+  void ShipThenSend(bool outcome_known, CommitRecord rec, uint64_t log_seq, NodeId dst,
+                    MessageBody body);
+  /// Sends `body` to `dst` once `backup_acks` ReplicaAcks for the returned
+  /// hold seq have arrived and, when `log_seq` is nonzero, the LogDurable
+  /// covering it; at once when there is nothing to wait for.
+  uint64_t Hold(int backup_acks, uint64_t log_seq, NodeId dst, MessageBody body);
+  /// Counts one ack against hold `hold`; the last one sends the reply.
+  void Ack(uint64_t hold);
 
   PartitionId pid_;
   std::unique_ptr<Engine> engine_;
@@ -81,12 +102,15 @@ class PartitionActor : public Actor, public PartitionExec {
   Duration lock_timeout_;
   std::unique_ptr<CcScheme> scheme_;
   std::vector<NodeId> backups_;
-  uint64_t next_ship_seq_ = 1;
-  std::unordered_map<uint64_t, PendingDurable> pending_durable_;
+  uint64_t next_hold_seq_ = 1;  // also the ReplicaShip order_seq
+  std::unordered_map<uint64_t, Held> held_;
+  std::deque<LogWait> log_waits_;  // holds waiting for the log, in log order
   bool log_commits_ = false;
   std::vector<CommitRecord> commit_log_;
   PartitionLog* durability_log_ = nullptr;
-  ActorContext* ctx_ = nullptr;  // valid during OnMessage
+  bool hold_for_log_ = false;
+  ActorContext* ctx_ = nullptr;    // valid during OnMessage
+  NodeId decider_ = kInvalidNode;  // sender of the DecisionMessage being handled
 };
 
 }  // namespace partdb

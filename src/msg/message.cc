@@ -43,6 +43,7 @@ const char* MessageTypeName(const MessageBody& body) {
     const char* operator()(const ReplicaAck&) { return "ReplicaAck"; }
     const char* operator()(const TimerFire&) { return "TimerFire"; }
     const char* operator()(const DurableNotice&) { return "DurableNotice"; }
+    const char* operator()(const LogDurable&) { return "LogDurable"; }
   };
   return std::visit(Namer{}, body);
 }

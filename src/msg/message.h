@@ -113,16 +113,22 @@ struct TimerFire {
   uint64_t generation = 0;
 };
 
-/// Durability tier -> session: the transaction's command-log records are
-/// fsynced on every participant; a parked completion may fire (group commit).
+/// Participant -> the sender of a commit decision (the coordinator, or the
+/// session under locking): the decided record is logged (group commit).
 struct DurableNotice {
   TxnId txn_id = kInvalidTxn;
+};
+
+/// Log writer -> its partition: every record appended through `through_seq`
+/// is durable (group commit; after an injected crash, once crashed() is set).
+struct LogDurable {
+  uint64_t through_seq = 0;
 };
 
 using MessageBody =
     std::variant<ClientRequest, FragmentRequest, FragmentResponse, DecisionMessage,
                  ClientResponse, ReplicaShip, ReplicaDecision, ReplicaAck, TimerFire,
-                 DurableNotice>;
+                 DurableNotice, LogDurable>;
 
 struct Message {
   NodeId src = kInvalidNode;

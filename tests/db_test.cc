@@ -318,6 +318,31 @@ TEST(OpenLoopDriver, HitsTargetRateWithinTolerance) {
   ExpectReplayClean(*db, mb);
 }
 
+// A driver thread that cannot keep its schedule (argument generation takes
+// 2 ms against a 1 ms mean inter-arrival per thread) submits ever later. The
+// wait is latency the transactions saw, so the median reaches milliseconds
+// even though each one executes in microseconds once submitted.
+TEST(OpenLoopDriver, LatencyCountsLateSubmissions) {
+  const KvWorkloadOptions mb = SmallConfig(2, 0.0);
+  auto db = Database::Open(SmallDb(mb, "speculation", RunMode::kParallel, 2));
+
+  LoadDriverOptions load;
+  load.threads = 2;
+  load.target_tps = 2000.0;
+  load.duration = 100 * kMillisecond;
+  load.proc = db->proc(kKvReadUpdateProc);
+  load.next_args = [mb](int c, Rng& rng) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return DrawKvTxn(mb, c, rng);
+  };
+  LoadDriverReport r = RunOpenLoop(*db, load);
+  db->Close();
+
+  EXPECT_EQ(r.completed, r.submitted);
+  ASSERT_GT(r.latency.count(), 0u);
+  EXPECT_GE(r.latency.Percentile(50), 1e6) << "late submissions were timed from Submit";
+}
+
 // --- session-side submission batching ---------------------------------------
 
 // Mailbox-level coalescing: a burst of foreign-thread submissions schedules
