@@ -46,8 +46,11 @@ namespace partdb {
 struct TxnResult {
   /// True when the transaction committed; false means a user abort (system
   /// aborts — deadlock victims, timeouts — are retried internally and never
-  /// surface here).
+  /// surface here), or a refusal (`rejected`).
   bool committed = false;
+  /// Remote sessions only: the server refused the transaction (no session
+  /// slot free, or its admission bound) and never executed it.
+  bool rejected = false;
   /// Submission-to-completion latency (wall-clock in parallel mode, virtual
   /// time in simulation).
   Duration latency_ns = 0;

@@ -76,7 +76,7 @@ struct DbOptions {
   // Durability (command logging, README "Durability"). Parallel mode only.
   /// kOff: memory only. kAsync: commits are logged+fsynced off the critical
   /// path but completions do not wait, so a crash may lose about one
-  /// group_commit_window plus one fsync of acknowledged commits.
+  /// group_commit_window plus two fsyncs of acknowledged commits.
   /// kGroupCommit: completions are held until the commit's batch is durable
   /// on every participant's log.
   DurabilityMode durability = DurabilityMode::kOff;
@@ -84,9 +84,12 @@ struct DbOptions {
   /// directory with existing logs recovers: latest checkpoint per partition,
   /// then parallel log replay through the registered procedures.
   std::string log_dir;
-  /// Batch window, in both kAsync and kGroupCommit: how long each log writer
-  /// holds a batch open after its first record so concurrent commits share
-  /// one write+fsync.
+  /// Batch window, in both kAsync and kGroupCommit: the longest each log
+  /// writer holds a batch open so concurrent commits share one write+fsync,
+  /// counted from when the writer picks the batch up, which comes after its
+  /// previous write+fsync. kAsync holds every batch for the full window;
+  /// under kGroupCommit a partition closes its batch as soon as its worker
+  /// goes idle, so the window only caps batching under load.
   uint32_t group_commit_window_us = 200;
   /// Deterministic crash injection (tests): after this many records have
   /// been admitted across all logs, drop everything later and flip

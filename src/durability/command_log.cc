@@ -154,6 +154,12 @@ uint64_t PartitionLog::Append(const CommitRecord& committed) {
   return seq;
 }
 
+void PartitionLog::CloseBatch() {
+  MutexLock lock(mu_);
+  closed_through_ = next_seq_ - 1;
+  work_cv_.NotifyOne();
+}
+
 void PartitionLog::WriterLoop() {
   // The window is a deadline this thread sleeps to, and nothing wakes it
   // early: the default 50 us timer slack would stretch every window (and so
@@ -169,15 +175,17 @@ void PartitionLog::WriterLoop() {
     }
     writer_parked_ = false;
     if (pending_sizes_.empty() && stop_) break;
-    // The batch stays open for the window after its first record, in both
-    // durability modes, so concurrent commits share one fsync; appends
-    // during the window do not signal. Shutdown cuts the window short.
+    // The batch stays open for up to the window, so concurrent commits
+    // share one fsync; appends during the window do not signal. A close
+    // covering every pending record, or Shutdown, cuts the window short.
     if (config_.window > 0 && !stop_) {
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::nanoseconds(config_.window);
-      while (!stop_) {
-        if (!work_cv_.WaitUntil(mu_, deadline)) break;
+      bool window_ended = false;
+      while (!stop_ && !window_ended && closed_through_ < next_seq_ - 1) {
+        window_ended = !work_cv_.WaitUntil(mu_, deadline);
       }
+      if (!stop_ && !window_ended) ++stats_.early_closes;
     }
     batch_bytes.clear();
     batch_sizes.clear();

@@ -5,12 +5,17 @@
 // Append frames each record once, in place: it serializes the payloads
 // straight into the pending buffer the writer swaps out (both buffers keep
 // their capacity, so the steady state allocates nothing) and signals the
-// writer only when it is parked. The writer holds every batch open for the
-// window after its first record, in both durability modes, so concurrent
-// commits share one write+fsync. Under group commit the writer ends every
-// batch with one LogDurable{through_seq} message to its partition, which
-// holds each reply until both its backups and this log have acked the
-// record (PartitionActor); otherwise the class only moves bytes.
+// writer only when it is parked. The writer holds a batch open for up to the
+// window, counted from when it picks the batch up (after the previous
+// write+fsync, so under load records wait for that fsync and then the
+// window), so concurrent commits share one write+fsync. CloseBatch ends the
+// wait early once every pending record is covered by a close: under group
+// commit the partition closes whenever its worker goes idle, so a lone
+// commit waits only for its own write+fsync, while async never closes and
+// keeps the full window. Under group commit the writer ends every batch with
+// one LogDurable{through_seq} message to its partition, which holds each
+// reply until both its backups and this log have acked the record
+// (PartitionActor); otherwise the class only moves bytes.
 #ifndef PARTDB_DURABILITY_COMMAND_LOG_H_
 #define PARTDB_DURABILITY_COMMAND_LOG_H_
 
@@ -38,6 +43,9 @@ struct PartitionLogStats {
   uint64_t wakes = 0;
   /// Records reported to the partition in LogDurable messages (group commit).
   uint64_t reported = 0;
+  /// Batches written before their window ended, because CloseBatch covered
+  /// every pending record.
+  uint64_t early_closes = 0;
 };
 
 class PartitionLog {
@@ -46,9 +54,10 @@ class PartitionLog {
     std::string dir;
     PartitionId partition = -1;
     int num_partitions = 0;
-    /// Batch window: after the first append of a batch the writer collects
-    /// further appends for this long before writing and fsyncing (0 = write
-    /// as soon as a record is pending).
+    /// Batch window: the longest the writer collects appends into a batch,
+    /// counted from when it picks the batch up, before writing and fsyncing
+    /// it; CloseBatch cuts it short (0 = write as soon as a record is
+    /// pending).
     Duration window = 0;
     /// Proc table written into every segment header.
     std::vector<LogProcEntry> procs;
@@ -78,6 +87,13 @@ class PartitionLog {
   /// wakes the writer if it is parked. Called on the owning partition's
   /// worker thread only. Returns the assigned commit sequence.
   uint64_t Append(const CommitRecord& committed);
+
+  /// Marks every record appended so far as the end of its batch: once all
+  /// pending records are covered by a close, the writer stops waiting for
+  /// the window and writes them. Records appended later keep the next batch
+  /// open until its window ends or the next close. Called on the owning
+  /// partition's worker thread only.
+  void CloseBatch();
 
   /// Checkpoint support, called with the owning partition quiescent (inside
   /// the RunOn rendezvous, so no append can race): flushes, rotates to a
@@ -137,6 +153,8 @@ class PartitionLog {
   /// order (for the crash-injection prefix split).
   std::vector<uint32_t> pending_sizes_ PARTDB_GUARDED_BY(mu_);
   uint64_t next_seq_ PARTDB_GUARDED_BY(mu_) = 1;
+  /// Last sequence covered by a CloseBatch (0 = none yet).
+  uint64_t closed_through_ PARTDB_GUARDED_BY(mu_) = 0;
   uint64_t segment_index_ PARTDB_GUARDED_BY(mu_) = 0;
   int fd_ PARTDB_GUARDED_BY(mu_) = -1;  // writer touches it only while io_in_progress_
   bool io_in_progress_ PARTDB_GUARDED_BY(mu_) = false;

@@ -66,6 +66,7 @@ DurabilityStats DurabilityManager::GetStats() const {
     out.fsyncs += s.fsyncs;
     out.writer_wakes += s.wakes;
     out.deferred_completions += s.reported;
+    out.early_closes += s.early_closes;
   }
   return out;
 }

@@ -3,10 +3,13 @@
 // use to kill the log mid-stream, and the aggregated counters
 // Database::Stats() surfaces.
 //
-// Both logging modes run the same writers at the same cadence (one
-// write+fsync per batch window). Under group commit each writer also reports
-// its durable records to its partition, which holds replies until the
-// backups and the log have acked them (PartitionActor).
+// Both logging modes run the same writers: each batch stays open for up to
+// the window, counted from when the writer picks it up (after the previous
+// write+fsync), then takes one write+fsync. Under group commit each writer
+// also reports its durable records to its partition, which holds replies
+// until the backups and the log have acked them (PartitionActor), and the
+// partition closes its open batch whenever its worker goes idle, so the
+// window only caps batching under load. Async never closes a batch early.
 #ifndef PARTDB_DURABILITY_DURABILITY_MANAGER_H_
 #define PARTDB_DURABILITY_DURABILITY_MANAGER_H_
 
@@ -25,11 +28,14 @@ namespace partdb {
 /// What "committed" means to the client (DbOptions::durability).
 ///  - kOff:         memory only, no log.
 ///  - kAsync:       every commit is logged and fsynced by the writer thread,
-///                  one batch per group_commit_window, but completions do not
-///                  wait for it — a crash may lose the acknowledged commits of
-///                  about one window plus one fsync.
+///                  each batch held open for the full group_commit_window,
+///                  but completions do not wait for it — a crash may lose the
+///                  acknowledged commits of about one window plus two fsyncs.
 ///  - kGroupCommit: completions are held until the commit's batch is durable
-///                  on every participating partition's log.
+///                  on every participating partition's log. A partition
+///                  closes its batch as soon as its worker goes idle, so a
+///                  lone commit waits for one write+fsync; the window caps
+///                  how long a batch stays open under load.
 enum class DurabilityMode { kOff, kAsync, kGroupCommit };
 
 const char* DurabilityModeName(DurabilityMode m);
@@ -45,6 +51,9 @@ struct DurabilityStats {
   /// Records the writers reported durable to a partition holding replies on
   /// them (every record under group commit, 0 under async).
   uint64_t deferred_completions = 0;
+  /// Batches written before their window ended, because the partition
+  /// closed them on going idle (group commit only; 0 under async).
+  uint64_t early_closes = 0;
   double avg_batch_size() const {
     return batches == 0 ? 0.0 : static_cast<double>(records) / static_cast<double>(batches);
   }
@@ -56,7 +65,7 @@ class DurabilityManager {
     DurabilityMode mode = DurabilityMode::kOff;
     std::string dir;
     int num_partitions = 0;
-    /// Batch window of every log writer, in both modes.
+    /// Longest batch window of every log writer, in both modes.
     Duration group_commit_window = 0;
     /// Crash injection: after this many records have been admitted across
     /// all partition logs, every later record is dropped and crashed() flips

@@ -107,7 +107,15 @@ uint64_t PartitionActor::AppendToLogs(const CommitRecord& rec) {
   if (log_commits_) commit_log_.push_back(rec);
   if (durability_log_ == nullptr) return 0;
   const uint64_t log_seq = durability_log_->Append(rec);
-  return hold_for_log_ ? log_seq : 0;
+  if (!hold_for_log_) return 0;
+  log_batch_open_ = true;
+  return log_seq;
+}
+
+void PartitionActor::OnIdle() {
+  if (!log_batch_open_) return;
+  log_batch_open_ = false;
+  durability_log_->CloseBatch();
 }
 
 void PartitionActor::ShipThenSend(bool outcome_known, CommitRecord rec, uint64_t log_seq,

@@ -39,8 +39,9 @@ class PartitionActor : public Actor, public PartitionExec {
   /// Routes every committed transaction into the durable command log
   /// (durability tier; `log` must outlive the actor). With `hold_replies`
   /// (group commit) each held reply also waits for the log's LogDurable
-  /// covering its record, and a committed multi-partition decision answers
-  /// its decider with a DurableNotice once logged.
+  /// covering its record, a committed multi-partition decision answers its
+  /// decider with a DurableNotice once logged, and the partition closes its
+  /// open log batch whenever its worker goes idle (OnIdle).
   void InstallDurabilityLog(PartitionLog* log, bool hold_replies) {
     durability_log_ = log;
     hold_for_log_ = hold_replies;
@@ -65,6 +66,10 @@ class PartitionActor : public Actor, public PartitionExec {
   Metrics& metrics() override { return *metrics_; }
   PartitionId partition_id() const override { return pid_; }
   Duration lock_timeout() const override { return lock_timeout_; }
+
+  /// Group commit: nothing more can join the open log batch until the next
+  /// message arrives, so the writer need not wait out its window.
+  void OnIdle() override;
 
  protected:
   void OnMessage(Message& msg, ActorContext& ctx) override;
@@ -109,6 +114,8 @@ class PartitionActor : public Actor, public PartitionExec {
   std::vector<CommitRecord> commit_log_;
   PartitionLog* durability_log_ = nullptr;
   bool hold_for_log_ = false;
+  /// Appended since the last CloseBatch (group commit only).
+  bool log_batch_open_ = false;
   ActorContext* ctx_ = nullptr;    // valid during OnMessage
   NodeId decider_ = kInvalidNode;  // sender of the DecisionMessage being handled
 };

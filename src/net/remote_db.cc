@@ -103,13 +103,6 @@ uint64_t RemoteSession::outstanding() const {
 ProcId RemoteSession::proc(std::string_view name) const { return db_->proc(name); }
 
 void RemoteSession::OnResponse(const ResponseHeader& h, WireReader& r) {
-  // The client-side admission bound makes inflight rejections unreachable;
-  // one arriving anyway means the peer ran out of session slots (more
-  // logical sessions than the server's DbOptions::max_sessions — a
-  // deployment misconfiguration) or the two bounds disagree. The shared
-  // server stays up; this client fails loudly.
-  PARTDB_CHECK(h.status != TxnStatus::kRejected);
-
   PendingTxn p;
   {
     MutexLock lock(mu_);
@@ -126,6 +119,11 @@ void RemoteSession::OnResponse(const ResponseHeader& h, WireReader& r) {
 
   TxnResult res;
   res.committed = h.status == TxnStatus::kCommitted;
+  // The client-side admission bound makes inflight rejections unreachable;
+  // one arriving anyway means the peer ran out of session slots (more
+  // logical sessions than the server's DbOptions::max_sessions) or the two
+  // bounds disagree. The transaction completes refused, like an abort.
+  res.rejected = h.status == TxnStatus::kRejected;
   res.latency_ns = SteadyNowNs() - p.submit_ns;
   res.attempts = h.attempts;
   if (h.has_result) {

@@ -70,6 +70,10 @@ class Actor {
   /// at a time.
   Duration Handle(Message& msg, Time start);
 
+  /// Called by the parallel runtime on the owning worker when its mailbox
+  /// has drained, right before the worker would park. Default: nothing.
+  virtual void OnIdle() {}
+
   /// Total CPU time consumed (for utilization reporting).
   Duration busy_ns() const { return busy_ns_; }
   void ResetBusy() { busy_ns_ = 0; }

@@ -44,12 +44,13 @@ int ParallelRuntime::worker_of(NodeId node) const {
 
 void ParallelRuntime::Register(NodeId node, Actor* actor) {
   PARTDB_CHECK(!started_.load());
-  worker_of(node);  // must be mapped first
+  Worker* worker = workers_[worker_of(node)].get();  // must be mapped first
   if (static_cast<size_t>(node) >= endpoints_.size()) {
     endpoints_.resize(node + 1, nullptr);
   }
   PARTDB_CHECK(endpoints_[node] == nullptr);
   endpoints_[node] = actor;
+  worker->actors.push_back(actor);
 }
 
 Actor* ParallelRuntime::endpoint(NodeId node) const {
@@ -115,6 +116,7 @@ void ParallelRuntime::RunOn(int worker, std::function<void()> fn) {
 }
 
 void ParallelRuntime::FireDueTimers(Worker* w) {
+  if (w->timers.empty()) return;
   const Time now = Now();
   while (!w->timers.empty() && w->timers.top().at <= now) {
     TimerEntry e = w->timers.top();
@@ -135,6 +137,10 @@ void ParallelRuntime::WorkerLoop(Worker* w, int index) {
   }
   while (!stop_.load(std::memory_order_relaxed)) {
     FireDueTimers(w);
+    // Nothing left to handle: the drain below would park.
+    if (w->mailbox.Empty()) {
+      for (Actor* a : w->actors) a->OnIdle();
+    }
 
     steady_clock::time_point deadline = steady_clock::now() + std::chrono::milliseconds(100);
     if (!w->timers.empty()) {

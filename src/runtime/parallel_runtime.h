@@ -102,6 +102,7 @@ class ParallelRuntime : public ExecutionContext {
     // Owned by the worker thread after Start(); mutated via mailbox items.
     std::priority_queue<TimerEntry, std::vector<TimerEntry>, std::greater<TimerEntry>> timers;
     std::atomic<size_t> timer_count{0};
+    std::vector<Actor*> actors;  // hosted here; read-only after Start
   };
 
   void WorkerLoop(Worker* w, int index);

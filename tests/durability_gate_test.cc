@@ -4,10 +4,11 @@
 // coordinator, or the session under locking) replies only after a
 // DurableNotice from every participant.
 //
-// The writer holds each batch open for the whole window after its first
-// record, so with one transaction in flight at a time every committed reply
-// that waits for the log takes at least the window; one that skips the log
-// returns in microseconds.
+// A writer counts a batch's records in `reported` before it sends the
+// LogDurable that releases them, so once a reply is back the writers have
+// reported at least every record committed so far. With one transaction in
+// flight at a time each partition closes its batch as soon as it goes idle,
+// so a reply waits for one write+fsync, not the window.
 #include <unistd.h>
 
 #include <atomic>
@@ -81,6 +82,16 @@ std::chrono::steady_clock::duration TimedExecute(Session& session, ProcId proc, 
   return std::chrono::steady_clock::now() - start;
 }
 
+/// Records a committed KV transaction logs: one per participant.
+uint64_t Participants(const Payload& args) {
+  uint64_t n = 0;
+  for (const auto& keys : static_cast<const KvArgs&>(args).keys) n += keys.empty() ? 0 : 1;
+  return n;
+}
+
+/// Records the log writers have reported durable to their partitions.
+uint64_t Reported(const Database& db) { return db.Stats().durability.deferred_completions; }
+
 class DurabilityGate : public ::testing::TestWithParam<const char*> {};
 
 // Single-partition commits exercise the partition's log ack; multi-partition
@@ -88,27 +99,36 @@ class DurabilityGate : public ::testing::TestWithParam<const char*> {};
 // for every participant's notice. The SP cases run first and stop the test
 // on failure, so a dropped log ack fails here instead of stranding an MP
 // reply.
+//
+// The window is long, so a lone reply that waited for it shows: each must
+// return in under half of it, its partitions having closed their batches.
 TEST_P(DurabilityGate, GroupCommitHoldsEveryReply) {
-  constexpr uint32_t kWindowUs = 20000;
-  const auto window = std::chrono::microseconds(kWindowUs);
+  constexpr uint32_t kWindowUs = 200000;
+  const auto half_window = std::chrono::microseconds(kWindowUs / 2);
   const KvWorkloadOptions mb = TwoPartitions(0.0);
   const std::string dir = MakeTempDir(std::string("hold_") + GetParam());
   auto db = Database::Open(GroupCommitDb(mb, GetParam(), dir, kWindowUs));
   const ProcId proc = db->proc(kKvReadUpdateProc);
+  uint64_t committed_records = 0;
   {
     auto session = db->CreateSession();
     for (int i = 0; i < 4; ++i) {
       bool committed = false;
       const auto took = TimedExecute(*session, proc, SpArgs(mb, i % 2), &committed);
       ASSERT_TRUE(committed);
-      ASSERT_GE(took, window) << "single-partition reply " << i << " left before its log ack";
+      committed_records += 1;
+      ASSERT_GE(Reported(*db), committed_records)
+          << "single-partition reply " << i << " left before its log ack";
+      ASSERT_LT(took, half_window) << "single-partition reply " << i << " waited for the window";
     }
     for (int i = 0; i < 3; ++i) {
       bool committed = false;
       const auto took = TimedExecute(*session, proc, MpArgs(mb), &committed);
       ASSERT_TRUE(committed);
-      ASSERT_GE(took, window) << "multi-partition reply " << i
-                              << " left before every participant's notice";
+      committed_records += static_cast<uint64_t>(mb.num_partitions);
+      ASSERT_GE(Reported(*db), committed_records)
+          << "multi-partition reply " << i << " left before every participant's notice";
+      ASSERT_LT(took, half_window) << "multi-partition reply " << i << " waited for the window";
     }
   }
   db->Close();
@@ -122,12 +142,11 @@ TEST_P(DurabilityGate, GroupCommitHoldsEveryReply) {
 
 // Replication and group commit together: each single-partition reply counts
 // one ack per backup plus the log's, each vote the backups' alone, each
-// decided MP record the log's alone. Replies still take the window, the
+// decided MP record the log's alone. Replies still wait for the log, the
 // backups converge on the primaries, and a restart replays every record.
 TEST_P(DurabilityGate, BackupsAndLogShareOneHold) {
   constexpr uint32_t kWindowUs = 2000;
   constexpr int kTxns = 30;
-  const auto window = std::chrono::microseconds(kWindowUs);
   const KvWorkloadOptions mb = TwoPartitions(0.3);
   const std::string dir = MakeTempDir(std::string("repl_") + GetParam());
   DbOptions opts = GroupCommitDb(mb, GetParam(), dir, kWindowUs);
@@ -138,11 +157,12 @@ TEST_P(DurabilityGate, BackupsAndLogShareOneHold) {
   {
     auto session = db->CreateSession();
     Rng rng(23);
+    uint64_t committed_records = 0;
     for (int i = 0; i < kTxns; ++i) {
-      bool committed = false;
-      const auto took = TimedExecute(*session, proc, DrawKvTxn(mb, 0, rng), &committed);
-      ASSERT_TRUE(committed);
-      ASSERT_GE(took, window) << "reply " << i << " left before its log ack";
+      const PayloadPtr args = DrawKvTxn(mb, 0, rng);
+      committed_records += Participants(*args);
+      ASSERT_TRUE(session->Execute(proc, args).committed);
+      ASSERT_GE(Reported(*db), committed_records) << "reply " << i << " left before its log ack";
     }
   }
   db->Close();

@@ -836,6 +836,80 @@ TEST(DurabilityLogWriter, AsyncNeverWaitsForTheWindow) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(DurabilityLogWriter, CloseBatchCutsTheWindowShort) {
+  auto args = std::make_shared<KvArgs>();
+  args->keys = {{MicrobenchKey(0, 0, 0)}};
+  CommitRecord rec;
+  rec.proc = 0;
+  rec.args = args;
+  rec.round_inputs = {nullptr};
+
+  DirectLog d(10 * kSecond);
+  const auto start = std::chrono::steady_clock::now();
+  rec.txn_id = 1;
+  d.log().Append(rec);
+  d.log().CloseBatch();
+  d.AwaitBatches(1);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  PartitionLogStats s = d.log().GetStats();
+  EXPECT_EQ(s.batches, 1u);
+  EXPECT_EQ(s.early_closes, 1u);
+
+  // A record appended after that close keeps its batch open for the window.
+  rec.txn_id = 2;
+  d.log().Append(rec);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(d.log().GetStats().batches, 1u) << "an unclosed batch left before its window";
+
+  // The next close releases it.
+  d.log().CloseBatch();
+  d.AwaitBatches(2);
+  s = d.log().GetStats();
+  EXPECT_EQ(s.batches, 2u);
+  EXPECT_EQ(s.records, 2u);
+  EXPECT_EQ(s.early_closes, 2u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  d.log().Shutdown();
+}
+
+// Only a partition holding replies for its log closes batches when it goes
+// idle: async keeps the full window on every batch, so its pacing (and
+// batch size) does not change.
+TEST(DurabilityLogWriter, OnlyGroupCommitClosesEarly) {
+  KvWorkloadOptions mb;
+  mb.num_partitions = 2;
+  mb.num_clients = 1;
+  mb.keys_per_txn = 4;
+  mb.mp_fraction = 0.3;
+  for (const DurabilityMode mode : {DurabilityMode::kAsync, DurabilityMode::kGroupCommit}) {
+    const std::string dir = MakeTempDir("early_close");
+    DbOptions opts = KvDbOptions(mb, "speculation", RunMode::kParallel, 96);
+    opts.durability = mode;
+    opts.log_dir = dir;
+    opts.group_commit_window_us = 5000;
+    auto db = Database::Open(std::move(opts));
+    const ProcId proc = db->proc(kKvReadUpdateProc);
+    {
+      auto session = db->CreateSession();
+      Rng rng(9);
+      for (int i = 0; i < 20; ++i) {
+        ASSERT_TRUE(session->Execute(proc, DrawKvTxn(mb, 0, rng)).committed);
+      }
+    }
+    db->Close();
+    const DurabilityStats stats = db->Stats().durability;
+    EXPECT_GE(stats.records, 20u);
+    if (mode == DurabilityMode::kAsync) {
+      EXPECT_EQ(stats.early_closes, 0u);
+    } else {
+      EXPECT_GT(stats.early_closes, 0u);
+      EXPECT_LE(stats.early_closes, stats.batches);
+    }
+    db.reset();
+    std::filesystem::remove_all(dir);
+  }
+}
+
 // --- modes and counters ----------------------------------------------------
 
 TEST(DurabilityStatsTest, GroupCommitCountersAreSane) {

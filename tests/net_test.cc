@@ -453,6 +453,52 @@ TEST(NetMux, SessionSlotsRecycleViaCloseSession) {
   db->Close();
 }
 
+// More logical sessions on one connection than the server has slots: the
+// server refuses the second session's transaction, and the client completes
+// it as refused (not executed, not committed) instead of aborting. The
+// first session keeps working on the shared connection.
+TEST(NetMux, RefusedSessionCompletesRejected) {
+  KvWorkloadOptions mb = NetKvConfig();
+  mb.abort_prob = 0.0;
+  DbOptions opts = KvDbOptions(mb, "speculation", RunMode::kParallel, 12345);
+  opts.max_sessions = 1;
+  auto db = Database::Open(std::move(opts));
+  DbServer server(db.get());
+  ConnectOptions copts;
+  copts.procedures.push_back(KvReadUpdateProcedure(mb));
+  auto remote = Connect("127.0.0.1", server.port(), std::move(copts));
+
+  auto first = remote->CreateSession();
+  ASSERT_TRUE(first->Execute(kKvReadUpdateProc, OneKeyArgs(mb)).committed);
+  auto second = remote->CreateSession();
+  TxnResult seen;
+  int callbacks = 0;
+  const auto on_done = [&](const TxnResult& res) {
+    seen = res;
+    ++callbacks;
+  };
+  ASSERT_TRUE(second->Submit(kKvReadUpdateProc, OneKeyArgs(mb), on_done).accepted);
+  second->Drain();
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_TRUE(seen.rejected);
+  EXPECT_FALSE(seen.committed);
+  EXPECT_EQ(second->outstanding(), 0u);
+  // The refusal freed the client's admission slot, and the connection
+  // both sessions share is still up.
+  EXPECT_TRUE(second->Execute(kKvReadUpdateProc, OneKeyArgs(mb)).rejected);
+  const TxnResult ok = first->Execute(kKvReadUpdateProc, OneKeyArgs(mb));
+  EXPECT_TRUE(ok.committed);
+  EXPECT_FALSE(ok.rejected);
+  EXPECT_EQ(remote->conn_count(), 1u);
+
+  second.reset();
+  first.reset();
+  remote.reset();
+  server.Stop();
+  EXPECT_EQ(server.Stats().rejected_requests, 2u);
+  db->Close();
+}
+
 // Destroying a session that never submitted sends CloseSession for an id the
 // server never bound (server sessions bind lazily on the first request). The
 // server must treat that as a no-op, not a protocol error that drops the
