@@ -140,10 +140,44 @@ const FigGolden kFigGoldens[] = {
     {"fig04_mp10_repl2_occ", 2080, 1878, 202, 0, 0, 0, 0, 1878, 202, 188700840, 19868000},
 };
 
-// The goldens pin exactly the paper's four schemes (captured at the seed
-// harness); MVCC has no legacy golden and is covered by the integration and
-// scheme-specific suites instead.
+// kFigGoldens pin the paper's four schemes, captured at the seed harness.
+// mvcc postdates that harness: kMvccFigGoldens below pin it from the last
+// commit at which it was a scheme class of its own, one cell per kFigCases
+// entry, plus its snapshot-read and conflict-wait counters.
 constexpr const char* kAllSchemes[] = {"blocking", "speculation", "locking", "occ"};
+
+struct MvccFigGolden {
+  FigGolden fig;
+  uint64_t mvcc_snapshot_reads, mvcc_conflict_waits;
+};
+
+const MvccFigGolden kMvccFigGoldens[] = {
+    {{"fig04_mp10_mvcc", 2413, 2187, 226, 0, 0, 0, 0, 2187, 226, 185417280, 22050000}, 0, 0},
+    {{"fig05_conf60_mvcc", 2239, 2015, 224, 0, 0, 0, 0, 2015, 224, 174331620, 22096000}, 0, 373},
+    {{"fig06_abort5_mvcc", 2349, 2099, 250, 116, 0, 0, 0, 2202, 263, 185492480, 25656000}, 0, 0},
+    {{"fig07_general_mvcc", 2092, 1899, 193, 0, 0, 0, 0, 1899, 193, 166437420, 28862000}, 0, 0},
+    {{"fig10_localspec_mp50_mvcc", 1105, 569, 536, 0, 0, 0, 0, 569, 536, 104474360, 52436000},
+     0, 0},
+    {{"table2_forcelocks_mvcc", 2893, 2893, 0, 0, 0, 0, 0, 2893, 0, 193693100, 0}, 0, 0},
+    {{"table2_undo_mvcc", 2542, 2542, 0, 0, 0, 0, 0, 2542, 0, 192954000, 0}, 0, 0},
+    {{"fig04_mp10_repl2_mvcc", 2014, 1830, 184, 0, 0, 0, 0, 1830, 184, 168008960, 17924000}, 0,
+     0},
+};
+
+void ExpectFigGolden(const Metrics& m, const FigGolden& golden) {
+  const std::string name = golden.name;
+  EXPECT_EQ(m.committed, golden.committed) << name;
+  EXPECT_EQ(m.sp_committed, golden.sp_committed) << name;
+  EXPECT_EQ(m.mp_committed, golden.mp_committed) << name;
+  EXPECT_EQ(m.user_aborts, golden.user_aborts) << name;
+  EXPECT_EQ(m.local_deadlocks, golden.local_deadlocks) << name;
+  EXPECT_EQ(m.timeout_aborts, golden.timeout_aborts) << name;
+  EXPECT_EQ(m.txn_retries, golden.txn_retries) << name;
+  EXPECT_EQ(m.sp_latency.count(), golden.sp_count) << name;
+  EXPECT_EQ(m.mp_latency.count(), golden.mp_count) << name;
+  EXPECT_EQ(m.partition_busy_ns, golden.partition_busy_ns) << name;
+  EXPECT_EQ(m.coord_busy_ns, golden.coord_busy_ns) << name;
+}
 
 TEST(KvSessionParity, SimFigureMetricsMatchSeedHarness) {
   size_t g = 0;
@@ -154,21 +188,24 @@ TEST(KvSessionParity, SimFigureMetricsMatchSeedHarness) {
       const std::string name = std::string(c.name) + "_" + scheme;
       ASSERT_EQ(name, golden.name);
 
-      Metrics m = RunFig(c.config, scheme);
-      EXPECT_EQ(m.committed, golden.committed) << name;
-      EXPECT_EQ(m.sp_committed, golden.sp_committed) << name;
-      EXPECT_EQ(m.mp_committed, golden.mp_committed) << name;
-      EXPECT_EQ(m.user_aborts, golden.user_aborts) << name;
-      EXPECT_EQ(m.local_deadlocks, golden.local_deadlocks) << name;
-      EXPECT_EQ(m.timeout_aborts, golden.timeout_aborts) << name;
-      EXPECT_EQ(m.txn_retries, golden.txn_retries) << name;
-      EXPECT_EQ(m.sp_latency.count(), golden.sp_count) << name;
-      EXPECT_EQ(m.mp_latency.count(), golden.mp_count) << name;
-      EXPECT_EQ(m.partition_busy_ns, golden.partition_busy_ns) << name;
-      EXPECT_EQ(m.coord_busy_ns, golden.coord_busy_ns) << name;
+      ExpectFigGolden(RunFig(c.config, scheme), golden);
     }
   }
   EXPECT_EQ(g, std::size(kFigGoldens));
+}
+
+TEST(KvSessionParity, MvccSimFigureMetricsMatchGoldens) {
+  ASSERT_EQ(std::size(kMvccFigGoldens), std::size(kFigCases));
+  for (size_t i = 0; i < std::size(kFigCases); ++i) {
+    const MvccFigGolden& golden = kMvccFigGoldens[i];
+    const std::string name = golden.fig.name;
+    ASSERT_EQ(name, std::string(kFigCases[i].name) + "_mvcc");
+
+    Metrics m = RunFig(kFigCases[i].config, "mvcc");
+    ExpectFigGolden(m, golden.fig);
+    EXPECT_EQ(m.mvcc_snapshot_reads, golden.mvcc_snapshot_reads) << name;
+    EXPECT_EQ(m.mvcc_conflict_waits, golden.mvcc_conflict_waits) << name;
+  }
 }
 
 // --- explicit closed-loop seed ----------------------------------------------
