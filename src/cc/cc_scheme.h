@@ -1,10 +1,10 @@
 // Concurrency-control scheme interface. A scheme decides when fragments
-// execute, when results become visible, and what happens on abort. Three
+// execute, when results become visible, and what happens on abort. Two
 // classes implement the registered schemes: SpeculativeCc, one FIFO queue
-// executor whose policies give blocking (§4.1), speculation (§4.2) and OCC
-// (§5.7); LockingCc (§4.3); and MvccCc (multiversion snapshot reads). All of
-// them answer a transaction through ReplySp / VoteMp below. Schemes are
-// selected by name through the CcSchemeRegistry (cc/scheme_registry.h);
+// executor whose policies give blocking (§4.1), speculation (§4.2), OCC
+// (§5.7) and mvcc (snapshot reads beside a stalled MP); and LockingCc
+// (§4.3). Both answer a transaction through ReplySp / VoteMp below. Schemes
+// are selected by name through the CcSchemeRegistry (cc/scheme_registry.h);
 // concrete types are named only by their registrant.
 #ifndef PARTDB_CC_CC_SCHEME_H_
 #define PARTDB_CC_CC_SCHEME_H_

@@ -2,10 +2,9 @@
 // four schemes and mvcc register themselves here, in the order they appear in
 // the paper (registration order is the registry's enumeration order). Adding
 // a scheme means adding one Register call here — nothing else in the runtime,
-// db, bench, or test layers names scheme types. blocking, speculation and occ
-// are three fixed policies of one queue executor (cc/speculative.h).
+// db, bench, or test layers names scheme types. blocking, speculation, occ and
+// mvcc are four fixed policies of one queue executor (cc/speculative.h).
 #include "cc/locking.h"
-#include "cc/mvcc.h"
 #include "cc/scheme_registry.h"
 #include "cc/speculative.h"
 
@@ -32,10 +31,10 @@ void RegisterBuiltinSchemes(CcSchemeRegistry& r) {
   r.Register("occ", CcSchemeCapabilities{}, [](PartitionExec* part, const SchemeOptions&) {
     return std::make_unique<SpeculativeCc>(part, RunBehind::kEverything, AbortUndoes::kConflicting);
   });
-  CcSchemeCapabilities mvcc_caps;
-  mvcc_caps.snapshot_reads = true;
-  r.Register("mvcc", mvcc_caps, [](PartitionExec* part, const SchemeOptions&) {
-    return std::make_unique<MvccCc>(part);
+  // mvcc never speculates: SPs run before a stalled MP, on the committed
+  // snapshot where they touch its writes.
+  r.Register("mvcc", CcSchemeCapabilities{}, [](PartitionExec* part, const SchemeOptions&) {
+    return std::make_unique<SpeculativeCc>(part, RunBehind::kSnapshot, AbortUndoes::kEverything);
   });
 }
 

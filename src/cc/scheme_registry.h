@@ -38,9 +38,6 @@ struct CcSchemeCapabilities {
   /// idle, and multi-partition commit order is not globally sequenced (the
   /// replay checker relaxes its cross-partition order assertion).
   bool client_coordinated_2pc = false;
-  /// Single-partition reads execute against a committed snapshot and never
-  /// wait behind an in-flight multi-partition transaction (mvcc).
-  bool snapshot_reads = false;
 };
 
 using CcSchemeFactory =

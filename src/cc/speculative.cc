@@ -1,5 +1,6 @@
 #include "cc/speculative.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -25,7 +26,9 @@ SpeculativeCc::TxnPtr SpeculativeCc::NewTxn(const FragmentRequest& f) {
   t->rec.proc = f.proc;
   t->rec.args = f.args;
   t->coord = f.coordinator;
-  if (validate_) TrackAccess(*t, f);
+  // Under kSnapshot every Txn is a head MP whose writes snapshot reads lift.
+  if (run_behind_ == RunBehind::kSnapshot) t->undo.EnableRedo();
+  if (track_access_) TrackAccess(*t, f);
   return t;
 }
 
@@ -72,13 +75,21 @@ void SpeculativeCc::OnFragment(FragmentRequest frag) {
   if (!uncommitted_.empty() && frag.multi_partition &&
       frag.txn_id == uncommitted_.back()->rec.txn_id && !uncommitted_.back()->finished) {
     ContinueTail(frag);
-    DrainQueue();
+    // Under kSnapshot only a decision drains (see the header).
+    if (run_behind_ != RunBehind::kSnapshot) DrainQueue();
     return;
   }
 
+  // Every other arrival leaves the queue's front as blocked as it was, so
+  // there is nothing to drain.
   if (uncommitted_.empty()) {
     PARTDB_DCHECK(unexecuted_.empty());
     ExecuteFresh(frag);
+  } else if (run_behind_ == RunBehind::kSnapshot && !frag.multi_partition) {
+    if (!RunBeforeHead(frag)) {
+      if (part_->metrics().recording) part_->metrics().mvcc_conflict_waits++;
+      unexecuted_.push_back(std::move(frag));
+    }
   } else if (unexecuted_.empty() && uncommitted_.back()->finished && MayRunBehind(frag)) {
     if (frag.multi_partition) {
       SpeculateMp(frag);
@@ -91,22 +102,64 @@ void SpeculativeCc::OnFragment(FragmentRequest frag) {
     // the stall: wait.
     unexecuted_.push_back(std::move(frag));
   }
-  DrainQueue();
 }
 
 void SpeculativeCc::ExecuteFresh(FragmentRequest& f) {
   if (!f.multi_partition) {
     // Fast path (paper §3.2): no speculation active, execute and commit.
-    // Undo is kept only if the procedure may user-abort.
-    UndoBuffer undo;
-    ExecResult r = part_->RunFragment(f, f.can_abort ? &undo : nullptr);
-    ReplySp(part_, f, r, &undo);
+    ExecuteSp(f);
     return;
   }
   // New non-speculative head.
   TxnPtr t = NewTxn(f);
   RunMpFragment(*t, f, kInvalidTxn);
   uncommitted_.push_back(std::move(t));
+}
+
+void SpeculativeCc::ExecuteSp(const FragmentRequest& f, UndoBuffer* lift) {
+  if (lift != nullptr) {
+    // What remains under the head's pending versions is the committed
+    // snapshot: exactly the state replaying the log so far produces.
+    part_->ChargeUndo(lift->size());
+    lift->Lift();
+  }
+  // Undo is kept only if the procedure may user-abort.
+  UndoBuffer undo;
+  ExecResult r = part_->RunFragment(f, f.can_abort ? &undo : nullptr);
+  if (lift != nullptr) {
+    // A self-abort comes off the snapshot before the pending versions return.
+    if (r.aborted) {
+      part_->ChargeUndo(undo.size());
+      undo.Rollback();
+    }
+    lift->Reinstall();
+    part_->ChargeUndo(lift->size());
+    if (part_->metrics().recording) part_->metrics().mvcc_snapshot_reads++;
+  }
+  ReplySp(part_, f, r, &undo);
+}
+
+bool SpeculativeCc::RunBeforeHead(const FragmentRequest& f) {
+  Txn& head = *uncommitted_.front();
+  const auto in = [](const std::vector<uint64_t>& keys, uint64_t k) {
+    return std::find(keys.begin(), keys.end(), k) != keys.end();
+  };
+  std::vector<LockRequest> plan;
+  part_->engine().LockSet(*f.args, f.round, &plan);
+  WorkMeter tracking;
+  bool writes_conflict = false;
+  bool needs_snapshot = false;
+  for (const LockRequest& lr : plan) {
+    tracking.lock_acquires++;  // charged like lock-manager traffic
+    tracking.lock_table_ops++;
+    const bool head_writes = in(head.writes, lr.lock_id);
+    if (lr.exclusive && (head_writes || in(head.reads, lr.lock_id))) writes_conflict = true;
+    if (head_writes) needs_snapshot = true;
+  }
+  part_->ChargeLockWork(tracking);
+  if (writes_conflict) return false;
+  ExecuteSp(f, needs_snapshot ? &head.undo : nullptr);
+  return true;
 }
 
 void SpeculativeCc::SpeculateSp(FragmentRequest& f) {
@@ -140,7 +193,7 @@ void SpeculativeCc::ContinueTail(FragmentRequest& f) {
   Txn& t = *uncommitted_.back();
   // Rounds past 0 run only once the transaction is the head (see above).
   PARTDB_CHECK(uncommitted_.size() == 1 || f.round == 0);
-  if (validate_) TrackAccess(t, f);
+  if (track_access_) TrackAccess(t, f);
   RunMpFragment(t, f, kInvalidTxn);
 }
 
@@ -285,6 +338,13 @@ void SpeculativeCc::DrainQueue() {
       FragmentRequest f = std::move(unexecuted_.front());
       unexecuted_.pop_front();
       ContinueTail(f);
+      continue;
+    }
+    if (run_behind_ == RunBehind::kSnapshot) {
+      // The next MP waits its turn; a writer into the new head's accesses
+      // waits for its decision.
+      if (peek.multi_partition || !RunBeforeHead(peek)) break;
+      unexecuted_.pop_front();
       continue;
     }
     if (tail->finished) {

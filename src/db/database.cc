@@ -5,7 +5,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <thread>
 
@@ -27,9 +26,6 @@ Database::Database(DbOptions options) : options_(std::move(options)) {
   }
   options_.procedures.clear();
 
-  if (const char* env = std::getenv("PARTDB_DURABILITY_CRASH_AFTER_N_COMMITS")) {
-    options_.durability_crash_after_n_commits = std::strtoull(env, nullptr, 10);
-  }
   if (options_.durability != DurabilityMode::kOff) {
     // Command logging runs real I/O threads; the simulator has no place for
     // them (and no real clock to batch against).

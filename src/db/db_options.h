@@ -93,8 +93,7 @@ struct DbOptions {
   uint32_t group_commit_window_us = 200;
   /// Deterministic crash injection (tests): after this many records have
   /// been admitted across all logs, drop everything later and flip
-  /// durability()->crashed() (0 = disabled). Env var
-  /// PARTDB_DURABILITY_CRASH_AFTER_N_COMMITS overrides when set.
+  /// durability()->crashed() (0 = disabled).
   uint64_t durability_crash_after_n_commits = 0;
   /// Replay worker threads used by recovery (0 = one per partition).
   int recovery_workers = 0;

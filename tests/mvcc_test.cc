@@ -1,11 +1,12 @@
-// Direct unit tests of the MVCC scheme: read-only transactions never wait
-// behind a stalled multi-partition transaction, snapshot reads observe the
-// committed prefix consistently while writers are in flight, conflicting
-// writers queue until the decision, and the version chain is garbage
-// collected eagerly (bounded by one transaction's write count).
+// Direct unit tests of the mvcc scheme (the queue executor's snapshot
+// policy): read-only transactions never wait behind a stalled
+// multi-partition transaction, snapshot reads observe the committed prefix
+// consistently while writers are in flight, conflicting writers queue until
+// the decision, disjoint writers overtake them, and no version outlives the
+// 2PC window of the transaction that wrote it.
 #include <memory>
 
-#include "cc/mvcc.h"
+#include "cc/scheme_registry.h"
 #include "fake_partition.h"
 #include "gtest/gtest.h"
 #include "kv/kv_engine.h"
@@ -61,6 +62,10 @@ FragmentRequest MpFrag(TxnId id, PayloadPtr args, bool last = true, int round = 
   return f;
 }
 
+std::unique_ptr<CcScheme> MakeMvcc(FakePartition& part) {
+  return CcSchemeRegistry::Global().Make("mvcc", &part);
+}
+
 uint64_t ValueOf(FakePartition& part, PartitionId pid, int slot) {
   KvValue v;
   EXPECT_TRUE(static_cast<KvEngine&>(part.engine()).store().Get(MicrobenchKey(0, pid, slot), &v));
@@ -69,14 +74,14 @@ uint64_t ValueOf(FakePartition& part, PartitionId pid, int slot) {
 
 TEST(MvccScheme, SpFastPathWhenIdle) {
   FakePartition part(0, MakeEngine(0));
-  MvccCc cc(&part);
-  cc.OnFragment(SpFrag(1, SpArgs(0, 0)));
+  auto cc = MakeMvcc(part);
+  cc->OnFragment(SpFrag(1, SpArgs(0, 0)));
   auto resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_TRUE(resp[0].committed);
   EXPECT_EQ(ValueOf(part, 0, 0), 1u);
-  EXPECT_TRUE(cc.Idle());
-  EXPECT_EQ(cc.commit_ts(), 1u);
+  EXPECT_TRUE(cc->Idle());
+  EXPECT_EQ(part.log.size(), 1u);
   // The fast path involves no version machinery at all.
   EXPECT_EQ(part.metrics().mvcc_snapshot_reads, 0u);
   ASSERT_EQ(part.log.size(), 1u);
@@ -89,13 +94,13 @@ TEST(MvccScheme, SpFastPathWhenIdle) {
 // waiting for the lock (locking).
 TEST(MvccScheme, ReadOnlySpNeverBlocksBehindStalledMp) {
   FakePartition part(0, MakeEngine(0));
-  MvccCc cc(&part);
+  auto cc = MakeMvcc(part);
 
-  cc.OnFragment(MpFrag(100, MpArgs(0, {0})));  // stalled in 2PC: no decision
-  EXPECT_EQ(ValueOf(part, 0, 0), 1u);          // dirty pending version
+  cc->OnFragment(MpFrag(100, MpArgs(0, {0})));  // stalled in 2PC: no decision
+  EXPECT_EQ(ValueOf(part, 0, 0), 1u);           // dirty pending version
   part.ClearSent();
 
-  cc.OnFragment(SpFrag(101, SpArgs(0, 0, /*read_only=*/true)));
+  cc->OnFragment(SpFrag(101, SpArgs(0, 0, /*read_only=*/true)));
   auto resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 1u);  // responded immediately — no waiting
   EXPECT_TRUE(resp[0].committed);
@@ -108,41 +113,41 @@ TEST(MvccScheme, ReadOnlySpNeverBlocksBehindStalledMp) {
 
   // Commit-log order matches the serialization order: the snapshot reader
   // serializes before the still-pending MP.
-  cc.OnDecision(DecisionMessage{100, 0, true});
+  cc->OnDecision(DecisionMessage{100, 0, true});
   ASSERT_EQ(part.log.size(), 2u);
   EXPECT_EQ(part.log[0].txn_id, 101u);
   EXPECT_EQ(part.log[1].txn_id, 100u);
-  EXPECT_TRUE(cc.Idle());
+  EXPECT_TRUE(cc->Idle());
 }
 
 TEST(MvccScheme, NonOverlappingWriterRunsDirectlyDuringMpStall) {
   FakePartition part(0, MakeEngine(0));
-  MvccCc cc(&part);
-  cc.OnFragment(MpFrag(100, MpArgs(0, {0})));
+  auto cc = MakeMvcc(part);
+  cc->OnFragment(MpFrag(100, MpArgs(0, {0})));
   part.ClearSent();
 
-  cc.OnFragment(SpFrag(101, SpArgs(0, 1)));  // disjoint key: fast path
+  cc->OnFragment(SpFrag(101, SpArgs(0, 1)));  // disjoint key: fast path
   auto resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_TRUE(resp[0].committed);
   EXPECT_EQ(ValueOf(part, 0, 1), 1u);
   EXPECT_EQ(part.metrics().mvcc_snapshot_reads, 0u);  // pending versions invisible
-  cc.OnDecision(DecisionMessage{100, 0, true});
-  EXPECT_TRUE(cc.Idle());
+  cc->OnDecision(DecisionMessage{100, 0, true});
+  EXPECT_TRUE(cc->Idle());
 }
 
 TEST(MvccScheme, ConflictingWriterWaitsForDecision) {
   FakePartition part(0, MakeEngine(0));
-  MvccCc cc(&part);
-  cc.OnFragment(MpFrag(100, MpArgs(0, {0})));
+  auto cc = MakeMvcc(part);
+  cc->OnFragment(MpFrag(100, MpArgs(0, {0})));
   part.ClearSent();
 
-  cc.OnFragment(SpFrag(101, SpArgs(0, 0)));  // write into the MP's access set
+  cc->OnFragment(SpFrag(101, SpArgs(0, 0)));  // write into the MP's access set
   EXPECT_TRUE(part.Bodies<ClientResponse>().empty());
   EXPECT_EQ(part.metrics().mvcc_conflict_waits, 1u);
   EXPECT_EQ(ValueOf(part, 0, 0), 1u);  // only the MP's pending write
 
-  cc.OnDecision(DecisionMessage{100, 0, true});
+  cc->OnDecision(DecisionMessage{100, 0, true});
   auto resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_TRUE(resp[0].committed);
@@ -152,7 +157,7 @@ TEST(MvccScheme, ConflictingWriterWaitsForDecision) {
   ASSERT_EQ(part.log.size(), 2u);
   EXPECT_EQ(part.log[0].txn_id, 100u);
   EXPECT_EQ(part.log[1].txn_id, 101u);
-  EXPECT_TRUE(cc.Idle());
+  EXPECT_TRUE(cc->Idle());
 }
 
 // A multi-key MP is pending; a read-only transaction spanning all its keys
@@ -160,20 +165,20 @@ TEST(MvccScheme, ConflictingWriterWaitsForDecision) {
 // committed and pending versions.
 TEST(MvccScheme, SnapshotReadIsConsistentAcrossMultiKeyMp) {
   FakePartition part(0, MakeEngine(0));
-  MvccCc cc(&part);
+  auto cc = MakeMvcc(part);
 
   // Seed slot1 with a different committed value so torn reads are visible.
-  cc.OnFragment(SpFrag(1, SpArgs(0, 1)));  // slot1: 0 -> 1
+  cc->OnFragment(SpFrag(1, SpArgs(0, 1)));  // slot1: 0 -> 1
   part.ClearSent();
 
-  cc.OnFragment(MpFrag(100, MpArgs(0, {0, 1})));  // pending: slot0->1, slot1->2
+  cc->OnFragment(MpFrag(100, MpArgs(0, {0, 1})));  // pending: slot0->1, slot1->2
   part.ClearSent();
 
   auto ro = std::make_shared<KvArgs>();
   ro->keys.resize(1);
   ro->keys[0] = {MicrobenchKey(0, 0, 0), MicrobenchKey(0, 0, 1)};
   ro->read_only = true;
-  cc.OnFragment(SpFrag(101, ro));
+  cc->OnFragment(SpFrag(101, ro));
   auto resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 1u);
   const auto& values = PayloadCast<KvResult>(*resp[0].result).values;
@@ -185,24 +190,24 @@ TEST(MvccScheme, SnapshotReadIsConsistentAcrossMultiKeyMp) {
   EXPECT_EQ(ValueOf(part, 0, 1), 2u);
 
   part.ClearSent();
-  cc.OnDecision(DecisionMessage{100, 0, true});
+  cc->OnDecision(DecisionMessage{100, 0, true});
   // After the commit a fresh reader sees the MP's writes.
-  cc.OnFragment(SpFrag(102, ro));
+  cc->OnFragment(SpFrag(102, ro));
   resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_EQ(PayloadCast<KvResult>(*resp[0].result).values[0], 1u);
   EXPECT_EQ(PayloadCast<KvResult>(*resp[0].result).values[1], 2u);
-  EXPECT_TRUE(cc.Idle());
+  EXPECT_TRUE(cc->Idle());
 }
 
 TEST(MvccScheme, AbortRollsBackVersionsAndServesWaiters) {
   FakePartition part(0, MakeEngine(0));
-  MvccCc cc(&part);
-  cc.OnFragment(MpFrag(100, MpArgs(0, {0})));
-  cc.OnFragment(SpFrag(101, SpArgs(0, 0)));  // queued writer
+  auto cc = MakeMvcc(part);
+  cc->OnFragment(MpFrag(100, MpArgs(0, {0})));
+  cc->OnFragment(SpFrag(101, SpArgs(0, 0)));  // queued writer
   part.ClearSent();
 
-  cc.OnDecision(DecisionMessage{100, 0, false});
+  cc->OnDecision(DecisionMessage{100, 0, false});
   // Pending versions unlinked; the waiter then ran on the clean state.
   auto resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 1u);
@@ -210,47 +215,86 @@ TEST(MvccScheme, AbortRollsBackVersionsAndServesWaiters) {
   EXPECT_EQ(ValueOf(part, 0, 0), 1u);  // only the SP's increment
   ASSERT_EQ(part.log.size(), 1u);      // the aborted MP is not in the log
   EXPECT_EQ(part.log[0].txn_id, 101u);
-  EXPECT_EQ(cc.retained_version_records(), 0u);
-  EXPECT_TRUE(cc.Idle());
+  EXPECT_TRUE(cc->Idle());
 }
 
 TEST(MvccScheme, QueuedMpsRunInFifoOrder) {
   FakePartition part(0, MakeEngine(0));
-  MvccCc cc(&part);
-  cc.OnFragment(MpFrag(100, MpArgs(0, {0})));
+  auto cc = MakeMvcc(part);
+  cc->OnFragment(MpFrag(100, MpArgs(0, {0})));
   part.ClearSent();
-  cc.OnFragment(MpFrag(102, MpArgs(0, {0})));  // queues behind the pending MP
-  EXPECT_TRUE(part.sent.empty());              // no vote until it runs
+  cc->OnFragment(MpFrag(102, MpArgs(0, {0})));  // queues behind the pending MP
+  EXPECT_TRUE(part.sent.empty());               // no vote until it runs
   EXPECT_EQ(ValueOf(part, 0, 0), 1u);
 
-  cc.OnDecision(DecisionMessage{100, 0, true});
+  cc->OnDecision(DecisionMessage{100, 0, true});
   auto votes = part.Bodies<FragmentResponse>();
   ASSERT_EQ(votes.size(), 1u);  // 102 started after 100's decision
   EXPECT_EQ(votes[0].txn_id, 102u);
   EXPECT_EQ(votes[0].vote, Vote::kCommit);
   EXPECT_EQ(ValueOf(part, 0, 0), 2u);
 
-  cc.OnDecision(DecisionMessage{102, 0, true});
-  EXPECT_TRUE(cc.Idle());
+  cc->OnDecision(DecisionMessage{102, 0, true});
+  EXPECT_TRUE(cc->Idle());
   ASSERT_EQ(part.log.size(), 2u);
   EXPECT_EQ(part.log[0].txn_id, 100u);
   EXPECT_EQ(part.log[1].txn_id, 102u);
 }
 
+// An SP disjoint from the stalled MP's accesses runs at once even when a
+// conflicting writer and another MP are already queued: it serializes before
+// all three, and the queue drains in order at the decision.
+TEST(MvccScheme, NonConflictingSpOvertakesQueuedWaiters) {
+  FakePartition part(0, MakeEngine(0));
+  auto cc = MakeMvcc(part);
+  cc->OnFragment(MpFrag(100, MpArgs(0, {0})));
+  cc->OnFragment(SpFrag(101, SpArgs(0, 0)));    // writes into the MP's accesses
+  cc->OnFragment(MpFrag(102, MpArgs(0, {0})));  // queues behind the pending MP
+  part.ClearSent();
+
+  cc->OnFragment(SpFrag(103, SpArgs(0, 1)));  // disjoint key
+  auto resp = part.Bodies<ClientResponse>();
+  ASSERT_EQ(resp.size(), 1u);  // replied at once
+  EXPECT_EQ(resp[0].txn_id, 103u);
+  EXPECT_TRUE(resp[0].committed);
+  EXPECT_EQ(ValueOf(part, 0, 1), 1u);
+  ASSERT_EQ(part.log.size(), 1u);
+  EXPECT_EQ(part.log[0].txn_id, 103u);
+  EXPECT_EQ(part.metrics().mvcc_conflict_waits, 1u);  // only 101 waited
+  part.ClearSent();
+
+  cc->OnDecision(DecisionMessage{100, 0, true});
+  resp = part.Bodies<ClientResponse>();
+  ASSERT_EQ(resp.size(), 1u);
+  EXPECT_EQ(resp[0].txn_id, 101u);
+  auto votes = part.Bodies<FragmentResponse>();
+  ASSERT_EQ(votes.size(), 1u);
+  EXPECT_EQ(votes[0].txn_id, 102u);
+
+  cc->OnDecision(DecisionMessage{102, 0, true});
+  EXPECT_TRUE(cc->Idle());
+  ASSERT_EQ(part.log.size(), 4u);
+  EXPECT_EQ(part.log[0].txn_id, 103u);
+  EXPECT_EQ(part.log[1].txn_id, 100u);
+  EXPECT_EQ(part.log[2].txn_id, 101u);
+  EXPECT_EQ(part.log[3].txn_id, 102u);
+  EXPECT_EQ(ValueOf(part, 0, 0), 3u);
+}
+
 TEST(MvccScheme, MultiRoundMpServesSnapshotReadsBetweenRounds) {
   FakePartition part(0, MakeEngine(0));
-  MvccCc cc(&part);
+  auto cc = MakeMvcc(part);
 
   auto args = std::make_shared<KvArgs>();
   args->keys.resize(1);
   args->keys[0].push_back(MicrobenchKey(0, 0, 0));
   args->rounds = 2;
-  cc.OnFragment(MpFrag(100, args, /*last=*/false, /*round=*/0));
+  cc->OnFragment(MpFrag(100, args, /*last=*/false, /*round=*/0));
   part.ClearSent();
 
   // Between rounds the MP has declared (exclusive) access to slot0 but not
   // written yet; a read-only transaction still commits immediately.
-  cc.OnFragment(SpFrag(101, SpArgs(0, 0, /*read_only=*/true)));
+  cc->OnFragment(SpFrag(101, SpArgs(0, 0, /*read_only=*/true)));
   auto resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_EQ(PayloadCast<KvResult>(*resp[0].result).values[0], 0u);
@@ -261,71 +305,75 @@ TEST(MvccScheme, MultiRoundMpServesSnapshotReadsBetweenRounds) {
   input->values.push_back({0});
   FragmentRequest r1 = MpFrag(100, args, /*last=*/true, /*round=*/1);
   r1.round_input = input;
-  cc.OnFragment(std::move(r1));
+  cc->OnFragment(std::move(r1));
   EXPECT_EQ(ValueOf(part, 0, 0), 1u);
 
-  cc.OnDecision(DecisionMessage{100, 0, true});
-  EXPECT_TRUE(cc.Idle());
+  cc->OnDecision(DecisionMessage{100, 0, true});
+  EXPECT_TRUE(cc->Idle());
   ASSERT_EQ(part.log.size(), 2u);
   EXPECT_EQ(part.log[0].txn_id, 101u);
   EXPECT_EQ(part.log[1].txn_id, 100u);
   ASSERT_EQ(part.log[1].round_inputs.size(), 2u);  // both rounds recorded
 }
 
-// GC invariant: retained version records equal the pending transaction's
-// write count while it is in flight and drop to zero at every decision —
-// across a long window of transactions, memory never accumulates.
+// GC invariant: no version outlives the 2PC window of the transaction that
+// wrote it. Every window's snapshot read must return exactly the MPs
+// committed before it: a retained older version would surface under the
+// lift, and a chain that grew across windows would not reinstall cleanly.
 TEST(MvccScheme, VersionChainGcBoundsMemoryAcrossLongWindow) {
   FakePartition part(0, MakeEngine(0));
-  MvccCc cc(&part);
-  EXPECT_EQ(cc.retained_version_records(), 0u);
+  auto cc = MakeMvcc(part);
 
+  uint64_t committed_mps = 0;
   for (int i = 0; i < 200; ++i) {
     const TxnId id = 100 + static_cast<TxnId>(i);
-    cc.OnFragment(MpFrag(id, MpArgs(0, {0, 1, 2})));
-    // Bounded by this one transaction's writes; nothing from earlier ones.
-    EXPECT_EQ(cc.retained_version_records(), 3u);
-    // A snapshot read in every window must not grow or shrink the chain.
-    cc.OnFragment(SpFrag(10000 + static_cast<TxnId>(i), SpArgs(0, 0, /*read_only=*/true)));
-    EXPECT_EQ(cc.retained_version_records(), 3u);
+    cc->OnFragment(MpFrag(id, MpArgs(0, {0, 1, 2})));
+    EXPECT_EQ(ValueOf(part, 0, 0), committed_mps + 1);  // this window's pending write
+    part.ClearSent();
+    cc->OnFragment(SpFrag(10000 + static_cast<TxnId>(i), SpArgs(0, 0, /*read_only=*/true)));
+    auto resp = part.Bodies<ClientResponse>();
+    ASSERT_EQ(resp.size(), 1u);
+    EXPECT_EQ(PayloadCast<KvResult>(*resp[0].result).values[0], committed_mps) << "window " << i;
     // Alternate commit/abort: both ends of a window release the chain.
-    cc.OnDecision(DecisionMessage{id, 0, i % 2 == 0});
-    EXPECT_EQ(cc.retained_version_records(), 0u);
+    const bool commit = i % 2 == 0;
+    cc->OnDecision(DecisionMessage{id, 0, commit});
+    if (commit) ++committed_mps;
+    EXPECT_EQ(ValueOf(part, 0, 0), committed_mps);
   }
-  EXPECT_TRUE(cc.Idle());
+  EXPECT_TRUE(cc->Idle());
   EXPECT_EQ(part.metrics().mvcc_snapshot_reads, 200u);
 }
 
 TEST(MvccScheme, CommitTimestampAdvancesPerCommit) {
   FakePartition part(0, MakeEngine(0));
-  MvccCc cc(&part);
-  cc.OnFragment(SpFrag(1, SpArgs(0, 0)));
-  EXPECT_EQ(cc.commit_ts(), 1u);
-  cc.OnFragment(MpFrag(100, MpArgs(0, {1})));
-  EXPECT_EQ(cc.commit_ts(), 1u);  // pending, not committed
-  cc.OnFragment(SpFrag(2, SpArgs(0, 1, /*read_only=*/true)));  // snapshot read
-  EXPECT_EQ(cc.commit_ts(), 2u);
-  cc.OnDecision(DecisionMessage{100, 0, true});
-  EXPECT_EQ(cc.commit_ts(), 3u);
-  cc.OnFragment(MpFrag(101, MpArgs(0, {1})));
-  cc.OnDecision(DecisionMessage{101, 0, false});  // aborts do not advance it
-  EXPECT_EQ(cc.commit_ts(), 3u);
+  auto cc = MakeMvcc(part);
+  cc->OnFragment(SpFrag(1, SpArgs(0, 0)));
+  EXPECT_EQ(part.log.size(), 1u);
+  cc->OnFragment(MpFrag(100, MpArgs(0, {1})));
+  EXPECT_EQ(part.log.size(), 1u);  // pending, not committed
+  cc->OnFragment(SpFrag(2, SpArgs(0, 1, /*read_only=*/true)));  // snapshot read
+  EXPECT_EQ(part.log.size(), 2u);
+  cc->OnDecision(DecisionMessage{100, 0, true});
+  EXPECT_EQ(part.log.size(), 3u);
+  cc->OnFragment(MpFrag(101, MpArgs(0, {1})));
+  cc->OnDecision(DecisionMessage{101, 0, false});  // aborts do not advance it
+  EXPECT_EQ(part.log.size(), 3u);
 }
 
 TEST(MvccScheme, SelfAbortingSpRollsBackOnFastPath) {
   FakePartition part(0, MakeEngine(0));
-  MvccCc cc(&part);
+  auto cc = MakeMvcc(part);
   auto args = std::make_shared<KvArgs>();
   args->keys.resize(1);
   args->keys[0].push_back(MicrobenchKey(0, 0, 0));
   args->abort_txn = true;
-  cc.OnFragment(SpFrag(1, args, /*can_abort=*/true));
+  cc->OnFragment(SpFrag(1, args, /*can_abort=*/true));
   auto resp = part.Bodies<ClientResponse>();
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_FALSE(resp[0].committed);
   EXPECT_EQ(ValueOf(part, 0, 0), 0u);
   EXPECT_TRUE(part.log.empty());
-  EXPECT_EQ(cc.commit_ts(), 0u);
+  EXPECT_EQ(part.log.size(), 0u);
 }
 
 }  // namespace

@@ -36,17 +36,14 @@ TEST(SchemeRegistry, FindReturnsCapabilities) {
   const auto* locking = r.Find("locking");
   ASSERT_NE(locking, nullptr);
   EXPECT_TRUE(locking->caps.client_coordinated_2pc);
-  EXPECT_FALSE(locking->caps.snapshot_reads);
 
   const auto* mvcc = r.Find("mvcc");
   ASSERT_NE(mvcc, nullptr);
   EXPECT_FALSE(mvcc->caps.client_coordinated_2pc);
-  EXPECT_TRUE(mvcc->caps.snapshot_reads);
 
   const auto* blocking = r.Find("blocking");
   ASSERT_NE(blocking, nullptr);
   EXPECT_FALSE(blocking->caps.client_coordinated_2pc);
-  EXPECT_FALSE(blocking->caps.snapshot_reads);
 }
 
 TEST(SchemeRegistry, FindUnknownReturnsNull) {
@@ -84,14 +81,14 @@ TEST(SchemeRegistry, CustomSchemeRegistersAndConstructs) {
   CcSchemeRegistry local;
   RegisterBuiltinSchemes(local);
   CcSchemeCapabilities caps;
-  caps.snapshot_reads = true;
+  caps.client_coordinated_2pc = true;
   local.Register("custom", caps, [](PartitionExec* part, const SchemeOptions& options) {
-    return CcSchemeRegistry::Global().Make("mvcc", part, options);
+    return CcSchemeRegistry::Global().Make("locking", part, options);
   });
 
   const auto* e = local.Find("custom");
   ASSERT_NE(e, nullptr);
-  EXPECT_TRUE(e->caps.snapshot_reads);
+  EXPECT_TRUE(e->caps.client_coordinated_2pc);
   EXPECT_EQ(local.Names().back(), "custom");
 
   FakePartition part(0, MakeEngine(0));
