@@ -27,7 +27,6 @@ FragmentResponse VoteMp(PartitionExec* part, const FragmentRequest& f, const Exe
   resp.txn_id = f.txn_id;
   resp.attempt = f.attempt;
   resp.round = f.round;
-  resp.last_round = f.last_round;
   resp.partition = part->partition_id();
   resp.epoch = epoch;
   resp.depends_on = depends_on;

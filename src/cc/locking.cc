@@ -110,7 +110,6 @@ void LockingCc::KillTxn(LTxn* victim, bool timeout) {
     resp.txn_id = victim->rec.txn_id;
     resp.attempt = victim->attempt;
     resp.round = victim->pending_frag.round;
-    resp.last_round = victim->pending_frag.last_round;
     resp.partition = part_->partition_id();
     resp.vote = Vote::kAbort;
     resp.system_abort = true;

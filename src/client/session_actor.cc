@@ -110,8 +110,8 @@ void SessionActor::OnMessage(Message& msg, ActorContext& ctx) {
     }
     // Retry backoff expired.
     auto it = txns_.find(t->txn_id);
-    if (it != txns_.end() && it->second.attempt == t->generation) {
-      SendCurrent(it->first, it->second, ctx);
+    if (it != txns_.end() && it->second.mp.attempt() == t->generation) {
+      SendCurrent(it->second, ctx);
     }
     return;
   }
@@ -119,7 +119,7 @@ void SessionActor::OnMessage(Message& msg, ActorContext& ctx) {
     auto it = txns_.find(r->txn_id);
     if (it == txns_.end()) return;  // stale
     Complete(r->txn_id, r->committed, r->result,
-             std::max(it->second.attempt, r->attempt) + 1, ctx);
+             std::max(it->second.mp.attempt(), r->attempt) + 1, ctx);
     return;
   }
   if (auto* r = std::get_if<FragmentResponse>(&msg.body)) {
@@ -129,8 +129,9 @@ void SessionActor::OnMessage(Message& msg, ActorContext& ctx) {
   }
   if (auto* d = std::get_if<DurableNotice>(&msg.body)) {
     auto it = txns_.find(d->txn_id);
-    PARTDB_CHECK(it != txns_.end() && it->second.notices_due > 0);
-    if (--it->second.notices_due == 0) CompleteLockingCommit(d->txn_id, it->second, ctx);
+    PARTDB_CHECK(it != txns_.end());
+    MpRound& mp = it->second.mp;
+    if (mp.OnNotice()) Complete(d->txn_id, true, mp.Result(), mp.attempt() + 1, ctx);
     return;
   }
   PARTDB_CHECK(false);
@@ -171,157 +172,77 @@ void SessionActor::StartTxn(TxnId id, PendingSubmit p, ActorContext& ctx) {
     it = ins.first;
   }
   Txn& t = it->second;
-  t.proc = p.proc;
-  t.args = std::move(p.args);
-  t.route = p.routed ? std::move(p.route) : router_(p.proc, *t.args);
-  PARTDB_CHECK(!t.route.participants.empty());
-  PARTDB_CHECK(t.route.rounds >= 1);
-  for (PartitionId part : t.route.participants) {
+  TxnRouting route = p.routed ? std::move(p.route) : router_(p.proc, *p.args);
+  PARTDB_CHECK(!route.participants.empty());
+  PARTDB_CHECK(route.rounds >= 1);
+  for (PartitionId part : route.participants) {
     PARTDB_CHECK(part >= 0 && static_cast<size_t>(part) < topology_.partition_primary.size());
   }
+  t.mp.Start({.txn_id = id, .proc = p.proc, .args = std::move(p.args),
+              .participants = std::move(route.participants), .num_rounds = route.rounds,
+              .can_abort = route.can_abort});
   t.cb = std::move(p.cb);
   t.issue_time = p.submit_time;
-  SendCurrent(it->first, t, ctx);
+  SendCurrent(t, ctx);
 }
 
-void SessionActor::SendCurrent(TxnId id, Txn& t, ActorContext& ctx) {
-  if (t.route.single_partition()) {
-    FragmentRequest f;
-    f.txn_id = id;
-    f.attempt = t.attempt;
-    f.round = 0;
-    f.last_round = true;
-    f.multi_partition = false;
-    f.can_abort = t.route.can_abort;
-    f.coordinator = node_id();
-    f.proc = t.proc;
-    f.args = t.args;
-    ctx.Send(topology_.partition_primary[t.route.participants[0]], std::move(f));
+void SessionActor::SendCurrent(const Txn& t, ActorContext& ctx) {
+  const ClientRequest& r = t.mp.request();
+  if (!t.mp.single_partition() && !caps_.client_coordinated_2pc) {
+    ctx.Send(topology_.coordinator, r);
     return;
   }
-  if (!caps_.client_coordinated_2pc) {
-    ClientRequest r;
-    r.txn_id = id;
-    r.attempt = t.attempt;
-    r.proc = t.proc;
-    r.args = t.args;
-    r.participants = t.route.participants;
-    r.num_rounds = t.route.rounds;
-    r.can_abort = t.route.can_abort;
-    ctx.Send(topology_.coordinator, std::move(r));
-    return;
-  }
-  // Locking: the session is the 2PC coordinator (paper §4.3).
-  t.round = 0;
-  SendLockingRound(id, t, nullptr, ctx);
-}
-
-void SessionActor::SendLockingRound(TxnId id, Txn& t, PayloadPtr round_input,
-                                    ActorContext& ctx) {
-  t.got.assign(t.route.participants.size(), false);
-  t.resp.assign(t.route.participants.size(), FragmentResponse{});
-  const bool last = t.round == t.route.rounds - 1;
-  for (PartitionId p : t.route.participants) {
-    FragmentRequest f;
-    f.txn_id = id;
-    f.attempt = t.attempt;
-    f.round = t.round;
-    f.last_round = last;
-    f.multi_partition = true;
-    f.can_abort = t.route.can_abort;
-    f.coordinator = node_id();
-    f.proc = t.proc;
-    f.args = t.args;
-    f.round_input = round_input;
-    ctx.Send(topology_.partition_primary[p], std::move(f));
+  // Under locking the session is the 2PC coordinator (paper §4.3).
+  for (PartitionId p : r.participants) {
+    ctx.Send(topology_.partition_primary[p], t.mp.Fragment(node_id()));
   }
 }
 
 void SessionActor::OnFragmentResponse(FragmentResponse& r, ActorContext& ctx) {
   auto it = txns_.find(r.txn_id);
   if (it == txns_.end()) return;  // stale
+  const TxnId id = it->first;
   Txn& t = it->second;
-  if (r.attempt != t.attempt || r.round != t.round) return;  // stale round
-  auto pi = std::find(t.route.participants.begin(), t.route.participants.end(), r.partition);
-  PARTDB_CHECK(pi != t.route.participants.end());
-  const size_t idx = static_cast<size_t>(pi - t.route.participants.begin());
-  if (t.got[idx]) return;
-  t.got[idx] = true;
-  t.resp[idx] = r;
-  for (bool g : t.got) {
-    if (!g) return;
-  }
-  // Round complete.
-  bool user_abort = false;
-  bool system_abort = false;
-  for (const auto& fr : t.resp) {
-    if (fr.vote == Vote::kAbort) {
-      if (fr.system_abort) {
-        system_abort = true;
-      } else {
-        user_abort = true;
-      }
-    }
-  }
-  if (system_abort) {
-    FinishLockingTxn(r.txn_id, t, false, /*retry=*/true, ctx);
+  // Stale: from an earlier attempt or round. Locking partitions carry no
+  // cascade epoch, so the retry attempt is this filter's generation.
+  if (r.attempt != t.mp.attempt() || r.round != t.mp.round()) return;
+  if (!t.mp.Collect(std::move(r))) return;
+  if (t.mp.aborted()) {
+    const auto& resp = t.mp.responses();
+    const bool system_abort = std::any_of(resp.begin(), resp.end(),
+                                          [](const FragmentResponse& f) { return f.system_abort; });
+    FinishLockingTxn(id, t, false, /*retry=*/system_abort, ctx);
     return;
   }
-  if (user_abort) {
-    FinishLockingTxn(r.txn_id, t, false, /*retry=*/false, ctx);
+  if (!t.mp.last_round()) {
+    t.mp.NextRound(*continuations_);
+    SendCurrent(t, ctx);
     return;
   }
-  if (t.round < t.route.rounds - 1) {
-    std::vector<std::pair<PartitionId, PayloadPtr>> prev;
-    for (size_t i = 0; i < t.route.participants.size(); ++i) {
-      prev.emplace_back(t.route.participants[i], t.resp[i].result);
-    }
-    PayloadPtr input = continuations_ == nullptr
-                           ? nullptr
-                           : continuations_->NextRoundInput(t.proc, *t.args, t.round + 1, prev);
-    t.round++;
-    SendLockingRound(r.txn_id, t, std::move(input), ctx);
-    return;
-  }
-  FinishLockingTxn(r.txn_id, t, true, false, ctx);
+  FinishLockingTxn(id, t, true, false, ctx);
 }
 
 void SessionActor::FinishLockingTxn(TxnId id, Txn& t, bool commit, bool retry,
                                     ActorContext& ctx) {
-  for (PartitionId p : t.route.participants) {
-    ctx.Send(topology_.partition_primary[p], DecisionMessage{id, t.attempt, commit});
+  for (PartitionId p : t.mp.request().participants) {
+    ctx.Send(topology_.partition_primary[p], DecisionMessage{id, t.mp.attempt(), commit});
   }
   if (retry) {
     if (metrics_->recording) metrics_->txn_retries++;
-    t.attempt++;
+    t.mp.Retry();
     // Jittered backoff so the same transactions do not re-deadlock in
     // lockstep (the paper resolves distributed deadlock by timeout; retry
     // policy is the client library's).
     const Duration backoff = static_cast<Duration>(rng_.Uniform(Micros(500)));
-    ctx.SetTimer(backoff, TimerFire{id, t.attempt});
+    ctx.SetTimer(backoff, TimerFire{id, t.mp.attempt()});
     return;
   }
-  if (!commit) {
-    Complete(id, false, nullptr, t.attempt + 1, ctx);
-    return;
-  }
-  if (topology_.durable_notices) {
+  if (commit && topology_.durable_notices) {
     // Group commit: the reply waits until every participant has logged it.
-    t.notices_due = static_cast<uint32_t>(t.route.participants.size());
+    t.mp.AwaitNotices();
     return;
   }
-  CompleteLockingCommit(id, t, ctx);
-}
-
-void SessionActor::CompleteLockingCommit(TxnId id, Txn& t, ActorContext& ctx) {
-  PayloadPtr result;
-  for (const auto& fr : t.resp) {
-    if (fr.result != nullptr) {
-      result = fr.result;
-      break;
-    }
-  }
-  Complete(id, true, std::move(result), t.attempt + 1, ctx);
+  Complete(id, commit, commit ? t.mp.Result() : nullptr, t.mp.attempt() + 1, ctx);
 }
 
 void SessionActor::Complete(TxnId id, bool committed, PayloadPtr result, uint32_t attempts,
@@ -331,7 +252,8 @@ void SessionActor::Complete(TxnId id, bool committed, PayloadPtr result, uint32_
   auto nh = txns_.extract(it);
   Txn& t = nh.mapped();
 
-  const bool sp = t.route.single_partition();
+  const bool sp = t.mp.single_partition();
+  const ProcId proc = t.mp.request().proc;
   const Duration lat = ctx.now() - t.issue_time;
   if (metrics_->recording) {
     if (committed) {
@@ -349,8 +271,8 @@ void SessionActor::Complete(TxnId id, bool committed, PayloadPtr result, uint32_
     } else {
       metrics_->mp_latency.Add(lat);
     }
-    if (proc_metrics_ != nullptr && t.proc != kInvalidProc) {
-      proc_metrics_->RecordProcOutcome(t.proc, committed, lat);
+    if (proc_metrics_ != nullptr && proc != kInvalidProc) {
+      proc_metrics_->RecordProcOutcome(proc, committed, lat);
     }
   }
 
@@ -371,18 +293,12 @@ void SessionActor::Complete(TxnId id, bool committed, PayloadPtr result, uint32_
 
   // Recycle the detached map node before the callback runs, so a closed
   // loop's resubmit-from-callback picks it straight back up. Payloads and
-  // the callback's captures are released now; got/resp keep their capacity
-  // for the node's next life.
+  // the callback's captures are released now; the round's buffers keep
+  // their capacity for the node's next life.
   TxnCallback cb = std::move(t.cb);
   t.cb = nullptr;
-  t.args = nullptr;
-  t.route = TxnRouting{};
-  t.proc = kInvalidProc;
+  t.mp.Release();
   t.issue_time = 0;
-  t.attempt = 0;
-  t.round = 0;
-  t.got.clear();
-  t.resp.clear();
   if (txn_stash_.size() < kTxnStashMax) txn_stash_.push_back(std::move(nh));
 
   // The callback runs before outstanding_ drops: a Drain that returns must

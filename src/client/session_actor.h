@@ -4,8 +4,8 @@
 // single-partition invocations go straight to the owning partition,
 // multi-partition ones go through the central coordinator under
 // blocking/speculation, and under locking the actor itself runs the 2PC
-// rounds and retries deadlock victims with jittered backoff. This is the only
-// client-side 2PC implementation; both ingress styles build on it:
+// rounds (an MpRound, shared with the central coordinator) and retries
+// deadlock victims with jittered backoff. Both ingress styles build on it:
 //
 //  - open loop: the db layer's Session handle (any number of transactions in
 //    flight, Submit from any thread),
@@ -35,6 +35,7 @@
 #include "client/proc_metrics.h"
 #include "client/routing.h"
 #include "common/rng.h"
+#include "coord/mp_round.h"
 #include "coord/txn_continuations.h"
 #include "engine/cost_model.h"
 #include "runtime/actor.h"
@@ -156,28 +157,17 @@ class SessionActor : public Actor {
   };
 
   struct Txn {
-    ProcId proc = kInvalidProc;
-    PayloadPtr args;
-    TxnRouting route;
+    MpRound mp;  // the request; under locking also its 2PC rounds
     TxnCallback cb;
     Time issue_time = 0;
-    uint32_t attempt = 0;
-    // Locking-mode 2PC round state.
-    int round = 0;
-    std::vector<bool> got;
-    std::vector<FragmentResponse> resp;
-    // DurableNotices still due after a commit decision (topology_.durable_notices).
-    uint32_t notices_due = 0;
   };
 
   SubmitResult Enqueue(PendingSubmit p);
   void DrainSubmissions(ActorContext& ctx);
   void StartTxn(TxnId id, PendingSubmit p, ActorContext& ctx);
-  void SendCurrent(TxnId id, Txn& t, ActorContext& ctx);
-  void SendLockingRound(TxnId id, Txn& t, PayloadPtr round_input, ActorContext& ctx);
+  void SendCurrent(const Txn& t, ActorContext& ctx);
   void OnFragmentResponse(FragmentResponse& r, ActorContext& ctx);
   void FinishLockingTxn(TxnId id, Txn& t, bool commit, bool retry, ActorContext& ctx);
-  void CompleteLockingCommit(TxnId id, Txn& t, ActorContext& ctx);
   void Complete(TxnId id, bool committed, PayloadPtr result, uint32_t attempts,
                 ActorContext& ctx);
 

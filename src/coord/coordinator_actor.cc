@@ -1,7 +1,5 @@
 #include "coord/coordinator_actor.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace partdb {
@@ -19,12 +17,11 @@ void CoordinatorActor::OnMessage(Message& msg, ActorContext& ctx) {
   }
   if (auto* d = std::get_if<DurableNotice>(&msg.body)) {
     ctx.Charge(cost_.coord_msg);
-    auto it = held_replies_.find(d->txn_id);
-    PARTDB_CHECK(it != held_replies_.end());
-    if (--it->second.notices_due == 0) {
-      ctx.Charge(cost_.coord_send);
-      ctx.Send(it->second.client, std::move(it->second.reply));
-      held_replies_.erase(it);
+    auto it = held_.find(d->txn_id);
+    PARTDB_CHECK(it != held_.end());
+    if (it->second->mp.OnNotice()) {
+      Reply(*it->second, true, ctx);
+      held_.erase(it);
     }
     return;
   }
@@ -33,38 +30,19 @@ void CoordinatorActor::OnMessage(Message& msg, ActorContext& ctx) {
 
 void CoordinatorActor::OnRequest(ClientRequest& r, NodeId src, ActorContext& ctx) {
   PARTDB_CHECK(r.participants.size() >= 1);
+  const TxnId id = r.txn_id;
   auto t = std::make_unique<MpTxn>();
-  t->id = r.txn_id;
-  t->seq = next_seq_++;
   t->client = src;
-  t->proc = r.proc;
-  t->args = r.args;
-  t->parts = r.participants;
-  t->rounds = r.num_rounds;
-  t->can_abort = r.can_abort;
-  t->resp.assign(t->parts.size(), PendingResponse{});
+  t->mp.Start(std::move(r), next_seq_++);
   MpTxn* raw = t.get();
-  PARTDB_CHECK(txns_.emplace(r.txn_id, std::move(t)).second);
-  SendRound(raw, nullptr, ctx);
+  PARTDB_CHECK(txns_.emplace(id, std::move(t)).second);
+  SendRound(*raw, ctx);
 }
 
-void CoordinatorActor::SendRound(MpTxn* t, PayloadPtr round_input, ActorContext& ctx) {
-  const bool last = t->round == t->rounds - 1;
-  for (PartitionId p : t->parts) {
-    FragmentRequest f;
-    f.txn_id = t->id;
-    f.attempt = 0;
-    f.global_seq = t->seq;
-    f.round = t->round;
-    f.last_round = last;
-    f.multi_partition = true;
-    f.can_abort = t->can_abort;
-    f.coordinator = node_id();
-    f.proc = t->proc;
-    f.args = t->args;
-    f.round_input = round_input;
+void CoordinatorActor::SendRound(const MpTxn& t, ActorContext& ctx) {
+  for (PartitionId p : t.mp.request().participants) {
     ctx.Charge(cost_.coord_send);
-    ctx.Send(partition_nodes_[p], std::move(f));
+    ctx.Send(partition_nodes_[p], t.mp.Fragment(node_id()));
   }
 }
 
@@ -74,98 +52,71 @@ void CoordinatorActor::OnResponse(FragmentResponse& r, ActorContext& ctx) {
   MpTxn* t = it->second.get();
   PARTDB_CHECK(r.partition >= 0 &&
                static_cast<size_t>(r.partition) < expected_epoch_.size());
-  if (r.epoch < expected_epoch_[r.partition]) return;  // stale speculation
-  if (r.round != t->round) return;  // response for a superseded round
-
-  auto pi = std::find(t->parts.begin(), t->parts.end(), r.partition);
-  PARTDB_CHECK(pi != t->parts.end());
-  const size_t idx = static_cast<size_t>(pi - t->parts.begin());
-  t->resp[idx].received = true;
-  t->resp[idx].resp = r;
-  TryAdvance(t, ctx);
+  // Stale: executed before an abort this coordinator sent to the partition
+  // (the attempt is no filter here: a cascade re-executes as attempt + 1).
+  if (r.epoch < expected_epoch_[r.partition]) return;
+  if (r.round != t->mp.round()) return;  // response for a superseded round
+  if (t->mp.Collect(std::move(r))) TryAdvance(t, ctx);
 }
 
 void CoordinatorActor::TryAdvance(MpTxn* t, ActorContext& ctx) {
-  for (const auto& pr : t->resp) {
-    if (!pr.received) return;
-  }
+  if (!t->mp.complete()) return;
   // Dependency gate (§4.2.2): every speculative result must have its
   // dependency committed before we can act on this round. A dependency is
   // always a multi-partition transaction this coordinator ordered before
   // `t`, so it is undecided exactly while it is still in txns_.
-  for (const auto& pr : t->resp) {
-    const TxnId dep = pr.resp.depends_on;
+  for (const FragmentResponse& r : t->mp.responses()) {
+    const TxnId dep = r.depends_on;
     if (dep == kInvalidTxn) continue;
     if (txns_.count(dep) != 0) {
       if (!t->parked) {
         t->parked = true;
-        waiters_[dep].push_back(t->id);
+        waiters_[dep].push_back(t->mp.txn_id());
       }
       return;  // wait for the dependency's outcome
     }
     // A decided dependency here has committed. Had it aborted, this response
-    // would carry a pre-abort epoch: InvalidateStale cleared it when the
-    // abort was sent, and OnResponse drops one that arrives later.
+    // would carry a pre-abort epoch: Decide forgot it when the abort was
+    // sent, and OnResponse drops one that arrives later.
   }
   t->parked = false;
 
-  bool abort = false;
-  for (const auto& pr : t->resp) {
-    if (pr.resp.vote == Vote::kAbort) abort = true;
-  }
-  if (abort) {
+  if (t->mp.aborted()) {
     Decide(t, false, ctx);
     return;
   }
-  if (t->round < t->rounds - 1) {
+  if (!t->mp.last_round()) {
     // Application code runs here to compute the next round (paper §3.3).
-    t->last_results.clear();
-    for (size_t i = 0; i < t->parts.size(); ++i) {
-      t->last_results.emplace_back(t->parts[i], t->resp[i].resp.result);
-    }
-    PayloadPtr input =
-        continuations_->NextRoundInput(t->proc, *t->args, t->round + 1, t->last_results);
-    t->round++;
-    t->resp.assign(t->parts.size(), PendingResponse{});
-    SendRound(t, std::move(input), ctx);
+    t->mp.NextRound(*continuations_);
+    SendRound(*t, ctx);
     return;
   }
   Decide(t, true, ctx);
 }
 
 void CoordinatorActor::Decide(MpTxn* t, bool commit, ActorContext& ctx) {
-  for (PartitionId p : t->parts) {
+  const TxnId id = t->mp.txn_id();
+  for (PartitionId p : t->mp.request().participants) {
     ctx.Charge(cost_.coord_send);
-    ctx.Send(partition_nodes_[p], DecisionMessage{t->id, 0, commit});
-    if (!commit) {
-      expected_epoch_[p]++;
-    }
+    ctx.Send(partition_nodes_[p], DecisionMessage{id, 0, commit});
   }
   if (!commit) {
-    for (PartitionId p : t->parts) InvalidateStale(p, ctx);
-  }
-
-  ClientResponse cr;
-  cr.txn_id = t->id;
-  cr.committed = commit;
-  if (commit) {
-    // Return the last round's results to the application.
-    for (const auto& pr : t->resp) {
-      if (pr.resp.result != nullptr) {
-        cr.result = pr.resp.result;
-        break;
-      }
+    // Each participant rolls back and re-executes or resends every later
+    // fragment under a new epoch: every response stored from it is stale.
+    for (PartitionId p : t->mp.request().participants) {
+      expected_epoch_[p]++;
+      for (auto& entry : txns_) entry.second->mp.Forget(p);
     }
   }
-  if (commit && durable_notices_) {
-    held_replies_[t->id] = {static_cast<uint32_t>(t->parts.size()), t->client, std::move(cr)};
-  } else {
-    ctx.Charge(cost_.coord_send);
-    ctx.Send(t->client, cr);
-  }
 
-  const TxnId id = t->id;
-  txns_.erase(id);
+  auto self = txns_.find(id);
+  if (commit && durable_notices_) {
+    t->mp.AwaitNotices();
+    held_.emplace(id, std::move(self->second));
+  } else {
+    Reply(*t, commit, ctx);
+  }
+  txns_.erase(self);
 
   // Wake transactions parked on this outcome.
   auto wit = waiters_.find(id);
@@ -181,16 +132,10 @@ void CoordinatorActor::Decide(MpTxn* t, bool commit, ActorContext& ctx) {
   }
 }
 
-void CoordinatorActor::InvalidateStale(PartitionId p, ActorContext& /*ctx*/) {
-  for (auto& [id, t] : txns_) {
-    auto pi = std::find(t->parts.begin(), t->parts.end(), p);
-    if (pi == t->parts.end()) continue;
-    const size_t idx = static_cast<size_t>(pi - t->parts.begin());
-    PendingResponse& pr = t->resp[idx];
-    if (pr.received && pr.resp.epoch < expected_epoch_[p]) {
-      pr.received = false;  // the partition will re-execute and resend
-    }
-  }
+void CoordinatorActor::Reply(const MpTxn& t, bool commit, ActorContext& ctx) {
+  ctx.Charge(cost_.coord_send);
+  ctx.Send(t.client, ClientResponse{.txn_id = t.mp.txn_id(), .committed = commit,
+                                    .result = commit ? t.mp.Result() : nullptr});
 }
 
 }  // namespace partdb

@@ -1,11 +1,12 @@
 // Central coordinator (paper §3.3): globally orders multi-partition
 // transactions, drives their communication rounds, and runs two-phase commit
-// with the prepare piggybacked on the last fragment. In speculative mode it
+// with the prepare piggybacked on the last fragment, on an MpRound per
+// transaction (shared with the locking session). In speculative mode it
 // additionally tracks dependencies of speculative results (§4.2.2): a
 // transaction commits only once the transactions its results depend on have
 // committed; an abort invalidates dependent results, which the partitions
-// re-execute and resend. Under group commit a commit's client reply waits
-// for one DurableNotice per participant, sent once its decided record is logged.
+// re-execute and resend. Under group commit a decided commit stays held
+// until one DurableNotice per participant says its record is logged.
 #ifndef PARTDB_COORD_COORDINATOR_ACTOR_H_
 #define PARTDB_COORD_COORDINATOR_ACTOR_H_
 
@@ -13,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "coord/mp_round.h"
 #include "coord/txn_continuations.h"
 #include "engine/cost_model.h"
 #include "msg/message.h"
@@ -41,40 +43,20 @@ class CoordinatorActor : public Actor {
   void OnMessage(Message& msg, ActorContext& ctx) override;
 
  private:
-  struct PendingResponse {
-    bool received = false;
-    FragmentResponse resp;
-  };
   struct MpTxn {
-    TxnId id = kInvalidTxn;
-    uint64_t seq = 0;
+    MpRound mp;
     NodeId client = kInvalidNode;
-    ProcId proc = kInvalidProc;
-    PayloadPtr args;
-    std::vector<PartitionId> parts;
-    int rounds = 1;
-    int round = 0;
-    bool can_abort = false;
-    std::vector<PendingResponse> resp;  // parallel to parts, current round
-    std::vector<std::pair<PartitionId, PayloadPtr>> last_results;
     bool parked = false;  // waiting on an undecided dependency
-  };
-  /// A committed transaction's client reply, held for its DurableNotices.
-  struct HeldReply {
-    uint32_t notices_due = 0;
-    NodeId client = kInvalidNode;
-    ClientResponse reply;
   };
 
   void OnRequest(ClientRequest& r, NodeId src, ActorContext& ctx);
   void OnResponse(FragmentResponse& r, ActorContext& ctx);
-  void SendRound(MpTxn* t, PayloadPtr round_input, ActorContext& ctx);
+  void SendRound(const MpTxn& t, ActorContext& ctx);
   /// Advances `t` if its current round is fully collected and dependencies
   /// allow: next round, commit, or abort.
   void TryAdvance(MpTxn* t, ActorContext& ctx);
   void Decide(MpTxn* t, bool commit, ActorContext& ctx);
-  /// Drops stored responses from partition `p` that predate its new epoch.
-  void InvalidateStale(PartitionId p, ActorContext& ctx);
+  void Reply(const MpTxn& t, bool commit, ActorContext& ctx);
 
   CostModel cost_;
   Metrics* metrics_;
@@ -85,7 +67,7 @@ class CoordinatorActor : public Actor {
 
   std::unordered_map<TxnId, std::unique_ptr<MpTxn>> txns_;  // undecided, by id
   std::unordered_map<TxnId, std::vector<TxnId>> waiters_;   // dep -> parked txns
-  std::unordered_map<TxnId, HeldReply> held_replies_;       // committed, not yet logged
+  std::unordered_map<TxnId, std::unique_ptr<MpTxn>> held_;  // committed, not yet logged
   uint64_t next_seq_ = 1;
 };
 

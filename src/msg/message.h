@@ -46,9 +46,8 @@ struct FragmentResponse {
   TxnId txn_id = kInvalidTxn;
   uint32_t attempt = 0;
   int round = 0;
-  bool last_round = true;
   PartitionId partition = -1;
-  Vote vote = Vote::kNone;       // set when last_round (2PC vote)
+  Vote vote = Vote::kNone;       // set on the last round (2PC vote)
   TxnId depends_on = kInvalidTxn;  // speculative result: valid only if that txn commits
   /// Partition-local cascade epoch: bumped each time the partition processes
   /// an abort decision. The coordinator drops responses whose epoch is older
@@ -73,7 +72,6 @@ struct ClientResponse {
   TxnId txn_id = kInvalidTxn;
   uint32_t attempt = 0;
   bool committed = true;  // false = user abort (not retried)
-  bool retry = false;     // system-induced abort (deadlock timeout): client retries
   PayloadPtr result;
 };
 
