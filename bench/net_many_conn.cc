@@ -98,11 +98,11 @@ int main(int argc, char** argv) {
   std::printf("connection sweep: one session per TCP connection, %lld server loop(s)\n",
               static_cast<long long>(*num_loops));
   for (int n = 1; n <= *max_conns; n *= 2) {
-    run_point("c" + std::to_string(n), n, /*sessions_per_conn=*/1);
+    run_point(std::string("c").append(std::to_string(n)), n, /*sessions_per_conn=*/1);
   }
   std::printf("multiplex sweep: all sessions on ONE connection\n");
   for (int n : {4, 16, 64}) {
-    run_point("s" + std::to_string(n), n, /*sessions_per_conn=*/0);
+    run_point(std::string("s").append(std::to_string(n)), n, /*sessions_per_conn=*/0);
   }
 
   if (!json->empty()) {

@@ -1,12 +1,10 @@
 #include "db/database.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <thread>
+#include <future>
+#include <memory>
 
 #include "common/logging.h"
 #include "durability/log_format.h"
@@ -149,86 +147,40 @@ bool Database::Checkpoint() {
   PARTDB_CHECK(durability_ != nullptr);  // requires DbOptions::durability
   PARTDB_CHECK(options_.mode == RunMode::kParallel);
   if (durability_->crashed()) return false;
-  ParallelRuntime* rt = cluster_->parallel_runtime();
-  bool all_ok = true;
+  // One partition at a time. Parking all at once can deadlock: an MP
+  // admitted at one participant keeps it busy while another participant
+  // parks the same MP. With one parked partition, an MP it admitted was sent
+  // by the one coordinator ahead of any MP it parks, over FIFO links, so no
+  // other participant queues it behind a parked one; under locking, where
+  // sessions run 2PC, such a cross wait ends at the lock timeout.
   for (PartitionId p = 0; p < options_.num_partitions; ++p) {
     PartitionActor& pa = cluster_->partition(p);
+    PartitionLog* log = durability_->log(p);
     Engine& e = cluster_->engine(p);
-    uint64_t covered = 0;
-    uint64_t last_covered_segment = 0;
-    std::vector<TxnId> mp;
-    std::string state;
-    bool part_ok = false;
-    // The snapshot must land between transactions. Rendezvous on the owning
-    // worker and bail out when the partition is mid-transaction; retry a few
-    // times before giving up on this checkpoint attempt.
-    for (int attempt = 0; attempt < 50 && !part_ok; ++attempt) {
-      rt->RunOnOwner(cluster_->topology().partition_primary[p], [&] {
-        if (!pa.cc().Idle()) return;
-        PARTDB_CHECK(e.SupportsCheckpoint());
-        state.clear();
-        WireWriter w(&state);
-        e.SerializeState(w);
-        durability_->log(p)->CheckpointRotate(&covered, &mp, &last_covered_segment);
-        part_ok = true;
-      });
-      if (!part_ok) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    if (!part_ok) {
-      all_ok = false;
-      continue;
-    }
     CheckpointImage img;
-    img.partition = p;
-    img.num_partitions = options_.num_partitions;
-    img.covered_seq = covered;
-    img.mp_committed = std::move(mp);
-    img.engine_state = std::move(state);
-    std::string bytes;
-    EncodeCheckpoint(img, &bytes);
-    // covered_seq as the file index keeps checkpoint names monotone; recovery
-    // picks the highest index.
-    const std::string path = PartitionLog::CheckpointPath(options_.log_dir, p, covered);
-    const std::string tmp = path + ".tmp";
-    {
-      const int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-      PARTDB_CHECK(fd >= 0);
-      size_t off = 0;
-      while (off < bytes.size()) {
-        const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-        PARTDB_CHECK(n > 0);
-        off += static_cast<size_t>(n);
-      }
-      PARTDB_CHECK(::fsync(fd) == 0);
-      PARTDB_CHECK(::close(fd) == 0);
-    }
-    PARTDB_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0);
-    PartitionLog::SyncDir(options_.log_dir);
-    // Only now — with the new image durable, directory entry included — may
-    // the covered segments and the older images go. Deleting before the
-    // rename landed would strand a crash with neither the log nor the
-    // checkpoint holding the acknowledged commits.
-    if (!options_.keep_truncated_log_segments) {
-      for (uint64_t i = 0; i <= last_covered_segment; ++i) {
-        ::unlink(PartitionLog::SegmentPath(options_.log_dir, p, i).c_str());
-      }
-      const std::string prefix = "p" + std::to_string(p) + "-";
-      for (const auto& entry : std::filesystem::directory_iterator(options_.log_dir)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind(prefix, 0) != 0 || entry.path().extension() != ".ckpt") continue;
-        if (entry.path().string() != path) std::filesystem::remove(entry.path());
-      }
-    }
+    // Shared with the closure, so the worker may still be inside set_value
+    // when this thread wakes and moves on.
+    auto taken = std::make_shared<std::promise<void>>();
+    std::future<void> done = taken->get_future();
+    cluster_->parallel_runtime()->RunOnOwner(pa.node_id(), [&] {
+      pa.RunAtIdlePoint([&, taken] {
+        PARTDB_CHECK(e.SupportsCheckpoint());
+        WireWriter w(&img.engine_state);
+        e.SerializeState(w);
+        log->CheckpointRotate(&img);
+        taken->set_value();
+      });
+    });
+    done.wait();
+    log->InstallCheckpoint(img, options_.keep_truncated_log_segments);
   }
-  if (all_ok) {
-    // Every partition rotated and has its new image durable: multi-partition
-    // evidence captured two rotates ago is now checkpoint-covered at every
-    // participant and can stop occupying memory and future checkpoints.
-    for (PartitionId p = 0; p < options_.num_partitions; ++p) {
-      durability_->log(p)->DropCoveredMpHistory();
-    }
+  // Every partition rotated and has its new image durable: multi-partition
+  // evidence captured two rotates ago is now checkpoint-covered at every
+  // participant and can stop occupying memory and future checkpoints.
+  for (PartitionId p = 0; p < options_.num_partitions; ++p) {
+    durability_->log(p)->DropCoveredMpHistory();
   }
-  return all_ok;
+  return true;
 }
 
 void Database::AdvanceSim(Duration d) {

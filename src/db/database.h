@@ -87,9 +87,11 @@ class Database : public DbHandle {
 
   /// Takes a transactionally-consistent checkpoint of every partition and
   /// truncates the logs behind it (unless keep_truncated_log_segments).
-  /// Each partition snapshots inside a worker rendezvous at an idle point —
-  /// no global pause. Returns false when a partition stayed busy too long or
-  /// the injected crash already fired; the database keeps running either way.
+  /// Partitions snapshot one at a time, each at its next point between
+  /// transactions (PartitionActor::RunAtIdlePoint): new transactions park
+  /// there until the work already admitted drains — no global pause. One
+  /// call at a time. Returns false only when the injected crash already
+  /// fired.
   bool Checkpoint();
 
   /// Simulated mode: advances the virtual clock by `d` (closed-loop

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <utility>
 
 #include "common/logging.h"
@@ -62,12 +64,12 @@ PartitionLog::~PartitionLog() { Shutdown(); }
 
 std::string PartitionLog::SegmentPath(const std::string& dir, PartitionId p,
                                       uint64_t index) {
-  return dir + "/p" + std::to_string(p) + "-" + std::to_string(index) + ".log";
+  return dir + "/" + LogFileName{p, index, /*checkpoint=*/false}.Format();
 }
 
 std::string PartitionLog::CheckpointPath(const std::string& dir, PartitionId p,
                                          uint64_t index) {
-  return dir + "/p" + std::to_string(p) + "-" + std::to_string(index) + ".ckpt";
+  return dir + "/" + LogFileName{p, index, /*checkpoint=*/true}.Format();
 }
 
 void PartitionLog::SyncDir(const std::string& dir) {
@@ -244,24 +246,55 @@ void PartitionLog::WriterLoop() {
   mu_.Unlock();
 }
 
-void PartitionLog::CheckpointRotate(uint64_t* covered_seq, std::vector<TxnId>* mp_history,
-                                    uint64_t* last_covered_segment) {
+void PartitionLog::CheckpointRotate(CheckpointImage* img) {
   MutexLock lock(mu_);
-  // The owning partition is quiescent (we run inside its RunOn rendezvous),
-  // so no new appends can arrive: draining the writer settles everything.
+  // The caller runs between transactions on the owning worker, so no new
+  // appends can arrive: draining the writer settles everything.
   while (!pending_sizes_.empty() || io_in_progress_) flush_cv_.Wait(mu_);
-  *covered_seq = next_seq_ - 1;
-  mp_history->clear();
-  mp_history->insert(mp_history->end(), mp_old_.begin(), mp_old_.end());
-  mp_history->insert(mp_history->end(), mp_young_.begin(), mp_young_.end());
-  mp_history->insert(mp_history->end(), mp_epoch_.begin(), mp_epoch_.end());
+  img->partition = config_.partition;
+  img->num_partitions = config_.num_partitions;
+  img->covered_seq = next_seq_ - 1;
+  std::vector<TxnId>& mp = img->mp_committed;
+  mp.clear();
+  mp.insert(mp.end(), mp_old_.begin(), mp_old_.end());
+  mp.insert(mp.end(), mp_young_.begin(), mp_young_.end());
+  mp.insert(mp.end(), mp_epoch_.begin(), mp_epoch_.end());
   mp_old_.insert(mp_old_.end(), mp_young_.begin(), mp_young_.end());
   mp_young_ = std::move(mp_epoch_);
   mp_epoch_.clear();
-  *last_covered_segment = segment_index_;
+  covered_segment_ = segment_index_;
   PARTDB_CHECK(::close(fd_) == 0);
   ++segment_index_;
   OpenSegment();
+}
+
+void PartitionLog::InstallCheckpoint(const CheckpointImage& img, bool keep_segments) {
+  std::string bytes;
+  EncodeCheckpoint(img, &bytes);
+  const std::string path = CheckpointPath(config_.dir, config_.partition, img.covered_seq);
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
+  PARTDB_CHECK(fd >= 0);
+  WriteAll(fd, bytes.data(), bytes.size());
+  PARTDB_CHECK(::fsync(fd) == 0);
+  PARTDB_CHECK(::close(fd) == 0);
+  PARTDB_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0);
+  SyncDir(config_.dir);
+  if (keep_segments) return;
+  uint64_t covered_segment = 0;
+  {
+    MutexLock lock(mu_);
+    covered_segment = covered_segment_;
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(config_.dir)) {
+    LogFileName f;
+    if (!LogFileName::Parse(entry.path().filename().string(), &f) ||
+        f.partition != config_.partition) {
+      continue;
+    }
+    const bool stale = f.checkpoint ? f.index != img.covered_seq : f.index <= covered_segment;
+    if (stale) std::filesystem::remove(entry.path());
+  }
 }
 
 void PartitionLog::DropCoveredMpHistory() {

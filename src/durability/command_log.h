@@ -95,16 +95,21 @@ class PartitionLog {
   /// partition's worker thread only.
   void CloseBatch();
 
-  /// Checkpoint support, called with the owning partition quiescent (inside
-  /// the RunOn rendezvous, so no append can race): flushes, rotates to a
-  /// fresh segment, and reports the sequence the checkpoint covers, the
-  /// multi-partition history to persist in it, and the last segment index the
-  /// checkpoint fully covers. Covered segments are NOT deleted here — the
-  /// caller must first make the checkpoint image durable (write + fsync +
-  /// rename + directory fsync), then unlink them; deleting first would lose
-  /// acknowledged commits if the process died before the image landed.
-  void CheckpointRotate(uint64_t* covered_seq, std::vector<TxnId>* mp_history,
-                        uint64_t* last_covered_segment);
+  /// Checkpoint support, called on the owning partition's worker at a point
+  /// between transactions (so no append can race): flushes, rotates to a
+  /// fresh segment, and fills `img`'s header, the sequence it covers and the
+  /// multi-partition history it must persist; the caller serializes the
+  /// engine into `img->engine_state`. Covered segments are NOT deleted here:
+  /// InstallCheckpoint does that once the image is durable.
+  void CheckpointRotate(CheckpointImage* img);
+
+  /// Makes the image from the last CheckpointRotate durable: writes a temp
+  /// file, fsyncs it, renames it to its CheckpointPath and fsyncs the
+  /// directory. Only then, unless `keep_segments`, unlinks the segments the
+  /// rotate covered and this partition's older images: deleting first would
+  /// lose acknowledged commits if the process died before the image landed.
+  /// Callable from any thread.
+  void InstallCheckpoint(const CheckpointImage& img, bool keep_segments);
 
   /// Drops multi-partition history that every participant's checkpoint now
   /// covers. Call only after a checkpoint round in which EVERY partition
@@ -112,7 +117,7 @@ class PartitionLog {
   /// second-most-recent rotate are then covered by every participant's
   /// latest checkpoint (an MP txn is appended at each participant before
   /// that participant's scheme reports Idle() again, so a full round of
-  /// idle rendezvous rotates bounds the append skew to one round), and the
+  /// idle-point rotates bounds the append skew to one round), and the
   /// evidence can never be needed by recovery again.
   void DropCoveredMpHistory();
 
@@ -123,16 +128,15 @@ class PartitionLog {
   PartitionId partition() const { return config_.partition; }
 
   /// Path of segment `index` for `partition` under `dir` (recovery scans
-  /// with the same naming).
+  /// with the same naming, LogFileName).
   static std::string SegmentPath(const std::string& dir, PartitionId p, uint64_t index);
   static std::string CheckpointPath(const std::string& dir, PartitionId p, uint64_t index);
 
+ private:
   /// fsyncs the directory itself: fsync(file_fd) persists the bytes but not
   /// the directory entry, so a freshly created segment or a renamed
   /// checkpoint is not durable until its directory is synced too.
   static void SyncDir(const std::string& dir);
-
- private:
   void WriterLoop();
   void OpenSegment() PARTDB_REQUIRES(mu_);
   /// Sends the partition LogDurable{through_seq} (no-op without a report target).
@@ -156,6 +160,8 @@ class PartitionLog {
   /// Last sequence covered by a CloseBatch (0 = none yet).
   uint64_t closed_through_ PARTDB_GUARDED_BY(mu_) = 0;
   uint64_t segment_index_ PARTDB_GUARDED_BY(mu_) = 0;
+  /// Last segment the most recent CheckpointRotate covered.
+  uint64_t covered_segment_ PARTDB_GUARDED_BY(mu_) = 0;
   int fd_ PARTDB_GUARDED_BY(mu_) = -1;  // writer touches it only while io_in_progress_
   bool io_in_progress_ PARTDB_GUARDED_BY(mu_) = false;
   /// The writer is waiting for work: the next Append signals it and clears

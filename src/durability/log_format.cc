@@ -1,6 +1,7 @@
 #include "durability/log_format.h"
 
 #include <array>
+#include <charconv>
 
 namespace partdb {
 
@@ -249,6 +250,28 @@ bool DecodeCheckpoint(std::string_view data, CheckpointImage* out) {
   out->engine_state.resize(engine_len);
   b.Raw(out->engine_state.data(), engine_len);
   return b.AtEnd();
+}
+
+std::string LogFileName::Format() const {
+  // Appends rather than `"p" + std::to_string(...)`, where GCC 12 reports a
+  // false -Wrestrict.
+  std::string name = "p";
+  name += std::to_string(partition);
+  name += '-';
+  name += std::to_string(index);
+  name += checkpoint ? ".ckpt" : ".log";
+  return name;
+}
+
+bool LogFileName::Parse(std::string_view name, LogFileName* out) {
+  if (name.empty() || name[0] != 'p') return false;
+  const char* const end = name.data() + name.size();
+  const auto [dash, ec_p] = std::from_chars(name.data() + 1, end, out->partition);
+  if (ec_p != std::errc() || dash == end || *dash != '-') return false;
+  const auto [dot, ec_i] = std::from_chars(dash + 1, end, out->index);
+  const std::string_view ext(dot, static_cast<size_t>(end - dot));
+  out->checkpoint = ext == ".ckpt";
+  return ec_i == std::errc() && (out->checkpoint || ext == ".log");
 }
 
 }  // namespace partdb

@@ -164,6 +164,20 @@ void EncodeCheckpoint(const CheckpointImage& img, std::string* out);
 /// unlike the log there is no tolerated torn state.
 bool DecodeCheckpoint(std::string_view data, CheckpointImage* out);
 
+/// A partition's file in the log directory: segment `index` is
+/// `p<partition>-<index>.log`, and the checkpoint covering commit sequence
+/// `index` is `p<partition>-<index>.ckpt` (so image names sort by coverage).
+struct LogFileName {
+  PartitionId partition = -1;
+  uint64_t index = 0;
+  bool checkpoint = false;
+
+  std::string Format() const;
+  /// Strict inverse of Format: false for any other name (`.ckpt.tmp`
+  /// included).
+  static bool Parse(std::string_view name, LogFileName* out);
+};
+
 }  // namespace partdb
 
 #endif  // PARTDB_DURABILITY_LOG_FORMAT_H_

@@ -73,25 +73,13 @@ PayloadPtr DecodeStrict(const PayloadDecoder& decode, const std::string& bytes) 
 std::string StagePartition(const RecoveryOptions& options, PartitionId p,
                            StagedPartition* out) {
   // Scan the directory once for this partition's files.
-  const std::string log_prefix = "p" + std::to_string(p) + "-";
   std::vector<std::pair<uint64_t, std::string>> segments;
   std::vector<std::pair<uint64_t, std::string>> ckpts;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(options.dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(log_prefix, 0) != 0) continue;
-    const std::string rest = name.substr(log_prefix.size());
-    const size_t dot = rest.find('.');
-    if (dot == std::string::npos) continue;
-    uint64_t index = 0;
-    try {
-      index = std::stoull(rest.substr(0, dot));
-    } catch (...) {
-      continue;
-    }
-    const std::string ext = rest.substr(dot);
-    if (ext == ".log") segments.emplace_back(index, entry.path().string());
-    if (ext == ".ckpt") ckpts.emplace_back(index, entry.path().string());
+    LogFileName f;
+    if (!LogFileName::Parse(entry.path().filename().string(), &f) || f.partition != p) continue;
+    (f.checkpoint ? ckpts : segments).emplace_back(f.index, entry.path().string());
   }
   if (ec) return "cannot read log dir " + options.dir + ": " + ec.message();
   out->any_files = !segments.empty() || !ckpts.empty();

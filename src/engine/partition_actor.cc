@@ -12,7 +12,11 @@ void PartitionActor::OnMessage(Message& msg, ActorContext& ctx) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, FragmentRequest>) {
           ctx.Charge(cost_.partition_msg);
-          scheme_->OnFragment(std::move(m));
+          if (snapshot_ != nullptr && m.round == 0) {
+            parked_.push_back(std::move(m));
+          } else {
+            scheme_->OnFragment(std::move(m));
+          }
         } else if constexpr (std::is_same_v<T, DecisionMessage>) {
           ctx.Charge(cost_.partition_msg + cost_.twopc_decide);
           decider_ = msg.src;
@@ -33,7 +37,22 @@ void PartitionActor::OnMessage(Message& msg, ActorContext& ctx) {
         }
       },
       msg.body);
+  if (snapshot_ != nullptr && scheme_->Idle()) TakeSnapshot();
   ctx_ = nullptr;
+}
+
+void PartitionActor::RunAtIdlePoint(std::function<void()> snapshot) {
+  PARTDB_CHECK(snapshot_ == nullptr);
+  snapshot_ = std::move(snapshot);
+  if (scheme_->Idle()) TakeSnapshot();
+}
+
+void PartitionActor::TakeSnapshot() {
+  std::function<void()> snapshot = std::move(snapshot_);
+  snapshot_ = nullptr;
+  snapshot();
+  for (FragmentRequest& frag : parked_) scheme_->OnFragment(std::move(frag));
+  parked_.clear();
 }
 
 ExecResult PartitionActor::RunFragment(const FragmentRequest& frag, UndoBuffer* undo,

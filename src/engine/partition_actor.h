@@ -5,6 +5,7 @@
 #define PARTDB_ENGINE_PARTITION_ACTOR_H_
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -46,6 +47,13 @@ class PartitionActor : public Actor, public PartitionExec {
     durability_log_ = log;
     hold_for_log_ = hold_replies;
   }
+
+  /// Runs `snapshot` at this partition's next point between transactions:
+  /// at once if the scheme is idle, else right after the message that
+  /// empties it. Meanwhile new transactions (round-0 fragments) park in
+  /// arrival order and are admitted right after; continuations, decisions,
+  /// timers and acks pass. Owning worker only, one request at a time.
+  void RunAtIdlePoint(std::function<void()> snapshot);
 
   CcScheme& cc() { return *scheme_; }
   const std::vector<CommitRecord>& commit_log() const { return commit_log_; }
@@ -99,6 +107,8 @@ class PartitionActor : public Actor, public PartitionExec {
   uint64_t Hold(int backup_acks, uint64_t log_seq, NodeId dst, MessageBody body);
   /// Counts one ack against hold `hold`; the last one sends the reply.
   void Ack(uint64_t hold);
+  /// Runs the pending RunAtIdlePoint snapshot, then admits what it parked.
+  void TakeSnapshot();
 
   PartitionId pid_;
   std::unique_ptr<Engine> engine_;
@@ -114,6 +124,8 @@ class PartitionActor : public Actor, public PartitionExec {
   std::vector<CommitRecord> commit_log_;
   PartitionLog* durability_log_ = nullptr;
   bool hold_for_log_ = false;
+  std::function<void()> snapshot_;       // pending RunAtIdlePoint request
+  std::vector<FragmentRequest> parked_;  // new transactions waiting for it
   /// Appended since the last CloseBatch (group commit only).
   bool log_batch_open_ = false;
   ActorContext* ctx_ = nullptr;    // valid during OnMessage

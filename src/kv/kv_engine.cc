@@ -99,39 +99,6 @@ void KvArgs::SerializeTo(WireWriter& w) const {
 // (a 64MB frame could otherwise claim ~16M empty lists).
 constexpr uint32_t kMaxWireLists = 1024;
 
-PayloadPtr DecodeKvArgs(WireReader& r) {
-  auto args = std::make_shared<KvArgs>();
-  args->rounds = r.I32();
-  const uint32_t flags = r.U32();
-  args->abort_txn = (flags & 1) != 0;
-  args->read_only = (flags & 2) != 0;
-  args->abort_at = r.I32();
-  const uint32_t num_lists = r.U32();
-  const uint64_t total = r.U64();
-  // Each key costs 9 bytes on the wire: reject impossible totals before
-  // sizing anything from attacker-controlled lengths.
-  if (num_lists > kMaxWireLists || total > r.remaining() / 9) {
-    r.MarkCorrupt();
-    return nullptr;
-  }
-  std::vector<uint32_t> counts(num_lists);
-  uint64_t sum = 0;
-  for (uint32_t i = 0; i < num_lists; ++i) {
-    counts[i] = r.U32();
-    sum += counts[i];
-  }
-  if (!r.ok() || sum != total) {
-    r.MarkCorrupt();
-    return nullptr;
-  }
-  args->keys.resize(num_lists);
-  for (uint32_t i = 0; i < num_lists; ++i) {
-    args->keys[i].reserve(counts[i]);
-    for (uint32_t k = 0; k < counts[i]; ++k) args->keys[i].push_back(r.Str<8>());
-  }
-  return r.ok() ? args : nullptr;
-}
-
 bool DecodeKvArgsInto(WireReader& r, KvArgs* into) {
   into->rounds = r.I32();
   const uint32_t flags = r.U32();
@@ -140,6 +107,8 @@ bool DecodeKvArgsInto(WireReader& r, KvArgs* into) {
   into->abort_at = r.I32();
   const uint32_t num_lists = r.U32();
   const uint64_t total = r.U64();
+  // Each key costs 9 bytes on the wire: reject impossible totals before
+  // sizing anything from attacker-controlled lengths.
   if (num_lists > kMaxWireLists || total > r.remaining() / 9) {
     r.MarkCorrupt();
     return false;
@@ -152,9 +121,8 @@ bool DecodeKvArgsInto(WireReader& r, KvArgs* into) {
   for (uint32_t i = 0; i < num_lists; ++i) {
     const uint32_t c = r.U32();
     sum += c;
-    // Bound each list by the validated total before sizing anything from it
-    // (the one-shot decoder reads all counts before allocating; here the
-    // running check keeps every resize under the same cap).
+    // Bound each list by the validated total before sizing anything from it:
+    // the running check keeps every resize under the same cap.
     if (!r.ok() || sum > total) {
       r.MarkCorrupt();
       return false;
@@ -169,6 +137,11 @@ bool DecodeKvArgsInto(WireReader& r, KvArgs* into) {
     for (KvKey& k : ks) k = r.Str<8>();
   }
   return r.ok();
+}
+
+PayloadPtr DecodeKvArgs(WireReader& r) {
+  auto args = std::make_shared<KvArgs>();
+  return DecodeKvArgsInto(r, args.get()) ? PayloadPtr(args) : nullptr;
 }
 
 void KvResult::SerializeTo(WireWriter& w) const {

@@ -382,7 +382,7 @@ TEST(DurabilityCheckpoint, TruncatesCoveredSegments) {
   for (PartitionId p = 0; p < mb.num_partitions; ++p) {
     bool ckpt_found = false;
     bool old_segment_found = false;
-    const std::string prefix = "p" + std::to_string(p) + "-";
+    const std::string prefix = std::string("p").append(std::to_string(p)) + "-";
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
       const std::string name = entry.path().filename().string();
       if (name.rfind(prefix, 0) != 0) continue;
@@ -442,7 +442,7 @@ TEST(DurabilityCheckpoint, MpHistoryIsPrunedAcrossCheckpointRounds) {
   // fully-successful round lets every log drop the ids its previous rotate
   // captured, because every participant's checkpoint now covers them.
   for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    const std::string prefix = "p" + std::to_string(p) + "-";
+    const std::string prefix = std::string("p").append(std::to_string(p)) + "-";
     std::string ckpt_path;
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
       const std::string name = entry.path().filename().string();
@@ -477,6 +477,120 @@ TEST(DurabilityCheckpoint, MpHistoryIsPrunedAcrossCheckpointRounds) {
   db2.reset();
   std::filesystem::remove_all(dir);
 }
+
+// --- checkpoints with transactions in flight, every scheme -----------------
+
+class DurabilityCheckpoint : public ::testing::TestWithParam<std::string> {};
+
+/// Closes `db`, reopens its log directory and expects every partition to
+/// recover the state `db` held at Close.
+void ExpectReopenMatchesLive(std::unique_ptr<Database> db, const KvWorkloadOptions& mb,
+                             const std::string& scheme, const std::string& dir) {
+  db->Close();
+  std::vector<uint64_t> live;
+  for (PartitionId p = 0; p < mb.num_partitions; ++p) {
+    live.push_back(db->cluster().engine(p).StateHash());
+  }
+  db.reset();
+  DbOptions reopen = KvDbOptions(mb, scheme, RunMode::kParallel, 92);
+  reopen.durability = DurabilityMode::kGroupCommit;
+  reopen.log_dir = dir;
+  auto db2 = Database::Open(std::move(reopen));
+  ASSERT_TRUE(db2->recovery_report().ok) << db2->recovery_report().error;
+  for (PartitionId p = 0; p < mb.num_partitions; ++p) {
+    EXPECT_EQ(db2->cluster().engine(p).StateHash(), live[p]) << "partition " << p;
+  }
+}
+
+TEST_P(DurabilityCheckpoint, WaitsOutAnMpHeldBetweenRounds) {
+  KvWorkloadOptions mb;
+  mb.num_partitions = 2;
+  mb.num_clients = 1;
+  mb.keys_per_txn = 4;
+  mb.mp_fraction = 1.0;
+  mb.mp_rounds = 2;
+  const std::string dir = MakeTempDir("ckpt_held_" + GetParam());
+
+  // The continuation between the two rounds blocks until `release`: the MP
+  // has run its first round at both partitions and waits there, so neither
+  // scheme is idle until the release plus the second round and the decision.
+  std::atomic<bool> entered_once{false};
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  DbOptions opts = KvDbOptions(mb, GetParam(), RunMode::kParallel, 91);
+  opts.durability = DurabilityMode::kGroupCommit;
+  opts.log_dir = dir;
+  ProcedureDescriptor& d = opts.procedures.at(0);
+  d.round_input = [inner = d.round_input, &entered_once, &entered, released](
+                      const Payload& args, int round,
+                      const std::vector<std::pair<PartitionId, PayloadPtr>>& prev) {
+    if (!entered_once.exchange(true)) entered.set_value();
+    released.wait();
+    return inner(args, round, prev);
+  };
+  auto db = Database::Open(std::move(opts));
+  auto session = db->CreateSession();
+  Rng rng(7);
+  std::promise<bool> done;
+  ASSERT_TRUE(session
+                  ->Submit(db->proc(kKvReadUpdateProc), DrawKvTxn(mb, 0, rng),
+                           [&done](const TxnResult& r) { done.set_value(r.committed); })
+                  .accepted);
+  entered.get_future().wait();
+  std::thread releaser([&release] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    release.set_value();
+  });
+  EXPECT_TRUE(db->Checkpoint());
+  releaser.join();
+  EXPECT_TRUE(done.get_future().get());
+  session.reset();
+  ExpectReopenMatchesLive(std::move(db), mb, GetParam(), dir);
+  std::filesystem::remove_all(dir);
+}
+
+TEST_P(DurabilityCheckpoint, RecoversUnderConcurrentMpTraffic) {
+  KvWorkloadOptions mb;
+  mb.num_partitions = 2;
+  mb.num_clients = 8;
+  mb.keys_per_txn = 4;
+  mb.mp_fraction = 0.5;
+  const std::string dir = MakeTempDir("ckpt_traffic_" + GetParam());
+
+  DbOptions opts = KvDbOptions(mb, GetParam(), RunMode::kParallel, 93);
+  opts.durability = DurabilityMode::kGroupCommit;
+  opts.log_dir = dir;
+  auto db = Database::Open(std::move(opts));
+  std::atomic<bool> stop{false};
+  int checkpoints = 0;
+  int failed = 0;
+  std::thread checkpointer([&] {
+    while (!stop.load()) {
+      ++checkpoints;
+      if (!db->Checkpoint()) ++failed;
+    }
+  });
+  ClosedLoopOptions loop;
+  loop.num_clients = mb.num_clients;
+  loop.next = KvInvocations(mb, *db);
+  loop.warmup = Micros(50000);
+  loop.measure = Micros(1000000);
+  const Metrics m = RunClosedLoop(*db, loop);
+  stop.store(true);
+  checkpointer.join();
+  EXPECT_GT(m.committed, 0u);
+  EXPECT_GT(checkpoints, 0);
+  EXPECT_EQ(failed, 0) << "of " << checkpoints << " checkpoints";
+  ExpectReopenMatchesLive(std::move(db), mb, GetParam(), dir);
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, DurabilityCheckpoint,
+                         ::testing::ValuesIn(CcSchemeRegistry::Global().Names()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
 
 // --- log file damage: torn tails tolerated, corruption rejected ------------
 
