@@ -6,6 +6,9 @@
 // remote Execute result payloads, measurement windows over the wire,
 // admission-control parity between embedded and remote sessions, and a
 // custom (non-KV, non-TPC-C) procedure served over TCP.
+#include <poll.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <fstream>
@@ -619,6 +622,91 @@ TEST(NetMux, TeardownWithResponsesInFlight) {
 
   const DbServerStats stats = server.Stats();
   EXPECT_EQ(stats.protocol_errors, 0u);
+  server.Stop();
+  db->Close();
+}
+
+
+// --- request-decode guard ----------------------------------------------------
+
+/// True when the peer closed `conn`: it turns readable within 5 s and the
+/// read hits EOF.
+bool PeerClosed(TcpConn& conn) {
+  pollfd pfd{conn.fd(), POLLIN, 0};
+  if (::poll(&pfd, 1, /*timeout_ms=*/5000) != 1) return false;
+  char c;
+  return ::read(conn.fd(), &c, 1) == 0;
+}
+
+/// A kRequest body for session 1 naming `proc`, with `args` as its encoded
+/// arguments.
+std::string RequestBody(ProcId proc, const Payload& args) {
+  RequestHeader h;
+  h.session_id = 1;
+  h.seq = 1;
+  h.proc = proc;
+  std::string body;
+  WireWriter w(&body);
+  AppendRequestBody(w, h, args);
+  return body;
+}
+
+// Every way a well-framed request can carry bad arguments drops that one
+// connection and counts one protocol error; none is refused as a rejected
+// request, and a session on another connection keeps committing.
+TEST(NetServer, MalformedRequestDropsOnlyItsConnection) {
+  KvWorkloadOptions mb = NetKvConfig();
+  mb.abort_prob = 0.0;
+  DbOptions opts = KvDbOptions(mb, "speculation", RunMode::kParallel, 12345);
+  ProcedureDescriptor embedded_only;  // no args codec: not servable
+  embedded_only.name = "embedded_only";
+  embedded_only.route = opts.procedures[0].route;
+  opts.procedures.push_back(std::move(embedded_only));
+  auto db = Database::Open(std::move(opts));
+  DbServer server(db.get());
+
+  ConnectOptions copts;
+  copts.procedures.push_back(KvReadUpdateProcedure(mb));
+  auto remote = Connect("127.0.0.1", server.port(), std::move(copts));
+  auto session = remote->CreateSession();
+  ASSERT_TRUE(session->Execute(kKvReadUpdateProc, OneKeyArgs(mb)).committed);
+
+  const ProcId kv = db->proc(kKvReadUpdateProc);
+  const std::string valid = RequestBody(kv, *OneKeyArgs(mb));
+  auto far = std::make_shared<KvArgs>();
+  far->keys.resize(1001);
+  far->keys[1000].push_back(MicrobenchKey(0, 0, 0));
+  const struct {
+    const char* name;
+    std::string body;
+  } cases[] = {
+      {"truncated args", valid.substr(0, valid.size() - 3)},
+      {"trailing byte", valid + "x"},
+      {"proc past the table",
+       RequestBody(static_cast<ProcId>(db->registry().size()), *OneKeyArgs(mb))},
+      {"proc without an args codec", RequestBody(db->proc("embedded_only"), *OneKeyArgs(mb))},
+      {"args routed to partition 1000", RequestBody(kv, *far)},
+  };
+  uint64_t errors = server.Stats().protocol_errors;
+  EXPECT_EQ(errors, 0u);
+  for (const auto& c : cases) {
+    TcpConn conn = TcpConn::ConnectTo("127.0.0.1", server.port());
+    ASSERT_TRUE(conn.valid()) << c.name;
+    Frame hello;
+    ASSERT_TRUE(ReadFrame(conn, &hello)) << c.name;
+    EXPECT_EQ(hello.type, FrameType::kHello) << c.name;
+    ASSERT_TRUE(WriteFrame(conn, FrameType::kRequest, c.body)) << c.name;
+    EXPECT_TRUE(PeerClosed(conn)) << c.name;
+    EXPECT_EQ(server.Stats().protocol_errors, ++errors) << c.name;
+  }
+  EXPECT_EQ(server.Stats().rejected_requests, 0u);
+
+  // The session's own connection never saw the bad frames.
+  EXPECT_TRUE(session->Execute(kKvReadUpdateProc, OneKeyArgs(mb)).committed);
+  EXPECT_EQ(remote->conn_count(), 1u);
+
+  session.reset();
+  remote.reset();
   server.Stop();
   db->Close();
 }
