@@ -103,17 +103,7 @@ int main(int argc, char** argv) {
                           static_cast<double>(stats.io.flush_batches),
                 static_cast<unsigned long long>(stats.io.bytes_in >> 20),
                 static_cast<unsigned long long>(stats.io.bytes_out >> 20));
-    // Pool hit rate approaches 100% at steady state; with verify=1 the commit
-    // log retains every request's args until replay, so pooled entries only
-    // return after Close — measure the true rate with --verify 0.
-    const uint64_t pool_ops = stats.payload_pool_hits + stats.payload_pool_misses;
-    std::printf("  payload pool: %llu hits / %llu misses (%.1f%% recycled), "
-                "pinned=%d loop threads\n",
-                static_cast<unsigned long long>(stats.payload_pool_hits),
-                static_cast<unsigned long long>(stats.payload_pool_misses),
-                pool_ops == 0 ? 0.0 : 100.0 * static_cast<double>(stats.payload_pool_hits) /
-                                          static_cast<double>(pool_ops),
-                static_cast<int>(stats.pinned_loops));
+    std::printf("  pinned=%d loop threads\n", static_cast<int>(stats.pinned_loops));
     if (m.committed == 0) {
       std::printf("ERROR: no transactions committed under %s\n", scheme.c_str());
       ok = false;

@@ -7,11 +7,19 @@ namespace partdb {
 ProcId ProcedureRegistry::Register(ProcedureDescriptor desc) {
   PARTDB_CHECK(!desc.name.empty());
   PARTDB_CHECK(desc.route != nullptr);
+  PARTDB_CHECK((desc.make_args == nullptr) == (desc.decode_args_into == nullptr));
   const ProcId id = static_cast<ProcId>(procs_.size());
   PARTDB_CHECK(by_name_.emplace(desc.name, id).second);  // unique names
   procs_.push_back(std::move(desc));
   stats_.push_back(std::make_unique<ProcStats>());
   return id;
+}
+
+PayloadPtr DecodeArgs(const ProcedureDescriptor& desc, WireReader& r) {
+  if (desc.make_args == nullptr) return nullptr;
+  std::shared_ptr<Payload> args = desc.make_args();
+  if (!desc.decode_args_into(r, args.get())) return nullptr;
+  return args;
 }
 
 ProcId ProcedureRegistry::Find(std::string_view name) const {

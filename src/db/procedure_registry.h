@@ -48,29 +48,41 @@ struct ProcedureDescriptor {
                            const std::vector<std::pair<PartitionId, PayloadPtr>>& prev)>
       round_input;
 
-  /// Wire codecs: deserializers for the argument and result payload types
-  /// (serialization is Payload::SerializeTo on the instances themselves).
-  /// Both may be null for embedded-only procedures; the network tier
-  /// CHECK-fails when serving a procedure without them (DbServer needs
-  /// decode_args, a remote client needs decode_result).
-  PayloadDecoder decode_args;
+  /// Args codec (serialization is Payload::SerializeTo on the instances
+  /// themselves): `make_args` builds a fresh, default-constructed instance
+  /// of the argument payload type and `decode_args_into` fills it, returning
+  /// false (and marking the reader corrupt) on a malformed span. Set both
+  /// (SetArgsCodec) or neither: an embedded-only procedure has no args codec,
+  /// and the network tier and command-log recovery refuse it. Every args
+  /// decode goes through DecodeArgs below.
+  std::function<std::shared_ptr<Payload>()> make_args;
+  std::function<bool(WireReader& r, Payload* into)> decode_args_into;
+
+  /// Result deserializer; may be null for embedded-only procedures (a remote
+  /// client needs it).
   PayloadDecoder decode_result;
 
   /// Decoder for coordinator-computed round inputs (multi-round procedures
   /// only). Command-log recovery replays every round from the logged inputs,
   /// so a multi-round procedure without this codec cannot be recovered.
   PayloadDecoder decode_round_input;
-
-  /// Pooled-decode hooks (both optional, set together). `make_args` builds a
-  /// default-constructed instance of the argument payload type;
-  /// `decode_args_into` decodes into such an instance, overwriting every
-  /// field — instances are recycled across transactions (net/PayloadArena),
-  /// so a decoder that leaves stale state behind corrupts a later request.
-  /// When unset, the net tier falls back to decode_args (one allocation per
-  /// request).
-  std::function<std::unique_ptr<Payload>()> make_args;
-  std::function<bool(WireReader& r, Payload* into)> decode_args_into;
 };
+
+/// Sets `d`'s args codec for argument type `Args` from a decoder that fills
+/// an `Args` instance.
+template <typename Args>
+void SetArgsCodec(ProcedureDescriptor& d, bool (*decode_into)(WireReader&, Args*)) {
+  d.make_args = [] { return std::shared_ptr<Payload>(std::make_shared<Args>()); };
+  d.decode_args_into = [decode_into](WireReader& r, Payload* into) {
+    return decode_into(r, static_cast<Args*>(into));
+  };
+}
+
+/// Decodes one invocation's arguments with `desc`'s args codec into a fresh
+/// instance. Returns null when `desc` has no args codec, or (reader marked
+/// corrupt) on a malformed span. Trailing bytes are the caller's check
+/// (`r.AtEnd()`).
+PayloadPtr DecodeArgs(const ProcedureDescriptor& desc, WireReader& r);
 
 /// One procedure's measurement-window outcomes (Database::ProcMetrics).
 struct ProcMetricsSnapshot {
@@ -88,7 +100,7 @@ struct ProcMetricsSnapshot {
 class ProcedureRegistry : public TxnContinuations, public ProcMetricsSink {
  public:
   /// Registers `desc` and returns its id. Names must be unique and non-empty;
-  /// `desc.route` must be set.
+  /// `desc.route` must be set, and the two args-codec hooks both or neither.
   ProcId Register(ProcedureDescriptor desc);
 
   /// Id for `name`, or kInvalidProc when not registered.

@@ -68,6 +68,19 @@ PayloadPtr DecodeStrict(const PayloadDecoder& decode, const std::string& bytes) 
   return p;
 }
 
+/// Decodes `s`'s logged args strictly into `s->args` with `d`'s args codec.
+/// Returns an error string, empty on success.
+std::string DecodeRecordArgs(const ProcedureDescriptor& d, StagedRecord* s) {
+  if (d.make_args == nullptr) return "procedure '" + d.name + "' has no args codec";
+  WireReader r(s->rec.args);
+  PayloadPtr args = DecodeArgs(d, r);
+  if (args == nullptr || !r.AtEnd()) {
+    return "undecodable args in record seq " + std::to_string(s->rec.commit_seq);
+  }
+  s->args = std::move(args);
+  return "";
+}
+
 /// Loads one partition's checkpoint + segments into `out`. Returns an error
 /// string, empty on success.
 std::string StagePartition(const RecoveryOptions& options, PartitionId p,
@@ -252,14 +265,9 @@ RecoveryReport RecoverDatabase(const RecoveryOptions& options,
     for (StagedRecord& s : staged[static_cast<size_t>(p)].records) {
       if (!s.rec.multi_partition) continue;
       const ProcedureDescriptor& d = options.registry->Get(s.live_proc);
-      if (d.decode_args == nullptr) {
-        report.error = PartitionError(p, "procedure '" + d.name + "' has no args codec");
-        return report;
-      }
-      s.args = DecodeStrict(d.decode_args, s.rec.args);
-      if (s.args == nullptr) {
-        report.error = PartitionError(p, "undecodable args in record seq " +
-                                             std::to_string(s.rec.commit_seq));
+      const std::string err = DecodeRecordArgs(d, &s);
+      if (!err.empty()) {
+        report.error = PartitionError(p, err);
         return report;
       }
       const TxnRouting route = d.route(*s.args);
@@ -302,15 +310,9 @@ RecoveryReport RecoverDatabase(const RecoveryOptions& options,
       }
       const ProcedureDescriptor& d = options.registry->Get(s.live_proc);
       if (s.args == nullptr) {
-        if (d.decode_args == nullptr) {
-          errors[static_cast<size_t>(p)] =
-              PartitionError(p, "procedure '" + d.name + "' has no args codec");
-          return;
-        }
-        s.args = DecodeStrict(d.decode_args, s.rec.args);
-        if (s.args == nullptr) {
-          errors[static_cast<size_t>(p)] = PartitionError(
-              p, "undecodable args in record seq " + std::to_string(s.rec.commit_seq));
+        const std::string err = DecodeRecordArgs(d, &s);
+        if (!err.empty()) {
+          errors[static_cast<size_t>(p)] = PartitionError(p, err);
           return;
         }
       }

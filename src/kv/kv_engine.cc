@@ -113,9 +113,8 @@ bool DecodeKvArgsInto(WireReader& r, KvArgs* into) {
     r.MarkCorrupt();
     return false;
   }
-  // Two passes over the recycled storage instead of a scratch counts vector:
-  // resize each list to its wire count (keeping capacity), then overwrite
-  // every slot — no allocation once the lists have grown to steady state.
+  // Two passes instead of a scratch counts vector: size each list to its
+  // wire count, then fill every slot.
   into->keys.resize(num_lists);
   uint64_t sum = 0;
   for (uint32_t i = 0; i < num_lists; ++i) {
@@ -137,11 +136,6 @@ bool DecodeKvArgsInto(WireReader& r, KvArgs* into) {
     for (KvKey& k : ks) k = r.Str<8>();
   }
   return r.ok();
-}
-
-PayloadPtr DecodeKvArgs(WireReader& r) {
-  auto args = std::make_shared<KvArgs>();
-  return DecodeKvArgsInto(r, args.get()) ? PayloadPtr(args) : nullptr;
 }
 
 void KvResult::SerializeTo(WireWriter& w) const {

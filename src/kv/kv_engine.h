@@ -31,13 +31,8 @@ struct KvArgs : public Payload {
   void SerializeTo(WireWriter& w) const override;
 };
 
-/// Decodes a KvArgs payload (registered as the procedure's args codec).
-PayloadPtr DecodeKvArgs(WireReader& r);
-
-/// Pooled variant: decodes into an existing (recycled) KvArgs, overwriting
-/// every field while reusing its key-list capacities. Returns false (and
-/// marks the reader corrupt) on a malformed span; `into` is then in an
-/// unspecified but reusable state.
+/// Decodes a KvArgs payload into a fresh `into` (the procedure's args
+/// codec). Returns false (and marks the reader corrupt) on a malformed span.
 bool DecodeKvArgsInto(WireReader& r, KvArgs* into);
 
 /// Result of a fragment: the values read (pre-update), in key order.

@@ -31,13 +31,9 @@ ProcedureDescriptor KvReadUpdateProcedure(const KvWorkloadOptions& config) {
     }
     return input;
   };
-  d.decode_args = DecodeKvArgs;
+  SetArgsCodec(d, DecodeKvArgsInto);
   d.decode_result = DecodeKvResult;
   d.decode_round_input = DecodeKvRoundInput;
-  d.make_args = [] { return std::unique_ptr<Payload>(std::make_unique<KvArgs>()); };
-  d.decode_args_into = [](WireReader& r, Payload* into) {
-    return DecodeKvArgsInto(r, static_cast<KvArgs*>(into));
-  };
   return d;
 }
 

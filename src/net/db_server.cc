@@ -1,21 +1,25 @@
 #include "net/db_server.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
-#include "net/payload_pool.h"
 
 namespace partdb {
 
-/// Per-connection server state. Owned by the handler closures; every field
-/// is touched only on the connection's loop thread (the arena's alloc side
-/// relies on that; its release side is called from session workers and is
-/// lock-free).
+/// One server-side session and its requests not yet answered. The
+/// completion callback counts a request answered before it sends the
+/// response, so once the client has read every response the count is 0,
+/// even while the callback's tail still runs on the session's worker.
+struct DbServer::ServerSession {
+  std::atomic<uint64_t> unanswered{0};
+  std::unique_ptr<Session> session;  // destroyed first: its dtor drains
+};
+
+/// Per-connection server state. Owned by the handler closures; touched only
+/// on the connection's loop thread.
 struct DbServer::ServerConn {
-  std::unordered_map<uint32_t, std::unique_ptr<Session>> sessions;
-  std::shared_ptr<PayloadArena> arena;
+  std::unordered_map<uint32_t, std::unique_ptr<ServerSession>> sessions;
 };
 
 DbServer::DbServer(Database* db, DbServerOptions options) : db_(db) {
@@ -62,8 +66,6 @@ void DbServer::AcceptLoop() {
     accepted_conns_.fetch_add(1, std::memory_order_relaxed);
 
     auto sc = std::make_shared<ServerConn>();
-    sc->arena =
-        PayloadArena::Create(db_->registry().size(), &payload_pool_hits_, &payload_pool_misses_);
     LoopConnHandlers handlers;
     handlers.on_frame = [this, sc](LoopConn& lc, const FrameView& fv) {
       return OnFrame(sc, lc, fv);
@@ -83,11 +85,11 @@ bool DbServer::OnFrame(const std::shared_ptr<ServerConn>& sc, LoopConn& lc, cons
       if (!DecodeRequestHeader(r, &h)) break;
       if (h.proc < 0 || static_cast<size_t>(h.proc) >= db_->registry().size()) break;
       const ProcedureDescriptor& desc = db_->registry().Get(h.proc);
-      // Refuse procedures without a wire codec (embedded-only): the proc
-      // id is remote input, so this is a protocol violation, not a bug.
-      if (desc.decode_args == nullptr) break;
-      PayloadPtr args = sc->arena->Decode(h.proc, desc, r);
-      if (args == nullptr || !r.AtEnd()) break;  // malformed: drop the conn
+      // Malformed args, and procedures without an args codec (embedded-only):
+      // the proc id is remote input, so both are protocol violations.
+      PayloadPtr args = DecodeArgs(desc, r);
+      if (args == nullptr || !r.AtEnd()) break;
+      decoded_requests_.fetch_add(1, std::memory_order_relaxed);
       // Wire-shape validity is not semantic validity: drop arguments whose
       // derived routing leaves this database (a well-formed frame naming
       // partition 1000 must not trip the runtime's CHECKs).
@@ -101,32 +103,27 @@ bool DbServer::OnFrame(const std::shared_ptr<ServerConn>& sc, LoopConn& lc, cons
       auto it = sc->sessions.find(h.session_id);
       if (it == sc->sessions.end()) {
         std::unique_ptr<Session> fresh = db_->TryCreateSession();
-        if (fresh == nullptr) {
-          // A just-retired session can hold its slot for the instant between
-          // its last response and the worker's post-callback outstanding()
-          // decrement. Reap what is safely reapable and retry before
-          // rejecting, or rapid close/create cycles on a full database
-          // bounce off that window. Only drained sessions qualify here: a
-          // dtor with work still in flight blocks, and this runs on a loop
-          // thread, which must never block.
-          ReapIdleDeadSessions();
-          fresh = db_->TryCreateSession();
-        }
         if (fresh != nullptr) {
           sessions_opened_.fetch_add(1, std::memory_order_relaxed);
-          it = sc->sessions.emplace(h.session_id, std::move(fresh)).first;
+          it = sc->sessions.emplace(h.session_id, std::make_unique<ServerSession>()).first;
+          it->second->session = std::move(fresh);
         }
       }
-      Session* session = it == sc->sessions.end() ? nullptr : it->second.get();
+      ServerSession* ss = it == sc->sessions.end() ? nullptr : it->second.get();
 
       SubmitResult sr;
-      if (session != nullptr) {
+      if (ss != nullptr) {
         const uint32_t session_id = h.session_id;
         const uint64_t seq = h.seq;
         LoopConnPtr lp = lc.shared_from_this();
-        sr = session->Submit(
+        // `ss` outlives the callback: destroying it drains the session first.
+        ss->unanswered.fetch_add(1);
+        sr = ss->session->Submit(
             h.proc, std::move(args),
-            [lp = std::move(lp), session_id, seq](const TxnResult& res) {
+            [lp = std::move(lp), ss, session_id, seq](const TxnResult& res) {
+              // Answered before the send: a client that read this response
+              // and closes the session finds it idle.
+              ss->unanswered.fetch_sub(1);
               ResponseHeader rh;
               rh.session_id = session_id;
               rh.seq = seq;
@@ -139,6 +136,7 @@ bool DbServer::OnFrame(const std::shared_ptr<ServerConn>& sc, LoopConn& lc, cons
                 AppendResponseBody(w, rh, res.payload.get());
               });
             });
+        if (!sr.accepted) ss->unanswered.fetch_sub(1);
       }
       if (!sr.accepted) {
         // Refused — by admission control (the client's own bound normally
@@ -192,29 +190,31 @@ bool DbServer::OnFrame(const std::shared_ptr<ServerConn>& sc, LoopConn& lc, cons
 }
 
 void DbServer::OnClose(const std::shared_ptr<ServerConn>& sc) {
-  for (auto& [id, session] : sc->sessions) {
-    RetireSession(std::move(session));
+  for (auto& [id, ss] : sc->sessions) {
+    RetireSession(std::move(ss));
   }
   sc->sessions.clear();
   reaped_conns_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void DbServer::RetireSession(std::unique_ptr<Session> session) {
+void DbServer::RetireSession(std::unique_ptr<ServerSession> ss) {
   sessions_closed_.fetch_add(1, std::memory_order_relaxed);
-  // A well-behaved client drains before CloseSession, so the dtor is cheap —
-  // destroy inline and the slot recycles immediately. Sessions with work
-  // still in flight (a peer that vanished mid-transaction) would block the
-  // dtor's drain, so those park for the accept thread.
-  if (session->outstanding() == 0) {
-    session.reset();
+  // A well-behaved client reads every response before CloseSession, so
+  // nothing is unanswered and the dtor waits at most for the tail of a
+  // callback that already replied: destroy inline, and the slot is free
+  // before this connection's next frame. A session with requests still
+  // unanswered (a peer that vanished mid-transaction) would block the dtor
+  // on those transactions, so it parks for the accept thread.
+  if (ss->unanswered.load() == 0) {
+    ss.reset();
     return;
   }
   MutexLock lock(dead_mu_);
-  dead_sessions_.push_back(std::move(session));
+  dead_sessions_.push_back(std::move(ss));
 }
 
 void DbServer::ReapDeadSessions() {
-  std::vector<std::unique_ptr<Session>> dead;
+  std::vector<std::unique_ptr<ServerSession>> dead;
   {
     MutexLock lock(dead_mu_);
     dead.swap(dead_sessions_);
@@ -222,22 +222,6 @@ void DbServer::ReapDeadSessions() {
   // Destroyed outside the lock: each dtor drains, and its in-flight
   // completions still deliver their responses through the event loop first.
   dead.clear();
-}
-
-void DbServer::ReapIdleDeadSessions() {
-  // The loop-thread-safe subset of ReapDeadSessions: destroy only sessions
-  // already drained, whose dtors therefore cannot block. The rest stay
-  // parked for the accept thread.
-  std::vector<std::unique_ptr<Session>> idle;
-  {
-    MutexLock lock(dead_mu_);
-    auto busy_end =
-        std::partition(dead_sessions_.begin(), dead_sessions_.end(),
-                       [](const std::unique_ptr<Session>& s) { return s->outstanding() > 0; });
-    idle.assign(std::make_move_iterator(busy_end), std::make_move_iterator(dead_sessions_.end()));
-    dead_sessions_.erase(busy_end, dead_sessions_.end());
-  }
-  idle.clear();
 }
 
 DbServerStats DbServer::Stats() const {
@@ -248,8 +232,7 @@ DbServerStats DbServer::Stats() const {
   s.sessions_closed = sessions_closed_.load(std::memory_order_relaxed);
   s.rejected_requests = rejected_requests_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.payload_pool_hits = payload_pool_hits_.load(std::memory_order_relaxed);
-  s.payload_pool_misses = payload_pool_misses_.load(std::memory_order_relaxed);
+  s.payload_pool_misses = decoded_requests_.load(std::memory_order_relaxed);
   for (const auto& loop : loops_) {
     s.active_conns += loop->conn_count();
     s.io += loop->stats();

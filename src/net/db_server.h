@@ -55,9 +55,10 @@ struct DbServerStats {
   uint64_t sessions_closed = 0;
   uint64_t rejected_requests = 0;  // kRejected responses sent
   uint64_t protocol_errors = 0;    // malformed frames (the conn is dropped)
-  /// Request decodes served from a recycled pooled payload vs. ones that had
-  /// to allocate (cold pool, capacity growth, or a procedure without pooled
-  /// hooks). At steady state hits dominate: decode allocates nothing.
+  /// Counters of the retired per-connection payload pool, kept because
+  /// bench_partdb reads them (net.pool_hit_frac). Every request now decodes
+  /// into a fresh payload: hits stay 0 and misses counts every decoded
+  /// request.
   uint64_t payload_pool_hits = 0;
   uint64_t payload_pool_misses = 0;
   /// Loop threads that successfully pinned under loop_affinity.
@@ -66,8 +67,8 @@ struct DbServerStats {
 };
 
 /// Serves `db` (RunMode::kParallel; must outlive the server) until Stop.
-/// Every served procedure must have a registered decode_args codec; stop the
-/// server before Database::Close.
+/// A request for a procedure without an args codec drops its connection;
+/// stop the server before Database::Close.
 class DbServer {
  public:
   explicit DbServer(Database* db, DbServerOptions options = {});
@@ -86,14 +87,14 @@ class DbServer {
   void Stop();
 
  private:
+  struct ServerSession;
   struct ServerConn;
 
   void AcceptLoop();
   bool OnFrame(const std::shared_ptr<ServerConn>& sc, LoopConn& lc, const FrameView& fv);
   void OnClose(const std::shared_ptr<ServerConn>& sc);
-  void RetireSession(std::unique_ptr<Session> session);
-  void ReapDeadSessions();      // blocking (dtors drain) — accept thread / Stop only
-  void ReapIdleDeadSessions();  // non-blocking subset, safe on loop threads
+  void RetireSession(std::unique_ptr<ServerSession> ss);
+  void ReapDeadSessions();  // blocking (dtors drain) — accept thread / Stop only
 
   Database* db_;
   TcpListener listener_;
@@ -107,11 +108,12 @@ class DbServer {
   Mutex mu_;
   bool stopping_ PARTDB_GUARDED_BY(mu_) = false;
 
-  // Sessions leaving the loop threads (CloseSession / disconnect) park here;
-  // the accept thread destroys them (Session dtor drains, which must never
-  // run on a loop thread).
+  // Sessions leaving the loop threads (CloseSession / disconnect) with
+  // requests still unanswered park here; the accept thread destroys them
+  // (their dtors drain those transactions, which must never block a loop
+  // thread).
   Mutex dead_mu_;
-  std::vector<std::unique_ptr<Session>> dead_sessions_ PARTDB_GUARDED_BY(dead_mu_);
+  std::vector<std::unique_ptr<ServerSession>> dead_sessions_ PARTDB_GUARDED_BY(dead_mu_);
 
   std::atomic<uint64_t> accepted_conns_{0};
   std::atomic<uint64_t> reaped_conns_{0};
@@ -119,9 +121,7 @@ class DbServer {
   std::atomic<uint64_t> sessions_closed_{0};
   std::atomic<uint64_t> rejected_requests_{0};
   std::atomic<uint64_t> protocol_errors_{0};
-  // Shared by every connection's PayloadArena so totals survive conn churn.
-  std::atomic<uint64_t> payload_pool_hits_{0};
-  std::atomic<uint64_t> payload_pool_misses_{0};
+  std::atomic<uint64_t> decoded_requests_{0};
 };
 
 }  // namespace partdb

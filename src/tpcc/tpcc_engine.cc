@@ -123,11 +123,6 @@ bool DecodeNewOrderArgsInto(WireReader& r, NewOrderArgs* a) {
   return r.ok();
 }
 
-PayloadPtr DecodeNewOrderArgs(WireReader& r) {
-  auto a = std::make_shared<NewOrderArgs>();
-  return DecodeNewOrderArgsInto(r, a.get()) ? PayloadPtr(a) : nullptr;
-}
-
 void PaymentArgs::SerializeTo(WireWriter& w) const {
   w.I32(w_id);
   w.I32(d_id);
@@ -153,11 +148,6 @@ bool DecodePaymentArgsInto(WireReader& r, PaymentArgs* a) {
   return r.ok();
 }
 
-PayloadPtr DecodePaymentArgs(WireReader& r) {
-  auto a = std::make_shared<PaymentArgs>();
-  return DecodePaymentArgsInto(r, a.get()) ? PayloadPtr(a) : nullptr;
-}
-
 void OrderStatusArgs::SerializeTo(WireWriter& w) const {
   w.I32(w_id);
   w.I32(d_id);
@@ -177,11 +167,6 @@ bool DecodeOrderStatusArgsInto(WireReader& r, OrderStatusArgs* a) {
   return r.ok();
 }
 
-PayloadPtr DecodeOrderStatusArgs(WireReader& r) {
-  auto a = std::make_shared<OrderStatusArgs>();
-  return DecodeOrderStatusArgsInto(r, a.get()) ? PayloadPtr(a) : nullptr;
-}
-
 void DeliveryArgs::SerializeTo(WireWriter& w) const {
   w.I32(w_id);
   w.I32(carrier_id);
@@ -198,11 +183,6 @@ bool DecodeDeliveryArgsInto(WireReader& r, DeliveryArgs* a) {
   return r.ok();
 }
 
-PayloadPtr DecodeDeliveryArgs(WireReader& r) {
-  auto a = std::make_shared<DeliveryArgs>();
-  return DecodeDeliveryArgsInto(r, a.get()) ? PayloadPtr(a) : nullptr;
-}
-
 void StockLevelArgs::SerializeTo(WireWriter& w) const {
   w.I32(w_id);
   w.I32(d_id);
@@ -217,11 +197,6 @@ bool DecodeStockLevelArgsInto(WireReader& r, StockLevelArgs* a) {
   a->threshold = r.I32();
   r.Skip(16);  // reserved
   return r.ok();
-}
-
-PayloadPtr DecodeStockLevelArgs(WireReader& r) {
-  auto a = std::make_shared<StockLevelArgs>();
-  return DecodeStockLevelArgsInto(r, a.get()) ? PayloadPtr(a) : nullptr;
 }
 
 void TpccResult::SerializeTo(WireWriter& w) const {

@@ -94,18 +94,10 @@ struct TpccResult : public Payload {
   void SerializeTo(WireWriter& w) const override;
 };
 
-// Per-kind argument decoders plus the shared result decoder (registered as
-// the procedures' wire codecs).
-PayloadPtr DecodeNewOrderArgs(WireReader& r);
-PayloadPtr DecodePaymentArgs(WireReader& r);
-PayloadPtr DecodeOrderStatusArgs(WireReader& r);
-PayloadPtr DecodeDeliveryArgs(WireReader& r);
-PayloadPtr DecodeStockLevelArgs(WireReader& r);
+// Per-kind argument decoders (the procedures' args codecs): each fills a
+// fresh instance and returns false (marking the reader corrupt) on a
+// malformed span. Plus the shared result decoder.
 PayloadPtr DecodeTpccResult(WireReader& r);
-
-// Pooled variants: decode into an existing (recycled) instance, overwriting
-// every field — NewOrder reuses its line-vector capacity. Return false (and
-// mark the reader corrupt) on malformed spans.
 bool DecodeNewOrderArgsInto(WireReader& r, NewOrderArgs* into);
 bool DecodePaymentArgsInto(WireReader& r, PaymentArgs* into);
 bool DecodeOrderStatusArgsInto(WireReader& r, OrderStatusArgs* into);

@@ -170,43 +170,21 @@ std::vector<ProcedureDescriptor> TpccProcedures(const TpccScale& scale) {
       return RouteTpcc(scale, args);
     };
     // All five transactions are single-round; no coordinator continuation.
-    // The pooled hooks let the server decode into recycled instances; only
-    // NewOrder carries variable-size state (its line vector keeps capacity).
     switch (kind) {
       case TpccArgs::Kind::kNewOrder:
-        d.decode_args = DecodeNewOrderArgs;
-        d.make_args = [] { return std::unique_ptr<Payload>(std::make_unique<NewOrderArgs>()); };
-        d.decode_args_into = [](WireReader& r, Payload* into) {
-          return DecodeNewOrderArgsInto(r, static_cast<NewOrderArgs*>(into));
-        };
+        SetArgsCodec(d, DecodeNewOrderArgsInto);
         break;
       case TpccArgs::Kind::kPayment:
-        d.decode_args = DecodePaymentArgs;
-        d.make_args = [] { return std::unique_ptr<Payload>(std::make_unique<PaymentArgs>()); };
-        d.decode_args_into = [](WireReader& r, Payload* into) {
-          return DecodePaymentArgsInto(r, static_cast<PaymentArgs*>(into));
-        };
+        SetArgsCodec(d, DecodePaymentArgsInto);
         break;
       case TpccArgs::Kind::kOrderStatus:
-        d.decode_args = DecodeOrderStatusArgs;
-        d.make_args = [] { return std::unique_ptr<Payload>(std::make_unique<OrderStatusArgs>()); };
-        d.decode_args_into = [](WireReader& r, Payload* into) {
-          return DecodeOrderStatusArgsInto(r, static_cast<OrderStatusArgs*>(into));
-        };
+        SetArgsCodec(d, DecodeOrderStatusArgsInto);
         break;
       case TpccArgs::Kind::kDelivery:
-        d.decode_args = DecodeDeliveryArgs;
-        d.make_args = [] { return std::unique_ptr<Payload>(std::make_unique<DeliveryArgs>()); };
-        d.decode_args_into = [](WireReader& r, Payload* into) {
-          return DecodeDeliveryArgsInto(r, static_cast<DeliveryArgs*>(into));
-        };
+        SetArgsCodec(d, DecodeDeliveryArgsInto);
         break;
       case TpccArgs::Kind::kStockLevel:
-        d.decode_args = DecodeStockLevelArgs;
-        d.make_args = [] { return std::unique_ptr<Payload>(std::make_unique<StockLevelArgs>()); };
-        d.decode_args_into = [](WireReader& r, Payload* into) {
-          return DecodeStockLevelArgsInto(r, static_cast<StockLevelArgs*>(into));
-        };
+        SetArgsCodec(d, DecodeStockLevelArgsInto);
         break;
     }
     d.decode_result = DecodeTpccResult;

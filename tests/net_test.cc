@@ -260,10 +260,10 @@ DbOptions SlowDb(uint64_t max_inflight) {
     r.participants.push_back(0);
     return r;
   };
-  d.decode_args = [](WireReader& r) -> PayloadPtr {
-    auto a = std::make_shared<SlowArgs>();
-    a->sleep_ms = r.U32();
-    return r.ok() ? a : nullptr;
+  d.make_args = [] { return std::make_shared<SlowArgs>(); };
+  d.decode_args_into = [](WireReader& r, Payload* into) {
+    static_cast<SlowArgs*>(into)->sleep_ms = r.U32();
+    return r.ok();
   };
   d.decode_result = [](WireReader& r) -> PayloadPtr {
     auto res = std::make_shared<SlowResult>();

@@ -3,32 +3,33 @@
 // bit-identically with ByteSize() equal to the encoded size, and the
 // size-parity pins that keep the sim cost model's byte accounting identical
 // to the pre-codec hand estimates (the figure goldens depend on them).
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "db/procedure_registry.h"
 #include "gtest/gtest.h"
 #include "kv/kv_engine.h"
+#include "kv/kv_procedures.h"
 #include "kv/kv_workload.h"
 #include "msg/wire.h"
 #include "net/frame.h"
 #include "runtime/metrics.h"
 #include "tpcc/tpcc_engine.h"
 #include "tpcc/tpcc_loader.h"
+#include "tpcc/tpcc_procedures.h"
 
 namespace partdb {
 namespace {
 
-using tpcc::DecodeDeliveryArgs;
-using tpcc::DecodeNewOrderArgs;
-using tpcc::DecodeOrderStatusArgs;
-using tpcc::DecodePaymentArgs;
-using tpcc::DecodeStockLevelArgs;
 using tpcc::DecodeTpccResult;
 using tpcc::DeliveryArgs;
 using tpcc::NewOrderArgs;
 using tpcc::OrderStatusArgs;
 using tpcc::PaymentArgs;
 using tpcc::StockLevelArgs;
+using tpcc::TpccArgs;
 using tpcc::TpccResult;
 
 std::string Encode(const Payload& p) {
@@ -36,6 +37,27 @@ std::string Encode(const Payload& p) {
   WireWriter w(&buf);
   p.SerializeTo(w);
   return buf;
+}
+
+/// The registered KV procedure, whose args codec the server runs.
+const ProcedureDescriptor& KvProc() {
+  static const ProcedureDescriptor d = KvReadUpdateProcedure(KvWorkloadOptions{});
+  return d;
+}
+
+/// The registered TPC-C procedure of `kind`.
+const ProcedureDescriptor& TpccProc(TpccArgs::Kind kind) {
+  static const std::vector<ProcedureDescriptor> procs = tpcc::TpccProcedures(tpcc::TpccScale{});
+  auto it = std::find_if(procs.begin(), procs.end(), [kind](const ProcedureDescriptor& d) {
+    return d.name == tpcc::TpccProcName(kind);
+  });
+  EXPECT_NE(it, procs.end());
+  return *it;
+}
+
+/// `d`'s args decoder as the server runs it: DecodeArgs over the codec.
+auto ArgsDecoder(const ProcedureDescriptor& d) {
+  return [&d](WireReader& r) { return DecodeArgs(d, r); };
 }
 
 /// The three properties every wire payload must satisfy: ByteSize() is the
@@ -137,7 +159,7 @@ TEST(KvCodec, ArgsRoundTripProperty) {
   for (int it = 0; it < 500; ++it) {
     const int parts = 1 + static_cast<int>(rng.Uniform(5));
     auto args = RandomKvArgs(rng, parts);
-    PayloadPtr back = ExpectRoundTrip(*args, DecodeKvArgs);
+    PayloadPtr back = ExpectRoundTrip(*args, ArgsDecoder(KvProc()));
     const auto& b = PayloadCast<KvArgs>(*back);
     EXPECT_EQ(b.keys, args->keys);
     EXPECT_EQ(b.rounds, args->rounds);
@@ -152,7 +174,7 @@ TEST(KvCodec, ArgsRoundTripShortKeys) {
   args->keys[0].push_back(KvKey(std::string_view("")));
   args->keys[0].push_back(KvKey(std::string_view("a")));
   args->keys[1].push_back(KvKey(std::string_view("abcdefgh")));
-  PayloadPtr back = ExpectRoundTrip(*args, DecodeKvArgs);
+  PayloadPtr back = ExpectRoundTrip(*args, ArgsDecoder(KvProc()));
   EXPECT_EQ(PayloadCast<KvArgs>(*back).keys, args->keys);
 }
 
@@ -182,12 +204,12 @@ TEST(KvCodec, DecoderRejectsTruncatedAndTrailingBytes) {
   const std::string bytes = Encode(*args);
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     WireReader r(bytes.data(), cut);
-    PayloadPtr p = DecodeKvArgs(r);
+    PayloadPtr p = DecodeArgs(KvProc(), r);
     EXPECT_TRUE(p == nullptr || !r.AtEnd()) << "truncation at " << cut << " decoded";
   }
   const std::string extra = bytes + "x";
   WireReader r(extra);
-  PayloadPtr p = DecodeKvArgs(r);
+  PayloadPtr p = DecodeArgs(KvProc(), r);
   EXPECT_FALSE(p != nullptr && r.AtEnd());
 }
 
@@ -243,7 +265,7 @@ TEST(TpccCodec, NewOrderRoundTripProperty) {
       l.quantity = static_cast<int32_t>(rng.Uniform(10)) + 1;
       a.lines.push_back(l);
     }
-    PayloadPtr back = ExpectRoundTrip(a, DecodeNewOrderArgs);
+    PayloadPtr back = ExpectRoundTrip(a, ArgsDecoder(TpccProc(TpccArgs::Kind::kNewOrder)));
     const auto& b = PayloadCast<NewOrderArgs>(*back);
     EXPECT_EQ(b.w_id, a.w_id);
     EXPECT_EQ(b.d_id, a.d_id);
@@ -270,7 +292,7 @@ TEST(TpccCodec, PaymentOrderStatusRoundTripProperty) {
     if (pay.c_id == 0) pay.c_last = tpcc::LastName(static_cast<int>(rng.Uniform(1000)));
     pay.amount = static_cast<double>(rng.Uniform(500000)) / 100.0;
     pay.date = static_cast<int64_t>(rng.Uniform(1u << 30));
-    PayloadPtr back = ExpectRoundTrip(pay, DecodePaymentArgs);
+    PayloadPtr back = ExpectRoundTrip(pay, ArgsDecoder(TpccProc(TpccArgs::Kind::kPayment)));
     const auto& b = PayloadCast<PaymentArgs>(*back);
     EXPECT_EQ(b.c_last, pay.c_last);
     EXPECT_EQ(b.amount, pay.amount);
@@ -281,7 +303,7 @@ TEST(TpccCodec, PaymentOrderStatusRoundTripProperty) {
     os.d_id = static_cast<int32_t>(rng.Uniform(10)) + 1;
     os.c_id = rng.Bernoulli(0.4) ? 0 : static_cast<int32_t>(rng.Uniform(3000)) + 1;
     if (os.c_id == 0) os.c_last = tpcc::LastName(static_cast<int>(rng.Uniform(1000)));
-    PayloadPtr oback = ExpectRoundTrip(os, DecodeOrderStatusArgs);
+    PayloadPtr oback = ExpectRoundTrip(os, ArgsDecoder(TpccProc(TpccArgs::Kind::kOrderStatus)));
     EXPECT_EQ(PayloadCast<OrderStatusArgs>(*oback).c_last, os.c_last);
   }
 }
@@ -291,14 +313,14 @@ TEST(TpccCodec, DeliveryStockLevelResultRoundTrip) {
   d.w_id = 3;
   d.carrier_id = 7;
   d.date = 123456789;
-  PayloadPtr dback = ExpectRoundTrip(d, DecodeDeliveryArgs);
+  PayloadPtr dback = ExpectRoundTrip(d, ArgsDecoder(TpccProc(TpccArgs::Kind::kDelivery)));
   EXPECT_EQ(PayloadCast<DeliveryArgs>(*dback).carrier_id, 7);
 
   StockLevelArgs s;
   s.w_id = 2;
   s.d_id = 9;
   s.threshold = 15;
-  PayloadPtr sback = ExpectRoundTrip(s, DecodeStockLevelArgs);
+  PayloadPtr sback = ExpectRoundTrip(s, ArgsDecoder(TpccProc(TpccArgs::Kind::kStockLevel)));
   EXPECT_EQ(PayloadCast<StockLevelArgs>(*sback).threshold, 15);
 
   TpccResult res;

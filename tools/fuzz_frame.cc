@@ -19,7 +19,9 @@
 #include <string_view>
 #include <vector>
 
+#include "db/procedure_registry.h"
 #include "kv/kv_engine.h"
+#include "kv/kv_procedures.h"
 #include "msg/wire.h"
 #include "net/frame.h"
 #include "runtime/metrics.h"
@@ -41,9 +43,11 @@ void ConsumeBody(FrameType type, std::string_view body) {
       WireReader r(body);
       RequestHeader h;
       if (!DecodeRequestHeader(r, &h)) break;
-      // The server decodes args with the procedure's registered codec; the
-      // kv codec is the one every bench deployment serves.
-      PayloadPtr args = DecodeKvArgs(r);
+      // The server decodes args through DecodeArgs with the procedure's
+      // registered codec; the kv procedure is the one every bench deployment
+      // serves.
+      static const ProcedureDescriptor kKv = KvReadUpdateProcedure(KvWorkloadOptions{});
+      PayloadPtr args = DecodeArgs(kKv, r);
       if (args != nullptr) r.AtEnd();
       break;
     }
