@@ -14,22 +14,24 @@ namespace {
 constexpr size_t kTxnStashMax = 16;
 }  // namespace
 
+SessionActor::SessionActor(std::string name, ProcRouter router, TxnContinuations* continuations,
+                           Topology topology, CcSchemeCapabilities caps, const CostModel& cost,
+                           uint64_t seed)
+    : Actor(std::move(name)),
+      router_(std::move(router)),
+      continuations_(continuations),
+      topology_(std::move(topology)),
+      caps_(caps),
+      cost_(cost),
+      rng_(seed) {
+  PARTDB_CHECK(router_ != nullptr);
+}
+
 SubmitResult SessionActor::Submit(ProcId proc, PayloadPtr args, TxnCallback cb) {
   PARTDB_CHECK(args != nullptr);  // fail at the call site, not on the worker
-  PARTDB_CHECK(router_ != nullptr);
   PendingSubmit p;
   p.proc = proc;
   p.args = std::move(args);
-  p.cb = std::move(cb);
-  return Enqueue(std::move(p));
-}
-
-SubmitResult SessionActor::SubmitRouted(PayloadPtr args, TxnRouting route, TxnCallback cb) {
-  PARTDB_CHECK(args != nullptr);
-  PendingSubmit p;
-  p.args = std::move(args);
-  p.routed = true;
-  p.route = std::move(route);
   p.cb = std::move(cb);
   return Enqueue(std::move(p));
 }
@@ -172,7 +174,7 @@ void SessionActor::StartTxn(TxnId id, PendingSubmit p, ActorContext& ctx) {
     it = ins.first;
   }
   Txn& t = it->second;
-  TxnRouting route = p.routed ? std::move(p.route) : router_(p.proc, *p.args);
+  TxnRouting route = router_(p.proc, *p.args);
   PARTDB_CHECK(!route.participants.empty());
   PARTDB_CHECK(route.rounds >= 1);
   for (PartitionId part : route.participants) {
@@ -271,7 +273,7 @@ void SessionActor::Complete(TxnId id, bool committed, PayloadPtr result, uint32_
     } else {
       metrics_->mp_latency.Add(lat);
     }
-    if (proc_metrics_ != nullptr && proc != kInvalidProc) {
+    if (proc_metrics_ != nullptr) {
       proc_metrics_->RecordProcOutcome(proc, committed, lat);
     }
   }

@@ -78,7 +78,7 @@ struct SubmitResult {
 
 /// Derives routing facts for a registered procedure invocation (the db layer
 /// passes its ProcedureRegistry's router). Must be deterministic in the
-/// arguments. May be null when only SubmitRouted is used.
+/// arguments.
 using ProcRouter = std::function<TxnRouting(ProcId proc, const Payload& args)>;
 
 class SessionActor : public Actor {
@@ -86,17 +86,11 @@ class SessionActor : public Actor {
   /// `caps` is the running scheme's capability set: under a
   /// client_coordinated_2pc scheme (locking §4.3) this actor runs the 2PC
   /// rounds itself, with `continuations` supplying coordinator-style round
-  /// inputs (the db layer passes its ProcedureRegistry).
+  /// inputs (the db layer passes its ProcedureRegistry). `router` must be
+  /// set.
   SessionActor(std::string name, ProcRouter router, TxnContinuations* continuations,
                Topology topology, CcSchemeCapabilities caps, const CostModel& cost,
-               uint64_t seed)
-      : Actor(std::move(name)),
-        router_(std::move(router)),
-        continuations_(continuations),
-        topology_(std::move(topology)),
-        caps_(caps),
-        cost_(cost),
-        rng_(seed) {}
+               uint64_t seed);
 
   void set_metrics(Metrics* m) { metrics_ = m; }
 
@@ -114,10 +108,6 @@ class SessionActor : public Actor {
   /// batch: submissions arriving while a wake is already scheduled coalesce
   /// into it). Thread-safe. Routing comes from the actor's ProcRouter.
   SubmitResult Submit(ProcId proc, PayloadPtr args, TxnCallback cb);
-
-  /// Like Submit, but with caller-supplied routing (tests and harnesses that
-  /// derive routing alongside the arguments, bypassing the registry).
-  SubmitResult SubmitRouted(PayloadPtr args, TxnRouting route, TxnCallback cb);
 
   /// Queued + in-flight transactions. Thread-safe.
   uint64_t outstanding() const {
@@ -150,8 +140,6 @@ class SessionActor : public Actor {
     TxnId id = kInvalidTxn;
     ProcId proc = kInvalidProc;
     PayloadPtr args;
-    bool routed = false;  // `route` below is authoritative (SubmitRouted)
-    TxnRouting route;
     TxnCallback cb;
     Time submit_time = 0;  // latency measures from submission, not pickup
   };

@@ -1,8 +1,7 @@
 // TxnContinuations: coordinator-side application code (paper §3.3). For a
 // multi-round transaction, computes the input of the next communication round
-// from the previous round's per-partition results. Implemented by the legacy
-// Workload interface (ignoring the procedure id) and by the db layer's
-// ProcedureRegistry (dispatching on it).
+// from the previous round's per-partition results. Implemented by the db
+// layer's ProcedureRegistry (dispatching on the procedure id).
 #ifndef PARTDB_COORD_TXN_CONTINUATIONS_H_
 #define PARTDB_COORD_TXN_CONTINUATIONS_H_
 
@@ -19,8 +18,7 @@ class TxnContinuations {
   virtual ~TxnContinuations() = default;
 
   /// Computes the input for `round` (>= 1) of procedure `proc` from the
-  /// previous round's per-partition results. `proc` is kInvalidProc for
-  /// transactions issued outside a procedure registry (legacy workloads).
+  /// previous round's per-partition results.
   virtual PayloadPtr NextRoundInput(
       ProcId proc, const Payload& args, int round,
       const std::vector<std::pair<PartitionId, PayloadPtr>>& prev) = 0;

@@ -16,7 +16,7 @@ namespace partdb {
 struct ClientRequest {
   TxnId txn_id = kInvalidTxn;
   uint32_t attempt = 0;
-  ProcId proc = kInvalidProc;  // registry id; kInvalidProc for legacy workloads
+  ProcId proc = kInvalidProc;  // registry id
   PayloadPtr args;
   std::vector<PartitionId> participants;
   int num_rounds = 1;

@@ -164,8 +164,9 @@ class SessionTwoPc : public ::testing::Test {
     topo.durable_notices = durable_notices;
     CcSchemeCapabilities caps;
     caps.client_coordinated_2pc = true;
-    session_ = std::make_unique<SessionActor>("session", nullptr, &cont_, topo, caps, CostModel{},
-                                              /*seed=*/7);
+    ProcRouter router = [this](ProcId, const Payload&) { return route_; };
+    session_ = std::make_unique<SessionActor>("session", std::move(router), &cont_, topo, caps,
+                                              CostModel{}, /*seed=*/7);
     metrics_.recording = true;
     session_->set_metrics(&metrics_);
     h_.BindAll(session_.get());
@@ -173,10 +174,9 @@ class SessionTwoPc : public ::testing::Test {
 
   /// Submits one MP transaction and runs until its round-0 fragments are out.
   TxnId Submit(std::vector<PartitionId> parts, int rounds) {
-    TxnRouting route;
-    route.participants = std::move(parts);
-    route.rounds = rounds;
-    SubmitResult s = session_->SubmitRouted(Int(1), route, [this](const TxnResult& r) {
+    route_.participants = std::move(parts);
+    route_.rounds = rounds;
+    SubmitResult s = session_->Submit(/*proc=*/0, Int(1), [this](const TxnResult& r) {
       results_.push_back(r);
     });
     EXPECT_TRUE(s.accepted);
@@ -186,6 +186,7 @@ class SessionTwoPc : public ::testing::Test {
 
   TwoPcHarness h_;
   SumContinuations cont_;
+  TxnRouting route_;  // what the router returns for the next Submit
   Metrics metrics_;
   std::unique_ptr<SessionActor> session_;
   std::vector<TxnResult> results_;
