@@ -29,7 +29,6 @@ class PARTDB_CAPABILITY("mutex") Mutex {
 
   void Lock() PARTDB_ACQUIRE() { mu_.lock(); }
   void Unlock() PARTDB_RELEASE() { mu_.unlock(); }
-  bool TryLock() PARTDB_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;
@@ -76,11 +75,6 @@ class CondVar {
     const std::cv_status st = cv_.wait_until(lk, deadline);
     lk.release();
     return st != std::cv_status::timeout;
-  }
-
-  /// Blocks until notified or `d` elapses. Returns false on timeout.
-  bool WaitFor(Mutex& mu, std::chrono::steady_clock::duration d) PARTDB_REQUIRES(mu) {
-    return WaitUntil(mu, std::chrono::steady_clock::now() + d);
   }
 
  private:

@@ -52,10 +52,6 @@
 #define PARTDB_RELEASE(...) \
   PARTDB_THREAD_ANNOTATION_IMPL(release_capability(__VA_ARGS__))
 
-/// Function acquires the capability only when returning the given value.
-#define PARTDB_TRY_ACQUIRE(...) \
-  PARTDB_THREAD_ANNOTATION_IMPL(try_acquire_capability(__VA_ARGS__))
-
 /// Function must NOT be called with the capability held (self-deadlock
 /// documentation for public entry points that lock internally).
 #define PARTDB_EXCLUDES(...) PARTDB_THREAD_ANNOTATION_IMPL(locks_excluded(__VA_ARGS__))

@@ -27,11 +27,6 @@ class Simulator {
   /// Schedules `fn` to run at absolute virtual time `at` (>= Now()).
   void Schedule(Time at, std::function<void()> fn);
 
-  /// Schedules `fn` to run `after` nanoseconds from now.
-  void ScheduleAfter(Duration after, std::function<void()> fn) {
-    Schedule(now_ + after, std::move(fn));
-  }
-
   /// Runs events until the queue is empty.
   void Run();
 

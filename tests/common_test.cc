@@ -1,4 +1,4 @@
-// Tests for the common utilities: Status, Rng, Histogram, FlagSet,
+// Tests for the common utilities: Rng, Histogram, FlagSet,
 // InlineString, SmallFn, message size accounting, and metrics arithmetic.
 #include <cstring>
 #include <map>
@@ -10,7 +10,6 @@
 #include "common/inline_string.h"
 #include "common/rng.h"
 #include "common/small_fn.h"
-#include "common/status.h"
 #include "gtest/gtest.h"
 #include "kv/kv_engine.h"
 #include "msg/message.h"
@@ -19,17 +18,6 @@
 
 namespace partdb {
 namespace {
-
-TEST(Status, CodesAndMessages) {
-  EXPECT_TRUE(Status::OK().ok());
-  EXPECT_EQ(Status::OK().ToString(), "OK");
-  Status nf = Status::NotFound("no such key");
-  EXPECT_FALSE(nf.ok());
-  EXPECT_TRUE(nf.IsNotFound());
-  EXPECT_EQ(nf.ToString(), "NotFound: no such key");
-  EXPECT_TRUE(Status::Aborted().IsAborted());
-  EXPECT_TRUE(Status::InvalidArgument("x").IsInvalidArgument());
-}
 
 TEST(Rng, DeterministicPerSeed) {
   Rng a(42), b(42), c(43);
