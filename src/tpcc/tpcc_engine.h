@@ -96,13 +96,15 @@ struct TpccResult : public Payload {
 
 // Per-kind argument decoders (the procedures' args codecs): each fills a
 // fresh instance and returns false (marking the reader corrupt) on a
-// malformed span. Plus the shared result decoder.
-PayloadPtr DecodeTpccResult(WireReader& r);
+// malformed span.
 bool DecodeNewOrderArgsInto(WireReader& r, NewOrderArgs* into);
 bool DecodePaymentArgsInto(WireReader& r, PaymentArgs* into);
 bool DecodeOrderStatusArgsInto(WireReader& r, OrderStatusArgs* into);
 bool DecodeDeliveryArgsInto(WireReader& r, DeliveryArgs* into);
 bool DecodeStockLevelArgsInto(WireReader& r, StockLevelArgs* into);
+
+/// The shared result decoder of the five procedures.
+PayloadPtr DecodeTpccResult(WireReader& r);
 
 class TpccEngine : public Engine {
  public:

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "db/procedure_registry.h"
 #include "gtest/gtest.h"
 #include "kv/kv_engine.h"
@@ -51,7 +52,7 @@ const ProcedureDescriptor& TpccProc(TpccArgs::Kind kind) {
   auto it = std::find_if(procs.begin(), procs.end(), [kind](const ProcedureDescriptor& d) {
     return d.name == tpcc::TpccProcName(kind);
   });
-  EXPECT_NE(it, procs.end());
+  PARTDB_CHECK(it != procs.end());
   return *it;
 }
 
