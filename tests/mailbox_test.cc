@@ -5,7 +5,9 @@
 // the consumer parked; steady-state traffic never notifies).
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -100,6 +102,54 @@ TEST(Mailbox, DrainAndRepushRecyclesNodes) {
   // Only the first round can miss (cold cache); rounds 2..N reuse its nodes.
   EXPECT_LE(after.misses - before.misses, kBatch);
   EXPECT_GE(after.hits - before.hits, static_cast<uint64_t>(kRounds - 1) * kBatch);
+}
+
+// A sink may push to the mailbox it is draining, as handlers do (SetTimer,
+// self-sends). For N items the sink pushes the next message and a timer;
+// the node it was handed must stay readable after those pushes (under ASan
+// this catches a drain whose storage the producers append to), and every
+// item must arrive exactly once, in push order.
+TEST(Mailbox, SinkPushesToItsOwnMailbox) {
+  constexpr uint32_t kItems = 2000;
+  Mailbox box;
+  std::deque<std::pair<MailboxNode::Kind, uint32_t>> expected;
+  box.PushMessage(MakeItem(0, 0));
+  expected.emplace_back(MailboxNode::Kind::kMessage, 0);
+
+  uint64_t received = 0;
+  const auto deadline = Clock::now() + std::chrono::seconds(30);
+  while (!expected.empty()) {
+    const size_t got = box.DrainUntil(deadline, 7, [&](MailboxNode* n) {
+      ASSERT_FALSE(expected.empty()) << "unexpected extra item";
+      const auto [kind, seq] = expected.front();
+      expected.pop_front();
+      ASSERT_EQ(n->kind, kind) << "item " << received;
+      if (kind == MailboxNode::Kind::kTimer) {
+        EXPECT_EQ(n->timer.at, static_cast<Time>(seq));
+        EXPECT_EQ(n->timer.fire.generation, seq);
+      } else {
+        ASSERT_EQ(TxnSeq(std::get<TimerFire>(n->msg.body).txn_id), seq);
+        if (seq + 1 < kItems) {
+          box.PushMessage(MakeItem(0, seq + 1));
+          expected.emplace_back(MailboxNode::Kind::kMessage, seq + 1);
+          box.PushTimer(/*self=*/0, /*at=*/seq, TimerFire{MakeTxnId(1, seq), seq});
+          expected.emplace_back(MailboxNode::Kind::kTimer, seq);
+        }
+        // Still the node this call was handed.
+        ASSERT_EQ(n->kind, MailboxNode::Kind::kMessage);
+        EXPECT_EQ(n->msg.src, 0);
+        EXPECT_EQ(TxnSeq(std::get<TimerFire>(n->msg.body).txn_id), seq);
+      }
+      ++received;
+    });
+    ASSERT_GT(got, 0u) << "stalled after " << received << " items";
+  }
+  EXPECT_EQ(received, 2ull * kItems - 1);
+  EXPECT_TRUE(box.Empty());
+  EXPECT_EQ(box.pushed(), box.popped());
+  EXPECT_EQ(box.DrainUntil(Clock::now() + std::chrono::milliseconds(2), 64,
+                           [&](MailboxNode*) { ++received; }),
+            0u);
 }
 
 // The wake discipline, deterministically:

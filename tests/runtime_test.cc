@@ -2,12 +2,15 @@
 // seed => bit-identical run), the parallel runtime's MPSC mailbox ordering
 // guarantees, and sim-vs-parallel commit-log replay equivalence.
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "kv/kv_procedures.h"
+#include "runtime/actor.h"
 #include "runtime/mailbox.h"
+#include "runtime/parallel_runtime.h"
 #include "test_util.h"
 
 namespace partdb {
@@ -164,6 +167,73 @@ TEST(Mailbox, CarriesAllItemKindsInOrder) {
   EXPECT_EQ(kinds[1], MailboxNode::Kind::kTimer);
   EXPECT_EQ(kinds[2], MailboxNode::Kind::kControl);
   EXPECT_TRUE(control_ran);
+}
+
+// ---------------------------------------------------------------------------
+// WaitQuiescent counts work that is queued behind the handler running now:
+// an actor sends itself a chain of messages, and the chain ends in a timer
+// that messages an actor on another worker. Quiescence may be reported only
+// after that last handler ran.
+
+constexpr uint64_t kSelfSends = 200;
+
+class Chainer : public Actor {
+ public:
+  explicit Chainer(NodeId peer) : Actor("chainer"), peer_(peer) {}
+
+ protected:
+  void OnMessage(Message& msg, ActorContext& ctx) override {
+    if (std::holds_alternative<TimerFire>(msg.body)) {
+      ctx.Send(peer_, DecisionMessage{std::get<TimerFire>(msg.body).txn_id, 0, true});
+      return;
+    }
+    const TxnId hop = std::get<DecisionMessage>(msg.body).txn_id;
+    if (hop < kSelfSends) {
+      ctx.Send(node_id(), DecisionMessage{hop + 1, 0, true});
+    } else {
+      ctx.SetTimer(3 * kMillisecond, TimerFire{hop, 0});
+    }
+  }
+
+ private:
+  NodeId peer_;
+};
+
+class LastStop : public Actor {
+ public:
+  LastStop() : Actor("last-stop") {}
+  std::atomic<int> arrivals{0};
+
+ protected:
+  void OnMessage(Message& /*msg*/, ActorContext& /*ctx*/) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    arrivals.fetch_add(1, std::memory_order_release);
+  }
+};
+
+TEST(ParallelRuntime, WaitQuiescentWaitsOutSelfSendsAndTimers) {
+  constexpr int kRounds = 10;
+  ParallelRuntime rt(2);
+  rt.MapNode(0, 0);
+  rt.MapNode(1, 1);
+  Chainer chainer(/*peer=*/1);
+  LastStop last;
+  chainer.Bind(&rt, 0);
+  last.Bind(&rt, 1);
+  rt.Start();
+  for (int round = 1; round <= kRounds; ++round) {
+    Message kick;
+    kick.src = 1;
+    kick.dst = 0;
+    kick.body = DecisionMessage{0, 0, true};
+    rt.Send(std::move(kick), 0);
+    ASSERT_TRUE(rt.WaitQuiescent(std::chrono::seconds(30))) << "round " << round;
+    EXPECT_EQ(last.arrivals.load(std::memory_order_acquire), round)
+        << "quiescent before the timer's message was handled";
+  }
+  const ParallelRuntime::Stats s = rt.GetStats();
+  EXPECT_EQ(s.mailbox_pushed, s.mailbox_popped);
+  rt.Stop();
 }
 
 // ---------------------------------------------------------------------------
