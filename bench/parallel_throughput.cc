@@ -71,20 +71,13 @@ int main(int argc, char** argv) {
     if (m.mp_latency.count() > 0) {
       std::printf("  mp latency: %s\n", m.mp_latency.Summary(1e-3).c_str());
     }
-    // Hot-path anatomy: mailbox traffic, the park/wake discipline (wakes per
-    // item ~ 0 at saturation), lock-free contention, and the node-freelist
-    // hit rate (misses stop once every queue depth has been seen — steady
-    // state pushes allocate nothing).
-    const uint64_t node_ops = rs.node_cache_hits + rs.node_cache_misses;
-    std::printf("  mailbox: pushed=%llu wakes=%llu parks=%llu cas_retries=%llu  "
-                "node-cache hit-rate=%.1f%%  pinned=%d/%d workers\n",
+    // Hot-path anatomy: mailbox traffic and the park/wake discipline (wakes
+    // per item ~ 0 at saturation).
+    std::printf("  mailbox: pushed=%llu wakes=%llu parks=%llu  pinned=%d/%d workers\n",
                 static_cast<unsigned long long>(rs.mailbox_pushed),
                 static_cast<unsigned long long>(rs.mailbox_wakes),
-                static_cast<unsigned long long>(rs.mailbox_parks),
-                static_cast<unsigned long long>(rs.mailbox_cas_retries),
-                node_ops == 0 ? 0.0 : 100.0 * static_cast<double>(rs.node_cache_hits) /
-                                          static_cast<double>(node_ops),
-                rs.pinned_workers, rs.num_workers);
+                static_cast<unsigned long long>(rs.mailbox_parks), rs.pinned_workers,
+                rs.num_workers);
     if (m.committed == 0) {
       std::printf("ERROR: no transactions committed under %s\n", scheme.c_str());
       ok = false;

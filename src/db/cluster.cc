@@ -6,6 +6,11 @@
 
 namespace partdb {
 
+namespace {
+/// Parallel-mode worker threads shared by the session ingress actors.
+constexpr int kSessionWorkers = 2;
+}  // namespace
+
 Cluster::Cluster(const DbOptions& options, TxnContinuations* continuations)
     : options_(options), net_(options.net), sim_exec_(&sim_, &net_) {
   const int P = options_.num_partitions;
@@ -26,15 +31,14 @@ Cluster::Cluster(const DbOptions& options, TxnContinuations* continuations)
     // Thread-per-partition (and per backup); the coordinator gets its own
     // worker; session ingress actors spread round-robin over their own
     // worker pool.
-    const int session_workers = options_.session_workers;
-    parallel_ = std::make_unique<ParallelRuntime>(P + num_backups + 1 + session_workers);
+    parallel_ = std::make_unique<ParallelRuntime>(P + num_backups + 1 + kSessionWorkers);
     parallel_->set_affinity(options_.worker_affinity);
     const int coord_worker = P + num_backups;
     for (int p = 0; p < P; ++p) parallel_->MapNode(topology_.partition_primary[p], p);
     for (int b = 0; b < num_backups; ++b) parallel_->MapNode(coord_node + 1 + P + b, P + b);
     parallel_->MapNode(coord_node, coord_worker);
     for (int s = 0; s < options_.max_sessions; ++s) {
-      parallel_->MapNode(first_session_node_ + s, coord_worker + 1 + s % session_workers);
+      parallel_->MapNode(first_session_node_ + s, coord_worker + 1 + s % kSessionWorkers);
     }
     exec_ = parallel_.get();
   } else {

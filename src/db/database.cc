@@ -14,7 +14,6 @@ namespace partdb {
 std::unique_ptr<Database> Database::Open(DbOptions options) {
   PARTDB_CHECK(options.engine_factory != nullptr);
   PARTDB_CHECK(options.max_sessions >= 1);
-  PARTDB_CHECK(options.session_workers >= 1);
   return std::unique_ptr<Database>(new Database(std::move(options)));
 }
 

@@ -67,10 +67,9 @@ class Database : public DbHandle {
   std::vector<ProcMetricsSnapshot> ProcMetrics() const { return registry_.ProcMetrics(); }
 
   /// Ingress hot-path counters (parallel mode: mailbox push/pop/wake/park
-  /// totals, lock-free CAS retries, mailbox-node cache hit rates, worker pin
-  /// outcomes — all zeros in simulated mode) plus the durability tier's
-  /// log-writer counters (batches, fsyncs, bytes; zeros when durability is
-  /// off). Thread-safe; monotonic since Open.
+  /// totals and worker pin outcomes — all zeros in simulated mode) plus the
+  /// durability tier's log-writer counters (batches, fsyncs, bytes; zeros
+  /// when durability is off). Thread-safe; monotonic since Open.
   struct DbStats {
     ParallelRuntime::Stats runtime;
     DurabilityStats durability;

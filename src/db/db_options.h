@@ -37,8 +37,6 @@ struct DbOptions {
   /// Session slots created at Open (sessions must bind before the parallel
   /// workers start); CreateSession hands them out and recycles them.
   int max_sessions = 16;
-  /// Parallel-mode worker threads shared by the session ingress actors.
-  int session_workers = 2;
   /// Admission control / backpressure: at most this many transactions
   /// admitted-and-uncompleted per session (0 = unlimited). Submissions past
   /// the bound return SubmitResult{accepted = false} instead of queueing —

@@ -1,20 +1,20 @@
-// Lock-free unbounded MPSC mailbox for the parallel runtime. Any thread may
-// push; exactly one consumer thread drains. The queue is a Vyukov-style
-// intrusive node list: producers link in with a single atomic exchange
-// (wait-free — no CAS loop, no mutex, no allocation on the hot path thanks
-// to per-producer thread-local node freelists), and the consumer walks the
-// chain with plain loads. The exchange order is a total order consistent
-// with each producer's program order, so per-sender FIFO — the delivery
-// guarantee the simulated network provides and the CC schemes rely on — is
-// preserved.
+// Unbounded MPSC mailbox for the parallel runtime. Any thread may push;
+// exactly one consumer thread drains. Producers append to `pending_` under
+// one mutex; the consumer swaps the whole pending vector into its private
+// `draining_` vector under the same mutex and runs that batch without it.
+// Both vectors keep their capacity, so steady-state delivery allocates
+// nothing. Appends happen in lock order, a total order consistent with each
+// producer's program order, so per-sender FIFO — the delivery guarantee the
+// simulated network provides and the CC schemes rely on — is preserved.
 //
-// Blocking is kept entirely off the fast path: the consumer parks on a
-// CondVar only after publishing a `parked` flag and re-verifying emptiness
-// (Dekker-style with the producers' tail exchange, both seq_cst), and a
-// producer signals only on the empty->nonempty edge when that flag is up.
-// Steady-state traffic never touches the mutex from either side; it exists
-// solely so the park/wake handshake can reuse the annotated CondVar instead
-// of a raw futex.
+// A handler may push to its own mailbox mid-drain (SetTimer, self-sends):
+// that push lands in `pending_`, never in the vector being drained, so the
+// node handed to the sink stays put.
+//
+// The consumer parks on the condvar only after finding `pending_` empty
+// under the lock, and a producer notifies only when its push makes
+// `pending_` non-empty while the consumer is parked: a busy worker takes no
+// wakes.
 //
 // A node carries a tagged union — message | timer | control — so the two
 // hot item kinds (actor messages and timer registrations) cost no
@@ -28,17 +28,13 @@
 #include <cstdint>
 #include <functional>
 #include <new>
-#include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/mutex.h"
 #include "msg/message.h"
 
 namespace partdb {
-
-namespace mailbox_internal {
-class NodeCache;
-}  // namespace mailbox_internal
 
 /// Timer registration riding the mailbox as plain data (SetTimer is on the
 /// session-wake hot path; it must not allocate or type-erase).
@@ -48,16 +44,12 @@ struct MailboxTimer {
   TimerFire fire;
 };
 
-/// One intrusive queue node. Recycled through per-producer thread-local
-/// freelists (`home`); never constructed on the push hot path in steady
-/// state. The union members are manually constructed/destroyed, tracked by
-/// `kind`.
+/// One queued item. The union members are manually constructed/destroyed,
+/// tracked by `kind`.
 struct MailboxNode {
   enum class Kind : uint8_t { kNone, kMessage, kTimer, kControl };
   using ControlFn = std::function<void()>;
 
-  std::atomic<MailboxNode*> next{nullptr};
-  mailbox_internal::NodeCache* home = nullptr;  // owning freelist; null = stub
   Kind kind = Kind::kNone;
   union {
     Message msg;
@@ -69,6 +61,23 @@ struct MailboxNode {
   ~MailboxNode() { Reset(); }
   MailboxNode(const MailboxNode&) = delete;
   MailboxNode& operator=(const MailboxNode&) = delete;
+  /// Moves the active member out of `o` (vector growth); `o` ends empty.
+  MailboxNode(MailboxNode&& o) noexcept {
+    switch (o.kind) {
+      case Kind::kMessage:
+        SetMessage(std::move(o.msg));
+        break;
+      case Kind::kTimer:
+        SetTimer(o.timer);
+        break;
+      case Kind::kControl:
+        SetControl(std::move(o.control));
+        break;
+      case Kind::kNone:
+        break;
+    }
+    o.Reset();
+  }
 
   void SetMessage(Message m) {
     new (&msg) Message(std::move(m));
@@ -103,22 +112,6 @@ struct MailboxNode {
   }
 };
 
-/// Process-wide node-freelist counters (Database::Stats). The caches are
-/// per-thread and shared by every Mailbox in the process.
-struct MailboxNodeCacheStats {
-  uint64_t hits = 0;         // nodes reused from a freelist
-  uint64_t misses = 0;       // nodes freshly heap-allocated
-  uint64_t cas_retries = 0;  // contended pushes onto freelist return stacks
-  uint64_t live_caches = 0;  // producer threads with a live cache
-};
-
-/// Acquires a recycled node from the calling thread's cache (allocating only
-/// on a cold cache), releases one back to its home cache from any thread,
-/// and aggregates the process-wide counters.
-MailboxNode* AcquireMailboxNode();
-void ReleaseMailboxNode(MailboxNode* n);
-MailboxNodeCacheStats MailboxNodeCaches();
-
 /// Shared park-event channel: every consumer park (mailbox verified empty,
 /// consumer about to block) notifies here when armed, so WaitQuiescent can
 /// sleep on quiescence-relevant events instead of polling. Armed only while
@@ -131,42 +124,31 @@ struct MailboxIdleSignal {
 
 class Mailbox {
  public:
-  /// Monotonic counters, all updated wait-free on their owning side.
+  /// Monotonic counters.
   struct Stats {
     uint64_t pushed = 0;
     uint64_t popped = 0;
-    uint64_t wakes = 0;        // condvar notifies: empty->nonempty edges that
-                               // found the consumer parked
-    uint64_t parks = 0;        // times the consumer raised its parked flag
-                               // (park epoch), including ones a racing push
-                               // cut short; bounds wakes from above
-    uint64_t pop_retries = 0;  // consumer retries on a producer's in-flight
-                               // link (the lock-free analogue of contention)
+    uint64_t wakes = 0;  // condvar notifies: empty->nonempty edges that
+                         // found the consumer parked
+    uint64_t parks = 0;  // times the consumer parked; bounds wakes from above
   };
 
-  Mailbox();
-  ~Mailbox();
+  Mailbox() = default;
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
-  // --- producers (any thread, wait-free: one exchange each) -----------------
+  // --- producers (any thread) -----------------------------------------------
 
   void PushMessage(Message m) {
-    MailboxNode* n = AcquireMailboxNode();
-    n->SetMessage(std::move(m));
-    PushNode(n);
+    Push([&m](MailboxNode& n) { n.SetMessage(std::move(m)); });
   }
   void PushTimer(NodeId self, Time at, TimerFire t) {
-    MailboxNode* n = AcquireMailboxNode();
-    n->SetTimer(MailboxTimer{self, at, t});
-    PushNode(n);
+    Push([&](MailboxNode& n) { n.SetTimer(MailboxTimer{self, at, t}); });
   }
   /// Cold control plane only (rendezvous, stop, window flips): the closure
   /// itself may allocate.
   void PushControl(MailboxNode::ControlFn fn) {
-    MailboxNode* n = AcquireMailboxNode();
-    n->SetControl(std::move(fn));
-    PushNode(n);
+    Push([&fn](MailboxNode& n) { n.SetControl(std::move(fn)); });
   }
 
   // --- consumer (single thread) ---------------------------------------------
@@ -174,31 +156,18 @@ class Mailbox {
   /// Blocks until at least one item is available or `deadline` passes, then
   /// drains up to `max_batch` items in FIFO order, invoking `sink(node)` on
   /// each. The node (and its payload) is valid only for the duration of the
-  /// sink call; the payload should be moved out. Returns the number of items
-  /// drained (0 on timeout).
+  /// sink call; the payload should be moved out. The sink may push to this
+  /// mailbox. Returns the number of items drained (0 on timeout).
   template <typename Sink>
   size_t DrainUntil(std::chrono::steady_clock::time_point deadline, size_t max_batch,
                     Sink&& sink) {
     size_t drained = 0;
     while (drained < max_batch) {
-      MailboxNode* n = TryPop();
-      if (n == nullptr) {
-        if (drained > 0) break;  // batch in hand; hand it back
-        if (!Empty()) {
-          // A producer is between its tail exchange and the link store — the
-          // item exists but is not reachable yet. Spin briefly; yielding
-          // lets the producer finish when cores are scarce.
-          pop_retries_.fetch_add(1, std::memory_order_relaxed);
-          std::this_thread::yield();
-          continue;
-        }
-        if (!WaitNonEmptyUntil(deadline)) return 0;
-        continue;
-      }
-      popped_.fetch_add(1, std::memory_order_relaxed);
-      sink(n);
-      n->Reset();
-      ReleaseMailboxNode(n);
+      if (next_ == draining_.size() && !Refill(drained == 0, deadline)) break;
+      MailboxNode& n = draining_[next_++];
+      popped_.store(popped_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+      sink(&n);
+      n.Reset();
       ++drained;
     }
     return drained;
@@ -206,24 +175,17 @@ class Mailbox {
 
   // --- observables (any thread; WaitQuiescent reads these) ------------------
 
-  /// True while the consumer is parked (it verified emptiness before
-  /// raising the flag, and lowers it before popping anything).
-  bool consumer_waiting() const { return parked_.load(std::memory_order_acquire); }
+  /// True while the consumer is parked (it found `pending_` empty under the
+  /// lock before raising the flag, and lowers it before draining anything).
+  bool consumer_waiting() const { return waiting_.load(std::memory_order_acquire); }
 
-  /// Total items ever pushed / popped. `pushed` is bumped before the node
-  /// becomes reachable, so pushed() >= items visible in the queue — the
-  /// conservative direction for quiescence detection.
+  /// Total items ever pushed / popped. An item counts as popped when its
+  /// sink call starts.
   uint64_t pushed() const { return pushed_.load(std::memory_order_acquire); }
   uint64_t popped() const { return popped_.load(std::memory_order_acquire); }
 
-  /// True when no unconsumed item exists at the instant of the call (modulo
-  /// producers that bumped pushed() but have not yet exchanged — the
-  /// pushed-stability check in WaitQuiescent covers those).
-  bool Empty() const {
-    return head_.load(std::memory_order_acquire) == &stub_ &&
-           stub_.next.load(std::memory_order_acquire) == nullptr &&
-           tail_.load(std::memory_order_seq_cst) == &stub_;
-  }
+  /// True when every item pushed so far has been handed to the sink.
+  bool Empty() const { return popped() == pushed(); }
 
   Stats stats() const {
     Stats s;
@@ -231,7 +193,6 @@ class Mailbox {
     s.popped = popped_.load(std::memory_order_relaxed);
     s.wakes = wakes_.load(std::memory_order_relaxed);
     s.parks = parks_.load(std::memory_order_relaxed);
-    s.pop_retries = pop_retries_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -240,32 +201,43 @@ class Mailbox {
   void set_idle_signal(MailboxIdleSignal* s) { idle_signal_ = s; }
 
  private:
-  void PushNode(MailboxNode* n);
-  MailboxNode* TryPop();
-  bool WaitNonEmptyUntil(std::chrono::steady_clock::time_point deadline);
+  /// Appends one item filled in by `set`, then wakes a parked consumer if
+  /// this push made `pending_` non-empty. The notify happens after the
+  /// unlock, so the woken consumer does not block on the mutex; it cannot be
+  /// lost, because the consumer checks `pending_` under the lock before it
+  /// waits.
+  template <typename Set>
+  void Push(Set&& set) {
+    bool wake = false;
+    {
+      MutexLock lock(mu_);
+      set(pending_.emplace_back());
+      pushed_.store(pushed_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+      wake = pending_.size() == 1 && waiting_.load(std::memory_order_relaxed);
+    }
+    if (wake) {
+      cv_.NotifyOne();
+      wakes_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
 
-  // Producer-shared cache lines: the exchange target and the push counter.
-  alignas(64) std::atomic<MailboxNode*> tail_;  // producer end of the chain
-  std::atomic<uint64_t> pushed_{0};
+  /// Recycles the drained batch and swaps `pending_` in. When nothing is
+  /// pending, parks until `deadline` if `block`, else returns false.
+  bool Refill(bool block, std::chrono::steady_clock::time_point deadline);
 
-  // Consumer-owned line: the private cursor (atomic only so observers can
-  // read it) and the consumer-side counters.
-  alignas(64) std::atomic<MailboxNode*> head_;
-  std::atomic<uint64_t> popped_{0};
-  std::atomic<uint64_t> parks_{0};
-  std::atomic<uint64_t> pop_retries_{0};
-
-  // Park/wake handshake. parked_ is the Dekker flag; the mutex+condvar are
-  // touched only on the empty->nonempty edge (see WaitNonEmptyUntil).
-  alignas(64) std::atomic<bool> parked_{false};
+  alignas(64) Mutex mu_;
+  std::vector<MailboxNode> pending_ PARTDB_GUARDED_BY(mu_);
+  std::atomic<uint64_t> pushed_{0};   // written under mu_
+  std::atomic<bool> waiting_{false};  // written under mu_
   std::atomic<uint64_t> wakes_{0};
-  Mutex park_mu_;
-  CondVar park_cv_;
+  CondVar cv_;
   MailboxIdleSignal* idle_signal_ = nullptr;
 
-  /// Permanent sentinel: tail_ == &stub_ <=> the chain is logically empty
-  /// (the consumer re-pushes it whenever it detaches the last real node).
-  MailboxNode stub_;
+  // Consumer-owned: the batch being drained and its cursor.
+  alignas(64) std::vector<MailboxNode> draining_;
+  size_t next_ = 0;
+  std::atomic<uint64_t> popped_{0};
+  std::atomic<uint64_t> parks_{0};
 };
 
 }  // namespace partdb

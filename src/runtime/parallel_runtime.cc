@@ -149,10 +149,10 @@ void ParallelRuntime::WorkerLoop(Worker* w, int index) {
       if (next_timer < deadline) deadline = next_timer;
     }
 
-    // Lock-free batch drain. Due timers still fire between items, so timer
-    // fidelity matches the one-message-at-a-time loop. A message runs its
-    // handler straight from the mailbox node: the mailbox is the only queue
-    // on this path, and the handler's real elapsed time is its cost (the
+    // Batch drain. Due timers still fire between items, so timer fidelity
+    // matches the one-message-at-a-time loop. A message runs its handler
+    // straight from the mailbox node: the mailbox is the only queue on this
+    // path, and the handler's real elapsed time is its cost (the
     // charged virtual cost only feeds busy_ns accounting).
     w->mailbox.DrainUntil(deadline, kDrainBatch, [&](MailboxNode* n) {
       switch (n->kind) {
@@ -220,12 +220,7 @@ ParallelRuntime::Stats ParallelRuntime::GetStats() const {
     s.mailbox_popped += ms.popped;
     s.mailbox_wakes += ms.wakes;
     s.mailbox_parks += ms.parks;
-    s.mailbox_cas_retries += ms.pop_retries;
   }
-  const MailboxNodeCacheStats nc = MailboxNodeCaches();
-  s.node_cache_hits = nc.hits;
-  s.node_cache_misses = nc.misses;
-  s.mailbox_cas_retries += nc.cas_retries;
   return s;
 }
 

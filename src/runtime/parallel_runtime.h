@@ -1,7 +1,7 @@
 // ParallelRuntime: the hardware-speed ExecutionContext. Each worker is one
 // OS thread owning a disjoint set of actors (thread-per-partition for
-// primaries); messages travel through lock-free MPSC mailboxes and time is
-// the wall-clock nanoseconds since Start(). An actor's handlers run only on
+// primaries); messages travel through MPSC mailboxes and time is the
+// wall-clock nanoseconds since Start(). An actor's handlers run only on
 // its owning worker, so the single-threaded CcScheme/Engine code runs
 // unchanged — concurrency control stays as cheap as the paper claims, now at
 // the speed the hardware allows. Workers can optionally be pinned to CPUs
@@ -25,19 +25,20 @@ namespace partdb {
 
 class ParallelRuntime : public ExecutionContext {
  public:
-  /// Ingress-path counters aggregated over every worker mailbox plus the
-  /// process-wide node caches (Database::Stats surfaces these).
+  /// Ingress-path counters aggregated over every worker mailbox
+  /// (Database::Stats surfaces these).
   struct Stats {
     uint64_t mailbox_pushed = 0;
     uint64_t mailbox_popped = 0;
     uint64_t mailbox_wakes = 0;  // condvar notifies (empty->nonempty edges)
     uint64_t mailbox_parks = 0;  // consumer park transitions
-    /// Lock-free contention: consumer retries on in-flight producer links
-    /// plus CAS retries on the node-freelist return stacks.
+    /// Always 0: the mailbox is one mutex plus two vectors, with no CAS
+    /// loop and no node cache. The fields remain because bench_partdb reads
+    /// them.
     uint64_t mailbox_cas_retries = 0;
-    uint64_t node_cache_hits = 0;    // process-wide, shared across runtimes
-    uint64_t node_cache_misses = 0;  // (thread-local caches outlive runtimes)
-    int pinned_workers = 0;          // workers whose CPU pin succeeded
+    uint64_t node_cache_hits = 0;
+    uint64_t node_cache_misses = 0;
+    int pinned_workers = 0;  // workers whose CPU pin succeeded
     int num_workers = 0;
   };
 

@@ -36,10 +36,9 @@ constexpr uint64_t kWarmupHops = 20000;
 constexpr uint64_t kCountedHops = 100000;
 
 // Bounces DecisionMessages with its peer: txn_id is the hop count, attempt
-// the ball. Two balls warm every thread's mailbox-node cache up to the
-// depth one ball needs (a node can still be on its way home when its owner
-// sends the next message); ball 1 then retires and ball 0 bounces alone
-// through the counted hops.
+// the ball. Two balls grow every mailbox's vectors past the depth one ball
+// needs; ball 1 then retires and ball 0 bounces alone through the counted
+// hops.
 class Bouncer : public Actor {
  public:
   Bouncer(std::string name, NodeId peer, std::atomic<bool>* done)
