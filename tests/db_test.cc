@@ -295,6 +295,33 @@ TEST(MeasurementWindow, BothModesFillTheWindow) {
   }
 }
 
+// A window counts only its own traffic, at the session and at the partition
+// alike: a transaction run between two windows shows up in neither.
+TEST(MeasurementWindow, BetweenWindowTrafficIsNotCounted) {
+  const KvWorkloadOptions mb = SmallConfig(2, 0.0);
+  auto db = Database::Open(SmallDb(mb, "locking", RunMode::kSimulated, 1));
+  auto session = db->CreateSession();
+  const ProcId proc = db->proc(kKvReadUpdateProc);
+  auto expect_one_txn = [](const Metrics& m) {
+    EXPECT_EQ(m.committed, 1u);
+    EXPECT_EQ(m.sp_latency.count(), 1u);
+    EXPECT_EQ(m.lock_fast_path + m.locked_txns, 1u);
+  };
+
+  db->BeginMeasurement();
+  EXPECT_TRUE(session->Execute(proc, SpArgs(mb, 0, 0)).committed);
+  expect_one_txn(db->EndMeasurement());
+
+  EXPECT_TRUE(session->Execute(proc, SpArgs(mb, 0, 1)).committed);
+
+  db->BeginMeasurement();
+  EXPECT_TRUE(session->Execute(proc, SpArgs(mb, 0, 0)).committed);
+  expect_one_txn(db->EndMeasurement());
+
+  session.reset();
+  db->Close();
+}
+
 TEST(OpenLoopDriver, HitsTargetRateWithinTolerance) {
   const KvWorkloadOptions mb = SmallConfig(2, 0.1);
   auto db = Database::Open(SmallDb(mb, "speculation", RunMode::kParallel, 2));

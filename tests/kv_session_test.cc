@@ -318,10 +318,15 @@ TEST(ProcMetrics, ResetPerMeasurementWindow) {
   db->EndMeasurement();
   EXPECT_EQ(db->ProcMetrics()[0].committed, 2u);
 
+  // Traffic between windows counts in neither.
+  EXPECT_TRUE(session->Execute(proc, args()).committed);
+
   db->BeginMeasurement();
   EXPECT_TRUE(session->Execute(proc, args()).committed);
-  db->EndMeasurement();
+  const Metrics m = db->EndMeasurement();
   EXPECT_EQ(db->ProcMetrics()[0].committed, 1u);
+  EXPECT_EQ(m.committed, 1u);
+  EXPECT_EQ(m.sp_latency.count(), 1u);
 
   session.reset();
   db->Close();
