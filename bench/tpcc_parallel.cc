@@ -76,12 +76,14 @@ int main(int argc, char** argv) {
     if (m.mp_latency.count() > 0) {
       std::printf("  mp latency: %s\n", m.mp_latency.Summary(1e-3).c_str());
     }
-    // Per-procedure breakdown of the measurement window (ProcedureRegistry
-    // outcome stats, surfaced through the Database).
+    // Per-procedure breakdown of the measurement window (Metrics::procs,
+    // indexed by the registry's procedure ids).
     uint64_t proc_committed = 0, proc_aborts = 0;
-    for (const ProcMetricsSnapshot& ps : db->ProcMetrics()) {
+    for (size_t i = 0; i < m.procs.size(); ++i) {
+      const Metrics::ProcOutcomes& ps = m.procs[i];
       std::printf("  %-14s committed=%-8llu aborts=%-6llu p50=%7.1fus p99=%7.1fus\n",
-                  ps.name.c_str(), static_cast<unsigned long long>(ps.committed),
+                  db->registry().Get(static_cast<ProcId>(i)).name.c_str(),
+                  static_cast<unsigned long long>(ps.committed),
                   static_cast<unsigned long long>(ps.user_aborts),
                   ps.latency.Percentile(50) / 1000.0, ps.latency.Percentile(99) / 1000.0);
       proc_committed += ps.committed;

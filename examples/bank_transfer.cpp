@@ -181,9 +181,8 @@ int main() {
 
     ClosedLoopOptions loop;
     loop.num_clients = 24;
-    loop.proc = db->proc("transfer");
-    loop.next_args = [kPartitions](int /*client*/, Rng& rng) {
-      return NextTransfer(kPartitions, rng);
+    loop.next = [kPartitions, proc = db->proc("transfer")](int /*client*/, Rng& rng) {
+      return Invocation{proc, NextTransfer(kPartitions, rng)};
     };
     loop.warmup = Micros(100000);
     loop.measure = Micros(400000);

@@ -24,7 +24,7 @@ void LockingCc::OnFragment(FragmentRequest frag) {
     t->attempt = frag.attempt;
     t->coord = frag.coordinator;
     txns_.emplace(frag.txn_id, std::move(owned));
-    if (part_->metrics().recording) part_->metrics().locked_txns++;
+    part_->metrics().locked_txns++;
   } else {
     PARTDB_CHECK(t->rec.multi_partition && !t->has_pending && !t->prepared);  // next round
   }
@@ -32,7 +32,7 @@ void LockingCc::OnFragment(FragmentRequest frag) {
 }
 
 void LockingCc::FastPathSp(FragmentRequest& f) {
-  if (part_->metrics().recording) part_->metrics().lock_fast_path++;
+  part_->metrics().lock_fast_path++;
   UndoBuffer undo;
   ExecResult r = part_->RunFragment(f, f.can_abort ? &undo : nullptr);
   ReplySp(part_, f, r, &undo);
@@ -67,7 +67,7 @@ void LockingCc::HandleBlocked(LTxn* t) {
   const TxnId tid = t->rec.txn_id;
   std::vector<void*> cycle;
   if (lm_.FindCycle(t, &cycle)) {
-    if (part_->metrics().recording) part_->metrics().local_deadlocks++;
+    part_->metrics().local_deadlocks++;
     LTxn* victim = ChooseVictim(cycle);
     KillTxn(victim, /*timeout=*/false);
   }
@@ -93,11 +93,7 @@ LockingCc::LTxn* LockingCc::ChooseVictim(const std::vector<void*>& cycle) {
 }
 
 void LockingCc::KillTxn(LTxn* victim, bool timeout) {
-  if (part_->metrics().recording) {
-    if (timeout) {
-      part_->metrics().timeout_aborts++;
-    }
-  }
+  if (timeout) part_->metrics().timeout_aborts++;
   if (!victim->undo.empty()) {
     part_->ChargeUndo(victim->undo.size());
     victim->undo.Rollback();
@@ -116,7 +112,7 @@ void LockingCc::KillTxn(LTxn* victim, bool timeout) {
   } else {
     retry_frag = std::move(victim->pending_frag);
     retry_frag.attempt++;
-    if (part_->metrics().recording) part_->metrics().txn_retries++;
+    part_->metrics().txn_retries++;
   }
 
   std::vector<LockManager::Granted> granted;

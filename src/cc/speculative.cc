@@ -87,7 +87,7 @@ void SpeculativeCc::OnFragment(FragmentRequest frag) {
     ExecuteFresh(frag);
   } else if (run_behind_ == RunBehind::kSnapshot && !frag.multi_partition) {
     if (!RunBeforeHead(frag)) {
-      if (part_->metrics().recording) part_->metrics().mvcc_conflict_waits++;
+      part_->metrics().mvcc_conflict_waits++;
       unexecuted_.push_back(std::move(frag));
     }
   } else if (unexecuted_.empty() && uncommitted_.back()->finished && MayRunBehind(frag)) {
@@ -134,7 +134,7 @@ void SpeculativeCc::ExecuteSp(const FragmentRequest& f, UndoBuffer* lift) {
     }
     lift->Reinstall();
     part_->ChargeUndo(lift->size());
-    if (part_->metrics().recording) part_->metrics().mvcc_snapshot_reads++;
+    part_->metrics().mvcc_snapshot_reads++;
   }
   ReplySp(part_, f, r, &undo);
 }
@@ -167,7 +167,7 @@ void SpeculativeCc::SpeculateSp(FragmentRequest& f) {
   t->frags.push_back(f);
   t->rec.round_inputs.push_back(f.round_input);
   t->held = part_->RunFragment(f, &t->undo);
-  if (part_->metrics().recording) part_->metrics().speculative_execs++;
+  part_->metrics().speculative_execs++;
   t->finished = true;
   // Results of speculated single-partition transactions cannot leave the
   // database until every earlier transaction has committed (§4.2.1). A
@@ -185,7 +185,7 @@ void SpeculativeCc::SpeculateMp(FragmentRequest& f) {
   const TxnId dep = LastMpId();
   PARTDB_CHECK(dep != kInvalidTxn);
   RunMpFragment(*t, f, dep);
-  if (part_->metrics().recording) part_->metrics().speculative_execs++;
+  part_->metrics().speculative_execs++;
   uncommitted_.push_back(std::move(t));
 }
 
@@ -284,7 +284,7 @@ void SpeculativeCc::AbortHead() {
   // then the head. push_front requeues them in their original order.
   for (auto it = invalid.rbegin(); it != invalid.rend(); ++it) {
     RollBack(**it);
-    if (part_->metrics().recording) part_->metrics().cascading_reexecs++;
+    part_->metrics().cascading_reexecs++;
     // Speculated transactions have executed exactly one fragment (round 0);
     // multi-round transactions past round 0 can no longer be cascaded.
     PARTDB_CHECK((*it)->frags.size() == 1);
@@ -297,7 +297,7 @@ void SpeculativeCc::AbortHead() {
   part_->DecideMp(h->rec, false);
   RecycleTxn(std::move(h));
 
-  if (part_->metrics().recording) part_->metrics().occ_survivors += uncommitted_.size();
+  part_->metrics().occ_survivors += uncommitted_.size();
   // Survivors' speculative votes referenced the old epoch (and possibly the
   // aborted head); resend them revalidated so the coordinator can proceed.
   TxnId prev_mp = kInvalidTxn;

@@ -28,7 +28,9 @@ SessionActor::SessionActor(std::string name, ProcRouter router, TxnContinuations
 }
 
 SubmitResult SessionActor::Submit(ProcId proc, PayloadPtr args, TxnCallback cb) {
-  PARTDB_CHECK(args != nullptr);  // fail at the call site, not on the worker
+  // Fail at the call site, not on the worker.
+  PARTDB_CHECK(proc >= 0);
+  PARTDB_CHECK(args != nullptr);
   PendingSubmit p;
   p.proc = proc;
   p.args = std::move(args);
@@ -230,7 +232,7 @@ void SessionActor::FinishLockingTxn(TxnId id, Txn& t, bool commit, bool retry,
     ctx.Send(topology_.partition_primary[p], DecisionMessage{id, t.mp.attempt(), commit});
   }
   if (retry) {
-    if (metrics_->recording) metrics_->txn_retries++;
+    metrics_->txn_retries++;
     t.mp.Retry();
     // Jittered backoff so the same transactions do not re-deadlock in
     // lockstep (the paper resolves distributed deadlock by timeout; retry
@@ -257,26 +259,29 @@ void SessionActor::Complete(TxnId id, bool committed, PayloadPtr result, uint32_
   const bool sp = t.mp.single_partition();
   const ProcId proc = t.mp.request().proc;
   const Duration lat = ctx.now() - t.issue_time;
-  if (metrics_->recording) {
-    if (committed) {
-      metrics_->committed++;
-      if (sp) {
-        metrics_->sp_committed++;
-      } else {
-        metrics_->mp_committed++;
-      }
-    } else {
-      metrics_->user_aborts++;
-    }
+  if (committed) {
+    metrics_->committed++;
     if (sp) {
-      metrics_->sp_latency.Add(lat);
+      metrics_->sp_committed++;
     } else {
-      metrics_->mp_latency.Add(lat);
+      metrics_->mp_committed++;
     }
-    if (proc_metrics_ != nullptr) {
-      proc_metrics_->RecordProcOutcome(proc, committed, lat);
-    }
+  } else {
+    metrics_->user_aborts++;
   }
+  if (sp) {
+    metrics_->sp_latency.Add(lat);
+  } else {
+    metrics_->mp_latency.Add(lat);
+  }
+  if (static_cast<size_t>(proc) >= metrics_->procs.size()) metrics_->procs.resize(proc + 1);
+  Metrics::ProcOutcomes& po = metrics_->procs[proc];
+  if (committed) {
+    po.committed++;
+  } else {
+    po.user_aborts++;
+  }
+  po.latency.Add(lat);
 
   TxnResult r;
   r.committed = committed;

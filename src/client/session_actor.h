@@ -32,7 +32,6 @@
 
 #include "cc/scheme_registry.h"
 #include "common/mutex.h"
-#include "client/proc_metrics.h"
 #include "client/routing.h"
 #include "common/rng.h"
 #include "coord/mp_round.h"
@@ -93,11 +92,6 @@ class SessionActor : public Actor {
                uint64_t seed);
 
   void set_metrics(Metrics* m) { metrics_ = m; }
-
-  /// Optional per-procedure outcome sink (the db layer passes its
-  /// ProcedureRegistry). Recording is gated on the metrics window, so the
-  /// per-proc counts decompose the window's committed/user_aborts exactly.
-  void set_proc_metrics(ProcMetricsSink* s) { proc_metrics_ = s; }
 
   /// Admission bound: at most `n` transactions admitted-and-uncompleted at a
   /// time (0 = unlimited). Set before traffic starts (Database::Open /
@@ -165,7 +159,6 @@ class SessionActor : public Actor {
   CcSchemeCapabilities caps_;
   CostModel cost_;
   Metrics* metrics_ = nullptr;
-  ProcMetricsSink* proc_metrics_ = nullptr;
   Rng rng_;
 
   uint64_t max_inflight_ = 0;  // 0 = unlimited; set before traffic

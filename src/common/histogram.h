@@ -1,4 +1,4 @@
-// Log-bucketed histogram for latency measurements, plus simple running stats.
+// Log-bucketed histogram for latency measurements.
 #ifndef PARTDB_COMMON_HISTOGRAM_H_
 #define PARTDB_COMMON_HISTOGRAM_H_
 
@@ -50,25 +50,6 @@ class Histogram {
   int64_t min_;
   int64_t max_;
   double sum_;
-};
-
-/// Running mean/min/max accumulator for doubles.
-class RunningStat {
- public:
-  void Add(double v) {
-    if (n_ == 0 || v < min_) min_ = v;
-    if (n_ == 0 || v > max_) max_ = v;
-    sum_ += v;
-    ++n_;
-  }
-  uint64_t count() const { return n_; }
-  double mean() const { return n_ == 0 ? 0.0 : sum_ / static_cast<double>(n_); }
-  double min() const { return n_ == 0 ? 0.0 : min_; }
-  double max() const { return n_ == 0 ? 0.0 : max_; }
-
- private:
-  uint64_t n_ = 0;
-  double sum_ = 0, min_ = 0, max_ = 0;
 };
 
 }  // namespace partdb

@@ -19,19 +19,16 @@
 #include "engine/cost_model.h"
 #include "msg/message.h"
 #include "runtime/actor.h"
-#include "runtime/metrics.h"
 
 namespace partdb {
 
 class CoordinatorActor : public Actor {
  public:
   /// `durable_notices`: commit replies wait for every participant's DurableNotice.
-  CoordinatorActor(std::string name, const CostModel& cost, Metrics* metrics,
-                   TxnContinuations* continuations, std::vector<NodeId> partition_nodes,
-                   bool durable_notices)
+  CoordinatorActor(std::string name, const CostModel& cost, TxnContinuations* continuations,
+                   std::vector<NodeId> partition_nodes, bool durable_notices)
       : Actor(std::move(name)),
         cost_(cost),
-        metrics_(metrics),
         continuations_(continuations),
         partition_nodes_(std::move(partition_nodes)),
         durable_notices_(durable_notices),
@@ -59,7 +56,6 @@ class CoordinatorActor : public Actor {
   void Reply(const MpTxn& t, bool commit, ActorContext& ctx);
 
   CostModel cost_;
-  Metrics* metrics_;
   TxnContinuations* continuations_;
   std::vector<NodeId> partition_nodes_;
   bool durable_notices_;

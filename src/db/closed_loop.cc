@@ -49,21 +49,14 @@ struct ClientLoop {
 
 Metrics RunClosedLoop(DbHandle& db, const ClosedLoopOptions& options) {
   PARTDB_CHECK(options.num_clients >= 1);
-  InvocationGenerator next = options.next;
-  if (next == nullptr) {
-    PARTDB_CHECK(options.proc != kInvalidProc);
-    PARTDB_CHECK(options.next_args != nullptr);
-    next = [proc = options.proc, args = options.next_args](int c, Rng& rng) {
-      return Invocation{proc, args(c, rng)};
-    };
-  }
+  PARTDB_CHECK(options.next != nullptr);
 
   auto stop = std::make_shared<std::atomic<bool>>(false);
   std::vector<std::unique_ptr<ClientLoop>> clients;
   for (int c = 0; c < options.num_clients; ++c) {
     auto cl = std::make_unique<ClientLoop>();
     cl->session = db.CreateSession();
-    cl->next = next;
+    cl->next = options.next;
     cl->index = c;
     if (options.seed.has_value()) {
       cl->rng = std::make_unique<Rng>(ClientStreamSeed(*options.seed, c));

@@ -35,16 +35,13 @@ struct Invocation {
 /// seed).
 using InvocationGenerator = std::function<Invocation(int client_index, Rng& rng)>;
 
-/// Generates only arguments, for single-procedure loops.
+/// Generates only arguments, for single-procedure drivers
+/// (LoadDriverOptions).
 using ArgsGenerator = std::function<PayloadPtr(int client_index, Rng& rng)>;
 
 struct ClosedLoopOptions {
   int num_clients = 8;  // logical closed-loop clients, one session each
-  /// Mixed-procedure workloads set `next`; single-procedure loops may set
-  /// `proc` + `next_args` instead.
-  InvocationGenerator next;
-  ProcId proc = kInvalidProc;
-  ArgsGenerator next_args;
+  InvocationGenerator next;  // must be set
   /// When set, client c draws from a private Rng seeded
   /// ClientStreamSeed(*seed, c) instead of its session actor's stream: the
   /// generated request sequence then depends only on this seed, not on

@@ -80,12 +80,11 @@ Cluster::Cluster(const DbOptions& options, TxnContinuations* continuations)
 
   // Coordinator (used by blocking and speculation; locking sessions
   // self-coordinate, so it simply stays idle).
-  auto sink = std::make_unique<Metrics>();
-  coordinator_ = std::make_unique<CoordinatorActor>("coordinator", options_.cost, sink.get(),
-                                                    continuations, topology_.partition_primary,
+  coordinator_ = std::make_unique<CoordinatorActor>("coordinator", options_.cost, continuations,
+                                                    topology_.partition_primary,
                                                     topology_.durable_notices);
   coordinator_->Bind(exec_, coord_node);
-  measured_.push_back({coordinator_.get(), std::move(sink), &Metrics::coord_busy_ns});
+  measured_.push_back({coordinator_.get(), nullptr, &Metrics::coord_busy_ns});
 }
 
 Engine& Cluster::backup_engine(PartitionId p, int backup_index) {
@@ -120,8 +119,7 @@ void Cluster::BeginWindow() {
   PARTDB_CHECK(started_);
   for (Measured& m : measured_) {
     RunOnOwner(m.actor, [&m]() {
-      m.metrics->Reset();
-      m.metrics->recording = true;
+      if (m.metrics != nullptr) m.metrics->Reset();
       m.actor->ResetBusy();
     });
   }
@@ -135,8 +133,7 @@ Metrics Cluster::EndWindow() {
     // In parallel mode RunOnOwner blocks until the owning worker ran this,
     // so the merge reads a stable snapshot.
     RunOnOwner(m.actor, [&out, &m]() {
-      m.metrics->recording = false;
-      out.Merge(*m.metrics);
+      if (m.metrics != nullptr) out.Merge(*m.metrics);
       if (m.busy != nullptr) out.*m.busy += m.actor->busy_ns();
     });
   }

@@ -69,11 +69,12 @@ class Cluster {
   }
 
  private:
-  /// An actor that records into a private metrics sink, merged at the end of
-  /// each window.
+  /// An actor whose window is measured: its private metrics sink (if any) is
+  /// reset at the start of each window and merged at the end, on the actor's
+  /// own thread, and its busy time likewise.
   struct Measured {
     Actor* actor;
-    std::unique_ptr<Metrics> metrics;
+    std::unique_ptr<Metrics> metrics;  // null: busy time only (the coordinator)
     /// The window field the actor's busy time sums into (null: not reported).
     Duration Metrics::*busy;
   };

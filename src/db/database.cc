@@ -81,7 +81,6 @@ Database::Database(DbOptions options) : options_(std::move(options)) {
         "session-" + std::to_string(i), router, &registry_, cluster_->topology(),
         scheme_caps, options_.cost, ClientStreamSeed(options_.seed, i));
     actor->set_metrics(cluster_->BindSession(i, actor.get()));
-    actor->set_proc_metrics(&registry_);
     actor->set_max_inflight(options_.max_inflight_per_session);
     session_actors_.push_back(std::move(actor));
   }
@@ -127,10 +126,7 @@ void Database::ReleaseSession(SessionActor* actor) {
   PARTDB_CHECK(false);  // not one of ours
 }
 
-void Database::BeginMeasurement() {
-  registry_.ResetProcMetrics();
-  cluster_->BeginWindow();
-}
+void Database::BeginMeasurement() { cluster_->BeginWindow(); }
 
 Metrics Database::EndMeasurement() { return cluster_->EndWindow(); }
 

@@ -55,16 +55,11 @@ class Database : public DbHandle {
   /// network tier's per-connection sessions).
   std::unique_ptr<Session> TryCreateSession();
 
-  /// Begins/ends a metrics window (throughput, latency histograms, CPU
-  /// utilization) through Cluster::BeginWindow/EndWindow, the same in both
-  /// modes. Begin also zeroes the per-procedure outcome stats.
+  /// Begins/ends a metrics window (throughput, latency histograms,
+  /// per-procedure outcomes, CPU utilization) through
+  /// Cluster::BeginWindow/EndWindow, the same in both modes.
   void BeginMeasurement() override;
   Metrics EndMeasurement() override;
-
-  /// Per-procedure outcomes of the current/last measurement window, in
-  /// registration order (committed / user-abort counts plus a latency
-  /// histogram per registered procedure). Thread-safe.
-  std::vector<ProcMetricsSnapshot> ProcMetrics() const { return registry_.ProcMetrics(); }
 
   /// Ingress hot-path counters (parallel mode: mailbox push/pop/wake/park
   /// totals and worker pin outcomes — all zeros in simulated mode) plus the

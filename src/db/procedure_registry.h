@@ -4,13 +4,10 @@
 // coordinator-side continuation for multi-round procedures (paper §3.3). The
 // fragment logic itself lives in the Engine the DbOptions factory builds for
 // each partition; the registry carries everything *around* the engine that
-// the old Workload interface used to own — including per-procedure outcome
-// metrics (committed/aborted counts, latency histograms) recorded by every
-// session and surfaced through Database::ProcMetrics.
+// the old Workload interface used to own.
 #ifndef PARTDB_DB_PROCEDURE_REGISTRY_H_
 #define PARTDB_DB_PROCEDURE_REGISTRY_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -19,10 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "client/proc_metrics.h"
-#include "common/mutex.h"
 #include "client/routing.h"
-#include "common/histogram.h"
 #include "common/types.h"
 #include "coord/txn_continuations.h"
 #include "msg/payload.h"
@@ -84,20 +78,11 @@ void SetArgsCodec(ProcedureDescriptor& d, bool (*decode_into)(WireReader&, Args*
 /// (`r.AtEnd()`).
 PayloadPtr DecodeArgs(const ProcedureDescriptor& desc, WireReader& r);
 
-/// One procedure's measurement-window outcomes (Database::ProcMetrics).
-struct ProcMetricsSnapshot {
-  std::string name;
-  uint64_t committed = 0;
-  uint64_t user_aborts = 0;
-  Histogram latency;  // ns, client observed, commits and user aborts alike
-};
-
 /// Name -> descriptor table shared by the coordinator and every session of a
 /// Database. Sealed before traffic starts (Database::Open registers
-/// DbOptions::procedures); afterwards descriptor lookups are concurrent
-/// lock-free reads, and the per-procedure outcome counters are updated
-/// concurrently by the sessions (atomics + a per-proc histogram lock).
-class ProcedureRegistry : public TxnContinuations, public ProcMetricsSink {
+/// DbOptions::procedures); afterwards it holds no mutable state, and every
+/// lookup is a concurrent lock-free read.
+class ProcedureRegistry : public TxnContinuations {
  public:
   /// Registers `desc` and returns its id. Names must be unique and non-empty;
   /// `desc.route` must be set, and the two args-codec hooks both or neither.
@@ -113,31 +98,8 @@ class ProcedureRegistry : public TxnContinuations, public ProcMetricsSink {
   PayloadPtr NextRoundInput(ProcId proc, const Payload& args, int round,
                             const std::vector<std::pair<PartitionId, PayloadPtr>>& prev) override;
 
-  // ProcMetricsSink (called by every session for completions inside a
-  // metrics window). Thread-safe. Unlike the window counters (which are
-  // per-actor precisely to avoid shared cache lines on the hot path), these
-  // are shared: one relaxed fetch_add plus a short per-proc histogram lock
-  // per completion — measured in the noise of the gated throughput benches
-  // on current hardware. If contention ever shows up at higher core counts,
-  // shard per session and merge at EndMeasurement.
-  void RecordProcOutcome(ProcId proc, bool committed, Duration latency_ns) override;
-
-  /// Snapshot of every procedure's window outcomes, in registration order.
-  std::vector<ProcMetricsSnapshot> ProcMetrics() const;
-
-  /// Zeroes the per-procedure outcome stats (Database::BeginMeasurement).
-  void ResetProcMetrics();
-
  private:
-  struct ProcStats {
-    std::atomic<uint64_t> committed{0};
-    std::atomic<uint64_t> user_aborts{0};
-    mutable Mutex mu;
-    Histogram latency PARTDB_GUARDED_BY(mu);
-  };
-
   std::vector<ProcedureDescriptor> procs_;
-  std::vector<std::unique_ptr<ProcStats>> stats_;  // parallel to procs_
   std::unordered_map<std::string, ProcId> by_name_;
 };
 

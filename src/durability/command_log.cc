@@ -150,7 +150,7 @@ uint64_t PartitionLog::Append(const CommitRecord& committed) {
   // while the writer holds its window open or does I/O cost none.
   if (writer_parked_) {
     writer_parked_ = false;
-    ++stats_.wakes;
+    ++stats_.writer_wakes;
     work_cv_.NotifyOne();
   }
   return seq;
@@ -230,7 +230,7 @@ void PartitionLog::WriterLoop() {
       stats_.records += admitted;
       stats_.bytes_logged += written_bytes;
     }
-    if (report_to_ != nullptr) stats_.reported += batch_sizes.size();
+    if (report_to_ != nullptr) stats_.deferred_completions += batch_sizes.size();
     flush_cv_.NotifyAll();
     mu_.Unlock();
     // Reports leave outside the log lock. This writer publishes the crash
@@ -317,7 +317,7 @@ void PartitionLog::Shutdown() {
   }
 }
 
-PartitionLogStats PartitionLog::GetStats() const {
+DurabilityStats PartitionLog::GetStats() const {
   MutexLock lock(mu_);
   return stats_;
 }

@@ -34,18 +34,36 @@ namespace partdb {
 class DurabilityManager;
 class ExecutionContext;
 
-struct PartitionLogStats {
+/// Log-writer counters: one partition's (PartitionLog::GetStats), or their
+/// sum over every partition (Database::Stats().durability).
+struct DurabilityStats {
   uint64_t records = 0;
   uint64_t bytes_logged = 0;
   uint64_t batches = 0;
   uint64_t fsyncs = 0;
-  /// Signals Append sent to a parked writer (at most one per batch).
-  uint64_t wakes = 0;
-  /// Records reported to the partition in LogDurable messages (group commit).
-  uint64_t reported = 0;
+  /// Signals appends sent to parked log writers (edge-only: <= batches).
+  uint64_t writer_wakes = 0;
+  /// Records the writers reported durable to a partition holding replies on
+  /// them in LogDurable messages (every record under group commit, 0 under
+  /// async).
+  uint64_t deferred_completions = 0;
   /// Batches written before their window ended, because CloseBatch covered
-  /// every pending record.
+  /// every pending record (a partition closes its batch on going idle only
+  /// under group commit, so 0 under async).
   uint64_t early_closes = 0;
+  double avg_batch_size() const {
+    return batches == 0 ? 0.0 : static_cast<double>(records) / static_cast<double>(batches);
+  }
+  DurabilityStats& operator+=(const DurabilityStats& o) {
+    records += o.records;
+    bytes_logged += o.bytes_logged;
+    batches += o.batches;
+    fsyncs += o.fsyncs;
+    writer_wakes += o.writer_wakes;
+    deferred_completions += o.deferred_completions;
+    early_closes += o.early_closes;
+    return *this;
+  }
 };
 
 class PartitionLog {
@@ -124,7 +142,7 @@ class PartitionLog {
   /// Final flush + writer join. Idempotent; the destructor calls it.
   void Shutdown();
 
-  PartitionLogStats GetStats() const;
+  DurabilityStats GetStats() const;
   PartitionId partition() const { return config_.partition; }
 
   /// Path of segment `index` for `partition` under `dir` (recovery scans
@@ -180,7 +198,7 @@ class PartitionLog {
   std::vector<TxnId> mp_epoch_ PARTDB_GUARDED_BY(mu_);
   std::vector<TxnId> mp_young_ PARTDB_GUARDED_BY(mu_);
   std::vector<TxnId> mp_old_ PARTDB_GUARDED_BY(mu_);
-  PartitionLogStats stats_ PARTDB_GUARDED_BY(mu_);
+  DurabilityStats stats_ PARTDB_GUARDED_BY(mu_);
 
   std::thread writer_;
 };

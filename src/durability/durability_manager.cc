@@ -58,16 +58,7 @@ uint64_t DurabilityManager::AdmitRecords(uint64_t n) {
 
 DurabilityStats DurabilityManager::GetStats() const {
   DurabilityStats out;
-  for (const auto& log : logs_) {
-    const PartitionLogStats s = log->GetStats();
-    out.records += s.records;
-    out.bytes_logged += s.bytes_logged;
-    out.batches += s.batches;
-    out.fsyncs += s.fsyncs;
-    out.writer_wakes += s.wakes;
-    out.deferred_completions += s.reported;
-    out.early_closes += s.early_closes;
-  }
+  for (const auto& log : logs_) out += log->GetStats();
   return out;
 }
 

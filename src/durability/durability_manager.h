@@ -40,25 +40,6 @@ enum class DurabilityMode { kOff, kAsync, kGroupCommit };
 
 const char* DurabilityModeName(DurabilityMode m);
 
-/// Aggregated log-writer counters (Database::Stats().durability).
-struct DurabilityStats {
-  uint64_t records = 0;
-  uint64_t bytes_logged = 0;
-  uint64_t batches = 0;
-  uint64_t fsyncs = 0;
-  /// Signals appends sent to parked log writers (edge-only: <= batches).
-  uint64_t writer_wakes = 0;
-  /// Records the writers reported durable to a partition holding replies on
-  /// them (every record under group commit, 0 under async).
-  uint64_t deferred_completions = 0;
-  /// Batches written before their window ended, because the partition
-  /// closed them on going idle (group commit only; 0 under async).
-  uint64_t early_closes = 0;
-  double avg_batch_size() const {
-    return batches == 0 ? 0.0 : static_cast<double>(records) / static_cast<double>(batches);
-  }
-};
-
 class DurabilityManager {
  public:
   struct Options {

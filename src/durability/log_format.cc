@@ -125,16 +125,6 @@ bool DecodeLogRecordBody(std::string_view body, LogRecord* out) {
   return r.AtEnd();
 }
 
-const char* LogReadStatusName(LogReadStatus s) {
-  switch (s) {
-    case LogReadStatus::kCleanEof: return "clean_eof";
-    case LogReadStatus::kTornTail: return "torn_tail";
-    case LogReadStatus::kTornHeader: return "torn_header";
-    case LogReadStatus::kCorrupt: return "corrupt";
-  }
-  return "?";
-}
-
 LogSegmentContents ParseLogSegment(std::string_view data) {
   LogSegmentContents out;
   WireReader r(data);

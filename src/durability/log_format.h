@@ -124,8 +124,6 @@ enum class LogReadStatus {
   kCorrupt,     // malformed header or a bad record with more data after it
 };
 
-const char* LogReadStatusName(LogReadStatus s);
-
 struct LogSegmentContents {
   LogSegmentHeader header;
   std::vector<LogRecord> records;

@@ -78,12 +78,10 @@ void PartitionActor::ChargeLockWork(const WorkMeter& m) {
   const Duration rel = cost_.LockReleaseCost(m);
   const Duration tab = cost_.LockTableCost(m);
   ctx_->Charge(acq + rel + tab);
-  if (metrics_->recording) {
-    metrics_->lock_acquire_ns += acq;
-    metrics_->lock_release_ns += rel;
-    metrics_->lock_table_ns += tab;
-    metrics_->lock_waits += m.lock_waits;
-  }
+  metrics_->lock_acquire_ns += acq;
+  metrics_->lock_release_ns += rel;
+  metrics_->lock_table_ns += tab;
+  metrics_->lock_waits += m.lock_waits;
 }
 
 void PartitionActor::ChargeUndo(size_t records) {

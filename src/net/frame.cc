@@ -172,6 +172,9 @@ void AppendCloseSession(std::string* out, uint32_t session_id) {
 
 namespace {
 
+/// count, min, max, sum and the bucket count of a histogram with no buckets.
+constexpr size_t kMinHistogramBytes = 8 + 8 + 8 + 8 + 4;
+
 void EncodeHistogram(WireWriter& w, const Histogram& h) {
   w.U64(h.count());
   w.I64(h.raw_min());
@@ -239,6 +242,12 @@ std::string EncodeMetrics(const Metrics& m) {
   w.I32(m.num_partitions);
   EncodeHistogram(w, m.sp_latency);
   EncodeHistogram(w, m.mp_latency);
+  w.U32(static_cast<uint32_t>(m.procs.size()));
+  for (const Metrics::ProcOutcomes& p : m.procs) {
+    w.U64(p.committed);
+    w.U64(p.user_aborts);
+    EncodeHistogram(w, p.latency);
+  }
   return body;
 }
 
@@ -269,6 +278,16 @@ bool DecodeMetrics(std::string_view body, Metrics* out) {
   m.num_partitions = r.I32();
   if (!DecodeHistogram(r, &m.sp_latency)) return false;
   if (!DecodeHistogram(r, &m.mp_latency)) return false;
+  // The count is remote input: bound it by the bytes left (an entry is at
+  // least two u64s and an empty histogram) before allocating.
+  const uint32_t num_procs = r.U32();
+  if (num_procs > r.remaining() / (16 + kMinHistogramBytes)) return false;
+  m.procs.resize(num_procs);
+  for (Metrics::ProcOutcomes& p : m.procs) {
+    p.committed = r.U64();
+    p.user_aborts = r.U64();
+    if (!DecodeHistogram(r, &p.latency)) return false;
+  }
   if (!r.AtEnd()) return false;
   *out = std::move(m);
   return true;

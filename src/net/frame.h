@@ -11,7 +11,7 @@
 // encoding; response bodies carry the transaction outcome plus the result
 // payload. Measurement-control frames let a remote handle run the same
 // BeginMeasurement/EndMeasurement protocol as an embedded one (Metrics,
-// histograms included, ships back serialized).
+// histograms and per-procedure outcomes included, ships back serialized).
 //
 // Two consumption styles share the layouts:
 //  - blocking, one frame per syscall pair (ReadFrame/WriteFrame) — the
@@ -38,7 +38,8 @@ namespace partdb {
 /// Protocol version: the first body byte of every frame. A peer speaking a
 /// different version is rejected at frame level. v2: multiplexed sessions
 /// (session_id in Request/Response, CloseSession, max_sessions in Hello).
-inline constexpr uint8_t kWireVersion = 2;
+/// v3: per-procedure outcomes in the kMetrics body.
+inline constexpr uint8_t kWireVersion = 3;
 
 /// Upper bound on one frame body: protects both sides from allocating on a
 /// corrupt length prefix.
@@ -158,7 +159,8 @@ bool DecodeResponseHeader(WireReader& r, ResponseHeader* out);
 /// kCloseSession: u32 session_id.
 void AppendCloseSession(std::string* out, uint32_t session_id);
 
-/// kMetrics body: every counter and both latency histograms of a Metrics.
+/// kMetrics body: every counter, both latency histograms and the
+/// per-procedure outcomes of a Metrics.
 std::string EncodeMetrics(const Metrics& m);
 bool DecodeMetrics(std::string_view body, Metrics* out);
 

@@ -22,6 +22,12 @@ void Metrics::Merge(const Metrics& o) {
   mvcc_conflict_waits += o.mvcc_conflict_waits;
   sp_latency.Merge(o.sp_latency);
   mp_latency.Merge(o.mp_latency);
+  if (procs.size() < o.procs.size()) procs.resize(o.procs.size());
+  for (size_t i = 0; i < o.procs.size(); ++i) {
+    procs[i].committed += o.procs[i].committed;
+    procs[i].user_aborts += o.procs[i].user_aborts;
+    procs[i].latency.Merge(o.procs[i].latency);
+  }
   lock_acquire_ns += o.lock_acquire_ns;
   lock_release_ns += o.lock_release_ns;
   lock_table_ns += o.lock_table_ns;

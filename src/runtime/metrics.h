@@ -1,12 +1,13 @@
 // Run-wide counters, latency histograms, and time breakdowns. Each measured
-// actor records into its own Metrics instance, and the cluster merges them
-// when a measurement window ends; `recording` gates updates to the window
-// (after warm-up).
+// actor records into its own Metrics instance on its own thread; the cluster
+// resets every instance when a measurement window begins and merges them
+// when it ends, so counts made outside a window never reach a result.
 #ifndef PARTDB_RUNTIME_METRICS_H_
 #define PARTDB_RUNTIME_METRICS_H_
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/types.h"
@@ -14,8 +15,6 @@
 namespace partdb {
 
 struct Metrics {
-  bool recording = false;
-
   // Client-observed completions (measurement window only).
   uint64_t committed = 0;
   uint64_t sp_committed = 0;
@@ -38,6 +37,17 @@ struct Metrics {
   Histogram sp_latency;  // ns, client observed
   Histogram mp_latency;
 
+  /// One registered procedure's completions: `committed + user_aborts`
+  /// summed over `procs` equals completions().
+  struct ProcOutcomes {
+    uint64_t committed = 0;
+    uint64_t user_aborts = 0;
+    Histogram latency;  // ns, client observed, commits and user aborts alike
+  };
+  /// Indexed by ProcId; grows on a procedure's first completion in the
+  /// window, so procedures with none may be absent from the tail.
+  std::vector<ProcOutcomes> procs;
+
   // Lock-manager time breakdown (ns), for the §5.6 profile.
   Duration lock_acquire_ns = 0;
   Duration lock_release_ns = 0;
@@ -49,15 +59,11 @@ struct Metrics {
   Duration coord_busy_ns = 0;
   int num_partitions = 0;
 
-  void Reset() {
-    const bool rec = recording;
-    *this = Metrics{};
-    recording = rec;
-  }
+  void Reset() { *this = Metrics{}; }
 
-  /// Accumulates another instance's counters, histograms, and time
-  /// breakdowns (per-actor metrics merged at the end of a window).
-  /// Leaves `recording` and the cluster-filled window fields alone.
+  /// Accumulates another instance's counters, histograms, per-procedure
+  /// outcomes and time breakdowns (per-actor metrics merged at the end of a
+  /// window). Leaves the cluster-filled window fields alone.
   void Merge(const Metrics& o);
 
   uint64_t completions() const { return committed + user_aborts; }

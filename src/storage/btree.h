@@ -70,14 +70,6 @@ class BPlusTree {
         idx_ = 0;
       }
     }
-    void Prev() {
-      if (leaf_ == nullptr) return;
-      --idx_;
-      if (idx_ < 0) {
-        leaf_ = leaf_->prev;
-        idx_ = leaf_ == nullptr ? 0 : leaf_->n - 1;
-      }
-    }
     bool operator==(const Iterator& o) const { return leaf_ == o.leaf_ && idx_ == o.idx_; }
 
    private:

@@ -283,7 +283,7 @@ TEST(MeasurementWindow, BothModesFillTheWindow) {
     loop.measure = Micros(50000);
     const Metrics m = RunClosedLoop(*db, loop);
     uint64_t proc_committed = 0;
-    for (const ProcMetricsSnapshot& s : db->ProcMetrics()) proc_committed += s.committed;
+    for (const Metrics::ProcOutcomes& p : m.procs) proc_committed += p.committed;
     db->Close();
 
     EXPECT_GT(m.committed, 0u);

@@ -883,8 +883,8 @@ TEST(DurabilityLogWriter, BurstIntoParkedWriterCostsOneWake) {
     d.log().Append(rec);
   }
   d.AwaitBatches(1);
-  PartitionLogStats s = d.log().GetStats();
-  EXPECT_EQ(s.wakes, 1u);
+  DurabilityStats s = d.log().GetStats();
+  EXPECT_EQ(s.writer_wakes, 1u);
   EXPECT_EQ(s.batches, 1u);
   EXPECT_EQ(s.records, 1000u);
 
@@ -898,7 +898,7 @@ TEST(DurabilityLogWriter, BurstIntoParkedWriterCostsOneWake) {
   d.log().Shutdown();
   s = d.log().GetStats();
   EXPECT_EQ(s.records, 1050u);
-  EXPECT_LE(s.wakes, s.batches);
+  EXPECT_LE(s.writer_wakes, s.batches);
 }
 
 TEST(DurabilityLogWriter, AsyncNeverWaitsForTheWindow) {
@@ -965,7 +965,7 @@ TEST(DurabilityLogWriter, CloseBatchCutsTheWindowShort) {
   d.log().CloseBatch();
   d.AwaitBatches(1);
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
-  PartitionLogStats s = d.log().GetStats();
+  DurabilityStats s = d.log().GetStats();
   EXPECT_EQ(s.batches, 1u);
   EXPECT_EQ(s.early_closes, 1u);
 

@@ -16,9 +16,7 @@ namespace partdb {
 class FakePartition : public PartitionExec {
  public:
   FakePartition(PartitionId pid, std::unique_ptr<Engine> engine)
-      : pid_(pid), engine_(std::move(engine)) {
-    metrics_.recording = true;
-  }
+      : pid_(pid), engine_(std::move(engine)) {}
 
   struct Sent {
     NodeId dst;

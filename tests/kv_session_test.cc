@@ -268,8 +268,8 @@ TEST(ClosedLoopSeed, UnsetSeedKeepsLegacySessionStreams) {
 
 // --- per-procedure outcome metrics ------------------------------------------
 
-// The registry's per-proc counts must decompose the window metrics exactly:
-// both are gated on the same per-session recording flag.
+// The window's per-proc counts must decompose its totals exactly: each
+// session records both into the same Metrics.
 TEST(ProcMetrics, DecomposeWindowMetrics) {
   KvFigConfig c;
   c.mp = 0.2;
@@ -285,9 +285,9 @@ TEST(ProcMetrics, DecomposeWindowMetrics) {
   Metrics m = RunClosedLoop(*db, loop);
   db->Close();
 
-  const std::vector<ProcMetricsSnapshot> procs = db->ProcMetrics();
+  const std::vector<Metrics::ProcOutcomes>& procs = m.procs;
   ASSERT_EQ(procs.size(), 1u);
-  EXPECT_EQ(procs[0].name, kKvReadUpdateProc);
+  EXPECT_EQ(db->proc(kKvReadUpdateProc), 0);
   EXPECT_GT(m.committed, 0u);
   EXPECT_GT(m.user_aborts, 0u);
   EXPECT_EQ(procs[0].committed, m.committed);
@@ -295,8 +295,8 @@ TEST(ProcMetrics, DecomposeWindowMetrics) {
   EXPECT_EQ(procs[0].latency.count(), m.sp_latency.count() + m.mp_latency.count());
 }
 
-// BeginMeasurement zeroes the per-proc stats, so back-to-back windows report
-// only their own traffic.
+// BeginMeasurement zeroes the per-proc outcomes, so back-to-back windows
+// report only their own traffic.
 TEST(ProcMetrics, ResetPerMeasurementWindow) {
   KvWorkloadOptions mb;
   mb.num_partitions = 2;
@@ -315,8 +315,9 @@ TEST(ProcMetrics, ResetPerMeasurementWindow) {
   db->BeginMeasurement();
   EXPECT_TRUE(session->Execute(proc, args()).committed);
   EXPECT_TRUE(session->Execute(proc, args()).committed);
-  db->EndMeasurement();
-  EXPECT_EQ(db->ProcMetrics()[0].committed, 2u);
+  const Metrics first = db->EndMeasurement();
+  ASSERT_EQ(first.procs.size(), 1u);
+  EXPECT_EQ(first.procs[0].committed, 2u);
 
   // Traffic between windows counts in neither.
   EXPECT_TRUE(session->Execute(proc, args()).committed);
@@ -324,7 +325,8 @@ TEST(ProcMetrics, ResetPerMeasurementWindow) {
   db->BeginMeasurement();
   EXPECT_TRUE(session->Execute(proc, args()).committed);
   const Metrics m = db->EndMeasurement();
-  EXPECT_EQ(db->ProcMetrics()[0].committed, 1u);
+  ASSERT_EQ(m.procs.size(), 1u);
+  EXPECT_EQ(m.procs[0].committed, 1u);
   EXPECT_EQ(m.committed, 1u);
   EXPECT_EQ(m.sp_latency.count(), 1u);
 

@@ -176,7 +176,7 @@ TEST(NetLoopback, ExecuteReturnsDecodedResultPayload) {
 
 // Measurement windows over the control channel: the remote handle's
 // Begin/EndMeasurement drive the server's window, and the returned Metrics
-// (histograms included) survive the wire.
+// (histograms and per-procedure outcomes included) survive the wire.
 TEST(NetLoopback, MeasurementWindowOverControlChannel) {
   const KvWorkloadOptions mb = NetKvConfig();
   auto db = Database::Open(KvDbOptions(mb, "speculation", RunMode::kParallel,
@@ -203,6 +203,9 @@ TEST(NetLoopback, MeasurementWindowOverControlChannel) {
   EXPECT_EQ(m.sp_committed, static_cast<uint64_t>(kTxns));
   EXPECT_EQ(m.sp_latency.count(), static_cast<uint64_t>(kTxns));
   EXPECT_GT(m.sp_latency.Percentile(50), 0.0);
+  ASSERT_EQ(m.procs.size(), 1u);
+  EXPECT_EQ(m.procs[0].committed, static_cast<uint64_t>(kTxns));
+  EXPECT_EQ(m.procs[0].latency.count(), static_cast<uint64_t>(kTxns));
   EXPECT_GT(m.window_ns, 0);
   EXPECT_EQ(m.num_partitions, mb.num_partitions);
 

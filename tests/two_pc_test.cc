@@ -167,7 +167,6 @@ class SessionTwoPc : public ::testing::Test {
     ProcRouter router = [this](ProcId, const Payload&) { return route_; };
     session_ = std::make_unique<SessionActor>("session", std::move(router), &cont_, topo, caps,
                                               CostModel{}, /*seed=*/7);
-    metrics_.recording = true;
     session_->set_metrics(&metrics_);
     h_.BindAll(session_.get());
   }
@@ -334,7 +333,7 @@ TEST_F(SessionTwoPc, DurableCommitWaitsForTheLastNotice) {
 class CoordinatorTwoPc : public ::testing::Test {
  protected:
   void Open(bool durable_notices) {
-    coord_ = std::make_unique<CoordinatorActor>("coordinator", CostModel{}, &metrics_, &cont_,
+    coord_ = std::make_unique<CoordinatorActor>("coordinator", CostModel{}, &cont_,
                                                 h_.PartitionNodes(), durable_notices);
     h_.BindAll(coord_.get());
   }
@@ -358,7 +357,6 @@ class CoordinatorTwoPc : public ::testing::Test {
 
   TwoPcHarness h_;
   SumContinuations cont_;
-  Metrics metrics_;
   std::unique_ptr<CoordinatorActor> coord_;
 };
 

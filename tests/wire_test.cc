@@ -360,6 +360,12 @@ TEST(MetricsCodec, EveryFieldRoundTrips) {
   m.num_partitions = 22;
   for (int64_t v : {5, 70, 900, 12000}) m.sp_latency.Add(v);
   for (int64_t v : {3, 4000, 250000}) m.mp_latency.Add(v);
+  m.procs.resize(2);
+  m.procs[0].committed = 23;
+  m.procs[0].user_aborts = 24;
+  for (int64_t v : {8, 600, 70000}) m.procs[0].latency.Add(v);
+  m.procs[1].committed = 25;  // counts only, no latency samples
+  m.procs[1].user_aborts = 26;
 
   Metrics back;
   ASSERT_TRUE(DecodeMetrics(EncodeMetrics(m), &back));
@@ -394,6 +400,46 @@ TEST(MetricsCodec, EveryFieldRoundTrips) {
     EXPECT_EQ(got.raw_sum(), want.raw_sum());
     EXPECT_EQ(got.NonZeroBuckets(), want.NonZeroBuckets());
   }
+  ASSERT_EQ(back.procs.size(), m.procs.size());
+  for (size_t i = 0; i < m.procs.size(); ++i) {
+    SCOPED_TRACE(i);
+    const Metrics::ProcOutcomes& want = m.procs[i];
+    const Metrics::ProcOutcomes& got = back.procs[i];
+    EXPECT_EQ(got.committed, want.committed);
+    EXPECT_EQ(got.user_aborts, want.user_aborts);
+    EXPECT_EQ(got.latency.count(), want.latency.count());
+    EXPECT_EQ(got.latency.min(), want.latency.min());
+    EXPECT_EQ(got.latency.max(), want.latency.max());
+    EXPECT_EQ(got.latency.raw_sum(), want.latency.raw_sum());
+    EXPECT_EQ(got.latency.NonZeroBuckets(), want.latency.NonZeroBuckets());
+  }
+}
+
+// The per-procedure count is remote input: a count the body cannot hold is
+// refused before anything is sized from it, and a body cut off inside an
+// entry is refused too.
+TEST(MetricsCodec, MalformedProcSectionIsRejected) {
+  Metrics m;
+  m.procs.resize(1);
+  m.procs[0].committed = 1;
+  m.procs[0].latency.Add(1000);
+  const std::string good = EncodeMetrics(m);
+  Metrics back;
+  ASSERT_TRUE(DecodeMetrics(good, &back));
+
+  // The count is the last field of an encoding with no procedures.
+  const std::string empty = EncodeMetrics(Metrics{});
+  const size_t count_at = empty.size() - 4;
+  ASSERT_EQ(static_cast<uint8_t>(good[count_at]), 1u);
+  std::string huge = good;
+  for (size_t i = 0; i < 4; ++i) huge[count_at + i] = '\xff';
+  EXPECT_FALSE(DecodeMetrics(huge, &back));
+
+  // Cut inside the entry: after its counts, and inside its histogram.
+  EXPECT_FALSE(DecodeMetrics(good.substr(0, count_at + 4 + 16), &back));
+  EXPECT_FALSE(DecodeMetrics(good.substr(0, good.size() - 1), &back));
+  // And a trailing byte after the last entry.
+  EXPECT_FALSE(DecodeMetrics(good + '\0', &back));
 }
 
 }  // namespace

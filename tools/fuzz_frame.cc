@@ -150,6 +150,9 @@ std::vector<std::string> SeedInputs() {
   m.mp_latency.Add(5'000'000);
   m.window_ns = 1'000'000'000;
   m.num_partitions = 2;
+  m.procs.resize(1);
+  m.procs[0].committed = 100;
+  for (int i = 0; i < 8; ++i) m.procs[0].latency.Add(1000 * (i + 1));
   std::string metrics_stream;
   AppendFrame(&metrics_stream, FrameType::kMetrics, EncodeMetrics(m));
   seeds.push_back(metrics_stream);
