@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/mutex.h"
 #include "db/closed_loop.h"
 #include "db/database.h"
 #include "db/load_driver.h"
@@ -401,6 +402,88 @@ TEST(SessionBatching, BurstCoalescesIntoOneMailboxWake) {
   EXPECT_TRUE(session->Submit(proc, SpArgs(mb, 0, 0), nullptr).accepted);
   EXPECT_EQ(actor.ingress_wakes(), 2u);
   session->Drain();
+
+  session.reset();
+  db->Close();
+}
+
+// --- session ingress ---------------------------------------------------------
+
+// A burst of foreign-thread submissions made before the simulator runs: every
+// one commits, the callbacks run in submit order, and the session drains.
+TEST(SessionIngress, SimBurstCompletesInSubmitOrder) {
+  constexpr int kBurst = 50;
+  const KvWorkloadOptions mb = SmallConfig(4, 0.0);
+  auto db = Database::Open(SmallDb(mb, "speculation", RunMode::kSimulated, 1));
+  auto session = db->CreateSession();
+  const ProcId proc = db->proc(kKvReadUpdateProc);
+
+  std::vector<int> order;
+  for (int i = 0; i < kBurst; ++i) {
+    EXPECT_TRUE(session->Submit(proc, SpArgs(mb, 0, 0), [&order, i](const TxnResult& r) {
+                          EXPECT_TRUE(r.committed);
+                          order.push_back(i);
+                        }).accepted);
+  }
+  EXPECT_EQ(session->outstanding(), static_cast<uint64_t>(kBurst));
+
+  session->Drain();
+  ASSERT_EQ(order.size(), static_cast<size_t>(kBurst));
+  for (int i = 0; i < kBurst; ++i) EXPECT_EQ(order[i], i) << "completion " << i;
+  EXPECT_EQ(session->outstanding(), 0u);
+
+  session.reset();
+  db->Close();
+}
+
+// Four threads submit into one session at once, all on one partition: each
+// thread's callbacks arrive in that thread's submit order, all of them on
+// the session's one worker thread.
+TEST(SessionIngress, ForeignThreadsKeepPerThreadOrder) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 1000;
+  const KvWorkloadOptions mb = SmallConfig(kThreads, 0.0);
+  auto db = Database::Open(SmallDb(mb, "speculation", RunMode::kParallel, 1));
+  auto session = db->CreateSession();
+  const ProcId proc = db->proc(kKvReadUpdateProc);
+
+  struct Seen {
+    Mutex mu;
+    std::vector<std::vector<int>> order PARTDB_GUARDED_BY(mu);
+    std::vector<std::thread::id> threads PARTDB_GUARDED_BY(mu);
+  } seen;
+  {
+    MutexLock lock(seen.mu);
+    seen.order.resize(kThreads);
+  }
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t]() {
+      for (int i = 0; i < kPerThread; ++i) {
+        const SubmitResult sr =
+            session->Submit(proc, SpArgs(mb, t, 0), [&seen, t, i](const TxnResult& r) {
+              EXPECT_TRUE(r.committed);
+              MutexLock lock(seen.mu);
+              seen.order[t].push_back(i);
+              seen.threads.push_back(std::this_thread::get_id());
+            });
+        EXPECT_TRUE(sr.accepted);
+      }
+    });
+  }
+  for (auto& s : submitters) s.join();
+  session->Drain();
+  EXPECT_EQ(session->outstanding(), 0u);
+
+  MutexLock lock(seen.mu);
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(seen.order[t].size(), static_cast<size_t>(kPerThread)) << "thread " << t;
+    for (int i = 0; i < kPerThread; ++i) {
+      ASSERT_EQ(seen.order[t][i], i) << "thread " << t << " completion " << i;
+    }
+  }
+  ASSERT_EQ(seen.threads.size(), static_cast<size_t>(kThreads) * kPerThread);
+  for (const std::thread::id& id : seen.threads) ASSERT_EQ(id, seen.threads.front());
 
   session.reset();
   db->Close();

@@ -714,5 +714,42 @@ TEST(NetServer, MalformedRequestDropsOnlyItsConnection) {
   db->Close();
 }
 
+// --- close ordering ----------------------------------------------------------
+
+// Frames queued before a connection closes reach the peer first: this thread
+// sends a burst and stops the loop right behind it, and the peer reads every
+// frame, in order, before the EOF. The connection's on_close runs once.
+TEST(NetMux, FrameSentBeforeCloseReachesPeer) {
+  constexpr uint32_t kFrames = 8;
+  TcpListener listener = TcpListener::Listen("127.0.0.1", 0);
+  TcpConn client = TcpConn::ConnectTo("127.0.0.1", listener.port());
+  ASSERT_TRUE(client.valid());
+  TcpConn served = listener.AcceptWithTimeout(/*timeout_ms=*/5000);
+  ASSERT_TRUE(served.valid());
+
+  std::atomic<int> closes{0};
+  EventLoop loop("close-order");
+  LoopConnHandlers handlers;
+  handlers.on_frame = [](LoopConn&, const FrameView&) { return true; };
+  handlers.on_close = [&closes](LoopConn&) { closes++; };
+  LoopConnPtr conn = loop.AddConn(std::move(served), std::move(handlers));
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    EXPECT_TRUE(conn->SendFrame(FrameType::kResponse, [i](WireWriter& w) { w.U32(i); }));
+  }
+  loop.Stop();
+  EXPECT_EQ(closes.load(), 1);
+  EXPECT_FALSE(conn->SendFrame(FrameType::kResponse, [](WireWriter& w) { w.U32(0); }))
+      << "a closed connection still took a frame";
+
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    Frame f;
+    ASSERT_TRUE(ReadFrame(client, &f)) << "frame " << i << " was dropped by the close";
+    EXPECT_EQ(f.type, FrameType::kResponse);
+    WireReader r(f.body);
+    EXPECT_EQ(r.U32(), i);
+  }
+  EXPECT_TRUE(PeerClosed(client));
+}
+
 }  // namespace
 }  // namespace partdb

@@ -237,6 +237,76 @@ TEST(ParallelRuntime, WaitQuiescentWaitsOutSelfSendsAndTimers) {
 }
 
 // ---------------------------------------------------------------------------
+// A timer handler arms the next timer, three deep: each arm happens while
+// the worker is firing due timers, so the new entry joins the heap being
+// drained. Every timer must fire on the owner's thread, no earlier than its
+// delay, in order, and quiescence may be reported only after the third.
+
+class TimerChain : public Actor {
+ public:
+  static constexpr uint64_t kLinks = 3;
+  static constexpr Duration kDelay = 2 * kMillisecond;
+
+  TimerChain() : Actor("timer-chain") {}
+
+  struct Firing {
+    uint64_t link = 0;
+    Time armed_at = 0;
+    Time fired_at = 0;
+    std::thread::id thread;
+  };
+
+  // Written on the owner's worker only; read after WaitQuiescent.
+  std::thread::id owner;
+  std::vector<Firing> firings;
+
+ protected:
+  void OnMessage(Message& msg, ActorContext& ctx) override {
+    if (const auto* t = std::get_if<TimerFire>(&msg.body)) {
+      firings.push_back({t->txn_id, armed_at_, ctx.start(), std::this_thread::get_id()});
+      if (t->txn_id < kLinks) Arm(t->txn_id + 1, ctx);
+      return;
+    }
+    owner = std::this_thread::get_id();
+    Arm(1, ctx);
+  }
+
+ private:
+  void Arm(uint64_t link, ActorContext& ctx) {
+    armed_at_ = ctx.now();
+    ctx.SetTimer(kDelay, TimerFire{link, 0});
+  }
+
+  Time armed_at_ = 0;
+};
+
+TEST(ParallelRuntime, TimerArmedByATimerHandlerFires) {
+  ParallelRuntime rt(2);
+  rt.MapNode(0, 0);
+  rt.MapNode(1, 1);
+  TimerChain chain;
+  LastStop other;
+  chain.Bind(&rt, 0);
+  other.Bind(&rt, 1);
+  rt.Start();
+  Message kick;
+  kick.src = 1;
+  kick.dst = 0;
+  kick.body = DecisionMessage{0, 0, true};
+  rt.Send(std::move(kick), 0);
+  ASSERT_TRUE(rt.WaitQuiescent(std::chrono::seconds(30)));
+
+  ASSERT_EQ(chain.firings.size(), TimerChain::kLinks) << "quiescent before the chain ended";
+  for (uint64_t i = 0; i < TimerChain::kLinks; ++i) {
+    const TimerChain::Firing& f = chain.firings[i];
+    EXPECT_EQ(f.link, i + 1);
+    EXPECT_GE(f.fired_at, f.armed_at + TimerChain::kDelay) << "link " << f.link;
+    EXPECT_EQ(f.thread, chain.owner) << "link " << f.link;
+  }
+  rt.Stop();
+}
+
+// ---------------------------------------------------------------------------
 // Parallel runtime: the same workload/seed runs on real threads; both modes
 // must satisfy final-state serializability (serial replay of each partition's
 // commit log reproduces the live engine state), and multi-partition commit
