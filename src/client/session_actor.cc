@@ -31,58 +31,30 @@ SubmitResult SessionActor::Submit(ProcId proc, PayloadPtr args, TxnCallback cb) 
   // Fail at the call site, not on the worker.
   PARTDB_CHECK(proc >= 0);
   PARTDB_CHECK(args != nullptr);
-  PendingSubmit p;
-  p.proc = proc;
-  p.args = std::move(args);
-  p.cb = std::move(cb);
-  return Enqueue(std::move(p));
-}
-
-SubmitResult SessionActor::Enqueue(PendingSubmit p) {
   // A submission made from within one of this actor's own handlers (a
   // completion callback issuing the next closed-loop request) starts inline:
-  // the wake-up hop would only charge an extra client message and delay the
+  // the message hop would only charge an extra client message and delay the
   // send, and no other thread can be running this actor concurrently.
-  if (handler_thread_.load(std::memory_order_relaxed) == std::this_thread::get_id()) {
-    ActorContext& ctx = *handler_ctx_;
-    p.submit_time = ctx.now();
-    TxnId id;
-    {
-      MutexLock lock(mu_);
-      if (max_inflight_ != 0 && admitted_ >= max_inflight_) return {false, kInvalidTxn};
-      ++admitted_;
-      id = MakeTxnId(node_id(), next_seq_++);
-      ++outstanding_;
-    }
-    p.id = id;
-    StartTxn(id, std::move(p), ctx);
-    return {true, id};
-  }
-
-  // Latency is measured from here: ingress queueing (the wait until the
-  // session's worker drains the submission) is part of what the open-loop
-  // driver exists to observe.
-  p.submit_time = exec()->Now();
+  // Otherwise latency is measured from here: ingress queueing (the wait
+  // until the session's worker picks the submission up) is part of what the
+  // open-loop driver exists to observe.
+  const bool on_handler =
+      handler_thread_.load(std::memory_order_relaxed) == std::this_thread::get_id();
+  const Time now = on_handler ? handler_ctx_->now() : exec()->Now();
   TxnId id;
-  bool wake = false;
   {
     MutexLock lock(mu_);
     if (max_inflight_ != 0 && admitted_ >= max_inflight_) return {false, kInvalidTxn};
     ++admitted_;
     id = MakeTxnId(node_id(), next_seq_++);
-    p.id = id;
-    pending_.push_back(std::move(p));
     ++outstanding_;
-    // Coalesce: one wake per pending batch. If a wake is already scheduled
-    // and not yet drained, this submission rides along with it.
-    wake = !wake_pending_;
-    if (wake) {
-      wake_pending_ = true;
-      ++ingress_wakes_;
-    }
   }
-  // Wake the actor on its own worker; SetTimer is safe from any thread.
-  if (wake) exec()->SetTimer(node_id(), exec()->Now(), TimerFire{kInvalidTxn, 0});
+  SessionSubmit s{id, proc, std::move(args), now, std::move(cb)};
+  if (on_handler) {
+    StartTxn(std::move(s), *handler_ctx_);
+  } else {
+    exec()->Send({node_id(), node_id(), std::move(s)}, now);
+  }
   return {true, id};
 }
 
@@ -107,11 +79,11 @@ void SessionActor::OnMessage(Message& msg, ActorContext& ctx) {
     }
   } scope{this};
 
+  if (auto* s = std::get_if<SessionSubmit>(&msg.body)) {
+    StartTxn(std::move(*s), ctx);
+    return;
+  }
   if (auto* t = std::get_if<TimerFire>(&msg.body)) {
-    if (t->txn_id == kInvalidTxn) {
-      DrainSubmissions(ctx);
-      return;
-    }
     // Retry backoff expired.
     auto it = txns_.find(t->txn_id);
     if (it != txns_.end() && it->second.mp.attempt() == t->generation) {
@@ -141,24 +113,8 @@ void SessionActor::OnMessage(Message& msg, ActorContext& ctx) {
   PARTDB_CHECK(false);
 }
 
-void SessionActor::DrainSubmissions(ActorContext& ctx) {
-  // Ping-pong swap: pending_ and drain_scratch_ trade storage, so the
-  // steady state reuses both buffers' capacity instead of allocating a
-  // fresh batch container per wake.
-  {
-    MutexLock lock(mu_);
-    drain_scratch_.swap(pending_);
-    // Submissions arriving from here on need a fresh wake.
-    wake_pending_ = false;
-  }
-  for (PendingSubmit& p : drain_scratch_) {
-    const TxnId id = p.id;
-    StartTxn(id, std::move(p), ctx);
-  }
-  drain_scratch_.clear();
-}
-
-void SessionActor::StartTxn(TxnId id, PendingSubmit p, ActorContext& ctx) {
+void SessionActor::StartTxn(SessionSubmit s, ActorContext& ctx) {
+  const TxnId id = s.txn_id;
   std::unordered_map<TxnId, Txn>::iterator it;
   if (!txn_stash_.empty()) {
     // Reattach a recycled node: no map-node allocation, and the Txn inside
@@ -176,17 +132,17 @@ void SessionActor::StartTxn(TxnId id, PendingSubmit p, ActorContext& ctx) {
     it = ins.first;
   }
   Txn& t = it->second;
-  TxnRouting route = router_(p.proc, *p.args);
+  TxnRouting route = router_(s.proc, *s.args);
   PARTDB_CHECK(!route.participants.empty());
   PARTDB_CHECK(route.rounds >= 1);
   for (PartitionId part : route.participants) {
     PARTDB_CHECK(part >= 0 && static_cast<size_t>(part) < topology_.partition_primary.size());
   }
-  t.mp.Start({.txn_id = id, .proc = p.proc, .args = std::move(p.args),
+  t.mp.Start({.txn_id = id, .proc = s.proc, .args = std::move(s.args),
               .participants = std::move(route.participants), .num_rounds = route.rounds,
               .can_abort = route.can_abort});
-  t.cb = std::move(p.cb);
-  t.issue_time = p.submit_time;
+  t.cb = std::move(s.cb);
+  t.issue_time = s.submit_time;
   SendCurrent(t, ctx);
 }
 

@@ -13,13 +13,15 @@
 //    flight per logical client, the completion callback submits the next
 //    request).
 //
-// Submissions arriving from foreign threads are queued and drained on the
-// actor's own worker. Submissions made from within one of this actor's own
-// handlers (a completion callback resubmitting — the closed-loop pattern)
-// start inline, with no extra wake-up message and no extra CPU charge, so a
-// closed loop over a session costs exactly what the legacy dedicated client
-// actor used to cost — in the simulator this keeps metrics bit-for-bit
-// identical to the pre-session harness.
+// A submission from a foreign thread is admitted and numbered under the
+// session mutex, then travels to the actor as one SessionSubmit message it
+// sends itself: in parallel mode one push into its worker's mailbox, in the
+// simulator a loopback delivery at the submitting instant. Submissions made
+// from within one of this actor's own handlers (a completion callback
+// resubmitting — the closed-loop pattern) start inline, with no message and
+// no extra CPU charge, so a closed loop over a session costs exactly what the
+// legacy dedicated client actor used to cost — in the simulator this keeps
+// metrics bit-for-bit identical to the pre-session harness.
 #ifndef PARTDB_CLIENT_SESSION_ACTOR_H_
 #define PARTDB_CLIENT_SESSION_ACTOR_H_
 
@@ -41,28 +43,6 @@
 #include "runtime/metrics.h"
 
 namespace partdb {
-
-/// Outcome of one transaction, as observed by the submitting session.
-struct TxnResult {
-  /// True when the transaction committed; false means a user abort (system
-  /// aborts — deadlock victims, timeouts — are retried internally and never
-  /// surface here), or a refusal (`rejected`).
-  bool committed = false;
-  /// Remote sessions only: the server refused the transaction (no session
-  /// slot free, or its admission bound) and never executed it.
-  bool rejected = false;
-  /// Submission-to-completion latency (wall-clock in parallel mode, virtual
-  /// time in simulation).
-  Duration latency_ns = 0;
-  /// 1 + the number of system-induced retries this transaction needed.
-  uint32_t attempts = 1;
-  /// Last round's result payload (engine-defined; null on abort).
-  PayloadPtr payload;
-};
-
-/// Runs on the session's worker thread (parallel mode) or inside the sim
-/// pump (simulated mode). Must not block; it may submit new transactions.
-using TxnCallback = std::function<void(const TxnResult&)>;
 
 /// Outcome of one Submit call. `accepted == false` is the bounded-in-flight
 /// overload signal: the session already has max_inflight transactions
@@ -98,22 +78,15 @@ class SessionActor : public Actor {
   /// connection setup), not concurrently with submissions.
   void set_max_inflight(uint64_t n) { max_inflight_ = n; }
 
-  /// Queues one invocation and wakes the actor (at most one wake per pending
-  /// batch: submissions arriving while a wake is already scheduled coalesce
-  /// into it). Thread-safe. Routing comes from the actor's ProcRouter.
+  /// Admits one invocation and sends it to the actor as a SessionSubmit
+  /// (started inline when called from this actor's own handler).
+  /// Thread-safe. Routing comes from the actor's ProcRouter.
   SubmitResult Submit(ProcId proc, PayloadPtr args, TxnCallback cb);
 
   /// Queued + in-flight transactions. Thread-safe.
   uint64_t outstanding() const {
     MutexLock lock(mu_);
     return outstanding_;
-  }
-
-  /// Ingress wake-ups scheduled so far (coalesced mailbox wakes: a burst of
-  /// foreign-thread submissions costs one). Thread-safe; test observability.
-  uint64_t ingress_wakes() const {
-    MutexLock lock(mu_);
-    return ingress_wakes_;
   }
 
   /// Blocks until outstanding() == 0 (parallel mode; the sim pump drains
@@ -130,23 +103,13 @@ class SessionActor : public Actor {
   void OnMessage(Message& msg, ActorContext& ctx) override;
 
  private:
-  struct PendingSubmit {
-    TxnId id = kInvalidTxn;
-    ProcId proc = kInvalidProc;
-    PayloadPtr args;
-    TxnCallback cb;
-    Time submit_time = 0;  // latency measures from submission, not pickup
-  };
-
   struct Txn {
     MpRound mp;  // the request; under locking also its 2PC rounds
     TxnCallback cb;
     Time issue_time = 0;
   };
 
-  SubmitResult Enqueue(PendingSubmit p);
-  void DrainSubmissions(ActorContext& ctx);
-  void StartTxn(TxnId id, PendingSubmit p, ActorContext& ctx);
+  void StartTxn(SessionSubmit s, ActorContext& ctx);
   void SendCurrent(const Txn& t, ActorContext& ctx);
   void OnFragmentResponse(FragmentResponse& r, ActorContext& ctx);
   void FinishLockingTxn(TxnId id, Txn& t, bool commit, bool retry, ActorContext& ctx);
@@ -166,16 +129,11 @@ class SessionActor : public Actor {
   // Shared with submitting threads.
   mutable Mutex mu_;
   CondVar drained_cv_;
-  std::vector<PendingSubmit> pending_ PARTDB_GUARDED_BY(mu_);
   uint64_t outstanding_ PARTDB_GUARDED_BY(mu_) = 0;
   /// Admitted-and-uncompleted transactions (the admission-control counter).
   /// Unlike outstanding_, this drops *before* the completion callback runs,
   /// so a closed loop's resubmit-from-callback reuses the slot it held.
   uint64_t admitted_ PARTDB_GUARDED_BY(mu_) = 0;
-  /// True while an ingress wake is scheduled but not yet drained: further
-  /// submissions coalesce into the pending wake instead of scheduling more.
-  bool wake_pending_ PARTDB_GUARDED_BY(mu_) = false;
-  uint64_t ingress_wakes_ PARTDB_GUARDED_BY(mu_) = 0;
   uint32_t next_seq_ PARTDB_GUARDED_BY(mu_) = 0;
 
   // Owned by the actor's worker (or the sim pump).
@@ -185,11 +143,8 @@ class SessionActor : public Actor {
   /// it under the new id — the steady-state closed loop allocates no map
   /// nodes at all.
   std::vector<std::unordered_map<TxnId, Txn>::node_type> txn_stash_;
-  /// DrainSubmissions' ping-pong buffer: swapped with pending_ under mu_,
-  /// iterated without the lock, then kept for its capacity.
-  std::vector<PendingSubmit> drain_scratch_;
 
-  // Set for the duration of OnMessage so Enqueue can detect a submission made
+  // Set for the duration of OnMessage so Submit can detect a submission made
   // from within one of this actor's own handlers and start it inline.
   std::atomic<std::thread::id> handler_thread_{};
   ActorContext* handler_ctx_ = nullptr;

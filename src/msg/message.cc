@@ -44,6 +44,7 @@ const char* MessageTypeName(const MessageBody& body) {
     const char* operator()(const TimerFire&) { return "TimerFire"; }
     const char* operator()(const DurableNotice&) { return "DurableNotice"; }
     const char* operator()(const LogDurable&) { return "LogDurable"; }
+    const char* operator()(const SessionSubmit&) { return "SessionSubmit"; }
   };
   return std::visit(Namer{}, body);
 }

@@ -4,6 +4,7 @@
 #define PARTDB_MSG_MESSAGE_H_
 
 #include <cstdint>
+#include <functional>
 #include <variant>
 #include <vector>
 
@@ -117,6 +118,39 @@ struct DurableNotice {
   TxnId txn_id = kInvalidTxn;
 };
 
+/// Outcome of one transaction, as observed by the submitting session.
+struct TxnResult {
+  /// True when the transaction committed; false means a user abort (system
+  /// aborts — deadlock victims, timeouts — are retried internally and never
+  /// surface here), or a refusal (`rejected`).
+  bool committed = false;
+  /// Remote sessions only: the server refused the transaction (no session
+  /// slot free, or its admission bound) and never executed it.
+  bool rejected = false;
+  /// Submission-to-completion latency (wall-clock in parallel mode, virtual
+  /// time in simulation).
+  Duration latency_ns = 0;
+  /// 1 + the number of system-induced retries this transaction needed.
+  uint32_t attempts = 1;
+  /// Last round's result payload (engine-defined; null on abort).
+  PayloadPtr payload;
+};
+
+/// Runs on the session's worker thread (parallel mode) or inside the sim
+/// pump (simulated mode). Must not block; it may submit new transactions.
+using TxnCallback = std::function<void(const TxnResult&)>;
+
+/// Session -> itself: one transaction submitted from outside the session's
+/// own handlers, admitted and numbered already, to be started on the
+/// session's worker.
+struct SessionSubmit {
+  TxnId txn_id = kInvalidTxn;
+  ProcId proc = kInvalidProc;
+  PayloadPtr args;
+  Time submit_time = 0;  // latency measures from submission, not pickup
+  TxnCallback cb;
+};
+
 /// Log writer -> its partition: every record appended through `through_seq`
 /// is durable (group commit; after an injected crash, once crashed() is set).
 struct LogDurable {
@@ -126,7 +160,7 @@ struct LogDurable {
 using MessageBody =
     std::variant<ClientRequest, FragmentRequest, FragmentResponse, DecisionMessage,
                  ClientResponse, ReplicaShip, ReplicaDecision, ReplicaAck, TimerFire,
-                 DurableNotice, LogDurable>;
+                 DurableNotice, LogDurable, SessionSubmit>;
 
 struct Message {
   NodeId src = kInvalidNode;

@@ -194,7 +194,8 @@ void DbServer::OnClose(const std::shared_ptr<ServerConn>& sc) {
     RetireSession(std::move(ss));
   }
   sc->sessions.clear();
-  reaped_conns_.fetch_add(1, std::memory_order_relaxed);
+  // Release: a Stats() that sees this count also sees the accept it follows.
+  reaped_conns_.fetch_add(1, std::memory_order_release);
 }
 
 void DbServer::RetireSession(std::unique_ptr<ServerSession> ss) {
@@ -226,15 +227,17 @@ void DbServer::ReapDeadSessions() {
 
 DbServerStats DbServer::Stats() const {
   DbServerStats s;
+  // Reaped first: every connection it counts is then counted as accepted,
+  // so active_conns cannot underflow.
+  s.reaped_conns = reaped_conns_.load(std::memory_order_acquire);
   s.accepted_conns = accepted_conns_.load(std::memory_order_relaxed);
-  s.reaped_conns = reaped_conns_.load(std::memory_order_relaxed);
+  s.active_conns = s.accepted_conns - s.reaped_conns;
   s.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
   s.sessions_closed = sessions_closed_.load(std::memory_order_relaxed);
   s.rejected_requests = rejected_requests_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   s.payload_pool_misses = decoded_requests_.load(std::memory_order_relaxed);
   for (const auto& loop : loops_) {
-    s.active_conns += loop->conn_count();
     s.io += loop->stats();
     if (loop->pinned()) ++s.pinned_loops;
   }

@@ -50,7 +50,7 @@ struct DbServerOptions {
 struct DbServerStats {
   uint64_t accepted_conns = 0;  // connections that completed the Hello
   uint64_t reaped_conns = 0;    // connections torn down (EOF, error, Stop)
-  uint64_t active_conns = 0;    // currently registered with a loop
+  uint64_t active_conns = 0;    // accepted_conns - reaped_conns
   uint64_t sessions_opened = 0;
   uint64_t sessions_closed = 0;
   uint64_t rejected_requests = 0;  // kRejected responses sent

@@ -26,19 +26,16 @@ constexpr size_t kCompactThreshold = 256 * 1024;
 
 constexpr int kMaxEvents = 128;
 
+/// The loop whose Run() occupies this thread (null off the loop threads).
+thread_local const EventLoop* t_running_loop = nullptr;
+
 }  // namespace
 
 // --- LoopConn ----------------------------------------------------------------
 
-void LoopConn::Close() {
-  {
-    MutexLock lock(out_mu_);
-    if (closed_) return;
-  }
-  loop_->QueueCloseCommand(shared_from_this());
+void LoopConn::QueueFlush() {
+  loop_->Push({EventLoop::Item::Kind::kFlush, shared_from_this()});
 }
-
-void LoopConn::QueueFlush() { loop_->QueueFlush(shared_from_this()); }
 
 void LoopConn::CountFrameOut() {
   loop_->stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
@@ -71,20 +68,16 @@ LoopConnPtr EventLoop::AddConn(TcpConn sock, LoopConnHandlers handlers) {
   sock.SetNonBlocking(true);
   LoopConnPtr conn(new LoopConn(this, std::move(sock)));
   conn->handlers_ = std::move(handlers);
-  {
-    MutexLock lock(cmd_mu_);
-    commands_.push_back({Command::Kind::kAdd, conn});
-  }
-  Wake();
+  Push({Item::Kind::kAdd, conn});
   return conn;
 }
 
 void EventLoop::Stop() {
   {
-    MutexLock lock(cmd_mu_);
+    MutexLock lock(inbox_mu_);
     if (stop_queued_) return;
     stop_queued_ = true;
-    commands_.push_back({Command::Kind::kStop, nullptr});
+    inbox_.push_back({Item::Kind::kStop, nullptr});
   }
   Wake();
   if (thread_.joinable()) thread_.join();
@@ -101,33 +94,22 @@ EventLoopStats EventLoop::stats() const {
   return s;
 }
 
-size_t EventLoop::conn_count() const {
-  MutexLock lock(conns_mu_);
-  return conns_.size();
-}
-
 void EventLoop::Wake() {
   if (wake_armed_.exchange(true)) return;  // a wake is already in flight
   const uint64_t one = 1;
   [[maybe_unused]] const ssize_t r = ::write(wakefd_, &one, sizeof(one));
 }
 
-void EventLoop::QueueFlush(LoopConnPtr c) {
+void EventLoop::Push(Item item) {
   {
-    MutexLock lock(flush_mu_);
-    flush_queue_.push_back(std::move(c));
+    MutexLock lock(inbox_mu_);
+    inbox_.push_back(std::move(item));
   }
-  // The loop thread flushes its queue at the end of every iteration; only
-  // foreign producers need the eventfd to end an epoll_wait.
-  if (std::this_thread::get_id() != thread_.get_id()) Wake();
-}
-
-void EventLoop::QueueCloseCommand(LoopConnPtr c) {
-  {
-    MutexLock lock(cmd_mu_);
-    commands_.push_back({Command::Kind::kClose, std::move(c)});
-  }
-  Wake();
+  // The loop swaps its inbox at the end of every iteration, so a push the
+  // loop thread makes before that swap needs no eventfd. One made while the
+  // swapped batch runs (an on_close sending elsewhere) lands after the swap
+  // and needs the wake, as does every push from another thread.
+  if (t_running_loop != this || in_drain_) Wake();
 }
 
 void EventLoop::Run() {
@@ -136,6 +118,7 @@ void EventLoop::Run() {
   if (pin_cpu_ >= 0 && PinCurrentThreadToCpu(pin_cpu_)) {
     pinned_.store(true, std::memory_order_relaxed);
   }
+  t_running_loop = this;
   epoll_event events[kMaxEvents];
   while (true) {
     const int n = ::epoll_wait(epfd_, events, kMaxEvents, -1);
@@ -155,13 +138,9 @@ void EventLoop::Run() {
       }
       // Pin the conn for the duration of this event: a handler-initiated
       // close must not free it out from under the checks below.
-      LoopConnPtr guard;
-      {
-        MutexLock lock(conns_mu_);
-        auto it = conns_.find(c);
-        if (it == conns_.end()) continue;  // closed earlier in this ready set
-        guard = it->second;
-      }
+      const auto it = conns_.find(c);
+      if (it == conns_.end()) continue;  // closed earlier in this ready set
+      const LoopConnPtr guard = it->second;
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0 &&
           (events[i].events & EPOLLIN) == 0) {
         CloseNow(c);
@@ -170,40 +149,32 @@ void EventLoop::Run() {
       if ((events[i].events & EPOLLIN) != 0) HandleReadable(c);
       if (c->in_loop_ && (events[i].events & EPOLLOUT) != 0) HandleWritable(c);
     }
-    const bool keep_running = ProcessCommands();
-    // Flushed even on the stop iteration: responses produced just before
-    // Stop() are attempted while the peers are still alive and writable,
-    // not silently dropped by the teardown below.
-    ProcessFlushes();
-    if (!keep_running) break;
+    // The stop iteration runs the whole batch too: responses queued before
+    // Stop() are flushed while the peers are still alive and writable, not
+    // silently dropped by the teardown below.
+    if (!DrainInbox()) break;
   }
 
   // Teardown: every remaining connection closes through the same path a
   // peer disconnect takes, so owners observe a single on_close either way.
   std::vector<LoopConnPtr> remaining;
-  {
-    MutexLock lock(conns_mu_);
-    remaining.reserve(conns_.size());
-    for (auto& [ptr, ref] : conns_) remaining.push_back(ref);
-  }
+  remaining.reserve(conns_.size());
+  for (auto& [ptr, ref] : conns_) remaining.push_back(ref);
   for (const LoopConnPtr& c : remaining) CloseNow(c.get());
 }
 
-bool EventLoop::ProcessCommands() {
-  std::vector<Command> cmds;
+bool EventLoop::DrainInbox() {
   {
-    MutexLock lock(cmd_mu_);
-    cmds.swap(commands_);
+    MutexLock lock(inbox_mu_);
+    draining_.swap(inbox_);
   }
   bool keep_running = true;
-  for (Command& cmd : cmds) {
-    switch (cmd.kind) {
-      case Command::Kind::kAdd: {
-        LoopConn* c = cmd.conn.get();
-        {
-          MutexLock lock(conns_mu_);
-          conns_.emplace(c, cmd.conn);
-        }
+  in_drain_ = true;
+  for (Item& item : draining_) {
+    switch (item.kind) {
+      case Item::Kind::kAdd: {
+        LoopConn* c = item.conn.get();
+        conns_.emplace(c, item.conn);
         c->in_loop_ = true;
         epoll_event ev{};
         ev.events = EPOLLIN;
@@ -211,26 +182,17 @@ bool EventLoop::ProcessCommands() {
         PARTDB_CHECK(::epoll_ctl(epfd_, EPOLL_CTL_ADD, c->sock_.fd(), &ev) == 0);
         break;
       }
-      case Command::Kind::kClose:
-        CloseNow(cmd.conn.get());
+      case Item::Kind::kFlush:
+        if (item.conn->in_loop_) FlushConn(item.conn.get());
         break;
-      case Command::Kind::kStop:
+      case Item::Kind::kStop:
         keep_running = false;  // finish this batch, then tear down
         break;
     }
   }
+  in_drain_ = false;
+  draining_.clear();
   return keep_running;
-}
-
-void EventLoop::ProcessFlushes() {
-  std::vector<LoopConnPtr> queue;
-  {
-    MutexLock lock(flush_mu_);
-    queue.swap(flush_queue_);
-  }
-  for (const LoopConnPtr& c : queue) {
-    if (c->in_loop_) FlushConn(c.get());
-  }
 }
 
 void EventLoop::HandleReadable(LoopConn* c) {
@@ -363,14 +325,10 @@ void EventLoop::CloseNow(LoopConn* c) {
   if (!c->in_loop_) return;
   c->in_loop_ = false;
   ::epoll_ctl(epfd_, EPOLL_CTL_DEL, c->sock_.fd(), nullptr);
-  LoopConnPtr ref;
-  {
-    MutexLock lock(conns_mu_);
-    auto it = conns_.find(c);
-    PARTDB_CHECK(it != conns_.end());
-    ref = std::move(it->second);  // keep alive through on_close
-    conns_.erase(it);
-  }
+  auto it = conns_.find(c);
+  PARTDB_CHECK(it != conns_.end());
+  const LoopConnPtr ref = std::move(it->second);  // keep alive through on_close
+  conns_.erase(it);
   {
     MutexLock lock(c->out_mu_);
     c->closed_ = true;  // producers drop frames from here on

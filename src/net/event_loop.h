@@ -8,11 +8,17 @@
 // reusable outbox buffer and wakes the owning loop via an eventfd; wakes
 // coalesce, so a burst of frames costs one wakeup and one flush syscall.
 //
+// Every request from another thread — add a connection, flush one, stop —
+// is one item in the loop's single inbox (one mutex, one vector the loop
+// swaps out once per iteration), so requests run in push order: frames sent
+// before Stop() are flushed before the teardown closes their connection.
+// The connection table belongs to the loop thread alone.
+//
 // Thread contract:
 //  - on_frame / on_close run on the loop thread, exclusively and in order
 //    per connection. They must not block; they may SendFrame freely (frames
 //    produced while handling a ready set join the same flush batch).
-//  - SendFrame and Close are thread-safe and non-blocking from any thread.
+//  - SendFrame is thread-safe and non-blocking from any thread.
 //  - Stop() drains and closes every connection (on_close runs for each),
 //    then joins the loop thread. The owner must keep the EventLoop alive
 //    until every thread that might still call SendFrame has quiesced (sends
@@ -100,16 +106,6 @@ class LoopConn : public std::enable_shared_from_this<LoopConn> {
     return true;
   }
 
-  /// Asks the loop to close this connection (on_close will run on the loop
-  /// thread). Thread-safe, idempotent.
-  void Close();
-
-  /// True once the loop detached the connection; subsequent SendFrames drop.
-  bool closed() const {
-    MutexLock lock(out_mu_);
-    return closed_;
-  }
-
  private:
   friend class EventLoop;
   LoopConn(EventLoop* loop, TcpConn sock) : loop_(loop), sock_(std::move(sock)) {}
@@ -122,10 +118,10 @@ class LoopConn : public std::enable_shared_from_this<LoopConn> {
   LoopConnHandlers handlers_;
 
   // --- producer side (any thread) --------------------------------------------
-  mutable Mutex out_mu_;
+  Mutex out_mu_;
   /// Frames appended since the last flush swap.
   std::string outbox_ PARTDB_GUARDED_BY(out_mu_);
-  /// Already on the loop's flush list.
+  /// A kFlush item for this connection is already in the loop's inbox.
   bool flush_queued_ PARTDB_GUARDED_BY(out_mu_) = false;
   bool closed_ PARTDB_GUARDED_BY(out_mu_) = false;
 
@@ -158,7 +154,6 @@ class EventLoop {
   void Stop();
 
   EventLoopStats stats() const;
-  size_t conn_count() const;
 
   /// True once the loop thread successfully pinned itself to `pin_cpu`.
   bool pinned() const { return pinned_.load(std::memory_order_relaxed); }
@@ -166,10 +161,11 @@ class EventLoop {
  private:
   friend class LoopConn;
 
-  struct Command {
-    enum class Kind : uint8_t { kAdd, kClose, kStop };
+  /// One request for the loop thread.
+  struct Item {
+    enum class Kind : uint8_t { kAdd, kFlush, kStop };
     Kind kind;
-    LoopConnPtr conn;
+    LoopConnPtr conn;  // null for kStop
   };
 
   void Run();
@@ -179,10 +175,10 @@ class EventLoop {
   void FlushConn(LoopConn* c);
   void UpdateEpollOut(LoopConn* c, bool want);
   void CloseNow(LoopConn* c);
-  bool ProcessCommands();  // false once a kStop command was seen
-  void ProcessFlushes();
-  void QueueFlush(LoopConnPtr c);
-  void QueueCloseCommand(LoopConnPtr c);
+  /// Appends to the inbox and wakes the loop unless the loop thread itself
+  /// pushed before its next inbox swap.
+  void Push(Item item);
+  bool DrainInbox();  // false once a kStop item was seen
 
   std::string name_;
   int pin_cpu_ = -1;
@@ -191,17 +187,15 @@ class EventLoop {
   int wakefd_ = -1;
   std::atomic<bool> wake_armed_{false};
 
-  Mutex cmd_mu_;
-  std::vector<Command> commands_ PARTDB_GUARDED_BY(cmd_mu_);
+  Mutex inbox_mu_;
+  std::vector<Item> inbox_ PARTDB_GUARDED_BY(inbox_mu_);
   /// Makes Stop idempotent.
-  bool stop_queued_ PARTDB_GUARDED_BY(cmd_mu_) = false;
+  bool stop_queued_ PARTDB_GUARDED_BY(inbox_mu_) = false;
 
-  Mutex flush_mu_;
-  std::vector<LoopConnPtr> flush_queue_ PARTDB_GUARDED_BY(flush_mu_);
-
-  // Loop-thread owned except for conn_count(); guarded for that one reader.
-  mutable Mutex conns_mu_;
-  std::unordered_map<LoopConn*, LoopConnPtr> conns_ PARTDB_GUARDED_BY(conns_mu_);
+  // --- loop-thread-owned state ------------------------------------------------
+  std::vector<Item> draining_;  // the swapped-out inbox (capacity reused)
+  bool in_drain_ = false;       // DrainInbox is running its batch
+  std::unordered_map<LoopConn*, LoopConnPtr> conns_;
 
   struct StatCells {
     std::atomic<uint64_t> frames_in{0}, frames_out{0};

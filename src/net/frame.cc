@@ -119,13 +119,6 @@ void AppendRequestBody(WireWriter& w, const RequestHeader& h, const Payload& arg
   args.SerializeTo(w);
 }
 
-void AppendRequest(std::string* out, const RequestHeader& h, const Payload& args) {
-  const size_t at = BeginFrame(out, FrameType::kRequest);
-  WireWriter w(out);
-  AppendRequestBody(w, h, args);
-  EndFrame(out, at);
-}
-
 bool DecodeRequestHeader(WireReader& r, RequestHeader* out) {
   out->session_id = r.U32();
   out->seq = r.U64();
@@ -145,13 +138,6 @@ void AppendResponseBody(WireWriter& w, const ResponseHeader& h, const Payload* r
   }
 }
 
-void AppendResponse(std::string* out, const ResponseHeader& h, const Payload* result) {
-  const size_t at = BeginFrame(out, FrameType::kResponse);
-  WireWriter w(out);
-  AppendResponseBody(w, h, result);
-  EndFrame(out, at);
-}
-
 bool DecodeResponseHeader(WireReader& r, ResponseHeader* out) {
   out->session_id = r.U32();
   out->seq = r.U64();
@@ -161,13 +147,6 @@ bool DecodeResponseHeader(WireReader& r, ResponseHeader* out) {
   out->attempts = r.U32();
   out->has_result = r.U8() != 0;
   return r.ok();
-}
-
-void AppendCloseSession(std::string* out, uint32_t session_id) {
-  const size_t at = BeginFrame(out, FrameType::kCloseSession);
-  WireWriter w(out);
-  w.U32(session_id);
-  EndFrame(out, at);
 }
 
 namespace {

@@ -130,9 +130,7 @@ struct RequestHeader {
   ProcId proc = kInvalidProc;
 };
 
-/// Appends a complete Request frame to a batch buffer.
-void AppendRequest(std::string* out, const RequestHeader& h, const Payload& args);
-/// Appends just the Request body through an already-open frame's writer.
+/// Appends the Request body through an already-open frame's writer.
 void AppendRequestBody(WireWriter& w, const RequestHeader& h, const Payload& args);
 /// Parses the header and leaves `r` positioned at the args bytes.
 bool DecodeRequestHeader(WireReader& r, RequestHeader* out);
@@ -149,15 +147,12 @@ struct ResponseHeader {
   bool has_result = false;
 };
 
-/// Appends a complete Response frame to a batch buffer.
-void AppendResponse(std::string* out, const ResponseHeader& h, const Payload* result);
-/// Appends just the Response body through an already-open frame's writer.
+/// Appends the Response body through an already-open frame's writer.
 void AppendResponseBody(WireWriter& w, const ResponseHeader& h, const Payload* result);
 /// Parses the header and leaves `r` positioned at the result bytes.
 bool DecodeResponseHeader(WireReader& r, ResponseHeader* out);
 
-/// kCloseSession: u32 session_id.
-void AppendCloseSession(std::string* out, uint32_t session_id);
+// kCloseSession: u32 session_id (one WireWriter::U32 inside the frame).
 
 /// kMetrics body: every counter, both latency histograms and the
 /// per-procedure outcomes of a Metrics.

@@ -32,7 +32,9 @@ class ExecutionContext {
   virtual void Register(NodeId node, Actor* actor) = 0;
 
   /// Delivers TimerFire `t` to node `self` at absolute time `at`, bypassing
-  /// the network. Safe to call from any thread before and during a run.
+  /// the network. Only `self`'s own handlers may call it, on the thread that
+  /// runs them (its owning worker, or the simulator's pump): a submission
+  /// from elsewhere travels as a message instead.
   virtual void SetTimer(NodeId self, Time at, TimerFire t) = 0;
 };
 

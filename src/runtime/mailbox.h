@@ -7,7 +7,7 @@
 // producer's program order, so per-sender FIFO — the delivery guarantee the
 // simulated network provides and the CC schemes rely on — is preserved.
 //
-// A handler may push to its own mailbox mid-drain (SetTimer, self-sends):
+// A handler may push to its own mailbox mid-drain (self-sends):
 // that push lands in `pending_`, never in the vector being drained, so the
 // node handed to the sink stays put.
 //
@@ -16,10 +16,11 @@
 // `pending_` non-empty while the consumer is parked: a busy worker takes no
 // wakes.
 //
-// A node carries a tagged union — message | timer | control — so the two
-// hot item kinds (actor messages and timer registrations) cost no
-// type-erased std::function; closures remain for the cold control plane
-// (RunOn rendezvous, stop wakes, metric window flips).
+// A node carries a tagged union — message | control — so the hot item kind
+// (actor messages, session submissions among them) costs no type-erased
+// std::function; closures remain for the cold control plane (RunOn
+// rendezvous, stop wakes, metric window flips). Timers never ride the
+// mailbox: a handler arms them straight into its own worker's heap.
 #ifndef PARTDB_RUNTIME_MAILBOX_H_
 #define PARTDB_RUNTIME_MAILBOX_H_
 
@@ -36,24 +37,15 @@
 
 namespace partdb {
 
-/// Timer registration riding the mailbox as plain data (SetTimer is on the
-/// session-wake hot path; it must not allocate or type-erase).
-struct MailboxTimer {
-  NodeId self = kInvalidNode;
-  Time at = 0;
-  TimerFire fire;
-};
-
 /// One queued item. The union members are manually constructed/destroyed,
 /// tracked by `kind`.
 struct MailboxNode {
-  enum class Kind : uint8_t { kNone, kMessage, kTimer, kControl };
+  enum class Kind : uint8_t { kNone, kMessage, kControl };
   using ControlFn = std::function<void()>;
 
   Kind kind = Kind::kNone;
   union {
     Message msg;
-    MailboxTimer timer;
     ControlFn control;
   };
 
@@ -66,9 +58,6 @@ struct MailboxNode {
     switch (o.kind) {
       case Kind::kMessage:
         SetMessage(std::move(o.msg));
-        break;
-      case Kind::kTimer:
-        SetTimer(o.timer);
         break;
       case Kind::kControl:
         SetControl(std::move(o.control));
@@ -83,10 +72,6 @@ struct MailboxNode {
     new (&msg) Message(std::move(m));
     kind = Kind::kMessage;
   }
-  void SetTimer(MailboxTimer t) {
-    new (&timer) MailboxTimer(t);
-    kind = Kind::kTimer;
-  }
   void SetControl(ControlFn fn) {
     new (&control) ControlFn(std::move(fn));
     kind = Kind::kControl;
@@ -98,9 +83,6 @@ struct MailboxNode {
     switch (kind) {
       case Kind::kMessage:
         msg.~Message();
-        break;
-      case Kind::kTimer:
-        timer.~MailboxTimer();
         break;
       case Kind::kControl:
         control.~ControlFn();
@@ -141,9 +123,6 @@ class Mailbox {
 
   void PushMessage(Message m) {
     Push([&m](MailboxNode& n) { n.SetMessage(std::move(m)); });
-  }
-  void PushTimer(NodeId self, Time at, TimerFire t) {
-    Push([&](MailboxNode& n) { n.SetTimer(MailboxTimer{self, at, t}); });
   }
   /// Cold control plane only (rendezvous, stop, window flips): the closure
   /// itself may allocate.

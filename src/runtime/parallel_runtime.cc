@@ -17,6 +17,8 @@ namespace {
 constexpr size_t kDrainBatch = 256;
 }  // namespace
 
+thread_local const ParallelRuntime::Worker* ParallelRuntime::current_worker_ = nullptr;
+
 ParallelRuntime::ParallelRuntime(int num_workers) {
   PARTDB_CHECK(num_workers >= 1);
   workers_.reserve(num_workers);
@@ -70,10 +72,12 @@ void ParallelRuntime::Send(Message msg, Time /*depart*/) {
 }
 
 void ParallelRuntime::SetTimer(NodeId self, Time at, TimerFire t) {
-  // Timer heaps are owned by their worker thread, so registration travels
-  // through the mailbox — as plain data, not a closure: session wake-ups and
-  // lock timeouts ride this path, so it must not allocate.
-  workers_[worker_of(self)]->mailbox.PushTimer(self, at, t);
+  // Every timer is armed by a handler running on its own worker (lock
+  // timeouts, retry backoff), so it goes straight into that worker's heap.
+  Worker* w = workers_[worker_of(self)].get();
+  PARTDB_CHECK(current_worker_ == w);
+  w->timers.push(TimerEntry{at, self, t});
+  w->timer_count.store(w->timers.size(), std::memory_order_relaxed);
 }
 
 void ParallelRuntime::Start() {
@@ -135,6 +139,7 @@ void ParallelRuntime::WorkerLoop(Worker* w, int index) {
   if (cpu >= 0 && PinCurrentThreadToCpu(cpu)) {
     pinned_workers_.fetch_add(1, std::memory_order_relaxed);
   }
+  current_worker_ = w;
   while (!stop_.load(std::memory_order_relaxed)) {
     FireDueTimers(w);
     // Nothing left to handle: the drain below would park.
@@ -158,10 +163,6 @@ void ParallelRuntime::WorkerLoop(Worker* w, int index) {
       switch (n->kind) {
         case MailboxNode::Kind::kMessage:
           endpoint(n->msg.dst)->Handle(n->msg, Now());
-          break;
-        case MailboxNode::Kind::kTimer:
-          w->timers.push(TimerEntry{n->timer.at, n->timer.self, n->timer.fire});
-          w->timer_count.store(w->timers.size(), std::memory_order_relaxed);
           break;
         case MailboxNode::Kind::kControl:
           n->control();

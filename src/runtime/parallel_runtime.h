@@ -100,11 +100,15 @@ class ParallelRuntime : public ExecutionContext {
   struct Worker {
     Mailbox mailbox;
     std::thread thread;
-    // Owned by the worker thread after Start(); mutated via mailbox items.
+    // Owned by the worker thread after Start(): only its own handlers arm
+    // timers (SetTimer checks the caller against current_worker_).
     std::priority_queue<TimerEntry, std::vector<TimerEntry>, std::greater<TimerEntry>> timers;
     std::atomic<size_t> timer_count{0};
     std::vector<Actor*> actors;  // hosted here; read-only after Start
   };
+
+  /// The worker whose loop runs on this thread (null off the workers).
+  static thread_local const Worker* current_worker_;
 
   void WorkerLoop(Worker* w, int index);
   void FireDueTimers(Worker* w);

@@ -7,7 +7,7 @@ Time Network::Arrival(const Message& msg, Time depart) {
   const size_t bytes = MessageByteSize(msg.body);
   stats_.bytes += bytes;
 
-  if (config_.loopback_free && msg.src == msg.dst) return depart;
+  if (msg.src == msg.dst) return depart;
 
   const Duration wire = config_.one_way_latency +
                         static_cast<Duration>(config_.ns_per_byte * static_cast<double>(bytes));

@@ -19,8 +19,6 @@ struct NetworkConfig {
   /// 2010-era hardware, which this default approximates.
   Duration one_way_latency = Micros(40);
   double ns_per_byte = 8.0;  // 1 Gbit/s
-  /// Messages a node sends to itself skip the network entirely.
-  bool loopback_free = true;
 };
 
 struct NetworkStats {
@@ -36,7 +34,8 @@ class Network {
 
   /// Returns the time at which `msg`, departing at `depart` (>= now),
   /// arrives at msg.dst, and counts it in stats(). Preserves per-link FIFO
-  /// order: a message never arrives before one sent earlier on its link.
+  /// order: a message never arrives before one sent earlier on its link. A
+  /// message a node sends itself skips the network and arrives at `depart`.
   Time Arrival(const Message& msg, Time depart);
 
   const NetworkStats& stats() const { return stats_; }

@@ -371,42 +371,6 @@ TEST(OpenLoopDriver, LatencyCountsLateSubmissions) {
   EXPECT_GE(r.latency.Percentile(50), 1e6) << "late submissions were timed from Submit";
 }
 
-// --- session-side submission batching ---------------------------------------
-
-// Mailbox-level coalescing: a burst of foreign-thread submissions schedules
-// exactly ONE ingress wake — the deterministic simulator does not run until
-// Drain pumps it, so every later Submit must ride the first wake. All 50
-// then complete off that single mailbox drain.
-TEST(SessionBatching, BurstCoalescesIntoOneMailboxWake) {
-  const KvWorkloadOptions mb = SmallConfig(4, 0.0);
-  auto db = Database::Open(SmallDb(mb, "speculation", RunMode::kSimulated, 1));
-  auto session = db->CreateSession();
-  SessionActor& actor = static_cast<LocalSession&>(*session).actor();
-  const ProcId proc = db->proc(kKvReadUpdateProc);
-
-  int done = 0;
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(session->Submit(proc, SpArgs(mb, 0, 0), [&](const TxnResult& r) {
-                          EXPECT_TRUE(r.committed);
-                          done++;
-                        }).accepted);
-  }
-  EXPECT_EQ(actor.ingress_wakes(), 1u);  // 49 submissions coalesced
-  EXPECT_EQ(session->outstanding(), 50u);
-
-  session->Drain();
-  EXPECT_EQ(done, 50);
-  EXPECT_EQ(actor.ingress_wakes(), 1u);  // draining scheduled no extra wakes
-
-  // The batch was consumed: a fresh submission needs (exactly) a fresh wake.
-  EXPECT_TRUE(session->Submit(proc, SpArgs(mb, 0, 0), nullptr).accepted);
-  EXPECT_EQ(actor.ingress_wakes(), 2u);
-  session->Drain();
-
-  session.reset();
-  db->Close();
-}
-
 // --- session ingress ---------------------------------------------------------
 
 // A burst of foreign-thread submissions made before the simulator runs: every

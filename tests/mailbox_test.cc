@@ -71,40 +71,40 @@ TEST(MailboxStress, EightProducersHundredThousandEach) {
   EXPECT_EQ(s.popped, s.pushed);
 }
 
-// A sink may push to the mailbox it is draining, as handlers do (SetTimer,
-// self-sends). For N items the sink pushes the next message and a timer;
-// the node it was handed must stay readable after those pushes (under ASan
-// this catches a drain whose storage the producers append to), and every
-// item must arrive exactly once, in push order.
+// A sink may push to the mailbox it is draining, as handlers do (self-sends).
+// For N items the sink pushes the next message of its chain and a second,
+// leaf message; the node it was handed must stay readable after those
+// pushes (under ASan this catches a drain whose storage the producers append
+// to), and every item must arrive exactly once, in push order.
 TEST(Mailbox, SinkPushesToItsOwnMailbox) {
   constexpr uint32_t kItems = 2000;
+  constexpr int kChain = 0;  // source of the chain's messages
+  constexpr int kLeaf = 1;   // source of the second message each pushes
   Mailbox box;
-  std::deque<std::pair<MailboxNode::Kind, uint32_t>> expected;
-  box.PushMessage(MakeItem(0, 0));
-  expected.emplace_back(MailboxNode::Kind::kMessage, 0);
+  std::deque<std::pair<int, uint32_t>> expected;  // (src, seq)
+  box.PushMessage(MakeItem(kChain, 0));
+  expected.emplace_back(kChain, 0);
 
   uint64_t received = 0;
   const auto deadline = Clock::now() + std::chrono::seconds(30);
   while (!expected.empty()) {
     const size_t got = box.DrainUntil(deadline, 7, [&](MailboxNode* n) {
       ASSERT_FALSE(expected.empty()) << "unexpected extra item";
-      const auto [kind, seq] = expected.front();
+      const auto [src, seq] = expected.front();
       expected.pop_front();
-      ASSERT_EQ(n->kind, kind) << "item " << received;
-      if (kind == MailboxNode::Kind::kTimer) {
-        EXPECT_EQ(n->timer.at, static_cast<Time>(seq));
-        EXPECT_EQ(n->timer.fire.generation, seq);
-      } else {
-        ASSERT_EQ(TxnSeq(std::get<TimerFire>(n->msg.body).txn_id), seq);
+      ASSERT_EQ(n->kind, MailboxNode::Kind::kMessage) << "item " << received;
+      ASSERT_EQ(n->msg.src, src) << "item " << received;
+      ASSERT_EQ(TxnSeq(std::get<TimerFire>(n->msg.body).txn_id), seq);
+      if (src == kChain) {
         if (seq + 1 < kItems) {
-          box.PushMessage(MakeItem(0, seq + 1));
-          expected.emplace_back(MailboxNode::Kind::kMessage, seq + 1);
-          box.PushTimer(/*self=*/0, /*at=*/seq, TimerFire{MakeTxnId(1, seq), seq});
-          expected.emplace_back(MailboxNode::Kind::kTimer, seq);
+          box.PushMessage(MakeItem(kChain, seq + 1));
+          expected.emplace_back(kChain, seq + 1);
+          box.PushMessage(MakeItem(kLeaf, seq));
+          expected.emplace_back(kLeaf, seq);
         }
         // Still the node this call was handed.
         ASSERT_EQ(n->kind, MailboxNode::Kind::kMessage);
-        EXPECT_EQ(n->msg.src, 0);
+        EXPECT_EQ(n->msg.src, kChain);
         EXPECT_EQ(TxnSeq(std::get<TimerFire>(n->msg.body).txn_id), seq);
       }
       ++received;

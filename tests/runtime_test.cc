@@ -137,8 +137,8 @@ TEST(Mailbox, DrainUntilTimesOutWhenEmpty) {
   EXPECT_TRUE(box.Empty());
 }
 
-// Tagged-union item kinds travel intact: messages, timers, and control
-// closures drain in push order with their payloads.
+// Tagged-union item kinds travel intact: messages and control closures
+// drain in push order with their payloads.
 TEST(Mailbox, CarriesAllItemKindsInOrder) {
   Mailbox box;
   Message m;
@@ -146,7 +146,6 @@ TEST(Mailbox, CarriesAllItemKindsInOrder) {
   m.dst = 0;
   m.body = TimerFire{MakeTxnId(7, 1), 0};
   box.PushMessage(std::move(m));
-  box.PushTimer(/*self=*/3, /*at=*/12345, TimerFire{MakeTxnId(3, 9), 42});
   bool control_ran = false;
   box.PushControl([&control_ran]() { control_ran = true; });
 
@@ -154,18 +153,16 @@ TEST(Mailbox, CarriesAllItemKindsInOrder) {
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   box.DrainUntil(deadline, 64, [&](MailboxNode* n) {
     kinds.push_back(n->kind);
-    if (n->kind == MailboxNode::Kind::kTimer) {
-      EXPECT_EQ(n->timer.self, 3);
-      EXPECT_EQ(n->timer.at, 12345);
-      EXPECT_EQ(n->timer.fire.generation, 42u);
+    if (n->kind == MailboxNode::Kind::kMessage) {
+      EXPECT_EQ(n->msg.src, 7);
+      EXPECT_EQ(std::get<TimerFire>(n->msg.body).txn_id, MakeTxnId(7, 1));
     } else if (n->kind == MailboxNode::Kind::kControl) {
       n->control();
     }
   });
-  ASSERT_EQ(kinds.size(), 3u);
+  ASSERT_EQ(kinds.size(), 2u);
   EXPECT_EQ(kinds[0], MailboxNode::Kind::kMessage);
-  EXPECT_EQ(kinds[1], MailboxNode::Kind::kTimer);
-  EXPECT_EQ(kinds[2], MailboxNode::Kind::kControl);
+  EXPECT_EQ(kinds[1], MailboxNode::Kind::kControl);
   EXPECT_TRUE(control_ran);
 }
 

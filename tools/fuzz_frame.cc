@@ -102,6 +102,16 @@ void FuzzOneInput(const uint8_t* data, size_t size) {
 
 #if !defined(PARTDB_FUZZ_LIBFUZZER)
 
+/// Appends one frame whose body `fill` writes in place, the way the event
+/// loop encodes every frame it sends.
+template <typename Fill>
+void AppendFrameWith(std::string* out, FrameType type, Fill&& fill) {
+  const size_t at = BeginFrame(out, type);
+  WireWriter w(out);
+  fill(w);
+  EndFrame(out, at);
+}
+
 /// Seed corpus: well-formed streams covering every frame type, so the fuzzer
 /// starts from valid protocol shapes instead of rediscovering the header.
 std::vector<std::string> SeedInputs() {
@@ -126,7 +136,8 @@ std::vector<std::string> SeedInputs() {
   req.seq = 41;
   req.proc = 0;
   std::string request_stream;
-  AppendRequest(&request_stream, req, args);
+  AppendFrameWith(&request_stream, FrameType::kRequest,
+                  [&](WireWriter& w) { AppendRequestBody(w, req, args); });
   seeds.push_back(request_stream);
 
   KvResult result;
@@ -138,8 +149,9 @@ std::vector<std::string> SeedInputs() {
   resp.attempts = 1;
   resp.has_result = true;
   std::string response_stream;
-  AppendResponse(&response_stream, resp, &result);
-  AppendCloseSession(&response_stream, 3);
+  AppendFrameWith(&response_stream, FrameType::kResponse,
+                  [&](WireWriter& w) { AppendResponseBody(w, resp, &result); });
+  AppendFrameWith(&response_stream, FrameType::kCloseSession, [](WireWriter& w) { w.U32(3); });
   seeds.push_back(response_stream);
 
   Metrics m;
