@@ -516,6 +516,44 @@ TEST(Database, SessionSlotsRecycle) {
   db->Close();
 }
 
+// The wiring Database::Open builds: coordinator at node 0, primaries at
+// [1, 1+P), backups after them, session slots last; in parallel mode one
+// worker per partition and per backup, then the coordinator's, then two
+// session workers shared round-robin.
+TEST(DbWiring, NodeLayoutAndWorkerMap) {
+  constexpr int P = 3;
+  constexpr int B = P;  // replication 2: one backup per partition
+  constexpr int S = 5;
+  KvWorkloadOptions mb = SmallConfig(2, 0.0);
+  mb.num_partitions = P;
+  DbOptions opts = SmallDb(mb, "speculation", RunMode::kParallel, S);
+  opts.replication = 2;
+  auto db = Database::Open(opts);
+  ParallelRuntime* rt = db->cluster().parallel_runtime();
+  ASSERT_NE(rt, nullptr);
+  EXPECT_EQ(rt->num_workers(), P + B + 1 + 2);
+  EXPECT_EQ(rt->worker_of(0), P + B);
+  for (int p = 0; p < P; ++p) {
+    EXPECT_EQ(db->cluster().partition(p).node_id(), 1 + p);
+    EXPECT_EQ(rt->worker_of(1 + p), p);
+  }
+  for (int b = 0; b < B; ++b) EXPECT_EQ(rt->worker_of(1 + P + b), P + b);
+  std::vector<std::unique_ptr<Session>> sessions;
+  for (int s = 0; s < S; ++s) {
+    EXPECT_EQ(rt->worker_of(1 + P + B + s), P + B + 1 + s % 2);
+    sessions.push_back(db->CreateSession());
+    EXPECT_EQ(static_cast<LocalSession&>(*sessions.back()).actor().node_id(), 1 + P + B + s);
+  }
+  sessions.clear();
+  db->Close();
+
+  opts.mode = RunMode::kSimulated;
+  auto sim = Database::Open(opts);
+  EXPECT_EQ(sim->cluster().parallel_runtime(), nullptr);
+  for (int p = 0; p < P; ++p) EXPECT_EQ(sim->cluster().partition(p).node_id(), 1 + p);
+  sim->Close();
+}
+
 // Session teardown hammered against its own completion callbacks: repeated
 // create/burst/destroy cycles where the dtor's drain runs while the workers
 // are still delivering completions. The callbacks touch the session's

@@ -332,9 +332,8 @@ TEST(TpccCodec, DeliveryStockLevelResultRoundTrip) {
   EXPECT_EQ(PayloadCast<TpccResult>(*rback).amount, 99.5);
 }
 
-// The kMetrics frame carries every Metrics counter and both histograms, so a
-// remote EndMeasurement() returns the same Metrics an embedded one does.
-TEST(MetricsCodec, EveryFieldRoundTrips) {
+/// A Metrics value with every field distinct and non-zero.
+Metrics EveryFieldMetrics() {
   Metrics m;
   m.committed = 1;
   m.sp_committed = 2;
@@ -366,6 +365,13 @@ TEST(MetricsCodec, EveryFieldRoundTrips) {
   for (int64_t v : {8, 600, 70000}) m.procs[0].latency.Add(v);
   m.procs[1].committed = 25;  // counts only, no latency samples
   m.procs[1].user_aborts = 26;
+  return m;
+}
+
+// The kMetrics frame carries every Metrics counter and both histograms, so a
+// remote EndMeasurement() returns the same Metrics an embedded one does.
+TEST(MetricsCodec, EveryFieldRoundTrips) {
+  const Metrics m = EveryFieldMetrics();
 
   Metrics back;
   ASSERT_TRUE(DecodeMetrics(EncodeMetrics(m), &back));
@@ -413,6 +419,33 @@ TEST(MetricsCodec, EveryFieldRoundTrips) {
     EXPECT_EQ(got.latency.raw_sum(), want.latency.raw_sum());
     EXPECT_EQ(got.latency.NonZeroBuckets(), want.latency.NonZeroBuckets());
   }
+}
+
+// The kMetrics body is part of wire version kWireVersion: its bytes may
+// change only together with a version bump.
+TEST(MetricsCodec, WireBytesArePinned) {
+  static constexpr char kHex[] =
+      "01000000000000000200000000000000030000000000000004000000000000000500000000000000"
+      "06000000000000000700000000000000080000000000000009000000000000000a00000000000000"
+      "0b000000000000000c000000000000000d000000000000000e000000000000000f00000000000000"
+      "10000000000000001100000000000000120000000000000013000000000000001400000000000000"
+      "15000000000000001600000004000000000000000500000000000000e02e00000000000000000000"
+      "8057c940040000001000000001000000000000002c00000001000000000000004700000001000000"
+      "000000006200000001000000000000000300000000000000030000000000000090d0030000000000"
+      "0000000098010f41030000000b000000010000000000000057000000010000000000000082000000"
+      "01000000000000000200000017000000000000001800000000000000030000000000000008000000"
+      "00000000701101000000000000000000003df1400300000015000000010000000000000043000000"
+      "010000000000000075000000010000000000000019000000000000001a0000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000";
+  const std::string body = EncodeMetrics(EveryFieldMetrics());
+  std::string hex;
+  for (unsigned char c : body) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 0xf]);
+  }
+  EXPECT_EQ(hex, kHex);
+  EXPECT_EQ(kWireVersion, 3);
 }
 
 // The per-procedure count is remote input: a count the body cannot hold is
