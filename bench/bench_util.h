@@ -94,14 +94,13 @@ inline bool WriteSchemeJson(const std::string& path, const char* bench_name,
 /// compares against the live state (requires log_commits). Prints a verdict
 /// line tagged `label`; returns false on any mismatch or replay-time abort.
 inline bool VerifyReplay(Database& db, const char* label) {
-  Cluster& cluster = db.cluster();
   const int num_partitions = db.options().num_partitions;
   bool ok = true;
   for (PartitionId p = 0; p < num_partitions; ++p) {
-    const uint64_t live = cluster.engine(p).StateHash();
+    const uint64_t live = db.engine(p).StateHash();
     size_t aborted = 0;
     const uint64_t replayed =
-        ReplayStateHash(db.options().engine_factory, p, cluster.commit_log(p), &aborted);
+        ReplayStateHash(db.options().engine_factory, p, db.commit_log(p), &aborted);
     if (aborted != 0) {
       std::printf("%s: partition %d had %zu committed txns abort on replay\n", label, p,
                   aborted);

@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
     Metrics sm = RunClosedLoop(*db, loop);
     db->Close();
     std::printf("sim cross-check: %.0f txn/s (virtual), %llu events\n", sm.Throughput(),
-                static_cast<unsigned long long>(db->cluster().sim().events_processed()));
+                static_cast<unsigned long long>(db->sim().events_processed()));
     ok = VerifyReplay(*db, "sim") && ok;
   }
 

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
       ok = VerifyReplay(*db, scheme.c_str()) && ok;
       std::vector<const TpccDb*> dbs;
       for (PartitionId p = 0; p < wl.scale.num_partitions; ++p) {
-        dbs.push_back(&static_cast<TpccEngine&>(db->cluster().engine(p)).db());
+        dbs.push_back(&static_cast<TpccEngine&>(db->engine(p)).db());
       }
       const auto violations = CheckConsistency(dbs);
       if (!violations.empty()) {

@@ -192,7 +192,7 @@ int main() {
     // The serializability guarantee in one number: money is conserved.
     int64_t total = 0;
     for (PartitionId p = 0; p < kPartitions; ++p) {
-      total += static_cast<BankEngine&>(db->cluster().engine(p)).TotalMoney();
+      total += static_cast<BankEngine&>(db->engine(p)).TotalMoney();
     }
     const int64_t expected =
         static_cast<int64_t>(kPartitions) * kAccountsPerPartition * kInitialBalance;

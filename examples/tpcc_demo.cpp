@@ -47,7 +47,7 @@ int main() {
 
     std::vector<const TpccDb*> dbs;
     for (PartitionId p = 0; p < workload.scale.num_partitions; ++p) {
-      dbs.push_back(&static_cast<TpccEngine&>(db->cluster().engine(p)).db());
+      dbs.push_back(&static_cast<TpccEngine&>(db->engine(p)).db());
     }
     const auto violations = CheckConsistency(dbs);
 

@@ -23,7 +23,7 @@ struct TxnRouting {
   bool single_partition() const { return participants.size() == 1 && rounds == 1; }
 };
 
-/// Node addressing for one cluster instance.
+/// Node addressing for one database instance.
 struct Topology {
   std::vector<NodeId> partition_primary;  // indexed by PartitionId
   NodeId coordinator = kInvalidNode;

@@ -1,5 +1,5 @@
 // SessionActor: the one client-library ingress actor of the system — the
-// paper's client library (§3.1/§4.3) as an actor bound into the cluster. It
+// paper's client library (§3.1/§4.3) as an actor bound into a database. It
 // owns the in-flight bookkeeping for every transaction submitted through it:
 // single-partition invocations go straight to the owning partition,
 // multi-partition ones go through the central coordinator under

@@ -28,7 +28,7 @@ constexpr double ToSeconds(Duration d) {
 using PartitionId = int32_t;
 
 /// Identifies one simulated process (client, coordinator, partition primary or
-/// backup). Assigned by the cluster builder.
+/// backup). Assigned when Database::Open wires the actors.
 using NodeId = int32_t;
 
 constexpr NodeId kInvalidNode = -1;

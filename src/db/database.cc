@@ -5,11 +5,18 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <string>
 
+#include "cc/scheme_registry.h"
 #include "common/logging.h"
 #include "durability/log_format.h"
 
 namespace partdb {
+
+namespace {
+/// Parallel-mode worker threads shared by the session ingress actors.
+constexpr int kSessionWorkers = 2;
+}  // namespace
 
 std::unique_ptr<Database> Database::Open(DbOptions options) {
   PARTDB_CHECK(options.engine_factory != nullptr);
@@ -17,7 +24,8 @@ std::unique_ptr<Database> Database::Open(DbOptions options) {
   return std::unique_ptr<Database>(new Database(std::move(options)));
 }
 
-Database::Database(DbOptions options) : options_(std::move(options)) {
+Database::Database(DbOptions options)
+    : options_(std::move(options)), net_(options_.net), sim_exec_(&sim_, &net_) {
   for (ProcedureDescriptor& d : options_.procedures) {
     registry_.Register(std::move(d));
   }
@@ -31,11 +39,80 @@ Database::Database(DbOptions options) : options_(std::move(options)) {
   }
 
   // Resolve the scheme name up front: an unknown name fails here, before any
-  // cluster wiring, with the registered schemes listed.
-  const CcSchemeCapabilities scheme_caps =
-      CcSchemeRegistry::Global().Get(options_.scheme).caps;
+  // wiring, with the registered schemes listed.
+  const CcSchemeRegistry::Entry& scheme = CcSchemeRegistry::Global().Get(options_.scheme);
 
-  cluster_ = std::make_unique<Cluster>(options_, &registry_);
+  const int P = options_.num_partitions;
+  PARTDB_CHECK(P >= 1);
+  PARTDB_CHECK(options_.replication >= 1);
+
+  // Node layout: coordinator 0, primaries [1, 1+P), backups afterwards,
+  // session slots last.
+  const NodeId coord_node = 0;
+  topology_.coordinator = coord_node;
+  topology_.durable_notices = options_.durability == DurabilityMode::kGroupCommit;
+  for (int p = 0; p < P; ++p) topology_.partition_primary.push_back(coord_node + 1 + p);
+  const int num_backups = P * (options_.replication - 1);
+  const NodeId first_session_node = coord_node + 1 + P + num_backups;
+
+  if (options_.mode == RunMode::kParallel) {
+    // Thread-per-partition (and per backup); the coordinator gets its own
+    // worker; session ingress actors spread round-robin over their own
+    // worker pool.
+    parallel_ = std::make_unique<ParallelRuntime>(P + num_backups + 1 + kSessionWorkers);
+    parallel_->set_affinity(options_.worker_affinity);
+    const int coord_worker = P + num_backups;
+    for (int p = 0; p < P; ++p) parallel_->MapNode(topology_.partition_primary[p], p);
+    for (int b = 0; b < num_backups; ++b) parallel_->MapNode(coord_node + 1 + P + b, P + b);
+    parallel_->MapNode(coord_node, coord_worker);
+    for (int s = 0; s < options_.max_sessions; ++s) {
+      parallel_->MapNode(first_session_node + s, coord_worker + 1 + s % kSessionWorkers);
+    }
+    exec_ = parallel_.get();
+  } else {
+    exec_ = &sim_exec_;
+  }
+
+  // Partitions.
+  SchemeOptions scheme_opts;
+  scheme_opts.local_speculation_only = options_.local_speculation_only;
+  scheme_opts.force_locks = options_.force_locks;
+  for (int p = 0; p < P; ++p) {
+    auto sink = std::make_unique<Metrics>();
+    auto part = std::make_unique<PartitionActor>("partition-" + std::to_string(p), p,
+                                                 options_.engine_factory(p), options_.cost,
+                                                 sink.get(), options_.lock_timeout);
+    part->InstallScheme(scheme.factory(part.get(), scheme_opts));
+    if (options_.log_commits) part->EnableCommitLog();
+    part->Bind(exec_, topology_.partition_primary[p]);
+    measured_.push_back({part.get(), std::move(sink), &Metrics::partition_busy_ns});
+    partitions_.push_back(std::move(part));
+  }
+
+  // Backups.
+  NodeId next_node = coord_node + 1 + P;
+  backups_.resize(P);
+  for (int p = 0; p < P; ++p) {
+    std::vector<NodeId> backup_nodes;
+    for (int r = 1; r < options_.replication; ++r) {
+      auto b = std::make_unique<BackupActor>(
+          "backup-" + std::to_string(p) + "." + std::to_string(r), p, options_.engine_factory(p),
+          options_.cost, options_.backups_execute);
+      b->Bind(exec_, next_node);
+      backup_nodes.push_back(next_node);
+      ++next_node;
+      backups_[p].push_back(std::move(b));
+    }
+    partitions_[p]->SetBackups(backup_nodes);
+  }
+
+  // Coordinator (used by blocking and speculation; locking sessions
+  // self-coordinate, so it simply stays idle).
+  coordinator_ = std::make_unique<CoordinatorActor>("coordinator", options_.cost, &registry_,
+                                                    topology_.partition_primary,
+                                                    topology_.durable_notices);
+  coordinator_->Bind(exec_, coord_node);
+  measured_.push_back({coordinator_.get(), nullptr, &Metrics::coord_busy_ns});
 
   if (options_.durability != DurabilityMode::kOff) {
     std::filesystem::create_directories(options_.log_dir);
@@ -43,12 +120,10 @@ Database::Database(DbOptions options) : options_(std::move(options)) {
     // touched by the replay pool.
     RecoveryOptions ro;
     ro.dir = options_.log_dir;
-    ro.num_partitions = options_.num_partitions;
-    ro.workers =
-        options_.recovery_workers > 0 ? options_.recovery_workers : options_.num_partitions;
+    ro.num_partitions = P;
+    ro.workers = options_.recovery_workers > 0 ? options_.recovery_workers : P;
     ro.registry = &registry_;
-    recovery_report_ =
-        RecoverDatabase(ro, [this](PartitionId p) -> Engine& { return cluster_->engine(p); });
+    recovery_report_ = RecoverDatabase(ro, [this](PartitionId p) -> Engine& { return engine(p); });
     if (!recovery_report_.ok) {
       std::fprintf(stderr, "partdb: recovery failed: %s\n", recovery_report_.error.c_str());
       PARTDB_CHECK(false);
@@ -57,19 +132,19 @@ Database::Database(DbOptions options) : options_(std::move(options)) {
     DurabilityManager::Options mo;
     mo.mode = options_.durability;
     mo.dir = options_.log_dir;
-    mo.num_partitions = options_.num_partitions;
+    mo.num_partitions = P;
     mo.group_commit_window = Micros(options_.group_commit_window_us);
     mo.crash_after_n_commits = options_.durability_crash_after_n_commits;
     for (ProcId id = 0; id < static_cast<ProcId>(registry_.size()); ++id) {
       mo.procs.push_back(LogProcEntry{id, registry_.Get(id).name});
     }
     durability_ = std::make_unique<DurabilityManager>(std::move(mo), recovery_report_.seeds);
-    for (PartitionId p = 0; p < options_.num_partitions; ++p) {
-      cluster_->partition(p).InstallDurabilityLog(durability_->log(p),
-                                                  durability_->holds_replies());
+    for (PartitionId p = 0; p < P; ++p) {
+      partitions_[p]->InstallDurabilityLog(durability_->log(p), durability_->holds_replies());
     }
   }
 
+  // Session slots.
   ProcRouter router = [reg = &registry_](ProcId proc, const Payload& args) {
     return reg->Get(proc).route(args);
   };
@@ -78,18 +153,18 @@ Database::Database(DbOptions options) : options_(std::move(options)) {
     // CreateSession hands slots out in ascending order, so a closed loop over
     // sessions replays the legacy bench clients' streams exactly.
     auto actor = std::make_unique<SessionActor>(
-        "session-" + std::to_string(i), router, &registry_, cluster_->topology(),
-        scheme_caps, options_.cost, ClientStreamSeed(options_.seed, i));
-    actor->set_metrics(cluster_->BindSession(i, actor.get()));
+        "session-" + std::to_string(i), router, &registry_, topology_, scheme.caps, options_.cost,
+        ClientStreamSeed(options_.seed, i));
+    actor->Bind(exec_, first_session_node + i);
+    measured_.push_back({actor.get(), std::make_unique<Metrics>(), nullptr});
+    actor->set_metrics(measured_.back().metrics.get());
     actor->set_max_inflight(options_.max_inflight_per_session);
     session_actors_.push_back(std::move(actor));
   }
   for (int i = options_.max_sessions - 1; i >= 0; --i) free_slots_.push_back(i);
 
-  cluster_->Start();
-  if (durability_ != nullptr) {
-    durability_->Start(&cluster_->exec(), cluster_->topology().partition_primary);
-  }
+  if (parallel_ != nullptr) parallel_->Start();
+  if (durability_ != nullptr) durability_->Start(exec_, topology_.partition_primary);
 }
 
 Database::~Database() { Close(); }
@@ -126,14 +201,42 @@ void Database::ReleaseSession(SessionActor* actor) {
   PARTDB_CHECK(false);  // not one of ours
 }
 
-void Database::BeginMeasurement() { cluster_->BeginWindow(); }
+void Database::RunOnOwner(const Actor* a, const std::function<void()>& fn) {
+  if (parallel_ != nullptr) {
+    parallel_->RunOnOwner(a->node_id(), fn);
+  } else {
+    fn();
+  }
+}
 
-Metrics Database::EndMeasurement() { return cluster_->EndWindow(); }
+void Database::BeginMeasurement() {
+  for (Measured& m : measured_) {
+    RunOnOwner(m.actor, [&m]() {
+      if (m.metrics != nullptr) m.metrics->Reset();
+      m.actor->ResetBusy();
+    });
+  }
+  window_start_ = exec_->Now();
+}
+
+Metrics Database::EndMeasurement() {
+  Metrics out;
+  for (Measured& m : measured_) {
+    // In parallel mode RunOnOwner blocks until the owning worker ran this,
+    // so the merge reads a stable snapshot.
+    RunOnOwner(m.actor, [&out, &m]() {
+      if (m.metrics != nullptr) out.Merge(*m.metrics);
+      if (m.busy != nullptr) out.*m.busy += m.actor->busy_ns();
+    });
+  }
+  out.window_ns = exec_->Now() - window_start_;
+  out.num_partitions = options_.num_partitions;
+  return out;
+}
 
 Database::DbStats Database::Stats() const {
   DbStats out;
-  ParallelRuntime* rt = cluster_->parallel_runtime();
-  if (rt != nullptr) out.runtime = rt->GetStats();
+  if (parallel_ != nullptr) out.runtime = parallel_->GetStats();
   if (durability_ != nullptr) out.durability = durability_->GetStats();
   return out;
 }
@@ -149,15 +252,15 @@ bool Database::Checkpoint() {
   // other participant queues it behind a parked one; under locking, where
   // sessions run 2PC, such a cross wait ends at the lock timeout.
   for (PartitionId p = 0; p < options_.num_partitions; ++p) {
-    PartitionActor& pa = cluster_->partition(p);
+    PartitionActor& pa = partition(p);
     PartitionLog* log = durability_->log(p);
-    Engine& e = cluster_->engine(p);
+    Engine& e = engine(p);
     CheckpointImage img;
     // Shared with the closure, so the worker may still be inside set_value
     // when this thread wakes and moves on.
     auto taken = std::make_shared<std::promise<void>>();
     std::future<void> done = taken->get_future();
-    cluster_->parallel_runtime()->RunOnOwner(pa.node_id(), [&] {
+    RunOnOwner(&pa, [&] {
       pa.RunAtIdlePoint([&, taken] {
         PARTDB_CHECK(e.SupportsCheckpoint());
         WireWriter w(&img.engine_state);
@@ -180,13 +283,13 @@ bool Database::Checkpoint() {
 
 void Database::AdvanceSim(Duration d) {
   PARTDB_CHECK(options_.mode == RunMode::kSimulated);
-  cluster_->sim().RunUntil(cluster_->sim().Now() + d);
+  sim_.RunUntil(sim_.Now() + d);
 }
 
 void Database::PumpSimUntil(const std::function<bool()>& done) {
   PARTDB_CHECK(options_.mode == RunMode::kSimulated);
   while (!done()) {
-    PARTDB_CHECK(cluster_->sim().RunOne());  // empty queue: txn can never finish
+    PARTDB_CHECK(sim_.RunOne());  // empty queue: txn can never finish
   }
 }
 
@@ -197,14 +300,21 @@ void Database::Close() {
     closed_ = true;
   }
   // Submissions have ceased (sessions drain on destruction; any still-open
-  // session must be idle by now). In parallel mode wait out stragglers; the
-  // simulator runs them dry in Stop.
-  if (options_.mode == RunMode::kParallel) {
+  // session must be idle by now). In parallel mode wait out stragglers and
+  // in-flight work, then join the workers; the simulator runs them dry.
+  if (parallel_ != nullptr) {
     for (auto& a : session_actors_) {
       PARTDB_CHECK(a->WaitDrained(std::chrono::seconds(30)));
     }
+    const bool drained = parallel_->WaitQuiescent(std::chrono::seconds(30));
+    parallel_->Stop();
+    PARTDB_CHECK(drained);
+  } else {
+    sim_.Run();
   }
-  cluster_->Stop();
+  for (auto& p : partitions_) {
+    PARTDB_CHECK(p->cc().Idle());
+  }
   if (durability_ != nullptr) durability_->Shutdown();
   for (auto& a : session_actors_) {
     PARTDB_CHECK(a->outstanding() == 0);

@@ -1,13 +1,13 @@
 // Database: the embedded-database façade and main public entry point of the
 // library. Database::Open builds one database instance — partitions running
 // the chosen concurrency-control scheme, optional backups, the central
-// coordinator — on either execution context (deterministic simulation or the
-// thread-per-partition parallel runtime), seals the stored-procedure
-// registry, and hands out Sessions that driver threads submit named
-// procedures through. This is the single ingress path of the system — the
-// figure benches and the closed-loop driver (db/closed_loop) run over it
-// too; cluster() is the escape hatch tests and benches use for engines and
-// commit logs.
+// coordinator and the session ingress slots — on either execution context
+// (deterministic simulation or the thread-per-partition parallel runtime),
+// seals the stored-procedure registry, and hands out Sessions that driver
+// threads submit named procedures through. This is the single ingress path
+// of the system — the figure benches and the closed-loop driver
+// (db/closed_loop) run over it too. Tests and benches read engines, commit
+// logs and the simulator through the accessors at the end of the class.
 #ifndef PARTDB_DB_DATABASE_H_
 #define PARTDB_DB_DATABASE_H_
 
@@ -17,14 +17,22 @@
 #include <string_view>
 #include <vector>
 
+#include "client/routing.h"
 #include "common/mutex.h"
-#include "db/cluster.h"
+#include "coord/coordinator_actor.h"
 #include "db/db_handle.h"
 #include "db/db_options.h"
 #include "db/procedure_registry.h"
 #include "db/session.h"
 #include "durability/durability_manager.h"
 #include "durability/recovery.h"
+#include "engine/partition_actor.h"
+#include "engine/replication.h"
+#include "runtime/metrics.h"
+#include "runtime/parallel_runtime.h"
+#include "sim/network.h"
+#include "sim/sim_context.h"
+#include "sim/simulator.h"
 
 namespace partdb {
 
@@ -55,10 +63,14 @@ class Database : public DbHandle {
   /// network tier's per-connection sessions).
   std::unique_ptr<Session> TryCreateSession();
 
-  /// Begins/ends a metrics window (throughput, latency histograms,
-  /// per-procedure outcomes, CPU utilization) through
-  /// Cluster::BeginWindow/EndWindow, the same in both modes.
+  /// Begins a metrics window (throughput, latency histograms, per-procedure
+  /// outcomes, CPU utilization), the same in both modes: every measured
+  /// actor's metrics and busy time reset on the actor's own thread, so no
+  /// counter is touched across threads.
   void BeginMeasurement() override;
+  /// Ends the window and returns the merged metrics snapshot, with the
+  /// window length, partition count and busy times filled in. The database
+  /// keeps running.
   Metrics EndMeasurement() override;
 
   /// Ingress hot-path counters (parallel mode: mailbox push/pop/wake/park
@@ -92,20 +104,47 @@ class Database : public DbHandle {
   /// measurement windows with traffic already in flight).
   void AdvanceSim(Duration d) override;
 
-  /// Drains every session, stops the runtime (parallel mode joins all
-  /// workers) and verifies the partitions are quiescent. Idempotent; the
-  /// destructor calls it. Submissions after Close are illegal.
+  /// Drains every session, runs in-flight work dry, stops the runtime
+  /// (parallel mode joins all workers) and verifies the partitions are
+  /// quiescent. Idempotent; the destructor calls it. Submissions after Close
+  /// are illegal.
   void Close();
 
-  /// Internal wiring layer (engines, commit logs, the simulator). The
-  /// cluster stays valid until the Database is destroyed.
-  Cluster& cluster() { return *cluster_; }
+  // Internals for tests and benches. Valid until the Database is destroyed.
+  Simulator& sim() { return sim_; }
+  /// Null in simulated mode.
+  ParallelRuntime* parallel_runtime() { return parallel_.get(); }
+  Engine& engine(PartitionId p) { return partitions_[p]->engine(); }
+  PartitionActor& partition(PartitionId p) { return *partitions_[p]; }
+  Engine& backup_engine(PartitionId p, int backup_index) {
+    return backups_[p][backup_index]->engine();
+  }
+  const std::vector<CommitRecord>& commit_log(PartitionId p) const {
+    return partitions_[p]->commit_log();
+  }
+  /// A shim for bench_partdb alone, which still reaches engines through it
+  /// and whose files change only together with the benchmark. Delete it once
+  /// bench_partdb calls engine(p) directly.
+  Database& cluster() { return *this; }
 
  private:
   friend class LocalSession;
 
+  /// An actor whose window is measured: its private metrics sink (if any) is
+  /// reset at the start of each window and merged at the end, on the actor's
+  /// own thread, and its busy time likewise.
+  struct Measured {
+    Actor* actor;
+    std::unique_ptr<Metrics> metrics;  // null: busy time only (the coordinator)
+    /// The window field the actor's busy time sums into (null: not reported).
+    Duration Metrics::*busy;
+  };
+
   explicit Database(DbOptions options);
 
+  /// Runs `fn` on the thread that owns `a`: its worker in parallel mode, the
+  /// caller in simulation. Blocks until it has run.
+  void RunOnOwner(const Actor* a, const std::function<void()>& fn);
   /// Simulated mode: runs events until `done()`; CHECK-fails if the event
   /// queue empties first (the transaction could never complete).
   void PumpSimUntil(const std::function<bool()>& done);
@@ -113,10 +152,21 @@ class Database : public DbHandle {
 
   DbOptions options_;
   ProcedureRegistry registry_;
-  std::unique_ptr<Cluster> cluster_;
+  Simulator sim_;
+  Network net_;
+  SimContext sim_exec_;
+  std::unique_ptr<ParallelRuntime> parallel_;  // parallel mode only
+  ExecutionContext* exec_ = nullptr;           // the bound context (sim or parallel)
+  Topology topology_;
+  std::unique_ptr<CoordinatorActor> coordinator_;
+  std::vector<std::unique_ptr<PartitionActor>> partitions_;
+  std::vector<std::vector<std::unique_ptr<BackupActor>>> backups_;  // [partition][replica]
   std::vector<std::unique_ptr<SessionActor>> session_actors_;
+  std::vector<Measured> measured_;  // partitions, coordinator, then sessions
+  Time window_start_ = 0;
   RecoveryReport recovery_report_;
-  std::unique_ptr<DurabilityManager> durability_;  // after cluster_: dies first
+  /// Declared after the runtime and the actors, so it is destroyed first.
+  std::unique_ptr<DurabilityManager> durability_;
 
   Mutex mu_;
   std::vector<int> free_slots_ PARTDB_GUARDED_BY(mu_);

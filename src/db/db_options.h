@@ -1,6 +1,6 @@
 // DbOptions: the one configuration of a database instance. Database::Open
-// takes it, and the Cluster underneath is built straight from the Database's
-// own copy.
+// takes it and builds every partition, backup, coordinator and session slot
+// straight from its own copy.
 #ifndef PARTDB_DB_DB_OPTIONS_H_
 #define PARTDB_DB_DB_OPTIONS_H_
 

@@ -71,7 +71,7 @@ class Session {
 };
 
 /// The embedded-database session: a handle on a SessionActor bound into the
-/// local cluster.
+/// local database.
 class LocalSession : public Session {
  public:
   ~LocalSession() override;

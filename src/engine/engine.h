@@ -62,7 +62,7 @@ class Engine {
   virtual bool RestoreState(WireReader& r) { (void)r; return false; }
 };
 
-/// Creates the engine for a given partition (cluster wiring + backups).
+/// Creates the engine for a given partition (primaries and backups alike).
 using EngineFactory = std::function<std::unique_ptr<Engine>(PartitionId)>;
 
 }  // namespace partdb

@@ -1,5 +1,5 @@
 // Run-wide counters, latency histograms, and time breakdowns. Each measured
-// actor records into its own Metrics instance on its own thread; the cluster
+// actor records into its own Metrics instance on its own thread; the database
 // resets every instance when a measurement window begins and merges them
 // when it ends, so counts made outside a window never reach a result.
 #ifndef PARTDB_RUNTIME_METRICS_H_
@@ -53,7 +53,7 @@ struct Metrics {
   Duration lock_release_ns = 0;
   Duration lock_table_ns = 0;
 
-  // Filled in by the cluster at the end of a run.
+  // Filled in by the database at the end of a measurement window.
   Duration window_ns = 0;
   Duration partition_busy_ns = 0;  // summed over partitions
   Duration coord_busy_ns = 0;
@@ -63,7 +63,7 @@ struct Metrics {
 
   /// Accumulates another instance's counters, histograms, per-procedure
   /// outcomes and time breakdowns (per-actor metrics merged at the end of a
-  /// window). Leaves the cluster-filled window fields alone.
+  /// window). Leaves the database-filled window fields alone.
   void Merge(const Metrics& o);
 
   uint64_t completions() const { return committed + user_aborts; }

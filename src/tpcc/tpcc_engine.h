@@ -126,7 +126,7 @@ class TpccEngine : public Engine {
   TpccDb db_;
 };
 
-/// Engine factory for cluster construction: every partition loads its own
+/// Engine factory for database construction: every partition loads its own
 /// warehouses plus the replicated tables, deterministically from `seed`.
 EngineFactory MakeTpccEngineFactory(const TpccScale& scale, uint64_t seed);
 

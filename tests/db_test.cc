@@ -71,10 +71,10 @@ void ExpectReplayClean(Database& db, const KvWorkloadOptions& mb) {
   std::vector<const std::vector<CommitRecord>*> logs;
   const EngineFactory& factory = db.options().engine_factory;
   for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    EXPECT_EQ(db.cluster().engine(p).StateHash(),
-              ExpectCleanReplayStateHash(factory, p, db.cluster().commit_log(p)))
+    EXPECT_EQ(db.engine(p).StateHash(),
+              ExpectCleanReplayStateHash(factory, p, db.commit_log(p)))
         << "partition " << p << " diverged from serial replay";
-    logs.push_back(&db.cluster().commit_log(p));
+    logs.push_back(&db.commit_log(p));
   }
   ExpectMpOrderConsistent(logs, db.options().scheme);
 }
@@ -268,7 +268,7 @@ TEST(ClosedLoopAdapter, DrivesWorkloadOverSessionsInParallel) {
   ExpectReplayClean(*db, mb);
 }
 
-// Both modes fill the measurement window through the same Cluster path: the
+// Both modes fill the measurement window through the same Database path: the
 // window length, the partition count, busy time, and a commit count that
 // decomposes exactly into the per-procedure counts.
 TEST(MeasurementWindow, BothModesFillTheWindow) {
@@ -529,12 +529,12 @@ TEST(DbWiring, NodeLayoutAndWorkerMap) {
   DbOptions opts = SmallDb(mb, "speculation", RunMode::kParallel, S);
   opts.replication = 2;
   auto db = Database::Open(opts);
-  ParallelRuntime* rt = db->cluster().parallel_runtime();
+  ParallelRuntime* rt = db->parallel_runtime();
   ASSERT_NE(rt, nullptr);
   EXPECT_EQ(rt->num_workers(), P + B + 1 + 2);
   EXPECT_EQ(rt->worker_of(0), P + B);
   for (int p = 0; p < P; ++p) {
-    EXPECT_EQ(db->cluster().partition(p).node_id(), 1 + p);
+    EXPECT_EQ(db->partition(p).node_id(), 1 + p);
     EXPECT_EQ(rt->worker_of(1 + p), p);
   }
   for (int b = 0; b < B; ++b) EXPECT_EQ(rt->worker_of(1 + P + b), P + b);
@@ -549,8 +549,8 @@ TEST(DbWiring, NodeLayoutAndWorkerMap) {
 
   opts.mode = RunMode::kSimulated;
   auto sim = Database::Open(opts);
-  EXPECT_EQ(sim->cluster().parallel_runtime(), nullptr);
-  for (int p = 0; p < P; ++p) EXPECT_EQ(sim->cluster().partition(p).node_id(), 1 + p);
+  EXPECT_EQ(sim->parallel_runtime(), nullptr);
+  for (int p = 0; p < P; ++p) EXPECT_EQ(sim->partition(p).node_id(), 1 + p);
   sim->Close();
 }
 
@@ -582,7 +582,7 @@ TEST(ParallelSession, TeardownRacesCompletionCallbacks) {
   // fire only at parked consumers, so parks bound wakes from above. Session
   // completion precedes trailing backup/coordinator bookkeeping messages, so
   // wait for the runtime itself to drain before counting.
-  ASSERT_TRUE(db->cluster().parallel_runtime()->WaitQuiescent(std::chrono::seconds(30)));
+  ASSERT_TRUE(db->parallel_runtime()->WaitQuiescent(std::chrono::seconds(30)));
   const ParallelRuntime::Stats rs = db->Stats().runtime;
   EXPECT_EQ(rs.mailbox_pushed, rs.mailbox_popped);
   EXPECT_GT(rs.mailbox_parks, 0u);

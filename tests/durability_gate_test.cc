@@ -170,9 +170,9 @@ TEST_P(DurabilityGate, BackupsAndLogShareOneHold) {
   uint64_t records = 0;
   std::vector<uint64_t> live_hash;
   for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    records += db->cluster().commit_log(p).size();
-    live_hash.push_back(db->cluster().engine(p).StateHash());
-    EXPECT_EQ(db->cluster().backup_engine(p, 0).StateHash(), live_hash.back())
+    records += db->commit_log(p).size();
+    live_hash.push_back(db->engine(p).StateHash());
+    EXPECT_EQ(db->backup_engine(p, 0).StateHash(), live_hash.back())
         << "backup of partition " << p << " diverged (" << GetParam() << ")";
   }
   EXPECT_GE(records, static_cast<uint64_t>(kTxns));
@@ -184,7 +184,7 @@ TEST_P(DurabilityGate, BackupsAndLogShareOneHold) {
   EXPECT_EQ(rep.replayed, records);
   EXPECT_EQ(rep.replay_aborts, 0u);
   for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    EXPECT_EQ(db2->cluster().engine(p).StateHash(), live_hash[static_cast<size_t>(p)])
+    EXPECT_EQ(db2->engine(p).StateHash(), live_hash[static_cast<size_t>(p)])
         << "partition " << p << " recovered state diverged (" << GetParam() << ")";
   }
   db2.reset();

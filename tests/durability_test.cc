@@ -151,7 +151,7 @@ TEST_P(DurabilityCrashKv, AckedCommitsSurviveCrash) {
   db->Close();
   std::vector<std::vector<CommitRecord>> logs_a;
   for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    logs_a.push_back(db->cluster().commit_log(p));
+    logs_a.push_back(db->commit_log(p));
   }
   db.reset();
 
@@ -174,7 +174,7 @@ TEST_P(DurabilityCrashKv, AckedCommitsSurviveCrash) {
   }
   for (PartitionId p = 0; p < mb.num_partitions; ++p) {
     const std::vector<CommitRecord> expect = FilterByRecovered(logs_a[p], recovered);
-    EXPECT_EQ(db2->cluster().engine(p).StateHash(),
+    EXPECT_EQ(db2->engine(p).StateHash(),
               ExpectCleanReplayStateHash(factory, p, expect))
         << "partition " << p << " recovered state diverged (" << GetParam() << ")";
   }
@@ -259,7 +259,7 @@ TEST_P(DurabilityCrashTpcc, RecoveredStateIsConsistent) {
   db->Close();
   std::vector<std::vector<CommitRecord>> logs_a;
   for (PartitionId p = 0; p < wl.scale.num_partitions; ++p) {
-    logs_a.push_back(db->cluster().commit_log(p));
+    logs_a.push_back(db->commit_log(p));
   }
   db.reset();
 
@@ -281,10 +281,10 @@ TEST_P(DurabilityCrashTpcc, RecoveredStateIsConsistent) {
   std::vector<const tpcc::TpccDb*> dbs;
   for (PartitionId p = 0; p < wl.scale.num_partitions; ++p) {
     const std::vector<CommitRecord> expect = FilterByRecovered(logs_a[p], recovered);
-    EXPECT_EQ(db2->cluster().engine(p).StateHash(),
+    EXPECT_EQ(db2->engine(p).StateHash(),
               ExpectCleanReplayStateHash(factory, p, expect))
         << "partition " << p << " recovered state diverged (" << GetParam() << ")";
-    dbs.push_back(&static_cast<TpccEngine&>(db2->cluster().engine(p)).db());
+    dbs.push_back(&static_cast<TpccEngine&>(db2->engine(p)).db());
   }
   const auto violations = CheckConsistency(dbs);
   EXPECT_TRUE(violations.empty()) << violations.front();
@@ -332,7 +332,7 @@ TEST(DurabilityCheckpoint, CheckpointPlusTailMatchesFullReplay) {
   db->Close();
   std::vector<std::vector<CommitRecord>> logs_a;
   for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    logs_a.push_back(db->cluster().commit_log(p));
+    logs_a.push_back(db->commit_log(p));
   }
   db.reset();
 
@@ -347,7 +347,7 @@ TEST(DurabilityCheckpoint, CheckpointPlusTailMatchesFullReplay) {
   // restored engine image.
   EXPECT_LT(rep.replayed, static_cast<uint64_t>(logs_a[0].size() + logs_a[1].size()));
   for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    EXPECT_EQ(db2->cluster().engine(p).StateHash(),
+    EXPECT_EQ(db2->engine(p).StateHash(),
               ExpectCleanReplayStateHash(factory, p, logs_a[p]))
         << "checkpoint+tail diverged from full-history replay at partition " << p;
   }
@@ -489,7 +489,7 @@ void ExpectReopenMatchesLive(std::unique_ptr<Database> db, const KvWorkloadOptio
   db->Close();
   std::vector<uint64_t> live;
   for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    live.push_back(db->cluster().engine(p).StateHash());
+    live.push_back(db->engine(p).StateHash());
   }
   db.reset();
   DbOptions reopen = KvDbOptions(mb, scheme, RunMode::kParallel, 92);
@@ -498,7 +498,7 @@ void ExpectReopenMatchesLive(std::unique_ptr<Database> db, const KvWorkloadOptio
   auto db2 = Database::Open(std::move(reopen));
   ASSERT_TRUE(db2->recovery_report().ok) << db2->recovery_report().error;
   for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    EXPECT_EQ(db2->cluster().engine(p).StateHash(), live[p]) << "partition " << p;
+    EXPECT_EQ(db2->engine(p).StateHash(), live[p]) << "partition " << p;
   }
 }
 

@@ -60,7 +60,7 @@ TEST_P(SchemeIntegration, SerializableAndLive) {
   KvRun run = RunKvSim(mb, param.scheme, param.seed, Micros(20000), Micros(150000),
                        /*log_commits=*/true);
   const Metrics& m = run.metrics;
-  Cluster& cluster = run.db->cluster();
+  Database& db = *run.db;
   const EngineFactory& factory = run.db->options().engine_factory;
 
   // The system must have made progress.
@@ -75,11 +75,11 @@ TEST_P(SchemeIntegration, SerializableAndLive) {
   // Final-state serializability per partition.
   std::vector<const std::vector<CommitRecord>*> logs;
   for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    const uint64_t live = cluster.engine(p).StateHash();
-    const uint64_t replayed = ExpectCleanReplayStateHash(factory, p, cluster.commit_log(p));
+    const uint64_t live = db.engine(p).StateHash();
+    const uint64_t replayed = ExpectCleanReplayStateHash(factory, p, db.commit_log(p));
     EXPECT_EQ(live, replayed) << "partition " << p << " diverged from serial replay ("
                               << param.scheme << ")";
-    logs.push_back(&cluster.commit_log(p));
+    logs.push_back(&db.commit_log(p));
   }
   ExpectMpOrderConsistent(logs, param.scheme);
 }
@@ -143,15 +143,15 @@ TEST(Integration, CounterSumMatchesCommits) {
 
   KvRun run = RunKvSim(mb, "speculation", 99, Micros(10000), Micros(100000),
                        /*log_commits=*/true);
-  Cluster& cluster = run.db->cluster();
+  Database& db = *run.db;
 
   for (PartitionId p = 0; p < 2; ++p) {
     std::unordered_map<uint64_t, uint64_t> expected;  // key hash -> count
-    for (const CommitRecord& rec : cluster.commit_log(p)) {
+    for (const CommitRecord& rec : db.commit_log(p)) {
       const auto& args = PayloadCast<KvArgs>(*rec.args);
       for (const KvKey& k : args.keys[p]) expected[k.Hash()]++;
     }
-    auto& store = static_cast<KvEngine&>(cluster.engine(p)).store();
+    auto& store = static_cast<KvEngine&>(db.engine(p)).store();
     for (int c = 0; c < mb.num_clients; ++c) {
       for (int i = 0; i < mb.keys_per_txn; ++i) {
         const KvKey key = MicrobenchKey(c, p, i);
@@ -177,8 +177,8 @@ TEST(Integration, ReplicationBackupsConverge) {
     EXPECT_GT(run.metrics.completions(), 100u) << scheme;
 
     for (PartitionId p = 0; p < 2; ++p) {
-      EXPECT_EQ(run.db->cluster().engine(p).StateHash(),
-                run.db->cluster().backup_engine(p, 0).StateHash())
+      EXPECT_EQ(run.db->engine(p).StateHash(),
+                run.db->backup_engine(p, 0).StateHash())
           << "backup of partition " << p << " diverged (" << scheme << ")";
     }
   }
@@ -191,8 +191,8 @@ TEST(Integration, DeterministicAcrossRuns) {
     mb.num_clients = 10;
     mb.mp_fraction = 0.25;
     KvRun r = RunKvSim(mb, "speculation", seed, Micros(10000), Micros(50000));
-    return std::make_pair(r.metrics.completions(), r.db->cluster().engine(0).StateHash() ^
-                                                       r.db->cluster().engine(1).StateHash());
+    return std::make_pair(r.metrics.completions(), r.db->engine(0).StateHash() ^
+                                                       r.db->engine(1).StateHash());
   };
   auto [n1, h1] = run(42);
   auto [n2, h2] = run(42);

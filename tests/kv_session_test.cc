@@ -231,7 +231,7 @@ SeededRun RunSeeded(uint64_t db_seed, std::optional<uint64_t> loop_seed) {
   SeededRun run;
   run.metrics = RunClosedLoop(*db, loop);
   db->Close();
-  run.state_hash = db->cluster().engine(0).StateHash() ^ db->cluster().engine(1).StateHash();
+  run.state_hash = db->engine(0).StateHash() ^ db->engine(1).StateHash();
   return run;
 }
 

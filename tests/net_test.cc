@@ -43,11 +43,11 @@ KvWorkloadOptions NetKvConfig() {
 void ExpectKvReplayClean(Database& db, const KvWorkloadOptions& mb) {
   std::vector<const std::vector<CommitRecord>*> logs;
   for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    EXPECT_EQ(db.cluster().engine(p).StateHash(),
+    EXPECT_EQ(db.engine(p).StateHash(),
               ExpectCleanReplayStateHash(db.options().engine_factory, p,
-                                         db.cluster().commit_log(p)))
+                                         db.commit_log(p)))
         << "partition " << p << " diverged from serial replay";
-    logs.push_back(&db.cluster().commit_log(p));
+    logs.push_back(&db.commit_log(p));
   }
   ExpectMpOrderConsistent(logs, db.options().scheme);
 }
@@ -116,16 +116,16 @@ TEST(NetLoopback, TpccFullMixAllSchemesReplayVerified) {
 
     std::vector<const std::vector<CommitRecord>*> logs;
     for (PartitionId p = 0; p < wl.scale.num_partitions; ++p) {
-      EXPECT_EQ(db->cluster().engine(p).StateHash(),
+      EXPECT_EQ(db->engine(p).StateHash(),
                 ExpectCleanReplayStateHash(db->options().engine_factory, p,
-                                           db->cluster().commit_log(p)))
+                                           db->commit_log(p)))
           << scheme << " partition " << p;
-      logs.push_back(&db->cluster().commit_log(p));
+      logs.push_back(&db->commit_log(p));
     }
     ExpectMpOrderConsistent(logs, scheme);
     std::vector<const tpcc::TpccDb*> dbs;
     for (PartitionId p = 0; p < wl.scale.num_partitions; ++p) {
-      dbs.push_back(&static_cast<tpcc::TpccEngine&>(db->cluster().engine(p)).db());
+      dbs.push_back(&static_cast<tpcc::TpccEngine&>(db->engine(p)).db());
     }
     EXPECT_TRUE(tpcc::CheckConsistency(dbs).empty()) << scheme;
   }

@@ -178,10 +178,10 @@ TEST(OccScheme, EndToEndSerializable) {
     const EngineFactory& factory = run.db->options().engine_factory;
     std::vector<const std::vector<CommitRecord>*> logs;
     for (PartitionId p = 0; p < 2; ++p) {
-      EXPECT_EQ(run.db->cluster().engine(p).StateHash(),
-                ExpectCleanReplayStateHash(factory, p, run.db->cluster().commit_log(p)))
+      EXPECT_EQ(run.db->engine(p).StateHash(),
+                ExpectCleanReplayStateHash(factory, p, run.db->commit_log(p)))
           << "seed " << seed << " partition " << p;
-      logs.push_back(&run.db->cluster().commit_log(p));
+      logs.push_back(&run.db->commit_log(p));
     }
     ExpectMpOrderConsistent(logs);
   }

@@ -43,9 +43,9 @@ SimRunResult RunSimOnce(const std::string& scheme, uint64_t seed) {
   SimRunResult r;
   r.metrics = RunClosedLoop(*db, loop);
   db->Close();
-  r.events = db->cluster().sim().events_processed();
+  r.events = db->sim().events_processed();
   for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    r.state_hashes.push_back(db->cluster().engine(p).StateHash());
+    r.state_hashes.push_back(db->engine(p).StateHash());
   }
   return r;
 }
@@ -318,14 +318,13 @@ KvRun RunKvDb(const KvWorkloadOptions& mb, const std::string& scheme, RunMode mo
 }
 
 void CheckReplayEquivalence(Database& db) {
-  Cluster& cluster = db.cluster();
   const EngineFactory& factory = db.options().engine_factory;
   std::vector<const std::vector<CommitRecord>*> logs;
   for (PartitionId p = 0; p < db.options().num_partitions; ++p) {
-    EXPECT_EQ(cluster.engine(p).StateHash(),
-              ExpectCleanReplayStateHash(factory, p, cluster.commit_log(p)))
+    EXPECT_EQ(db.engine(p).StateHash(),
+              ExpectCleanReplayStateHash(factory, p, db.commit_log(p)))
         << "partition " << p << " diverges from serial replay";
-    logs.push_back(&cluster.commit_log(p));
+    logs.push_back(&db.commit_log(p));
   }
   ExpectMpOrderConsistent(logs, db.options().scheme);
 }

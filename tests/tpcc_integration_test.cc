@@ -91,7 +91,7 @@ TEST_P(TpccIntegration, ConsistentAndSerializable) {
                            /*load_seed=*/1000 + param.seed, Micros(20000), Micros(150000),
                            /*log_commits=*/true);
   const Metrics& m = run.metrics;
-  Cluster& cluster = run.db->cluster();
+  Database& db = *run.db;
   const EngineFactory& factory = run.db->options().engine_factory;
 
   EXPECT_GT(m.completions(), 50u) << m.Summary();
@@ -99,7 +99,7 @@ TEST_P(TpccIntegration, ConsistentAndSerializable) {
   // TPC-C consistency conditions over the whole (partitioned) database.
   std::vector<const tpcc::TpccDb*> dbs;
   for (PartitionId p = 0; p < wl.scale.num_partitions; ++p) {
-    dbs.push_back(&static_cast<TpccEngine&>(cluster.engine(p)).db());
+    dbs.push_back(&static_cast<TpccEngine&>(db.engine(p)).db());
   }
   auto violations = CheckConsistency(dbs);
   EXPECT_TRUE(violations.empty()) << violations.front() << " [" << m.Summary() << "]";
@@ -107,10 +107,10 @@ TEST_P(TpccIntegration, ConsistentAndSerializable) {
   // Final-state serializability via serial replay of the commit logs.
   std::vector<const std::vector<CommitRecord>*> logs;
   for (PartitionId p = 0; p < wl.scale.num_partitions; ++p) {
-    EXPECT_EQ(cluster.engine(p).StateHash(),
-              ExpectCleanReplayStateHash(factory, p, cluster.commit_log(p)))
+    EXPECT_EQ(db.engine(p).StateHash(),
+              ExpectCleanReplayStateHash(factory, p, db.commit_log(p)))
         << "partition " << p << " diverged (" << param.scheme << ")";
-    logs.push_back(&cluster.commit_log(p));
+    logs.push_back(&db.commit_log(p));
   }
   ExpectMpOrderConsistent(logs, param.scheme);
 }
@@ -161,8 +161,8 @@ TEST(TpccIntegrationExtra, ReplicatedTpccBackupConverges) {
                            /*backups_execute=*/true);
   EXPECT_GT(run.metrics.completions(), 50u);
   for (PartitionId p = 0; p < 2; ++p) {
-    EXPECT_EQ(run.db->cluster().engine(p).StateHash(),
-              run.db->cluster().backup_engine(p, 0).StateHash())
+    EXPECT_EQ(run.db->engine(p).StateHash(),
+              run.db->backup_engine(p, 0).StateHash())
         << "backup " << p;
   }
 }

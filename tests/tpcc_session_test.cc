@@ -195,11 +195,11 @@ TEST_P(TpccConcurrentSessions, NewOrderSerializableUnderSubmit) {
   std::vector<const std::vector<CommitRecord>*> logs;
   std::vector<const tpcc::TpccDb*> dbs;
   for (PartitionId p = 0; p < wl.scale.num_partitions; ++p) {
-    EXPECT_EQ(db->cluster().engine(p).StateHash(),
-              ExpectCleanReplayStateHash(factory, p, db->cluster().commit_log(p)))
+    EXPECT_EQ(db->engine(p).StateHash(),
+              ExpectCleanReplayStateHash(factory, p, db->commit_log(p)))
         << "partition " << p << " diverged (" << GetParam() << ")";
-    logs.push_back(&db->cluster().commit_log(p));
-    dbs.push_back(&static_cast<TpccEngine&>(db->cluster().engine(p)).db());
+    logs.push_back(&db->commit_log(p));
+    dbs.push_back(&static_cast<TpccEngine&>(db->engine(p)).db());
   }
   ExpectMpOrderConsistent(logs, GetParam());
   const auto violations = CheckConsistency(dbs);
