@@ -197,24 +197,8 @@ bool DecodeHistogram(WireReader& r, Histogram* out) {
 std::string EncodeMetrics(const Metrics& m) {
   std::string body;
   WireWriter w(&body);
-  w.U64(m.committed);
-  w.U64(m.sp_committed);
-  w.U64(m.mp_committed);
-  w.U64(m.user_aborts);
-  w.U64(m.speculative_execs);
-  w.U64(m.cascading_reexecs);
-  w.U64(m.lock_fast_path);
-  w.U64(m.locked_txns);
-  w.U64(m.lock_waits);
-  w.U64(m.local_deadlocks);
-  w.U64(m.timeout_aborts);
-  w.U64(m.txn_retries);
-  w.U64(m.occ_survivors);
-  w.U64(m.mvcc_snapshot_reads);
-  w.U64(m.mvcc_conflict_waits);
-  w.I64(m.lock_acquire_ns);
-  w.I64(m.lock_release_ns);
-  w.I64(m.lock_table_ns);
+  for (uint64_t Metrics::*f : kMetricsCounters) w.U64(m.*f);
+  for (Duration Metrics::*f : kMetricsLockTimes) w.I64(m.*f);
   w.I64(m.window_ns);
   w.I64(m.partition_busy_ns);
   w.I64(m.coord_busy_ns);
@@ -233,24 +217,8 @@ std::string EncodeMetrics(const Metrics& m) {
 bool DecodeMetrics(std::string_view body, Metrics* out) {
   WireReader r(body);
   Metrics m;
-  m.committed = r.U64();
-  m.sp_committed = r.U64();
-  m.mp_committed = r.U64();
-  m.user_aborts = r.U64();
-  m.speculative_execs = r.U64();
-  m.cascading_reexecs = r.U64();
-  m.lock_fast_path = r.U64();
-  m.locked_txns = r.U64();
-  m.lock_waits = r.U64();
-  m.local_deadlocks = r.U64();
-  m.timeout_aborts = r.U64();
-  m.txn_retries = r.U64();
-  m.occ_survivors = r.U64();
-  m.mvcc_snapshot_reads = r.U64();
-  m.mvcc_conflict_waits = r.U64();
-  m.lock_acquire_ns = r.I64();
-  m.lock_release_ns = r.I64();
-  m.lock_table_ns = r.I64();
+  for (uint64_t Metrics::*f : kMetricsCounters) m.*f = r.U64();
+  for (Duration Metrics::*f : kMetricsLockTimes) m.*f = r.I64();
   m.window_ns = r.I64();
   m.partition_busy_ns = r.I64();
   m.coord_busy_ns = r.I64();

@@ -5,21 +5,8 @@
 namespace partdb {
 
 void Metrics::Merge(const Metrics& o) {
-  committed += o.committed;
-  sp_committed += o.sp_committed;
-  mp_committed += o.mp_committed;
-  user_aborts += o.user_aborts;
-  speculative_execs += o.speculative_execs;
-  cascading_reexecs += o.cascading_reexecs;
-  lock_fast_path += o.lock_fast_path;
-  locked_txns += o.locked_txns;
-  lock_waits += o.lock_waits;
-  local_deadlocks += o.local_deadlocks;
-  timeout_aborts += o.timeout_aborts;
-  txn_retries += o.txn_retries;
-  occ_survivors += o.occ_survivors;
-  mvcc_snapshot_reads += o.mvcc_snapshot_reads;
-  mvcc_conflict_waits += o.mvcc_conflict_waits;
+  for (uint64_t Metrics::*f : kMetricsCounters) this->*f += o.*f;
+  for (Duration Metrics::*f : kMetricsLockTimes) this->*f += o.*f;
   sp_latency.Merge(o.sp_latency);
   mp_latency.Merge(o.mp_latency);
   if (procs.size() < o.procs.size()) procs.resize(o.procs.size());
@@ -28,9 +15,6 @@ void Metrics::Merge(const Metrics& o) {
     procs[i].user_aborts += o.procs[i].user_aborts;
     procs[i].latency.Merge(o.procs[i].latency);
   }
-  lock_acquire_ns += o.lock_acquire_ns;
-  lock_release_ns += o.lock_release_ns;
-  lock_table_ns += o.lock_table_ns;
 }
 
 std::string Metrics::Summary() const {

@@ -96,6 +96,33 @@ struct Metrics {
   std::string Summary() const;
 };
 
+/// The counters, in wire order: Metrics::Merge sums them, and the kMetrics
+/// frame (net/frame.cc) carries them in this order, so a counter listed here
+/// is merged and sent without another edit.
+inline constexpr uint64_t Metrics::*kMetricsCounters[] = {
+    &Metrics::committed,
+    &Metrics::sp_committed,
+    &Metrics::mp_committed,
+    &Metrics::user_aborts,
+    &Metrics::speculative_execs,
+    &Metrics::cascading_reexecs,
+    &Metrics::lock_fast_path,
+    &Metrics::locked_txns,
+    &Metrics::lock_waits,
+    &Metrics::local_deadlocks,
+    &Metrics::timeout_aborts,
+    &Metrics::txn_retries,
+    &Metrics::occ_survivors,
+    &Metrics::mvcc_snapshot_reads,
+    &Metrics::mvcc_conflict_waits,
+};
+/// The lock-manager time breakdown, in wire order after the counters.
+inline constexpr Duration Metrics::*kMetricsLockTimes[] = {
+    &Metrics::lock_acquire_ns,
+    &Metrics::lock_release_ns,
+    &Metrics::lock_table_ns,
+};
+
 }  // namespace partdb
 
 #endif  // PARTDB_RUNTIME_METRICS_H_
