@@ -176,7 +176,7 @@ RemoteDatabase::RemoteDatabase(std::string host, int port, ConnectOptions option
       port_(port),
       options_(std::move(options)),
       hello_(std::move(hello)),
-      loop_("client-loop", options_.loop_cpu) {
+      loop_("client-loop") {
   result_decoders_.resize(hello_.proc_names.size());
   for (size_t i = 0; i < hello_.proc_names.size(); ++i) {
     by_name_.emplace(hello_.proc_names[i], static_cast<ProcId>(i));

@@ -44,9 +44,6 @@ struct ConnectOptions {
   /// Sessions multiplexed per TCP connection before a new one is dialed.
   /// 0 = unlimited: every session shares the first connection.
   uint32_t sessions_per_conn = 0;
-  /// Pin the client's event-loop thread to this CPU (-1 = don't pin).
-  /// Advisory, like the server-side affinity knobs.
-  int loop_cpu = -1;
 };
 
 class RemoteDatabase;
