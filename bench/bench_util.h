@@ -2,6 +2,7 @@
 #ifndef PARTDB_BENCH_BENCH_UTIL_H_
 #define PARTDB_BENCH_BENCH_UTIL_H_
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -12,7 +13,7 @@
 #include "common/flags.h"
 #include "common/types.h"
 #include "db/database.h"
-#include "engine/replay.h"
+#include "db/serializability.h"
 
 namespace partdb {
 
@@ -89,33 +90,17 @@ inline bool WriteSchemeJson(const std::string& path, const char* bench_name,
   return true;
 }
 
-/// Final-state serializability check shared by the self-verifying benches:
-/// replays each partition's commit log serially on a fresh engine and
-/// compares against the live state (requires log_commits). Prints a verdict
-/// line tagged `label`; returns false on any mismatch or replay-time abort.
-inline bool VerifyReplay(Database& db, const char* label) {
-  const int num_partitions = db.options().num_partitions;
-  bool ok = true;
-  for (PartitionId p = 0; p < num_partitions; ++p) {
-    const uint64_t live = db.engine(p).StateHash();
-    size_t aborted = 0;
-    const uint64_t replayed =
-        ReplayStateHash(db.options().engine_factory, p, db.commit_log(p), &aborted);
-    if (aborted != 0) {
-      std::printf("%s: partition %d had %zu committed txns abort on replay\n", label, p,
-                  aborted);
-      ok = false;
-    }
-    if (live != replayed) {
-      std::printf("%s: partition %d replay MISMATCH (live=%016llx replay=%016llx)\n", label,
-                  p, static_cast<unsigned long long>(live),
-                  static_cast<unsigned long long>(replayed));
-      ok = false;
-    }
-  }
-  std::printf("%s: serial commit-log replay %s (%d partitions)\n", label,
-              ok ? "matches live state" : "FAILED", num_partitions);
-  return ok;
+/// The self-verifying benches' check (requires log_commits): runs
+/// CheckSerializable on the closed `db` and prints a verdict line tagged
+/// `label`, with the check's wall time. Returns false on a violation.
+inline bool ReportSerializable(Database& db, const char* label) {
+  const auto start = std::chrono::steady_clock::now();
+  const std::string error = CheckSerializable(db);
+  const std::chrono::duration<double, std::milli> took = std::chrono::steady_clock::now() - start;
+  std::printf("%s: %s%s (%d partitions, %.0f ms)\n", label,
+              error.empty() ? "serializable, replay matches live state" : "FAILED: ",
+              error.c_str(), db.options().num_partitions, took.count());
+  return error.empty();
 }
 
 }  // namespace partdb

@@ -1,7 +1,7 @@
 // Tests for the embedded Database/Session façade: procedure registry
 // semantics, synchronous Execute on both execution contexts (including user
-// abort propagation), concurrent multi-threaded Submit with replay-verified
-// serializability across every concurrency-control scheme, the closed-loop
+// abort propagation), concurrent multi-threaded Submit checked serializable
+// across every concurrency-control scheme, the closed-loop
 // session adapter, and the open-loop Poisson load driver's rate accuracy.
 #include <atomic>
 #include <chrono>
@@ -67,18 +67,6 @@ std::shared_ptr<KvArgs> MpArgs(const KvWorkloadOptions& mb, int c, int rounds = 
   return args;
 }
 
-void ExpectReplayClean(Database& db, const KvWorkloadOptions& mb) {
-  std::vector<const std::vector<CommitRecord>*> logs;
-  const EngineFactory& factory = db.options().engine_factory;
-  for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    EXPECT_EQ(db.engine(p).StateHash(),
-              ExpectCleanReplayStateHash(factory, p, db.commit_log(p)))
-        << "partition " << p << " diverged from serial replay";
-    logs.push_back(&db.commit_log(p));
-  }
-  ExpectMpOrderConsistent(logs, db.options().scheme);
-}
-
 TEST(ProcedureRegistry, RegisterFindDispatch) {
   ProcedureRegistry reg;
   EXPECT_EQ(reg.Find(kKvReadUpdateProc), kInvalidProc);
@@ -126,7 +114,7 @@ TEST(SimSession, ExecuteCommitsAndReturnsPayload) {
 
   session.reset();
   db->Close();
-  ExpectReplayClean(*db, mb);
+  EXPECT_EQ(CheckSerializable(*db), "");
 }
 
 TEST(SimSession, ExecutePropagatesUserAborts) {
@@ -171,9 +159,8 @@ struct SchemeParam {
 class ConcurrentSubmit : public ::testing::TestWithParam<SchemeParam> {};
 
 // Many driver threads, each with its own session, submit concurrently; the
-// committed history must satisfy final-state serializability (serial replay
-// of each partition's commit log reproduces the live state) and consistent
-// cross-partition multi-partition commit order.
+// committed history must pass CheckSerializable (one acyclic conflict
+// history whose serial replay reproduces the live state).
 TEST_P(ConcurrentSubmit, SerializableUnderConcurrentSessions) {
   const SchemeParam param = GetParam();
   constexpr int kThreads = 4;
@@ -212,7 +199,7 @@ TEST_P(ConcurrentSubmit, SerializableUnderConcurrentSessions) {
   if (param.abort_prob == 0) {
     EXPECT_EQ(user_aborts, 0u);
   }
-  ExpectReplayClean(*db, mb);
+  EXPECT_EQ(CheckSerializable(*db), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -248,7 +235,7 @@ TEST(ClosedLoopAdapter, DrivesWorkloadOverSessionsInSim) {
   EXPECT_GT(m.mp_committed, 0u);
   EXPECT_GT(m.sp_latency.count(), 0u);
   EXPECT_GT(m.Throughput(), 0.0);
-  ExpectReplayClean(*db, mb);
+  EXPECT_EQ(CheckSerializable(*db), "");
 }
 
 TEST(ClosedLoopAdapter, DrivesWorkloadOverSessionsInParallel) {
@@ -265,7 +252,7 @@ TEST(ClosedLoopAdapter, DrivesWorkloadOverSessionsInParallel) {
 
   EXPECT_GT(m.committed, 0u);
   EXPECT_GT(m.window_ns, 0);
-  ExpectReplayClean(*db, mb);
+  EXPECT_EQ(CheckSerializable(*db), "");
 }
 
 // Both modes fill the measurement window through the same Database path: the
@@ -343,7 +330,7 @@ TEST(OpenLoopDriver, HitsTargetRateWithinTolerance) {
   EXPECT_EQ(r.completed, r.submitted);
   EXPECT_GT(r.committed, 0u);
   EXPECT_GT(r.latency.count(), 0u);
-  ExpectReplayClean(*db, mb);
+  EXPECT_EQ(CheckSerializable(*db), "");
 }
 
 // A driver thread that cannot keep its schedule (argument generation takes

@@ -7,8 +7,8 @@
 // The central invariant (kill-and-recover): every transaction whose
 // completion callback observed crashed() == false must be in the recovered
 // state, and the recovered state must equal a serial replay of exactly the
-// recovered commit prefix — the same replay checker the live schemes are
-// verified against.
+// recovered commit prefix — CheckSerializable, the same check the live
+// schemes pass.
 #include <sys/types.h>
 #include <unistd.h>
 
@@ -29,7 +29,6 @@
 #include "durability/durability_manager.h"
 #include "durability/log_format.h"
 #include "durability/recovery.h"
-#include "engine/replay.h"
 #include "gtest/gtest.h"
 #include "kv/kv_engine.h"
 #include "kv/kv_procedures.h"
@@ -85,15 +84,18 @@ AckedOutcome SubmitAndAwait(Session& session, DurabilityManager* dm, ProcId proc
   return out;
 }
 
-/// A's in-memory commit log restricted to the ids recovery kept: per
+/// A's in-memory commit logs restricted to the ids recovery kept: per
 /// partition the durable records are a prefix of the commit order, minus the
-/// multi-partition transactions recovery skipped as incomplete, so this is
-/// exactly the sequence the recovered engine must be a serial replay of.
-std::vector<CommitRecord> FilterByRecovered(const std::vector<CommitRecord>& log,
-                                            const std::unordered_set<TxnId>& recovered) {
-  std::vector<CommitRecord> out;
-  for (const CommitRecord& rec : log) {
-    if (recovered.count(rec.txn_id) != 0) out.push_back(rec);
+/// multi-partition transactions recovery skipped as incomplete, so these are
+/// exactly the histories the recovered engines must be a serial replay of.
+std::vector<std::vector<CommitRecord>> FilterByRecovered(
+    const std::vector<std::vector<CommitRecord>>& logs,
+    const std::unordered_set<TxnId>& recovered) {
+  std::vector<std::vector<CommitRecord>> out(logs.size());
+  for (size_t p = 0; p < logs.size(); ++p) {
+    for (const CommitRecord& rec : logs[p]) {
+      if (recovered.count(rec.txn_id) != 0) out[p].push_back(rec);
+    }
   }
   return out;
 }
@@ -120,7 +122,6 @@ TEST_P(DurabilityCrashKv, AckedCommitsSurviveCrash) {
   opts.group_commit_window_us = 100;
   opts.durability_crash_after_n_commits = 80;
   auto db = Database::Open(std::move(opts));
-  const EngineFactory factory = db->options().engine_factory;
   const ProcId proc = db->proc(kKvReadUpdateProc);
   DurabilityManager* dm = db->durability();
   ASSERT_NE(dm, nullptr);
@@ -172,12 +173,8 @@ TEST_P(DurabilityCrashKv, AckedCommitsSurviveCrash) {
   for (const TxnId id : acked) {
     EXPECT_EQ(recovered.count(id), 1u) << "acked txn " << id << " lost by recovery";
   }
-  for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    const std::vector<CommitRecord> expect = FilterByRecovered(logs_a[p], recovered);
-    EXPECT_EQ(db2->engine(p).StateHash(),
-              ExpectCleanReplayStateHash(factory, p, expect))
-        << "partition " << p << " recovered state diverged (" << GetParam() << ")";
-  }
+  EXPECT_EQ(CheckSerializable(*db2, LogsOf(FilterByRecovered(logs_a, recovered))), "")
+      << "recovered state (" << GetParam() << ")";
 
   // The database must be fully usable after recovery: run more traffic, close
   // cleanly, and restart once more.
@@ -231,7 +228,6 @@ TEST_P(DurabilityCrashTpcc, RecoveredStateIsConsistent) {
   opts.group_commit_window_us = 100;
   opts.durability_crash_after_n_commits = 120;
   auto db = Database::Open(std::move(opts));
-  const EngineFactory factory = db->options().engine_factory;
   DurabilityManager* dm = db->durability();
   ASSERT_NE(dm, nullptr);
 
@@ -278,12 +274,10 @@ TEST_P(DurabilityCrashTpcc, RecoveredStateIsConsistent) {
   for (const TxnId id : acked) {
     EXPECT_EQ(recovered.count(id), 1u) << "acked txn " << id << " lost by recovery";
   }
+  EXPECT_EQ(CheckSerializable(*db2, LogsOf(FilterByRecovered(logs_a, recovered))), "")
+      << "recovered state (" << GetParam() << ")";
   std::vector<const tpcc::TpccDb*> dbs;
   for (PartitionId p = 0; p < wl.scale.num_partitions; ++p) {
-    const std::vector<CommitRecord> expect = FilterByRecovered(logs_a[p], recovered);
-    EXPECT_EQ(db2->engine(p).StateHash(),
-              ExpectCleanReplayStateHash(factory, p, expect))
-        << "partition " << p << " recovered state diverged (" << GetParam() << ")";
     dbs.push_back(&static_cast<TpccEngine&>(db2->engine(p)).db());
   }
   const auto violations = CheckConsistency(dbs);
@@ -315,7 +309,6 @@ TEST(DurabilityCheckpoint, CheckpointPlusTailMatchesFullReplay) {
   opts.log_dir = dir;
   opts.keep_truncated_log_segments = true;  // keep full history for the check
   auto db = Database::Open(std::move(opts));
-  const EngineFactory factory = db->options().engine_factory;
   const ProcId proc = db->proc(kKvReadUpdateProc);
 
   auto run = [&](Database& target, int txns, uint64_t seed) {
@@ -346,11 +339,8 @@ TEST(DurabilityCheckpoint, CheckpointPlusTailMatchesFullReplay) {
   // Only the tail past the checkpoint replays; the prefix comes from the
   // restored engine image.
   EXPECT_LT(rep.replayed, static_cast<uint64_t>(logs_a[0].size() + logs_a[1].size()));
-  for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    EXPECT_EQ(db2->engine(p).StateHash(),
-              ExpectCleanReplayStateHash(factory, p, logs_a[p]))
-        << "checkpoint+tail diverged from full-history replay at partition " << p;
-  }
+  EXPECT_EQ(CheckSerializable(*db2, LogsOf(logs_a)), "")
+      << "checkpoint+tail diverged from full-history replay";
   db2.reset();
   std::filesystem::remove_all(dir);
 }

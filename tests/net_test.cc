@@ -2,7 +2,7 @@
 // over 127.0.0.1 running the KV mix and the full TPC-C mix across all four
 // concurrency-control schemes through the SAME driver code the embedded path
 // uses (RunClosedLoop over a DbHandle — no per-transport branches), with
-// commit-log serial replay verifying final-state serializability. Plus:
+// CheckSerializable on the server's commit logs. Plus:
 // remote Execute result payloads, measurement windows over the wire,
 // admission-control parity between embedded and remote sessions, and a
 // custom (non-KV, non-TPC-C) procedure served over TCP.
@@ -40,18 +40,6 @@ KvWorkloadOptions NetKvConfig() {
   return mb;
 }
 
-void ExpectKvReplayClean(Database& db, const KvWorkloadOptions& mb) {
-  std::vector<const std::vector<CommitRecord>*> logs;
-  for (PartitionId p = 0; p < mb.num_partitions; ++p) {
-    EXPECT_EQ(db.engine(p).StateHash(),
-              ExpectCleanReplayStateHash(db.options().engine_factory, p,
-                                         db.commit_log(p)))
-        << "partition " << p << " diverged from serial replay";
-    logs.push_back(&db.commit_log(p));
-  }
-  ExpectMpOrderConsistent(logs, db.options().scheme);
-}
-
 // The KV microbenchmark mix over TCP, one closed-loop client per remote
 // session, for every scheme — the identical RunClosedLoop call the embedded
 // figure harnesses make, replay-verified serializable on the server.
@@ -78,7 +66,7 @@ TEST(NetLoopback, KvMixAllSchemesReplayVerified) {
     remote.reset();
     server.Stop();
     db->Close();
-    ExpectKvReplayClean(*db, mb);
+    EXPECT_EQ(CheckSerializable(*db), "") << scheme;
   }
 }
 
@@ -114,15 +102,7 @@ TEST(NetLoopback, TpccFullMixAllSchemesReplayVerified) {
     server.Stop();
     db->Close();
 
-    std::vector<const std::vector<CommitRecord>*> logs;
-    for (PartitionId p = 0; p < wl.scale.num_partitions; ++p) {
-      EXPECT_EQ(db->engine(p).StateHash(),
-                ExpectCleanReplayStateHash(db->options().engine_factory, p,
-                                           db->commit_log(p)))
-          << scheme << " partition " << p;
-      logs.push_back(&db->commit_log(p));
-    }
-    ExpectMpOrderConsistent(logs, scheme);
+    EXPECT_EQ(CheckSerializable(*db), "") << scheme;
     std::vector<const tpcc::TpccDb*> dbs;
     for (PartitionId p = 0; p < wl.scale.num_partitions; ++p) {
       dbs.push_back(&static_cast<tpcc::TpccEngine&>(db->engine(p)).db());
@@ -428,7 +408,7 @@ TEST(NetMux, ManySessionsShareOneConnection) {
   remote.reset();
   server.Stop();
   db->Close();
-  ExpectKvReplayClean(*db, mb);
+  EXPECT_EQ(CheckSerializable(*db), "");
 }
 
 // CloseSession releases the server-side slot in order with the same

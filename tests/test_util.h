@@ -1,21 +1,14 @@
-// Shared test helpers: serial replay of commit logs (final-state
-// serializability checking), cross-partition order consistency, and the
-// closed-loop KV run over the Database/Session ingress path.
+// Shared test helpers: the closed-loop KV run over the Database/Session
+// ingress path. Serializability is checked with CheckSerializable
+// (db/serializability.h).
 #ifndef PARTDB_TESTS_TEST_UTIL_H_
 #define PARTDB_TESTS_TEST_UTIL_H_
 
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "cc/cc_scheme.h"
-#include "cc/scheme_registry.h"
-#include "engine/engine.h"
-#include "engine/partition_actor.h"
-#include "engine/replay.h"
-#include "gtest/gtest.h"
+#include "db/serializability.h"
 #include "kv/kv_procedures.h"
 
 namespace partdb {
@@ -45,53 +38,11 @@ inline KvRun RunKvClosedLoop(DbOptions opts, const KvWorkloadOptions& mb, Durati
   return run;
 }
 
-/// Serial replay with the expectation that no committed transaction aborts
-/// (see engine/replay.h for the shared replay itself).
-inline uint64_t ExpectCleanReplayStateHash(const EngineFactory& factory, PartitionId pid,
-                                           const std::vector<CommitRecord>& log) {
-  size_t aborted = 0;
-  const uint64_t hash = ReplayStateHash(factory, pid, log, &aborted);
-  EXPECT_EQ(aborted, 0u) << "committed transaction aborted on replay";
-  return hash;
-}
-
-/// Verifies that every pair of partitions committed their shared
-/// multi-partition transactions in the same relative order. Schemes that
-/// funnel multi-partition transactions through the central coordinator
-/// (blocking, speculation, OCC, MVCC) guarantee this globally.
-/// Client-coordinated 2PC schemes (locking) do not: two 2PC transactions
-/// with disjoint lock sets may commit in opposite orders on two partitions
-/// and still be serializable — the registry's capability flags decide
-/// whether the strict check applies (serial replay already verifies
-/// final-state serializability for every scheme).
-inline void ExpectMpOrderConsistent(const std::vector<const std::vector<CommitRecord>*>& logs,
-                                    const std::string& scheme = "blocking") {
-  if (CcSchemeRegistry::Global().Get(scheme).caps.client_coordinated_2pc) return;
-  for (size_t a = 0; a < logs.size(); ++a) {
-    for (size_t b = a + 1; b < logs.size(); ++b) {
-      std::unordered_map<TxnId, size_t> pos_b;
-      size_t i = 0;
-      for (const CommitRecord& r : *logs[b]) {
-        if (r.multi_partition) pos_b[r.txn_id] = i++;
-      }
-      // Shared transactions must appear in increasing b-position when walked
-      // in a-order.
-      size_t last = 0;
-      bool first = true;
-      for (const CommitRecord& r : *logs[a]) {
-        if (!r.multi_partition) continue;
-        auto it = pos_b.find(r.txn_id);
-        if (it == pos_b.end()) continue;
-        if (!first) {
-          EXPECT_LT(last, it->second)
-              << "multi-partition commit order differs between partitions " << a << " and "
-              << b;
-        }
-        last = it->second;
-        first = false;
-      }
-    }
-  }
+/// Points a CommitLogs at each of `logs`.
+inline CommitLogs LogsOf(const std::vector<std::vector<CommitRecord>>& logs) {
+  CommitLogs out;
+  for (const std::vector<CommitRecord>& log : logs) out.push_back(&log);
+  return out;
 }
 
 }  // namespace partdb
