@@ -65,7 +65,7 @@ int main() {
   KvWorkloadOptions workload_cfg = data;
   workload_cfg.mp_fraction = 0.10;
   std::printf("\n40 closed-loop clients, 10%% multi-partition, 500 ms window:\n");
-  // Every registered concurrency-control scheme, in registration order (the
+  // Every concurrency-control scheme in the registry, in table order (the
   // paper's four plus any extensions such as MVCC).
   for (const std::string& scheme : CcSchemeRegistry::Global().Names()) {
     DbOptions o = options;

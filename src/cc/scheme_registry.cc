@@ -7,37 +7,14 @@
 
 namespace partdb {
 
-CcSchemeRegistry& CcSchemeRegistry::Global() {
-  static CcSchemeRegistry* g = [] {
-    auto* r = new CcSchemeRegistry();
-    RegisterBuiltinSchemes(*r);
-    return r;
-  }();
-  return *g;
-}
-
-void CcSchemeRegistry::Register(std::string name, CcSchemeCapabilities caps,
-                                CcSchemeFactory factory) {
-  PARTDB_CHECK(!name.empty());
-  PARTDB_CHECK(factory != nullptr);
-  MutexLock lock(mu_);
-  for (const auto& e : entries_) {
-    if (e->name == name) {
-      std::fprintf(stderr, "duplicate CC scheme registration: \"%s\"\n", name.c_str());
-      PARTDB_CHECK(false);
-    }
-  }
-  auto entry = std::make_unique<Entry>();
-  entry->name = std::move(name);
-  entry->caps = caps;
-  entry->factory = std::move(factory);
-  entries_.push_back(std::move(entry));
+const CcSchemeRegistry& CcSchemeRegistry::Global() {
+  static const CcSchemeRegistry g;
+  return g;
 }
 
 const CcSchemeRegistry::Entry* CcSchemeRegistry::Find(std::string_view name) const {
-  MutexLock lock(mu_);
-  for (const auto& e : entries_) {
-    if (e->name == name) return e.get();
+  for (const Entry& e : kEntries) {
+    if (e.name == name) return &e;
   }
   return nullptr;
 }
@@ -46,10 +23,7 @@ const CcSchemeRegistry::Entry& CcSchemeRegistry::Get(std::string_view name) cons
   const Entry* e = Find(name);
   if (e == nullptr) {
     std::string known;
-    for (const std::string& n : Names()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
+    for (const Entry& k : kEntries) known += (known.empty() ? "" : ", ") + std::string(k.name);
     std::fprintf(stderr, "unknown CC scheme \"%.*s\" (registered: %s)\n",
                  static_cast<int>(name.size()), name.data(), known.c_str());
     PARTDB_CHECK(false);
@@ -58,10 +32,9 @@ const CcSchemeRegistry::Entry& CcSchemeRegistry::Get(std::string_view name) cons
 }
 
 std::vector<std::string> CcSchemeRegistry::Names() const {
-  MutexLock lock(mu_);
   std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& e : entries_) out.push_back(e->name);
+  out.reserve(kEntries.size());
+  for (const Entry& e : kEntries) out.emplace_back(e.name);
   return out;
 }
 

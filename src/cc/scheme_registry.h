@@ -1,21 +1,20 @@
 // String-keyed concurrency-control scheme registry — the one seam through
-// which schemes are selected and constructed. A scheme is added by
-// registering a name, its capability flags, and a factory in exactly one
-// translation unit (src/cc/scheme_registrants.cc holds the built-ins: the
-// paper's four plus mvcc); the runtime, db façade, benches, and tests all
-// resolve schemes by name through CcSchemeRegistry::Global(). Unknown names
-// and duplicate registrations fail loudly with the offending name.
+// which schemes are selected and constructed. The schemes are one constant
+// table in src/cc/scheme_registrants.cc (the paper's four plus mvcc): a row
+// holds a name, its capability flags and a factory, so adding a scheme is
+// adding a row. The runtime, db façade, benches and tests all resolve
+// schemes by name through CcSchemeRegistry::Global(). Unknown names fail
+// loudly, listing the known ones.
 #ifndef PARTDB_CC_SCHEME_REGISTRY_H_
 #define PARTDB_CC_SCHEME_REGISTRY_H_
 
-#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "cc/cc_scheme.h"
-#include "common/mutex.h"
 
 namespace partdb {
 
@@ -35,41 +34,32 @@ struct SchemeOptions {
 struct CcSchemeCapabilities {
   /// The client library runs 2PC itself (locking §4.3): sessions send
   /// fragments and collect votes directly, the central coordinator stays
-  /// idle, and multi-partition commit order is not globally sequenced (the
-  /// replay checker relaxes its cross-partition order assertion).
+  /// idle, and multi-partition commit order is not globally sequenced.
   bool client_coordinated_2pc = false;
 };
 
-using CcSchemeFactory =
-    std::function<std::unique_ptr<CcScheme>(PartitionExec*, const SchemeOptions&)>;
+using CcSchemeFactory = std::unique_ptr<CcScheme> (*)(PartitionExec*, const SchemeOptions&);
 
 class CcSchemeRegistry {
  public:
   struct Entry {
-    std::string name;
+    std::string_view name;
     CcSchemeCapabilities caps;
     CcSchemeFactory factory;
   };
 
-  /// The process-wide registry, with the built-in schemes already registered
-  /// (first use triggers registration, so there is no static-init ordering to
-  /// get wrong). Register additional schemes before opening any database.
-  static CcSchemeRegistry& Global();
-
-  /// Registers a scheme. CHECK-fails (naming the scheme) on a duplicate name,
-  /// an empty name, or a null factory.
-  void Register(std::string name, CcSchemeCapabilities caps, CcSchemeFactory factory);
+  /// The process-wide registry over the built-in table.
+  static const CcSchemeRegistry& Global();
 
   /// Probing lookup: null when `name` is not registered. The returned entry
-  /// stays valid for the registry's lifetime.
+  /// is part of a constant table and never goes away.
   const Entry* Find(std::string_view name) const;
 
   /// Lookup that CHECK-fails on an unknown name, listing every registered
   /// scheme in the failure message.
   const Entry& Get(std::string_view name) const;
 
-  /// Registered scheme names in registration order (the built-ins enumerate
-  /// as blocking, speculation, locking, occ, mvcc).
+  /// Scheme names in table order: blocking, speculation, locking, occ, mvcc.
   std::vector<std::string> Names() const;
 
   /// Builds a scheme instance for `part`. CHECK-fails on an unknown name.
@@ -77,15 +67,10 @@ class CcSchemeRegistry {
                                  const SchemeOptions& options = {}) const;
 
  private:
-  mutable Mutex mu_;
-  /// Entries are pointer-stable across registrations (Find hands out bare
-  /// pointers while later Register calls may grow the vector).
-  std::vector<std::unique_ptr<Entry>> entries_ PARTDB_GUARDED_BY(mu_);
+  /// The table (defined in scheme_registrants.cc, the only translation unit
+  /// that sees the concrete scheme types).
+  static const std::span<const Entry> kEntries;
 };
-
-/// Registers the built-in schemes into `r` (defined in scheme_registrants.cc,
-/// the only translation unit that sees the concrete scheme types).
-void RegisterBuiltinSchemes(CcSchemeRegistry& r);
 
 }  // namespace partdb
 

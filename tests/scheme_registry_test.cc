@@ -1,6 +1,6 @@
 // Registry semantics: name lookup, capability flags, enumeration order,
-// loud failure on unknown names and duplicate registrations, and
-// construction through the one seam every harness uses.
+// loud failure on unknown names, and construction through the one seam
+// every harness uses.
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,13 +58,6 @@ TEST(SchemeRegistryDeathTest, GetUnknownDiesListingRegisteredSchemes) {
                "unknown CC scheme \"speculative\".*blocking.*speculation.*locking.*occ.*mvcc");
 }
 
-TEST(SchemeRegistryDeathTest, DuplicateRegistrationDiesNamingTheScheme) {
-  CcSchemeRegistry local;
-  RegisterBuiltinSchemes(local);
-  // Registering the built-ins again collides on the first name.
-  EXPECT_DEATH(RegisterBuiltinSchemes(local), "duplicate CC scheme registration: \"blocking\"");
-}
-
 TEST(SchemeRegistry, MakeConstructsEveryRegisteredScheme) {
   for (const std::string& name : CcSchemeRegistry::Global().Names()) {
     SCOPED_TRACE(name);
@@ -73,28 +66,6 @@ TEST(SchemeRegistry, MakeConstructsEveryRegisteredScheme) {
     ASSERT_NE(cc, nullptr);
     EXPECT_TRUE(cc->Idle());
   }
-}
-
-TEST(SchemeRegistry, CustomSchemeRegistersAndConstructs) {
-  // A third-party scheme plugs in through the same seam as the built-ins:
-  // register a name, capabilities, and a factory — no core edits.
-  CcSchemeRegistry local;
-  RegisterBuiltinSchemes(local);
-  CcSchemeCapabilities caps;
-  caps.client_coordinated_2pc = true;
-  local.Register("custom", caps, [](PartitionExec* part, const SchemeOptions& options) {
-    return CcSchemeRegistry::Global().Make("locking", part, options);
-  });
-
-  const auto* e = local.Find("custom");
-  ASSERT_NE(e, nullptr);
-  EXPECT_TRUE(e->caps.client_coordinated_2pc);
-  EXPECT_EQ(local.Names().back(), "custom");
-
-  FakePartition part(0, MakeEngine(0));
-  auto cc = local.Make("custom", &part);
-  ASSERT_NE(cc, nullptr);
-  EXPECT_TRUE(cc->Idle());
 }
 
 }  // namespace
