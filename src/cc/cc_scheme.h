@@ -69,7 +69,6 @@ class PartitionExec {
   virtual const CostModel& cost() const = 0;
   virtual Metrics& metrics() = 0;
   virtual PartitionId partition_id() const = 0;
-  virtual Duration lock_timeout() const = 0;
 };
 
 /// Answers the executed single-partition transaction `f` with result `r`. On

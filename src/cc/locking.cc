@@ -4,6 +4,11 @@
 
 namespace partdb {
 
+/// Distributed-deadlock timeout (paper §4.3). Real systems use tens to
+/// hundreds of milliseconds; 20 ms makes each distributed deadlock clearly
+/// expensive (the paper: timeouts "hurt throughput significantly").
+constexpr Duration kLockTimeout = Micros(20000);
+
 LockingCc::LTxn* LockingCc::FindTxn(TxnId id) {
   auto it = txns_.find(id);
   return it == txns_.end() ? nullptr : it->second.get();
@@ -76,7 +81,7 @@ void LockingCc::HandleBlocked(LTxn* t) {
   LTxn* cur = FindTxn(tid);
   if (cur != nullptr && cur->rec.multi_partition && lm_.IsWaiting(cur)) {
     cur->wait_generation = ++generation_counter_;
-    part_->SetTimer(part_->lock_timeout(), TimerFire{tid, cur->wait_generation});
+    part_->SetTimer(kLockTimeout, TimerFire{tid, cur->wait_generation});
   }
 }
 

@@ -81,7 +81,7 @@ Database::Database(DbOptions options)
     auto sink = std::make_unique<Metrics>();
     auto part = std::make_unique<PartitionActor>("partition-" + std::to_string(p), p,
                                                  options_.engine_factory(p), options_.cost,
-                                                 sink.get(), options_.lock_timeout);
+                                                 sink.get());
     part->InstallScheme(scheme.factory(part.get(), scheme_opts));
     if (options_.log_commits) part->EnableCommitLog();
     part->Bind(exec_, topology_.partition_primary[p]);

@@ -23,10 +23,10 @@ namespace partdb {
 enum class RunMode { kSimulated, kParallel };
 
 struct DbOptions {
-  /// Registered name of the concurrency-control scheme, resolved through
+  /// Name of the concurrency-control scheme, resolved through
   /// CcSchemeRegistry::Global() at Open ("blocking", "speculation",
-  /// "locking", "occ", "mvcc", or anything registered since). An unknown
-  /// name fails loudly, listing the registered schemes.
+  /// "locking", "occ" or "mvcc"). An unknown name fails loudly, listing the
+  /// known schemes.
   std::string scheme = "speculation";
   RunMode mode = RunMode::kParallel;
   int num_partitions = 2;
@@ -46,10 +46,6 @@ struct DbOptions {
   uint64_t max_inflight_per_session = 0;
   NetworkConfig net;
   CostModel cost;
-  /// Distributed-deadlock timeout (paper §4.3). Real systems use tens to
-  /// hundreds of milliseconds; 20 ms makes each distributed deadlock clearly
-  /// expensive (the paper: timeouts "hurt throughput significantly").
-  Duration lock_timeout = Micros(20000);
   uint64_t seed = 12345;
   /// Record per-partition commit logs (serializability verification).
   bool log_commits = false;

@@ -23,13 +23,12 @@ class PartitionLog;
 class PartitionActor : public Actor, public PartitionExec {
  public:
   PartitionActor(std::string name, PartitionId pid, std::unique_ptr<Engine> engine,
-                 const CostModel& cost, Metrics* metrics, Duration lock_timeout)
+                 const CostModel& cost, Metrics* metrics)
       : Actor(std::move(name)),
         pid_(pid),
         engine_(std::move(engine)),
         cost_(cost),
-        metrics_(metrics),
-        lock_timeout_(lock_timeout) {}
+        metrics_(metrics) {}
 
   /// Must be called once before the simulation starts.
   void InstallScheme(std::unique_ptr<CcScheme> scheme) { scheme_ = std::move(scheme); }
@@ -73,7 +72,6 @@ class PartitionActor : public Actor, public PartitionExec {
   const CostModel& cost() const override { return cost_; }
   Metrics& metrics() override { return *metrics_; }
   PartitionId partition_id() const override { return pid_; }
-  Duration lock_timeout() const override { return lock_timeout_; }
 
   /// Group commit: nothing more can join the open log batch until the next
   /// message arrives, so the writer need not wait out its window.
@@ -114,7 +112,6 @@ class PartitionActor : public Actor, public PartitionExec {
   std::unique_ptr<Engine> engine_;
   CostModel cost_;
   Metrics* metrics_;
-  Duration lock_timeout_;
   std::unique_ptr<CcScheme> scheme_;
   std::vector<NodeId> backups_;
   uint64_t next_hold_seq_ = 1;  // also the ReplicaShip order_seq

@@ -82,7 +82,6 @@ class FakePartition : public PartitionExec {
   const CostModel& cost() const override { return cost_; }
   Metrics& metrics() override { return metrics_; }
   PartitionId partition_id() const override { return pid_; }
-  Duration lock_timeout() const override { return Micros(1000); }
 
  private:
   PartitionId pid_;
