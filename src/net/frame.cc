@@ -197,7 +197,7 @@ bool DecodeHistogram(WireReader& r, Histogram* out) {
 std::string EncodeMetrics(const Metrics& m) {
   std::string body;
   WireWriter w(&body);
-  for (uint64_t Metrics::*f : kMetricsCounters) w.U64(m.*f);
+  for (const MetricsCounter& c : kMetricsCounters) w.U64(m.*c.field);
   for (Duration Metrics::*f : kMetricsLockTimes) w.I64(m.*f);
   w.I64(m.window_ns);
   w.I64(m.partition_busy_ns);
@@ -217,7 +217,7 @@ std::string EncodeMetrics(const Metrics& m) {
 bool DecodeMetrics(std::string_view body, Metrics* out) {
   WireReader r(body);
   Metrics m;
-  for (uint64_t Metrics::*f : kMetricsCounters) m.*f = r.U64();
+  for (const MetricsCounter& c : kMetricsCounters) m.*c.field = r.U64();
   for (Duration Metrics::*f : kMetricsLockTimes) m.*f = r.I64();
   m.window_ns = r.I64();
   m.partition_busy_ns = r.I64();

@@ -1,11 +1,12 @@
 #include "runtime/metrics.h"
 
-#include <cstdio>
+#include <iomanip>
+#include <sstream>
 
 namespace partdb {
 
 void Metrics::Merge(const Metrics& o) {
-  for (uint64_t Metrics::*f : kMetricsCounters) this->*f += o.*f;
+  for (const MetricsCounter& c : kMetricsCounters) this->*c.field += o.*c.field;
   for (Duration Metrics::*f : kMetricsLockTimes) this->*f += o.*f;
   sp_latency.Merge(o.sp_latency);
   mp_latency.Merge(o.mp_latency);
@@ -18,26 +19,13 @@ void Metrics::Merge(const Metrics& o) {
 }
 
 std::string Metrics::Summary() const {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "throughput=%.0f txn/s committed=%llu (sp=%llu mp=%llu) user_aborts=%llu "
-      "spec_execs=%llu cascades=%llu fastpath=%llu locked=%llu waits=%llu "
-      "deadlocks=%llu timeouts=%llu retries=%llu util(part=%.2f coord=%.2f) lock_time=%.1f%%",
-      Throughput(), static_cast<unsigned long long>(committed),
-      static_cast<unsigned long long>(sp_committed),
-      static_cast<unsigned long long>(mp_committed),
-      static_cast<unsigned long long>(user_aborts),
-      static_cast<unsigned long long>(speculative_execs),
-      static_cast<unsigned long long>(cascading_reexecs),
-      static_cast<unsigned long long>(lock_fast_path),
-      static_cast<unsigned long long>(locked_txns),
-      static_cast<unsigned long long>(lock_waits),
-      static_cast<unsigned long long>(local_deadlocks),
-      static_cast<unsigned long long>(timeout_aborts),
-      static_cast<unsigned long long>(txn_retries), PartitionUtilization(),
-      CoordinatorUtilization(), LockTimeFraction() * 100.0);
-  return buf;
+  std::ostringstream s;
+  s << std::fixed << std::setprecision(0) << "throughput=" << Throughput() << " txn/s";
+  for (const MetricsCounter& c : kMetricsCounters) s << ' ' << c.name << '=' << this->*c.field;
+  s << std::setprecision(2) << " util(part=" << PartitionUtilization()
+    << " coord=" << CoordinatorUtilization() << ')' << std::setprecision(1)
+    << " lock_time=" << LockTimeFraction() * 100.0 << '%';
+  return s.str();
 }
 
 }  // namespace partdb

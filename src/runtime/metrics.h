@@ -96,25 +96,32 @@ struct Metrics {
   std::string Summary() const;
 };
 
-/// The counters, in wire order: Metrics::Merge sums them, and the kMetrics
-/// frame (net/frame.cc) carries them in this order, so a counter listed here
-/// is merged and sent without another edit.
-inline constexpr uint64_t Metrics::*kMetricsCounters[] = {
-    &Metrics::committed,
-    &Metrics::sp_committed,
-    &Metrics::mp_committed,
-    &Metrics::user_aborts,
-    &Metrics::speculative_execs,
-    &Metrics::cascading_reexecs,
-    &Metrics::lock_fast_path,
-    &Metrics::locked_txns,
-    &Metrics::lock_waits,
-    &Metrics::local_deadlocks,
-    &Metrics::timeout_aborts,
-    &Metrics::txn_retries,
-    &Metrics::occ_survivors,
-    &Metrics::mvcc_snapshot_reads,
-    &Metrics::mvcc_conflict_waits,
+/// One Metrics counter: the name Summary() prints and the member.
+struct MetricsCounter {
+  const char* name;
+  uint64_t Metrics::*field;
+};
+
+/// The counters, in wire order: Metrics::Merge sums them, Summary() prints
+/// them, and the kMetrics frame (net/frame.cc) carries them in this order,
+/// so a counter listed here is merged, printed and sent without another
+/// edit.
+inline constexpr MetricsCounter kMetricsCounters[] = {
+    {"committed", &Metrics::committed},
+    {"sp_committed", &Metrics::sp_committed},
+    {"mp_committed", &Metrics::mp_committed},
+    {"user_aborts", &Metrics::user_aborts},
+    {"speculative_execs", &Metrics::speculative_execs},
+    {"cascading_reexecs", &Metrics::cascading_reexecs},
+    {"lock_fast_path", &Metrics::lock_fast_path},
+    {"locked_txns", &Metrics::locked_txns},
+    {"lock_waits", &Metrics::lock_waits},
+    {"local_deadlocks", &Metrics::local_deadlocks},
+    {"timeout_aborts", &Metrics::timeout_aborts},
+    {"txn_retries", &Metrics::txn_retries},
+    {"occ_survivors", &Metrics::occ_survivors},
+    {"mvcc_snapshot_reads", &Metrics::mvcc_snapshot_reads},
+    {"mvcc_conflict_waits", &Metrics::mvcc_conflict_waits},
 };
 /// The lock-manager time breakdown, in wire order after the counters.
 inline constexpr Duration Metrics::*kMetricsLockTimes[] = {

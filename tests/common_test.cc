@@ -3,6 +3,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/flags.h"
@@ -224,6 +225,23 @@ TEST(Metrics, ThroughputAndUtilization) {
   m.lock_table_ns = 50;
   m.partition_busy_ns = 1000;
   EXPECT_DOUBLE_EQ(m.LockTimeFraction(), 0.2);
+}
+
+// Summary() prints every counter with its value, the scheme-specific ones
+// included.
+TEST(MetricsSummary, NamesEveryCounter) {
+  Metrics m;
+  m.occ_survivors = 7001;
+  m.mvcc_snapshot_reads = 7002;
+  m.mvcc_conflict_waits = 7003;
+  const std::string s = m.Summary();
+  for (const char* want : {"occ_survivors=7001", "mvcc_snapshot_reads=7002",
+                           "mvcc_conflict_waits=7003"}) {
+    EXPECT_NE(s.find(want), std::string::npos) << want << " missing from: " << s;
+  }
+  for (const MetricsCounter& c : kMetricsCounters) {
+    EXPECT_NE(s.find(std::string(" ") + c.name + "="), std::string::npos) << c.name;
+  }
 }
 
 TEST(TxnIdEncoding, RoundTrips) {
