@@ -71,7 +71,8 @@ class Actor {
   Duration Handle(Message& msg, Time start);
 
   /// Called by the parallel runtime on the owning worker when its mailbox
-  /// has drained, right before the worker would park. Default: nothing.
+  /// has drained, right before the worker would spin and then park.
+  /// Default: nothing.
   virtual void OnIdle() {}
 
   /// Total CPU time consumed (for utilization reporting).

@@ -1,15 +1,31 @@
 #include "runtime/mailbox.h"
 
+#include <algorithm>
+#include <thread>
+
 namespace partdb {
 
-bool Mailbox::Refill(bool block, std::chrono::steady_clock::time_point deadline) {
+using std::chrono::steady_clock;
+
+bool Mailbox::Refill(bool block, steady_clock::time_point deadline) {
   // Every node of the last batch was reset after its sink call; clear()
   // keeps the capacity for the next swap.
   draining_.clear();
   next_ = 0;
+  // The batch is fully handed out, so an item pushed but not yet popped sits
+  // in `pending_`: yield-spin on the counters, without the lock, before
+  // parking.
+  auto nothing_pending = [this] {
+    return pushed_.load(std::memory_order_acquire) == popped_.load(std::memory_order_relaxed);
+  };
+  if (block && nothing_pending()) {
+    const steady_clock::time_point spin_end =
+        std::min(deadline, steady_clock::now() + kSpinBeforePark);
+    while (nothing_pending() && steady_clock::now() < spin_end) std::this_thread::yield();
+  }
   MutexLock lock(mu_);
   if (pending_.empty()) {
-    if (!block) return false;
+    if (!block || steady_clock::now() >= deadline) return false;
     waiting_.store(true, std::memory_order_release);
     parks_.fetch_add(1, std::memory_order_relaxed);
     // Park event for quiescence detection, after waiting_ is visible, so

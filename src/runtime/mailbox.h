@@ -11,10 +11,14 @@
 // that push lands in `pending_`, never in the vector being drained, so the
 // node handed to the sink stays put.
 //
-// The consumer parks on the condvar only after finding `pending_` empty
-// under the lock, and a producer notifies only when its push makes
-// `pending_` non-empty while the consumer is parked: a busy worker takes no
-// wakes.
+// A consumer that finds nothing to drain first yield-spins on the push
+// counter for a short fixed time (`kSpinBeforePark`, never past the drain
+// deadline); a push that lands during the spin is swapped in with no
+// notify. Only then does it park on the condvar, after finding `pending_`
+// empty under the lock, and a producer notifies only when its push makes
+// `pending_` non-empty while the consumer is parked. A busy worker takes no
+// wakes, and neither does a message round trip between workers that closes
+// inside the spin; an idle worker still parks and frees its CPU.
 //
 // A node carries a tagged union — message | control — so the hot item kind
 // (actor messages, session submissions among them) costs no type-erased
@@ -115,6 +119,14 @@ class Mailbox {
     uint64_t parks = 0;  // times the consumer parked; bounds wakes from above
   };
 
+  /// How long a consumer that found its mailbox empty yield-spins before it
+  /// parks. Long enough to cover a message round trip to another worker, so
+  /// a ping-pong between partitions takes no futex wake; short enough that
+  /// an idle worker soon parks and frees its CPU. Each spin iteration
+  /// yields, so on an oversubscribed host the spinner hands its CPU to a
+  /// runnable thread.
+  static constexpr std::chrono::microseconds kSpinBeforePark{50};
+
   Mailbox() = default;
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
@@ -201,7 +213,8 @@ class Mailbox {
   }
 
   /// Recycles the drained batch and swaps `pending_` in. When nothing is
-  /// pending, parks until `deadline` if `block`, else returns false.
+  /// pending, returns false unless `block`; if it does block, it
+  /// yield-spins, then parks, until an item arrives or `deadline` passes.
   bool Refill(bool block, std::chrono::steady_clock::time_point deadline);
 
   alignas(64) Mutex mu_;

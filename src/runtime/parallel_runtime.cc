@@ -142,7 +142,7 @@ void ParallelRuntime::WorkerLoop(Worker* w, int index) {
   current_worker_ = w;
   while (!stop_.load(std::memory_order_relaxed)) {
     FireDueTimers(w);
-    // Nothing left to handle: the drain below would park.
+    // Nothing left to handle: the drain below would spin, then park.
     if (w->mailbox.Empty()) {
       for (Actor* a : w->actors) a->OnIdle();
     }

@@ -3,7 +3,9 @@
 // the consumer swaps batches out from under concurrent producers), a sink
 // that pushes to its own mailbox, and the park/wake discipline (producers
 // signal only on an empty->nonempty edge that finds the consumer parked;
-// steady-state traffic never notifies).
+// steady-state traffic never notifies; the consumer yield-spins before it
+// parks, never past its drain deadline).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -164,6 +166,25 @@ TEST(Mailbox, WakesOnlyOnEmptyToNonEmptyEdgeWhileParked) {
     ASSERT_GT(box.DrainUntil(deadline, 256, [&](MailboxNode*) { ++received; }), 0u);
   }
   EXPECT_TRUE(box.Empty());
+}
+
+// A drain deadline that falls inside the pre-park spin ends the drain on
+// time and without a park: the spin never holds a worker past the deadline
+// it computed from its next timer. The fastest of a few drains must return
+// well before a full spin would have, so a spin that ignored the deadline
+// fails even on a host that preempts the test now and then.
+TEST(Mailbox, DeadlineInsideSpinReturnsWithoutParking) {
+  constexpr auto kDeadline = Mailbox::kSpinBeforePark / 10;
+  Mailbox box;
+  Clock::duration fastest = Clock::duration::max();
+  for (int i = 0; i < 20; ++i) {
+    const auto start = Clock::now();
+    EXPECT_EQ(box.DrainUntil(start + kDeadline, 16, [](MailboxNode*) {}), 0u);
+    fastest = std::min(fastest, Clock::now() - start);
+  }
+  EXPECT_EQ(box.stats().parks, 0u);
+  EXPECT_FALSE(box.consumer_waiting());
+  EXPECT_LT(fastest, Mailbox::kSpinBeforePark);
 }
 
 }  // namespace

@@ -1,15 +1,22 @@
 // Parallel-mode message delivery allocates nothing at steady state: a message
 // goes from the sender's mailbox node straight to the receiver's handler.
 // This executable replaces the global operator new with a counting one, so
-// the test sees every heap allocation any thread makes while it counts.
+// the test sees every heap allocation any thread makes while it counts. A
+// ping-pong between two workers also takes few futex wakes: each worker
+// yield-spins before it parks, so a reply that comes back inside the spin
+// needs no notify, on many CPUs or on one.
+#include <sched.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 
+#include "common/affinity.h"
 #include "gtest/gtest.h"
 #include "runtime/actor.h"
 #include "runtime/parallel_runtime.h"
@@ -93,6 +100,82 @@ TEST(ParallelDelivery, BounceAllocatesNothing) {
   rt.Stop();
   EXPECT_EQ(g_allocations.load(), 0u) << "heap allocations during " << kCountedHops
                                       << " delivered messages";
+}
+
+// The two-ball bounce on a fresh two-worker runtime. Returns the runtime's
+// mailbox counters, or nullopt when the bounce did not finish.
+std::optional<ParallelRuntime::Stats> RunBounce() {
+  std::atomic<bool> done{false};
+  ParallelRuntime rt(2);
+  rt.MapNode(0, 0);
+  rt.MapNode(1, 1);
+  Bouncer a("a", 1, &done);
+  Bouncer b("b", 0, &done);
+  a.Bind(&rt, 0);
+  b.Bind(&rt, 1);
+  rt.Start();
+  for (uint32_t ball : {0u, 1u}) {
+    Message m;
+    m.src = 1;
+    m.dst = 0;
+    m.body = DecisionMessage{0, ball, true};
+    rt.Send(std::move(m), 0);
+  }
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!done.load(std::memory_order_acquire) && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool finished = done.load() && rt.WaitQuiescent(std::chrono::seconds(30));
+  rt.Stop();  // before the actors go out of scope
+  if (!finished) return std::nullopt;
+  return rt.GetStats();
+}
+
+// Pins the calling thread to the first CPU of its affinity mask for the
+// scope; threads it starts meanwhile inherit the one-CPU mask.
+class OneCpuScope {
+ public:
+  OneCpuScope() {
+    if (sched_getaffinity(0, sizeof(saved_), &saved_) != 0) return;
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        pinned_ = PinCurrentThreadToCpu(cpu);
+        return;
+      }
+    }
+  }
+  ~OneCpuScope() {
+    if (pinned_) sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  OneCpuScope(const OneCpuScope&) = delete;
+  OneCpuScope& operator=(const OneCpuScope&) = delete;
+
+  bool pinned() const { return pinned_; }
+
+ private:
+  cpu_set_t saved_{};
+  bool pinned_ = false;
+};
+
+// Each hop empties the sender's mailbox, so without the pre-park spin every
+// hop would park a worker and the next hop would wake it. With the spin the
+// reply usually lands before the park. On one CPU that holds only because
+// the spinner yields: a spinner that kept the CPU would park before its peer
+// ever ran, and every hop would wake it again.
+TEST(ParallelDelivery, PingPongTakesFewWakes) {
+  constexpr uint64_t kHops = kWarmupHops + kCountedHops;
+  {
+    const std::optional<ParallelRuntime::Stats> s = RunBounce();
+    ASSERT_TRUE(s.has_value()) << "unpinned bounce did not finish";
+    EXPECT_LT(s->mailbox_wakes, kHops / 2) << "unpinned, parks=" << s->mailbox_parks;
+  }
+  {
+    OneCpuScope one_cpu;
+    ASSERT_TRUE(one_cpu.pinned()) << "cannot pin the test thread";
+    const std::optional<ParallelRuntime::Stats> s = RunBounce();
+    ASSERT_TRUE(s.has_value()) << "one-CPU bounce did not finish";
+    EXPECT_LT(s->mailbox_wakes, kHops / 2) << "one CPU, parks=" << s->mailbox_parks;
+  }
 }
 
 }  // namespace
