@@ -2,6 +2,8 @@
 #ifndef PARTDB_BENCH_BENCH_UTIL_H_
 #define PARTDB_BENCH_BENCH_UTIL_H_
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -12,6 +14,7 @@
 #include "common/csv.h"
 #include "common/flags.h"
 #include "common/types.h"
+#include "db/closed_loop.h"
 #include "db/database.h"
 #include "db/serializability.h"
 
@@ -43,20 +46,78 @@ inline std::string FmtInt(double v) { return StrFormat("%.0f", v); }
 inline std::string FmtPct(double v) { return StrFormat("%.1f%%", v * 100.0); }
 inline std::string Fmt2(double v) { return StrFormat("%.2f", v); }
 
+/// Named report-only values of one result row (never gated).
+using ReportFields = std::vector<std::pair<const char*, double>>;
+
+/// "key=value key=value" for a console line.
+inline std::string ReportSummary(const ReportFields& fields) {
+  std::string out;
+  for (const auto& [key, value] : fields) {
+    if (!out.empty()) out += ' ';
+    out += key;
+    out += StrFormat("=%.2f", value);
+  }
+  return out;
+}
+
 /// One row of a self-verifying bench run. `scheme` is the registry name
 /// ("blocking", "speculation", "locking", "occ", "mvcc", …) or, for a sweep,
 /// the row label (e.g. "c64" for 64 connections).
 struct SchemeResult {
   std::string scheme;
   Metrics m;
+  ReportFields report;
+};
+
+/// User plus system CPU time of this process so far.
+inline double ProcessCpuSeconds() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) * 1e-6;
+}
+
+/// What one parallel closed-loop window cost beyond its throughput: mailbox
+/// wakes per 1000 pushed messages (Database::Stats().runtime) and process
+/// CPU per committed transaction (getrusage). Workers yield-spin before they
+/// park, trading CPU for wakes; these two fields show that trade. Construct
+/// it on the loop options before RunClosedLoop, read Fields() after.
+class WindowCost {
+ public:
+  WindowCost(Database& db, ClosedLoopOptions& loop) {
+    loop.on_window_begin = [this, &db] { Snap(db, &begin_); };
+    loop.on_window_end = [this, &db] { Snap(db, &end_); };
+  }
+  WindowCost(const WindowCost&) = delete;  // the loop's probes hold `this`
+  WindowCost& operator=(const WindowCost&) = delete;
+
+  ReportFields Fields(const Metrics& m) const {
+    const double msgs = static_cast<double>(end_.rt.mailbox_pushed - begin_.rt.mailbox_pushed);
+    const double wakes = static_cast<double>(end_.rt.mailbox_wakes - begin_.rt.mailbox_wakes);
+    const double txns = static_cast<double>(m.committed);
+    return {{"wakes_per_kmsg", msgs > 0 ? wakes * 1e3 / msgs : 0.0},
+            {"cpu_us_per_txn", txns > 0 ? (end_.cpu_s - begin_.cpu_s) * 1e6 / txns : 0.0}};
+  }
+
+ private:
+  struct Edge {
+    double cpu_s = 0;
+    ParallelRuntime::Stats rt;
+  };
+  static void Snap(Database& db, Edge* e) {
+    e->cpu_s = ProcessCpuSeconds();
+    e->rt = db.Stats().runtime;
+  }
+
+  Edge begin_, end_;
 };
 
 /// Writes the machine-readable results file the perf-tracking CI compares
 /// across PRs (tools/check_bench.py): bench name, scalar config fields, the
 /// host's online CPU count (numbers are only comparable across hosts of the
 /// same width), and per-row throughput + committed count + latency
-/// percentiles. Returns false (after printing) when the file cannot be
-/// written.
+/// percentiles, then the row's report-only fields. Returns false (after
+/// printing) when the file cannot be written.
 inline bool WriteSchemeJson(const std::string& path, const char* bench_name,
                             const std::vector<std::pair<const char*, long long>>& config,
                             const std::vector<SchemeResult>& results) {
@@ -77,12 +138,15 @@ inline bool WriteSchemeJson(const std::string& path, const char* bench_name,
                  "    {\"scheme\": \"%s\", \"txn_per_sec\": %.0f, "
                  "\"committed\": %llu, "
                  "\"sp_p50_us\": %.1f, \"sp_p99_us\": %.1f, "
-                 "\"mp_p50_us\": %.1f, \"mp_p99_us\": %.1f}%s\n",
+                 "\"mp_p50_us\": %.1f, \"mp_p99_us\": %.1f",
                  results[i].scheme.c_str(), m.Throughput(),
                  static_cast<unsigned long long>(m.committed),
                  m.sp_latency.Percentile(50) / 1000.0, m.sp_latency.Percentile(99) / 1000.0,
-                 m.mp_latency.Percentile(50) / 1000.0, m.mp_latency.Percentile(99) / 1000.0,
-                 i + 1 == results.size() ? "" : ",");
+                 m.mp_latency.Percentile(50) / 1000.0, m.mp_latency.Percentile(99) / 1000.0);
+    for (const auto& [key, value] : results[i].report) {
+      std::fprintf(f, ", \"%s\": %.2f", key, value);
+    }
+    std::fprintf(f, "}%s\n", i + 1 == results.size() ? "" : ",");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

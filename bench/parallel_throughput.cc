@@ -57,8 +57,10 @@ int main(int argc, char** argv) {
     loop.next = KvInvocations(mb, *db);
     loop.warmup = bench.warmup();
     loop.measure = bench.measure();
+    WindowCost cost(*db, loop);
     Metrics m = RunClosedLoop(*db, loop);
     const ParallelRuntime::Stats rs = db->Stats().runtime;
+    const ReportFields report = cost.Fields(m);
     db->Close();
 
     std::printf("%-12s %8.0f txn/s  committed=%llu (sp=%llu mp=%llu)\n",
@@ -71,12 +73,13 @@ int main(int argc, char** argv) {
       std::printf("  mp latency: %s\n", m.mp_latency.Summary(1e-3).c_str());
     }
     // Hot-path anatomy: mailbox traffic and the park/wake discipline (wakes
-    // per item ~ 0 at saturation).
+    // per item ~ 0 at saturation), then the window's wake and CPU costs.
     std::printf("  mailbox: pushed=%llu wakes=%llu parks=%llu  pinned=%d/%d workers\n",
                 static_cast<unsigned long long>(rs.mailbox_pushed),
                 static_cast<unsigned long long>(rs.mailbox_wakes),
                 static_cast<unsigned long long>(rs.mailbox_parks), rs.pinned_workers,
                 rs.num_workers);
+    std::printf("  window: %s\n", ReportSummary(report).c_str());
     if (m.committed == 0) {
       std::printf("ERROR: no transactions committed under %s\n", scheme.c_str());
       ok = false;
@@ -84,7 +87,7 @@ int main(int argc, char** argv) {
     if (*verify != 0) {
       ok = ReportSerializable(*db, scheme.c_str()) && ok;
     }
-    results.push_back({scheme, m});
+    results.push_back({scheme, m, report});
   }
 
   if (*verify != 0) {

@@ -59,8 +59,10 @@ int main(int argc, char** argv) {
     loop.next = TpccInvocations(wl, *db);
     loop.warmup = bench.warmup();
     loop.measure = bench.measure();
+    WindowCost cost(*db, loop);
     Metrics m = RunClosedLoop(*db, loop);
     db->Close();
+    const ReportFields report = cost.Fields(m);
 
     std::printf("%-12s %8.0f txn/s  committed=%llu (sp=%llu mp=%llu)  "
                 "aborts=%llu deadlocks=%llu timeouts=%llu\n",
@@ -71,6 +73,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.user_aborts),
                 static_cast<unsigned long long>(m.local_deadlocks),
                 static_cast<unsigned long long>(m.timeout_aborts));
+    std::printf("  window: %s\n", ReportSummary(report).c_str());
     std::printf("  sp latency: %s\n", m.sp_latency.Summary(1e-3).c_str());
     if (m.mp_latency.count() > 0) {
       std::printf("  mp latency: %s\n", m.mp_latency.Summary(1e-3).c_str());
@@ -114,7 +117,7 @@ int main(int argc, char** argv) {
         ok = false;
       }
     }
-    results.push_back({scheme, m});
+    results.push_back({scheme, m, report});
   }
 
   if (!json->empty()) {
