@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
     if (*verify != 0) {
       ok = ReportSerializable(*db, scheme.c_str()) && ok;
     }
-    results.push_back({scheme, m, {}});
+    results.push_back({scheme, m});
   }
 
   if (!json->empty()) {

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(stats.rejected_requests));
       ok = false;
     }
-    results.push_back({label, m, {}});
+    results.push_back({label, m});
   };
 
   std::printf("connection sweep: one session per TCP connection, %lld server loop(s)\n",

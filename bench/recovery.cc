@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
       std::printf("  group-commit overhead: %.1f%% of the in-memory throughput\n",
                   100.0 * (1.0 - m.Throughput() / off_tps));
     }
-    results.push_back({ModeFlagName(mode), m, {}});
+    results.push_back({ModeFlagName(mode), m});
     db.reset();
     std::filesystem::remove_all(mode_dir);
   }
@@ -214,8 +214,8 @@ int main(int argc, char** argv) {
     std::printf("  (speedup check skipped: %d online cpus < %d workers)\n",
                 OnlineCpuCount(), mb.num_partitions);
   }
-  results.push_back({"recover_w1", m1, {}});
-  results.push_back({"recover_w" + std::to_string(mb.num_partitions), mp, {}});
+  results.push_back({"recover_w1", m1});
+  results.push_back({"recover_w" + std::to_string(mb.num_partitions), mp});
 
   if (!json->empty()) {
     ok = WriteSchemeJson(*json, "recovery",

@@ -41,4 +41,11 @@ int AffinityCpuFor(const CpuAffinity& a, int index) {
   return index % n;
 }
 
+void SetCurrentThreadBatchPolicy() {
+#if defined(__linux__)
+  sched_param param{};
+  pthread_setschedparam(pthread_self(), SCHED_BATCH, &param);
+#endif
+}
+
 }  // namespace partdb

@@ -32,6 +32,12 @@ bool PinCurrentThreadToCpu(int cpu);
 /// pin" (policy disabled).
 int AffinityCpuFor(const CpuAffinity& a, int index);
 
+/// Moves the calling thread to SCHED_BATCH: a wakeup of this thread never
+/// preempts the thread running on the CPU; it runs when that thread blocks,
+/// yields or uses up its slice. Advisory: where unsupported or refused, the
+/// thread keeps its policy.
+void SetCurrentThreadBatchPolicy();
+
 }  // namespace partdb
 
 #endif  // PARTDB_COMMON_AFFINITY_H_

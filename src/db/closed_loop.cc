@@ -66,20 +66,18 @@ Metrics RunClosedLoop(DbHandle& db, const ClosedLoopOptions& options) {
   }
   for (auto& cl : clients) cl->IssueNext();
 
-  const bool parallel = db.mode() == RunMode::kParallel;
-  auto advance = [&db, parallel](Duration d) {
-    if (parallel) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(d));
-    } else {
-      db.AdvanceSim(d);
-    }
-  };
-  advance(options.warmup);
-  if (options.on_window_begin) options.on_window_begin();
-  db.BeginMeasurement();
-  advance(options.measure);
-  Metrics m = db.EndMeasurement();
-  if (options.on_window_end) options.on_window_end();
+  Metrics m;
+  if (db.mode() == RunMode::kParallel) {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(options.warmup));
+    db.BeginMeasurement();
+    std::this_thread::sleep_for(std::chrono::nanoseconds(options.measure));
+    m = db.EndMeasurement();
+  } else {
+    db.AdvanceSim(options.warmup);
+    db.BeginMeasurement();
+    db.AdvanceSim(options.measure);
+    m = db.EndMeasurement();
+  }
 
   stop->store(true, std::memory_order_relaxed);
   // Drain every session before tearing the loops down: a callback that

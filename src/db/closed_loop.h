@@ -50,11 +50,6 @@ struct ClosedLoopOptions {
   std::optional<uint64_t> seed;
   Duration warmup = Micros(20000);
   Duration measure = Micros(100000);
-  /// Optional probes at the measurement window's edges: `on_window_begin`
-  /// runs just before BeginMeasurement, `on_window_end` just after
-  /// EndMeasurement (benches snapshot process counters here).
-  std::function<void()> on_window_begin;
-  std::function<void()> on_window_end;
 };
 
 /// Runs the closed loop for warmup+measure and returns the window's metrics.

@@ -118,6 +118,7 @@ void EventLoop::Run() {
   if (pin_cpu_ >= 0 && PinCurrentThreadToCpu(pin_cpu_)) {
     pinned_.store(true, std::memory_order_relaxed);
   }
+  SetCurrentThreadBatchPolicy();  // see the header
   t_running_loop = this;
   epoll_event events[kMaxEvents];
   while (true) {

@@ -7,6 +7,12 @@
 // never touch the socket: SendFrame encodes straight into the connection's
 // reusable outbox buffer and wakes the owning loop via an eventfd; wakes
 // coalesce, so a burst of frames costs one wakeup and one flush syscall.
+// The loop thread runs under SCHED_BATCH, so that holds on a shared CPU too:
+// its wakeup does not preempt the worker that sent the first frame of a
+// burst, and the loop runs once that worker yields or parks. A worker that
+// yield-spun before it found work (Mailbox) has given up its slice, so
+// without this every frame of the burst would preempt it and leave in a
+// flush of its own.
 //
 // Every request from another thread — add a connection, flush one, stop —
 // is one item in the loop's single inbox (one mutex, one vector the loop

@@ -4,9 +4,11 @@
 // uses (RunClosedLoop over a DbHandle — no per-transport branches), with
 // CheckSerializable on the server's commit logs. Plus:
 // remote Execute result payloads, measurement windows over the wire,
-// admission-control parity between embedded and remote sessions, and a
-// custom (non-KV, non-TPC-C) procedure served over TCP.
+// admission-control parity between embedded and remote sessions, a
+// custom (non-KV, non-TPC-C) procedure served over TCP, and the event
+// loop's scheduling policy.
 #include <poll.h>
+#include <sched.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -729,6 +731,36 @@ TEST(NetMux, FrameSentBeforeCloseReachesPeer) {
     EXPECT_EQ(r.U32(), i);
   }
   EXPECT_TRUE(PeerClosed(client));
+}
+
+// The loop thread runs under SCHED_BATCH, so its wakeup does not preempt
+// the thread that sent the first frame of a burst (event_loop.h). On one CPU
+// a partition worker that yield-spun before it found work would otherwise be
+// preempted by every frame it sends, and each response would leave in a
+// flush of its own.
+TEST(NetMux, LoopThreadRunsUnderBatchPolicy) {
+  TcpListener listener = TcpListener::Listen("127.0.0.1", 0);
+  TcpConn client = TcpConn::ConnectTo("127.0.0.1", listener.port());
+  ASSERT_TRUE(client.valid());
+  TcpConn served = listener.AcceptWithTimeout(/*timeout_ms=*/5000);
+  ASSERT_TRUE(served.valid());
+
+  std::atomic<int> policy{-1};
+  EventLoop loop("batch-policy");
+  LoopConnHandlers handlers;
+  handlers.on_frame = [&policy](LoopConn&, const FrameView&) {
+    policy.store(sched_getscheduler(0));
+    return true;
+  };
+  handlers.on_close = [](LoopConn&) {};
+  loop.AddConn(std::move(served), std::move(handlers));
+  ASSERT_TRUE(WriteFrame(client, FrameType::kRequest, "x"));
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (policy.load() == -1 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  loop.Stop();
+  EXPECT_EQ(policy.load(), SCHED_BATCH);
 }
 
 }  // namespace
