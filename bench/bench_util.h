@@ -2,10 +2,9 @@
 #ifndef PARTDB_BENCH_BENCH_UTIL_H_
 #define PARTDB_BENCH_BENCH_UTIL_H_
 
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,7 +13,6 @@
 #include "common/csv.h"
 #include "common/flags.h"
 #include "common/types.h"
-#include "db/closed_loop.h"
 #include "db/database.h"
 #include "db/serializability.h"
 
@@ -46,71 +44,32 @@ inline std::string FmtInt(double v) { return StrFormat("%.0f", v); }
 inline std::string FmtPct(double v) { return StrFormat("%.1f%%", v * 100.0); }
 inline std::string Fmt2(double v) { return StrFormat("%.2f", v); }
 
-/// Named report-only values of one result row (never gated).
-using ReportFields = std::vector<std::pair<const char*, double>>;
-
-/// "key=value key=value" for a console line.
-inline std::string ReportSummary(const ReportFields& fields) {
-  std::string out;
-  for (const auto& [key, value] : fields) {
-    if (!out.empty()) out += ' ';
-    out += key;
-    out += StrFormat("=%.2f", value);
-  }
-  return out;
-}
-
 /// One row of a self-verifying bench run. `scheme` is the registry name
 /// ("blocking", "speculation", "locking", "occ", "mvcc", …) or, for a sweep,
 /// the row label (e.g. "c64" for 64 connections).
 struct SchemeResult {
+  SchemeResult(std::string s, const Metrics& metrics) : scheme(std::move(s)), m(metrics) {}
+
   std::string scheme;
   Metrics m;
-  ReportFields report;
+  /// Report-only, never gated; set by the in-process parallel benches
+  /// (WithWindowCost). Workers yield-spin before they park, trading CPU for
+  /// wakes, and these two show that trade.
+  std::optional<double> wakes_per_kmsg;  // mailbox wakes per 1000 pushed messages
+  std::optional<double> cpu_us_per_txn;  // process CPU per committed transaction
 };
 
-/// User plus system CPU time of this process so far.
-inline double ProcessCpuSeconds() {
-  rusage ru{};
-  ::getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
-         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) * 1e-6;
+/// A row for `m` with the report-only costs of the window that produced it
+/// (Database::last_window_cost).
+inline SchemeResult WithWindowCost(std::string scheme, const Metrics& m,
+                                   const Database::WindowCost& w) {
+  SchemeResult r(std::move(scheme), m);
+  const double msgs = static_cast<double>(w.mailbox_pushed);
+  const double txns = static_cast<double>(m.committed);
+  r.wakes_per_kmsg = msgs > 0 ? static_cast<double>(w.mailbox_wakes) * 1e3 / msgs : 0.0;
+  r.cpu_us_per_txn = txns > 0 ? w.cpu_s * 1e6 / txns : 0.0;
+  return r;
 }
-
-/// What one parallel closed-loop window cost beyond its throughput: mailbox
-/// wakes per 1000 pushed messages (Database::Stats().runtime) and process
-/// CPU per committed transaction (getrusage). Workers yield-spin before they
-/// park, trading CPU for wakes; these two fields show that trade. Construct
-/// it on the loop options before RunClosedLoop, read Fields() after.
-class WindowCost {
- public:
-  WindowCost(Database& db, ClosedLoopOptions& loop) {
-    loop.on_window_begin = [this, &db] { Snap(db, &begin_); };
-    loop.on_window_end = [this, &db] { Snap(db, &end_); };
-  }
-  WindowCost(const WindowCost&) = delete;  // the loop's probes hold `this`
-  WindowCost& operator=(const WindowCost&) = delete;
-
-  ReportFields Fields(const Metrics& m) const {
-    const double msgs = static_cast<double>(end_.rt.mailbox_pushed - begin_.rt.mailbox_pushed);
-    const double wakes = static_cast<double>(end_.rt.mailbox_wakes - begin_.rt.mailbox_wakes);
-    const double txns = static_cast<double>(m.committed);
-    return {{"wakes_per_kmsg", msgs > 0 ? wakes * 1e3 / msgs : 0.0},
-            {"cpu_us_per_txn", txns > 0 ? (end_.cpu_s - begin_.cpu_s) * 1e6 / txns : 0.0}};
-  }
-
- private:
-  struct Edge {
-    double cpu_s = 0;
-    ParallelRuntime::Stats rt;
-  };
-  static void Snap(Database& db, Edge* e) {
-    e->cpu_s = ProcessCpuSeconds();
-    e->rt = db.Stats().runtime;
-  }
-
-  Edge begin_, end_;
-};
 
 /// Writes the machine-readable results file the perf-tracking CI compares
 /// across PRs (tools/check_bench.py): bench name, scalar config fields, the
@@ -143,8 +102,11 @@ inline bool WriteSchemeJson(const std::string& path, const char* bench_name,
                  static_cast<unsigned long long>(m.committed),
                  m.sp_latency.Percentile(50) / 1000.0, m.sp_latency.Percentile(99) / 1000.0,
                  m.mp_latency.Percentile(50) / 1000.0, m.mp_latency.Percentile(99) / 1000.0);
-    for (const auto& [key, value] : results[i].report) {
-      std::fprintf(f, ", \"%s\": %.2f", key, value);
+    if (results[i].wakes_per_kmsg) {
+      std::fprintf(f, ", \"wakes_per_kmsg\": %.2f", *results[i].wakes_per_kmsg);
+    }
+    if (results[i].cpu_us_per_txn) {
+      std::fprintf(f, ", \"cpu_us_per_txn\": %.2f", *results[i].cpu_us_per_txn);
     }
     std::fprintf(f, "}%s\n", i + 1 == results.size() ? "" : ",");
   }

@@ -57,10 +57,9 @@ int main(int argc, char** argv) {
     loop.next = KvInvocations(mb, *db);
     loop.warmup = bench.warmup();
     loop.measure = bench.measure();
-    WindowCost cost(*db, loop);
     Metrics m = RunClosedLoop(*db, loop);
     const ParallelRuntime::Stats rs = db->Stats().runtime;
-    const ReportFields report = cost.Fields(m);
+    SchemeResult row = WithWindowCost(scheme, m, db->last_window_cost());
     db->Close();
 
     std::printf("%-12s %8.0f txn/s  committed=%llu (sp=%llu mp=%llu)\n",
@@ -79,7 +78,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(rs.mailbox_wakes),
                 static_cast<unsigned long long>(rs.mailbox_parks), rs.pinned_workers,
                 rs.num_workers);
-    std::printf("  window: %s\n", ReportSummary(report).c_str());
+    std::printf("  window: wakes_per_kmsg=%.2f cpu_us_per_txn=%.2f\n", *row.wakes_per_kmsg,
+                *row.cpu_us_per_txn);
     if (m.committed == 0) {
       std::printf("ERROR: no transactions committed under %s\n", scheme.c_str());
       ok = false;
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
     if (*verify != 0) {
       ok = ReportSerializable(*db, scheme.c_str()) && ok;
     }
-    results.push_back({scheme, m, report});
+    results.push_back(std::move(row));
   }
 
   if (*verify != 0) {

@@ -59,10 +59,9 @@ int main(int argc, char** argv) {
     loop.next = TpccInvocations(wl, *db);
     loop.warmup = bench.warmup();
     loop.measure = bench.measure();
-    WindowCost cost(*db, loop);
     Metrics m = RunClosedLoop(*db, loop);
+    SchemeResult row = WithWindowCost(scheme, m, db->last_window_cost());
     db->Close();
-    const ReportFields report = cost.Fields(m);
 
     std::printf("%-12s %8.0f txn/s  committed=%llu (sp=%llu mp=%llu)  "
                 "aborts=%llu deadlocks=%llu timeouts=%llu\n",
@@ -73,7 +72,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.user_aborts),
                 static_cast<unsigned long long>(m.local_deadlocks),
                 static_cast<unsigned long long>(m.timeout_aborts));
-    std::printf("  window: %s\n", ReportSummary(report).c_str());
+    std::printf("  window: wakes_per_kmsg=%.2f cpu_us_per_txn=%.2f\n", *row.wakes_per_kmsg,
+                *row.cpu_us_per_txn);
     std::printf("  sp latency: %s\n", m.sp_latency.Summary(1e-3).c_str());
     if (m.mp_latency.count() > 0) {
       std::printf("  mp latency: %s\n", m.mp_latency.Summary(1e-3).c_str());
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
         ok = false;
       }
     }
-    results.push_back({scheme, m, report});
+    results.push_back(std::move(row));
   }
 
   if (!json->empty()) {

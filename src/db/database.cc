@@ -1,5 +1,7 @@
 #include "db/database.h"
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -16,6 +18,14 @@ namespace partdb {
 namespace {
 /// Parallel-mode worker threads shared by the session ingress actors.
 constexpr int kSessionWorkers = 2;
+
+/// User plus system CPU time of this process so far.
+double ProcessCpuSeconds() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) * 1e-6;
+}
 }  // namespace
 
 std::unique_ptr<Database> Database::Open(DbOptions options) {
@@ -217,6 +227,8 @@ void Database::BeginMeasurement() {
     });
   }
   window_start_ = exec_->Now();
+  const ParallelRuntime::Stats rt = Stats().runtime;
+  window_cost_ = {rt.mailbox_pushed, rt.mailbox_wakes, ProcessCpuSeconds()};
 }
 
 Metrics Database::EndMeasurement() {
@@ -231,6 +243,10 @@ Metrics Database::EndMeasurement() {
   }
   out.window_ns = exec_->Now() - window_start_;
   out.num_partitions = options_.num_partitions;
+  const ParallelRuntime::Stats rt = Stats().runtime;
+  window_cost_ = {rt.mailbox_pushed - window_cost_.mailbox_pushed,
+                  rt.mailbox_wakes - window_cost_.mailbox_wakes,
+                  ProcessCpuSeconds() - window_cost_.cpu_s};
   return out;
 }
 

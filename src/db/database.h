@@ -83,6 +83,18 @@ class Database : public DbHandle {
   };
   DbStats Stats() const;
 
+  /// What the last finished measurement window cost beyond its throughput:
+  /// mailbox messages pushed and condvar wakes taken over the window
+  /// (parallel mode; zeros in simulated mode) and the process's user plus
+  /// system CPU time over it (getrusage). Snapshotted by BeginMeasurement
+  /// and EndMeasurement; read it after EndMeasurement, on the same thread.
+  struct WindowCost {
+    uint64_t mailbox_pushed = 0;
+    uint64_t mailbox_wakes = 0;
+    double cpu_s = 0;
+  };
+  const WindowCost& last_window_cost() const { return window_cost_; }
+
   /// What Open's recovery pass found (performed == false on a fresh
   /// directory or when durability is off).
   const RecoveryReport& recovery_report() const { return recovery_report_; }
@@ -164,6 +176,9 @@ class Database : public DbHandle {
   std::vector<std::unique_ptr<SessionActor>> session_actors_;
   std::vector<Measured> measured_;  // partitions, coordinator, then sessions
   Time window_start_ = 0;
+  /// The counters at BeginMeasurement until EndMeasurement turns them into
+  /// the window's deltas.
+  WindowCost window_cost_;
   RecoveryReport recovery_report_;
   /// Declared after the runtime and the actors, so it is destroyed first.
   std::unique_ptr<DurabilityManager> durability_;
