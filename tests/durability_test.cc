@@ -651,6 +651,28 @@ TEST(DurabilityLogDamage, TornTailIsTolerated) {
   EXPECT_EQ(rep.torn_tails, 1u);
 }
 
+TEST(DurabilityLogDamage, TornTailBeforeLaterSegmentIsTolerated) {
+  // A crash tears segment 0's last append; recovery then resumes in a fresh
+  // segment, so the tear sits in a segment that is no longer the last one.
+  HandLog h;
+  std::string sixth;
+  EncodeLogRecord(h.Record(6), &sixth);
+  h.WriteSegment(h.segment + sixth.substr(0, 7), 0);
+  LogSegmentHeader next;
+  next.partition = 0;
+  next.num_partitions = 1;
+  next.first_seq = 6;
+  next.procs.push_back(LogProcEntry{0, kKvReadUpdateProc});
+  std::string later;
+  EncodeLogSegmentHeader(next, &later);
+  for (uint64_t seq = 6; seq <= 8; ++seq) EncodeLogRecord(h.Record(seq), &later);
+  h.WriteSegment(later, 1);
+  const RecoveryReport rep = h.Recover();
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_EQ(rep.replayed, 8u);
+  EXPECT_EQ(rep.torn_tails, 1u);
+}
+
 TEST(DurabilityLogDamage, TornHeaderOnTailSegmentIsTolerated) {
   // Crash between OpenSegment's open(O_CREAT) and the header fsync: the
   // highest-index segment is a short prefix of a header. Everything durable
