@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -18,20 +19,16 @@ namespace {
 struct ClientLoop {
   InvocationGenerator next;
   int index = 0;
-  /// Private stream (explicit ClosedLoopOptions::seed); null means draw from
-  /// the session actor's stream.
-  std::unique_ptr<Rng> rng;
   std::shared_ptr<std::atomic<bool>> stop;
   // Last member: its destructor (Session::Drain) must run before the fields
-  // the completion callback reads (next, rng) are destroyed.
+  // the completion callback reads (next) are destroyed.
   std::unique_ptr<Session> session;
 
   void IssueNext() {
-    // By default the client draws from its session's stream — client c of a
-    // run is always session slot c, so the draw sequence matches the
-    // historical dedicated-client harness. An explicit seed switches to the
-    // loop-owned stream.
-    Invocation inv = next(index, rng != nullptr ? *rng : session->rng());
+    // The client draws from its session's stream — client c of a run is
+    // always session slot c, so the draw sequence matches the historical
+    // dedicated-client harness.
+    Invocation inv = next(index, session->rng());
     // The callback captures only `this`: a trivially-copyable 8-byte functor
     // stays in std::function's inline buffer, so the resubmit path allocates
     // nothing. The final completion callback can still run while ~ClientLoop
@@ -58,9 +55,6 @@ Metrics RunClosedLoop(DbHandle& db, const ClosedLoopOptions& options) {
     cl->session = db.CreateSession();
     cl->next = options.next;
     cl->index = c;
-    if (options.seed.has_value()) {
-      cl->rng = std::make_unique<Rng>(ClientStreamSeed(*options.seed, c));
-    }
     cl->stop = stop;
     clients.push_back(std::move(cl));
   }

@@ -2,21 +2,16 @@
 // through the public Database/Session API. N logical clients each own a
 // session and keep exactly one transaction in flight — the completion
 // callback generates and submits the next one (paper §5: no think time).
-// By default client c draws from the database's session-slot-c random stream
+// Client c draws from the database's session-slot-c random stream
 // (ClientStreamSeed), and resubmissions start inline on the session's actor,
 // so in simulated mode a closed loop over sessions reproduces the historical
 // dedicated-client harness bit-for-bit (pinned by the kv/tpcc session-test
-// goldens). Setting ClosedLoopOptions::seed instead gives every client a
-// private stream independent of the database seed and of which session slots
-// the loop happens to receive. Works on both execution contexts: wall-clock
-// warmup/measure windows in parallel mode, virtual-clock windows in
-// simulation.
+// goldens). Works on both execution contexts: wall-clock warmup/measure
+// windows in parallel mode, virtual-clock windows in simulation.
 #ifndef PARTDB_DB_CLOSED_LOOP_H_
 #define PARTDB_DB_CLOSED_LOOP_H_
 
 #include <functional>
-#include <memory>
-#include <optional>
 
 #include "common/rng.h"
 #include "db/db_handle.h"
@@ -31,8 +26,7 @@ struct Invocation {
 
 /// Generates the next invocation for one logical client. Runs on the
 /// session's worker thread (parallel) or inside the sim pump; `rng` is the
-/// client's stream (session-owned by default, loop-owned with an explicit
-/// seed).
+/// client's stream, owned by its session.
 using InvocationGenerator = std::function<Invocation(int client_index, Rng& rng)>;
 
 /// Generates only arguments, for single-procedure drivers
@@ -42,12 +36,6 @@ using ArgsGenerator = std::function<PayloadPtr(int client_index, Rng& rng)>;
 struct ClosedLoopOptions {
   int num_clients = 8;  // logical closed-loop clients, one session each
   InvocationGenerator next;  // must be set
-  /// When set, client c draws from a private Rng seeded
-  /// ClientStreamSeed(*seed, c) instead of its session actor's stream: the
-  /// generated request sequence then depends only on this seed, not on
-  /// DbOptions::seed or session-slot assignment. When unset (default), the
-  /// legacy-parity behavior: client c uses session slot c's stream.
-  std::optional<uint64_t> seed;
   Duration warmup = Micros(20000);
   Duration measure = Micros(100000);
 };

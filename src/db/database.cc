@@ -28,6 +28,15 @@ double ProcessCpuSeconds() {
 }
 }  // namespace
 
+const char* DurabilityModeName(DurabilityMode m) {
+  switch (m) {
+    case DurabilityMode::kOff: return "off";
+    case DurabilityMode::kAsync: return "async";
+    case DurabilityMode::kGroupCommit: return "group_commit";
+  }
+  return "?";
+}
+
 std::unique_ptr<Database> Database::Open(DbOptions options) {
   PARTDB_CHECK(options.engine_factory != nullptr);
   PARTDB_CHECK(options.max_sessions >= 1);
@@ -139,18 +148,20 @@ Database::Database(DbOptions options)
       PARTDB_CHECK(false);
     }
 
-    DurabilityManager::Options mo;
-    mo.mode = options_.durability;
-    mo.dir = options_.log_dir;
-    mo.num_partitions = P;
-    mo.group_commit_window = Micros(options_.group_commit_window_us);
-    mo.crash_after_n_commits = options_.durability_crash_after_n_commits;
+    PartitionLog::Config cfg;
+    cfg.dir = options_.log_dir;
+    cfg.num_partitions = P;
+    cfg.window = Micros(options_.group_commit_window_us);
     for (ProcId id = 0; id < static_cast<ProcId>(registry_.size()); ++id) {
-      mo.procs.push_back(LogProcEntry{id, registry_.Get(id).name});
+      cfg.procs.push_back(LogProcEntry{id, registry_.Get(id).name});
     }
-    durability_ = std::make_unique<DurabilityManager>(std::move(mo), recovery_report_.seeds);
     for (PartitionId p = 0; p < P; ++p) {
-      partitions_[p]->InstallDurabilityLog(durability_->log(p), durability_->holds_replies());
+      cfg.partition = p;
+      cfg.seed = recovery_report_.seeds[p];
+      logs_.push_back(std::make_unique<PartitionLog>(cfg));
+      // durable_notices is set exactly under group commit, when the
+      // partition holds every reply until its log acks the record.
+      partitions_[p]->InstallDurabilityLog(logs_[p].get(), topology_.durable_notices);
     }
   }
 
@@ -174,7 +185,11 @@ Database::Database(DbOptions options)
   for (int i = options_.max_sessions - 1; i >= 0; --i) free_slots_.push_back(i);
 
   if (parallel_ != nullptr) parallel_->Start();
-  if (durability_ != nullptr) durability_->Start(exec_, topology_.partition_primary);
+  // Each writer reports its durable records to its partition only when the
+  // partition holds replies on them.
+  for (PartitionId p = 0; p < static_cast<PartitionId>(logs_.size()); ++p) {
+    logs_[p]->Start(topology_.durable_notices ? exec_ : nullptr, topology_.partition_primary[p]);
+  }
 }
 
 Database::~Database() { Close(); }
@@ -253,14 +268,16 @@ Metrics Database::EndMeasurement() {
 Database::DbStats Database::Stats() const {
   DbStats out;
   if (parallel_ != nullptr) out.runtime = parallel_->GetStats();
-  if (durability_ != nullptr) out.durability = durability_->GetStats();
+  for (const auto& log : logs_) out.durability += log->GetStats();
   return out;
 }
 
 bool Database::Checkpoint() {
-  PARTDB_CHECK(durability_ != nullptr);  // requires DbOptions::durability
+  PARTDB_CHECK(!logs_.empty());  // requires DbOptions::durability
   PARTDB_CHECK(options_.mode == RunMode::kParallel);
-  if (durability_->crashed()) return false;
+  for (const auto& log : logs_) {
+    if (log->crashed()) return false;
+  }
   // One partition at a time. Parking all at once can deadlock: an MP
   // admitted at one participant keeps it busy while another participant
   // parks the same MP. With one parked partition, an MP it admitted was sent
@@ -269,7 +286,7 @@ bool Database::Checkpoint() {
   // sessions run 2PC, such a cross wait ends at the lock timeout.
   for (PartitionId p = 0; p < options_.num_partitions; ++p) {
     PartitionActor& pa = partition(p);
-    PartitionLog* log = durability_->log(p);
+    PartitionLog* log = logs_[p].get();
     Engine& e = engine(p);
     CheckpointImage img;
     // Shared with the closure, so the worker may still be inside set_value
@@ -286,14 +303,12 @@ bool Database::Checkpoint() {
       });
     });
     done.wait();
-    log->InstallCheckpoint(img, options_.keep_truncated_log_segments);
+    log->InstallCheckpoint(img);
   }
   // Every partition rotated and has its new image durable: multi-partition
   // evidence captured two rotates ago is now checkpoint-covered at every
   // participant and can stop occupying memory and future checkpoints.
-  for (PartitionId p = 0; p < options_.num_partitions; ++p) {
-    durability_->log(p)->DropCoveredMpHistory();
-  }
+  for (const auto& log : logs_) log->DropCoveredMpHistory();
   return true;
 }
 
@@ -331,7 +346,7 @@ void Database::Close() {
   for (auto& p : partitions_) {
     PARTDB_CHECK(p->cc().Idle());
   }
-  if (durability_ != nullptr) durability_->Shutdown();
+  for (auto& log : logs_) log->Shutdown();
   for (auto& a : session_actors_) {
     PARTDB_CHECK(a->outstanding() == 0);
   }

@@ -24,7 +24,7 @@
 #include "db/db_options.h"
 #include "db/procedure_registry.h"
 #include "db/session.h"
-#include "durability/durability_manager.h"
+#include "durability/command_log.h"
 #include "durability/recovery.h"
 #include "engine/partition_actor.h"
 #include "engine/replication.h"
@@ -99,17 +99,13 @@ class Database : public DbHandle {
   /// directory or when durability is off).
   const RecoveryReport& recovery_report() const { return recovery_report_; }
 
-  /// Durability tier handle (crash flag, per-partition logs); null when
-  /// DbOptions::durability is kOff.
-  DurabilityManager* durability() { return durability_.get(); }
-
   /// Takes a transactionally-consistent checkpoint of every partition and
-  /// truncates the logs behind it (unless keep_truncated_log_segments).
-  /// Partitions snapshot one at a time, each at its next point between
-  /// transactions (PartitionActor::RunAtIdlePoint): new transactions park
-  /// there until the work already admitted drains — no global pause. One
-  /// call at a time. Returns false only when the injected crash already
-  /// fired.
+  /// truncates the logs behind it. Partitions snapshot one at a time, each
+  /// at its next point between transactions
+  /// (PartitionActor::RunAtIdlePoint): new transactions park there until
+  /// the work already admitted drains — no global pause. One call at a time.
+  /// Returns false only when a test already crashed a log
+  /// (PartitionLog::Crash).
   bool Checkpoint();
 
   /// Simulated mode: advances the virtual clock by `d` (closed-loop
@@ -134,6 +130,8 @@ class Database : public DbHandle {
   const std::vector<CommitRecord>& commit_log(PartitionId p) const {
     return partitions_[p]->commit_log();
   }
+  /// Partition p's command log; requires DbOptions::durability.
+  PartitionLog& partition_log(PartitionId p) { return *logs_[p]; }
   /// A shim for bench_partdb alone, which still reaches engines through it
   /// and whose files change only together with the benchmark. Delete it once
   /// bench_partdb calls engine(p) directly.
@@ -180,12 +178,13 @@ class Database : public DbHandle {
   /// the window's deltas.
   WindowCost window_cost_;
   RecoveryReport recovery_report_;
-  /// Declared after the runtime and the actors, so it is destroyed first.
-  std::unique_ptr<DurabilityManager> durability_;
 
   Mutex mu_;
   std::vector<int> free_slots_ PARTDB_GUARDED_BY(mu_);
   bool closed_ PARTDB_GUARDED_BY(mu_) = false;
+  /// One command log per partition, empty when durability is off. Declared
+  /// last, after the runtime and the actors, so the logs are destroyed first.
+  std::vector<std::unique_ptr<PartitionLog>> logs_;
 };
 
 }  // namespace partdb

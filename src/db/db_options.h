@@ -11,7 +11,6 @@
 #include "common/affinity.h"
 #include "common/types.h"
 #include "db/procedure_registry.h"
-#include "durability/durability_manager.h"
 #include "engine/cost_model.h"
 #include "engine/engine.h"
 #include "sim/network.h"
@@ -21,6 +20,21 @@ namespace partdb {
 /// How a database executes: on the virtual clock (deterministic, models the
 /// paper's hardware) or on real threads at hardware speed.
 enum class RunMode { kSimulated, kParallel };
+
+/// What "committed" means to the client (DbOptions::durability).
+///  - kOff:         memory only, no log.
+///  - kAsync:       every commit is logged and fsynced by the writer thread,
+///                  each batch held open for the full group_commit_window,
+///                  but completions do not wait for it — a crash may lose the
+///                  acknowledged commits of about one window plus two fsyncs.
+///  - kGroupCommit: completions are held until the commit's batch is durable
+///                  on every participating partition's log. A partition
+///                  closes its batch as soon as its worker goes idle, so a
+///                  lone commit waits for one write+fsync; the window caps
+///                  how long a batch stays open under load.
+enum class DurabilityMode { kOff, kAsync, kGroupCommit };
+
+const char* DurabilityModeName(DurabilityMode m);
 
 struct DbOptions {
   /// Name of the concurrency-control scheme, resolved through
@@ -85,15 +99,8 @@ struct DbOptions {
   /// under kGroupCommit a partition closes its batch as soon as its worker
   /// goes idle, so the window only caps batching under load.
   uint32_t group_commit_window_us = 200;
-  /// Deterministic crash injection (tests): after this many records have
-  /// been admitted across all logs, drop everything later and flip
-  /// durability()->crashed() (0 = disabled).
-  uint64_t durability_crash_after_n_commits = 0;
   /// Replay worker threads used by recovery (0 = one per partition).
   int recovery_workers = 0;
-  /// Keep log segments behind a checkpoint instead of truncating them
-  /// (tests compare checkpoint+tail replay against full-history replay).
-  bool keep_truncated_log_segments = false;
 };
 
 }  // namespace partdb

@@ -4,14 +4,12 @@
 #include <sys/prctl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <utility>
 
 #include "common/logging.h"
-#include "durability/durability_manager.h"
 #include "msg/wire.h"
 #include "runtime/execution_context.h"
 
@@ -33,10 +31,6 @@ void WriteAll(int fd, const char* data, size_t n) {
   }
 }
 
-/// Bytes of the next dropped record written past the crash point, so a
-/// simulated crash leaves exactly the torn tail a real one would.
-constexpr size_t kTornPrefixBytes = 11;
-
 /// `u32 len | bytes` of one payload, serialized straight into `out` (the
 /// buffer `w` appends to): the length slot is reserved first and patched
 /// once the payload's size is known.
@@ -49,15 +43,14 @@ void WriteSizedPayload(std::string* out, WireWriter& w, const Payload& p) {
 
 }  // namespace
 
-PartitionLog::PartitionLog(DurabilityManager* manager, Config config)
-    : manager_(manager), config_(std::move(config)) {
+PartitionLog::PartitionLog(Config config) : config_(std::move(config)) {
   MutexLock lock(mu_);
-  next_seq_ = config_.next_seq;
-  segment_index_ = config_.next_segment;
+  next_seq_ = config_.seed.next_seq;
+  segment_index_ = config_.seed.next_segment;
   // Seeded ids were appended before recovery, so every participant's first
   // post-recovery rotate captures them: the first fully-successful checkpoint
   // round already covers them everywhere and may prune them.
-  mp_old_ = config_.mp_history;
+  mp_old_ = std::move(config_.seed.mp_history);
 }
 
 PartitionLog::~PartitionLog() { Shutdown(); }
@@ -125,7 +118,6 @@ uint64_t PartitionLog::Append(const CommitRecord& committed) {
   const uint64_t seq = next_seq_++;
   if (committed.multi_partition) mp_epoch_.push_back(committed.txn_id);
   std::string* out = &pending_bytes_;  // the analysis cannot see mu_ held in the lambda
-  const size_t before = out->size();
   // The body layout of EncodeLogRecord (log_format.h), written straight from
   // the payloads into the buffer the writer swaps out.
   AppendFramedRecord(out, [&](WireWriter& w) {
@@ -144,7 +136,7 @@ uint64_t PartitionLog::Append(const CommitRecord& committed) {
       }
     }
   });
-  pending_sizes_.push_back(static_cast<uint32_t>(out->size() - before));
+  ++pending_records_;
   // Edge-only wake: only a parked writer is signalled, and the flag is
   // cleared in the same step, so a burst costs one signal and appends made
   // while the writer holds its window open or does I/O cost none.
@@ -168,15 +160,14 @@ void PartitionLog::WriterLoop() {
   // every group-commit completion) by up to that much.
   ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   std::string batch_bytes;
-  std::vector<uint32_t> batch_sizes;
   mu_.Lock();
   while (true) {
-    while (pending_sizes_.empty() && !stop_) {
+    while (pending_records_ == 0 && !stop_) {
       writer_parked_ = true;
       work_cv_.Wait(mu_);
     }
     writer_parked_ = false;
-    if (pending_sizes_.empty() && stop_) break;
+    if (pending_records_ == 0 && stop_) break;
     // The batch stays open for up to the window, so concurrent commits
     // share one fsync; appends during the window do not signal. A close
     // covering every pending record, or Shutdown, cuts the window short.
@@ -190,56 +181,33 @@ void PartitionLog::WriterLoop() {
       if (!stop_ && !window_ended) ++stats_.early_closes;
     }
     batch_bytes.clear();
-    batch_sizes.clear();
     batch_bytes.swap(pending_bytes_);
-    batch_sizes.swap(pending_sizes_);
+    const uint64_t records = pending_records_;
+    pending_records_ = 0;
     const uint64_t through = next_seq_ - 1;  // the batch's last record
     const bool dropped = crashed_;
     io_in_progress_ = true;
     const int fd = fd_;
     mu_.Unlock();
 
-    uint64_t admitted = batch_sizes.size();
-    bool crash_now = false;
-    uint64_t written_bytes = 0;
     if (!dropped) {
-      admitted = manager_->AdmitRecords(batch_sizes.size());
-      crash_now = admitted < batch_sizes.size();
-      size_t n = 0;
-      for (uint64_t i = 0; i < admitted; ++i) n += batch_sizes[i];
-      if (crash_now) {
-        // Persist the admitted prefix plus a few bytes of the first dropped
-        // record: the segment ends in exactly the torn tail a power cut
-        // mid-write leaves behind.
-        const size_t torn =
-            std::min(kTornPrefixBytes, batch_bytes.size() - n);
-        WriteAll(fd, batch_bytes.data(), n + torn);
-      } else {
-        WriteAll(fd, batch_bytes.data(), n);
-      }
+      WriteAll(fd, batch_bytes.data(), batch_bytes.size());
       PARTDB_CHECK(::fsync(fd) == 0);
-      written_bytes = n;
     }
 
     mu_.Lock();
     io_in_progress_ = false;
-    if (crash_now) crashed_ = true;
     if (!dropped) {
       stats_.batches++;
       stats_.fsyncs++;
-      stats_.records += admitted;
-      stats_.bytes_logged += written_bytes;
+      stats_.records += records;
+      stats_.bytes_logged += batch_bytes.size();
     }
-    if (report_to_ != nullptr) stats_.deferred_completions += batch_sizes.size();
+    if (report_to_ != nullptr) stats_.deferred_completions += records;
     flush_cv_.NotifyAll();
     mu_.Unlock();
-    // Reports leave outside the log lock. This writer publishes the crash
-    // flag before it reports any dropped record, so a reply released while
-    // crashed() reads false was durable; after the crash everything completes.
-    if (crash_now) {
-      if (admitted > 0) ReportDurable(through - (batch_sizes.size() - admitted));
-      manager_->TriggerCrash();
-    }
+    // Reports leave outside the log lock. After Crash() they cover dropped
+    // records too, so every transaction still completes.
     ReportDurable(through);
     mu_.Lock();
   }
@@ -250,7 +218,7 @@ void PartitionLog::CheckpointRotate(CheckpointImage* img) {
   MutexLock lock(mu_);
   // The caller runs between transactions on the owning worker, so no new
   // appends can arrive: draining the writer settles everything.
-  while (!pending_sizes_.empty() || io_in_progress_) flush_cv_.Wait(mu_);
+  while (pending_records_ != 0 || io_in_progress_) flush_cv_.Wait(mu_);
   img->partition = config_.partition;
   img->num_partitions = config_.num_partitions;
   img->covered_seq = next_seq_ - 1;
@@ -268,7 +236,7 @@ void PartitionLog::CheckpointRotate(CheckpointImage* img) {
   OpenSegment();
 }
 
-void PartitionLog::InstallCheckpoint(const CheckpointImage& img, bool keep_segments) {
+void PartitionLog::InstallCheckpoint(const CheckpointImage& img) {
   std::string bytes;
   EncodeCheckpoint(img, &bytes);
   const std::string path = CheckpointPath(config_.dir, config_.partition, img.covered_seq);
@@ -280,7 +248,6 @@ void PartitionLog::InstallCheckpoint(const CheckpointImage& img, bool keep_segme
   PARTDB_CHECK(::close(fd) == 0);
   PARTDB_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0);
   SyncDir(config_.dir);
-  if (keep_segments) return;
   uint64_t covered_segment = 0;
   {
     MutexLock lock(mu_);
@@ -315,6 +282,16 @@ void PartitionLog::Shutdown() {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+void PartitionLog::Crash() {
+  MutexLock lock(mu_);
+  crashed_ = true;
+}
+
+bool PartitionLog::crashed() const {
+  MutexLock lock(mu_);
+  return crashed_;
 }
 
 DurabilityStats PartitionLog::GetStats() const {

@@ -1,6 +1,7 @@
 // PartitionLog: one partition's command log — an append path called on the
 // partition's worker thread at commit time, and a dedicated log-writer thread
 // that batches appends and pays the write+fsync off the critical path.
+// Database owns one per partition; a test can build one on its own.
 //
 // Append frames each record once, in place: it serializes the payloads
 // straight into the pending buffer the writer swaps out (both buffers keep
@@ -31,7 +32,6 @@
 
 namespace partdb {
 
-class DurabilityManager;
 class ExecutionContext;
 
 /// Log-writer counters: one partition's (PartitionLog::GetStats), or their
@@ -66,6 +66,22 @@ struct DurabilityStats {
   }
 };
 
+/// Where a partition's log incarnation resumes: RecoverDatabase returns one
+/// per partition, and PartitionLog::Config carries it (the defaults are a
+/// fresh log directory).
+struct LogSeed {
+  /// The next commit sequence to assign.
+  uint64_t next_seq = 1;
+  /// First segment index to create (recovery leaves old segments in place
+  /// and appends to a fresh one, so torn tails never need repair in place).
+  uint64_t next_segment = 0;
+  /// Multi-partition txn ids already durable at this partition (from the
+  /// recovered checkpoint + log; checkpoints persist the list for the
+  /// recovery completeness rule until every participant's checkpoint covers
+  /// the ids — see PartitionLog::DropCoveredMpHistory).
+  std::vector<TxnId> mp_history;
+};
+
 class PartitionLog {
  public:
   struct Config {
@@ -79,19 +95,10 @@ class PartitionLog {
     Duration window = 0;
     /// Proc table written into every segment header.
     std::vector<LogProcEntry> procs;
-    /// Where sequencing resumes after recovery (1 on a fresh log dir).
-    uint64_t next_seq = 1;
-    /// First segment index to create (recovery leaves old segments in place
-    /// and appends to a fresh one, so torn tails never need repair in place).
-    uint64_t next_segment = 0;
-    /// Multi-partition txn ids already durable at this partition (seeded from
-    /// the recovered checkpoint + log; checkpoints persist the list for the
-    /// recovery completeness rule until every participant's checkpoint covers
-    /// the ids — see DropCoveredMpHistory).
-    std::vector<TxnId> mp_history;
+    LogSeed seed;
   };
 
-  PartitionLog(DurabilityManager* manager, Config config);
+  explicit PartitionLog(Config config);
   ~PartitionLog();
   PartitionLog(const PartitionLog&) = delete;
   PartitionLog& operator=(const PartitionLog&) = delete;
@@ -123,11 +130,11 @@ class PartitionLog {
 
   /// Makes the image from the last CheckpointRotate durable: writes a temp
   /// file, fsyncs it, renames it to its CheckpointPath and fsyncs the
-  /// directory. Only then, unless `keep_segments`, unlinks the segments the
-  /// rotate covered and this partition's older images: deleting first would
-  /// lose acknowledged commits if the process died before the image landed.
-  /// Callable from any thread.
-  void InstallCheckpoint(const CheckpointImage& img, bool keep_segments);
+  /// directory. Only then unlinks the segments the rotate covered and this
+  /// partition's older images: deleting first would lose acknowledged
+  /// commits if the process died before the image landed. Callable from any
+  /// thread.
+  void InstallCheckpoint(const CheckpointImage& img);
 
   /// Drops multi-partition history that every participant's checkpoint now
   /// covers. Call only after a checkpoint round in which EVERY partition
@@ -141,6 +148,16 @@ class PartitionLog {
 
   /// Final flush + writer join. Idempotent; the destructor calls it.
   void Shutdown();
+
+  /// Test-only: simulates a crash of this log. The writer neither writes nor
+  /// fsyncs any batch it picks up after the call; a batch it is already
+  /// writing still lands. It still reports every dropped batch, so every
+  /// transaction completes. A test that sets its own flag before calling
+  /// Crash can tell durable replies apart: a reply whose callback saw the
+  /// flag unset was durable. Callable from any thread.
+  void Crash();
+  /// True once Crash was called.
+  bool crashed() const;
 
   DurabilityStats GetStats() const;
   PartitionId partition() const { return config_.partition; }
@@ -160,7 +177,6 @@ class PartitionLog {
   /// Sends the partition LogDurable{through_seq} (no-op without a report target).
   void ReportDurable(uint64_t through_seq);
 
-  DurabilityManager* manager_;
   Config config_;
   // Set by Start before the writer launches; read by the writer only.
   ExecutionContext* report_to_ = nullptr;
@@ -171,9 +187,8 @@ class PartitionLog {
   CondVar flush_cv_;  // writer -> rotate waiters
 
   std::string pending_bytes_ PARTDB_GUARDED_BY(mu_);
-  /// Framed size of each enqueued-but-not-yet-durable record, in sequence
-  /// order (for the crash-injection prefix split).
-  std::vector<uint32_t> pending_sizes_ PARTDB_GUARDED_BY(mu_);
+  /// Records framed into pending_bytes_.
+  uint64_t pending_records_ PARTDB_GUARDED_BY(mu_) = 0;
   uint64_t next_seq_ PARTDB_GUARDED_BY(mu_) = 1;
   /// Last sequence covered by a CloseBatch (0 = none yet).
   uint64_t closed_through_ PARTDB_GUARDED_BY(mu_) = 0;
@@ -186,7 +201,7 @@ class PartitionLog {
   /// the flag, so only the empty-to-nonempty edge costs a signal.
   bool writer_parked_ PARTDB_GUARDED_BY(mu_) = false;
   bool stop_ PARTDB_GUARDED_BY(mu_) = false;
-  bool crashed_ PARTDB_GUARDED_BY(mu_) = false;  // crash injection tripped: drop writes
+  bool crashed_ PARTDB_GUARDED_BY(mu_) = false;  // Crash() was called: drop writes
   /// Multi-partition ids by age, so the history stays bounded instead of
   /// growing for the lifetime of the log: epoch = appended since the last
   /// rotate; young = captured by the most recent rotate (a participant may

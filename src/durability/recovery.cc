@@ -226,8 +226,7 @@ void ForEachPartition(int num_partitions, int workers, Fn&& fn) {
 RecoveryReport RecoverDatabase(const RecoveryOptions& options,
                                const std::function<Engine&(PartitionId)>& engine_of) {
   RecoveryReport report;
-  report.seeds.assign(static_cast<size_t>(options.num_partitions),
-                      DurabilityManager::PartitionSeed{});
+  report.seeds.assign(static_cast<size_t>(options.num_partitions), LogSeed{});
   PARTDB_CHECK(options.registry != nullptr);
   PARTDB_CHECK(options.num_partitions > 0);
   const auto t0 = std::chrono::steady_clock::now();

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "db/procedure_registry.h"
-#include "durability/durability_manager.h"
+#include "durability/command_log.h"
 #include "engine/engine.h"
 
 namespace partdb {
@@ -52,7 +52,7 @@ struct RecoveryReport {
   /// acked-subset crash tests).
   std::vector<TxnId> recovered_txns;
   /// Where each partition's new log incarnation resumes.
-  std::vector<DurabilityManager::PartitionSeed> seeds;
+  std::vector<LogSeed> seeds;
 };
 
 /// Runs recovery against the engines returned by `engine_of` (one call per

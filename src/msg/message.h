@@ -152,7 +152,8 @@ struct SessionSubmit {
 };
 
 /// Log writer -> its partition: every record appended through `through_seq`
-/// is durable (group commit; after an injected crash, once crashed() is set).
+/// is durable (group commit; after a test's PartitionLog::Crash, the records
+/// were dropped instead, and the report only lets their replies go).
 struct LogDurable {
   uint64_t through_seq = 0;
 };

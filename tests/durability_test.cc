@@ -4,11 +4,12 @@
 // crc and the in-place record encoder against their references, the log
 // writer's edge-only wake and batch cadence, and the log-writer counters.
 //
-// The central invariant (kill-and-recover): every transaction whose
-// completion callback observed crashed() == false must be in the recovered
-// state, and the recovered state must equal a serial replay of exactly the
-// recovered commit prefix — CheckSerializable, the same check the live
-// schemes pass.
+// The central invariant (kill-and-recover): a test crashes every partition's
+// log (PartitionLog::Crash) after setting its own flag, and every transaction
+// whose completion callback observed the flag unset must be in the recovered
+// state, while none submitted after the logs crashed may be. The recovered
+// state must equal a serial replay of exactly the recovered commit prefix —
+// CheckSerializable, the same check the live schemes pass.
 #include <sys/types.h>
 #include <unistd.h>
 
@@ -26,7 +27,6 @@
 #include <vector>
 
 #include "durability/command_log.h"
-#include "durability/durability_manager.h"
 #include "durability/log_format.h"
 #include "durability/recovery.h"
 #include "gtest/gtest.h"
@@ -57,8 +57,30 @@ std::string MakeTempDir(const std::string& tag) {
   return dir;
 }
 
+/// A test's crash of every partition's log: after `crash_after` durably
+/// acked completions, the thread that counts the last one sets `crashed`,
+/// then calls PartitionLog::Crash on every partition's log, then sets
+/// `all_crashed`. A completion that saw `crashed` unset was durable: a
+/// dropped record's report leaves only after its log's Crash call, which
+/// follows the store.
+struct LogCrash {
+  Database* db = nullptr;
+  int num_partitions = 0;
+  uint64_t crash_after = 0;
+  std::atomic<uint64_t> acked{0};
+  std::atomic<bool> crashed{false};
+  std::atomic<bool> all_crashed{false};
+
+  void CountDurablyAcked() {
+    if (acked.fetch_add(1) + 1 != crash_after) return;
+    crashed.store(true);
+    for (PartitionId p = 0; p < num_partitions; ++p) db->partition_log(p).Crash();
+    all_crashed.store(true);
+  }
+};
+
 /// Submits one transaction and blocks for its completion, reporting whether
-/// it committed AND its completion ran before the injected crash fired —
+/// it committed AND its completion ran before the test crashed the logs —
 /// i.e. whether the client was entitled to consider it durable.
 struct AckedOutcome {
   TxnId txn_id = kInvalidTxn;
@@ -66,13 +88,13 @@ struct AckedOutcome {
   bool durably_acked = false;
 };
 
-AckedOutcome SubmitAndAwait(Session& session, DurabilityManager* dm, ProcId proc,
+AckedOutcome SubmitAndAwait(Session& session, const std::atomic<bool>& crashed, ProcId proc,
                             PayloadPtr args) {
   auto state = std::make_shared<std::promise<std::pair<bool, bool>>>();
   std::future<std::pair<bool, bool>> fut = state->get_future();
   const SubmitResult sr =
-      session.Submit(proc, std::move(args), [state, dm](const TxnResult& r) {
-        state->set_value({r.committed, dm->crashed()});
+      session.Submit(proc, std::move(args), [state, &crashed](const TxnResult& r) {
+        state->set_value({r.committed, crashed.load()});
       });
   AckedOutcome out;
   EXPECT_TRUE(sr.accepted);
@@ -81,6 +103,41 @@ AckedOutcome SubmitAndAwait(Session& session, DurabilityManager* dm, ProcId proc
   out.txn_id = sr.txn_id;
   out.committed = committed;
   out.durably_acked = committed && !crashed_at_cb;
+  return out;
+}
+
+/// Appends the first bytes of a framed record to each partition's newest
+/// segment under `dir`: the torn tail a crash in the middle of a write
+/// leaves behind.
+void TearNewestSegments(const std::string& dir, int num_partitions) {
+  LogRecord rec;
+  rec.commit_seq = 1;
+  rec.txn_id = 1;
+  std::string framed;
+  EncodeLogRecord(rec, &framed);
+  for (PartitionId p = 0; p < num_partitions; ++p) {
+    uint64_t newest = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      LogFileName f;
+      if (LogFileName::Parse(entry.path().filename().string(), &f) && f.partition == p &&
+          !f.checkpoint && f.index > newest) {
+        newest = f.index;
+      }
+    }
+    std::ofstream out(PartitionLog::SegmentPath(dir, p, newest),
+                      std::ios::binary | std::ios::app);
+    out.write(framed.data(), 11);
+    ASSERT_TRUE(out.good()) << "partition " << p;
+  }
+}
+
+/// The ids among `submitted` that recovery kept.
+std::vector<TxnId> RecoveredAmong(const std::vector<TxnId>& submitted,
+                                  const std::unordered_set<TxnId>& recovered) {
+  std::vector<TxnId> out;
+  for (const TxnId id : submitted) {
+    if (recovered.count(id) != 0) out.push_back(id);
+  }
   return out;
 }
 
@@ -120,34 +177,47 @@ TEST_P(DurabilityCrashKv, AckedCommitsSurviveCrash) {
   opts.durability = DurabilityMode::kGroupCommit;
   opts.log_dir = dir;
   opts.group_commit_window_us = 100;
-  opts.durability_crash_after_n_commits = 80;
   auto db = Database::Open(std::move(opts));
   const ProcId proc = db->proc(kKvReadUpdateProc);
-  DurabilityManager* dm = db->durability();
-  ASSERT_NE(dm, nullptr);
+  // After 60 durably acked transactions (1.3 records each: 30% are MP on
+  // both partitions) the logs crash where a budget of 80 logged records put
+  // the crash before, which left 62-64 durably acked.
+  LogCrash crash;
+  crash.db = db.get();
+  crash.num_partitions = mb.num_partitions;
+  crash.crash_after = 60;
 
   std::vector<std::vector<TxnId>> acked_per_thread(kThreads);
+  std::vector<std::vector<TxnId>> after_crash_per_thread(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
       Rng rng(500 + static_cast<uint64_t>(t));
       auto session = db->CreateSession();
-      int after_crash = 0;
       for (int i = 0; i < kMaxPerThread; ++i) {
         // Keep submitting briefly past the crash: post-crash completions must
-        // still drain (and must report crashed() == true).
-        if (dm->crashed() && ++after_crash > 5) break;
-        AckedOutcome out = SubmitAndAwait(*session, dm, proc, DrawKvTxn(mb, t, rng));
-        if (out.durably_acked) acked_per_thread[t].push_back(out.txn_id);
+        // still drain (and must see the crash flag set).
+        const bool after_crash = crash.all_crashed.load();
+        if (after_crash && after_crash_per_thread[t].size() >= 5) break;
+        AckedOutcome out = SubmitAndAwait(*session, crash.crashed, proc, DrawKvTxn(mb, t, rng));
+        if (after_crash) after_crash_per_thread[t].push_back(out.txn_id);
+        if (out.durably_acked) {
+          acked_per_thread[t].push_back(out.txn_id);
+          crash.CountDurablyAcked();
+        }
       }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_TRUE(dm->crashed()) << "crash injection never fired";
 
   std::vector<TxnId> acked;
   for (const auto& v : acked_per_thread) acked.insert(acked.end(), v.begin(), v.end());
   EXPECT_GT(acked.size(), 0u);
+  std::vector<TxnId> after_crash;
+  for (const auto& v : after_crash_per_thread) {
+    after_crash.insert(after_crash.end(), v.begin(), v.end());
+  }
+  EXPECT_FALSE(after_crash.empty()) << "the logs never crashed";
 
   db->Close();
   std::vector<std::vector<CommitRecord>> logs_a;
@@ -155,9 +225,11 @@ TEST_P(DurabilityCrashKv, AckedCommitsSurviveCrash) {
     logs_a.push_back(db->commit_log(p));
   }
   db.reset();
+  TearNewestSegments(dir, mb.num_partitions);
 
-  // Restart on the same directory (crash injection off): recovery must keep
-  // every acked transaction and land on a replay-identical state.
+  // Restart on the same directory: recovery must keep every acked
+  // transaction, drop every one submitted after the crash, and land on a
+  // replay-identical state.
   DbOptions reopen = KvDbOptions(mb, GetParam(), RunMode::kParallel, 72);
   reopen.durability = DurabilityMode::kGroupCommit;
   reopen.log_dir = dir;
@@ -167,12 +239,15 @@ TEST_P(DurabilityCrashKv, AckedCommitsSurviveCrash) {
   EXPECT_TRUE(rep.performed);
   EXPECT_EQ(rep.replay_aborts, 0u);
   EXPECT_GT(rep.replayed, 0u);
+  EXPECT_EQ(rep.torn_tails, static_cast<uint64_t>(mb.num_partitions));
 
   const std::unordered_set<TxnId> recovered(rep.recovered_txns.begin(),
                                             rep.recovered_txns.end());
   for (const TxnId id : acked) {
     EXPECT_EQ(recovered.count(id), 1u) << "acked txn " << id << " lost by recovery";
   }
+  EXPECT_TRUE(RecoveredAmong(after_crash, recovered).empty())
+      << "a transaction submitted after the crash was recovered";
   EXPECT_EQ(CheckSerializable(*db2, LogsOf(FilterByRecovered(logs_a, recovered))), "")
       << "recovered state (" << GetParam() << ")";
 
@@ -194,6 +269,8 @@ TEST_P(DurabilityCrashKv, AckedCommitsSurviveCrash) {
   auto db3 = Database::Open(std::move(reopen3));
   ASSERT_TRUE(db3->recovery_report().ok) << db3->recovery_report().error;
   EXPECT_GE(db3->recovery_report().replayed, rep.replayed + 20);
+  // The torn segments are no longer the newest ones.
+  EXPECT_EQ(db3->recovery_report().torn_tails, static_cast<uint64_t>(mb.num_partitions));
   db3.reset();
   std::filesystem::remove_all(dir);
 }
@@ -226,38 +303,51 @@ TEST_P(DurabilityCrashTpcc, RecoveredStateIsConsistent) {
   opts.durability = DurabilityMode::kGroupCommit;
   opts.log_dir = dir;
   opts.group_commit_window_us = 100;
-  opts.durability_crash_after_n_commits = 120;
   auto db = Database::Open(std::move(opts));
-  DurabilityManager* dm = db->durability();
-  ASSERT_NE(dm, nullptr);
+  // After 84 durably acked transactions the logs crash where a budget of
+  // 120 logged records put the crash before, which left 85-87 durably acked.
+  LogCrash crash;
+  crash.db = db.get();
+  crash.num_partitions = wl.scale.num_partitions;
+  crash.crash_after = 84;
 
   std::vector<std::vector<TxnId>> acked_per_thread(kThreads);
+  std::vector<std::vector<TxnId>> after_crash_per_thread(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
       Rng rng(40 + static_cast<uint64_t>(t));
       auto session = db->CreateSession();
-      int after_crash = 0;
       for (int i = 0; i < kMaxPerThread; ++i) {
-        if (dm->crashed() && ++after_crash > 5) break;
+        const bool after_crash = crash.all_crashed.load();
+        if (after_crash && after_crash_per_thread[t].size() >= 5) break;
         TpccDraw draw = DrawTpccTxn(wl, t, rng);
         const ProcId proc = db->proc(TpccProcName(draw.kind));
-        AckedOutcome out = SubmitAndAwait(*session, dm, proc, std::move(draw.args));
-        if (out.durably_acked) acked_per_thread[t].push_back(out.txn_id);
+        AckedOutcome out = SubmitAndAwait(*session, crash.crashed, proc, std::move(draw.args));
+        if (after_crash) after_crash_per_thread[t].push_back(out.txn_id);
+        if (out.durably_acked) {
+          acked_per_thread[t].push_back(out.txn_id);
+          crash.CountDurablyAcked();
+        }
       }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_TRUE(dm->crashed()) << "crash injection never fired";
 
   std::vector<TxnId> acked;
   for (const auto& v : acked_per_thread) acked.insert(acked.end(), v.begin(), v.end());
+  std::vector<TxnId> after_crash;
+  for (const auto& v : after_crash_per_thread) {
+    after_crash.insert(after_crash.end(), v.begin(), v.end());
+  }
+  EXPECT_FALSE(after_crash.empty()) << "the logs never crashed";
   db->Close();
   std::vector<std::vector<CommitRecord>> logs_a;
   for (PartitionId p = 0; p < wl.scale.num_partitions; ++p) {
     logs_a.push_back(db->commit_log(p));
   }
   db.reset();
+  TearNewestSegments(dir, wl.scale.num_partitions);
 
   // Same seed as the first incarnation: the TPC-C factory's initial load is
   // seed-derived, and recovery replays on top of that load.
@@ -268,12 +358,15 @@ TEST_P(DurabilityCrashTpcc, RecoveredStateIsConsistent) {
   const RecoveryReport rep = db2->recovery_report();
   ASSERT_TRUE(rep.ok) << rep.error;
   EXPECT_EQ(rep.replay_aborts, 0u);
+  EXPECT_EQ(rep.torn_tails, static_cast<uint64_t>(wl.scale.num_partitions));
 
   const std::unordered_set<TxnId> recovered(rep.recovered_txns.begin(),
                                             rep.recovered_txns.end());
   for (const TxnId id : acked) {
     EXPECT_EQ(recovered.count(id), 1u) << "acked txn " << id << " lost by recovery";
   }
+  EXPECT_TRUE(RecoveredAmong(after_crash, recovered).empty())
+      << "a transaction submitted after the crash was recovered";
   EXPECT_EQ(CheckSerializable(*db2, LogsOf(FilterByRecovered(logs_a, recovered))), "")
       << "recovered state (" << GetParam() << ")";
   std::vector<const tpcc::TpccDb*> dbs;
@@ -307,7 +400,6 @@ TEST(DurabilityCheckpoint, CheckpointPlusTailMatchesFullReplay) {
   opts.log_commits = true;
   opts.durability = DurabilityMode::kGroupCommit;
   opts.log_dir = dir;
-  opts.keep_truncated_log_segments = true;  // keep full history for the check
   auto db = Database::Open(std::move(opts));
   const ProcId proc = db->proc(kKvReadUpdateProc);
 
@@ -319,6 +411,12 @@ TEST(DurabilityCheckpoint, CheckpointPlusTailMatchesFullReplay) {
     }
   };
   run(*db, 60, 1);
+  // Copies of the segments the checkpoint is about to cover and unlink.
+  const std::string saved = MakeTempDir("ckpt_saved");
+  for (PartitionId p = 0; p < mb.num_partitions; ++p) {
+    ASSERT_TRUE(std::filesystem::copy_file(PartitionLog::SegmentPath(dir, p, 0),
+                                           PartitionLog::SegmentPath(saved, p, 0)));
+  }
   ASSERT_TRUE(db->Checkpoint());
   run(*db, 40, 2);
 
@@ -328,6 +426,13 @@ TEST(DurabilityCheckpoint, CheckpointPlusTailMatchesFullReplay) {
     logs_a.push_back(db->commit_log(p));
   }
   db.reset();
+  // Put them back: the state a crash between InstallCheckpoint's rename and
+  // its unlinks leaves, the checkpoint image beside the segments it covers.
+  for (PartitionId p = 0; p < mb.num_partitions; ++p) {
+    ASSERT_TRUE(std::filesystem::copy_file(PartitionLog::SegmentPath(saved, p, 0),
+                                           PartitionLog::SegmentPath(dir, p, 0)));
+  }
+  std::filesystem::remove_all(saved);
 
   DbOptions reopen = KvDbOptions(mb, "speculation", RunMode::kParallel, 82);
   reopen.durability = DurabilityMode::kGroupCommit;
@@ -336,6 +441,8 @@ TEST(DurabilityCheckpoint, CheckpointPlusTailMatchesFullReplay) {
   const RecoveryReport& rep = db2->recovery_report();
   ASSERT_TRUE(rep.ok) << rep.error;
   EXPECT_EQ(rep.checkpoints_loaded, static_cast<uint64_t>(mb.num_partitions));
+  // Each partition reads its covered segment and the tail segment after it.
+  EXPECT_EQ(rep.segments_read, 2u * mb.num_partitions);
   // Only the tail past the checkpoint replays; the prefix comes from the
   // restored engine image.
   EXPECT_LT(rep.replayed, static_cast<uint64_t>(logs_a[0].size() + logs_a[1].size()));
@@ -769,29 +876,28 @@ TEST(DurabilityLogFormat, Crc32MatchesBitwiseReference) {
   }
 }
 
-/// A one-partition log driven directly (no Database): the manager's own log
-/// is started by hand, so Append/Shutdown run exactly as on a partition
-/// worker, and nothing but the test appends.
+/// A one-partition log driven directly (no Database), started without a
+/// report target, so Append/Shutdown run exactly as on a partition worker
+/// and nothing but the test appends.
 struct DirectLog {
   std::string dir = MakeTempDir("direct");
-  std::unique_ptr<DurabilityManager> manager;
+  std::unique_ptr<PartitionLog> plog;
 
   explicit DirectLog(Duration window) {
-    DurabilityManager::Options mo;
-    mo.mode = DurabilityMode::kAsync;
-    mo.dir = dir;
-    mo.num_partitions = 1;
-    mo.group_commit_window = window;
-    mo.procs.push_back(LogProcEntry{0, kKvReadUpdateProc});
-    manager = std::make_unique<DurabilityManager>(
-        std::move(mo), std::vector<DurabilityManager::PartitionSeed>(1));
-    log().Start();
+    PartitionLog::Config cfg;
+    cfg.dir = dir;
+    cfg.partition = 0;
+    cfg.num_partitions = 1;
+    cfg.window = window;
+    cfg.procs.push_back(LogProcEntry{0, kKvReadUpdateProc});
+    plog = std::make_unique<PartitionLog>(std::move(cfg));
+    plog->Start();
   }
   ~DirectLog() {
-    manager.reset();
+    plog.reset();
     std::filesystem::remove_all(dir);
   }
-  PartitionLog& log() { return *manager->log(0); }
+  PartitionLog& log() { return *plog; }
 
   /// Polls until the writer has completed `batches` batches (5 s cap).
   void AwaitBatches(uint64_t batches) {

@@ -208,14 +208,9 @@ TEST(KvSessionParity, MvccSimFigureMetricsMatchGoldens) {
   }
 }
 
-// --- explicit closed-loop seed ----------------------------------------------
+// --- closed-loop client streams ---------------------------------------------
 
-struct SeededRun {
-  Metrics metrics;
-  uint64_t state_hash = 0;
-};
-
-SeededRun RunSeeded(uint64_t db_seed, std::optional<uint64_t> loop_seed) {
+uint64_t RunSeededStateHash(uint64_t db_seed) {
   KvWorkloadOptions mb;
   mb.num_partitions = 2;
   mb.num_clients = 10;
@@ -225,45 +220,18 @@ SeededRun RunSeeded(uint64_t db_seed, std::optional<uint64_t> loop_seed) {
   ClosedLoopOptions loop;
   loop.num_clients = mb.num_clients;
   loop.next = KvInvocations(mb, *db);
-  loop.seed = loop_seed;
   loop.warmup = Micros(10000);
   loop.measure = Micros(50000);
-  SeededRun run;
-  run.metrics = RunClosedLoop(*db, loop);
+  EXPECT_GT(RunClosedLoop(*db, loop).committed, 0u);
   db->Close();
-  run.state_hash = db->engine(0).StateHash() ^ db->engine(1).StateHash();
-  return run;
-}
-
-// An explicit ClosedLoopOptions::seed makes the generated request sequence a
-// function of that seed alone: same seed => bit-identical run, even across
-// databases opened with different DbOptions::seed (the speculative scheme
-// never touches the session streams the database seed feeds).
-TEST(ClosedLoopSeed, SameSeedReproducesBitIdenticalRuns) {
-  SeededRun a = RunSeeded(/*db_seed=*/1, /*loop_seed=*/7);
-  SeededRun b = RunSeeded(/*db_seed=*/2, /*loop_seed=*/7);
-  EXPECT_GT(a.metrics.committed, 0u);
-  EXPECT_EQ(a.metrics.committed, b.metrics.committed);
-  EXPECT_EQ(a.metrics.sp_committed, b.metrics.sp_committed);
-  EXPECT_EQ(a.metrics.mp_committed, b.metrics.mp_committed);
-  EXPECT_EQ(a.metrics.partition_busy_ns, b.metrics.partition_busy_ns);
-  EXPECT_EQ(a.metrics.Summary(), b.metrics.Summary());
-  EXPECT_EQ(a.state_hash, b.state_hash);
-}
-
-TEST(ClosedLoopSeed, DifferentSeedDiverges) {
-  SeededRun a = RunSeeded(/*db_seed=*/1, /*loop_seed=*/7);
-  SeededRun b = RunSeeded(/*db_seed=*/1, /*loop_seed=*/8);
-  EXPECT_NE(a.state_hash, b.state_hash);
+  return db->engine(0).StateHash() ^ db->engine(1).StateHash();
 }
 
 TEST(ClosedLoopSeed, UnsetSeedKeepsLegacySessionStreams) {
-  // Without an explicit seed, the loop draws from the database's session
-  // streams: the run is a function of DbOptions::seed (the golden-parity
-  // behavior above), so different db seeds diverge.
-  SeededRun a = RunSeeded(/*db_seed=*/1, std::nullopt);
-  SeededRun b = RunSeeded(/*db_seed=*/2, std::nullopt);
-  EXPECT_NE(a.state_hash, b.state_hash);
+  // The loop draws from the database's session streams: the run is a
+  // function of DbOptions::seed (the golden-parity behavior above), so
+  // different db seeds diverge.
+  EXPECT_NE(RunSeededStateHash(/*db_seed=*/1), RunSeededStateHash(/*db_seed=*/2));
 }
 
 // --- per-procedure outcome metrics ------------------------------------------
