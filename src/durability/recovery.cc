@@ -39,8 +39,7 @@ struct StagedPartition {
   CheckpointImage ckpt;
   std::vector<StagedRecord> records;  // seq > ckpt.covered_seq, ascending
   std::unordered_set<TxnId> mp_present;
-  uint64_t next_seq = 1;
-  uint64_t next_segment = 0;
+  LogSeed seed;  // mp_history is filled from mp_present at the end
   uint64_t segments_read = 0;
   uint64_t torn_tails = 0;
   bool any_files = false;
@@ -194,8 +193,8 @@ std::string StagePartition(const RecoveryOptions& options, PartitionId p,
     // All records were... impossible without a checkpoint; defensive.
     return PartitionError(p, "records vanished while staging");
   }
-  out->next_seq = (have_prev ? prev_seq : covered) + 1;
-  out->next_segment =
+  out->seed.next_seq = (have_prev ? prev_seq : covered) + 1;
+  out->seed.next_segment =
       segments.empty() ? 0 : segments.back().first + (reuse_tail_index ? 0 : 1);
   out->records.shrink_to_fit();
   return "";
@@ -362,9 +361,8 @@ RecoveryReport RecoverDatabase(const RecoveryOptions& options,
     for (const StagedRecord& s : sp.records) {
       if (!s.skip) recovered.insert(s.rec.txn_id);
     }
-    report.seeds[idx].next_seq = sp.next_seq;
-    report.seeds[idx].next_segment = sp.next_segment;
-    report.seeds[idx].mp_history.assign(sp.mp_present.begin(), sp.mp_present.end());
+    sp.seed.mp_history.assign(sp.mp_present.begin(), sp.mp_present.end());
+    report.seeds[idx] = std::move(sp.seed);
   }
   report.recovered_txns.assign(recovered.begin(), recovered.end());
   report.seconds =
