@@ -332,6 +332,72 @@ TEST(TpccCodec, DeliveryStockLevelResultRoundTrip) {
   EXPECT_EQ(PayloadCast<TpccResult>(*rback).amount, 99.5);
 }
 
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 0xf]);
+  }
+  return hex;
+}
+
+// Round trips pass whatever order the encoder and decoder agree on; these
+// pins hold every field of every TPC-C layout at its byte offset, so argument
+// bytes in a command log written earlier still decode to the same fields.
+TEST(TpccCodec, WireBytesArePinned) {
+  NewOrderArgs no;
+  no.w_id = 1;
+  no.d_id = 2;
+  no.c_id = 3;
+  no.entry_d = 0x0405060708;
+  no.lines = {{11, 12, 13}, {21, 22, 23}, {31, 32, 33}};
+  EXPECT_EQ(Hex(Encode(no)),
+            "01000000020000000300000003000000080706050400000000000000000000000b0000000c000000"
+            "0d0000001500000016000000170000001f0000002000000021000000");
+
+  PaymentArgs pay;
+  pay.w_id = 1;
+  pay.d_id = 2;
+  pay.c_w_id = 3;
+  pay.c_d_id = 4;
+  pay.c_id = 5;
+  pay.c_last = tpcc::Str16(std::string_view("BARPRIESE"));
+  pay.amount = 12.5;
+  pay.date = 6;
+  EXPECT_EQ(Hex(Encode(pay)),
+            "01000000020000000300000004000000050000000000000000002940060000000000000009424152"
+            "50524945534500000000000000000000");
+
+  OrderStatusArgs os;
+  os.w_id = 1;
+  os.d_id = 2;
+  os.c_id = 3;
+  os.c_last = tpcc::Str16(std::string_view("OUGHTABLE"));
+  EXPECT_EQ(Hex(Encode(os)),
+            "010000000200000003000000094f5547485441424c45000000000000000000000000000000000000");
+
+  DeliveryArgs d;
+  d.w_id = 1;
+  d.carrier_id = 2;
+  d.date = 3;
+  EXPECT_EQ(Hex(Encode(d)),
+            "0100000002000000030000000000000000000000000000000000000000000000");
+
+  StockLevelArgs s;
+  s.w_id = 1;
+  s.d_id = 2;
+  s.threshold = 3;
+  EXPECT_EQ(Hex(Encode(s)),
+            "01000000020000000300000000000000000000000000000000000000");
+
+  TpccResult res;
+  res.id = 7;
+  res.amount = -0.25;
+  EXPECT_EQ(Hex(Encode(res)),
+            "0700000000000000000000000000d0bf");
+}
+
 /// A Metrics value with every field distinct and non-zero.
 Metrics EveryFieldMetrics() {
   Metrics m;
