@@ -39,7 +39,7 @@ struct StagedPartition {
   CheckpointImage ckpt;
   std::vector<StagedRecord> records;  // seq > ckpt.covered_seq, ascending
   std::unordered_set<TxnId> mp_present;
-  LogSeed seed;  // mp_history is filled from mp_present at the end
+  LogSeed seed;  // mp_history: mp_present minus the skipped ids, at the end
   uint64_t segments_read = 0;
   uint64_t torn_tails = 0;
   bool any_files = false;
@@ -359,7 +359,12 @@ RecoveryReport RecoverDatabase(const RecoveryOptions& options,
       for (TxnId id : sp.ckpt.mp_committed) recovered.insert(id);
     }
     for (const StagedRecord& s : sp.records) {
-      if (!s.skip) recovered.insert(s.rec.txn_id);
+      if (s.skip) {
+        // Never acknowledged: the next checkpoint must not list it.
+        sp.mp_present.erase(s.rec.txn_id);
+      } else {
+        recovered.insert(s.rec.txn_id);
+      }
     }
     sp.seed.mp_history.assign(sp.mp_present.begin(), sp.mp_present.end());
     report.seeds[idx] = std::move(sp.seed);

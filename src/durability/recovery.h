@@ -46,10 +46,9 @@ struct RecoveryReport {
   uint64_t segments_read = 0;
   uint64_t torn_tails = 0;
   double seconds = 0;
-  /// Every distinct transaction whose effects are in the recovered state
-  /// (replayed or restored via a checkpoint's MP list is not included —
-  /// only ids actually seen in logs/checkpoint lists; used by the
-  /// acked-subset crash tests).
+  /// The id of every log record recovery replayed, plus every id in a
+  /// loaded checkpoint's MP list. Single-partition transactions behind a
+  /// checkpoint are not listed. The acked-subset crash tests read it.
   std::vector<TxnId> recovered_txns;
   /// Where each partition's new log incarnation resumes.
   std::vector<LogSeed> seeds;

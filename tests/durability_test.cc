@@ -13,6 +13,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -847,6 +848,69 @@ TEST(DurabilityLogDamage, CorruptCheckpointIsRejected) {
   f.close();
   const RecoveryReport rep = h.Recover();
   EXPECT_FALSE(rep.ok);
+}
+
+TEST(DurabilityLogDamage, IncompleteMpStaysOutOfLaterCheckpoints) {
+  // p0 logged MP txn 777 over partitions {0, 1}; p1 never did, so 777 was
+  // never acknowledged and recovery skips it. It must not come back through
+  // p0's MP history: the next checkpoint would list it as committed, and a
+  // later recovery would report it recovered.
+  KvWorkloadOptions mb;
+  mb.num_partitions = 2;
+  mb.num_clients = 1;
+  const std::string dir = MakeTempDir("incomplete_mp");
+
+  LogSegmentHeader h;
+  h.partition = 0;
+  h.num_partitions = 2;
+  h.first_seq = 1;
+  h.procs.push_back(LogProcEntry{0, kKvReadUpdateProc});
+  std::string segment;
+  EncodeLogSegmentHeader(h, &segment);
+  KvArgs args;
+  args.keys = {{MicrobenchKey(0, 0, 0)}, {MicrobenchKey(0, 1, 0)}};
+  LogRecord rec;
+  rec.commit_seq = 1;
+  rec.txn_id = 777;
+  rec.multi_partition = true;
+  rec.proc = 0;
+  WireWriter w(&rec.args);
+  args.SerializeTo(w);
+  EncodeLogRecord(rec, &segment);
+  {
+    std::ofstream f(PartitionLog::SegmentPath(dir, 0, 0), std::ios::binary);
+    f.write(segment.data(), static_cast<std::streamsize>(segment.size()));
+  }
+
+  const auto open = [&](uint64_t seed) {
+    DbOptions opts = KvDbOptions(mb, "speculation", RunMode::kParallel, seed);
+    opts.durability = DurabilityMode::kGroupCommit;
+    opts.log_dir = dir;
+    return Database::Open(std::move(opts));
+  };
+  const auto holds_777 = [](const std::vector<TxnId>& ids) {
+    return std::find(ids.begin(), ids.end(), TxnId{777}) != ids.end();
+  };
+
+  auto db = open(93);
+  const RecoveryReport& rep = db->recovery_report();
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_EQ(rep.skipped_incomplete, 1u);
+  EXPECT_EQ(rep.replayed, 0u);
+  EXPECT_FALSE(holds_777(rep.recovered_txns));
+  ASSERT_EQ(rep.seeds.size(), 2u);
+  for (const LogSeed& seed : rep.seeds) EXPECT_FALSE(holds_777(seed.mp_history));
+  ASSERT_TRUE(db->Checkpoint());
+  db->Close();
+  db.reset();
+
+  auto db2 = open(94);
+  const RecoveryReport& rep2 = db2->recovery_report();
+  ASSERT_TRUE(rep2.ok) << rep2.error;
+  EXPECT_EQ(rep2.checkpoints_loaded, 2u);
+  EXPECT_FALSE(holds_777(rep2.recovered_txns));
+  db2.reset();
+  std::filesystem::remove_all(dir);
 }
 
 // --- log format: crc and in-place framing ----------------------------------
