@@ -31,16 +31,6 @@ void WriteAll(int fd, const char* data, size_t n) {
   }
 }
 
-/// `u32 len | bytes` of one payload, serialized straight into `out` (the
-/// buffer `w` appends to): the length slot is reserved first and patched
-/// once the payload's size is known.
-void WriteSizedPayload(std::string* out, WireWriter& w, const Payload& p) {
-  const size_t at = out->size();
-  w.U32(0);
-  p.SerializeTo(w);
-  PatchU32(out, at, static_cast<uint32_t>(out->size() - at - 4));
-}
-
 }  // namespace
 
 PartitionLog::PartitionLog(Config config) : config_(std::move(config)) {
@@ -117,25 +107,7 @@ uint64_t PartitionLog::Append(const CommitRecord& committed) {
   MutexLock lock(mu_);
   const uint64_t seq = next_seq_++;
   if (committed.multi_partition) mp_epoch_.push_back(committed.txn_id);
-  std::string* out = &pending_bytes_;  // the analysis cannot see mu_ held in the lambda
-  // The body layout of EncodeLogRecord (log_format.h), written straight from
-  // the payloads into the buffer the writer swaps out.
-  AppendFramedRecord(out, [&](WireWriter& w) {
-    w.U64(seq);
-    w.U64(committed.txn_id);
-    w.U8(committed.multi_partition ? 1 : 0);
-    w.U32(static_cast<uint32_t>(committed.proc));
-    WriteSizedPayload(out, w, *committed.args);
-    w.U16(static_cast<uint16_t>(committed.round_inputs.size()));
-    for (const PayloadPtr& in : committed.round_inputs) {
-      w.U8(in != nullptr ? 1 : 0);
-      if (in != nullptr) {
-        WriteSizedPayload(out, w, *in);
-      } else {
-        w.U32(0);
-      }
-    }
-  });
+  AppendLogRecord(seq, committed, &pending_bytes_);
   ++pending_records_;
   // Edge-only wake: only a parked writer is signalled, and the flag is
   // cleared in the same step, so a burst costs one signal and appends made

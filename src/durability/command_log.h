@@ -3,8 +3,9 @@
 // that batches appends and pays the write+fsync off the critical path.
 // Database owns one per partition; a test can build one on its own.
 //
-// Append frames each record once, in place: it serializes the payloads
-// straight into the pending buffer the writer swaps out (both buffers keep
+// Append frames each record once, in place, with the one record encoder
+// (AppendLogRecord, log_format.h): it serializes the payloads straight into
+// the pending buffer the writer swaps out (both buffers keep
 // their capacity, so the steady state allocates nothing) and signals the
 // writer only when it is parked. The writer holds a batch open for up to the
 // window, counted from when it picks the batch up (after the previous
@@ -75,8 +76,9 @@ struct LogSeed {
   /// First segment index to create (recovery leaves old segments in place
   /// and appends to a fresh one, so torn tails never need repair in place).
   uint64_t next_segment = 0;
-  /// Multi-partition txn ids already durable at this partition (from the
-  /// recovered checkpoint + log; checkpoints persist the list for the
+  /// Multi-partition txn ids recovered at this partition (from the
+  /// recovered checkpoint + the log records recovery did not skip as
+  /// incomplete; checkpoints persist the list for the
   /// recovery completeness rule until every participant's checkpoint covers
   /// the ids — see PartitionLog::DropCoveredMpHistory).
   std::vector<TxnId> mp_history;

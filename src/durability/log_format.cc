@@ -48,10 +48,6 @@ uint32_t Crc32(const void* data, size_t n) {
   return c ^ 0xFFFFFFFFu;
 }
 
-void PatchU32(std::string* out, size_t at, uint32_t v) {
-  for (size_t i = 0; i < 4; ++i) (*out)[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-
 void EncodeLogSegmentHeader(const LogSegmentHeader& h, std::string* out) {
   WireWriter w(out);
   w.U32(kLogMagic);
@@ -69,31 +65,81 @@ void EncodeLogSegmentHeader(const LogSegmentHeader& h, std::string* out) {
 
 namespace {
 
-void WriteLogRecordBody(const LogRecord& rec, WireWriter& w) {
-  w.U64(rec.commit_seq);
+/// Writes `v` little-endian over the four bytes of `out` at `at` — a length
+/// or crc slot reserved before the bytes it describes were written.
+void PatchU32(std::string* out, size_t at, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) (*out)[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
+// `u32 len | bytes` of an args or round-input blob. `out` is the buffer `w`
+// appends to: a payload serializes straight into it, into a length slot
+// patched once its size is known.
+void WriteSized(std::string* /*out*/, WireWriter& w, const std::string& bytes) {
+  w.U32(static_cast<uint32_t>(bytes.size()));
+  w.Raw(bytes.data(), bytes.size());
+}
+void WriteSized(std::string* out, WireWriter& w, const PayloadPtr& p) {
+  const size_t at = out->size();
+  w.U32(0);
+  p->SerializeTo(w);
+  PatchU32(out, at, static_cast<uint32_t>(out->size() - at - 4));
+}
+
+bool RoundInputPresent(const LogRecord& rec, size_t i) {
+  return i < rec.round_input_present.size() && rec.round_input_present[i];
+}
+bool RoundInputPresent(const CommitRecord& rec, size_t i) {
+  return rec.round_inputs[i] != nullptr;
+}
+
+/// The one record-body writer (layout in log_format.h), for a decoded
+/// LogRecord or a live CommitRecord.
+template <typename Record>
+void WriteLogRecordBody(std::string* out, WireWriter& w, uint64_t commit_seq, const Record& rec) {
+  w.U64(commit_seq);
   w.U64(rec.txn_id);
   w.U8(rec.multi_partition ? 1 : 0);
   w.U32(static_cast<uint32_t>(rec.proc));
-  w.U32(static_cast<uint32_t>(rec.args.size()));
-  w.Raw(rec.args.data(), rec.args.size());
+  WriteSized(out, w, rec.args);
   w.U16(static_cast<uint16_t>(rec.round_inputs.size()));
   for (size_t i = 0; i < rec.round_inputs.size(); ++i) {
-    const bool present = i < rec.round_input_present.size() && rec.round_input_present[i];
+    const bool present = RoundInputPresent(rec, i);
     w.U8(present ? 1 : 0);
-    w.U32(static_cast<uint32_t>(rec.round_inputs[i].size()));
-    w.Raw(rec.round_inputs[i].data(), rec.round_inputs[i].size());
+    if (present) {
+      WriteSized(out, w, rec.round_inputs[i]);
+    } else {
+      w.U32(0);
+    }
   }
+}
+
+/// Appends one framed record: reserves the 8-byte `len | crc` header at the
+/// end of `out`, writes the body straight after it, then patches the length
+/// and the crc in place.
+template <typename Record>
+void AppendFramedRecord(std::string* out, uint64_t commit_seq, const Record& rec) {
+  const size_t frame_start = out->size();
+  out->append(8, '\0');
+  WireWriter w(out);
+  WriteLogRecordBody(out, w, commit_seq, rec);
+  const size_t body_len = out->size() - frame_start - 8;
+  PatchU32(out, frame_start, static_cast<uint32_t>(body_len));
+  PatchU32(out, frame_start + 4, Crc32(out->data() + frame_start + 8, body_len));
 }
 
 }  // namespace
 
-void EncodeLogRecordBody(const LogRecord& rec, std::string* out) {
-  WireWriter w(out);
-  WriteLogRecordBody(rec, w);
+void AppendLogRecord(uint64_t commit_seq, const CommitRecord& committed, std::string* out) {
+  AppendFramedRecord(out, commit_seq, committed);
 }
 
 void EncodeLogRecord(const LogRecord& rec, std::string* out) {
-  AppendFramedRecord(out, [&rec](WireWriter& w) { WriteLogRecordBody(rec, w); });
+  AppendFramedRecord(out, rec.commit_seq, rec);
+}
+
+void EncodeLogRecordBody(const LogRecord& rec, std::string* out) {
+  WireWriter w(out);
+  WriteLogRecordBody(out, w, rec.commit_seq, rec);
 }
 
 bool DecodeLogRecordBody(std::string_view body, LogRecord* out) {

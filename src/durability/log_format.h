@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "msg/message.h"
 #include "msg/payload.h"
 #include "msg/wire.h"
 
@@ -51,25 +52,6 @@ inline constexpr uint64_t kMaxCheckpointBytes = 1u << 30;
 /// step through eight tables, same values as the bytewise table method.
 uint32_t Crc32(const void* data, size_t n);
 inline uint32_t Crc32(std::string_view s) { return Crc32(s.data(), s.size()); }
-
-/// Writes `v` little-endian over the four bytes of `out` at `at` — a length
-/// or crc slot reserved before the bytes it describes were written.
-void PatchU32(std::string* out, size_t at, uint32_t v);
-
-/// The one record framing routine: reserves the 8-byte `len | crc` header at
-/// the end of `out`, lets `write_body(WireWriter&)` append the body straight
-/// after it, then patches the length and the crc in place — no temporary
-/// body string, no copy.
-template <typename WriteBody>
-void AppendFramedRecord(std::string* out, WriteBody&& write_body) {
-  const size_t frame_start = out->size();
-  out->append(8, '\0');
-  WireWriter w(out);
-  write_body(w);
-  const size_t body_len = out->size() - frame_start - 8;
-  PatchU32(out, frame_start, static_cast<uint32_t>(body_len));
-  PatchU32(out, frame_start + 4, Crc32(out->data() + frame_start + 8, body_len));
-}
 
 /// One procedure-name mapping carried in a segment header.
 struct LogProcEntry {
@@ -102,10 +84,15 @@ struct LogRecord {
 /// Appends the segment header to `out`.
 void EncodeLogSegmentHeader(const LogSegmentHeader& h, std::string* out);
 
-/// Appends one framed record (length + crc + body) to `out`, through
-/// AppendFramedRecord. The live log frames straight from a CommitRecord
-/// (PartitionLog::Append); this raw-bytes form serves tests, the fuzz
-/// harness and anything that re-encodes a decoded record.
+/// Appends one framed record (length + crc + body) for `committed` at
+/// `commit_seq` to `out`: the live log's encoder (PartitionLog::Append). The
+/// args and round inputs serialize straight into `out`, with no temporary
+/// body string and no copy.
+void AppendLogRecord(uint64_t commit_seq, const CommitRecord& committed, std::string* out);
+
+/// The same framed record from raw bytes, through the same body writer:
+/// serves tests, the fuzz harness and anything that re-encodes a decoded
+/// record.
 void EncodeLogRecord(const LogRecord& rec, std::string* out);
 
 /// Serializes just the body of a record (what the crc covers) — split out so
