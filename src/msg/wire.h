@@ -4,6 +4,12 @@
 // same code path that produces real frames), and a bounds-checked reader
 // that never reads past its span — a truncated or corrupt frame flips ok()
 // instead of invoking undefined behavior.
+//
+// A fixed layout is written once, as a field list: a function template over
+// the stream type whose body calls `io.Field(...)` for each field in wire
+// order and `io.Reserved(n)` for zero bytes kept for later use. Run with a
+// WireWriter it encodes (or counts); run with a WireReader it decodes into
+// the same fields, so the two directions cannot disagree on the order.
 #ifndef PARTDB_MSG_WIRE_H_
 #define PARTDB_MSG_WIRE_H_
 
@@ -11,10 +17,16 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "common/inline_string.h"
 
 namespace partdb {
+
+/// The object parameter of a field list: `const T` when a WireWriter runs
+/// the list, `T` when a WireReader does.
+template <typename Self, typename T>
+concept FieldsOf = std::is_same_v<std::remove_const_t<Self>, T>;
 
 /// Appends fixed-width little-endian values to `out`, or — when constructed
 /// without a buffer — only counts the bytes that would be written. The two
@@ -44,7 +56,8 @@ class WireWriter {
 
   /// Zero padding/reserved bytes (encodings keep their historical sizes).
   void Pad(size_t n) {
-    for (size_t i = 0; i < n; ++i) U8(0);
+    if (out_ != nullptr) out_->append(n, '\0');
+    n_ += n;
   }
 
   /// Fixed-width inline string: 1 length byte + the full N-byte backing store
@@ -57,6 +70,19 @@ class WireWriter {
     std::memcpy(buf, s.data(), s.size());
     Raw(buf, N);
   }
+
+  // Field-list spellings (see the file comment); a bool is one byte.
+  void Field(int32_t v) { I32(v); }
+  void Field(uint32_t v) { U32(v); }
+  void Field(int64_t v) { I64(v); }
+  void Field(uint64_t v) { U64(v); }
+  void Field(double v) { F64(v); }
+  void Field(bool v) { U8(v ? 1 : 0); }
+  template <size_t N>
+  void Field(const InlineString<N>& s) {
+    Str(s);
+  }
+  void Reserved(size_t n) { Pad(n); }
 
   size_t bytes_written() const { return n_; }
 
@@ -129,6 +155,19 @@ class WireReader {
     }
     return InlineString<N>(std::string_view(buf, len));
   }
+
+  // Field-list spellings, matching WireWriter's.
+  void Field(int32_t& v) { v = I32(); }
+  void Field(uint32_t& v) { v = U32(); }
+  void Field(int64_t& v) { v = I64(); }
+  void Field(uint64_t& v) { v = U64(); }
+  void Field(double& v) { v = F64(); }
+  void Field(bool& v) { v = U8() != 0; }
+  template <size_t N>
+  void Field(InlineString<N>& s) {
+    s = Str<N>();
+  }
+  void Reserved(size_t n) { Skip(n); }
 
   /// Marks the span malformed (decoders that find an impossible value).
   void MarkCorrupt() { ok_ = false; }

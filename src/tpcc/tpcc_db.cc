@@ -84,300 +84,194 @@ uint64_t TpccDb::StateHash() const {
 }
 
 // ------------------------------------------------------------ checkpoint --
-// Row codecs write every field explicitly (struct padding never touches the
-// wire), in declaration order. Counts are u64; table order is fixed.
+// Each row's field list is its checkpoint layout, in declaration order:
+// every field explicit, so struct padding never touches the image.
 
 namespace {
 
-void PutRow(WireWriter& w, const WarehouseRow& r) {
-  w.I32(r.w_id);
-  w.Str(r.name);
-  w.Str(r.street_1);
-  w.Str(r.street_2);
-  w.Str(r.city);
-  w.Str(r.state);
-  w.Str(r.zip);
-  w.F64(r.tax);
-  w.F64(r.ytd);
-}
-void GetRow(WireReader& r, WarehouseRow* o) {
-  o->w_id = r.I32();
-  o->name = r.Str<16>();
-  o->street_1 = r.Str<20>();
-  o->street_2 = r.Str<20>();
-  o->city = r.Str<20>();
-  o->state = r.Str<2>();
-  o->zip = r.Str<9>();
-  o->tax = r.F64();
-  o->ytd = r.F64();
+template <typename Io, FieldsOf<WarehouseRow> Row>
+void Fields(Io& io, Row& r) {
+  io.Field(r.w_id);
+  io.Field(r.name);
+  io.Field(r.street_1);
+  io.Field(r.street_2);
+  io.Field(r.city);
+  io.Field(r.state);
+  io.Field(r.zip);
+  io.Field(r.tax);
+  io.Field(r.ytd);
 }
 
-void PutRow(WireWriter& w, const DistrictRow& r) {
-  w.I32(r.d_id);
-  w.I32(r.w_id);
-  w.Str(r.name);
-  w.Str(r.street_1);
-  w.Str(r.street_2);
-  w.Str(r.city);
-  w.Str(r.state);
-  w.Str(r.zip);
-  w.F64(r.tax);
-  w.F64(r.ytd);
-  w.I32(r.next_o_id);
-}
-void GetRow(WireReader& r, DistrictRow* o) {
-  o->d_id = r.I32();
-  o->w_id = r.I32();
-  o->name = r.Str<16>();
-  o->street_1 = r.Str<20>();
-  o->street_2 = r.Str<20>();
-  o->city = r.Str<20>();
-  o->state = r.Str<2>();
-  o->zip = r.Str<9>();
-  o->tax = r.F64();
-  o->ytd = r.F64();
-  o->next_o_id = r.I32();
+template <typename Io, FieldsOf<DistrictRow> Row>
+void Fields(Io& io, Row& r) {
+  io.Field(r.d_id);
+  io.Field(r.w_id);
+  io.Field(r.name);
+  io.Field(r.street_1);
+  io.Field(r.street_2);
+  io.Field(r.city);
+  io.Field(r.state);
+  io.Field(r.zip);
+  io.Field(r.tax);
+  io.Field(r.ytd);
+  io.Field(r.next_o_id);
 }
 
-void PutRow(WireWriter& w, const CustomerRow& r) {
-  w.I32(r.c_id);
-  w.I32(r.d_id);
-  w.I32(r.w_id);
-  w.Str(r.first);
-  w.Str(r.middle);
-  w.Str(r.last);
-  w.Str(r.street_1);
-  w.Str(r.street_2);
-  w.Str(r.city);
-  w.Str(r.state);
-  w.Str(r.zip);
-  w.Str(r.phone);
-  w.I64(r.since);
-  w.Str(r.credit);
-  w.F64(r.credit_lim);
-  w.F64(r.discount);
-  w.F64(r.balance);
-  w.F64(r.ytd_payment);
-  w.I32(r.payment_cnt);
-  w.I32(r.delivery_cnt);
-  w.Str(r.data);
-}
-void GetRow(WireReader& r, CustomerRow* o) {
-  o->c_id = r.I32();
-  o->d_id = r.I32();
-  o->w_id = r.I32();
-  o->first = r.Str<16>();
-  o->middle = r.Str<2>();
-  o->last = r.Str<16>();
-  o->street_1 = r.Str<20>();
-  o->street_2 = r.Str<20>();
-  o->city = r.Str<20>();
-  o->state = r.Str<2>();
-  o->zip = r.Str<9>();
-  o->phone = r.Str<16>();
-  o->since = r.I64();
-  o->credit = r.Str<2>();
-  o->credit_lim = r.F64();
-  o->discount = r.F64();
-  o->balance = r.F64();
-  o->ytd_payment = r.F64();
-  o->payment_cnt = r.I32();
-  o->delivery_cnt = r.I32();
-  o->data = r.Str<32>();
+template <typename Io, FieldsOf<CustomerRow> Row>
+void Fields(Io& io, Row& r) {
+  io.Field(r.c_id);
+  io.Field(r.d_id);
+  io.Field(r.w_id);
+  io.Field(r.first);
+  io.Field(r.middle);
+  io.Field(r.last);
+  io.Field(r.street_1);
+  io.Field(r.street_2);
+  io.Field(r.city);
+  io.Field(r.state);
+  io.Field(r.zip);
+  io.Field(r.phone);
+  io.Field(r.since);
+  io.Field(r.credit);
+  io.Field(r.credit_lim);
+  io.Field(r.discount);
+  io.Field(r.balance);
+  io.Field(r.ytd_payment);
+  io.Field(r.payment_cnt);
+  io.Field(r.delivery_cnt);
+  io.Field(r.data);
 }
 
-void PutRow(WireWriter& w, const HistoryRow& r) {
-  w.I32(r.c_id);
-  w.I32(r.c_d_id);
-  w.I32(r.c_w_id);
-  w.I32(r.d_id);
-  w.I32(r.w_id);
-  w.I64(r.date);
-  w.F64(r.amount);
-  w.Str(r.data);
-}
-void GetRow(WireReader& r, HistoryRow* o) {
-  o->c_id = r.I32();
-  o->c_d_id = r.I32();
-  o->c_w_id = r.I32();
-  o->d_id = r.I32();
-  o->w_id = r.I32();
-  o->date = r.I64();
-  o->amount = r.F64();
-  o->data = r.Str<24>();
+template <typename Io, FieldsOf<HistoryRow> Row>
+void Fields(Io& io, Row& r) {
+  io.Field(r.c_id);
+  io.Field(r.c_d_id);
+  io.Field(r.c_w_id);
+  io.Field(r.d_id);
+  io.Field(r.w_id);
+  io.Field(r.date);
+  io.Field(r.amount);
+  io.Field(r.data);
 }
 
-void PutRow(WireWriter& w, const OrderRow& r) {
-  w.I32(r.o_id);
-  w.I32(r.d_id);
-  w.I32(r.w_id);
-  w.I32(r.c_id);
-  w.I64(r.entry_d);
-  w.I32(r.carrier_id);
-  w.I32(r.ol_cnt);
-  w.U8(r.all_local ? 1 : 0);
-}
-void GetRow(WireReader& r, OrderRow* o) {
-  o->o_id = r.I32();
-  o->d_id = r.I32();
-  o->w_id = r.I32();
-  o->c_id = r.I32();
-  o->entry_d = r.I64();
-  o->carrier_id = r.I32();
-  o->ol_cnt = r.I32();
-  o->all_local = r.U8() != 0;
+template <typename Io, FieldsOf<OrderRow> Row>
+void Fields(Io& io, Row& r) {
+  io.Field(r.o_id);
+  io.Field(r.d_id);
+  io.Field(r.w_id);
+  io.Field(r.c_id);
+  io.Field(r.entry_d);
+  io.Field(r.carrier_id);
+  io.Field(r.ol_cnt);
+  io.Field(r.all_local);
 }
 
-void PutRow(WireWriter& w, const OrderLineRow& r) {
-  w.I32(r.o_id);
-  w.I32(r.d_id);
-  w.I32(r.w_id);
-  w.I32(r.ol_number);
-  w.I32(r.i_id);
-  w.I32(r.supply_w_id);
-  w.I64(r.delivery_d);
-  w.I32(r.quantity);
-  w.F64(r.amount);
-  w.Str(r.dist_info);
-}
-void GetRow(WireReader& r, OrderLineRow* o) {
-  o->o_id = r.I32();
-  o->d_id = r.I32();
-  o->w_id = r.I32();
-  o->ol_number = r.I32();
-  o->i_id = r.I32();
-  o->supply_w_id = r.I32();
-  o->delivery_d = r.I64();
-  o->quantity = r.I32();
-  o->amount = r.F64();
-  o->dist_info = r.Str<24>();
+template <typename Io, FieldsOf<OrderLineRow> Row>
+void Fields(Io& io, Row& r) {
+  io.Field(r.o_id);
+  io.Field(r.d_id);
+  io.Field(r.w_id);
+  io.Field(r.ol_number);
+  io.Field(r.i_id);
+  io.Field(r.supply_w_id);
+  io.Field(r.delivery_d);
+  io.Field(r.quantity);
+  io.Field(r.amount);
+  io.Field(r.dist_info);
 }
 
-void PutRow(WireWriter& w, const StockRow& r) {
-  w.I32(r.i_id);
-  w.I32(r.w_id);
-  w.I32(r.quantity);
-  w.F64(r.ytd);
-  w.I32(r.order_cnt);
-  w.I32(r.remote_cnt);
+template <typename Io, FieldsOf<StockRow> Row>
+void Fields(Io& io, Row& r) {
+  io.Field(r.i_id);
+  io.Field(r.w_id);
+  io.Field(r.quantity);
+  io.Field(r.ytd);
+  io.Field(r.order_cnt);
+  io.Field(r.remote_cnt);
 }
-void GetRow(WireReader& r, StockRow* o) {
-  o->i_id = r.I32();
-  o->w_id = r.I32();
-  o->quantity = r.I32();
-  o->ytd = r.F64();
-  o->order_cnt = r.I32();
-  o->remote_cnt = r.I32();
+
+/// A last_order_of_customer entry: the customer's last o_id.
+template <typename Io, FieldsOf<int32_t> V>
+void Fields(Io& io, V& o_id) {
+  io.Field(o_id);
+}
+
+/// A new_orders entry is its key alone; the tree's value is always true.
+template <typename Io, FieldsOf<bool> V>
+void Fields(Io& /*io*/, V& exists) {
+  if constexpr (!std::is_const_v<V>) exists = true;
+}
+
+/// fn(key, row) over a hash table or the AVL tree, or in key order over a
+/// B+tree.
+template <typename T, typename Fn>
+void ForEachEntry(const T& table, Fn&& fn) {
+  table.ForEach(fn);
+}
+template <typename Row, typename Fn>
+void ForEachEntry(const BPlusTree<uint64_t, Row, 16>& tree, Fn&& fn) {
+  for (auto it = const_cast<BPlusTree<uint64_t, Row, 16>&>(tree).Begin(); it.Valid(); it.Next()) {
+    fn(it.key(), it.value());
+  }
+}
+
+template <typename T, typename Row>
+void Insert(T& tree, uint64_t k, const Row& row) {
+  tree.Insert(k, row);
+}
+template <typename Row>
+void Insert(HashTable<uint64_t, Row>& table, uint64_t k, const Row& row) {
+  table.Put(k, row);
 }
 
 /// Entry count guard: every serialized entry is at least 8 bytes (the key),
 /// so a count larger than remaining/8 cannot be honest.
 bool PlausibleCount(const WireReader& r, uint64_t n) { return n <= r.remaining() / 8; }
 
-}  // namespace
-
-void TpccDb::SerializeTo(WireWriter& w) const {
-  w.U64(next_history_id);
-
-  const auto put_hash = [&w](const auto& table) {
-    w.U64(table.size());
-    table.ForEach([&w](const uint64_t& k, const auto& row) {
-      w.U64(k);
-      PutRow(w, row);
-    });
-  };
-  put_hash(warehouses);
-  put_hash(districts);
-  put_hash(customers);
-  put_hash(history);
-  put_hash(stock);
-
-  w.U64(orders.size());
-  for (auto it = const_cast<TpccDb*>(this)->orders.Begin(); it.Valid(); it.Next()) {
-    w.U64(it.key());
-    PutRow(w, it.value());
-  }
-  w.U64(order_lines.size());
-  for (auto it = const_cast<TpccDb*>(this)->order_lines.Begin(); it.Valid(); it.Next()) {
-    w.U64(it.key());
-    PutRow(w, it.value());
-  }
-
-  w.U64(last_order_of_customer.size());
-  last_order_of_customer.ForEach([&w](const uint64_t& k, const int32_t& o) {
+/// One table: `u64 count`, then `u64 key | row fields` per entry.
+template <typename T>
+void Table(WireWriter& w, const T& table) {
+  w.U64(table.size());
+  ForEachEntry(table, [&w](uint64_t k, const auto& row) {
     w.U64(k);
-    w.I32(o);
+    Fields(w, row);
   });
-
-  w.U64(new_orders.size());
-  const_cast<TpccDb*>(this)->new_orders.ForEach(
-      [&w](const uint64_t& k, bool&) { w.U64(k); });
+}
+template <typename T>
+void Table(WireReader& r, T& table) {
+  const uint64_t n = r.U64();
+  if (!PlausibleCount(r, n)) return r.MarkCorrupt();
+  table.Clear();
+  for (uint64_t i = 0; i < n && r.ok(); ++i) {
+    const uint64_t k = r.U64();
+    std::remove_cvref_t<decltype(*table.Find(k))> row;
+    Fields(r, row);
+    Insert(table, k, row);
+  }
 }
 
+/// The checkpoint image: the history id counter, then the partitioned
+/// tables in this order.
+template <typename Io, FieldsOf<TpccDb> Db>
+void Tables(Io& io, Db& db) {
+  io.Field(db.next_history_id);
+  Table(io, db.warehouses);
+  Table(io, db.districts);
+  Table(io, db.customers);
+  Table(io, db.history);
+  Table(io, db.stock);
+  Table(io, db.orders);
+  Table(io, db.order_lines);
+  Table(io, db.last_order_of_customer);
+  Table(io, db.new_orders);
+}
+
+}  // namespace
+
+void TpccDb::SerializeTo(WireWriter& w) const { Tables(w, *this); }
+
 bool TpccDb::RestoreFrom(WireReader& r) {
-  next_history_id = r.U64();
-
-  const auto get_hash = [&r](auto& table) {
-    const uint64_t n = r.U64();
-    if (!PlausibleCount(r, n)) {
-      r.MarkCorrupt();
-      return;
-    }
-    table.Clear();
-    using Row = std::decay_t<decltype(*table.Find(0))>;
-    for (uint64_t i = 0; i < n && r.ok(); ++i) {
-      const uint64_t k = r.U64();
-      Row row;
-      GetRow(r, &row);
-      table.Put(k, row);
-    }
-  };
-  get_hash(warehouses);
-  get_hash(districts);
-  get_hash(customers);
-  get_hash(history);
-  get_hash(stock);
-
-  const auto get_btree = [&r](auto& tree, auto* scratch) {
-    const uint64_t n = r.U64();
-    if (!PlausibleCount(r, n)) {
-      r.MarkCorrupt();
-      return;
-    }
-    tree.Clear();
-    for (uint64_t i = 0; i < n && r.ok(); ++i) {
-      const uint64_t k = r.U64();
-      GetRow(r, scratch);
-      tree.Insert(k, *scratch);
-    }
-  };
-  OrderRow order_scratch;
-  get_btree(orders, &order_scratch);
-  OrderLineRow line_scratch;
-  get_btree(order_lines, &line_scratch);
-
-  {
-    const uint64_t n = r.U64();
-    if (!PlausibleCount(r, n)) {
-      r.MarkCorrupt();
-      return false;
-    }
-    last_order_of_customer.Clear();
-    for (uint64_t i = 0; i < n && r.ok(); ++i) {
-      const uint64_t k = r.U64();
-      last_order_of_customer.Put(k, r.I32());
-    }
-  }
-  {
-    const uint64_t n = r.U64();
-    if (!PlausibleCount(r, n)) {
-      r.MarkCorrupt();
-      return false;
-    }
-    new_orders.Clear();
-    for (uint64_t i = 0; i < n && r.ok(); ++i) new_orders.Insert(r.U64(), true);
-  }
-
+  Tables(r, *this);
   // Secondary index: rebuilt, not stored.
   customers_by_name.Clear();
   customers.ForEach([this](const uint64_t&, const CustomerRow& c) {

@@ -2,6 +2,8 @@
 // represented as either a B-Tree, a binary tree, or hash table, as
 // appropriate"). Warehouses are range-partitioned; the items table and the
 // read-only stock columns are replicated to every partition (paper §5.5).
+// A checkpoint image is the partitioned tables in one fixed order, each row
+// written by its one field list (msg/wire.h), which restore runs too.
 #ifndef PARTDB_TPCC_TPCC_DB_H_
 #define PARTDB_TPCC_TPCC_DB_H_
 
@@ -73,7 +75,8 @@ class TpccDb {
   /// Order-independent hash over all partitioned (mutable) state.
   uint64_t StateHash() const;
 
-  /// Checkpoint serialization of all partitioned (mutable) tables. The
+  /// Checkpoint serialization of all partitioned (mutable) tables: both
+  /// directions walk one list of the tables, in a fixed order. The
   /// replicated read-only tables (items, stock_info) are not written: the
   /// engine factory reloads them deterministically, and RestoreFrom leaves
   /// them untouched. customers_by_name is rebuilt from the customer rows.

@@ -1,10 +1,253 @@
 #include "tpcc/tpcc_engine.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "tpcc/tpcc_loader.h"
 
 namespace partdb {
 namespace tpcc {
+
+// --- wire layouts ------------------------------------------------------------
+// One field list per layout; SerializeTo and the decoders both run it.
+
+namespace {
+
+template <typename Io, FieldsOf<NewOrderArgs> A>
+void Fields(Io& io, A& a) {
+  io.Field(a.w_id);
+  io.Field(a.d_id);
+  io.Field(a.c_id);
+  uint32_t num_lines = static_cast<uint32_t>(a.lines.size());
+  io.Field(num_lines);
+  io.Field(a.entry_d);
+  io.Reserved(8);
+  if constexpr (std::is_same_v<Io, WireReader>) {
+    // Each line is 12 bytes: a count the span cannot hold sizes nothing.
+    if (num_lines > io.remaining() / 12) return io.MarkCorrupt();
+    a.lines.resize(num_lines);
+  }
+  for (auto& l : a.lines) {
+    io.Field(l.i_id);
+    io.Field(l.supply_w_id);
+    io.Field(l.quantity);
+  }
+}
+
+template <typename Io, FieldsOf<PaymentArgs> A>
+void Fields(Io& io, A& a) {
+  io.Field(a.w_id);
+  io.Field(a.d_id);
+  io.Field(a.c_w_id);
+  io.Field(a.c_d_id);
+  io.Field(a.c_id);
+  io.Field(a.amount);
+  io.Field(a.date);
+  io.Field(a.c_last);
+  io.Reserved(3);
+}
+
+template <typename Io, FieldsOf<OrderStatusArgs> A>
+void Fields(Io& io, A& a) {
+  io.Field(a.w_id);
+  io.Field(a.d_id);
+  io.Field(a.c_id);
+  io.Field(a.c_last);
+  io.Reserved(3 + 8);  // padding, then reserved
+}
+
+template <typename Io, FieldsOf<DeliveryArgs> A>
+void Fields(Io& io, A& a) {
+  io.Field(a.w_id);
+  io.Field(a.carrier_id);
+  io.Field(a.date);
+  io.Reserved(16);  // future delivery-queue fields
+}
+
+template <typename Io, FieldsOf<StockLevelArgs> A>
+void Fields(Io& io, A& a) {
+  io.Field(a.w_id);
+  io.Field(a.d_id);
+  io.Field(a.threshold);
+  io.Reserved(16);
+}
+
+template <typename Io, FieldsOf<TpccResult> R>
+void Fields(Io& io, R& res) {
+  io.Field(res.id);
+  io.Reserved(4);
+  io.Field(res.amount);
+}
+
+template <typename Args>
+std::shared_ptr<Payload> MakeArgs() {
+  return std::make_shared<Args>();
+}
+
+template <typename Args>
+bool DecodeArgsInto(WireReader& r, Payload* into) {
+  Fields(r, static_cast<Args&>(*into));
+  return r.ok();
+}
+
+}  // namespace
+
+void NewOrderArgs::SerializeTo(WireWriter& w) const { Fields(w, *this); }
+void PaymentArgs::SerializeTo(WireWriter& w) const { Fields(w, *this); }
+void OrderStatusArgs::SerializeTo(WireWriter& w) const { Fields(w, *this); }
+void DeliveryArgs::SerializeTo(WireWriter& w) const { Fields(w, *this); }
+void StockLevelArgs::SerializeTo(WireWriter& w) const { Fields(w, *this); }
+void TpccResult::SerializeTo(WireWriter& w) const { Fields(w, *this); }
+
+bool DecodeNewOrderArgsInto(WireReader& r, NewOrderArgs* a) {
+  return DecodeArgsInto<NewOrderArgs>(r, a);
+}
+bool DecodePaymentArgsInto(WireReader& r, PaymentArgs* a) {
+  return DecodeArgsInto<PaymentArgs>(r, a);
+}
+bool DecodeOrderStatusArgsInto(WireReader& r, OrderStatusArgs* a) {
+  return DecodeArgsInto<OrderStatusArgs>(r, a);
+}
+bool DecodeDeliveryArgsInto(WireReader& r, DeliveryArgs* a) {
+  return DecodeArgsInto<DeliveryArgs>(r, a);
+}
+bool DecodeStockLevelArgsInto(WireReader& r, StockLevelArgs* a) {
+  return DecodeArgsInto<StockLevelArgs>(r, a);
+}
+
+PayloadPtr DecodeTpccResult(WireReader& r) {
+  auto res = std::make_shared<TpccResult>();
+  Fields(r, *res);
+  return r.ok() ? res : nullptr;
+}
+
+// --- the procedures ----------------------------------------------------------
+//
+// Locking protocol: row locks on warehouse + fine-grained stock items;
+// district locks additionally cover the district's customers, orders,
+// order lines, and new-orders (coarse umbrella, which also gives phantom
+// protection for the district-scoped scans). Replicated read-only tables
+// (items, stock_info) are not locked: nothing in the mix writes them.
+// StockLevel reads stock quantities without locks, which TPC-C explicitly
+// allows at relaxed isolation (spec 2.8.2.3).
+//
+// Routing: the home warehouse's partition first, remote stock-supply /
+// customer partitions after, in first-seen order.
+
+namespace {
+
+template <typename Args>
+const Args& As(const TpccArgs& args) {
+  return static_cast<const Args&>(args);
+}
+
+LockRequest DistrictLock(int32_t w_id, int32_t d_id, bool exclusive) {
+  return {LockId(LockSpace::kDistrict, DistrictKey(w_id, d_id)), exclusive};
+}
+
+void NewOrderLocks(const TpccDb& db, const TpccArgs& args, std::vector<LockRequest>* out) {
+  const auto& a = As<NewOrderArgs>(args);
+  if (db.scale().PartitionOf(a.w_id) == db.pid()) {
+    out->push_back({LockId(LockSpace::kWarehouse, static_cast<uint64_t>(a.w_id)), false});
+    out->push_back(DistrictLock(a.w_id, a.d_id, true));
+  }
+  for (const auto& line : a.lines) {
+    if (db.scale().PartitionOf(line.supply_w_id) != db.pid()) continue;
+    out->push_back({LockId(LockSpace::kStock, StockKey(line.supply_w_id, line.i_id)), true});
+  }
+}
+
+void NewOrderRoute(const TpccScale& scale, const TpccArgs& args,
+                   std::vector<PartitionId>* participants) {
+  const auto& a = As<NewOrderArgs>(args);
+  participants->push_back(scale.PartitionOf(a.w_id));
+  for (const auto& line : a.lines) {
+    const PartitionId p = scale.PartitionOf(line.supply_w_id);
+    if (std::find(participants->begin(), participants->end(), p) == participants->end()) {
+      participants->push_back(p);
+    }
+  }
+}
+
+void PaymentLocks(const TpccDb& db, const TpccArgs& args, std::vector<LockRequest>* out) {
+  const auto& a = As<PaymentArgs>(args);
+  if (db.scale().PartitionOf(a.w_id) == db.pid()) {
+    out->push_back({LockId(LockSpace::kWarehouse, static_cast<uint64_t>(a.w_id)), true});
+    out->push_back(DistrictLock(a.w_id, a.d_id, true));
+  }
+  if (db.scale().PartitionOf(a.c_w_id) == db.pid()) {
+    out->push_back(DistrictLock(a.c_w_id, a.c_d_id, true));
+  }
+}
+
+void PaymentRoute(const TpccScale& scale, const TpccArgs& args,
+                  std::vector<PartitionId>* participants) {
+  const auto& a = As<PaymentArgs>(args);
+  participants->push_back(scale.PartitionOf(a.w_id));
+  const PartitionId cp = scale.PartitionOf(a.c_w_id);
+  if (cp != participants->front()) participants->push_back(cp);
+}
+
+void DeliveryLocks(const TpccDb& /*db*/, const TpccArgs& args, std::vector<LockRequest>* out) {
+  const auto& a = As<DeliveryArgs>(args);
+  for (int32_t d = 1; d <= TpccScale::kDistrictsPerWarehouse; ++d) {
+    out->push_back(DistrictLock(a.w_id, d, true));
+  }
+}
+
+/// OrderStatus and StockLevel: a shared lock on the one district they read.
+template <typename Args>
+void DistrictReadLock(const TpccDb& /*db*/, const TpccArgs& args,
+                      std::vector<LockRequest>* out) {
+  const auto& a = As<Args>(args);
+  out->push_back(DistrictLock(a.w_id, a.d_id, false));
+}
+
+/// OrderStatus, Delivery and StockLevel run at their warehouse alone.
+template <typename Args>
+void HomeRoute(const TpccScale& scale, const TpccArgs& args,
+               std::vector<PartitionId>* participants) {
+  participants->push_back(scale.PartitionOf(As<Args>(args).w_id));
+}
+
+// Exec* with the row's signature: a read-only procedure takes no undo buffer.
+template <typename Args, ExecResult (*kExec)(TpccDb&, const Args&, UndoBuffer*, WorkMeter*)>
+ExecResult Execute(TpccDb& db, const TpccArgs& args, UndoBuffer* undo, WorkMeter* m) {
+  return kExec(db, As<Args>(args), undo, m);
+}
+template <typename Args, ExecResult (*kExec)(TpccDb&, const Args&, WorkMeter*)>
+ExecResult Execute(TpccDb& db, const TpccArgs& args, UndoBuffer* /*undo*/, WorkMeter* m) {
+  return kExec(db, As<Args>(args), m);
+}
+
+constexpr TpccProcedure kTable[] = {
+    {TpccArgs::Kind::kNewOrder, kTpccNewOrderProc, Execute<NewOrderArgs, ExecNewOrder>,
+     NewOrderLocks, NewOrderRoute, MakeArgs<NewOrderArgs>, DecodeArgsInto<NewOrderArgs>},
+    {TpccArgs::Kind::kPayment, kTpccPaymentProc, Execute<PaymentArgs, ExecPayment>, PaymentLocks,
+     PaymentRoute, MakeArgs<PaymentArgs>, DecodeArgsInto<PaymentArgs>},
+    {TpccArgs::Kind::kOrderStatus, kTpccOrderStatusProc,
+     Execute<OrderStatusArgs, ExecOrderStatus>, DistrictReadLock<OrderStatusArgs>,
+     HomeRoute<OrderStatusArgs>, MakeArgs<OrderStatusArgs>, DecodeArgsInto<OrderStatusArgs>},
+    {TpccArgs::Kind::kDelivery, kTpccDeliveryProc, Execute<DeliveryArgs, ExecDelivery>,
+     DeliveryLocks, HomeRoute<DeliveryArgs>, MakeArgs<DeliveryArgs>, DecodeArgsInto<DeliveryArgs>},
+    {TpccArgs::Kind::kStockLevel, kTpccStockLevelProc, Execute<StockLevelArgs, ExecStockLevel>,
+     DistrictReadLock<StockLevelArgs>, HomeRoute<StockLevelArgs>, MakeArgs<StockLevelArgs>,
+     DecodeArgsInto<StockLevelArgs>},
+};
+
+constexpr bool IndexedByKind() {
+  for (size_t i = 0; i < std::size(kTable); ++i) {
+    if (static_cast<size_t>(kTable[i].kind) != i) return false;
+  }
+  return true;
+}
+static_assert(IndexedByKind(), "kTpccProcedures row i must hold Kind i");
+
+}  // namespace
+
+const std::span<const TpccProcedure> kTpccProcedures = kTable;
+
+// --- the engine --------------------------------------------------------------
 
 TpccEngine::TpccEngine(TpccScale scale, PartitionId pid, uint64_t seed) : db_(scale, pid) {
   LoadPartition(&db_, seed);
@@ -14,203 +257,13 @@ ExecResult TpccEngine::Execute(const Payload& payload, int round, const Payload*
                                UndoBuffer* undo, WorkMeter* meter) {
   PARTDB_CHECK(round == 0);  // all TPC-C transactions are single-round
   const auto& args = PayloadCast<TpccArgs>(payload);
-  switch (args.kind) {
-    case TpccArgs::Kind::kNewOrder:
-      return ExecNewOrder(db_, static_cast<const NewOrderArgs&>(args), undo, meter);
-    case TpccArgs::Kind::kPayment:
-      return ExecPayment(db_, static_cast<const PaymentArgs&>(args), undo, meter);
-    case TpccArgs::Kind::kOrderStatus:
-      return ExecOrderStatus(db_, static_cast<const OrderStatusArgs&>(args), meter);
-    case TpccArgs::Kind::kDelivery:
-      return ExecDelivery(db_, static_cast<const DeliveryArgs&>(args), undo, meter);
-    case TpccArgs::Kind::kStockLevel:
-      return ExecStockLevel(db_, static_cast<const StockLevelArgs&>(args), meter);
-  }
-  PARTDB_CHECK(false);
-  return ExecResult{};
+  return TpccProcedureOf(args.kind).execute(db_, args, undo, meter);
 }
 
 void TpccEngine::LockSet(const Payload& payload, int /*round*/,
                          std::vector<LockRequest>* out) const {
   const auto& args = PayloadCast<TpccArgs>(payload);
-  const TpccScale& scale = db_.scale();
-  const PartitionId pid = db_.pid();
-
-  // Locking protocol: row locks on warehouse + fine-grained stock items;
-  // district locks additionally cover the district's customers, orders,
-  // order lines, and new-orders (coarse umbrella, which also gives phantom
-  // protection for the district-scoped scans). Replicated read-only tables
-  // (items, stock_info) are not locked: nothing in the mix writes them.
-  // StockLevel reads stock quantities without locks, which TPC-C explicitly
-  // allows at relaxed isolation (spec 2.8.2.3).
-  switch (args.kind) {
-    case TpccArgs::Kind::kNewOrder: {
-      const auto& a = static_cast<const NewOrderArgs&>(args);
-      if (scale.PartitionOf(a.w_id) == pid) {
-        out->push_back({LockId(LockSpace::kWarehouse, static_cast<uint64_t>(a.w_id)), false});
-        out->push_back({LockId(LockSpace::kDistrict, DistrictKey(a.w_id, a.d_id)), true});
-      }
-      for (const auto& line : a.lines) {
-        if (scale.PartitionOf(line.supply_w_id) != pid) continue;
-        out->push_back({LockId(LockSpace::kStock, StockKey(line.supply_w_id, line.i_id)), true});
-      }
-      break;
-    }
-    case TpccArgs::Kind::kPayment: {
-      const auto& a = static_cast<const PaymentArgs&>(args);
-      if (scale.PartitionOf(a.w_id) == pid) {
-        out->push_back({LockId(LockSpace::kWarehouse, static_cast<uint64_t>(a.w_id)), true});
-        out->push_back({LockId(LockSpace::kDistrict, DistrictKey(a.w_id, a.d_id)), true});
-      }
-      if (scale.PartitionOf(a.c_w_id) == pid) {
-        out->push_back({LockId(LockSpace::kDistrict, DistrictKey(a.c_w_id, a.c_d_id)), true});
-      }
-      break;
-    }
-    case TpccArgs::Kind::kOrderStatus: {
-      const auto& a = static_cast<const OrderStatusArgs&>(args);
-      out->push_back({LockId(LockSpace::kDistrict, DistrictKey(a.w_id, a.d_id)), false});
-      break;
-    }
-    case TpccArgs::Kind::kDelivery: {
-      const auto& a = static_cast<const DeliveryArgs&>(args);
-      for (int32_t d = 1; d <= TpccScale::kDistrictsPerWarehouse; ++d) {
-        out->push_back({LockId(LockSpace::kDistrict, DistrictKey(a.w_id, d)), true});
-      }
-      break;
-    }
-    case TpccArgs::Kind::kStockLevel: {
-      const auto& a = static_cast<const StockLevelArgs&>(args);
-      out->push_back({LockId(LockSpace::kDistrict, DistrictKey(a.w_id, a.d_id)), false});
-      break;
-    }
-  }
-}
-
-// --- wire codecs -------------------------------------------------------------
-
-void NewOrderArgs::SerializeTo(WireWriter& w) const {
-  w.I32(w_id);
-  w.I32(d_id);
-  w.I32(c_id);
-  w.U32(static_cast<uint32_t>(lines.size()));
-  w.I64(entry_d);
-  w.U64(0);  // reserved
-  for (const Line& l : lines) {
-    w.I32(l.i_id);
-    w.I32(l.supply_w_id);
-    w.I32(l.quantity);
-  }
-}
-
-bool DecodeNewOrderArgsInto(WireReader& r, NewOrderArgs* a) {
-  a->w_id = r.I32();
-  a->d_id = r.I32();
-  a->c_id = r.I32();
-  const uint32_t num_lines = r.U32();
-  a->entry_d = r.I64();
-  r.Skip(8);  // reserved
-  if (num_lines > r.remaining() / 12) {
-    r.MarkCorrupt();
-    return false;
-  }
-  a->lines.resize(num_lines);
-  for (NewOrderArgs::Line& l : a->lines) {
-    l.i_id = r.I32();
-    l.supply_w_id = r.I32();
-    l.quantity = r.I32();
-  }
-  return r.ok();
-}
-
-void PaymentArgs::SerializeTo(WireWriter& w) const {
-  w.I32(w_id);
-  w.I32(d_id);
-  w.I32(c_w_id);
-  w.I32(c_d_id);
-  w.I32(c_id);
-  w.F64(amount);
-  w.I64(date);
-  w.Str(c_last);
-  w.Pad(3);
-}
-
-bool DecodePaymentArgsInto(WireReader& r, PaymentArgs* a) {
-  a->w_id = r.I32();
-  a->d_id = r.I32();
-  a->c_w_id = r.I32();
-  a->c_d_id = r.I32();
-  a->c_id = r.I32();
-  a->amount = r.F64();
-  a->date = r.I64();
-  a->c_last = r.Str<16>();
-  r.Skip(3);
-  return r.ok();
-}
-
-void OrderStatusArgs::SerializeTo(WireWriter& w) const {
-  w.I32(w_id);
-  w.I32(d_id);
-  w.I32(c_id);
-  w.Str(c_last);
-  w.Pad(3);
-  w.U64(0);  // reserved
-}
-
-bool DecodeOrderStatusArgsInto(WireReader& r, OrderStatusArgs* a) {
-  a->w_id = r.I32();
-  a->d_id = r.I32();
-  a->c_id = r.I32();
-  a->c_last = r.Str<16>();
-  r.Skip(3);
-  r.Skip(8);  // reserved
-  return r.ok();
-}
-
-void DeliveryArgs::SerializeTo(WireWriter& w) const {
-  w.I32(w_id);
-  w.I32(carrier_id);
-  w.I64(date);
-  w.U64(0);  // reserved (future delivery-queue fields)
-  w.U64(0);
-}
-
-bool DecodeDeliveryArgsInto(WireReader& r, DeliveryArgs* a) {
-  a->w_id = r.I32();
-  a->carrier_id = r.I32();
-  a->date = r.I64();
-  r.Skip(16);  // reserved
-  return r.ok();
-}
-
-void StockLevelArgs::SerializeTo(WireWriter& w) const {
-  w.I32(w_id);
-  w.I32(d_id);
-  w.I32(threshold);
-  w.U64(0);  // reserved
-  w.U64(0);
-}
-
-bool DecodeStockLevelArgsInto(WireReader& r, StockLevelArgs* a) {
-  a->w_id = r.I32();
-  a->d_id = r.I32();
-  a->threshold = r.I32();
-  r.Skip(16);  // reserved
-  return r.ok();
-}
-
-void TpccResult::SerializeTo(WireWriter& w) const {
-  w.I32(id);
-  w.U32(0);  // reserved
-  w.F64(amount);
-}
-
-PayloadPtr DecodeTpccResult(WireReader& r) {
-  auto res = std::make_shared<TpccResult>();
-  res->id = r.I32();
-  r.Skip(4);
-  res->amount = r.F64();
-  return r.ok() ? res : nullptr;
+  TpccProcedureOf(args.kind).lock_set(db_, args, out);
 }
 
 EngineFactory MakeTpccEngineFactory(const TpccScale& scale, uint64_t seed) {

@@ -3,10 +3,17 @@
 // (remote customer) are simple single-round multi-partition transactions, as
 // in the paper. NewOrder is reordered to validate items before any write so
 // user aborts never need undo (paper modification #1).
+//
+// Each procedure is one row of kTpccProcedures, indexed by TpccArgs::Kind:
+// its name, executor, lock set, router and args codec. The engine, the
+// router and the procedure registry all read that row. Each args layout,
+// and the result's, is one field list (msg/wire.h) that both encodes and
+// decodes.
 #ifndef PARTDB_TPCC_TPCC_ENGINE_H_
 #define PARTDB_TPCC_TPCC_ENGINE_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "engine/engine.h"
@@ -15,6 +22,13 @@
 
 namespace partdb {
 namespace tpcc {
+
+// Names the TPC-C procedures register under.
+inline constexpr const char* kTpccNewOrderProc = "new_order";
+inline constexpr const char* kTpccPaymentProc = "payment";
+inline constexpr const char* kTpccOrderStatusProc = "order_status";
+inline constexpr const char* kTpccDeliveryProc = "delivery";
+inline constexpr const char* kTpccStockLevelProc = "stock_level";
 
 // The TpccArgs wire layouts (README "Wire protocol") keep the byte counts
 // the sim cost model has always charged: 32 + 12/line (NewOrder), 56
@@ -94,8 +108,8 @@ struct TpccResult : public Payload {
   void SerializeTo(WireWriter& w) const override;
 };
 
-// Per-kind argument decoders (the procedures' args codecs): each fills a
-// fresh instance and returns false (marking the reader corrupt) on a
+// Per-kind argument decoders (what the procedures' args codecs run): each
+// fills a fresh instance and returns false (marking the reader corrupt) on a
 // malformed span.
 bool DecodeNewOrderArgsInto(WireReader& r, NewOrderArgs* into);
 bool DecodePaymentArgsInto(WireReader& r, PaymentArgs* into);
@@ -105,6 +119,30 @@ bool DecodeStockLevelArgsInto(WireReader& r, StockLevelArgs* into);
 
 /// The shared result decoder of the five procedures.
 PayloadPtr DecodeTpccResult(WireReader& r);
+
+/// One TPC-C procedure: a row of kTpccProcedures. Adding a procedure is a
+/// Kind, an args type with its field list, and one row.
+struct TpccProcedure {
+  TpccArgs::Kind kind;
+  const char* name;  // what it registers under
+  ExecResult (*execute)(TpccDb& db, const TpccArgs& args, UndoBuffer* undo, WorkMeter* m);
+  /// Appends the locks it takes at `db`'s partition.
+  void (*lock_set)(const TpccDb& db, const TpccArgs& args, std::vector<LockRequest>* out);
+  /// Appends its participants: the home warehouse's partition first, remote
+  /// stock-supply / customer partitions after, in first-seen order.
+  void (*route)(const TpccScale& scale, const TpccArgs& args,
+                std::vector<PartitionId>* participants);
+  // Args codec: a fresh instance, and the decoder that fills it.
+  std::shared_ptr<Payload> (*make_args)();
+  bool (*decode_args_into)(WireReader& r, Payload* into);
+};
+
+/// Every TPC-C procedure; row i holds Kind i.
+extern const std::span<const TpccProcedure> kTpccProcedures;
+
+inline const TpccProcedure& TpccProcedureOf(TpccArgs::Kind kind) {
+  return kTpccProcedures[static_cast<size_t>(kind)];
+}
 
 class TpccEngine : public Engine {
  public:

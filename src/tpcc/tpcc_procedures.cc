@@ -101,92 +101,27 @@ PayloadPtr DrawStockLevel(int32_t w, Rng& rng) {
 
 }  // namespace
 
-const char* TpccProcName(TpccArgs::Kind kind) {
-  switch (kind) {
-    case TpccArgs::Kind::kNewOrder:
-      return kTpccNewOrderProc;
-    case TpccArgs::Kind::kPayment:
-      return kTpccPaymentProc;
-    case TpccArgs::Kind::kOrderStatus:
-      return kTpccOrderStatusProc;
-    case TpccArgs::Kind::kDelivery:
-      return kTpccDeliveryProc;
-    case TpccArgs::Kind::kStockLevel:
-      return kTpccStockLevelProc;
-  }
-  PARTDB_CHECK(false);
-  return "";
-}
+const char* TpccProcName(TpccArgs::Kind kind) { return TpccProcedureOf(kind).name; }
 
 TxnRouting RouteTpcc(const TpccScale& scale, const Payload& payload) {
   const auto& args = PayloadCast<TpccArgs>(payload);
   TxnRouting r;
-  switch (args.kind) {
-    case TpccArgs::Kind::kNewOrder: {
-      const auto& a = static_cast<const NewOrderArgs&>(args);
-      r.participants.push_back(scale.PartitionOf(a.w_id));
-      for (const auto& line : a.lines) {
-        const PartitionId p = scale.PartitionOf(line.supply_w_id);
-        if (std::find(r.participants.begin(), r.participants.end(), p) ==
-            r.participants.end()) {
-          r.participants.push_back(p);
-        }
-      }
-      // Paper modification #1: items are validated before any write, so the
-      // user abort needs no undo buffer.
-      break;
-    }
-    case TpccArgs::Kind::kPayment: {
-      const auto& a = static_cast<const PaymentArgs&>(args);
-      r.participants.push_back(scale.PartitionOf(a.w_id));
-      const PartitionId cp = scale.PartitionOf(a.c_w_id);
-      if (cp != r.participants[0]) r.participants.push_back(cp);
-      break;
-    }
-    case TpccArgs::Kind::kOrderStatus:
-      r.participants.push_back(
-          scale.PartitionOf(static_cast<const OrderStatusArgs&>(args).w_id));
-      break;
-    case TpccArgs::Kind::kDelivery:
-      r.participants.push_back(scale.PartitionOf(static_cast<const DeliveryArgs&>(args).w_id));
-      break;
-    case TpccArgs::Kind::kStockLevel:
-      r.participants.push_back(
-          scale.PartitionOf(static_cast<const StockLevelArgs&>(args).w_id));
-      break;
-  }
+  TpccProcedureOf(args.kind).route(scale, args, &r.participants);
   return r;
 }
 
 std::vector<ProcedureDescriptor> TpccProcedures(const TpccScale& scale) {
   std::vector<ProcedureDescriptor> procs;
-  for (TpccArgs::Kind kind :
-       {TpccArgs::Kind::kNewOrder, TpccArgs::Kind::kPayment, TpccArgs::Kind::kOrderStatus,
-        TpccArgs::Kind::kDelivery, TpccArgs::Kind::kStockLevel}) {
+  for (const TpccProcedure& p : kTpccProcedures) {
     ProcedureDescriptor d;
-    d.name = TpccProcName(kind);
-    d.route = [scale, kind](const Payload& args) {
+    d.name = p.name;
+    d.route = [scale, kind = p.kind](const Payload& args) {
       PARTDB_CHECK(PayloadCast<TpccArgs>(args).kind == kind);
       return RouteTpcc(scale, args);
     };
     // All five transactions are single-round; no coordinator continuation.
-    switch (kind) {
-      case TpccArgs::Kind::kNewOrder:
-        SetArgsCodec(d, DecodeNewOrderArgsInto);
-        break;
-      case TpccArgs::Kind::kPayment:
-        SetArgsCodec(d, DecodePaymentArgsInto);
-        break;
-      case TpccArgs::Kind::kOrderStatus:
-        SetArgsCodec(d, DecodeOrderStatusArgsInto);
-        break;
-      case TpccArgs::Kind::kDelivery:
-        SetArgsCodec(d, DecodeDeliveryArgsInto);
-        break;
-      case TpccArgs::Kind::kStockLevel:
-        SetArgsCodec(d, DecodeStockLevelArgsInto);
-        break;
-    }
+    d.make_args = p.make_args;
+    d.decode_args_into = p.decode_args_into;
     d.decode_result = DecodeTpccResult;
     procs.push_back(std::move(d));
   }
@@ -216,18 +151,11 @@ TpccDraw DrawTpccTxn(const TpccWorkloadConfig& config, int client_index, Rng& rn
 }
 
 InvocationGenerator TpccInvocations(const TpccWorkloadConfig& config, DbHandle& db) {
-  struct ProcIds {
-    ProcId by_kind[5];
-  };
-  ProcIds ids;
-  for (TpccArgs::Kind kind :
-       {TpccArgs::Kind::kNewOrder, TpccArgs::Kind::kPayment, TpccArgs::Kind::kOrderStatus,
-        TpccArgs::Kind::kDelivery, TpccArgs::Kind::kStockLevel}) {
-    ids.by_kind[static_cast<int>(kind)] = db.proc(TpccProcName(kind));
-  }
-  return [config, ids](int client_index, Rng& rng) {
+  std::vector<ProcId> by_kind;  // kTpccProcedures is indexed by kind
+  for (const TpccProcedure& p : kTpccProcedures) by_kind.push_back(db.proc(p.name));
+  return [config, by_kind](int client_index, Rng& rng) {
     TpccDraw d = DrawTpccTxn(config, client_index, rng);
-    return Invocation{ids.by_kind[static_cast<int>(d.kind)], std::move(d.args)};
+    return Invocation{by_kind[static_cast<size_t>(d.kind)], std::move(d.args)};
   };
 }
 

@@ -21,13 +21,6 @@
 namespace partdb {
 namespace tpcc {
 
-// Names the TPC-C procedures register under.
-inline constexpr const char* kTpccNewOrderProc = "new_order";
-inline constexpr const char* kTpccPaymentProc = "payment";
-inline constexpr const char* kTpccOrderStatusProc = "order_status";
-inline constexpr const char* kTpccDeliveryProc = "delivery";
-inline constexpr const char* kTpccStockLevelProc = "stock_level";
-
 /// Name of the procedure `kind` registers under.
 const char* TpccProcName(TpccArgs::Kind kind);
 
