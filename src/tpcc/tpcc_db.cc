@@ -244,7 +244,7 @@ void Table(WireReader& r, T& table) {
   table.Clear();
   for (uint64_t i = 0; i < n && r.ok(); ++i) {
     const uint64_t k = r.U64();
-    std::remove_cvref_t<decltype(*table.Find(k))> row;
+    std::remove_cvref_t<decltype(*table.Find(k))> row{};
     Fields(r, row);
     Insert(table, k, row);
   }
