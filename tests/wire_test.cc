@@ -40,6 +40,16 @@ std::string Encode(const Payload& p) {
   return buf;
 }
 
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 0xf]);
+  }
+  return hex;
+}
+
 /// The registered KV procedure, whose args codec the server runs.
 const ProcedureDescriptor& KvProc() {
   static const ProcedureDescriptor d = KvReadUpdateProcedure(KvWorkloadOptions{});
@@ -136,6 +146,41 @@ TEST(Wire, ReaderRejectsOversizedInlineStringLength) {
   EXPECT_FALSE(r.ok());
 }
 
+/// Bytes [size(), N) of `s` are zero.
+template <size_t N>
+void ExpectZeroPadding(const InlineString<N>& s, const char* what) {
+  for (size_t i = s.size(); i < N; ++i) {
+    EXPECT_EQ(s.data()[i], '\0') << what << ": N=" << N << " byte " << i;
+  }
+}
+
+template <size_t N>
+void CheckPaddingStaysZero() {
+  ExpectZeroPadding(InlineString<N>(), "default");
+  ExpectZeroPadding(InlineString<N>(std::string_view("ab")), "short");
+  const std::string full(N, 'x');
+  ExpectZeroPadding(InlineString<N>(full), "full width");
+  InlineString<N> s(full);
+  s = InlineString<N>(std::string_view("ab"));
+  ExpectZeroPadding(s, "short assigned over full width");
+
+  std::string block(1, '\2');
+  block += "ab";
+  block.append(N - 2, '\xff');
+  WireReader r(block);
+  const InlineString<N> decoded = r.Str<N>();
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(decoded.view(), "ab");
+  ExpectZeroPadding(decoded, "decoded from 0xFF padding");
+}
+
+// WireWriter::Str writes an InlineString's whole store, so every way of
+// making one must leave the bytes past its length zero.
+TEST(Wire, InlineStringPaddingStaysZero) {
+  CheckPaddingStaysZero<8>();
+  CheckPaddingStaysZero<20>();
+}
+
 // --- KV payloads -------------------------------------------------------------
 
 std::shared_ptr<KvArgs> RandomKvArgs(Rng& rng, int num_partitions) {
@@ -177,6 +222,38 @@ TEST(KvCodec, ArgsRoundTripShortKeys) {
   args->keys[1].push_back(KvKey(std::string_view("abcdefgh")));
   PayloadPtr back = ExpectRoundTrip(*args, ArgsDecoder(KvProc()));
   EXPECT_EQ(PayloadCast<KvArgs>(*back).keys, args->keys);
+}
+
+// Round trips pass whatever order the encoder and decoder agree on; these
+// pins hold every KV field at its byte offset, so argument bytes in a
+// command log written earlier still decode to the same fields.
+TEST(KvCodec, WireBytesArePinned) {
+  KvArgs sp;
+  sp.keys.resize(2);
+  sp.keys[0] = {MicrobenchKey(1, 0, 0), MicrobenchKey(1, 0, 1), KvKey(std::string_view("ab"))};
+  EXPECT_EQ(Hex(Encode(sp)),
+            "0100000000000000ffffffff02000000030000000000000003000000000000000800000000010000"
+            "00080100000001000000026162000000000000");
+
+  KvArgs mp;
+  mp.keys.resize(2);
+  mp.keys[0] = {MicrobenchKey(2, 0, 5)};
+  mp.keys[1] = {MicrobenchKey(2, 1, 6), MicrobenchKey(2, 1, 7)};
+  mp.rounds = 2;
+  mp.read_only = true;
+  mp.abort_at = 1;
+  EXPECT_EQ(Hex(Encode(mp)),
+            "02000000020000000100000002000000030000000000000001000000020000000805000000020000"
+            "00080600000102000000080700000102000000");
+
+  KvResult res;
+  res.values = {1, 0x0102030405060708};
+  EXPECT_EQ(Hex(Encode(res)), "020000000000000001000000000000000807060504030201");
+
+  KvRoundInput in;
+  in.values = {{7}, {8, 9}};
+  EXPECT_EQ(Hex(Encode(in)),
+            "02000000030000000100000002000000070000000000000008000000000000000900000000000000");
 }
 
 TEST(KvCodec, ResultAndRoundInputRoundTripProperty) {
@@ -330,16 +407,6 @@ TEST(TpccCodec, DeliveryStockLevelResultRoundTrip) {
   PayloadPtr rback = ExpectRoundTrip(res, DecodeTpccResult);
   EXPECT_EQ(PayloadCast<TpccResult>(*rback).id, 4242);
   EXPECT_EQ(PayloadCast<TpccResult>(*rback).amount, 99.5);
-}
-
-std::string Hex(std::string_view bytes) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string hex;
-  for (unsigned char c : bytes) {
-    hex.push_back(kDigits[c >> 4]);
-    hex.push_back(kDigits[c & 0xf]);
-  }
-  return hex;
 }
 
 // Round trips pass whatever order the encoder and decoder agree on; these
