@@ -1,6 +1,11 @@
 // Fixed-capacity inline byte string: the value type for the microbenchmark
 // key/value store (the paper uses 3-byte keys and 4-byte values) and for
 // TPC-C char columns. No heap allocation; trivially copyable.
+//
+// The bytes past size() are always zero: every constructor zero-fills them
+// and nothing writes into a string in place. The wire depends on this:
+// WireWriter::Str copies the whole N-byte store, padding included
+// (Wire.InlineStringPaddingStaysZero).
 #ifndef PARTDB_COMMON_INLINE_STRING_H_
 #define PARTDB_COMMON_INLINE_STRING_H_
 

@@ -60,15 +60,15 @@ class WireWriter {
     n_ += n;
   }
 
-  /// Fixed-width inline string: 1 length byte + the full N-byte backing store
-  /// (bytes past the length are zero by construction, so this round-trips
-  /// bit-identically and keeps every instance the same wire size).
+  /// Fixed-width inline string: 1 length byte + the full N-byte backing store,
+  /// copied whole. Bytes past the length are zero by construction
+  /// (InlineString), so this round-trips bit-identically and keeps every
+  /// instance the same wire size; a constant-size copy also keeps the
+  /// compiler from lowering it to a `rep movs` whose start-up cost dominates.
   template <size_t N>
   void Str(const InlineString<N>& s) {
     U8(static_cast<uint8_t>(s.size()));
-    char buf[N] = {};
-    std::memcpy(buf, s.data(), s.size());
-    Raw(buf, N);
+    Raw(s.data(), N);
   }
 
   // Field-list spellings (see the file comment); a bool is one byte.
