@@ -3,7 +3,11 @@
 // paths that underlie the simulated system.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
+
 #include "common/rng.h"
+#include "durability/log_format.h"
 #include "engine/lock_manager.h"
 #include "kv/kv_engine.h"
 #include "kv/kv_procedures.h"
@@ -141,6 +145,62 @@ void BM_KvTxnExecute(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KvTxnExecute);
+
+/// The paper's single-partition transaction: 12 keys on partition 0 of 2.
+std::shared_ptr<KvArgs> SpKvArgs() {
+  auto args = std::make_shared<KvArgs>();
+  args->keys.resize(2);
+  for (int i = 0; i < 12; ++i) args->keys[0].push_back(MicrobenchKey(0, 0, i));
+  return args;
+}
+
+void BM_KvArgsEncode(benchmark::State& state) {
+  const auto args = SpKvArgs();
+  std::string buf;
+  for (auto _ : state) {
+    buf.clear();
+    WireWriter w(&buf);
+    args->SerializeTo(w);
+    benchmark::DoNotOptimize(buf.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KvArgsEncode);
+
+// The live command log's encoder: one framed record per commit, appended on
+// the partition worker under the log lock.
+void BM_AppendLogRecord(benchmark::State& state) {
+  CommitRecord rec;
+  rec.txn_id = 1;
+  rec.proc = 0;
+  rec.args = SpKvArgs();
+  std::string buf;
+  uint64_t seq = 0;
+  for (auto _ : state) {
+    buf.clear();
+    AppendLogRecord(++seq, rec, &buf);
+    benchmark::DoNotOptimize(buf.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AppendLogRecord);
+
+// One partition's checkpoint image at 8192 users x 12 keys (a partition
+// stall: Database::Checkpoint runs it at the partition's idle point).
+void BM_KvCheckpointEncode(benchmark::State& state) {
+  KvWorkloadOptions mb;
+  mb.num_clients = 8192;
+  const std::unique_ptr<Engine> engine = MakeKvEngineFactory(mb)(0);
+  std::string buf;
+  for (auto _ : state) {
+    buf.clear();
+    WireWriter w(&buf);
+    engine->SerializeState(w);
+    benchmark::DoNotOptimize(buf.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KvCheckpointEncode)->Unit(benchmark::kMillisecond);
 
 void BM_TpccNewOrderExecute(benchmark::State& state) {
   tpcc::TpccScale scale;
