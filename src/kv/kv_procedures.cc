@@ -50,6 +50,7 @@ PayloadPtr DrawKvTxn(const KvWorkloadOptions& config, int client_index, Rng& rng
     const int per = config.keys_per_txn / P;
     PARTDB_CHECK(per >= 1);
     for (PartitionId p = 0; p < P; ++p) {
+      args->keys[p].reserve(per);
       for (int i = 0; i < per; ++i) args->keys[p].push_back(MicrobenchKey(client_index, p, i));
     }
     args->rounds = config.mp_rounds;
@@ -59,6 +60,7 @@ PayloadPtr DrawKvTxn(const KvWorkloadOptions& config, int client_index, Rng& rng
     } else {
       home = static_cast<PartitionId>(rng.Uniform(P));
     }
+    args->keys[home].reserve(config.keys_per_txn);
     for (int i = 0; i < config.keys_per_txn; ++i) {
       args->keys[home].push_back(MicrobenchKey(client_index, home, i));
     }
