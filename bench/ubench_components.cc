@@ -162,6 +162,7 @@ void BM_KvArgsEncode(benchmark::State& state) {
     WireWriter w(&buf);
     args->SerializeTo(w);
     benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -180,6 +181,7 @@ void BM_AppendLogRecord(benchmark::State& state) {
     buf.clear();
     AppendLogRecord(++seq, rec, &buf);
     benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -197,6 +199,7 @@ void BM_KvCheckpointEncode(benchmark::State& state) {
     WireWriter w(&buf);
     engine->SerializeState(w);
     benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
 }
