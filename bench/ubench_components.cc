@@ -146,12 +146,12 @@ void BM_KvTxnExecute(benchmark::State& state) {
 }
 BENCHMARK(BM_KvTxnExecute);
 
-/// The paper's single-partition transaction: 12 keys on partition 0 of 2.
-std::shared_ptr<KvArgs> SpKvArgs() {
-  auto args = std::make_shared<KvArgs>();
-  args->keys.resize(2);
-  for (int i = 0; i < 12; ++i) args->keys[0].push_back(MicrobenchKey(0, 0, i));
-  return args;
+/// The paper's single-partition transaction: 12 keys on one of 2 partitions.
+PayloadPtr SpKvArgs() {
+  KvWorkloadOptions mb;
+  mb.mp_fraction = 0;
+  Rng rng(1);
+  return DrawKvTxn(mb, 0, rng);
 }
 
 void BM_KvArgsEncode(benchmark::State& state) {

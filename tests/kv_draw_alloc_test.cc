@@ -1,32 +1,12 @@
 // DrawKvTxn sizes each key list once: the args object, the outer vector of
 // per-partition lists, and one block per non-empty list. This executable
-// replaces the global operator new with a counting one (as
-// parallel_delivery_test does) and counts the blocks of one draw on this
-// thread.
-#include <atomic>
-#include <cstdint>
-#include <cstdlib>
-#include <new>
-
+// replaces the global operator new with a counting one
+// (tests/counting_new.h) and counts the blocks of one draw on this thread.
 #include "common/rng.h"
+#include "counting_new.h"
 #include "gtest/gtest.h"
 #include "kv/kv_procedures.h"
 #include "kv/kv_workload.h"
-
-namespace {
-std::atomic<bool> g_counting{false};
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace partdb {
 namespace {
@@ -47,13 +27,9 @@ uint64_t DrawAllocations(double mp_fraction) {
   return g_allocations.load();
 }
 
-TEST(KvDrawAlloc, SinglePartitionDrawAllocatesThreeBlocks) {
-  EXPECT_EQ(DrawAllocations(0.0), 3u);
-}
+TEST(KvDrawAlloc, SinglePartitionDrawAllocatesThreeBlocks) { EXPECT_EQ(DrawAllocations(0.0), 3u); }
 
-TEST(KvDrawAlloc, TwoPartitionDrawAllocatesFourBlocks) {
-  EXPECT_EQ(DrawAllocations(1.0), 4u);
-}
+TEST(KvDrawAlloc, TwoPartitionDrawAllocatesFourBlocks) { EXPECT_EQ(DrawAllocations(1.0), 4u); }
 
 }  // namespace
 }  // namespace partdb

@@ -10,31 +10,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <optional>
 #include <string>
 #include <thread>
 
 #include "common/affinity.h"
+#include "counting_new.h"
 #include "gtest/gtest.h"
 #include "runtime/actor.h"
 #include "runtime/parallel_runtime.h"
-
-namespace {
-std::atomic<bool> g_counting{false};
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace partdb {
 namespace {
