@@ -108,6 +108,47 @@ TEST_F(LockManagerTest, CancelWaitingRequestOnRelease) {
   EXPECT_EQ(granted[0].owner, &c);  // b skipped
 }
 
+TEST_F(LockManagerTest, UpgradeJumpsQueuedExclusiveWaiter) {
+  EXPECT_TRUE(lm.Acquire(100, &a, false, &m));
+  EXPECT_TRUE(lm.Acquire(100, &b, false, &m));
+  EXPECT_FALSE(lm.Acquire(100, &c, true, &m));  // c queues X
+  EXPECT_FALSE(lm.Acquire(100, &a, true, &m));  // a's upgrade goes ahead of c
+  lm.ReleaseAll(&b, &m, &granted);
+  ASSERT_EQ(granted.size(), 1u);
+  EXPECT_EQ(granted[0].owner, &a);
+  EXPECT_TRUE(granted[0].exclusive);
+  EXPECT_TRUE(lm.IsWaiting(&c));
+  granted.clear();
+  lm.ReleaseAll(&a, &m, &granted);
+  ASSERT_EQ(granted.size(), 1u);
+  EXPECT_EQ(granted[0].owner, &c);
+}
+
+TEST_F(LockManagerTest, CancelWaiterFromMiddleOfQueue) {
+  EXPECT_TRUE(lm.Acquire(100, &a, true, &m));
+  EXPECT_FALSE(lm.Acquire(100, &b, true, &m));
+  EXPECT_FALSE(lm.Acquire(100, &c, true, &m));
+  EXPECT_FALSE(lm.Acquire(100, &d, true, &m));
+  lm.ReleaseAll(&c, &m, &granted);  // c leaves from between b and d
+  EXPECT_TRUE(granted.empty());
+  EXPECT_FALSE(lm.IsWaiting(&c));
+  lm.ReleaseAll(&a, &m, &granted);
+  ASSERT_EQ(granted.size(), 1u);
+  EXPECT_EQ(granted[0].owner, &b);
+  granted.clear();
+  lm.ReleaseAll(&b, &m, &granted);
+  ASSERT_EQ(granted.size(), 1u);
+  EXPECT_EQ(granted[0].owner, &d);
+}
+
+TEST_F(LockManagerTest, OwnerReacquiresAfterReleaseAll) {
+  EXPECT_TRUE(lm.Acquire(100, &a, true, &m));
+  lm.ReleaseAll(&a, &m, &granted);
+  EXPECT_TRUE(lm.Empty());
+  EXPECT_TRUE(lm.Acquire(200, &a, false, &m));
+  EXPECT_EQ(lm.HeldCount(&a), 1u);
+}
+
 TEST_F(LockManagerTest, TwoOwnerCycleDetected) {
   EXPECT_TRUE(lm.Acquire(1, &a, true, &m));
   EXPECT_TRUE(lm.Acquire(2, &b, true, &m));
