@@ -85,7 +85,7 @@ BENCHMARK(BM_AvlInsertEraseMin);
 void BM_LockManagerUncontended(benchmark::State& state) {
   LockManager lm;
   WorkMeter m;
-  int owner;
+  LockManager::Owner owner;
   std::vector<LockManager::Granted> granted;
   for (auto _ : state) {
     for (uint64_t i = 0; i < 12; ++i) lm.Acquire(i, &owner, true, &m);
@@ -99,7 +99,7 @@ BENCHMARK(BM_LockManagerUncontended);
 void BM_LockManagerContended(benchmark::State& state) {
   LockManager lm;
   WorkMeter m;
-  int a, b;
+  LockManager::Owner a, b;
   std::vector<LockManager::Granted> granted;
   for (auto _ : state) {
     lm.Acquire(1, &a, true, &m);

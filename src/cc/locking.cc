@@ -47,6 +47,7 @@ void LockingCc::BeginFragment(LTxn* t, FragmentRequest f) {
   t->lock_plan.clear();
   t->lock_cursor = 0;
   part_->engine().LockSet(*f.args, f.round, &t->lock_plan);
+  t->held.reserve(t->held.size() + t->lock_plan.size());
   t->pending_frag = std::move(f);
   t->has_pending = true;
   AdvanceLocks(t);
@@ -70,7 +71,7 @@ void LockingCc::AdvanceLocks(LTxn* t) {
 
 void LockingCc::HandleBlocked(LTxn* t) {
   const TxnId tid = t->rec.txn_id;
-  std::vector<void*> cycle;
+  std::vector<LockManager::Owner*> cycle;
   if (lm_.FindCycle(t, &cycle)) {
     part_->metrics().local_deadlocks++;
     LTxn* victim = ChooseVictim(cycle);
@@ -85,11 +86,11 @@ void LockingCc::HandleBlocked(LTxn* t) {
   }
 }
 
-LockingCc::LTxn* LockingCc::ChooseVictim(const std::vector<void*>& cycle) {
+LockingCc::LTxn* LockingCc::ChooseVictim(const std::vector<LockManager::Owner*>& cycle) {
   PARTDB_CHECK(!cycle.empty());
   // Prefer killing a single-partition transaction (paper §4.3): restarting it
   // wastes the least work.
-  for (void* v : cycle) {
+  for (LockManager::Owner* v : cycle) {
     auto* t = static_cast<LTxn*>(v);
     if (!t->rec.multi_partition) return t;
   }

@@ -34,7 +34,9 @@ class LockingCc : public CcScheme {
   const LockManager& lock_manager() const { return lm_; }
 
  private:
-  struct LTxn {
+  /// A transaction is its own lock owner: the lock manager keeps its held
+  /// ids and its one waiting request in the LockManager::Owner base.
+  struct LTxn : LockManager::Owner {
     CommitRecord rec;
     uint32_t attempt = 0;
     NodeId coord = kInvalidNode;
@@ -59,7 +61,7 @@ class LockingCc : public CcScheme {
   void ProcessGrants(std::vector<LockManager::Granted>& granted);
   /// Aborts a waiting/executing transaction for deadlock resolution.
   void KillTxn(LTxn* victim, bool timeout);
-  LTxn* ChooseVictim(const std::vector<void*>& cycle);
+  LTxn* ChooseVictim(const std::vector<LockManager::Owner*>& cycle);
   LTxn* FindTxn(TxnId id);
 
   PartitionExec* part_;

@@ -21,7 +21,8 @@ struct CpuAffinity {
   bool enabled() const { return pin || !cpus.empty(); }
 };
 
-/// Online CPUs visible to this process (>= 1; 0 only if undetectable).
+/// CPUs online on the host (>= 1; 0 only if undetectable). The process's
+/// affinity mask does not limit this count.
 int OnlineCpuCount();
 
 /// Pins the calling thread to `cpu`. Returns false when unsupported, the cpu

@@ -6,32 +6,26 @@
 
 namespace partdb {
 
-namespace {
-void Meter(WorkMeter* m, uint32_t* field, uint32_t n = 1) {
-  if (m != nullptr) *field += n;
-}
-}  // namespace
-
-bool LockManager::Holds(const LockEntry& e, const void* owner) {
+bool LockManager::Holds(const LockEntry& e, const Owner* owner) {
   return std::find(e.holders.begin(), e.holders.end(), owner) != e.holders.end();
 }
 
-bool LockManager::Acquire(uint64_t lock_id, void* owner, bool exclusive, WorkMeter* m) {
+bool LockManager::Acquire(uint64_t lock_id, Owner* owner, bool exclusive, WorkMeter* m) {
   if (m != nullptr) {
     m->lock_acquires++;
     m->lock_table_ops++;  // entry lookup/create
   }
-  OwnerState& os = owners_[owner];
-  PARTDB_CHECK(!os.waiting);  // one outstanding request per owner
+  PARTDB_CHECK(!owner->waiting);  // one outstanding request per owner
 
-  auto [it, created] = table_.try_emplace(lock_id);
-  LockEntry& e = it->second;
-  if (created) {
-    e.exclusive = exclusive;
-    e.holders.push_back(owner);
-    os.held.push_back(lock_id);
-    return true;
+  auto it = table_.find(lock_id);
+  if (it == table_.end() && free_entries_.empty()) {
+    it = table_.try_emplace(lock_id).first;
+  } else if (it == table_.end()) {
+    free_entries_.back().key() = lock_id;
+    it = table_.insert(std::move(free_entries_.back())).position;
+    free_entries_.pop_back();
   }
+  LockEntry& e = it->second;
 
   const bool self_holds = Holds(e, owner);
   if (self_holds) {
@@ -42,10 +36,10 @@ bool LockManager::Acquire(uint64_t lock_id, void* owner, bool exclusive, WorkMet
       return true;
     }
     // Queue the upgrade at the front; grant happens when other holders leave.
-    e.queue.push_front(Waiter{owner, true});
-    os.waiting = true;
-    os.waiting_lock = lock_id;
-    os.waiting_exclusive = true;
+    e.queue.insert(e.queue.begin(), owner);
+    owner->waiting = true;
+    owner->waiting_lock = lock_id;
+    owner->waiting_exclusive = true;
     if (m != nullptr) m->lock_waits++;
     return false;
   }
@@ -53,77 +47,74 @@ bool LockManager::Acquire(uint64_t lock_id, void* owner, bool exclusive, WorkMet
   const bool compatible = !exclusive && !e.exclusive && e.queue.empty();
   if (compatible) {
     e.holders.push_back(owner);
-    os.held.push_back(lock_id);
+    owner->held.push_back(lock_id);
     return true;
   }
   if (e.holders.empty() && e.queue.empty()) {
-    // Entry left over from a grant cycle; take it.
+    // A new or reused entry; take it.
     e.exclusive = exclusive;
     e.holders.push_back(owner);
-    os.held.push_back(lock_id);
+    owner->held.push_back(lock_id);
     return true;
   }
-  e.queue.push_back(Waiter{owner, exclusive});
-  os.waiting = true;
-  os.waiting_lock = lock_id;
-  os.waiting_exclusive = exclusive;
+  e.queue.push_back(owner);
+  owner->waiting = true;
+  owner->waiting_lock = lock_id;
+  owner->waiting_exclusive = exclusive;
   if (m != nullptr) m->lock_waits++;
   return false;
 }
 
-void LockManager::GrantFromQueue(uint64_t lock_id, LockEntry* e, WorkMeter* /*m*/,
-                                 std::vector<Granted>* granted) {
-  for (;;) {
-    if (e->queue.empty()) break;
-    Waiter w = e->queue.front();
-    if (w.exclusive) {
-      const bool upgrade = Holds(*e, w.owner);
+void LockManager::GrantFromQueue(uint64_t lock_id, LockEntry* e, std::vector<Granted>* granted) {
+  while (!e->queue.empty()) {
+    Owner* w = e->queue.front();
+    const bool exclusive = w->waiting_exclusive;
+    if (exclusive) {
+      const bool upgrade = Holds(*e, w);
       if (upgrade) {
         if (e->holders.size() != 1) break;  // other S holders remain
         e->exclusive = true;
       } else {
         if (!e->holders.empty()) break;
         e->exclusive = true;
-        e->holders.push_back(w.owner);
-        owners_[w.owner].held.push_back(lock_id);
+        e->holders.push_back(w);
+        w->held.push_back(lock_id);
       }
     } else {
       if (!e->holders.empty() && e->exclusive) break;
       e->exclusive = false;
-      e->holders.push_back(w.owner);
-      owners_[w.owner].held.push_back(lock_id);
+      e->holders.push_back(w);
+      w->held.push_back(lock_id);
     }
-    e->queue.pop_front();
-    OwnerState& os = owners_[w.owner];
-    os.waiting = false;
-    granted->push_back(Granted{w.owner, lock_id, w.exclusive});
-    if (w.exclusive) break;  // X grant blocks everything behind it
+    e->queue.erase(e->queue.begin());
+    w->waiting = false;
+    granted->push_back(Granted{w, exclusive});
+    if (exclusive) break;  // X grant blocks everything behind it
   }
 }
 
-void LockManager::ReleaseAll(void* owner, WorkMeter* m, std::vector<Granted>* granted) {
-  auto oit = owners_.find(owner);
-  if (oit == owners_.end()) return;
-  OwnerState os = std::move(oit->second);
-  owners_.erase(oit);
+void LockManager::RetireIfUnused(Table::iterator it) {
+  if (it->second.holders.empty() && it->second.queue.empty()) {
+    free_entries_.push_back(table_.extract(it));
+  }
+}
 
-  if (os.waiting) {
-    auto it = table_.find(os.waiting_lock);
+void LockManager::ReleaseAll(Owner* owner, WorkMeter* m, std::vector<Granted>* granted) {
+  if (owner->waiting) {
+    owner->waiting = false;
+    auto it = table_.find(owner->waiting_lock);
     PARTDB_CHECK(it != table_.end());
     auto& q = it->second.queue;
-    for (auto qi = q.begin(); qi != q.end(); ++qi) {
-      if (qi->owner == owner) {
-        q.erase(qi);
-        break;
-      }
-    }
-    Meter(m, m != nullptr ? &m->lock_table_ops : nullptr);
+    auto qi = std::find(q.begin(), q.end(), owner);
+    PARTDB_CHECK(qi != q.end());
+    q.erase(qi);
+    if (m != nullptr) m->lock_table_ops++;
     // Removing a waiter can unblock the queue behind it.
-    GrantFromQueue(os.waiting_lock, &it->second, m, granted);
-    if (it->second.holders.empty() && it->second.queue.empty()) table_.erase(it);
+    GrantFromQueue(owner->waiting_lock, &it->second, granted);
+    RetireIfUnused(it);
   }
 
-  for (uint64_t lock_id : os.held) {
+  for (uint64_t lock_id : owner->held) {
     auto it = table_.find(lock_id);
     PARTDB_CHECK(it != table_.end());
     LockEntry& e = it->second;
@@ -134,44 +125,39 @@ void LockManager::ReleaseAll(void* owner, WorkMeter* m, std::vector<Granted>* gr
       m->lock_releases++;
       m->lock_table_ops++;
     }
-    GrantFromQueue(lock_id, &e, m, granted);
-    if (e.holders.empty() && e.queue.empty()) table_.erase(it);
+    GrantFromQueue(lock_id, &e, granted);
+    RetireIfUnused(it);
   }
+  owner->held.clear();
 }
 
-bool LockManager::IsWaiting(const void* owner) const {
-  auto it = owners_.find(owner);
-  return it != owners_.end() && it->second.waiting;
+uint64_t LockManager::WaitingOn(const Owner* owner) const {
+  PARTDB_CHECK(owner->waiting);
+  return owner->waiting_lock;
 }
 
-uint64_t LockManager::WaitingOn(const void* owner) const {
-  auto it = owners_.find(owner);
-  PARTDB_CHECK(it != owners_.end() && it->second.waiting);
-  return it->second.waiting_lock;
-}
-
-bool LockManager::DfsCycle(void* node, void* start, std::unordered_map<const void*, int>* color,
-                           std::vector<void*>* stack, std::vector<void*>* cycle) const {
+bool LockManager::DfsCycle(Owner* node, Owner* start,
+                           std::unordered_map<const Owner*, int>* color,
+                           std::vector<Owner*>* stack, std::vector<Owner*>* cycle) const {
   (*color)[node] = 1;  // gray
   stack->push_back(node);
 
-  auto oit = owners_.find(node);
-  if (oit != owners_.end() && oit->second.waiting) {
-    auto lit = table_.find(oit->second.waiting_lock);
+  if (node->waiting) {
+    auto lit = table_.find(node->waiting_lock);
     PARTDB_CHECK(lit != table_.end());
     const LockEntry& e = lit->second;
-    const bool my_x = oit->second.waiting_exclusive;
+    const bool my_x = node->waiting_exclusive;
 
-    std::vector<void*> targets;
-    for (void* h : e.holders) {
+    std::vector<Owner*> targets;
+    for (Owner* h : e.holders) {
       if (h != node) targets.push_back(h);
     }
     // Incompatible requests queued ahead of us also block us.
-    for (const Waiter& w : e.queue) {
-      if (w.owner == node) break;
-      if (w.exclusive || my_x) targets.push_back(w.owner);
+    for (Owner* w : e.queue) {
+      if (w == node) break;
+      if (w->waiting_exclusive || my_x) targets.push_back(w);
     }
-    for (void* t : targets) {
+    for (Owner* t : targets) {
       if (t == start) {
         *cycle = *stack;
         return true;
@@ -185,18 +171,16 @@ bool LockManager::DfsCycle(void* node, void* start, std::unordered_map<const voi
   return false;
 }
 
-bool LockManager::FindCycle(void* start, std::vector<void*>* cycle) const {
-  std::unordered_map<const void*, int> color;
-  std::vector<void*> stack;
+bool LockManager::FindCycle(Owner* start, std::vector<Owner*>* cycle) const {
+  std::unordered_map<const Owner*, int> color;
+  std::vector<Owner*> stack;
   cycle->clear();
   return DfsCycle(start, start, &color, &stack, cycle);
 }
 
-size_t LockManager::HeldCount(const void* owner) const {
-  auto it = owners_.find(owner);
-  if (it == owners_.end()) return 0;
+size_t LockManager::HeldCount(const Owner* owner) const {
   size_t n = 0;
-  for (uint64_t id : it->second.held) {
+  for (uint64_t id : owner->held) {
     auto lit = table_.find(id);
     if (lit != table_.end() && Holds(lit->second, owner)) ++n;
   }

@@ -3,12 +3,18 @@
 // bookkeeping structure for *logical* concurrency. Shared/exclusive modes,
 // FIFO wait queues (upgrades jump the queue), and on-demand waits-for cycle
 // detection for local deadlocks.
+//
+// The manager keeps no per-owner state of its own: each transaction is its
+// own `Owner` (LockingCc::LTxn derives from it), so the held ids and the one
+// waiting request live in the transaction. An Owner must outlive its
+// ReleaseAll, and it has at most one outstanding (queued) request. A lock
+// entry emptied by a release is kept on a free list and reused for the next
+// lock id, so a steady workload stops allocating lock entries.
 #ifndef PARTDB_ENGINE_LOCK_MANAGER_H_
 #define PARTDB_ENGINE_LOCK_MANAGER_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -18,12 +24,19 @@ namespace partdb {
 
 class LockManager {
  public:
-  /// A lock grant delivered by Release/ReleaseAll: `owner`'s queued request
-  /// for `lock_id` is now held. When all of an owner's pending requests have
-  /// been granted the transaction can run.
+  /// One transaction's lock state, read and written only by the manager.
+  struct Owner {
+    std::vector<uint64_t> held;  // lock ids held (any mode)
+    uint64_t waiting_lock = 0;
+    bool waiting = false;
+    bool waiting_exclusive = false;  // mode of the queued request
+  };
+
+  /// A lock grant delivered by ReleaseAll: `owner`'s queued request is now
+  /// held. When all of an owner's pending requests have been granted the
+  /// transaction can run.
   struct Granted {
-    void* owner;
-    uint64_t lock_id;
+    Owner* owner;
     bool exclusive;
   };
 
@@ -31,56 +44,47 @@ class LockManager {
   /// Returns true if granted immediately; otherwise the request is queued
   /// (upgrades at the front) and false is returned. Re-acquiring a lock the
   /// owner already holds (at equal or weaker mode) is a granted no-op.
-  bool Acquire(uint64_t lock_id, void* owner, bool exclusive, WorkMeter* m);
+  bool Acquire(uint64_t lock_id, Owner* owner, bool exclusive, WorkMeter* m);
 
   /// Releases every lock `owner` holds and cancels any queued request.
   /// Newly runnable grants (for other owners) are appended to `granted`.
-  void ReleaseAll(void* owner, WorkMeter* m, std::vector<Granted>* granted);
+  void ReleaseAll(Owner* owner, WorkMeter* m, std::vector<Granted>* granted);
 
   /// True if `owner` has a queued (not yet granted) request.
-  bool IsWaiting(const void* owner) const;
+  bool IsWaiting(const Owner* owner) const { return owner->waiting; }
 
   /// The lock a waiting owner is queued on (undefined if not waiting).
-  uint64_t WaitingOn(const void* owner) const;
+  uint64_t WaitingOn(const Owner* owner) const;
 
   /// Searches the waits-for graph for a cycle reachable from `start` (which
   /// must be waiting). On success fills `cycle` with the owners on the cycle
   /// (start included) and returns true.
-  bool FindCycle(void* start, std::vector<void*>* cycle) const;
+  bool FindCycle(Owner* start, std::vector<Owner*>* cycle) const;
 
   /// True when no locks are held and nobody waits: the partition may use the
   /// no-lock fast path for single-partition transactions.
   bool Empty() const { return table_.empty(); }
 
-  size_t num_entries() const { return table_.size(); }
-  size_t HeldCount(const void* owner) const;
+  size_t HeldCount(const Owner* owner) const;
 
  private:
-  struct Waiter {
-    void* owner;
-    bool exclusive;
-  };
   struct LockEntry {
     bool exclusive = false;       // mode of current holders
-    std::vector<void*> holders;   // size 1 if exclusive
-    std::deque<Waiter> queue;
+    std::vector<Owner*> holders;  // size 1 if exclusive
+    std::vector<Owner*> queue;    // FIFO of waiters; an upgrade goes first
   };
-  struct OwnerState {
-    std::vector<uint64_t> held;       // lock ids held (any mode)
-    uint64_t waiting_lock = 0;
-    bool waiting = false;
-    bool waiting_exclusive = false;
-  };
+  using Table = std::unordered_map<uint64_t, LockEntry>;
 
-  static bool Holds(const LockEntry& e, const void* owner);
+  static bool Holds(const LockEntry& e, const Owner* owner);
   /// Grants queue-head requests that are now compatible.
-  void GrantFromQueue(uint64_t lock_id, LockEntry* e, WorkMeter* m,
-                      std::vector<Granted>* granted);
-  bool DfsCycle(void* node, void* start, std::unordered_map<const void*, int>* color,
-                std::vector<void*>* stack, std::vector<void*>* cycle) const;
+  void GrantFromQueue(uint64_t lock_id, LockEntry* e, std::vector<Granted>* granted);
+  /// Moves an entry with no holders and no waiters to the free list.
+  void RetireIfUnused(Table::iterator it);
+  bool DfsCycle(Owner* node, Owner* start, std::unordered_map<const Owner*, int>* color,
+                std::vector<Owner*>* stack, std::vector<Owner*>* cycle) const;
 
-  std::unordered_map<uint64_t, LockEntry> table_;
-  std::unordered_map<const void*, OwnerState> owners_;
+  Table table_;
+  std::vector<Table::node_type> free_entries_;
 };
 
 }  // namespace partdb

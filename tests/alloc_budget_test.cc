@@ -86,7 +86,7 @@ struct Budget {
 const Budget kBudgets[] = {
     {"blocking", 11.40, 13.81, 20.60},
     {"speculation", 11.40, 13.67, 23.10},
-    {"locking", 11.40, 81.15, 47.08},
+    {"locking", 11.40, 27.85, 30.63},
     {"occ", 11.40, 18.73, 24.23},
     {"mvcc", 11.40, 18.95, 24.02},
 };

@@ -7,15 +7,11 @@
 namespace partdb {
 namespace {
 
-struct Owner {
-  int id;
-};
-
 class LockManagerTest : public ::testing::Test {
  protected:
   LockManager lm;
   WorkMeter m;
-  Owner a{1}, b{2}, c{3}, d{4};
+  LockManager::Owner a, b, c, d;
   std::vector<LockManager::Granted> granted;
 };
 
@@ -153,7 +149,7 @@ TEST_F(LockManagerTest, TwoOwnerCycleDetected) {
   EXPECT_TRUE(lm.Acquire(1, &a, true, &m));
   EXPECT_TRUE(lm.Acquire(2, &b, true, &m));
   EXPECT_FALSE(lm.Acquire(2, &a, true, &m));  // a waits on b
-  std::vector<void*> cycle;
+  std::vector<LockManager::Owner*> cycle;
   EXPECT_FALSE(lm.FindCycle(&a, &cycle));  // no cycle yet
   EXPECT_FALSE(lm.Acquire(1, &b, true, &m));  // b waits on a: cycle
   EXPECT_TRUE(lm.FindCycle(&b, &cycle));
@@ -167,7 +163,7 @@ TEST_F(LockManagerTest, ThreeOwnerCycleDetected) {
   EXPECT_FALSE(lm.Acquire(2, &a, true, &m));
   EXPECT_FALSE(lm.Acquire(3, &b, true, &m));
   EXPECT_FALSE(lm.Acquire(1, &c, true, &m));
-  std::vector<void*> cycle;
+  std::vector<LockManager::Owner*> cycle;
   EXPECT_TRUE(lm.FindCycle(&c, &cycle));
   EXPECT_EQ(cycle.size(), 3u);
 }
@@ -178,7 +174,7 @@ TEST_F(LockManagerTest, NoFalseCycleOnChains) {
   EXPECT_TRUE(lm.Acquire(2, &b, true, &m));
   EXPECT_FALSE(lm.Acquire(1, &b, true, &m));  // b waits on c
   EXPECT_FALSE(lm.Acquire(2, &a, true, &m));  // a waits on b
-  std::vector<void*> cycle;
+  std::vector<LockManager::Owner*> cycle;
   EXPECT_FALSE(lm.FindCycle(&a, &cycle));
   EXPECT_FALSE(lm.FindCycle(&b, &cycle));
 }
@@ -198,7 +194,7 @@ TEST_F(LockManagerTest, CycleThroughQueuedWaiter) {
   ASSERT_EQ(granted.size(), 1u);
   EXPECT_EQ(granted[0].owner, &b);
   EXPECT_TRUE(lm.IsWaiting(&c));
-  std::vector<void*> cycle;
+  std::vector<LockManager::Owner*> cycle;
   EXPECT_FALSE(lm.FindCycle(&c, &cycle));
 }
 
