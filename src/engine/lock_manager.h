@@ -24,7 +24,8 @@ namespace partdb {
 
 class LockManager {
  public:
-  /// One transaction's lock state, read and written only by the manager.
+  /// One transaction's lock state. The manager reads and writes the fields;
+  /// the owner may only reserve `held`.
   struct Owner {
     std::vector<uint64_t> held;  // lock ids held (any mode)
     uint64_t waiting_lock = 0;
