@@ -136,8 +136,7 @@ uint64_t LockManager::WaitingOn(const Owner* owner) const {
   return owner->waiting_lock;
 }
 
-bool LockManager::DfsCycle(Owner* node, Owner* start,
-                           std::unordered_map<const Owner*, int>* color,
+bool LockManager::DfsCycle(Owner* node, Owner* start, std::unordered_map<const Owner*, int>* color,
                            std::vector<Owner*>* stack, std::vector<Owner*>* cycle) const {
   (*color)[node] = 1;  // gray
   stack->push_back(node);
