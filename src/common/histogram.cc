@@ -1,11 +1,79 @@
 #include "common/histogram.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/logging.h"
 
 namespace partdb {
+
+namespace {
+
+/// Where each bucket starts, computed once from the bucket formula itself,
+/// so a lookup agrees with the formula on every value: start[b] is the
+/// smallest value the formula puts in bucket b or above (the formula never
+/// decreases), or "none" for buckets no int64 reaches. A value of bit length
+/// L starts its search at by_bits[L], the bucket of 2^(L-1); a doubling
+/// spans about 7.3 buckets, so the search steps at most 8 times.
+struct BucketTable {
+  static constexpr int kBuckets = Histogram::num_buckets();
+  static constexpr uint64_t kNone = std::numeric_limits<uint64_t>::max();
+
+  static int Formula(int64_t value) {
+    if (value <= 0) return 0;
+    const int idx = static_cast<int>(std::log(static_cast<double>(value)) / std::log(1.1));
+    return idx < 0 ? 0 : (idx >= kBuckets ? kBuckets - 1 : idx);
+  }
+
+  BucketTable() {
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    start[0] = 0;
+    int64_t prev = 1;
+    for (int b = 1; b < kBuckets; ++b) {
+      if (Formula(kMax) < b) {
+        start[b] = kNone;
+        continue;
+      }
+      // The smallest value at or above the previous start whose bucket
+      // reaches b; start[b] <= 2 * start[b-1] + 2, since doubling a value
+      // moves it up at least 7 buckets.
+      int64_t lo = prev;
+      int64_t hi = prev > (kMax - 2) / 2 ? kMax : 2 * prev + 2;
+      while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (Formula(mid) >= b) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      PARTDB_CHECK(Formula(lo) >= b);
+      start[b] = static_cast<uint64_t>(lo);
+      prev = lo;
+    }
+    for (int bits = 1; bits < 64; ++bits) by_bits[bits] = Formula(int64_t{1} << (bits - 1));
+  }
+
+  int Lookup(int64_t value) const {
+    if (value <= 0) return 0;
+    const auto v = static_cast<uint64_t>(value);
+    int b = by_bits[std::bit_width(v)];
+    while (b + 1 < kBuckets && start[b + 1] <= v) ++b;
+    return b;
+  }
+
+  uint64_t start[kBuckets];
+  int by_bits[64] = {};
+};
+
+const BucketTable& Buckets() {
+  static const BucketTable table;
+  return table;
+}
+
+}  // namespace
 
 Histogram::Histogram() : buckets_(kNumBuckets, 0) { Clear(); }
 
@@ -17,14 +85,7 @@ void Histogram::Clear() {
   sum_ = 0;
 }
 
-int Histogram::BucketFor(int64_t value) {
-  if (value <= 0) return 0;
-  // Bucket index grows with log1.1(value), computed via frexp-ish math.
-  int idx = static_cast<int>(std::log(static_cast<double>(value)) / std::log(1.1));
-  if (idx < 0) idx = 0;
-  if (idx >= kNumBuckets) idx = kNumBuckets - 1;
-  return idx;
-}
+int Histogram::BucketFor(int64_t value) { return Buckets().Lookup(value); }
 
 int64_t Histogram::BucketLimit(int bucket) {
   return static_cast<int64_t>(std::pow(1.1, bucket + 1));

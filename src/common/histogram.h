@@ -40,9 +40,13 @@ class Histogram {
   static Histogram FromRaw(uint64_t count, int64_t min, int64_t max, double sum,
                            const std::vector<std::pair<uint32_t, uint64_t>>& nonzero);
 
+  /// The bucket `value` counts in: floor(log(value) / log(1.1)), 0 for
+  /// values below 1. A table built once from that formula answers it, so
+  /// Add calls no log.
+  static int BucketFor(int64_t value);
+
  private:
   static constexpr int kNumBuckets = 512;
-  static int BucketFor(int64_t value);
   static int64_t BucketLimit(int bucket);
 
   std::vector<uint64_t> buckets_;

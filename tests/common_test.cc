@@ -1,6 +1,8 @@
 // Tests for the common utilities: Rng, Histogram, FlagSet,
 // InlineString, SmallFn, message size accounting, and metrics arithmetic.
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -91,6 +93,42 @@ TEST(Histogram, MergeCombines) {
   EXPECT_EQ(a.count(), 2u);
   EXPECT_EQ(a.min(), 10);
   EXPECT_EQ(a.max(), 1000000);
+}
+
+/// The bucket formula Histogram::BucketFor answers from its table.
+int FormulaBucket(int64_t v) {
+  if (v <= 0) return 0;
+  const int idx = static_cast<int>(std::log(static_cast<double>(v)) / std::log(1.1));
+  return std::min(std::max(idx, 0), Histogram::num_buckets() - 1);
+}
+
+TEST(Histogram, BucketLookupMatchesTheFormulaAtEveryBoundary) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  int boundaries = 0;
+  for (int b = 1; b < Histogram::num_buckets(); ++b) {
+    if (FormulaBucket(kMax) < b) break;
+    // The smallest value the formula puts in bucket b or above.
+    int64_t lo = 1;
+    int64_t hi = kMax;
+    while (lo < hi) {
+      const int64_t mid = lo + (hi - lo) / 2;
+      if (FormulaBucket(mid) >= b) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    for (int64_t v : {lo - 1, lo, lo == kMax ? lo : lo + 1}) {
+      ASSERT_EQ(Histogram::BucketFor(v), FormulaBucket(v)) << "value " << v << ", bucket " << b;
+    }
+    ++boundaries;
+  }
+  EXPECT_GT(boundaries, 400);
+  for (int64_t v = -3; v <= 100000; ++v) {
+    ASSERT_EQ(Histogram::BucketFor(v), FormulaBucket(v)) << "value " << v;
+  }
+  EXPECT_EQ(Histogram::BucketFor(kMax), FormulaBucket(kMax));
+  EXPECT_EQ(Histogram::BucketFor(std::numeric_limits<int64_t>::min()), 0);
 }
 
 TEST(FlagSet, ParsesAllTypesAndForms) {
