@@ -4,6 +4,8 @@
 
 #include <cstdint>
 
+#include "common/small_vector.h"
+
 namespace partdb {
 
 /// Virtual time, in nanoseconds since simulation start.
@@ -26,6 +28,10 @@ constexpr double ToSeconds(Duration d) {
 
 /// Identifies one data partition (0-based).
 using PartitionId = int32_t;
+
+/// The partitions one transaction touches. Two fit inline, the most a paper
+/// workload's transaction touches, so routing one allocates nothing.
+using PartitionList = SmallVector<PartitionId, 2>;
 
 /// Identifies one simulated process (client, coordinator, partition primary or
 /// backup). Assigned when Database::Open wires the actors.

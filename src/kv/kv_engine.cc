@@ -19,7 +19,7 @@ ExecResult KvEngine::Execute(const Payload& payload, int round, const Payload* r
   }
 
   PARTDB_CHECK(static_cast<size_t>(pid_) < args.keys.size());
-  const std::vector<KvKey>& keys = args.keys[pid_];
+  const KvKeyList& keys = args.keys[pid_];
   PARTDB_CHECK(!keys.empty());
 
   if (args.rounds == 1) {

@@ -7,21 +7,28 @@
 
 #include <vector>
 
+#include "common/small_vector.h"
 #include "engine/engine.h"
 #include "kv/kv_store.h"
 #include "msg/wire.h"
 
 namespace partdb {
 
+/// One partition's keys of a KV transaction, with inline room for the
+/// paper's 12 (paper §5.1).
+using KvKeyList = SmallVector<KvKey, 12>;
+
 /// Arguments of the read/update transaction. Keys are grouped per partition;
-/// a single-partition transaction has keys on exactly one partition.
+/// a single-partition transaction has keys on exactly one partition. The
+/// lists are inline up to 12 keys over 2 partitions and spill to the heap
+/// beyond that, so a paper-mix draw is one heap block.
 /// Wire layout (README "Wire protocol"): a 24-byte fixed header (rounds,
 /// flags, abort_at, list count, total key count), one u32 count per
 /// partition list, then each key as a 9-byte fixed-width inline string.
 struct KvArgs : public Payload {
-  std::vector<std::vector<KvKey>> keys;  // indexed by PartitionId
-  int rounds = 1;                        // 2 = general transaction (§5.4)
-  bool abort_txn = false;                // single-partition user abort
+  SmallVector<KvKeyList, 2> keys;  // indexed by PartitionId
+  int rounds = 1;                  // 2 = general transaction (§5.4)
+  bool abort_txn = false;          // single-partition user abort
   /// Read the keys without updating them (read-heavy mixes; snapshot-read
   /// schemes serve these without waiting). Bit 1 of the wire flags word, so
   /// encoded sizes are unchanged.

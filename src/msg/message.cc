@@ -2,6 +2,11 @@
 
 namespace partdb {
 
+// Every message moves through a mailbox by value: the inline participant and
+// round-input lists must not make the common ones bigger.
+static_assert(sizeof(ClientRequest) == 64);
+static_assert(sizeof(Message) <= 96);
+
 namespace {
 constexpr size_t kHeader = 24;  // type tag, txn id, attempt, flags, checksums
 

@@ -19,7 +19,7 @@ struct ClientRequest {
   uint32_t attempt = 0;
   ProcId proc = kInvalidProc;  // registry id
   PayloadPtr args;
-  std::vector<PartitionId> participants;
+  PartitionList participants;
   int num_rounds = 1;
   bool can_abort = false;  // user abort possible: undo required even on fast paths
 };
@@ -84,7 +84,9 @@ struct CommitRecord {
   bool multi_partition = false;
   ProcId proc = kInvalidProc;  // registry id; recovery re-resolves it by name
   PayloadPtr args;
-  std::vector<PayloadPtr> round_inputs;  // entry r = input for round r (null for 0)
+  /// Entry r = input for round r (null for 0). Entry 0 is inline, so a
+  /// single-partition record allocates nothing.
+  SmallVector<PayloadPtr, 1> round_inputs;
 };
 
 /// Primary -> backup: ship one transaction for durability (paper 2.2/3.2).

@@ -157,8 +157,7 @@ void NewOrderLocks(const TpccDb& db, const TpccArgs& args, std::vector<LockReque
   }
 }
 
-void NewOrderRoute(const TpccScale& scale, const TpccArgs& args,
-                   std::vector<PartitionId>* participants) {
+void NewOrderRoute(const TpccScale& scale, const TpccArgs& args, PartitionList* participants) {
   const auto& a = As<NewOrderArgs>(args);
   participants->push_back(scale.PartitionOf(a.w_id));
   for (const auto& line : a.lines) {
@@ -180,12 +179,11 @@ void PaymentLocks(const TpccDb& db, const TpccArgs& args, std::vector<LockReques
   }
 }
 
-void PaymentRoute(const TpccScale& scale, const TpccArgs& args,
-                  std::vector<PartitionId>* participants) {
+void PaymentRoute(const TpccScale& scale, const TpccArgs& args, PartitionList* participants) {
   const auto& a = As<PaymentArgs>(args);
   participants->push_back(scale.PartitionOf(a.w_id));
   const PartitionId cp = scale.PartitionOf(a.c_w_id);
-  if (cp != participants->front()) participants->push_back(cp);
+  if (cp != (*participants)[0]) participants->push_back(cp);
 }
 
 void DeliveryLocks(const TpccDb& /*db*/, const TpccArgs& args, std::vector<LockRequest>* out) {
@@ -205,8 +203,7 @@ void DistrictReadLock(const TpccDb& /*db*/, const TpccArgs& args,
 
 /// OrderStatus, Delivery and StockLevel run at their warehouse alone.
 template <typename Args>
-void HomeRoute(const TpccScale& scale, const TpccArgs& args,
-               std::vector<PartitionId>* participants) {
+void HomeRoute(const TpccScale& scale, const TpccArgs& args, PartitionList* participants) {
   participants->push_back(scale.PartitionOf(As<Args>(args).w_id));
 }
 

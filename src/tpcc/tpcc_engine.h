@@ -130,8 +130,7 @@ struct TpccProcedure {
   void (*lock_set)(const TpccDb& db, const TpccArgs& args, std::vector<LockRequest>* out);
   /// Appends its participants: the home warehouse's partition first, remote
   /// stock-supply / customer partitions after, in first-seen order.
-  void (*route)(const TpccScale& scale, const TpccArgs& args,
-                std::vector<PartitionId>* participants);
+  void (*route)(const TpccScale& scale, const TpccArgs& args, PartitionList* participants);
   // Args codec: a fresh instance, and the decoder that fills it.
   std::shared_ptr<Payload> (*make_args)();
   bool (*decode_args_into)(WireReader& r, Payload* into);

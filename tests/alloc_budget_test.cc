@@ -84,11 +84,11 @@ struct Budget {
 };
 
 const Budget kBudgets[] = {
-    {"blocking", 11.40, 13.81, 20.60},
-    {"speculation", 11.40, 13.67, 23.10},
-    {"locking", 11.40, 27.85, 30.63},
-    {"occ", 11.40, 18.73, 24.23},
-    {"mvcc", 11.40, 18.95, 24.02},
+    {"blocking", 7.40, 9.40, 18.39},
+    {"speculation", 7.40, 9.27, 20.90},
+    {"locking", 7.40, 22.44, 27.89},
+    {"occ", 7.40, 14.31, 22.02},
+    {"mvcc", 7.40, 14.55, 21.81},
 };
 
 /// Checks all three cells of one scheme's row.

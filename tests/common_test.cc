@@ -1,5 +1,6 @@
 // Tests for the common utilities: Rng, Histogram, FlagSet,
-// InlineString, SmallFn, message size accounting, and metrics arithmetic.
+// InlineString, SmallFn, SmallVector, message size accounting, and metrics
+// arithmetic.
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -7,12 +8,14 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/histogram.h"
 #include "common/inline_string.h"
 #include "common/rng.h"
 #include "common/small_fn.h"
+#include "common/small_vector.h"
 #include "gtest/gtest.h"
 #include "kv/kv_engine.h"
 #include "msg/message.h"
@@ -230,6 +233,116 @@ TEST(SmallFn, DestroysCaptureExactlyOnce) {
     EXPECT_FALSE(watch.expired());
   }
   EXPECT_TRUE(watch.expired());
+}
+
+TEST(SmallVector, SpillsToTheHeapAtNPlusOne) {
+  SmallVector<int, 4> v;
+  EXPECT_TRUE(v.IsInline());
+  EXPECT_EQ(v.capacity(), 4u);
+  for (int i = 0; i < 4; ++i) v.push_back(i);
+  EXPECT_TRUE(v.IsInline());
+  v.push_back(4);
+  EXPECT_FALSE(v.IsInline());
+  EXPECT_GE(v.capacity(), 5u);
+  EXPECT_EQ(v, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+/// `n` shared ints, each holding one reference besides the vector's.
+std::vector<std::shared_ptr<int>> Tokens(int n) {
+  std::vector<std::shared_ptr<int>> out;
+  for (int i = 0; i < n; ++i) out.push_back(std::make_shared<int>(i));
+  return out;
+}
+
+TEST(SmallVector, CopyAndMoveFromInline) {
+  const auto tokens = Tokens(2);
+  SmallVector<std::shared_ptr<int>, 3> a;
+  for (const auto& t : tokens) a.push_back(t);
+  ASSERT_TRUE(a.IsInline());
+
+  SmallVector<std::shared_ptr<int>, 3> copy(a);
+  EXPECT_TRUE(copy.IsInline());
+  EXPECT_EQ(copy, a);
+  EXPECT_EQ(tokens[0].use_count(), 3);
+
+  SmallVector<std::shared_ptr<int>, 3> moved(std::move(copy));
+  EXPECT_TRUE(moved.IsInline());
+  EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move): moved-from is empty
+  EXPECT_EQ(moved, a);
+  EXPECT_EQ(tokens[0].use_count(), 3);
+
+  // Assignments into a spilled vector keep its elements' references exact.
+  SmallVector<std::shared_ptr<int>, 3> target;
+  for (const auto& t : Tokens(5)) target.push_back(t);
+  ASSERT_FALSE(target.IsInline());
+  target = a;
+  EXPECT_EQ(target, a);
+  EXPECT_EQ(tokens[1].use_count(), 4);
+  target = std::move(moved);
+  EXPECT_EQ(target, a);
+  EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(tokens[1].use_count(), 3);
+}
+
+TEST(SmallVector, CopyAndMoveFromSpilled) {
+  const auto tokens = Tokens(5);
+  SmallVector<std::shared_ptr<int>, 3> a;
+  for (const auto& t : tokens) a.push_back(t);
+  ASSERT_FALSE(a.IsInline());
+
+  SmallVector<std::shared_ptr<int>, 3> copy(a);
+  EXPECT_FALSE(copy.IsInline());
+  EXPECT_EQ(copy, a);
+  EXPECT_EQ(tokens[4].use_count(), 3);
+
+  // A move hands the heap block over.
+  const std::shared_ptr<int>* block = copy.data();
+  SmallVector<std::shared_ptr<int>, 3> moved(std::move(copy));
+  EXPECT_EQ(moved.data(), block);
+  EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move): moved-from is empty
+  EXPECT_TRUE(copy.IsInline());
+  EXPECT_EQ(tokens[4].use_count(), 3);
+
+  SmallVector<std::shared_ptr<int>, 3> target;
+  target.push_back(tokens[0]);
+  target = std::move(moved);
+  EXPECT_EQ(target.data(), block);
+  EXPECT_EQ(target, a);
+  EXPECT_EQ(tokens[0].use_count(), 3);
+
+  // A spilled vector that shrank back under N copies into inline room.
+  a.resize(2);
+  SmallVector<std::shared_ptr<int>, 3> small(a);
+  EXPECT_TRUE(small.IsInline());
+  EXPECT_EQ(small, a);
+}
+
+TEST(SmallVector, ResizeAndClear) {
+  const auto tokens = Tokens(1);
+  SmallVector<std::shared_ptr<int>, 2> v;
+  v.resize(2);
+  EXPECT_TRUE(v.IsInline());
+  EXPECT_EQ(v[0], nullptr);
+  v[1] = tokens[0];
+  v.resize(6);  // spills, keeping the elements
+  EXPECT_FALSE(v.IsInline());
+  EXPECT_EQ(v.size(), 6u);
+  EXPECT_EQ(v[1], tokens[0]);
+  EXPECT_EQ(v[5], nullptr);
+  v.resize(1);  // destroys the tail
+  EXPECT_EQ(tokens[0].use_count(), 1);
+  v.push_back(tokens[0]);
+  const size_t cap = v.capacity();
+  v.clear();  // keeps the heap block
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(v.capacity(), cap);
+  EXPECT_EQ(tokens[0].use_count(), 1);
+
+  SmallVector<int, 2> ints{7, 8, 9};
+  ints.resize(5);
+  EXPECT_EQ(ints, (std::vector<int>{7, 8, 9, 0, 0}));
+  ints.resize(1);
+  EXPECT_EQ(ints, (std::vector<int>{7}));
 }
 
 TEST(MessageSize, GrowsWithPayload) {

@@ -1,7 +1,7 @@
-// DrawKvTxn sizes each key list once: the args object, the outer vector of
-// per-partition lists, and one block per non-empty list. This executable
-// replaces the global operator new with a counting one
-// (tests/counting_new.h) and counts the blocks of one draw on this thread.
+// A DrawKvTxn of the paper mix is one heap block: the args object, whose
+// per-partition key lists are inline. This executable replaces the global
+// operator new with a counting one (tests/counting_new.h) and counts the
+// blocks of one draw on this thread.
 #include "common/rng.h"
 #include "counting_new.h"
 #include "gtest/gtest.h"
@@ -27,9 +27,9 @@ uint64_t DrawAllocations(double mp_fraction) {
   return g_allocations.load();
 }
 
-TEST(KvDrawAlloc, SinglePartitionDrawAllocatesThreeBlocks) { EXPECT_EQ(DrawAllocations(0.0), 3u); }
+TEST(KvDrawAlloc, SinglePartitionDrawAllocatesOneBlock) { EXPECT_EQ(DrawAllocations(0.0), 1u); }
 
-TEST(KvDrawAlloc, TwoPartitionDrawAllocatesFourBlocks) { EXPECT_EQ(DrawAllocations(1.0), 4u); }
+TEST(KvDrawAlloc, TwoPartitionDrawAllocatesOneBlock) { EXPECT_EQ(DrawAllocations(1.0), 1u); }
 
 }  // namespace
 }  // namespace partdb

@@ -172,7 +172,7 @@ class SessionTwoPc : public ::testing::Test {
   }
 
   /// Submits one MP transaction and runs until its round-0 fragments are out.
-  TxnId Submit(std::vector<PartitionId> parts, int rounds) {
+  TxnId Submit(PartitionList parts, int rounds) {
     route_.participants = std::move(parts);
     route_.rounds = rounds;
     SubmitResult s = session_->Submit(/*proc=*/0, Int(1), [this](const TxnResult& r) {
@@ -338,7 +338,7 @@ class CoordinatorTwoPc : public ::testing::Test {
     h_.BindAll(coord_.get());
   }
 
-  void Request(TxnId id, std::vector<PartitionId> parts, int rounds = 1) {
+  void Request(TxnId id, PartitionList parts, int rounds = 1) {
     ClientRequest r;
     r.txn_id = id;
     r.proc = 4;

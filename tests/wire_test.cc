@@ -256,6 +256,29 @@ TEST(KvCodec, WireBytesArePinned) {
             "02000000030000000100000002000000070000000000000008000000000000000900000000000000");
 }
 
+// Past the key lists' inline room: 3 partitions, a 20-key list and an empty
+// one. Where the lists live does not change the bytes.
+TEST(KvCodec, SpilledKeyListsKeepTheirBytes) {
+  auto args = std::make_shared<KvArgs>();
+  args->keys.resize(3);
+  for (int i = 0; i < 20; ++i) args->keys[0].push_back(MicrobenchKey(3, 0, i));
+  args->keys[2].push_back(MicrobenchKey(3, 2, 0));
+  ASSERT_FALSE(args->keys.IsInline());
+  ASSERT_FALSE(args->keys[0].IsInline());
+  EXPECT_EQ(Hex(Encode(*args)),
+            "0100000000000000ffffffff03000000150000000000000014000000000000000100000008000000"
+            "00030000000801000000030000000802000000030000000803000000030000000804000000030000"
+            "00080500000003000000080600000003000000080700000003000000080800000003000000080900"
+            "000003000000080a00000003000000080b00000003000000080c00000003000000080d0000000300"
+            "0000080e00000003000000080f000000030000000810000000030000000811000000030000000812"
+            "00000003000000081300000003000000080000000203000000");
+
+  PayloadPtr back = ExpectRoundTrip(*args, ArgsDecoder(KvProc()));
+  const auto& b = PayloadCast<KvArgs>(*back);
+  EXPECT_EQ(b.keys, args->keys);
+  EXPECT_TRUE(b.keys[1].empty());
+}
+
 TEST(KvCodec, ResultAndRoundInputRoundTripProperty) {
   Rng rng(77);
   for (int it = 0; it < 200; ++it) {
