@@ -64,6 +64,10 @@ ExecResult PartitionActor::RunFragment(const FragmentRequest& frag, UndoBuffer* 
   if (res.aborted) c += cost_.abort_exec;
   ctx_->Charge(c);
   if (receipt != nullptr) *receipt = m;
+  if (res.result != nullptr) {
+    recent_results_[next_result_] = res.result;
+    next_result_ = (next_result_ + 1) % kRecentResults;
+  }
   return res;
 }
 
