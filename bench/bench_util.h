@@ -54,9 +54,11 @@ struct SchemeResult {
   Metrics m;
   /// Report-only, never gated; set by the in-process parallel benches
   /// (WithWindowCost). Workers yield-spin before they park, trading CPU for
-  /// wakes, and these two show that trade.
+  /// wakes, and the first two show that trade; the third shows how many
+  /// messages each mailbox lock acquisition carried.
   std::optional<double> wakes_per_kmsg;  // mailbox wakes per 1000 pushed messages
   std::optional<double> cpu_us_per_txn;  // process CPU per committed transaction
+  std::optional<double> msgs_per_push;   // pushed messages per producer lock
 };
 
 /// A row for `m` with the report-only costs of the window that produced it
@@ -68,6 +70,8 @@ inline SchemeResult WithWindowCost(std::string scheme, const Metrics& m,
   const double txns = static_cast<double>(m.committed);
   r.wakes_per_kmsg = msgs > 0 ? static_cast<double>(w.mailbox_wakes) * 1e3 / msgs : 0.0;
   r.cpu_us_per_txn = txns > 0 ? w.cpu_s * 1e6 / txns : 0.0;
+  r.msgs_per_push =
+      w.mailbox_push_batches > 0 ? msgs / static_cast<double>(w.mailbox_push_batches) : 0.0;
   return r;
 }
 
@@ -107,6 +111,9 @@ inline bool WriteSchemeJson(const std::string& path, const char* bench_name,
     }
     if (results[i].cpu_us_per_txn) {
       std::fprintf(f, ", \"cpu_us_per_txn\": %.2f", *results[i].cpu_us_per_txn);
+    }
+    if (results[i].msgs_per_push) {
+      std::fprintf(f, ", \"msgs_per_push\": %.2f", *results[i].msgs_per_push);
     }
     std::fprintf(f, "}%s\n", i + 1 == results.size() ? "" : ",");
   }

@@ -78,8 +78,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(rs.mailbox_wakes),
                 static_cast<unsigned long long>(rs.mailbox_parks), rs.pinned_workers,
                 rs.num_workers);
-    std::printf("  window: wakes_per_kmsg=%.2f cpu_us_per_txn=%.2f\n", *row.wakes_per_kmsg,
-                *row.cpu_us_per_txn);
+    std::printf("  window: wakes_per_kmsg=%.2f cpu_us_per_txn=%.2f msgs_per_push=%.2f\n",
+                *row.wakes_per_kmsg, *row.cpu_us_per_txn, *row.msgs_per_push);
     if (m.committed == 0) {
       std::printf("ERROR: no transactions committed under %s\n", scheme.c_str());
       ok = false;

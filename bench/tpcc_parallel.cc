@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.user_aborts),
                 static_cast<unsigned long long>(m.local_deadlocks),
                 static_cast<unsigned long long>(m.timeout_aborts));
-    std::printf("  window: wakes_per_kmsg=%.2f cpu_us_per_txn=%.2f\n", *row.wakes_per_kmsg,
-                *row.cpu_us_per_txn);
+    std::printf("  window: wakes_per_kmsg=%.2f cpu_us_per_txn=%.2f msgs_per_push=%.2f\n",
+                *row.wakes_per_kmsg, *row.cpu_us_per_txn, *row.msgs_per_push);
     std::printf("  sp latency: %s\n", m.sp_latency.Summary(1e-3).c_str());
     if (m.mp_latency.count() > 0) {
       std::printf("  mp latency: %s\n", m.mp_latency.Summary(1e-3).c_str());

@@ -243,7 +243,8 @@ void Database::BeginMeasurement() {
   }
   window_start_ = exec_->Now();
   const ParallelRuntime::Stats rt = Stats().runtime;
-  window_cost_ = {rt.mailbox_pushed, rt.mailbox_wakes, ProcessCpuSeconds()};
+  window_cost_ = {rt.mailbox_pushed, rt.mailbox_push_batches, rt.mailbox_wakes,
+                  ProcessCpuSeconds()};
 }
 
 Metrics Database::EndMeasurement() {
@@ -260,6 +261,7 @@ Metrics Database::EndMeasurement() {
   out.num_partitions = options_.num_partitions;
   const ParallelRuntime::Stats rt = Stats().runtime;
   window_cost_ = {rt.mailbox_pushed - window_cost_.mailbox_pushed,
+                  rt.mailbox_push_batches - window_cost_.mailbox_push_batches,
                   rt.mailbox_wakes - window_cost_.mailbox_wakes,
                   ProcessCpuSeconds() - window_cost_.cpu_s};
   return out;

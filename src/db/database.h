@@ -84,12 +84,14 @@ class Database : public DbHandle {
   DbStats Stats() const;
 
   /// What the last finished measurement window cost beyond its throughput:
-  /// mailbox messages pushed and condvar wakes taken over the window
-  /// (parallel mode; zeros in simulated mode) and the process's user plus
+  /// mailbox messages pushed, the producer lock acquisitions that pushed
+  /// them and condvar wakes taken over the window (parallel mode; zeros in
+  /// simulated mode) and the process's user plus
   /// system CPU time over it (getrusage). Snapshotted by BeginMeasurement
   /// and EndMeasurement; read it after EndMeasurement, on the same thread.
   struct WindowCost {
     uint64_t mailbox_pushed = 0;
+    uint64_t mailbox_push_batches = 0;
     uint64_t mailbox_wakes = 0;
     double cpu_s = 0;
   };

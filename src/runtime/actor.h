@@ -71,8 +71,9 @@ class Actor {
   Duration Handle(Message& msg, Time start);
 
   /// Called by the parallel runtime on the owning worker when its mailbox
-  /// has drained, right before the worker would spin and then park.
-  /// Default: nothing.
+  /// has drained, right before the worker would spin and then park. It must
+  /// not send: the worker has already flushed its outbox, so a send would
+  /// wait there through the park. Default: nothing.
   virtual void OnIdle() {}
 
   /// Total CPU time consumed (for utilization reporting).

@@ -23,8 +23,9 @@ class ExecutionContext {
 
   /// Sends msg.body from msg.src to msg.dst, departing at `depart`. Delivery
   /// preserves per-(src,dst) FIFO order. The simulated transport models
-  /// latency/bandwidth; the parallel transport ignores `depart` and enqueues
-  /// immediately.
+  /// latency/bandwidth; the parallel transport ignores `depart`, and a send
+  /// from one of its own workers leaves with that worker's batch
+  /// (ParallelRuntime::Send).
   virtual void Send(Message msg, Time depart) = 0;
 
   /// Registers `actor` as the endpoint for node `id`. Must be called before

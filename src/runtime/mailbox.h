@@ -7,9 +7,15 @@
 // producer's program order, so per-sender FIFO — the delivery guarantee the
 // simulated network provides and the CC schemes rely on — is preserved.
 //
-// A handler may push to its own mailbox mid-drain (self-sends):
-// that push lands in `pending_`, never in the vector being drained, so the
-// node handed to the sink stays put.
+// Producers may push one item (PushMessage, PushControl) or a run of
+// messages (PushMessages: one lock, a bulk append in order, at most one
+// wake). The parallel runtime's workers use the bulk push: a handler's sends
+// wait in its worker's outbox and leave together, one push per destination
+// mailbox, when the drained batch is fully handed out (DrainUntil's
+// `batch_done` hook runs then, before the consumer can spin or park). A sink
+// may still push to its own mailbox mid-drain; that push lands in
+// `pending_`, never in the vector being drained, so the node handed to the
+// sink stays put.
 //
 // A consumer that finds nothing to drain first yield-spins on the push
 // counter for a short fixed time (`kSpinBeforePark`, never past the drain
@@ -117,6 +123,8 @@ class Mailbox {
   struct Stats {
     uint64_t pushed = 0;
     uint64_t popped = 0;
+    uint64_t push_batches = 0;  // producer lock acquisitions; pushed /
+                                // push_batches is messages per lock
     uint64_t wakes = 0;  // condvar notifies: empty->nonempty edges that
                          // found the consumer parked
     uint64_t parks = 0;  // times the consumer parked; bounds wakes from above
@@ -137,12 +145,22 @@ class Mailbox {
   // --- producers (any thread) -----------------------------------------------
 
   void PushMessage(Message m) {
-    Push([&m](MailboxNode& n) { n.SetMessage(std::move(m)); });
+    Push(1, [&m](std::vector<MailboxNode>& q) { q.emplace_back().SetMessage(std::move(m)); });
+  }
+  /// Appends every message of `msgs`, in order, under one lock acquisition
+  /// and with at most one wake. `msgs` comes back empty with its capacity
+  /// kept.
+  void PushMessages(std::vector<Message>& msgs) {
+    if (msgs.empty()) return;
+    Push(msgs.size(), [&msgs](std::vector<MailboxNode>& q) {
+      for (Message& m : msgs) q.emplace_back().SetMessage(std::move(m));
+    });
+    msgs.clear();
   }
   /// Cold control plane only (rendezvous, stop, window flips): the closure
   /// itself may allocate.
   void PushControl(MailboxNode::ControlFn fn) {
-    Push([&fn](MailboxNode& n) { n.SetControl(std::move(fn)); });
+    Push(1, [&fn](std::vector<MailboxNode>& q) { q.emplace_back().SetControl(std::move(fn)); });
   }
 
   // --- consumer (single thread) ---------------------------------------------
@@ -151,13 +169,19 @@ class Mailbox {
   /// drains up to `max_batch` items in FIFO order, invoking `sink(node)` on
   /// each. The node (and its payload) is valid only for the duration of the
   /// sink call; the payload should be moved out. The sink may push to this
-  /// mailbox. Returns the number of items drained (0 on timeout).
-  template <typename Sink>
+  /// mailbox. Each time a batch swapped in from `pending_` has been fully
+  /// handed out, `batch_done()` runs before the next swap, and so before
+  /// the consumer can spin or park. Returns the number of items drained (0
+  /// on timeout).
+  template <typename Sink, typename BatchDone>
   size_t DrainUntil(std::chrono::steady_clock::time_point deadline, size_t max_batch,
-                    Sink&& sink) {
+                    Sink&& sink, BatchDone&& batch_done) {
     size_t drained = 0;
     while (drained < max_batch) {
-      if (next_ == draining_.size() && !Refill(drained == 0, deadline)) break;
+      if (next_ == draining_.size()) {
+        if (next_ != 0) batch_done();
+        if (!Refill(drained == 0, deadline)) break;
+      }
       MailboxNode& n = draining_[next_++];
       popped_.store(popped_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
       sink(&n);
@@ -165,6 +189,11 @@ class Mailbox {
       ++drained;
     }
     return drained;
+  }
+  template <typename Sink>
+  size_t DrainUntil(std::chrono::steady_clock::time_point deadline, size_t max_batch,
+                    Sink&& sink) {
+    return DrainUntil(deadline, max_batch, std::forward<Sink>(sink), [] {});
   }
 
   // --- observables (any thread; WaitQuiescent reads these) ------------------
@@ -185,6 +214,7 @@ class Mailbox {
     Stats s;
     s.pushed = pushed_.load(std::memory_order_relaxed);
     s.popped = popped_.load(std::memory_order_relaxed);
+    s.push_batches = push_batches_.load(std::memory_order_relaxed);
     s.wakes = wakes_.load(std::memory_order_relaxed);
     s.parks = parks_.load(std::memory_order_relaxed);
     return s;
@@ -195,19 +225,21 @@ class Mailbox {
   void set_idle_signal(MailboxIdleSignal* s) { idle_signal_ = s; }
 
  private:
-  /// Appends one item filled in by `set`, then wakes a parked consumer if
-  /// this push made `pending_` non-empty. The notify happens after the
-  /// unlock, so the woken consumer does not block on the mutex; it cannot be
-  /// lost, because the consumer checks `pending_` under the lock before it
-  /// waits.
-  template <typename Set>
-  void Push(Set&& set) {
+  /// Appends the `n` items `append` adds to `pending_`, then wakes a parked
+  /// consumer if this push made `pending_` non-empty. The notify happens
+  /// after the unlock, so the woken consumer does not block on the mutex; it
+  /// cannot be lost, because the consumer checks `pending_` under the lock
+  /// before it waits.
+  template <typename Append>
+  void Push(size_t n, Append&& append) {
     bool wake = false;
     {
       MutexLock lock(mu_);
-      set(pending_.emplace_back());
-      pushed_.store(pushed_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
-      wake = pending_.size() == 1 && waiting_.load(std::memory_order_relaxed);
+      wake = pending_.empty() && waiting_.load(std::memory_order_relaxed);
+      append(pending_);
+      pushed_.store(pushed_.load(std::memory_order_relaxed) + n, std::memory_order_release);
+      push_batches_.store(push_batches_.load(std::memory_order_relaxed) + 1,
+                          std::memory_order_relaxed);
     }
     if (wake) {
       cv_.NotifyOne();
@@ -222,8 +254,9 @@ class Mailbox {
 
   alignas(64) Mutex mu_;
   std::vector<MailboxNode> pending_ PARTDB_GUARDED_BY(mu_);
-  std::atomic<uint64_t> pushed_{0};   // written under mu_
-  std::atomic<bool> waiting_{false};  // written under mu_
+  std::atomic<uint64_t> pushed_{0};        // written under mu_
+  std::atomic<uint64_t> push_batches_{0};  // written under mu_
+  std::atomic<bool> waiting_{false};       // written under mu_
   std::atomic<uint64_t> wakes_{0};
   CondVar cv_;
   MailboxIdleSignal* idle_signal_ = nullptr;

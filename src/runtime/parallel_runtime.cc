@@ -17,13 +17,17 @@ namespace {
 constexpr size_t kDrainBatch = 256;
 }  // namespace
 
-thread_local const ParallelRuntime::Worker* ParallelRuntime::current_worker_ = nullptr;
+thread_local ParallelRuntime::Worker* ParallelRuntime::current_worker_ = nullptr;
 
 ParallelRuntime::ParallelRuntime(int num_workers) {
   PARTDB_CHECK(num_workers >= 1);
   workers_.reserve(num_workers);
   for (int i = 0; i < num_workers; ++i) workers_.push_back(std::make_unique<Worker>());
-  for (auto& w : workers_) w->mailbox.set_idle_signal(&idle_signal_);
+  for (auto& w : workers_) {
+    w->mailbox.set_idle_signal(&idle_signal_);
+    w->outbox.resize(num_workers);
+    w->owner = this;
+  }
 }
 
 ParallelRuntime::~ParallelRuntime() { Stop(); }
@@ -68,7 +72,19 @@ Time ParallelRuntime::Now() const {
 }
 
 void ParallelRuntime::Send(Message msg, Time /*depart*/) {
-  workers_[worker_of(msg.dst)]->mailbox.PushMessage(std::move(msg));
+  const int dst = worker_of(msg.dst);
+  Worker* self = current_worker_;
+  if (self != nullptr && self->owner == this) {
+    self->outbox[dst].push_back(std::move(msg));
+  } else {
+    workers_[dst]->mailbox.PushMessage(std::move(msg));
+  }
+}
+
+void ParallelRuntime::FlushOutbox(Worker* w) {
+  for (size_t d = 0; d < w->outbox.size(); ++d) {
+    workers_[d]->mailbox.PushMessages(w->outbox[d]);
+  }
 }
 
 void ParallelRuntime::SetTimer(NodeId self, Time at, TimerFire t) {
@@ -142,6 +158,11 @@ void ParallelRuntime::WorkerLoop(Worker* w, int index) {
   current_worker_ = w;
   while (!stop_.load(std::memory_order_relaxed)) {
     FireDueTimers(w);
+    // Before the idle test: a self-send still in the outbox is work. The
+    // drain below flushes again each time its batch is handed out, so
+    // nothing waits in the outbox while the worker spins or parks
+    // (WaitQuiescent relies on that).
+    FlushOutbox(w);
     // Nothing left to handle: the drain below would spin, then park.
     if (w->mailbox.Empty()) {
       for (Actor* a : w->actors) a->OnIdle();
@@ -159,19 +180,22 @@ void ParallelRuntime::WorkerLoop(Worker* w, int index) {
     // straight from the mailbox node: the mailbox is the only queue on this
     // path, and the handler's real elapsed time is its cost (the
     // charged virtual cost only feeds busy_ns accounting).
-    w->mailbox.DrainUntil(deadline, kDrainBatch, [&](MailboxNode* n) {
-      switch (n->kind) {
-        case MailboxNode::Kind::kMessage:
-          endpoint(n->msg.dst)->Handle(n->msg, Now());
-          break;
-        case MailboxNode::Kind::kControl:
-          n->control();
-          break;
-        case MailboxNode::Kind::kNone:
-          break;
-      }
-      FireDueTimers(w);
-    });
+    w->mailbox.DrainUntil(
+        deadline, kDrainBatch,
+        [&](MailboxNode* n) {
+          switch (n->kind) {
+            case MailboxNode::Kind::kMessage:
+              endpoint(n->msg.dst)->Handle(n->msg, Now());
+              break;
+            case MailboxNode::Kind::kControl:
+              n->control();
+              break;
+            case MailboxNode::Kind::kNone:
+              break;
+          }
+          FireDueTimers(w);
+        },
+        [&] { FlushOutbox(w); });
   }
 }
 
@@ -219,6 +243,7 @@ ParallelRuntime::Stats ParallelRuntime::GetStats() const {
     const Mailbox::Stats ms = w->mailbox.stats();
     s.mailbox_pushed += ms.pushed;
     s.mailbox_popped += ms.popped;
+    s.mailbox_push_batches += ms.push_batches;
     s.mailbox_wakes += ms.wakes;
     s.mailbox_parks += ms.parks;
   }

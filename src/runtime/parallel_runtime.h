@@ -30,6 +30,7 @@ class ParallelRuntime : public ExecutionContext {
   struct Stats {
     uint64_t mailbox_pushed = 0;
     uint64_t mailbox_popped = 0;
+    uint64_t mailbox_push_batches = 0;  // producer lock acquisitions
     uint64_t mailbox_wakes = 0;  // condvar notifies (empty->nonempty edges)
     uint64_t mailbox_parks = 0;  // consumer park transitions
     /// Always 0: the mailbox is one mutex plus two vectors, with no CAS
@@ -85,6 +86,13 @@ class ParallelRuntime : public ExecutionContext {
 
   // ExecutionContext:
   Time Now() const override;
+  /// From a handler on one of this runtime's workers, the message waits in
+  /// that worker's outbox for the destination worker, and the worker pushes
+  /// each outbox with one PushMessages when its drained batch is fully
+  /// handed out and at the top of its loop, so it never spins, parks or
+  /// goes idle with a send still buffered. From any other thread (a driver,
+  /// a net loop, a log writer, another runtime's worker) it pushes straight
+  /// into the destination mailbox.
   void Send(Message msg, Time depart) override;
   void Register(NodeId node, Actor* actor) override;
   void SetTimer(NodeId self, Time at, TimerFire t) override;
@@ -105,13 +113,20 @@ class ParallelRuntime : public ExecutionContext {
     std::priority_queue<TimerEntry, std::vector<TimerEntry>, std::greater<TimerEntry>> timers;
     std::atomic<size_t> timer_count{0};
     std::vector<Actor*> actors;  // hosted here; read-only after Start
+    // Owned by the worker thread: what its handlers sent, by destination
+    // worker, until the next FlushOutbox. The vectors keep their capacity.
+    std::vector<std::vector<Message>> outbox;
+    const ParallelRuntime* owner = nullptr;
   };
 
-  /// The worker whose loop runs on this thread (null off the workers).
-  static thread_local const Worker* current_worker_;
+  /// The worker whose loop runs on this thread (null off the workers). It
+  /// may belong to another runtime: Send checks `owner`.
+  static thread_local Worker* current_worker_;
 
   void WorkerLoop(Worker* w, int index);
   void FireDueTimers(Worker* w);
+  /// Pushes each non-empty outbox of `w` to its destination mailbox.
+  void FlushOutbox(Worker* w);
   Actor* endpoint(NodeId node) const;
 
   std::vector<std::unique_ptr<Worker>> workers_;

@@ -3,8 +3,9 @@
 // the consumer swaps batches out from under concurrent producers), a sink
 // that pushes to its own mailbox, and the park/wake discipline (producers
 // signal only on an empty->nonempty edge that finds the consumer parked;
-// steady-state traffic never notifies; the consumer yield-spins before it
-// parks, never past its drain deadline).
+// steady-state traffic never notifies; a bulk push is one lock and at most
+// one wake; the consumer yield-spins before it parks, never past its drain
+// deadline).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -165,6 +166,44 @@ TEST(Mailbox, WakesOnlyOnEmptyToNonEmptyEdgeWhileParked) {
   while (received < kBurst) {
     ASSERT_GT(box.DrainUntil(deadline, 256, [&](MailboxNode*) { ++received; }), 0u);
   }
+  EXPECT_TRUE(box.Empty());
+}
+
+// A bulk push is one producer lock acquisition: 50 messages pushed into a
+// parked consumer cost one wake and one push batch, drain in push order, and
+// the caller's vector comes back empty with its capacity kept for the next
+// batch.
+TEST(Mailbox, PushMessagesKeepsOrderAndWakesOnce) {
+  constexpr uint32_t kMessages = 50;
+  Mailbox box;
+  std::vector<uint32_t> seqs;
+  std::thread consumer([&box, &seqs]() {
+    const auto d = Clock::now() + std::chrono::seconds(30);
+    while (seqs.size() < kMessages) {
+      ASSERT_GT(box.DrainUntil(d, 256,
+                               [&](MailboxNode* n) {
+                                 seqs.push_back(TxnSeq(std::get<TimerFire>(n->msg.body).txn_id));
+                               }),
+                0u);
+    }
+  });
+  while (!box.consumer_waiting() || box.stats().parks == 0) std::this_thread::yield();
+  const Mailbox::Stats before = box.stats();
+
+  std::vector<Message> batch;
+  for (uint32_t i = 0; i < kMessages; ++i) batch.push_back(MakeItem(0, i));
+  const size_t capacity = batch.capacity();
+  box.PushMessages(batch);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(batch.capacity(), capacity);
+  consumer.join();
+
+  const Mailbox::Stats after = box.stats();
+  EXPECT_EQ(after.wakes - before.wakes, 1u);
+  EXPECT_EQ(after.push_batches - before.push_batches, 1u);
+  EXPECT_EQ(after.pushed - before.pushed, kMessages);
+  ASSERT_EQ(seqs.size(), kMessages);
+  for (uint32_t i = 0; i < kMessages; ++i) EXPECT_EQ(seqs[i], i);
   EXPECT_TRUE(box.Empty());
 }
 

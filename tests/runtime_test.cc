@@ -1,8 +1,11 @@
 // Tests for the runtime layer: deterministic-simulation regression (same
 // seed => bit-identical run), the parallel runtime's MPSC mailbox ordering
-// guarantees, and sim-vs-parallel commit-log replay equivalence.
+// guarantees, its worker outboxes (nothing stranded at a park, per-sender
+// FIFO under batching, sends into another runtime), and sim-vs-parallel
+// commit-log replay equivalence.
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -301,6 +304,197 @@ TEST(ParallelRuntime, TimerArmedByATimerHandlerFires) {
     EXPECT_EQ(f.thread, chain.owner) << "link " << f.link;
   }
   rt.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// A worker's sends wait in its outbox until it flushes. A timer that fires on
+// an otherwise idle worker runs at the top of the worker loop, outside any
+// drained batch, and the send its handler makes must still leave before the
+// worker parks again: quiescence may be reported only after the peer on the
+// other worker handled it.
+
+class TimerSender : public Actor {
+ public:
+  explicit TimerSender(NodeId peer) : Actor("timer-sender"), peer_(peer) {}
+
+ protected:
+  void OnMessage(Message& msg, ActorContext& ctx) override {
+    if (const auto* t = std::get_if<TimerFire>(&msg.body)) {
+      ctx.Send(peer_, DecisionMessage{t->txn_id, 0, true});
+      return;
+    }
+    ctx.SetTimer(kMillisecond, TimerFire{std::get<DecisionMessage>(msg.body).txn_id, 0});
+  }
+
+ private:
+  NodeId peer_;
+};
+
+TEST(ParallelRuntime, TimerHandlerSendIsNotStrandedInTheOutbox) {
+  constexpr int kRounds = 5;
+  // Actors first, so the runtime stops its workers before they go away even
+  // when an assertion returns early.
+  TimerSender sender(/*peer=*/1);
+  LastStop peer;
+  ParallelRuntime rt(2);
+  rt.MapNode(0, 0);
+  rt.MapNode(1, 1);
+  sender.Bind(&rt, 0);
+  peer.Bind(&rt, 1);
+  rt.Start();
+  for (int round = 1; round <= kRounds; ++round) {
+    Message kick;
+    kick.src = 1;
+    kick.dst = 0;
+    kick.body = DecisionMessage{static_cast<TxnId>(round), 0, true};
+    rt.Send(std::move(kick), 0);
+    ASSERT_TRUE(rt.WaitQuiescent(std::chrono::seconds(30))) << "round " << round;
+    ASSERT_EQ(peer.arrivals.load(std::memory_order_acquire), round)
+        << "quiescent with the timer handler's send still buffered";
+  }
+  const ParallelRuntime::Stats s = rt.GetStats();
+  EXPECT_EQ(s.mailbox_pushed, s.mailbox_popped);
+  rt.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Per-sender FIFO under batching: one actor fans bursts out to actors on two
+// other workers and to itself while a foreign thread sends to the same
+// actors. Every (src, dst) stream must arrive complete and in order, and the
+// mailbox counters must balance at quiescence.
+
+constexpr NodeId kForeignSrc = 9;  // the test thread's messages carry this src
+
+class StreamChecker : public Actor {
+ public:
+  StreamChecker(std::vector<NodeId> fanout, uint64_t burst)
+      : Actor("stream-checker"), fanout_(std::move(fanout)), burst_(burst) {}
+
+  struct Stream {
+    uint64_t received = 0;
+    uint64_t out_of_order = 0;
+  };
+  // Written on the owner's worker only; read after WaitQuiescent.
+  std::map<NodeId, Stream> streams;
+
+ protected:
+  void OnMessage(Message& msg, ActorContext& ctx) override {
+    if (std::holds_alternative<TimerFire>(msg.body)) {  // a kick: send a burst
+      for (uint64_t i = 0; i < burst_; ++i, ++sent_) {
+        for (NodeId dst : fanout_) ctx.Send(dst, DecisionMessage{sent_, 0, true});
+      }
+      return;
+    }
+    Stream& st = streams[msg.src];
+    if (std::get<DecisionMessage>(msg.body).txn_id != st.received) ++st.out_of_order;
+    ++st.received;
+  }
+
+ private:
+  std::vector<NodeId> fanout_;
+  uint64_t burst_;
+  uint64_t sent_ = 0;
+};
+
+TEST(ParallelRuntime, BatchedSendsKeepPerSenderFifo) {
+  constexpr int kKicks = 200;
+  constexpr uint64_t kBurst = 16;
+  StreamChecker fanner({1, 2, 0}, kBurst);
+  StreamChecker a({}, 0);
+  StreamChecker b({}, 0);
+  ParallelRuntime rt(3);
+  for (NodeId n = 0; n < 3; ++n) rt.MapNode(n, n);
+  fanner.Bind(&rt, 0);
+  a.Bind(&rt, 1);
+  b.Bind(&rt, 2);
+  rt.Start();
+  uint64_t foreign_seq = 0;
+  for (int k = 0; k < kKicks; ++k) {
+    Message kick;
+    kick.src = kForeignSrc;
+    kick.dst = 0;
+    kick.body = TimerFire{static_cast<TxnId>(k), 0};
+    rt.Send(std::move(kick), 0);
+    for (uint64_t i = 0; i < kBurst; ++i, ++foreign_seq) {
+      for (NodeId dst = 0; dst < 3; ++dst) {
+        Message m;
+        m.src = kForeignSrc;
+        m.dst = dst;
+        m.body = DecisionMessage{foreign_seq, 0, true};
+        rt.Send(std::move(m), 0);
+      }
+    }
+  }
+  ASSERT_TRUE(rt.WaitQuiescent(std::chrono::seconds(60)));
+
+  const uint64_t per_stream = kKicks * kBurst;
+  for (const StreamChecker* c : {&fanner, &a, &b}) {
+    ASSERT_EQ(c->streams.size(), 2u) << "node " << c->node_id();
+    for (const NodeId src : {NodeId{0}, kForeignSrc}) {
+      const StreamChecker::Stream& st = c->streams.at(src);
+      EXPECT_EQ(st.received, per_stream) << src << " -> " << c->node_id();
+      EXPECT_EQ(st.out_of_order, 0u) << src << " -> " << c->node_id();
+    }
+  }
+  const ParallelRuntime::Stats s = rt.GetStats();
+  EXPECT_EQ(s.mailbox_pushed, s.mailbox_popped);
+  // The fanner's bursts left in bulk: fewer lock acquisitions than messages.
+  EXPECT_LT(s.mailbox_push_batches, s.mailbox_pushed);
+  rt.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// A handler on runtime A's worker may send into runtime B, as a completion
+// callback on one database submitting into another does. The message is
+// B's: it must be pushed into B's mailbox, not buffered in A's outbox (which
+// would hand it to A's worker of the same index).
+
+class Forwarder : public Actor {
+ public:
+  Forwarder(ParallelRuntime* to, NodeId dst) : Actor("forwarder"), to_(to), dst_(dst) {}
+
+ protected:
+  void OnMessage(Message& msg, ActorContext& /*ctx*/) override {
+    Message m;
+    m.src = node_id();
+    m.dst = dst_;
+    m.body = msg.body;
+    to_->Send(std::move(m), 0);
+  }
+
+ private:
+  ParallelRuntime* to_;
+  NodeId dst_;
+};
+
+TEST(ParallelRuntime, SendFromAnotherRuntimesWorkerReachesItsNode) {
+  constexpr int kSends = 5;
+  ParallelRuntime rt_b(2);
+  Forwarder forwarder(&rt_b, /*dst=*/1);
+  LastStop wrong;  // A's node 1: must receive nothing
+  LastStop right;  // B's node 1
+  ParallelRuntime rt_a(2);
+  rt_a.MapNode(0, 0);
+  rt_a.MapNode(1, 1);
+  rt_b.MapNode(1, 1);
+  forwarder.Bind(&rt_a, 0);
+  wrong.Bind(&rt_a, 1);
+  right.Bind(&rt_b, 1);
+  rt_a.Start();
+  rt_b.Start();
+  for (int i = 0; i < kSends; ++i) {
+    Message m;
+    m.src = 1;
+    m.dst = 0;
+    m.body = DecisionMessage{static_cast<TxnId>(i), 0, true};
+    rt_a.Send(std::move(m), 0);
+  }
+  ASSERT_TRUE(rt_a.WaitQuiescent(std::chrono::seconds(30)));
+  ASSERT_TRUE(rt_b.WaitQuiescent(std::chrono::seconds(30)));
+  EXPECT_EQ(right.arrivals.load(std::memory_order_acquire), kSends);
+  EXPECT_EQ(wrong.arrivals.load(std::memory_order_acquire), 0);
+  rt_a.Stop();
+  rt_b.Stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ Compares a freshly produced BENCH_*.json (bench/parallel_throughput.cc,
 bench/tpcc_parallel.cc via WriteSchemeJson) against the committed baseline
 under bench/baselines/ and fails when any scheme's throughput regressed by
 more than the threshold (default 30%). Only txn_per_sec is gated; a row's
-other fields (latency percentiles, the report-only wakes_per_kmsg and
-cpu_us_per_txn) are carried for the reader and never compared.
+other fields (latency percentiles, the report-only wakes_per_kmsg,
+cpu_us_per_txn and msgs_per_push) are carried for the reader and never
+compared.
 
 Baselines are conservative: they are refreshed whenever a PR deliberately
 changes performance, and a baseline captured on slower hardware than the CI
@@ -178,7 +179,8 @@ def self_test():
         ("report-only fields are not gated", doc(a=100),
          {"bench": "kv", "schemes": [{"scheme": "a", "txn_per_sec": 95,
                                       "wakes_per_kmsg": 900.0,
-                                      "cpu_us_per_txn": "n/a"}]},
+                                      "cpu_us_per_txn": "n/a",
+                                      "msgs_per_push": 3.5}]},
          False, 0, "all schemes within"),
     ]
     failures = 0
