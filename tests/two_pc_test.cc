@@ -471,5 +471,47 @@ TEST_F(CoordinatorTwoPc, DurableCommitReplyWaitsForEveryNotice) {
   EXPECT_EQ(IntOf(h_.client().replies[0].result), 30);
 }
 
+TEST_F(CoordinatorTwoPc, HeldCommitKeepsItsResultAndReleasesItsDependents) {
+  Open(/*durable_notices=*/true);
+  // Txn 1 commits and is held for its notices; only partition 0 returns a
+  // result, so forgetting partition 0's response would lose it.
+  Request(1, {0, 2});
+  h_.Respond(0, 1, 0, 0, Vote::kCommit, Int(30));
+  h_.Respond(2, 1, 0, 0, Vote::kCommit);
+  EXPECT_EQ(Decisions(0), (std::vector<std::pair<TxnId, bool>>{{1, true}}));
+  EXPECT_TRUE(h_.client().replies.empty());
+
+  // A response that depends on the held txn 1 is not parked: txn 1 is
+  // decided, so txn 2 commits at once.
+  Request(2, {0, 1});
+  h_.Respond(0, 2, 0, 0, Vote::kCommit, Int(40), 0, /*depends_on=*/1);
+  h_.Respond(1, 2, 0, 0, Vote::kCommit, Int(41));
+  EXPECT_EQ(Decisions(0), (std::vector<std::pair<TxnId, bool>>{{1, true}, {2, true}}));
+  EXPECT_EQ(Decisions(1), (std::vector<std::pair<TxnId, bool>>{{2, true}}));
+
+  // Txn 3 aborts at partition 0, which txns 1 and 2 share: their stored
+  // responses are decided, not stale.
+  Request(3, {0, 1});
+  h_.Respond(0, 3, 0, 0, Vote::kAbort);
+  h_.Respond(1, 3, 0, 0, Vote::kCommit);
+  ASSERT_EQ(h_.client().replies.size(), 1u);
+  EXPECT_EQ(h_.client().replies[0].txn_id, 3u);
+  EXPECT_FALSE(h_.client().replies[0].committed);
+
+  h_.Inject(1, DurableNotice{1});
+  h_.Inject(3, DurableNotice{1});
+  ASSERT_EQ(h_.client().replies.size(), 2u);
+  EXPECT_EQ(h_.client().replies[1].txn_id, 1u);
+  EXPECT_TRUE(h_.client().replies[1].committed);
+  EXPECT_EQ(IntOf(h_.client().replies[1].result), 30);
+
+  h_.Inject(1, DurableNotice{2});
+  h_.Inject(2, DurableNotice{2});
+  ASSERT_EQ(h_.client().replies.size(), 3u);
+  EXPECT_EQ(h_.client().replies[2].txn_id, 2u);
+  EXPECT_TRUE(h_.client().replies[2].committed);
+  EXPECT_EQ(IntOf(h_.client().replies[2].result), 40);
+}
+
 }  // namespace
 }  // namespace partdb
