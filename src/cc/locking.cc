@@ -9,11 +9,6 @@ namespace partdb {
 /// expensive (the paper: timeouts "hurt throughput significantly").
 constexpr Duration kLockTimeout = Micros(20000);
 
-LockingCc::LTxn* LockingCc::FindTxn(TxnId id) {
-  auto it = txns_.find(id);
-  return it == txns_.end() ? nullptr : it->second.get();
-}
-
 void LockingCc::OnFragment(FragmentRequest frag) {
   // No-lock fast path (paper §4.3): with no active transactions a
   // single-partition transaction runs to completion without locks or undo.
@@ -21,14 +16,15 @@ void LockingCc::OnFragment(FragmentRequest frag) {
     FastPathSp(frag);
     return;
   }
-  LTxn* t = FindTxn(frag.txn_id);
+  LTxn* t = txns_.Find(frag.txn_id);
   if (t == nullptr) {
-    auto owned = std::make_unique<LTxn>();
-    t = owned.get();
-    t->rec = {frag.txn_id, frag.multi_partition, frag.proc, frag.args, {}};
+    t = &txns_.Emplace(frag.txn_id);
+    t->rec.txn_id = frag.txn_id;
+    t->rec.multi_partition = frag.multi_partition;
+    t->rec.proc = frag.proc;
+    t->rec.args = frag.args;
     t->attempt = frag.attempt;
     t->coord = frag.coordinator;
-    txns_.emplace(frag.txn_id, std::move(owned));
     part_->metrics().locked_txns++;
   } else {
     PARTDB_CHECK(t->rec.multi_partition && !t->has_pending && !t->prepared);  // next round
@@ -71,15 +67,14 @@ void LockingCc::AdvanceLocks(LTxn* t) {
 
 void LockingCc::HandleBlocked(LTxn* t) {
   const TxnId tid = t->rec.txn_id;
-  std::vector<LockManager::Owner*> cycle;
-  if (lm_.FindCycle(t, &cycle)) {
+  if (lm_.FindCycle(t, &cycle_)) {
     part_->metrics().local_deadlocks++;
-    LTxn* victim = ChooseVictim(cycle);
+    LTxn* victim = ChooseVictim(cycle_);
     KillTxn(victim, /*timeout=*/false);
   }
   // Arm a distributed-deadlock timeout if the requester is still waiting.
   // Only multi-partition transactions can be in a distributed cycle.
-  LTxn* cur = FindTxn(tid);
+  LTxn* cur = txns_.Find(tid);
   if (cur != nullptr && cur->rec.multi_partition && lm_.IsWaiting(cur)) {
     cur->wait_generation = ++generation_counter_;
     part_->SetTimer(kLockTimeout, TimerFire{tid, cur->wait_generation});
@@ -121,12 +116,7 @@ void LockingCc::KillTxn(LTxn* victim, bool timeout) {
     part_->metrics().txn_retries++;
   }
 
-  std::vector<LockManager::Granted> granted;
-  WorkMeter m;
-  lm_.ReleaseAll(victim, &m, &granted);
-  part_->ChargeLockWork(m);
-  txns_.erase(victim->rec.txn_id);  // frees victim
-  ProcessGrants(granted);
+  FinishTxn(victim);
 
   if (mp) {
     part_->Send(coord, resp);
@@ -136,22 +126,17 @@ void LockingCc::KillTxn(LTxn* victim, bool timeout) {
   }
 }
 
-void LockingCc::ProcessGrants(std::vector<LockManager::Granted>& granted) {
-  for (const auto& g : granted) {
-    auto* t = static_cast<LTxn*>(g.owner);
+void LockingCc::ProcessGrants(size_t first) {
+  const size_t last = grantees_.size();
+  for (size_t i = first; i < last; ++i) {
     // Processing an earlier grant can kill a later grantee (deadlock victim
-    // selection); skip owners that no longer exist.
-    bool alive = false;
-    for (const auto& [id, owned] : txns_) {
-      if (owned.get() == t) {
-        alive = true;
-        break;
-      }
-    }
-    if (!alive) continue;
+    // selection); skip ids that are no longer live.
+    LTxn* t = txns_.Find(grantees_[i]);
+    if (t == nullptr) continue;
     t->lock_cursor++;
     AdvanceLocks(t);
   }
+  grantees_.resize(first);
 }
 
 void LockingCc::ExecutePending(LTxn* t) {
@@ -198,16 +183,22 @@ void LockingCc::ExecutePending(LTxn* t) {
 }
 
 void LockingCc::FinishTxn(LTxn* t) {
-  std::vector<LockManager::Granted> granted;
   WorkMeter m;
-  lm_.ReleaseAll(t, &m, &granted);
+  granted_.clear();
+  lm_.ReleaseAll(t, &m, &granted_);
   part_->ChargeLockWork(m);
-  txns_.erase(t->rec.txn_id);
-  ProcessGrants(granted);
+  // Take the grantees by id before any grant runs: running one can erase a
+  // later grantee, and a new transaction can reuse its entry.
+  const size_t first = grantees_.size();
+  for (const LockManager::Granted& g : granted_) {
+    grantees_.push_back(static_cast<LTxn*>(g.owner)->rec.txn_id);
+  }
+  txns_.Erase(t->rec.txn_id);
+  ProcessGrants(first);
 }
 
 void LockingCc::OnDecision(const DecisionMessage& d) {
-  LTxn* t = FindTxn(d.txn_id);
+  LTxn* t = txns_.Find(d.txn_id);
   if (t == nullptr) return;  // already self-aborted (abort vote) and forgotten
   if (!t->prepared) {
     // Another participant aborted (deadlock timeout or victim kill) while
@@ -232,7 +223,7 @@ void LockingCc::OnDecision(const DecisionMessage& d) {
 }
 
 void LockingCc::OnTimer(const TimerFire& tf) {
-  LTxn* t = FindTxn(tf.txn_id);
+  LTxn* t = txns_.Find(tf.txn_id);
   if (t == nullptr || t->wait_generation != tf.generation || !lm_.IsWaiting(t)) {
     return;  // stale timer
   }

@@ -5,15 +5,16 @@
 // order, so local deadlocks (resolved by waits-for cycle detection, SP
 // victims preferred) and distributed deadlocks (resolved by timeout) both
 // occur as in the paper. Multi-partition transactions are coordinated by the
-// client library directly — no central coordinator.
+// client library directly — no central coordinator. Locked transactions
+// live in a recycled TxnTable, so a steady workload reuses their lock plans,
+// held lists and undo logs instead of allocating them per transaction.
 #ifndef PARTDB_CC_LOCKING_H_
 #define PARTDB_CC_LOCKING_H_
 
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cc/cc_scheme.h"
+#include "common/txn_table.h"
 #include "engine/lock_manager.h"
 
 namespace partdb {
@@ -48,6 +49,20 @@ class LockingCc : public CcScheme {
     bool has_pending = false;
     bool prepared = false;  // voted commit; waiting for the 2PC decision
     uint64_t wait_generation = 0;
+
+    /// Called once its locks are released: drops the payloads and keeps the
+    /// buffers' capacity for the entry's next transaction.
+    void Reset() {
+      rec.args = nullptr;
+      rec.round_inputs.clear();
+      undo.Clear();
+      lock_plan.clear();
+      lock_cursor = 0;
+      pending_frag = {};
+      has_pending = false;
+      prepared = false;
+      wait_generation = 0;
+    }
   };
 
   void FastPathSp(FragmentRequest& f);
@@ -57,18 +72,24 @@ class LockingCc : public CcScheme {
   void AdvanceLocks(LTxn* t);
   void HandleBlocked(LTxn* t);
   void ExecutePending(LTxn* t);
-  void FinishTxn(LTxn* t);  // release locks, grant waiters, erase
-  void ProcessGrants(std::vector<LockManager::Granted>& granted);
+  /// Releases `t`'s locks, erases it and runs the grants the release made.
+  void FinishTxn(LTxn* t);
+  /// Advances each grantee on grantees_ from `first` on, then pops them.
+  void ProcessGrants(size_t first);
   /// Aborts a waiting/executing transaction for deadlock resolution.
   void KillTxn(LTxn* victim, bool timeout);
   LTxn* ChooseVictim(const std::vector<LockManager::Owner*>& cycle);
-  LTxn* FindTxn(TxnId id);
 
   PartitionExec* part_;
   bool force_locks_;
   LockManager lm_;
-  std::unordered_map<TxnId, std::unique_ptr<LTxn>> txns_;
+  TxnTable<LTxn> txns_;
   uint64_t generation_counter_ = 0;
+  // Scratch reused across calls. A release's grants are taken from granted_
+  // as txn ids onto grantees_, a stack that nested releases push above.
+  std::vector<LockManager::Granted> granted_;
+  std::vector<TxnId> grantees_;
+  std::vector<LockManager::Owner*> cycle_;
 };
 
 }  // namespace partdb

@@ -7,13 +7,6 @@
 
 namespace partdb {
 
-namespace {
-/// Recycled txns_ map nodes kept per session. A closed loop needs one per
-/// concurrently completing transaction (usually 1); open loops with deep
-/// pipelines still cap the stash so an in-flight burst can't pin memory.
-constexpr size_t kTxnStashMax = 16;
-}  // namespace
-
 SessionActor::SessionActor(std::string name, ProcRouter router, TxnContinuations* continuations,
                            Topology topology, CcSchemeCapabilities caps, const CostModel& cost,
                            uint64_t seed)
@@ -85,17 +78,14 @@ void SessionActor::OnMessage(Message& msg, ActorContext& ctx) {
   }
   if (auto* t = std::get_if<TimerFire>(&msg.body)) {
     // Retry backoff expired.
-    auto it = txns_.find(t->txn_id);
-    if (it != txns_.end() && it->second.mp.attempt() == t->generation) {
-      SendCurrent(it->second, ctx);
-    }
+    Txn* txn = txns_.Find(t->txn_id);
+    if (txn != nullptr && txn->mp.attempt() == t->generation) SendCurrent(*txn, ctx);
     return;
   }
   if (auto* r = std::get_if<ClientResponse>(&msg.body)) {
-    auto it = txns_.find(r->txn_id);
-    if (it == txns_.end()) return;  // stale
-    Complete(r->txn_id, r->committed, r->result,
-             std::max(it->second.mp.attempt(), r->attempt) + 1, ctx);
+    Txn* t = txns_.Find(r->txn_id);
+    if (t == nullptr) return;  // stale
+    Complete(r->txn_id, r->committed, r->result, std::max(t->mp.attempt(), r->attempt) + 1, ctx);
     return;
   }
   if (auto* r = std::get_if<FragmentResponse>(&msg.body)) {
@@ -104,9 +94,9 @@ void SessionActor::OnMessage(Message& msg, ActorContext& ctx) {
     return;
   }
   if (auto* d = std::get_if<DurableNotice>(&msg.body)) {
-    auto it = txns_.find(d->txn_id);
-    PARTDB_CHECK(it != txns_.end());
-    MpRound& mp = it->second.mp;
+    Txn* t = txns_.Find(d->txn_id);
+    PARTDB_CHECK(t != nullptr);
+    MpRound& mp = t->mp;
     if (mp.OnNotice()) Complete(d->txn_id, true, mp.Result(), mp.attempt() + 1, ctx);
     return;
   }
@@ -115,23 +105,7 @@ void SessionActor::OnMessage(Message& msg, ActorContext& ctx) {
 
 void SessionActor::StartTxn(SessionSubmit s, ActorContext& ctx) {
   const TxnId id = s.txn_id;
-  std::unordered_map<TxnId, Txn>::iterator it;
-  if (!txn_stash_.empty()) {
-    // Reattach a recycled node: no map-node allocation, and the Txn inside
-    // keeps the vector capacities its previous life grew.
-    auto nh = std::move(txn_stash_.back());
-    txn_stash_.pop_back();
-    nh.key() = id;
-    auto ins = txns_.insert(std::move(nh));
-    PARTDB_CHECK(ins.inserted);
-    it = ins.position;
-  } else {
-    auto ins = txns_.emplace(std::piecewise_construct, std::forward_as_tuple(id),
-                             std::forward_as_tuple());
-    PARTDB_CHECK(ins.second);
-    it = ins.first;
-  }
-  Txn& t = it->second;
+  Txn& t = txns_.Emplace(id);
   TxnRouting route = router_(s.proc, *s.args);
   PARTDB_CHECK(!route.participants.empty());
   PARTDB_CHECK(route.rounds >= 1);
@@ -159,10 +133,9 @@ void SessionActor::SendCurrent(const Txn& t, ActorContext& ctx) {
 }
 
 void SessionActor::OnFragmentResponse(FragmentResponse& r, ActorContext& ctx) {
-  auto it = txns_.find(r.txn_id);
-  if (it == txns_.end()) return;  // stale
-  const TxnId id = it->first;
-  Txn& t = it->second;
+  Txn* found = txns_.Find(r.txn_id);
+  if (found == nullptr) return;  // stale
+  Txn& t = *found;
   // Stale: from an earlier attempt or round. Locking partitions carry no
   // cascade epoch, so the retry attempt is this filter's generation.
   if (r.attempt != t.mp.attempt() || r.round != t.mp.round()) return;
@@ -171,7 +144,7 @@ void SessionActor::OnFragmentResponse(FragmentResponse& r, ActorContext& ctx) {
     const auto& resp = t.mp.responses();
     const bool system_abort = std::any_of(resp.begin(), resp.end(),
                                           [](const FragmentResponse& f) { return f.system_abort; });
-    FinishLockingTxn(id, t, false, /*retry=*/system_abort, ctx);
+    FinishLockingTxn(t, false, /*retry=*/system_abort, ctx);
     return;
   }
   if (!t.mp.last_round()) {
@@ -179,11 +152,11 @@ void SessionActor::OnFragmentResponse(FragmentResponse& r, ActorContext& ctx) {
     SendCurrent(t, ctx);
     return;
   }
-  FinishLockingTxn(id, t, true, false, ctx);
+  FinishLockingTxn(t, true, false, ctx);
 }
 
-void SessionActor::FinishLockingTxn(TxnId id, Txn& t, bool commit, bool retry,
-                                    ActorContext& ctx) {
+void SessionActor::FinishLockingTxn(Txn& t, bool commit, bool retry, ActorContext& ctx) {
+  const TxnId id = t.mp.txn_id();
   for (PartitionId p : t.mp.request().participants) {
     ctx.Send(topology_.partition_primary[p], DecisionMessage{id, t.mp.attempt(), commit});
   }
@@ -207,10 +180,9 @@ void SessionActor::FinishLockingTxn(TxnId id, Txn& t, bool commit, bool retry,
 
 void SessionActor::Complete(TxnId id, bool committed, PayloadPtr result, uint32_t attempts,
                             ActorContext& ctx) {
-  auto it = txns_.find(id);
-  PARTDB_CHECK(it != txns_.end());
-  auto nh = txns_.extract(it);
-  Txn& t = nh.mapped();
+  Txn* found = txns_.Find(id);
+  PARTDB_CHECK(found != nullptr);
+  Txn& t = *found;
 
   const bool sp = t.mp.single_partition();
   const ProcId proc = t.mp.request().proc;
@@ -254,15 +226,10 @@ void SessionActor::Complete(TxnId id, bool committed, PayloadPtr result, uint32_
     --admitted_;
   }
 
-  // Recycle the detached map node before the callback runs, so a closed
-  // loop's resubmit-from-callback picks it straight back up. Payloads and
-  // the callback's captures are released now; the round's buffers keep
-  // their capacity for the node's next life.
+  // Recycle the entry before the callback runs, so a closed loop's
+  // resubmit-from-callback picks it straight back up.
   TxnCallback cb = std::move(t.cb);
-  t.cb = nullptr;
-  t.mp.Release();
-  t.issue_time = 0;
-  if (txn_stash_.size() < kTxnStashMax) txn_stash_.push_back(std::move(nh));
+  txns_.Erase(id);
 
   // The callback runs before outstanding_ drops: a Drain that returns must
   // observe every completion's side effects (it may also Submit again —

@@ -29,13 +29,12 @@
 #include <chrono>
 #include <functional>
 #include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "cc/scheme_registry.h"
 #include "common/mutex.h"
 #include "client/routing.h"
 #include "common/rng.h"
+#include "common/txn_table.h"
 #include "coord/mp_round.h"
 #include "coord/txn_continuations.h"
 #include "engine/cost_model.h"
@@ -107,12 +106,20 @@ class SessionActor : public Actor {
     MpRound mp;  // the request; under locking also its 2PC rounds
     TxnCallback cb;
     Time issue_time = 0;
+
+    /// Drops the payloads and the callback's captures; the round's buffers
+    /// keep their capacity for the entry's next transaction.
+    void Reset() {
+      mp.Release();
+      cb = nullptr;
+      issue_time = 0;
+    }
   };
 
   void StartTxn(SessionSubmit s, ActorContext& ctx);
   void SendCurrent(const Txn& t, ActorContext& ctx);
   void OnFragmentResponse(FragmentResponse& r, ActorContext& ctx);
-  void FinishLockingTxn(TxnId id, Txn& t, bool commit, bool retry, ActorContext& ctx);
+  void FinishLockingTxn(Txn& t, bool commit, bool retry, ActorContext& ctx);
   void Complete(TxnId id, bool committed, PayloadPtr result, uint32_t attempts,
                 ActorContext& ctx);
 
@@ -137,12 +144,7 @@ class SessionActor : public Actor {
   uint32_t next_seq_ PARTDB_GUARDED_BY(mu_) = 0;
 
   // Owned by the actor's worker (or the sim pump).
-  std::unordered_map<TxnId, Txn> txns_;
-  /// Recycled txns_ map nodes: Complete detaches the finished node and parks
-  /// it here (with its Txn's vector capacities intact), StartTxn reattaches
-  /// it under the new id — the steady-state closed loop allocates no map
-  /// nodes at all.
-  std::vector<std::unordered_map<TxnId, Txn>::node_type> txn_stash_;
+  TxnTable<Txn> txns_;
 
   // Set for the duration of OnMessage so Submit can detect a submission made
   // from within one of this actor's own handlers and start it inline.

@@ -17,11 +17,11 @@ void CoordinatorActor::OnMessage(Message& msg, ActorContext& ctx) {
   }
   if (auto* d = std::get_if<DurableNotice>(&msg.body)) {
     ctx.Charge(cost_.coord_msg);
-    auto it = held_.find(d->txn_id);
-    PARTDB_CHECK(it != held_.end());
-    if (it->second->mp.OnNotice()) {
-      Reply(*it->second, true, ctx);
-      held_.erase(it);
+    MpTxn* t = txns_.Find(d->txn_id);
+    PARTDB_CHECK(t != nullptr && t->held);
+    if (t->mp.OnNotice()) {
+      Reply(*t, true, ctx);
+      txns_.Erase(d->txn_id);
     }
     return;
   }
@@ -30,13 +30,10 @@ void CoordinatorActor::OnMessage(Message& msg, ActorContext& ctx) {
 
 void CoordinatorActor::OnRequest(ClientRequest& r, NodeId src, ActorContext& ctx) {
   PARTDB_CHECK(r.participants.size() >= 1);
-  const TxnId id = r.txn_id;
-  auto t = std::make_unique<MpTxn>();
-  t->client = src;
-  t->mp.Start(std::move(r), next_seq_++);
-  MpTxn* raw = t.get();
-  PARTDB_CHECK(txns_.emplace(id, std::move(t)).second);
-  SendRound(*raw, ctx);
+  MpTxn& t = txns_.Emplace(r.txn_id);
+  t.client = src;
+  t.mp.Start(std::move(r), next_seq_++);
+  SendRound(t, ctx);
 }
 
 void CoordinatorActor::SendRound(const MpTxn& t, ActorContext& ctx) {
@@ -47,9 +44,8 @@ void CoordinatorActor::SendRound(const MpTxn& t, ActorContext& ctx) {
 }
 
 void CoordinatorActor::OnResponse(FragmentResponse& r, ActorContext& ctx) {
-  auto it = txns_.find(r.txn_id);
-  if (it == txns_.end()) return;  // late response for a decided transaction
-  MpTxn* t = it->second.get();
+  MpTxn* t = txns_.Find(r.txn_id);
+  if (t == nullptr || t->held) return;  // late response for a decided transaction
   PARTDB_CHECK(r.partition >= 0 &&
                static_cast<size_t>(r.partition) < expected_epoch_.size());
   // Stale: executed before an abort this coordinator sent to the partition
@@ -64,14 +60,14 @@ void CoordinatorActor::TryAdvance(MpTxn* t, ActorContext& ctx) {
   // Dependency gate (§4.2.2): every speculative result must have its
   // dependency committed before we can act on this round. A dependency is
   // always a multi-partition transaction this coordinator ordered before
-  // `t`, so it is undecided exactly while it is still in txns_.
+  // `t`, so it is undecided exactly while it is in txns_ and not held.
   for (const FragmentResponse& r : t->mp.responses()) {
-    const TxnId dep = r.depends_on;
-    if (dep == kInvalidTxn) continue;
-    if (txns_.count(dep) != 0) {
+    if (r.depends_on == kInvalidTxn) continue;
+    MpTxn* dep = txns_.Find(r.depends_on);
+    if (dep != nullptr && !dep->held) {
       if (!t->parked) {
         t->parked = true;
-        waiters_[dep].push_back(t->mp.txn_id());
+        dep->dependents.push_back(t->mp.txn_id());
       }
       return;  // wait for the dependency's outcome
     }
@@ -103,32 +99,30 @@ void CoordinatorActor::Decide(MpTxn* t, bool commit, ActorContext& ctx) {
   if (!commit) {
     // Each participant rolls back and re-executes or resends every later
     // fragment under a new epoch: every response stored from it is stale.
+    // A held commit is decided: its responses are not stale.
     for (PartitionId p : t->mp.request().participants) {
       expected_epoch_[p]++;
-      for (auto& entry : txns_) entry.second->mp.Forget(p);
+      for (auto& entry : txns_) {
+        if (!entry.second.held) entry.second.mp.Forget(p);
+      }
     }
   }
 
-  auto self = txns_.find(id);
+  const SmallVector<TxnId, 4> dependents = std::move(t->dependents);
   if (commit && durable_notices_) {
     t->mp.AwaitNotices();
-    held_.emplace(id, std::move(self->second));
+    t->held = true;
   } else {
     Reply(*t, commit, ctx);
+    txns_.Erase(id);
   }
-  txns_.erase(self);
 
   // Wake transactions parked on this outcome.
-  auto wit = waiters_.find(id);
-  if (wit != waiters_.end()) {
-    std::vector<TxnId> list = std::move(wit->second);
-    waiters_.erase(wit);
-    for (TxnId w : list) {
-      auto it = txns_.find(w);
-      if (it == txns_.end()) continue;
-      it->second->parked = false;
-      TryAdvance(it->second.get(), ctx);
-    }
+  for (TxnId w : dependents) {
+    MpTxn* d = txns_.Find(w);
+    if (d == nullptr || d->held) continue;
+    d->parked = false;
+    TryAdvance(d, ctx);
   }
 }
 

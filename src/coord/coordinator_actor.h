@@ -6,14 +6,15 @@
 // transaction commits only once the transactions its results depend on have
 // committed; an abort invalidates dependent results, which the partitions
 // re-execute and resend. Under group commit a decided commit stays held
-// until one DurableNotice per participant says its record is logged.
+// until one DurableNotice per participant says its record is logged. Every
+// in-flight transaction, held or not, is one entry of a recycled TxnTable.
 #ifndef PARTDB_COORD_COORDINATOR_ACTOR_H_
 #define PARTDB_COORD_COORDINATOR_ACTOR_H_
 
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/small_vector.h"
+#include "common/txn_table.h"
 #include "coord/mp_round.h"
 #include "coord/txn_continuations.h"
 #include "engine/cost_model.h"
@@ -44,6 +45,19 @@ class CoordinatorActor : public Actor {
     MpRound mp;
     NodeId client = kInvalidNode;
     bool parked = false;  // waiting on an undecided dependency
+    /// Decided commit whose reply waits for its DurableNotices. For the
+    /// dependency gate and the abort's Forget walk it is decided.
+    bool held = false;
+    /// Transactions parked on this one's outcome, in parking order.
+    SmallVector<TxnId, 4> dependents;
+
+    void Reset() {
+      mp.Release();
+      client = kInvalidNode;
+      parked = false;
+      held = false;
+      dependents.clear();
+    }
   };
 
   void OnRequest(ClientRequest& r, NodeId src, ActorContext& ctx);
@@ -61,9 +75,7 @@ class CoordinatorActor : public Actor {
   bool durable_notices_;
   std::vector<uint32_t> expected_epoch_;  // abort decisions sent, per partition
 
-  std::unordered_map<TxnId, std::unique_ptr<MpTxn>> txns_;  // undecided, by id
-  std::unordered_map<TxnId, std::vector<TxnId>> waiters_;   // dep -> parked txns
-  std::unordered_map<TxnId, std::unique_ptr<MpTxn>> held_;  // committed, not yet logged
+  TxnTable<MpTxn> txns_;  // undecided, and held commits
   uint64_t next_seq_ = 1;
 };
 

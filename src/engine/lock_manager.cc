@@ -136,45 +136,42 @@ uint64_t LockManager::WaitingOn(const Owner* owner) const {
   return owner->waiting_lock;
 }
 
-bool LockManager::DfsCycle(Owner* node, Owner* start, std::unordered_map<const Owner*, int>* color,
-                           std::vector<Owner*>* stack, std::vector<Owner*>* cycle) const {
-  (*color)[node] = 1;  // gray
-  stack->push_back(node);
+bool LockManager::DfsCycle(Owner* node, Owner* start, std::vector<Owner*>* cycle) {
+  node->search_mark = search_;
+  stack_.push_back(node);
 
   if (node->waiting) {
+    // The search reads the table and never changes it, so `e` stays valid.
     auto lit = table_.find(node->waiting_lock);
     PARTDB_CHECK(lit != table_.end());
     const LockEntry& e = lit->second;
     const bool my_x = node->waiting_exclusive;
 
-    std::vector<Owner*> targets;
+    auto reaches_start = [&](Owner* t) {
+      if (t == start) {
+        *cycle = stack_;
+        return true;
+      }
+      return t->search_mark != search_ && DfsCycle(t, start, cycle);
+    };
     for (Owner* h : e.holders) {
-      if (h != node) targets.push_back(h);
+      if (h != node && reaches_start(h)) return true;
     }
     // Incompatible requests queued ahead of us also block us.
     for (Owner* w : e.queue) {
       if (w == node) break;
-      if (w->waiting_exclusive || my_x) targets.push_back(w);
-    }
-    for (Owner* t : targets) {
-      if (t == start) {
-        *cycle = *stack;
-        return true;
-      }
-      const int c = color->count(t) ? (*color)[t] : 0;
-      if (c == 0 && DfsCycle(t, start, color, stack, cycle)) return true;
+      if ((w->waiting_exclusive || my_x) && reaches_start(w)) return true;
     }
   }
-  (*color)[node] = 2;  // black
-  stack->pop_back();
+  stack_.pop_back();
   return false;
 }
 
-bool LockManager::FindCycle(Owner* start, std::vector<Owner*>* cycle) const {
-  std::unordered_map<const Owner*, int> color;
-  std::vector<Owner*> stack;
+bool LockManager::FindCycle(Owner* start, std::vector<Owner*>* cycle) {
+  ++search_;
+  stack_.clear();
   cycle->clear();
-  return DfsCycle(start, start, &color, &stack, cycle);
+  return DfsCycle(start, start, cycle);
 }
 
 size_t LockManager::HeldCount(const Owner* owner) const {

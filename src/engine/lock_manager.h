@@ -7,9 +7,10 @@
 // The manager keeps no per-owner state of its own: each transaction is its
 // own `Owner` (LockingCc::LTxn derives from it), so the held ids and the one
 // waiting request live in the transaction. An Owner must outlive its
-// ReleaseAll, and it has at most one outstanding (queued) request. A lock
-// entry emptied by a release is kept on a free list and reused for the next
-// lock id, so a steady workload stops allocating lock entries.
+// ReleaseAll, it has at most one outstanding (queued) request, and it belongs
+// to one manager. A lock entry emptied by a release is kept on a free list
+// and reused for the next lock id, and the cycle search marks the owners it
+// visits and reuses its stack, so a steady workload stops allocating.
 #ifndef PARTDB_ENGINE_LOCK_MANAGER_H_
 #define PARTDB_ENGINE_LOCK_MANAGER_H_
 
@@ -31,6 +32,7 @@ class LockManager {
     uint64_t waiting_lock = 0;
     bool waiting = false;
     bool waiting_exclusive = false;  // mode of the queued request
+    uint64_t search_mark = 0;        // the last FindCycle that visited it
   };
 
   /// A lock grant delivered by ReleaseAll: `owner`'s queued request is now
@@ -60,7 +62,7 @@ class LockManager {
   /// Searches the waits-for graph for a cycle reachable from `start` (which
   /// must be waiting). On success fills `cycle` with the owners on the cycle
   /// (start included) and returns true.
-  bool FindCycle(Owner* start, std::vector<Owner*>* cycle) const;
+  bool FindCycle(Owner* start, std::vector<Owner*>* cycle);
 
   /// True when no locks are held and nobody waits: the partition may use the
   /// no-lock fast path for single-partition transactions.
@@ -81,11 +83,14 @@ class LockManager {
   void GrantFromQueue(uint64_t lock_id, LockEntry* e, std::vector<Granted>* granted);
   /// Moves an entry with no holders and no waiters to the free list.
   void RetireIfUnused(Table::iterator it);
-  bool DfsCycle(Owner* node, Owner* start, std::unordered_map<const Owner*, int>* color,
-                std::vector<Owner*>* stack, std::vector<Owner*>* cycle) const;
+  bool DfsCycle(Owner* node, Owner* start, std::vector<Owner*>* cycle);
 
   Table table_;
   std::vector<Table::node_type> free_entries_;
+  // FindCycle's state, reused across searches: an owner whose search_mark is
+  // search_ was visited by the current one, and stack_ is its DFS path.
+  uint64_t search_ = 0;
+  std::vector<Owner*> stack_;
 };
 
 }  // namespace partdb

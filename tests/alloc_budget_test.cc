@@ -84,11 +84,11 @@ struct Budget {
 };
 
 const Budget kBudgets[] = {
-    {"blocking", 7.40, 9.40, 18.39},
-    {"speculation", 7.40, 9.27, 20.90},
-    {"locking", 7.40, 22.44, 27.89},
-    {"occ", 7.40, 14.31, 22.02},
-    {"mvcc", 7.40, 14.55, 21.81},
+    {"blocking", 7.40, 9.10, 18.17},
+    {"speculation", 7.40, 8.96, 20.69},
+    {"locking", 7.40, 8.53, 21.16},
+    {"occ", 7.40, 14.00, 21.81},
+    {"mvcc", 7.40, 14.25, 21.60},
 };
 
 /// Checks all three cells of one scheme's row.

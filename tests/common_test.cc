@@ -1,6 +1,6 @@
 // Tests for the common utilities: Rng, Histogram, FlagSet,
-// InlineString, SmallFn, SmallVector, message size accounting, and metrics
-// arithmetic.
+// InlineString, SmallFn, SmallVector, TxnTable, message size accounting, and
+// metrics arithmetic.
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "common/small_fn.h"
 #include "common/small_vector.h"
+#include "common/txn_table.h"
 #include "gtest/gtest.h"
 #include "kv/kv_engine.h"
 #include "msg/message.h"
@@ -393,6 +394,72 @@ TEST(MetricsSummary, NamesEveryCounter) {
   for (const MetricsCounter& c : kMetricsCounters) {
     EXPECT_NE(s.find(std::string(" ") + c.name + "="), std::string::npos) << c.name;
   }
+}
+
+// An entry with a buffer whose capacity Reset keeps, and a count of resets.
+struct TableEntry {
+  std::vector<int> buf;
+  std::shared_ptr<int> payload;
+  int resets = 0;
+
+  void Reset() {
+    buf.clear();
+    payload = nullptr;
+    ++resets;
+  }
+};
+
+TEST(TxnTable, FindMissesAfterErase) {
+  TxnTable<TableEntry> table;
+  table.Emplace(7).buf.push_back(1);
+  ASSERT_NE(table.Find(7), nullptr);
+  EXPECT_EQ(table.Find(7)->buf.size(), 1u);
+  EXPECT_EQ(table.Find(8), nullptr);
+  table.Erase(7);
+  EXPECT_EQ(table.Find(7), nullptr);
+  EXPECT_TRUE(table.empty());
+}
+
+TEST(TxnTable, EmplaceReusesTheParkedEntryWithItsCapacity) {
+  TxnTable<TableEntry> table;
+  TableEntry& first = table.Emplace(1);
+  first.buf.assign(100, 5);
+  first.payload = std::make_shared<int>(3);
+  std::weak_ptr<int> payload = first.payload;
+  const int* storage = first.buf.data();
+  table.Erase(1);
+  EXPECT_TRUE(payload.expired());  // Reset dropped it at the Erase
+  EXPECT_EQ(table.spare(), 1u);
+
+  TableEntry& second = table.Emplace(2);
+  EXPECT_EQ(second.resets, 1);
+  EXPECT_TRUE(second.buf.empty());
+  EXPECT_GE(second.buf.capacity(), 100u);
+  EXPECT_EQ(second.buf.data(), storage);
+  EXPECT_EQ(table.spare(), 0u);
+  EXPECT_EQ(table.Find(2), &second);
+  EXPECT_EQ(table.Find(1), nullptr);
+}
+
+TEST(TxnTable, EntriesStayPutWhileOthersAreInserted) {
+  TxnTable<TableEntry> table;
+  TableEntry* first = &table.Emplace(0);
+  for (TxnId id = 1; id < 1000; ++id) table.Emplace(id);
+  EXPECT_EQ(table.Find(0), first);
+  for (TxnId id = 1; id < 1000; id += 2) table.Erase(id);
+  EXPECT_EQ(table.Find(0), first);
+  EXPECT_EQ(table.size(), 500u);
+}
+
+TEST(TxnTable, SpareListStaysBounded) {
+  TxnTable<TableEntry> table;
+  const TxnId n = 4 * TxnTable<TableEntry>::kMaxSpare;
+  for (TxnId id = 0; id < n; ++id) table.Emplace(id);
+  for (TxnId id = 0; id < n; ++id) table.Erase(id);
+  EXPECT_EQ(table.spare(), TxnTable<TableEntry>::kMaxSpare);
+  for (TxnId id = 0; id < n; ++id) table.Emplace(n + id);
+  EXPECT_EQ(table.spare(), 0u);
+  EXPECT_EQ(table.size(), n);
 }
 
 TEST(TxnIdEncoding, RoundTrips) {
