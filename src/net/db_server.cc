@@ -156,10 +156,9 @@ bool DbServer::OnFrame(const std::shared_ptr<ServerConn>& sc, LoopConn& lc, cons
       return true;
     }
     case FrameType::kCloseSession: {
-      WireReader r(fv.body);
-      const uint32_t session_id = r.U32();
-      if (!r.AtEnd()) break;
-      auto it = sc->sessions.find(session_id);
+      CloseSessionBody close;
+      if (!DecodeCloseSessionBody(fv.body, &close)) break;
+      auto it = sc->sessions.find(close.session_id);
       if (it != sc->sessions.end()) {
         RetireSession(std::move(it->second));
         sc->sessions.erase(it);

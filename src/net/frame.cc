@@ -149,6 +149,14 @@ bool DecodeResponseHeader(WireReader& r, ResponseHeader* out) {
   return r.ok();
 }
 
+void AppendCloseSessionBody(WireWriter& w, const CloseSessionBody& b) { w.U32(b.session_id); }
+
+bool DecodeCloseSessionBody(std::string_view body, CloseSessionBody* out) {
+  WireReader r(body);
+  out->session_id = r.U32();
+  return r.AtEnd();
+}
+
 namespace {
 
 /// count, min, max, sum and the bucket count of a histogram with no buckets.

@@ -152,7 +152,15 @@ void AppendResponseBody(WireWriter& w, const ResponseHeader& h, const Payload* r
 /// Parses the header and leaves `r` positioned at the result bytes.
 bool DecodeResponseHeader(WireReader& r, ResponseHeader* out);
 
-// kCloseSession: u32 session_id (one WireWriter::U32 inside the frame).
+/// kCloseSession: u32 session_id — the one session the client releases.
+struct CloseSessionBody {
+  uint32_t session_id = 0;
+};
+
+/// Appends the CloseSession body through an already-open frame's writer.
+void AppendCloseSessionBody(WireWriter& w, const CloseSessionBody& b);
+/// Strict: the body is exactly the session id.
+bool DecodeCloseSessionBody(std::string_view body, CloseSessionBody* out);
 
 /// kMetrics body: every counter, both latency histograms and the
 /// per-procedure outcomes of a Metrics.

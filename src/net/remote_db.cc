@@ -51,7 +51,9 @@ RemoteSession::~RemoteSession() {
   // Release the server-side slot. Best effort: a dead connection already
   // freed every session it carried.
   const uint32_t id = session_id_;
-  conn_->lc->SendFrame(FrameType::kCloseSession, [id](WireWriter& w) { w.U32(id); });
+  conn_->lc->SendFrame(FrameType::kCloseSession, [id](WireWriter& w) {
+    AppendCloseSessionBody(w, CloseSessionBody{id});
+  });
 }
 
 SubmitResult RemoteSession::Submit(ProcId proc, PayloadPtr args, TxnCallback cb) {

@@ -940,6 +940,33 @@ TEST(DurabilityLogFormat, Crc32MatchesBitwiseReference) {
   }
 }
 
+// The checkpoint body's fields are pinned by the image's size and crc: a
+// decoder that read two same-width fields in the other order would still
+// round-trip, but images written earlier would restore wrong.
+TEST(DurabilityLogFormat, CheckpointImageBytesArePinned) {
+  CheckpointImage img;
+  img.partition = 1;
+  img.num_partitions = 3;
+  img.covered_seq = 0x0102030405060708;
+  img.mp_committed = {1002, 1005, 0xFFFFFFFFFFFFFFFF};
+  img.engine_state = std::string("engine\0state", 12);
+  std::string bytes;
+  EncodeCheckpoint(img, &bytes);
+  EXPECT_EQ(bytes.size(), 76u);
+  EXPECT_EQ(Crc32(bytes), 655271909u);
+
+  CheckpointImage back;
+  ASSERT_TRUE(DecodeCheckpoint(bytes, &back));
+  EXPECT_EQ(back.partition, img.partition);
+  EXPECT_EQ(back.num_partitions, img.num_partitions);
+  EXPECT_EQ(back.covered_seq, img.covered_seq);
+  EXPECT_EQ(back.mp_committed, img.mp_committed);
+  EXPECT_EQ(back.engine_state, img.engine_state);
+  std::string again;
+  EncodeCheckpoint(back, &again);
+  EXPECT_TRUE(again == bytes);
+}
+
 /// A one-partition log driven directly (no Database), started without a
 /// report target, so Append/Shutdown run exactly as on a partition worker
 /// and nothing but the test appends.

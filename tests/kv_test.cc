@@ -1,7 +1,9 @@
 // KV store and microbenchmark engine unit tests: increment semantics, the
 // two-round (general transaction) split, abort injection, undo, lock sets,
-// and state hashing.
+// state hashing, and the checkpoint state's bytes.
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "gtest/gtest.h"
 #include "kv/kv_engine.h"
@@ -16,6 +18,16 @@ std::unique_ptr<KvEngine> Engine4() {
   auto e = std::make_unique<KvEngine>(0);
   for (int i = 0; i < 4; ++i) e->store().Put(K(i), EncodeValue(100 + i));
   return e;
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 0xf]);
+  }
+  return hex;
 }
 
 uint64_t Val(KvEngine& e, int slot) {
@@ -169,6 +181,29 @@ TEST(KvEngine, DeterministicAcrossInstances) {
   a->Execute(args, 0, nullptr, nullptr, &m);
   b->Execute(args, 0, nullptr, nullptr, &m);
   EXPECT_EQ(a->StateHash(), b->StateHash());
+}
+
+// The engine's checkpoint state (u64 entry count, then each key and value as
+// a 9-byte fixed-width string in table order) is pinned: images written
+// earlier must still restore.
+TEST(KvCheckpoint, ImageBytesArePinned) {
+  auto e = Engine4();
+  std::string image;
+  WireWriter w(&image);
+  e->SerializeState(w);
+  EXPECT_EQ(Hex(image),
+            "04000000000000000800000000000000000864000000000000000803000000000000000867000000"
+            "00000000080200000000000000086600000000000000080100000000000000086500000000000000");
+
+  KvEngine fresh(0);
+  WireReader r(image);
+  ASSERT_TRUE(fresh.RestoreState(r));
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(fresh.StateHash(), e->StateHash());
+  std::string again;
+  WireWriter w2(&again);
+  fresh.SerializeState(w2);
+  EXPECT_TRUE(again == image);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Wire-format tests: primitive round trips and bounds checking, property
 // tests that every KV / TPC-C args/result payload encodes -> decodes
-// bit-identically with ByteSize() equal to the encoded size, and the
-// size-parity pins that keep the sim cost model's byte accounting identical
-// to the pre-codec hand estimates (the figure goldens depend on them).
+// bit-identically with ByteSize() equal to the encoded size, byte pins of the
+// payloads and the frame bodies, and the size-parity pins that keep the sim
+// cost model's byte accounting identical to the pre-codec hand estimates (the
+// figure goldens depend on them).
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -312,6 +313,129 @@ TEST(KvCodec, DecoderRejectsTruncatedAndTrailingBytes) {
   WireReader r(extra);
   PayloadPtr p = DecodeArgs(KvProc(), r);
   EXPECT_FALSE(p != nullptr && r.AtEnd());
+}
+
+// --- frame bodies -------------------------------------------------------------
+//
+// The Hello, Request, Response and CloseSession bodies are part of wire
+// version kWireVersion. Round trips pass any field order both directions
+// share, so these pins hold every field at its byte offset, and decoding the
+// pinned bytes gives the fields back.
+
+TEST(FrameCodec, HelloBytesArePinned) {
+  HelloBody h;
+  h.max_inflight = 7;
+  h.mode = 0;
+  h.max_sessions = 0x01020304;
+  h.proc_names = {"kv", "", "new_order"};
+  const std::string body = EncodeHello(h);
+  EXPECT_EQ(Hex(body), "070000000000000000040302010300000002006b76000009006e65775f6f72646572");
+
+  HelloBody back;
+  ASSERT_TRUE(DecodeHello(body, &back));
+  EXPECT_EQ(back.max_inflight, h.max_inflight);
+  EXPECT_EQ(back.mode, h.mode);
+  EXPECT_EQ(back.max_sessions, h.max_sessions);
+  EXPECT_EQ(back.proc_names, h.proc_names);
+  EXPECT_FALSE(DecodeHello(body + '\0', &back));
+  EXPECT_FALSE(DecodeHello(body.substr(0, body.size() - 1), &back));
+}
+
+TEST(FrameCodec, RequestBytesArePinned) {
+  RequestHeader h;
+  h.session_id = 3;
+  h.seq = 0x0102030405060708;
+  h.proc = 1;
+  KvArgs args;
+  args.keys.resize(2);
+  args.keys[0] = {MicrobenchKey(4, 0, 1)};
+  args.keys[1] = {MicrobenchKey(4, 1, 2), KvKey(std::string_view("xy"))};
+  args.rounds = 2;
+  args.abort_at = 1;
+  std::string body;
+  WireWriter w(&body);
+  AppendRequestBody(w, h, args);
+  EXPECT_EQ(Hex(body),
+            "03000000080706050403020101000000020000000000000001000000020000000300000000000000"
+            "0100000002000000080100000004000000080200000104000000027879000000000000");
+
+  WireReader r(body);
+  RequestHeader hback;
+  ASSERT_TRUE(DecodeRequestHeader(r, &hback));
+  EXPECT_EQ(hback.session_id, h.session_id);
+  EXPECT_EQ(hback.seq, h.seq);
+  EXPECT_EQ(hback.proc, h.proc);
+  PayloadPtr back = DecodeArgs(KvProc(), r);
+  ASSERT_NE(back, nullptr);
+  EXPECT_TRUE(r.AtEnd());
+  const auto& a = PayloadCast<KvArgs>(*back);
+  EXPECT_EQ(a.keys, args.keys);
+  EXPECT_EQ(a.rounds, args.rounds);
+  EXPECT_EQ(a.abort_at, args.abort_at);
+  EXPECT_FALSE(a.abort_txn);
+  EXPECT_FALSE(a.read_only);
+}
+
+TEST(FrameCodec, ResponseBytesArePinned) {
+  ResponseHeader h;
+  h.session_id = 5;
+  h.seq = 9;
+  h.status = TxnStatus::kUserAbort;
+  h.attempts = 2;
+  h.has_result = true;
+  KvResult result;
+  result.values = {11, 0x0a0b0c0d0e0f1011};
+  std::string body;
+  WireWriter w(&body);
+  AppendResponseBody(w, h, &result);
+  EXPECT_EQ(Hex(body),
+            "05000000090000000000000001020000000102000000000000000b0000000000000011100f0e0d0c"
+            "0b0a");
+
+  WireReader r(body);
+  ResponseHeader hback;
+  ASSERT_TRUE(DecodeResponseHeader(r, &hback));
+  EXPECT_EQ(hback.session_id, h.session_id);
+  EXPECT_EQ(hback.seq, h.seq);
+  EXPECT_EQ(hback.status, h.status);
+  EXPECT_EQ(hback.attempts, h.attempts);
+  EXPECT_TRUE(hback.has_result);
+  PayloadPtr back = DecodeKvResult(r);
+  ASSERT_NE(back, nullptr);
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(PayloadCast<KvResult>(*back).values, result.values);
+
+  // A rejection carries no result; a status past kRejected is refused.
+  ResponseHeader rejected;
+  rejected.session_id = 5;
+  rejected.seq = 10;
+  rejected.status = TxnStatus::kRejected;
+  rejected.attempts = 0;
+  std::string bare;
+  WireWriter bw(&bare);
+  AppendResponseBody(bw, rejected, nullptr);
+  EXPECT_EQ(Hex(bare), "050000000a00000000000000020000000000");
+  WireReader rr(bare);
+  ASSERT_TRUE(DecodeResponseHeader(rr, &hback));
+  EXPECT_EQ(hback.status, TxnStatus::kRejected);
+  EXPECT_FALSE(hback.has_result);
+  EXPECT_TRUE(rr.AtEnd());
+  bare[12] = 3;
+  WireReader bad(bare);
+  EXPECT_FALSE(DecodeResponseHeader(bad, &hback));
+}
+
+TEST(FrameCodec, CloseSessionBytesArePinned) {
+  std::string body;
+  WireWriter w(&body);
+  AppendCloseSessionBody(w, CloseSessionBody{0xDEADBEEF});
+  EXPECT_EQ(Hex(body), "efbeadde");
+
+  CloseSessionBody back;
+  ASSERT_TRUE(DecodeCloseSessionBody(body, &back));
+  EXPECT_EQ(back.session_id, 0xDEADBEEFu);
+  EXPECT_FALSE(DecodeCloseSessionBody(body + '\0', &back));
+  EXPECT_FALSE(DecodeCloseSessionBody(body.substr(0, 3), &back));
 }
 
 // --- sim cost-model parity ---------------------------------------------------

@@ -4,6 +4,8 @@
 // result codec), CloseSession, and Metrics. Anything that crashes, trips a
 // sanitizer, or fails a PARTDB_CHECK here is a remotely triggerable server
 // or client kill and belongs in tests/frame_torture_test.cc as a regression.
+// Every body a decoder accepts must also re-encode to a fixpoint, which
+// keeps each decoder in step with its encoder.
 //
 // Two entry points from the same logic:
 //   - libFuzzer (clang, -DPARTDB_FUZZ=ON): `fuzz_frame corpus/ -max_total_time=30`
@@ -25,53 +27,85 @@
 #include "msg/wire.h"
 #include "net/frame.h"
 #include "runtime/metrics.h"
+#include "tools/fuzz_fixpoint.h"
 
 namespace partdb {
 namespace {
 
+/// A Request or Response body as the peers decode it: the header, then the
+/// KV payload the procedure codec reads.
+struct RequestBody {
+  RequestHeader header;
+  PayloadPtr args;
+};
+struct ResponseBody {
+  ResponseHeader header;
+  PayloadPtr result;
+};
+
+bool DecodeRequest(std::string_view body, RequestBody* out) {
+  // The server decodes args through DecodeArgs with the procedure's
+  // registered codec; the kv procedure is the one every bench deployment
+  // serves.
+  static const ProcedureDescriptor kKv = KvReadUpdateProcedure(KvWorkloadOptions{});
+  WireReader r(body);
+  if (!DecodeRequestHeader(r, &out->header)) return false;
+  out->args = DecodeArgs(kKv, r);
+  return out->args != nullptr && r.AtEnd();
+}
+
+std::string EncodeRequest(const RequestBody& b) {
+  std::string out;
+  WireWriter w(&out);
+  AppendRequestBody(w, b.header, *b.args);
+  return out;
+}
+
+bool DecodeResponse(std::string_view body, ResponseBody* out) {
+  WireReader r(body);
+  if (!DecodeResponseHeader(r, &out->header)) return false;
+  out->result = nullptr;
+  if (out->header.has_result) {
+    out->result = DecodeKvResult(r);
+    if (out->result == nullptr) return false;
+  }
+  return r.AtEnd();
+}
+
+std::string EncodeResponse(const ResponseBody& b) {
+  std::string out;
+  WireWriter w(&out);
+  AppendResponseBody(w, b.header, b.result.get());
+  return out;
+}
+
+std::string EncodeCloseSession(const CloseSessionBody& b) {
+  std::string out;
+  WireWriter w(&out);
+  AppendCloseSessionBody(w, b);
+  return out;
+}
+
 /// Runs the type-appropriate body decoder, mirroring what DbServer::OnFrame
 /// and RemoteDatabase::OnFrame do with a decoded frame. Decode failures are
-/// fine (that is the decoders' job); only crashes count.
+/// fine (that is the decoders' job); crashes and broken fixpoints count.
 void ConsumeBody(FrameType type, std::string_view body) {
   switch (type) {
-    case FrameType::kHello: {
-      HelloBody h;
-      DecodeHello(body, &h);
+    case FrameType::kHello:
+      DecodeAndCheckFixpoint<HelloBody>(body, DecodeHello, EncodeHello);
       break;
-    }
-    case FrameType::kRequest: {
-      WireReader r(body);
-      RequestHeader h;
-      if (!DecodeRequestHeader(r, &h)) break;
-      // The server decodes args through DecodeArgs with the procedure's
-      // registered codec; the kv procedure is the one every bench deployment
-      // serves.
-      static const ProcedureDescriptor kKv = KvReadUpdateProcedure(KvWorkloadOptions{});
-      PayloadPtr args = DecodeArgs(kKv, r);
-      if (args != nullptr) r.AtEnd();
+    case FrameType::kRequest:
+      DecodeAndCheckFixpoint<RequestBody>(body, DecodeRequest, EncodeRequest);
       break;
-    }
-    case FrameType::kResponse: {
-      WireReader r(body);
-      ResponseHeader h;
-      if (!DecodeResponseHeader(r, &h)) break;
-      if (h.has_result) {
-        PayloadPtr result = DecodeKvResult(r);
-        if (result != nullptr) r.AtEnd();
-      }
+    case FrameType::kResponse:
+      DecodeAndCheckFixpoint<ResponseBody>(body, DecodeResponse, EncodeResponse);
       break;
-    }
-    case FrameType::kCloseSession: {
-      WireReader r(body);
-      r.U32();
-      r.AtEnd();
+    case FrameType::kCloseSession:
+      DecodeAndCheckFixpoint<CloseSessionBody>(body, DecodeCloseSessionBody, EncodeCloseSession);
       break;
-    }
-    case FrameType::kMetrics: {
-      Metrics m;
-      DecodeMetrics(body, &m);
+    case FrameType::kMetrics:
+      DecodeAndCheckFixpoint<Metrics>(body, DecodeMetrics, EncodeMetrics);
       break;
-    }
     default:
       break;  // control frames carry no body
   }
@@ -151,7 +185,8 @@ std::vector<std::string> SeedInputs() {
   std::string response_stream;
   AppendFrameWith(&response_stream, FrameType::kResponse,
                   [&](WireWriter& w) { AppendResponseBody(w, resp, &result); });
-  AppendFrameWith(&response_stream, FrameType::kCloseSession, [](WireWriter& w) { w.U32(3); });
+  AppendFrameWith(&response_stream, FrameType::kCloseSession,
+                  [](WireWriter& w) { AppendCloseSessionBody(w, CloseSessionBody{3}); });
   seeds.push_back(response_stream);
 
   Metrics m;

@@ -6,7 +6,9 @@
 // malformed earlier must be *rejected* (kCorrupt / decode failure) — and
 // nothing in either case may crash, trip a sanitizer, or fail a PARTDB_CHECK.
 // What the decoders accept must also re-encode byte for byte, which pins the
-// encoders (and the crc) to the format the decoders read.
+// encoders (and the crc) to the format the decoders read; an accepted
+// checkpoint image, and the KV args and round inputs inside an accepted
+// record, must re-encode to a fixpoint (tools/fuzz_fixpoint.h).
 // Anything that does is a recovery-time kill on real data and belongs in
 // tests/durability_test.cc as a regression.
 //
@@ -25,11 +27,34 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "db/procedure_registry.h"
 #include "durability/log_format.h"
 #include "kv/kv_engine.h"
+#include "kv/kv_procedures.h"
+#include "tools/fuzz_fixpoint.h"
 
 namespace partdb {
 namespace {
+
+bool DecodeKvArgs(std::string_view bytes, PayloadPtr* out) {
+  static const ProcedureDescriptor kKv = KvReadUpdateProcedure(KvWorkloadOptions{});
+  WireReader r(bytes);
+  *out = DecodeArgs(kKv, r);
+  return *out != nullptr && r.AtEnd();
+}
+
+bool DecodeKvRoundInputBytes(std::string_view bytes, PayloadPtr* out) {
+  WireReader r(bytes);
+  *out = DecodeKvRoundInput(r);
+  return *out != nullptr && r.AtEnd();
+}
+
+std::string EncodePayload(const PayloadPtr& p) {
+  std::string out;
+  WireWriter w(&out);
+  p->SerializeTo(w);
+  return out;
+}
 
 void FuzzOneInput(const uint8_t* data, size_t size) {
   const std::string_view input(reinterpret_cast<const char*>(data), size);
@@ -49,8 +74,12 @@ void FuzzOneInput(const uint8_t* data, size_t size) {
   }
 
   // 2. Strict checkpoint decode — what recovery runs on every .ckpt image.
-  CheckpointImage img;
-  DecodeCheckpoint(input, &img);
+  //    An accepted image re-encodes to a fixpoint.
+  DecodeAndCheckFixpoint<CheckpointImage>(input, DecodeCheckpoint, [](const CheckpointImage& img) {
+    std::string out;
+    EncodeCheckpoint(img, &out);
+    return out;
+  });
 
   // 3. Direct record-body dispatch (skipping one selector byte), so the body
   //    decoder also sees inputs the length/crc framing would have rejected
@@ -63,6 +92,12 @@ void FuzzOneInput(const uint8_t* data, size_t size) {
       std::string frame;
       EncodeLogRecord(rec, &frame);
       PARTDB_CHECK(std::string_view(frame).substr(8) == body);
+      // Recovery decodes the record's args and round inputs with the
+      // procedure's codecs: the KV ones re-encode to a fixpoint too.
+      DecodeAndCheckFixpoint<PayloadPtr>(rec.args, DecodeKvArgs, EncodePayload);
+      for (const std::string& in : rec.round_inputs) {
+        DecodeAndCheckFixpoint<PayloadPtr>(in, DecodeKvRoundInputBytes, EncodePayload);
+      }
     }
   }
 }
