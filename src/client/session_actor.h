@@ -19,9 +19,7 @@
 // simulator a loopback delivery at the submitting instant. Submissions made
 // from within one of this actor's own handlers (a completion callback
 // resubmitting — the closed-loop pattern) start inline, with no message and
-// no extra CPU charge, so a closed loop over a session costs exactly what the
-// legacy dedicated client actor used to cost — in the simulator this keeps
-// metrics bit-for-bit identical to the pre-session harness.
+// no extra CPU charge; the sim figure goldens pin the resulting timeline.
 #ifndef PARTDB_CLIENT_SESSION_ACTOR_H_
 #define PARTDB_CLIENT_SESSION_ACTOR_H_
 

@@ -17,10 +17,10 @@ uint64_t SplitMix64(uint64_t* state);
 /// Mixes a single value (stateless). Good avalanche; used for hashing ids.
 uint64_t Mix64(uint64_t x);
 
-/// Seed of ingress client stream `index` of a run seeded with `seed`. Every
-/// closed-loop client / session slot uses this one derivation so that a
-/// workload driven through sessions replays the legacy bench harness's
-/// per-client streams bit-for-bit.
+/// Seed of ingress client stream `index` of a run seeded with `seed`. Session
+/// slot `index` is seeded with it, and closed-loop client c draws from slot
+/// c, so a run's per-client streams depend only on the seed (the sim figure
+/// goldens pin them).
 inline uint64_t ClientStreamSeed(uint64_t seed, int index) {
   return Mix64(seed ^ (0x9e37u + static_cast<uint64_t>(index) * 0x1357ull));
 }

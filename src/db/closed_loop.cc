@@ -25,9 +25,8 @@ struct ClientLoop {
   std::unique_ptr<Session> session;
 
   void IssueNext() {
-    // The client draws from its session's stream — client c of a run is
-    // always session slot c, so the draw sequence matches the historical
-    // dedicated-client harness.
+    // The client draws from its session's stream: client c of a run is
+    // always session slot c (the sim figure goldens pin the draws).
     Invocation inv = next(index, session->rng());
     // The callback captures only `this`: a trivially-copyable 8-byte functor
     // stays in std::function's inline buffer, so the resubmit path allocates

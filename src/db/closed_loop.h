@@ -4,9 +4,8 @@
 // callback generates and submits the next one (paper §5: no think time).
 // Client c draws from the database's session-slot-c random stream
 // (ClientStreamSeed), and resubmissions start inline on the session's actor,
-// so in simulated mode a closed loop over sessions reproduces the historical
-// dedicated-client harness bit-for-bit (pinned by the kv/tpcc session-test
-// goldens). Works on both execution contexts: wall-clock warmup/measure
+// so a simulated closed loop is deterministic for a seed (pinned by the
+// kv/tpcc session-test goldens). Works on both execution contexts: wall-clock warmup/measure
 // windows in parallel mode, virtual-clock windows in simulation.
 #ifndef PARTDB_DB_CLOSED_LOOP_H_
 #define PARTDB_DB_CLOSED_LOOP_H_

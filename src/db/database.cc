@@ -171,8 +171,8 @@ Database::Database(DbOptions options)
   };
   for (int i = 0; i < options_.max_sessions; ++i) {
     // Session slot i draws from client stream i (ClientStreamSeed), and
-    // CreateSession hands slots out in ascending order, so a closed loop over
-    // sessions replays the legacy bench clients' streams exactly.
+    // CreateSession hands slots out in ascending order, so closed-loop client
+    // c draws from slot c's stream (the sim figure goldens pin it).
     auto actor = std::make_unique<SessionActor>(
         "session-" + std::to_string(i), router, &registry_, topology_, scheme.caps, options_.cost,
         ClientStreamSeed(options_.seed, i));

@@ -246,18 +246,30 @@ LogSegmentContents ParseLogSegment(std::string_view data) {
   return out;
 }
 
+namespace {
+
+/// The checkpoint body (layout in log_format.h), one field list for both
+/// directions; the magic and crc framing around it are EncodeCheckpoint's.
+template <typename Io, FieldsOf<CheckpointImage> I>
+void Fields(Io& io, I& img) {
+  uint32_t version = kLogVersion;
+  io.Field(version);
+  io.Require(version == kLogVersion);
+  io.Field(img.partition);
+  io.Field(img.num_partitions);
+  io.Field(img.covered_seq);
+  io.Seq32(img.mp_committed, sizeof(TxnId));
+  for (auto& id : img.mp_committed) io.Field(id);
+  io.Bytes64(img.engine_state, kMaxCheckpointBytes);
+}
+
+}  // namespace
+
 void EncodeCheckpoint(const CheckpointImage& img, std::string* out) {
   std::string body;
   {
     WireWriter w(&body);
-    w.U32(kLogVersion);
-    w.U32(static_cast<uint32_t>(img.partition));
-    w.U32(static_cast<uint32_t>(img.num_partitions));
-    w.U64(img.covered_seq);
-    w.U32(static_cast<uint32_t>(img.mp_committed.size()));
-    for (TxnId id : img.mp_committed) w.U64(id);
-    w.U64(img.engine_state.size());
-    w.Raw(img.engine_state.data(), img.engine_state.size());
+    Fields(w, img);
   }
   WireWriter w(out);
   w.U32(kCkptMagic);
@@ -273,18 +285,7 @@ bool DecodeCheckpoint(std::string_view data, CheckpointImage* out) {
   const std::string_view body = data.substr(8);
   if (Crc32(body) != crc) return false;
   WireReader b(body);
-  if (b.U32() != kLogVersion) return false;
-  out->partition = static_cast<PartitionId>(b.U32());
-  out->num_partitions = static_cast<int>(b.U32());
-  out->covered_seq = b.U64();
-  const uint32_t n_mp = b.U32();
-  if (static_cast<uint64_t>(n_mp) * 8 > b.remaining()) return false;
-  out->mp_committed.clear();
-  for (uint32_t i = 0; i < n_mp; ++i) out->mp_committed.push_back(b.U64());
-  const uint64_t engine_len = b.U64();
-  if (engine_len > kMaxCheckpointBytes || engine_len > b.remaining()) return false;
-  out->engine_state.resize(engine_len);
-  b.Raw(out->engine_state.data(), engine_len);
+  Fields(b, *out);
   return b.AtEnd();
 }
 

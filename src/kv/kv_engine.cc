@@ -71,27 +71,16 @@ ExecResult KvEngine::Execute(const Payload& payload, int round, const Payload* r
   return res;
 }
 
-// --- wire codecs -------------------------------------------------------------
+// --- wire layouts ------------------------------------------------------------
 //
-// Layouts are documented in README "Wire protocol". The fixed header widths
+// Layouts are documented in README "Wire protocol"; one field list per
+// layout, run by SerializeTo and the decoder alike. The fixed header widths
 // are chosen so that at the paper's 2-partition figure configurations the
 // encoded sizes equal the byte counts the sim cost model has always charged
 // (KvArgs: 32 + 9/key, KvResult: 8 + 8/value, KvRoundInput: 16 + 8/value) —
 // the sim figure goldens pin this.
 
-void KvArgs::SerializeTo(WireWriter& w) const {
-  uint64_t total = 0;
-  for (const auto& ks : keys) total += ks.size();
-  w.I32(rounds);
-  w.U32((abort_txn ? 1u : 0u) | (read_only ? 2u : 0u));
-  w.I32(abort_at);
-  w.U32(static_cast<uint32_t>(keys.size()));
-  w.U64(total);
-  for (const auto& ks : keys) w.U32(static_cast<uint32_t>(ks.size()));
-  for (const auto& ks : keys) {
-    for (const KvKey& k : ks) w.Str(k);
-  }
-}
+namespace {
 
 // Key lists are indexed by PartitionId, so any real deployment has a small
 // number of them; bounding the count up front stops a malformed frame from
@@ -99,98 +88,69 @@ void KvArgs::SerializeTo(WireWriter& w) const {
 // (a 64MB frame could otherwise claim ~16M empty lists).
 constexpr uint32_t kMaxWireLists = 1024;
 
-bool DecodeKvArgsInto(WireReader& r, KvArgs* into) {
-  into->rounds = r.I32();
-  const uint32_t flags = r.U32();
-  into->abort_txn = (flags & 1) != 0;
-  into->read_only = (flags & 2) != 0;
-  into->abort_at = r.I32();
-  const uint32_t num_lists = r.U32();
-  const uint64_t total = r.U64();
-  // Each key costs 9 bytes on the wire: reject impossible totals before
-  // sizing anything from attacker-controlled lengths.
-  if (num_lists > kMaxWireLists || total > r.remaining() / 9) {
-    r.MarkCorrupt();
-    return false;
-  }
-  // Two passes instead of a scratch counts vector: size each list to its
-  // wire count, then fill every slot.
-  into->keys.resize(num_lists);
+/// A KvKey or KvValue on the wire: its length byte and its whole 8-byte
+/// store (WireWriter::Str).
+constexpr size_t kStrBytes = 1 + 8;
+
+/// Per-partition lists: u32 list count, the `Total` element count, one u32
+/// count per list, then every element, list by list. Each `elem_bytes` on
+/// the wire. The reader bounds the total by the bytes left, and each list by
+/// what the lists before it left of the total, before it sizes anything.
+template <typename Total, typename Io, typename Lists>
+void PartitionLists(Io& io, Lists& lists, size_t elem_bytes) {
+  io.Seq32(lists, sizeof(uint32_t), kMaxWireLists);
+  Total total = 0;
+  for (const auto& l : lists) total += static_cast<Total>(l.size());
+  io.Count(total, elem_bytes);
   uint64_t sum = 0;
-  for (uint32_t i = 0; i < num_lists; ++i) {
-    const uint32_t c = r.U32();
-    sum += c;
-    // Bound each list by the validated total before sizing anything from it:
-    // the running check keeps every resize under the same cap.
-    if (!r.ok() || sum > total) {
-      r.MarkCorrupt();
-      return false;
-    }
-    into->keys[i].resize(c);
+  for (auto& l : lists) {
+    io.Seq32(l, elem_bytes, total - sum);
+    sum += l.size();
   }
-  if (sum != total) {
-    r.MarkCorrupt();
-    return false;
+  io.Require(sum == total);
+  for (auto& l : lists) {
+    for (auto& e : l) io.Field(e);
   }
-  for (auto& ks : into->keys) {
-    for (KvKey& k : ks) k = r.Str<8>();
-  }
+}
+
+template <typename Io, FieldsOf<KvArgs> A>
+void Fields(Io& io, A& a) {
+  io.Field(a.rounds);
+  io.Flags(a.abort_txn, a.read_only);
+  io.Field(a.abort_at);
+  PartitionLists<uint64_t>(io, a.keys, kStrBytes);
+}
+
+template <typename Io, FieldsOf<KvResult> R>
+void Fields(Io& io, R& r) {
+  io.Seq64(r.values, sizeof(uint64_t));
+  for (auto& v : r.values) io.Field(v);
+}
+
+template <typename Io, FieldsOf<KvRoundInput> I>
+void Fields(Io& io, I& in) {
+  PartitionLists<uint32_t>(io, in.values, sizeof(uint64_t));
+}
+
+template <typename T>
+PayloadPtr Decode(WireReader& r) {
+  auto p = std::make_shared<T>();
+  Fields(r, *p);
+  return r.ok() ? p : nullptr;
+}
+
+}  // namespace
+
+void KvArgs::SerializeTo(WireWriter& w) const { Fields(w, *this); }
+void KvResult::SerializeTo(WireWriter& w) const { Fields(w, *this); }
+void KvRoundInput::SerializeTo(WireWriter& w) const { Fields(w, *this); }
+
+bool DecodeKvArgsInto(WireReader& r, KvArgs* into) {
+  Fields(r, *into);
   return r.ok();
 }
-
-void KvResult::SerializeTo(WireWriter& w) const {
-  w.U64(values.size());
-  for (uint64_t v : values) w.U64(v);
-}
-
-PayloadPtr DecodeKvResult(WireReader& r) {
-  auto result = std::make_shared<KvResult>();
-  const uint64_t count = r.U64();
-  if (count > r.remaining() / 8) {
-    r.MarkCorrupt();
-    return nullptr;
-  }
-  result->values.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) result->values.push_back(r.U64());
-  return r.ok() ? result : nullptr;
-}
-
-void KvRoundInput::SerializeTo(WireWriter& w) const {
-  uint64_t total = 0;
-  for (const auto& vs : values) total += vs.size();
-  w.U32(static_cast<uint32_t>(values.size()));
-  w.U32(static_cast<uint32_t>(total));
-  for (const auto& vs : values) w.U32(static_cast<uint32_t>(vs.size()));
-  for (const auto& vs : values) {
-    for (uint64_t v : vs) w.U64(v);
-  }
-}
-
-PayloadPtr DecodeKvRoundInput(WireReader& r) {
-  auto input = std::make_shared<KvRoundInput>();
-  const uint32_t num_lists = r.U32();
-  const uint32_t total = r.U32();
-  if (num_lists > kMaxWireLists || total > r.remaining() / 8) {
-    r.MarkCorrupt();
-    return nullptr;
-  }
-  std::vector<uint32_t> counts(num_lists);
-  uint64_t sum = 0;
-  for (uint32_t i = 0; i < num_lists; ++i) {
-    counts[i] = r.U32();
-    sum += counts[i];
-  }
-  if (!r.ok() || sum != total) {
-    r.MarkCorrupt();
-    return nullptr;
-  }
-  input->values.resize(num_lists);
-  for (uint32_t i = 0; i < num_lists; ++i) {
-    input->values[i].reserve(counts[i]);
-    for (uint32_t v = 0; v < counts[i]; ++v) input->values[i].push_back(r.U64());
-  }
-  return r.ok() ? input : nullptr;
-}
+PayloadPtr DecodeKvResult(WireReader& r) { return Decode<KvResult>(r); }
+PayloadPtr DecodeKvRoundInput(WireReader& r) { return Decode<KvRoundInput>(r); }
 
 void KvEngine::LockSet(const Payload& payload, int round,
                        std::vector<LockRequest>* out) const {
@@ -213,12 +173,11 @@ void KvEngine::SerializeState(WireWriter& w) const {
 }
 
 bool KvEngine::RestoreState(WireReader& r) {
-  const uint64_t n = r.U64();
-  // Each entry is at least 2 bytes on the wire (two length prefixes).
-  if (!r.ok() || n > r.remaining() / 2) {
-    r.MarkCorrupt();
-    return false;
-  }
+  // Each entry is a key and a value: a count the bytes cannot hold is
+  // refused before the store is touched.
+  uint64_t n = 0;
+  r.Count(n, 2 * kStrBytes);
+  if (!r.ok()) return false;
   store_.Clear();
   for (uint64_t i = 0; i < n; ++i) {
     const KvKey k = r.Str<8>();

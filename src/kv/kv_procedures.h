@@ -1,12 +1,11 @@
-// The KV microbenchmark as a registered stored procedure: the
-// Database/Session counterpart of the retired legacy MicrobenchWorkload.
-// The descriptor's router re-derives the routing facts (participants,
-// rounds, abort annotation) from the KvArgs payload — the same facts the
-// legacy generator computed alongside the arguments — and its continuation
-// is the §5.4 general-transaction round input. DrawKvTxn generates the
-// transaction mix consuming the per-client random stream exactly as the
-// legacy generator did, so sim-mode figure runs over sessions reproduce the
-// pre-migration harness bit-for-bit (pinned by tests/kv_session_test.cc).
+// The KV microbenchmark as a registered stored procedure. The descriptor's
+// router derives the routing facts (participants, rounds, abort annotation)
+// from the KvArgs payload, and its continuation is the §5.4
+// general-transaction round input. DrawKvTxn generates the transaction mix
+// from closed-loop client c's random stream, which is session slot c's
+// stream; the order in which it draws from that stream is part of every
+// sim-mode figure run and is pinned by the goldens in
+// tests/kv_session_test.cc.
 #ifndef PARTDB_KV_KV_PROCEDURES_H_
 #define PARTDB_KV_KV_PROCEDURES_H_
 
@@ -27,9 +26,9 @@ ProcedureDescriptor KvReadUpdateProcedure(const KvWorkloadOptions& config);
 
 /// Draws the next transaction's arguments for closed-loop client
 /// `client_index` (paper §5.1–§5.4 mix: single- vs multi-partition split,
-/// pinned clients, conflict-key and abort injection), consuming `rng` exactly
-/// as the legacy closed-loop generator did. Routing is re-derived from the
-/// returned args by the procedure's router.
+/// pinned clients, conflict-key and abort injection) from `rng`, the client's
+/// session-slot stream, in the order the kv_session_test goldens pin.
+/// Routing is derived from the returned args by the procedure's router.
 PayloadPtr DrawKvTxn(const KvWorkloadOptions& config, int client_index, Rng& rng);
 
 /// Closed-loop generator over a database with KvReadUpdateProcedure

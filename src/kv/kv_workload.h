@@ -29,7 +29,7 @@ struct KvWorkloadOptions {
   double abort_prob = 0.0;
   /// Read-heavy mixes: probability a transaction reads its keys without
   /// updating them. The draw consumes no randomness at 0, so the default mix
-  /// replays the legacy client streams bit-for-bit.
+  /// draws the same stream as without the option (the goldens pin it).
   double read_only_fraction = 0.0;
   /// Marks every transaction can_abort so the fast paths record undo
   /// (used by the tspS calibration probe; paper Table 2).

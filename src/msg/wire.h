@@ -5,16 +5,31 @@
 // that never reads past its span — a truncated or corrupt frame flips ok()
 // instead of invoking undefined behavior.
 //
-// A fixed layout is written once, as a field list: a function template over
-// the stream type whose body calls `io.Field(...)` for each field in wire
-// order and `io.Reserved(n)` for zero bytes kept for later use. Run with a
+// A layout is written once, as a field list: a function template over the
+// stream type whose body names each field in wire order. Run with a
 // WireWriter it encodes (or counts); run with a WireReader it decodes into
-// the same fields, so the two directions cannot disagree on the order.
+// the same fields, so the two directions cannot disagree on the order. Both
+// streams spell the same calls:
+//   Field(x)             one fixed-width value or inline string
+//   Reserved(n)          n zero bytes kept for later use
+//   Enum(e, max) / Flags(bits...)
+//                        a u8 enum (the reader refuses one past `max`) / a
+//                        u32 word whose bit i is the i-th bool
+//   Count(n, min)        a count of elements of at least `min` bytes each
+//                        (the reader refuses one the bytes left cannot hold)
+//   Seq32/Seq64(c, min)  a container's size as a Count; the reader resizes
+//                        the container, and the field list then walks its
+//                        elements
+//   Bytes16/Bytes64(s)   a length-prefixed byte string
+//   Require(cond)        a cross-field invariant the reader checks (the
+//                        writer holds it by construction)
+// Every count is bounded before the reader sizes anything from it.
 #ifndef PARTDB_MSG_WIRE_H_
 #define PARTDB_MSG_WIRE_H_
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -54,7 +69,7 @@ class WireWriter {
     n_ += n;
   }
 
-  /// Zero padding/reserved bytes (encodings keep their historical sizes).
+  /// Zero padding/reserved bytes (room a layout keeps for later fields).
   void Pad(size_t n) {
     if (out_ != nullptr) out_->append(n, '\0');
     n_ += n;
@@ -72,6 +87,7 @@ class WireWriter {
   }
 
   // Field-list spellings (see the file comment); a bool is one byte.
+  void Field(uint8_t v) { U8(v); }
   void Field(int32_t v) { I32(v); }
   void Field(uint32_t v) { U32(v); }
   void Field(int64_t v) { I64(v); }
@@ -83,10 +99,46 @@ class WireWriter {
     Str(s);
   }
   void Reserved(size_t n) { Pad(n); }
+  template <typename E>
+  void Enum(E e, E /*max*/) {
+    static_assert(sizeof(E) == 1);
+    U8(static_cast<uint8_t>(e));
+  }
+  template <typename... B>
+  void Flags(const B&... bits) {
+    static_assert((std::is_same_v<B, bool> && ...));
+    uint32_t word = 0;
+    uint32_t bit = 1;
+    ((word |= bits ? bit : 0, bit <<= 1), ...);
+    U32(word);
+  }
+  template <typename N>
+  void Count(N n, size_t /*min_elem_bytes*/) {
+    PutLe(n);
+  }
+  template <typename C>
+  void Seq32(const C& c, size_t /*min_elem_bytes*/, uint64_t /*max_count*/ = kNoLimit) {
+    U32(static_cast<uint32_t>(c.size()));
+  }
+  template <typename C>
+  void Seq64(const C& c, size_t /*min_elem_bytes*/) {
+    U64(c.size());
+  }
+  void Bytes16(const std::string& s) { Bytes<uint16_t>(s); }
+  void Bytes64(const std::string& s, uint64_t /*max_len*/) { Bytes<uint64_t>(s); }
+  void Require(bool /*holds*/) {}
+
+  static constexpr uint64_t kNoLimit = std::numeric_limits<uint64_t>::max();
 
   size_t bytes_written() const { return n_; }
 
  private:
+  template <typename N>
+  void Bytes(const std::string& s) {
+    PutLe(static_cast<N>(s.size()));
+    Raw(s.data(), s.size());
+  }
+
   template <typename T>
   void PutLe(T v) {
     char buf[sizeof(T)];
@@ -157,6 +209,7 @@ class WireReader {
   }
 
   // Field-list spellings, matching WireWriter's.
+  void Field(uint8_t& v) { v = U8(); }
   void Field(int32_t& v) { v = I32(); }
   void Field(uint32_t& v) { v = U32(); }
   void Field(int64_t& v) { v = I64(); }
@@ -168,6 +221,39 @@ class WireReader {
     s = Str<N>();
   }
   void Reserved(size_t n) { Skip(n); }
+  template <typename E>
+  void Enum(E& e, E max) {
+    static_assert(sizeof(E) == 1);
+    const uint8_t v = U8();
+    if (v > static_cast<uint8_t>(max)) return MarkCorrupt();
+    e = static_cast<E>(v);
+  }
+  /// Unknown bits are ignored: a later writer may define them.
+  template <typename... B>
+  void Flags(B&... bits) {
+    static_assert((std::is_same_v<B, bool> && ...));
+    const uint32_t word = U32();
+    uint32_t bit = 1;
+    ((bits = (word & bit) != 0, bit <<= 1), ...);
+  }
+  template <typename N>
+  void Count(N& n, size_t min_elem_bytes) {
+    n = GetLe<N>();
+    if (n > remaining() / min_elem_bytes) MarkCorrupt();
+  }
+  template <typename C>
+  void Seq32(C& c, size_t min_elem_bytes, uint64_t max_count = WireWriter::kNoLimit) {
+    Seq<uint32_t>(c, min_elem_bytes, max_count);
+  }
+  template <typename C>
+  void Seq64(C& c, size_t min_elem_bytes) {
+    Seq<uint64_t>(c, min_elem_bytes, WireWriter::kNoLimit);
+  }
+  void Bytes16(std::string& s) { Bytes<uint16_t>(s, WireWriter::kNoLimit); }
+  void Bytes64(std::string& s, uint64_t max_len) { Bytes<uint64_t>(s, max_len); }
+  void Require(bool holds) {
+    if (!holds) MarkCorrupt();
+  }
 
   /// Marks the span malformed (decoders that find an impossible value).
   void MarkCorrupt() { ok_ = false; }
@@ -179,6 +265,26 @@ class WireReader {
   bool AtEnd() const { return ok_ && pos_ == size_; }
 
  private:
+  template <typename N, typename C>
+  void Seq(C& c, size_t min_elem_bytes, uint64_t max_count) {
+    N n = 0;
+    Count(n, min_elem_bytes);
+    if (n > max_count) MarkCorrupt();
+    c.resize(ok_ ? n : 0);
+  }
+
+  template <typename N>
+  void Bytes(std::string& s, uint64_t max_len) {
+    const N len = GetLe<N>();
+    if (len > max_len || len > remaining()) {
+      MarkCorrupt();
+      s.clear();
+      return;
+    }
+    s.resize(len);
+    Raw(s.data(), len);
+  }
+
   template <typename T>
   T GetLe() {
     char buf[sizeof(T)] = {};

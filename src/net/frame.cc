@@ -81,88 +81,50 @@ void AppendFrame(std::string* out, FrameType type, std::string_view body) {
   EndFrame(out, at);
 }
 
-std::string EncodeHello(const HelloBody& h) {
-  std::string body;
-  WireWriter w(&body);
-  w.U64(h.max_inflight);
-  w.U8(h.mode);
-  w.U32(h.max_sessions);
-  w.U32(static_cast<uint32_t>(h.proc_names.size()));
-  for (const std::string& name : h.proc_names) {
-    w.U16(static_cast<uint16_t>(name.size()));
-    w.Raw(name.data(), name.size());
-  }
-  return body;
-}
-
-bool DecodeHello(std::string_view body, HelloBody* out) {
-  WireReader r(body);
-  out->max_inflight = r.U64();
-  out->mode = r.U8();
-  out->max_sessions = r.U32();
-  const uint32_t n = r.U32();
-  out->proc_names.clear();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    const uint16_t len = r.U16();
-    if (len > r.remaining()) return false;
-    std::string name(len, '\0');
-    r.Raw(name.data(), len);
-    out->proc_names.push_back(std::move(name));
-  }
-  return r.AtEnd();
-}
-
-void AppendRequestBody(WireWriter& w, const RequestHeader& h, const Payload& args) {
-  w.U32(h.session_id);
-  w.U64(h.seq);
-  w.U32(static_cast<uint32_t>(h.proc));
-  args.SerializeTo(w);
-}
-
-bool DecodeRequestHeader(WireReader& r, RequestHeader* out) {
-  out->session_id = r.U32();
-  out->seq = r.U64();
-  out->proc = static_cast<ProcId>(r.U32());
-  return r.ok();
-}
-
-void AppendResponseBody(WireWriter& w, const ResponseHeader& h, const Payload* result) {
-  w.U32(h.session_id);
-  w.U64(h.seq);
-  w.U8(static_cast<uint8_t>(h.status));
-  w.U32(h.attempts);
-  w.U8(h.has_result ? 1 : 0);
-  if (h.has_result) {
-    PARTDB_CHECK(result != nullptr);
-    result->SerializeTo(w);
-  }
-}
-
-bool DecodeResponseHeader(WireReader& r, ResponseHeader* out) {
-  out->session_id = r.U32();
-  out->seq = r.U64();
-  const uint8_t status = r.U8();
-  if (status > static_cast<uint8_t>(TxnStatus::kRejected)) return false;
-  out->status = static_cast<TxnStatus>(status);
-  out->attempts = r.U32();
-  out->has_result = r.U8() != 0;
-  return r.ok();
-}
-
-void AppendCloseSessionBody(WireWriter& w, const CloseSessionBody& b) { w.U32(b.session_id); }
-
-bool DecodeCloseSessionBody(std::string_view body, CloseSessionBody* out) {
-  WireReader r(body);
-  out->session_id = r.U32();
-  return r.AtEnd();
-}
+// --- body layouts ------------------------------------------------------------
+// One field list per body (README "Wire protocol"); the encoders and the
+// decoders below both run it.
 
 namespace {
+
+template <typename Io, FieldsOf<HelloBody> H>
+void Fields(Io& io, H& h) {
+  io.Field(h.max_inflight);
+  io.Field(h.mode);
+  io.Field(h.max_sessions);
+  io.Seq32(h.proc_names, sizeof(uint16_t));
+  for (auto& name : h.proc_names) io.Bytes16(name);
+}
+
+template <typename Io, FieldsOf<RequestHeader> H>
+void Fields(Io& io, H& h) {
+  io.Field(h.session_id);
+  io.Field(h.seq);
+  io.Field(h.proc);
+}
+
+template <typename Io, FieldsOf<ResponseHeader> H>
+void Fields(Io& io, H& h) {
+  io.Field(h.session_id);
+  io.Field(h.seq);
+  io.Enum(h.status, TxnStatus::kRejected);
+  io.Field(h.attempts);
+  io.Field(h.has_result);
+}
+
+template <typename Io, FieldsOf<CloseSessionBody> B>
+void Fields(Io& io, B& b) {
+  io.Field(b.session_id);
+}
+
+// A histogram stays hand-written: the reader rebuilds it through
+// Histogram::FromRaw from its sparse buckets — count, min, max, sum, a u32
+// bucket count, then u32 index | u64 count per non-empty bucket.
 
 /// count, min, max, sum and the bucket count of a histogram with no buckets.
 constexpr size_t kMinHistogramBytes = 8 + 8 + 8 + 8 + 4;
 
-void EncodeHistogram(WireWriter& w, const Histogram& h) {
+void HistogramField(WireWriter& w, const Histogram& h) {
   w.U64(h.count());
   w.I64(h.raw_min());
   w.I64(h.max());
@@ -175,13 +137,13 @@ void EncodeHistogram(WireWriter& w, const Histogram& h) {
   }
 }
 
-bool DecodeHistogram(WireReader& r, Histogram* out) {
+void HistogramField(WireReader& r, Histogram& out) {
   const uint64_t count = r.U64();
   const int64_t min = r.I64();
   const int64_t max = r.I64();
   const double sum = r.F64();
   const uint32_t n = r.U32();
-  if (n > r.remaining() / 12) return false;
+  if (n > r.remaining() / 12) return r.MarkCorrupt();
   std::vector<std::pair<uint32_t, uint64_t>> nonzero;
   uint64_t total = 0;
   nonzero.reserve(n);
@@ -190,60 +152,92 @@ bool DecodeHistogram(WireReader& r, Histogram* out) {
     const uint64_t c = r.U64();
     // Ascending in-range indices (the encoder's invariant): a corrupt frame
     // must fail here, not inside FromRaw's CHECKs.
-    if (idx >= static_cast<uint32_t>(Histogram::num_buckets())) return false;
-    if (!nonzero.empty() && idx <= nonzero.back().first) return false;
+    if (idx >= static_cast<uint32_t>(Histogram::num_buckets())) return r.MarkCorrupt();
+    if (!nonzero.empty() && idx <= nonzero.back().first) return r.MarkCorrupt();
     nonzero.emplace_back(idx, c);
     total += c;
   }
-  if (!r.ok() || total != count) return false;
-  *out = Histogram::FromRaw(count, min, max, sum, nonzero);
-  return true;
+  if (!r.ok() || total != count) return r.MarkCorrupt();
+  out = Histogram::FromRaw(count, min, max, sum, nonzero);
+}
+
+template <typename Io, FieldsOf<Metrics> M>
+void Fields(Io& io, M& m) {
+  for (const MetricsCounter& c : kMetricsCounters) io.Field(m.*c.field);
+  for (Duration Metrics::*f : kMetricsLockTimes) io.Field(m.*f);
+  io.Field(m.window_ns);
+  io.Field(m.partition_busy_ns);
+  io.Field(m.coord_busy_ns);
+  io.Field(m.num_partitions);
+  HistogramField(io, m.sp_latency);
+  HistogramField(io, m.mp_latency);
+  // The count is remote input: an entry is at least two u64s and an empty
+  // histogram.
+  io.Seq32(m.procs, 16 + kMinHistogramBytes);
+  for (auto& p : m.procs) {
+    io.Field(p.committed);
+    io.Field(p.user_aborts);
+    HistogramField(io, p.latency);
+  }
+}
+
+/// Encodes a whole body into a fresh string.
+template <typename Body>
+std::string EncodeBody(const Body& b) {
+  std::string body;
+  WireWriter w(&body);
+  Fields(w, b);
+  return body;
+}
+
+/// Strict whole-body decode: every byte consumed, no read failed.
+template <typename Body>
+bool DecodeBody(std::string_view body, Body* out) {
+  WireReader r(body);
+  Fields(r, *out);
+  return r.AtEnd();
 }
 
 }  // namespace
 
-std::string EncodeMetrics(const Metrics& m) {
-  std::string body;
-  WireWriter w(&body);
-  for (const MetricsCounter& c : kMetricsCounters) w.U64(m.*c.field);
-  for (Duration Metrics::*f : kMetricsLockTimes) w.I64(m.*f);
-  w.I64(m.window_ns);
-  w.I64(m.partition_busy_ns);
-  w.I64(m.coord_busy_ns);
-  w.I32(m.num_partitions);
-  EncodeHistogram(w, m.sp_latency);
-  EncodeHistogram(w, m.mp_latency);
-  w.U32(static_cast<uint32_t>(m.procs.size()));
-  for (const Metrics::ProcOutcomes& p : m.procs) {
-    w.U64(p.committed);
-    w.U64(p.user_aborts);
-    EncodeHistogram(w, p.latency);
-  }
-  return body;
+std::string EncodeHello(const HelloBody& h) { return EncodeBody(h); }
+bool DecodeHello(std::string_view body, HelloBody* out) { return DecodeBody(body, out); }
+
+void AppendRequestBody(WireWriter& w, const RequestHeader& h, const Payload& args) {
+  Fields(w, h);
+  args.SerializeTo(w);
 }
 
-bool DecodeMetrics(std::string_view body, Metrics* out) {
-  WireReader r(body);
-  Metrics m;
-  for (const MetricsCounter& c : kMetricsCounters) m.*c.field = r.U64();
-  for (Duration Metrics::*f : kMetricsLockTimes) m.*f = r.I64();
-  m.window_ns = r.I64();
-  m.partition_busy_ns = r.I64();
-  m.coord_busy_ns = r.I64();
-  m.num_partitions = r.I32();
-  if (!DecodeHistogram(r, &m.sp_latency)) return false;
-  if (!DecodeHistogram(r, &m.mp_latency)) return false;
-  // The count is remote input: bound it by the bytes left (an entry is at
-  // least two u64s and an empty histogram) before allocating.
-  const uint32_t num_procs = r.U32();
-  if (num_procs > r.remaining() / (16 + kMinHistogramBytes)) return false;
-  m.procs.resize(num_procs);
-  for (Metrics::ProcOutcomes& p : m.procs) {
-    p.committed = r.U64();
-    p.user_aborts = r.U64();
-    if (!DecodeHistogram(r, &p.latency)) return false;
+bool DecodeRequestHeader(WireReader& r, RequestHeader* out) {
+  Fields(r, *out);
+  return r.ok();
+}
+
+void AppendResponseBody(WireWriter& w, const ResponseHeader& h, const Payload* result) {
+  Fields(w, h);
+  if (h.has_result) {
+    PARTDB_CHECK(result != nullptr);
+    result->SerializeTo(w);
   }
-  if (!r.AtEnd()) return false;
+}
+
+bool DecodeResponseHeader(WireReader& r, ResponseHeader* out) {
+  Fields(r, *out);
+  return r.ok();
+}
+
+void AppendCloseSessionBody(WireWriter& w, const CloseSessionBody& b) { Fields(w, b); }
+
+bool DecodeCloseSessionBody(std::string_view body, CloseSessionBody* out) {
+  return DecodeBody(body, out);
+}
+
+std::string EncodeMetrics(const Metrics& m) { return EncodeBody(m); }
+
+bool DecodeMetrics(std::string_view body, Metrics* out) {
+  // Decoded aside, so a refused body leaves *out as it was.
+  Metrics m;
+  if (!DecodeBody(body, &m)) return false;
   *out = std::move(m);
   return true;
 }

@@ -224,10 +224,6 @@ void Insert(HashTable<uint64_t, Row>& table, uint64_t k, const Row& row) {
   table.Put(k, row);
 }
 
-/// Entry count guard: every serialized entry is at least 8 bytes (the key),
-/// so a count larger than remaining/8 cannot be honest.
-bool PlausibleCount(const WireReader& r, uint64_t n) { return n <= r.remaining() / 8; }
-
 /// One table: `u64 count`, then `u64 key | row fields` per entry.
 template <typename T>
 void Table(WireWriter& w, const T& table) {
@@ -239,8 +235,11 @@ void Table(WireWriter& w, const T& table) {
 }
 template <typename T>
 void Table(WireReader& r, T& table) {
-  const uint64_t n = r.U64();
-  if (!PlausibleCount(r, n)) return r.MarkCorrupt();
+  // Every entry is at least its 8-byte key: a count the bytes cannot hold is
+  // refused before the table is touched.
+  uint64_t n = 0;
+  r.Count(n, sizeof(uint64_t));
+  if (!r.ok()) return;
   table.Clear();
   for (uint64_t i = 0; i < n && r.ok(); ++i) {
     const uint64_t k = r.U64();

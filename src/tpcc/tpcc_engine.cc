@@ -18,15 +18,9 @@ void Fields(Io& io, A& a) {
   io.Field(a.w_id);
   io.Field(a.d_id);
   io.Field(a.c_id);
-  uint32_t num_lines = static_cast<uint32_t>(a.lines.size());
-  io.Field(num_lines);
+  io.Seq32(a.lines, 12);  // i_id, supply_w_id, quantity
   io.Field(a.entry_d);
   io.Reserved(8);
-  if constexpr (std::is_same_v<Io, WireReader>) {
-    // Each line is 12 bytes: a count the span cannot hold sizes nothing.
-    if (num_lines > io.remaining() / 12) return io.MarkCorrupt();
-    a.lines.resize(num_lines);
-  }
   for (auto& l : a.lines) {
     io.Field(l.i_id);
     io.Field(l.supply_w_id);
@@ -98,22 +92,6 @@ void OrderStatusArgs::SerializeTo(WireWriter& w) const { Fields(w, *this); }
 void DeliveryArgs::SerializeTo(WireWriter& w) const { Fields(w, *this); }
 void StockLevelArgs::SerializeTo(WireWriter& w) const { Fields(w, *this); }
 void TpccResult::SerializeTo(WireWriter& w) const { Fields(w, *this); }
-
-bool DecodeNewOrderArgsInto(WireReader& r, NewOrderArgs* a) {
-  return DecodeArgsInto<NewOrderArgs>(r, a);
-}
-bool DecodePaymentArgsInto(WireReader& r, PaymentArgs* a) {
-  return DecodeArgsInto<PaymentArgs>(r, a);
-}
-bool DecodeOrderStatusArgsInto(WireReader& r, OrderStatusArgs* a) {
-  return DecodeArgsInto<OrderStatusArgs>(r, a);
-}
-bool DecodeDeliveryArgsInto(WireReader& r, DeliveryArgs* a) {
-  return DecodeArgsInto<DeliveryArgs>(r, a);
-}
-bool DecodeStockLevelArgsInto(WireReader& r, StockLevelArgs* a) {
-  return DecodeArgsInto<StockLevelArgs>(r, a);
-}
 
 PayloadPtr DecodeTpccResult(WireReader& r) {
   auto res = std::make_shared<TpccResult>();

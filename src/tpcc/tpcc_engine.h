@@ -108,15 +108,6 @@ struct TpccResult : public Payload {
   void SerializeTo(WireWriter& w) const override;
 };
 
-// Per-kind argument decoders (what the procedures' args codecs run): each
-// fills a fresh instance and returns false (marking the reader corrupt) on a
-// malformed span.
-bool DecodeNewOrderArgsInto(WireReader& r, NewOrderArgs* into);
-bool DecodePaymentArgsInto(WireReader& r, PaymentArgs* into);
-bool DecodeOrderStatusArgsInto(WireReader& r, OrderStatusArgs* into);
-bool DecodeDeliveryArgsInto(WireReader& r, DeliveryArgs* into);
-bool DecodeStockLevelArgsInto(WireReader& r, StockLevelArgs* into);
-
 /// The shared result decoder of the five procedures.
 PayloadPtr DecodeTpccResult(WireReader& r);
 

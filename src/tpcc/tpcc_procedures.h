@@ -2,11 +2,11 @@
 // paper's §5.5 workload expressed as ProcedureDescriptors for the
 // Database/Session ingress path. Each descriptor's router re-derives the
 // routing facts (home warehouse partition, remote stock/customer
-// participants, single round, no-undo user abort) from the TpccArgs payload —
-// the same facts the legacy closed-loop workload computed alongside the
-// arguments — and DrawTpccTxn generates the transaction mix with exactly the
-// legacy workload's per-client random stream consumption, so sim-mode figure
-// runs over sessions reproduce the pre-migration harness bit-for-bit.
+// participants, single round, no-undo user abort) from the TpccArgs payload,
+// and DrawTpccTxn generates the transaction mix from closed-loop client c's
+// random stream, which is session slot c's stream. The order in which it
+// draws from that stream is part of every sim-mode figure run and is pinned
+// by the goldens in tests/tpcc_session_test.cc.
 #ifndef PARTDB_TPCC_TPCC_PROCEDURES_H_
 #define PARTDB_TPCC_TPCC_PROCEDURES_H_
 
@@ -43,8 +43,8 @@ struct TpccDraw {
 
 /// Draws the next transaction for closed-loop client `client_index` (paper
 /// modification #3: each client has an assigned warehouse but picks a random
-/// district per request), consuming `rng` exactly as the legacy
-/// TpccWorkload::Next did.
+/// district per request) from `rng`, the client's session-slot stream, in the
+/// order the tpcc_session_test goldens pin.
 TpccDraw DrawTpccTxn(const TpccWorkloadConfig& config, int client_index, Rng& rng);
 
 /// Closed-loop generator over a database with TpccProcedures registered

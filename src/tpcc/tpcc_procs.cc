@@ -2,6 +2,7 @@
 // of the work (db.pid() decides the role). Undo records capture key + old
 // value so they stay valid across table growth.
 #include <set>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "tpcc/tpcc_engine.h"
@@ -11,12 +12,13 @@ namespace tpcc {
 
 namespace {
 
-/// Read-modify-write on a hash-table row with undo (and, under a
-/// multiversion scheme, the redo that reinstalls the written version).
-template <typename V, typename Fn>
-void Update(HashTable<uint64_t, V>& table, uint64_t key, UndoBuffer* undo, WorkMeter* m,
-            Fn&& mutate) {
-  V* row = table.Find(key, m);
+/// Read-modify-write on a row with undo (and, under a multiversion scheme,
+/// the redo that reinstalls the written version). `table` is any table whose
+/// Find(key, m) returns a row pointer. Returns the row.
+template <typename Table, typename Fn>
+auto* Update(Table& table, uint64_t key, UndoBuffer* undo, WorkMeter* m, Fn&& mutate) {
+  auto* row = table.Find(key, m);
+  using V = std::remove_pointer_t<decltype(row)>;
   PARTDB_CHECK(row != nullptr);
   if (m != nullptr) {
     m->reads++;
@@ -31,9 +33,24 @@ void Update(HashTable<uint64_t, V>& table, uint64_t key, UndoBuffer* undo, WorkM
                         return [&table, key, now]() { *table.Find(key) = now; };
                       },
                       m);
-    return;
+    return row;
   }
   mutate(*row);
+  return row;
+}
+
+/// Inserts a new row with undo (erase it again) and, under a multiversion
+/// scheme, the redo that reinserts it.
+template <typename Table, typename V>
+void Insert(Table& table, uint64_t key, const V& row, UndoBuffer* undo, WorkMeter* m) {
+  PARTDB_CHECK(table.Insert(key, row, m));
+  if (undo != nullptr) {
+    undo->AddWithRedo([&table, key]() { table.Erase(key); },
+                      [&] {
+                        return [&table, key, row]() { table.Insert(key, row); };
+                      },
+                      m);
+  }
 }
 
 /// Resolves a customer id from a (w, d, last-name) triple: the customer at
@@ -104,28 +121,8 @@ ExecResult ExecNewOrder(TpccDb& db, const NewOrderArgs& a, UndoBuffer* undo, Wor
     orow.carrier_id = 0;
     orow.ol_cnt = static_cast<int32_t>(a.lines.size());
     orow.all_local = all_local;
-    PARTDB_CHECK(db.orders.Insert(OrderKey(a.w_id, a.d_id, o_id), orow, m));
-    if (undo != nullptr) {
-      undo->AddWithRedo(
-          [&db, w = a.w_id, d = a.d_id, o_id]() { db.orders.Erase(OrderKey(w, d, o_id)); },
-          [&] {
-            return [&db, w = a.w_id, d = a.d_id, o_id, orow]() {
-              db.orders.Insert(OrderKey(w, d, o_id), orow);
-            };
-          },
-          m);
-    }
-    PARTDB_CHECK(db.new_orders.Insert(NewOrderKey(a.w_id, a.d_id, o_id), true, m));
-    if (undo != nullptr) {
-      undo->AddWithRedo(
-          [&db, w = a.w_id, d = a.d_id, o_id]() { db.new_orders.Erase(NewOrderKey(w, d, o_id)); },
-          [&] {
-            return [&db, w = a.w_id, d = a.d_id, o_id]() {
-              db.new_orders.Insert(NewOrderKey(w, d, o_id), true);
-            };
-          },
-          m);
-    }
+    Insert(db.orders, OrderKey(a.w_id, a.d_id, o_id), orow, undo, m);
+    Insert(db.new_orders, NewOrderKey(a.w_id, a.d_id, o_id), true, undo, m);
     {
       const uint64_t ck = CustomerKey(a.w_id, a.d_id, a.c_id);
       if (undo != nullptr) {
@@ -186,19 +183,7 @@ ExecResult ExecNewOrder(TpccDb& db, const NewOrderArgs& a, UndoBuffer* undo, Wor
       olr.amount = line.quantity * item->price;
       olr.dist_info = sinfo->dist[a.d_id - 1];
       total += olr.amount;
-      PARTDB_CHECK(db.order_lines.Insert(OrderLineKey(a.w_id, a.d_id, o_id, ol), olr, m));
-      if (undo != nullptr) {
-        undo->AddWithRedo(
-            [&db, w = a.w_id, d = a.d_id, o_id, ol]() {
-              db.order_lines.Erase(OrderLineKey(w, d, o_id, ol));
-            },
-            [&] {
-              return [&db, w = a.w_id, d = a.d_id, o_id, ol, olr]() {
-                db.order_lines.Insert(OrderLineKey(w, d, o_id, ol), olr);
-              };
-            },
-            m);
-      }
+      Insert(db.order_lines, OrderLineKey(a.w_id, a.d_id, o_id, ol), olr, undo, m);
       if (m != nullptr) {
         m->writes++;
         m->user_code++;
@@ -344,52 +329,14 @@ ExecResult ExecDelivery(TpccDb& db, const DeliveryArgs& a, UndoBuffer* undo, Wor
                         m);
     }
 
-    OrderRow* o = db.orders.Find(OrderKey(a.w_id, d, o_id), m);
-    PARTDB_CHECK(o != nullptr);
-    if (undo != nullptr) {
-      const OrderRow old = *o;
-      OrderRow now = old;
-      now.carrier_id = a.carrier_id;
-      undo->AddWithRedo(
-          [&db, w = a.w_id, d, o_id, old]() { *db.orders.Find(OrderKey(w, d, o_id)) = old; },
-          [&] {
-            return [&db, w = a.w_id, d, o_id, now]() {
-              *db.orders.Find(OrderKey(w, d, o_id)) = now;
-            };
-          },
-          m);
-    }
-    o->carrier_id = a.carrier_id;
-    if (m != nullptr) {
-      m->reads++;
-      m->writes++;
-    }
+    const OrderRow* o = Update(db.orders, OrderKey(a.w_id, d, o_id), undo, m,
+                               [&](OrderRow& row) { row.carrier_id = a.carrier_id; });
 
     double sum = 0;
     for (int32_t ol = 1; ol <= o->ol_cnt; ++ol) {
-      OrderLineRow* olr = db.order_lines.Find(OrderLineKey(a.w_id, d, o_id, ol), m);
-      PARTDB_CHECK(olr != nullptr);
-      if (undo != nullptr) {
-        const OrderLineRow old = *olr;
-        OrderLineRow now = old;
-        now.delivery_d = a.date;
-        undo->AddWithRedo(
-            [&db, w = a.w_id, d, o_id, ol, old]() {
-              *db.order_lines.Find(OrderLineKey(w, d, o_id, ol)) = old;
-            },
-            [&] {
-              return [&db, w = a.w_id, d, o_id, ol, now]() {
-                *db.order_lines.Find(OrderLineKey(w, d, o_id, ol)) = now;
-              };
-            },
-            m);
-      }
-      olr->delivery_d = a.date;
+      const OrderLineRow* olr = Update(db.order_lines, OrderLineKey(a.w_id, d, o_id, ol), undo, m,
+                                       [&](OrderLineRow& row) { row.delivery_d = a.date; });
       sum += olr->amount;
-      if (m != nullptr) {
-        m->reads++;
-        m->writes++;
-      }
     }
 
     Update(db.customers, CustomerKey(a.w_id, d, o->c_id), undo, m, [&](CustomerRow& c) {

@@ -206,5 +206,23 @@ TEST(KvCheckpoint, ImageBytesArePinned) {
   EXPECT_TRUE(again == image);
 }
 
+// Each entry is 18 bytes: an image claiming one entry more than its bytes
+// hold is refused before the store is touched.
+TEST(KvCheckpoint, RestoreRefusesACountTheBytesCannotHold) {
+  std::string image;
+  WireWriter w(&image);
+  Engine4()->SerializeState(w);
+  ASSERT_EQ(image.size(), 8u + 4u * 18u);
+  image[0] = 5;
+
+  auto e = Engine4();
+  e->store().Put(K(9), EncodeValue(7));
+  const uint64_t before = e->StateHash();
+  WireReader r(image);
+  EXPECT_FALSE(e->RestoreState(r));
+  EXPECT_EQ(e->StateHash(), before);
+  EXPECT_EQ(e->store().size(), 5u);
+}
+
 }  // namespace
 }  // namespace partdb
