@@ -17,10 +17,11 @@
 //                        u32 word whose bit i is the i-th bool
 //   Count(n, min)        a count of elements of at least `min` bytes each
 //                        (the reader refuses one the bytes left cannot hold)
-//   Seq32/Seq64(c, min)  a container's size as a Count; the reader resizes
-//                        the container, and the field list then walks its
-//                        elements
-//   Bytes16/Bytes64(s)   a length-prefixed byte string
+//   Seq32/Seq64(c, min)  a container's size as a Count (Seq32 also takes
+//                        a cap); the reader resizes the container, and the
+//                        field list then walks its elements
+//   Bytes16/Bytes64(s)   a length-prefixed byte string (Bytes64 also takes
+//                        a cap)
 //   Require(cond)        a cross-field invariant the reader checks (the
 //                        writer holds it by construction)
 // Every count is bounded before the reader sizes anything from it.
