@@ -696,6 +696,81 @@ TEST(NetServer, MalformedRequestDropsOnlyItsConnection) {
   db->Close();
 }
 
+// --- vanished peer -----------------------------------------------------------
+
+// A peer that closes its socket with requests still running leaves a session
+// whose destructor would wait those requests out. The loop thread must not:
+// it keeps serving other connections, and the session's slot frees once the
+// requests finish.
+TEST(NetMux, VanishedPeerFreesItsSlotAfterItsRequestsFinish) {
+  auto db = Database::Open(SlowDb(/*max_inflight=*/2));
+  const ProcId slow = db->proc("slow");
+  DbServer server(db.get());
+  const auto slow_args = [](uint32_t sleep_ms) {
+    auto a = std::make_shared<SlowArgs>();
+    a->sleep_ms = sleep_ms;
+    return a;
+  };
+
+  {
+    TcpConn vanishing = TcpConn::ConnectTo("127.0.0.1", server.port());
+    ASSERT_TRUE(vanishing.valid());
+    Frame hello;
+    ASSERT_TRUE(ReadFrame(vanishing, &hello));
+    for (uint64_t seq = 0; seq < 2; ++seq) {
+      RequestHeader h;
+      h.session_id = 1;
+      h.seq = seq;
+      h.proc = slow;
+      std::string body;
+      WireWriter w(&body);
+      AppendRequestBody(w, h, *slow_args(1000));
+      ASSERT_TRUE(WriteFrame(vanishing, FrameType::kRequest, body));
+    }
+  }  // closed with both requests running (they take ~2 s on the one partition)
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.Stats().sessions_closed == 0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.Stats().sessions_closed, 1u);
+
+  // The loop thread is free: a malformed request on another connection is
+  // dropped long before the vanished session's requests finish.
+  const auto probe_start = std::chrono::steady_clock::now();
+  TcpConn probe = TcpConn::ConnectTo("127.0.0.1", server.port());
+  ASSERT_TRUE(probe.valid());
+  Frame hello;
+  ASSERT_TRUE(ReadFrame(probe, &hello));
+  ASSERT_TRUE(WriteFrame(probe, FrameType::kRequest, "x"));
+  EXPECT_TRUE(PeerClosed(probe));
+  EXPECT_LT(std::chrono::steady_clock::now() - probe_start, std::chrono::milliseconds(1000))
+      << "the loop thread waited for the vanished session's requests";
+
+  // Once they finish, both slots can be taken again.
+  ConnectOptions copts;
+  copts.procedures = SlowDb(2).procedures;
+  auto remote = Connect("127.0.0.1", server.port(), std::move(copts));
+  std::vector<std::unique_ptr<Session>> sessions;
+  for (int i = 0; i < 2; ++i) sessions.push_back(remote->CreateSession());
+  for (auto& s : sessions) {
+    bool admitted = false;
+    while (!admitted && std::chrono::steady_clock::now() < give_up) {
+      admitted = !s->Execute(slow, slow_args(0)).rejected;
+      if (!admitted) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(admitted) << "a session slot stayed taken";
+  }
+
+  const DbServerStats stats = server.Stats();
+  EXPECT_EQ(stats.sessions_closed, 1u);
+  EXPECT_EQ(stats.protocol_errors, 1u);
+
+  sessions.clear();
+  remote.reset();
+  server.Stop();
+  db->Close();
+}
+
 // --- close ordering ----------------------------------------------------------
 
 // Frames queued before a connection closes reach the peer first: this thread
