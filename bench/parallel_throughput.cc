@@ -3,7 +3,7 @@
 // ProcedureRegistry, closed-loop logical clients running over sessions, one
 // run per concurrency-control scheme on thread-per-partition workers at
 // wall-clock speed. Checks the commit logs with CheckSerializable,
-// cross-checks the speculative scheme on the deterministic simulator, and emits
+// cross-checks every scheme on the deterministic simulator, and emits
 // machine-readable results to BENCH_parallel_throughput.json so the perf
 // trajectory is tracked across PRs.
 #include <memory>
@@ -91,21 +91,26 @@ int main(int argc, char** argv) {
   }
 
   if (*verify != 0) {
-    // Cross-check: the same procedure/sessions path on the deterministic
-    // simulator must also pass the serializability check.
-    DbOptions opts = KvDbOptions(mb, "speculation", RunMode::kSimulated, seed);
-    opts.log_commits = true;
-    auto db = Database::Open(std::move(opts));
-    ClosedLoopOptions loop;
-    loop.num_clients = mb.num_clients;
-    loop.next = KvInvocations(mb, *db);
-    loop.warmup = bench.warmup();
-    loop.measure = bench.measure();
-    Metrics sm = RunClosedLoop(*db, loop);
-    db->Close();
-    std::printf("sim cross-check: %.0f txn/s (virtual), %llu events\n", sm.Throughput(),
-                static_cast<unsigned long long>(db->sim().events_processed()));
-    ok = ReportSerializable(*db, "sim") && ok;
+    // Cross-check every scheme on the deterministic simulator: the same
+    // procedure/sessions path must also pass the serializability check, and
+    // the virtual throughput and latencies show each scheme's MP cost free
+    // of wall-clock noise.
+    for (const std::string& scheme : CcSchemeRegistry::Global().Names()) {
+      DbOptions opts = KvDbOptions(mb, scheme, RunMode::kSimulated, seed);
+      opts.log_commits = true;
+      auto db = Database::Open(std::move(opts));
+      ClosedLoopOptions loop;
+      loop.num_clients = mb.num_clients;
+      loop.next = KvInvocations(mb, *db);
+      loop.warmup = bench.warmup();
+      loop.measure = bench.measure();
+      Metrics sm = RunClosedLoop(*db, loop);
+      db->Close();
+      std::printf("sim cross-check %-12s %.0f txn/s (virtual)\n", scheme.c_str(), sm.Throughput());
+      std::printf("  sim sp latency: %s\n", sm.sp_latency.Summary(1e-3).c_str());
+      std::printf("  sim mp latency: %s\n", sm.mp_latency.Summary(1e-3).c_str());
+      ok = ReportSerializable(*db, ("sim " + scheme).c_str()) && ok;
+    }
   }
 
   if (!json->empty()) {

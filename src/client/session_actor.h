@@ -86,6 +86,13 @@ class SessionActor : public Actor {
     return outstanding_;
   }
 
+  /// Admitted transactions whose completion callback has not started yet
+  /// (see admitted_). Thread-safe.
+  uint64_t admitted() const {
+    MutexLock lock(mu_);
+    return admitted_;
+  }
+
   /// Blocks until outstanding() == 0 (parallel mode; the sim pump drains
   /// simulated sessions). Returns false on timeout.
   bool WaitDrained(std::chrono::steady_clock::duration timeout);

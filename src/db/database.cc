@@ -206,13 +206,13 @@ std::unique_ptr<Session> Database::CreateSession() {
   return s;
 }
 
-std::unique_ptr<Session> Database::TryCreateSession() {
+std::unique_ptr<LocalSession> Database::TryCreateSession() {
   MutexLock lock(mu_);
   PARTDB_CHECK(!closed_);
   if (free_slots_.empty()) return nullptr;
   const int slot = free_slots_.back();
   free_slots_.pop_back();
-  return std::unique_ptr<Session>(new LocalSession(this, session_actors_[slot].get()));
+  return std::unique_ptr<LocalSession>(new LocalSession(this, session_actors_[slot].get()));
 }
 
 void Database::ReleaseSession(SessionActor* actor) {

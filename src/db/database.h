@@ -61,7 +61,7 @@ class Database : public DbHandle {
   /// Like CreateSession, but returns null when every slot is taken instead
   /// of CHECK-failing — for callers where slot demand is external input (the
   /// network tier's per-connection sessions).
-  std::unique_ptr<Session> TryCreateSession();
+  std::unique_ptr<LocalSession> TryCreateSession();
 
   /// Begins a metrics window (throughput, latency histograms, per-procedure
   /// outcomes, CPU utilization), the same in both modes: every measured

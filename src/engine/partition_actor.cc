@@ -156,16 +156,19 @@ uint64_t PartitionActor::Hold(int backup_acks, uint64_t log_seq, NodeId dst, Mes
   }
   const uint64_t hold = next_hold_seq_++;
   if (log_seq != 0) log_waits_.push_back(LogWait{log_seq, hold});
-  held_.emplace(hold, Held{acks, dst, std::move(body)});
+  Held& h = held_.Emplace(hold);
+  h.acks_remaining = acks;
+  h.dst = dst;
+  h.body = std::move(body);
   return hold;
 }
 
 void PartitionActor::Ack(uint64_t hold) {
-  auto it = held_.find(hold);
-  PARTDB_CHECK(it != held_.end());
-  if (--it->second.acks_remaining == 0) {
-    ctx_->Send(it->second.dst, std::move(it->second.body));
-    held_.erase(it);
+  Held* h = held_.Find(hold);
+  PARTDB_CHECK(h != nullptr);
+  if (--h->acks_remaining == 0) {
+    ctx_->Send(h->dst, std::move(h->body));
+    held_.Erase(hold);
   }
 }
 

@@ -8,10 +8,10 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cc/cc_scheme.h"
+#include "common/txn_table.h"
 #include "engine/cost_model.h"
 #include "engine/engine.h"
 #include "runtime/actor.h"
@@ -88,6 +88,8 @@ class PartitionActor : public Actor, public PartitionExec {
     int acks_remaining = 0;
     NodeId dst = kInvalidNode;
     MessageBody body;
+
+    void Reset() { *this = Held{}; }
   };
   struct LogWait {
     uint64_t log_seq = 0;
@@ -127,7 +129,7 @@ class PartitionActor : public Actor, public PartitionExec {
   std::unique_ptr<CcScheme> scheme_;
   std::vector<NodeId> backups_;
   uint64_t next_hold_seq_ = 1;  // also the ReplicaShip order_seq
-  std::unordered_map<uint64_t, Held> held_;
+  TxnTable<Held> held_;
   std::deque<LogWait> log_waits_;  // holds waiting for the log, in log order
   bool log_commits_ = false;
   std::vector<CommitRecord> commit_log_;

@@ -11,17 +11,20 @@ void BackupActor::OnMessage(Message& msg, ActorContext& ctx) {
     if (ship->outcome_known) {
       Apply(ship->rec, ctx);
     } else {
-      pending_[ship->rec.txn_id] = std::move(ship->rec);
+      // A cascaded MP ships again under the same id before its decision.
+      CommitRecord* rec = pending_.Find(ship->rec.txn_id);
+      if (rec == nullptr) rec = &pending_.Emplace(ship->rec.txn_id);
+      *rec = std::move(ship->rec);
     }
     ctx.Send(msg.src, ReplicaAck{ship->order_seq});
     return;
   }
   if (auto* dec = std::get_if<ReplicaDecision>(&msg.body)) {
     ctx.Charge(cost_.partition_msg);
-    auto it = pending_.find(dec->txn_id);
-    if (it != pending_.end()) {
-      if (dec->commit) Apply(it->second, ctx);
-      pending_.erase(it);
+    // An MP that voted abort was never shipped: its decision finds nothing.
+    if (CommitRecord* rec = pending_.Find(dec->txn_id)) {
+      if (dec->commit) Apply(*rec, ctx);
+      pending_.Erase(dec->txn_id);
     }
     return;
   }

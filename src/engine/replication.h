@@ -7,8 +7,8 @@
 #define PARTDB_ENGINE_REPLICATION_H_
 
 #include <memory>
-#include <unordered_map>
 
+#include "common/txn_table.h"
 #include "engine/cost_model.h"
 #include "engine/engine.h"
 #include "runtime/actor.h"
@@ -41,7 +41,7 @@ class BackupActor : public Actor {
   CostModel cost_;
   bool execute_;
   // MP transactions shipped at vote time, awaiting their outcome.
-  std::unordered_map<TxnId, CommitRecord> pending_;
+  TxnTable<CommitRecord> pending_;
 };
 
 }  // namespace partdb

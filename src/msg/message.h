@@ -87,6 +87,10 @@ struct CommitRecord {
   /// Entry r = input for round r (null for 0). Entry 0 is inline, so a
   /// single-partition record allocates nothing.
   SmallVector<PayloadPtr, 1> round_inputs;
+
+  /// Drops the payloads; round_inputs keeps its capacity (a move from an
+  /// inline SmallVector keeps the target's buffer).
+  void Reset() { *this = CommitRecord{}; }
 };
 
 /// Primary -> backup: ship one transaction for durability (paper 2.2/3.2).

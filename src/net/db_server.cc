@@ -7,19 +7,10 @@
 
 namespace partdb {
 
-/// One server-side session and its requests not yet answered. The
-/// completion callback counts a request answered before it sends the
-/// response, so once the client has read every response the count is 0,
-/// even while the callback's tail still runs on the session's worker.
-struct DbServer::ServerSession {
-  std::atomic<uint64_t> unanswered{0};
-  std::unique_ptr<Session> session;  // destroyed first: its dtor drains
-};
-
 /// Per-connection server state. Owned by the handler closures; touched only
 /// on the connection's loop thread.
 struct DbServer::ServerConn {
-  std::unordered_map<uint32_t, std::unique_ptr<ServerSession>> sessions;
+  std::unordered_map<uint32_t, std::unique_ptr<LocalSession>> sessions;
 };
 
 DbServer::DbServer(Database* db, DbServerOptions options) : db_(db) {
@@ -102,28 +93,21 @@ bool DbServer::OnFrame(const std::shared_ptr<ServerConn>& sc, LoopConn& lc, cons
 
       auto it = sc->sessions.find(h.session_id);
       if (it == sc->sessions.end()) {
-        std::unique_ptr<Session> fresh = db_->TryCreateSession();
+        std::unique_ptr<LocalSession> fresh = db_->TryCreateSession();
         if (fresh != nullptr) {
           sessions_opened_.fetch_add(1, std::memory_order_relaxed);
-          it = sc->sessions.emplace(h.session_id, std::make_unique<ServerSession>()).first;
-          it->second->session = std::move(fresh);
+          it = sc->sessions.emplace(h.session_id, std::move(fresh)).first;
         }
       }
-      ServerSession* ss = it == sc->sessions.end() ? nullptr : it->second.get();
 
       SubmitResult sr;
-      if (ss != nullptr) {
+      if (it != sc->sessions.end()) {
         const uint32_t session_id = h.session_id;
         const uint64_t seq = h.seq;
         LoopConnPtr lp = lc.shared_from_this();
-        // `ss` outlives the callback: destroying it drains the session first.
-        ss->unanswered.fetch_add(1);
-        sr = ss->session->Submit(
+        sr = it->second->Submit(
             h.proc, std::move(args),
-            [lp = std::move(lp), ss, session_id, seq](const TxnResult& res) {
-              // Answered before the send: a client that read this response
-              // and closes the session finds it idle.
-              ss->unanswered.fetch_sub(1);
+            [lp = std::move(lp), session_id, seq](const TxnResult& res) {
               ResponseHeader rh;
               rh.session_id = session_id;
               rh.seq = seq;
@@ -136,7 +120,6 @@ bool DbServer::OnFrame(const std::shared_ptr<ServerConn>& sc, LoopConn& lc, cons
                 AppendResponseBody(w, rh, res.payload.get());
               });
             });
-        if (!sr.accepted) ss->unanswered.fetch_sub(1);
       }
       if (!sr.accepted) {
         // Refused — by admission control (the client's own bound normally
@@ -189,32 +172,32 @@ bool DbServer::OnFrame(const std::shared_ptr<ServerConn>& sc, LoopConn& lc, cons
 }
 
 void DbServer::OnClose(const std::shared_ptr<ServerConn>& sc) {
-  for (auto& [id, ss] : sc->sessions) {
-    RetireSession(std::move(ss));
+  for (auto& [id, session] : sc->sessions) {
+    RetireSession(std::move(session));
   }
   sc->sessions.clear();
   // Release: a Stats() that sees this count also sees the accept it follows.
   reaped_conns_.fetch_add(1, std::memory_order_release);
 }
 
-void DbServer::RetireSession(std::unique_ptr<ServerSession> ss) {
+void DbServer::RetireSession(std::unique_ptr<LocalSession> session) {
   sessions_closed_.fetch_add(1, std::memory_order_relaxed);
-  // A well-behaved client reads every response before CloseSession, so
-  // nothing is unanswered and the dtor waits at most for the tail of a
-  // callback that already replied: destroy inline, and the slot is free
-  // before this connection's next frame. A session with requests still
-  // unanswered (a peer that vanished mid-transaction) would block the dtor
-  // on those transactions, so it parks for the accept thread.
-  if (ss->unanswered.load() == 0) {
-    ss.reset();
+  // The admitted count drops before the completion callback, so before the
+  // response: a client that read every response finds it 0, and the dtor
+  // waits at most for a callback's tail. Destroy inline, and the slot is
+  // free before this connection's next frame. Requests still admitted (a
+  // peer that vanished mid-transaction) would block the dtor on them, so the
+  // session parks for the accept thread.
+  if (session->actor().admitted() == 0) {
+    session.reset();
     return;
   }
   MutexLock lock(dead_mu_);
-  dead_sessions_.push_back(std::move(ss));
+  dead_sessions_.push_back(std::move(session));
 }
 
 void DbServer::ReapDeadSessions() {
-  std::vector<std::unique_ptr<ServerSession>> dead;
+  std::vector<std::unique_ptr<LocalSession>> dead;
   {
     MutexLock lock(dead_mu_);
     dead.swap(dead_sessions_);

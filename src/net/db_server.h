@@ -87,13 +87,12 @@ class DbServer {
   void Stop();
 
  private:
-  struct ServerSession;
   struct ServerConn;
 
   void AcceptLoop();
   bool OnFrame(const std::shared_ptr<ServerConn>& sc, LoopConn& lc, const FrameView& fv);
   void OnClose(const std::shared_ptr<ServerConn>& sc);
-  void RetireSession(std::unique_ptr<ServerSession> ss);
+  void RetireSession(std::unique_ptr<LocalSession> session);
   void ReapDeadSessions();  // blocking (dtors drain) — accept thread / Stop only
 
   Database* db_;
@@ -109,11 +108,11 @@ class DbServer {
   bool stopping_ PARTDB_GUARDED_BY(mu_) = false;
 
   // Sessions leaving the loop threads (CloseSession / disconnect) with
-  // requests still unanswered park here; the accept thread destroys them
+  // requests still admitted park here; the accept thread destroys them
   // (their dtors drain those transactions, which must never block a loop
   // thread).
   Mutex dead_mu_;
-  std::vector<std::unique_ptr<ServerSession>> dead_sessions_ PARTDB_GUARDED_BY(dead_mu_);
+  std::vector<std::unique_ptr<LocalSession>> dead_sessions_ PARTDB_GUARDED_BY(dead_mu_);
 
   std::atomic<uint64_t> accepted_conns_{0};
   std::atomic<uint64_t> reaped_conns_{0};

@@ -13,12 +13,27 @@ Time SteadyNowNs() {
       .count();
 }
 
+/// Dials `host:port` and reads its Hello into `hello`. CHECK-fails when the
+/// server is unreachable, speaks another protocol version or is not a
+/// parallel-mode database.
+TcpConn DialAndGreet(const std::string& host, int port, HelloBody* hello) {
+  TcpConn sock = TcpConn::ConnectTo(host, port);
+  PARTDB_CHECK(sock.valid());
+  Frame f;
+  PARTDB_CHECK(ReadFrame(sock, &f));
+  PARTDB_CHECK(f.type == FrameType::kHello);
+  PARTDB_CHECK(DecodeHello(f.body, hello));
+  PARTDB_CHECK(hello->mode == 0);  // parallel
+  return sock;
+}
+
 }  // namespace
 
 /// One shared TCP connection carrying many sessions. `sessions` maps live
-/// session ids to their owners for loop-thread response dispatch; a session
-/// registers before its first Submit and unregisters only after Drain (so no
-/// response can race its teardown).
+/// session ids to their owners for loop-thread response dispatch, and its
+/// size is what ConnectOptions::sessions_per_conn bounds. A session registers
+/// before its first Submit and unregisters only after Drain (so no response
+/// can race its teardown).
 struct RemoteSession::MuxConn {
   LoopConnPtr lc;
   /// True only for the first connection, which carries the measurement
@@ -28,8 +43,6 @@ struct RemoteSession::MuxConn {
   Mutex mu;
   std::unordered_map<uint32_t, RemoteSession*> sessions PARTDB_GUARDED_BY(mu);
   uint32_t next_session_id PARTDB_GUARDED_BY(mu) = 0;
-  /// Ids handed out and not yet destroyed.
-  uint32_t open_sessions PARTDB_GUARDED_BY(mu) = 0;
   bool closed PARTDB_GUARDED_BY(mu) = false;
 };
 
@@ -46,7 +59,6 @@ RemoteSession::~RemoteSession() {
   {
     MutexLock lock(conn_->mu);
     conn_->sessions.erase(session_id_);
-    --conn_->open_sessions;
   }
   // Release the server-side slot. Best effort: a dead connection already
   // freed every session it carried.
@@ -63,17 +75,15 @@ SubmitResult RemoteSession::Submit(ProcId proc, PayloadPtr args, TxnCallback cb)
   {
     MutexLock lock(mu_);
     PARTDB_CHECK(!closed_);  // server gone or protocol error
-    if (max != 0 && admitted_ >= max) return {false, kInvalidTxn};
-    ++admitted_;
+    if (max != 0 && pending_.size() >= max) return {false, kInvalidTxn};
     ++outstanding_;
     seq = next_seq_++;
-    PendingTxn p;
+    // Registered before the frame leaves: the response may beat the
+    // registration otherwise.
+    PendingTxn& p = pending_.Emplace(seq);
     p.proc = proc;
     p.cb = std::move(cb);
     p.submit_ns = SteadyNowNs();
-    // Registered before the frame leaves: the response may beat the
-    // registration otherwise.
-    pending_.emplace(seq, std::move(p));
   }
   RequestHeader h;
   h.session_id = session_id_;
@@ -108,15 +118,13 @@ void RemoteSession::OnResponse(const ResponseHeader& h, WireReader& r) {
   PendingTxn p;
   {
     MutexLock lock(mu_);
-    auto it = pending_.find(h.seq);
-    PARTDB_CHECK(it != pending_.end());
-    p = std::move(it->second);
-    pending_.erase(it);
+    PendingTxn* found = pending_.Find(h.seq);
+    PARTDB_CHECK(found != nullptr);
+    p = std::move(*found);
     // The admission slot frees before the callback runs — identical to the
     // embedded session, so resubmit-from-callback closed loops hold one
     // slot under either transport.
-    PARTDB_CHECK(admitted_ > 0);
-    --admitted_;
+    pending_.Erase(h.seq);
   }
 
   TxnResult res;
@@ -160,14 +168,8 @@ void RemoteSession::OnConnClosed() {
 
 std::unique_ptr<RemoteDatabase> RemoteDatabase::Connect(const std::string& host, int port,
                                                         ConnectOptions options) {
-  TcpConn control = TcpConn::ConnectTo(host, port);
-  PARTDB_CHECK(control.valid());
-  Frame f;
-  PARTDB_CHECK(ReadFrame(control, &f));
-  PARTDB_CHECK(f.type == FrameType::kHello);
   HelloBody hello;
-  PARTDB_CHECK(DecodeHello(f.body, &hello));
-  PARTDB_CHECK(hello.mode == 0);  // parallel
+  TcpConn control = DialAndGreet(host, port, &hello);
   return std::unique_ptr<RemoteDatabase>(new RemoteDatabase(
       host, port, std::move(options), std::move(control), std::move(hello)));
 }
@@ -266,33 +268,22 @@ std::unique_ptr<Session> RemoteDatabase::CreateSession() {
   for (const auto& c : conns_) {
     MutexLock cl(c->mu);
     if (c->closed) continue;
-    if (options_.sessions_per_conn == 0 || c->open_sessions < options_.sessions_per_conn) {
+    if (options_.sessions_per_conn == 0 || c->sessions.size() < options_.sessions_per_conn) {
       target = c;
       break;
     }
   }
   if (target == nullptr) {
     // Every existing connection is full: dial another one.
-    TcpConn sock = TcpConn::ConnectTo(host_, port_);
-    PARTDB_CHECK(sock.valid());
-    Frame f;
-    PARTDB_CHECK(ReadFrame(sock, &f));
-    PARTDB_CHECK(f.type == FrameType::kHello);  // preamble verified at Connect
-    target = AdoptConn(std::move(sock));
+    HelloBody hello;
+    target = AdoptConn(DialAndGreet(host_, port_, &hello));
   }
   const int slot = next_session_slot_++;
-  uint32_t id;
-  {
-    MutexLock cl(target->mu);
-    id = target->next_session_id++;
-    ++target->open_sessions;
-  }
+  MutexLock cl(target->mu);
+  const uint32_t id = target->next_session_id++;
   auto session = std::unique_ptr<RemoteSession>(
       new RemoteSession(this, target, id, ClientStreamSeed(options_.seed, slot)));
-  {
-    MutexLock cl(target->mu);
-    target->sessions.emplace(id, session.get());
-  }
+  target->sessions.emplace(id, session.get());
   return session;
 }
 

@@ -16,7 +16,6 @@
 #ifndef PARTDB_NET_REMOTE_DB_H_
 #define PARTDB_NET_REMOTE_DB_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -24,6 +23,7 @@
 
 #include "common/logging.h"
 #include "common/mutex.h"
+#include "common/txn_table.h"
 #include "db/db_handle.h"
 #include "db/procedure_registry.h"
 #include "net/event_loop.h"
@@ -81,6 +81,8 @@ class RemoteSession : public Session {
     ProcId proc = kInvalidProc;
     TxnCallback cb;
     Time submit_ns = 0;  // steady-clock ns
+
+    void Reset() { *this = PendingTxn{}; }
   };
 
   const RemoteDatabase* db_;
@@ -90,9 +92,10 @@ class RemoteSession : public Session {
 
   mutable Mutex mu_;
   CondVar drained_cv_;
-  std::unordered_map<uint64_t, PendingTxn> pending_ PARTDB_GUARDED_BY(mu_);
+  /// Keyed by request seq. Its size is the admission count: an entry leaves
+  /// before its callback runs, like an embedded session's admission slot.
+  TxnTable<PendingTxn> pending_ PARTDB_GUARDED_BY(mu_);
   uint64_t next_seq_ PARTDB_GUARDED_BY(mu_) = 0;  // session-scoped
-  uint64_t admitted_ PARTDB_GUARDED_BY(mu_) = 0;
   uint64_t outstanding_ PARTDB_GUARDED_BY(mu_) = 0;
   /// Connection saw EOF / protocol error.
   bool closed_ PARTDB_GUARDED_BY(mu_) = false;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "counting_new.h"
 #include "db/closed_loop.h"
@@ -31,7 +32,7 @@ constexpr Duration kWarmup = Micros(20000);
 constexpr Duration kShortWindow = Micros(100000);
 constexpr Duration kLongWindow = Micros(300000);
 
-enum class Workload { kKvSp, kKvMp10, kTpcc };
+enum class Workload { kKvSp, kKvMp10, kTpcc, kKvMp10Repl2 };
 
 struct Count {
   uint64_t allocations = 0;
@@ -58,7 +59,11 @@ Count RunOnce(Workload w, const std::string& scheme, Duration measure) {
     KvWorkloadOptions mb;  // 2 partitions, 40 clients
     mb.mp_fraction = w == Workload::kKvSp ? 0.0 : 0.1;
     loop.num_clients = mb.num_clients;
-    db = Database::Open(KvDbOptions(mb, scheme, RunMode::kSimulated, kSeed));
+    DbOptions opts = KvDbOptions(mb, scheme, RunMode::kSimulated, kSeed);
+    // Two replicas: every reply is held for its backup's ack, and every
+    // shipped MP waits at the backup for its decision.
+    if (w == Workload::kKvMp10Repl2) opts.replication = 2;
+    db = Database::Open(std::move(opts));
     loop.next = KvInvocations(mb, *db);
   }
   g_allocations.store(0);
@@ -98,11 +103,31 @@ void ExpectBudget(const Budget& b) {
   EXPECT_NEAR(BlocksPerTxn(Workload::kTpcc, b.scheme), b.tpcc, 0.01) << "TPC-C";
 }
 
+/// KV at 10% MP with one backup per partition, one budget per scheme.
+struct ReplicatedBudget {
+  const char* scheme;
+  double kv_mp10_repl2;
+};
+
+const ReplicatedBudget kReplicatedBudgets[] = {
+    {"blocking", 14.45},
+    {"speculation", 14.32},
+    {"locking", 13.83},
+    {"occ", 19.37},
+    {"mvcc", 19.69},
+};
+
 TEST(AllocBudget, Blocking) { ExpectBudget(kBudgets[0]); }
 TEST(AllocBudget, Speculation) { ExpectBudget(kBudgets[1]); }
 TEST(AllocBudget, Locking) { ExpectBudget(kBudgets[2]); }
 TEST(AllocBudget, Occ) { ExpectBudget(kBudgets[3]); }
 TEST(AllocBudget, Mvcc) { ExpectBudget(kBudgets[4]); }
+
+TEST(AllocBudget, KvMp10Replicated) {
+  for (const ReplicatedBudget& b : kReplicatedBudgets) {
+    EXPECT_NEAR(BlocksPerTxn(Workload::kKvMp10Repl2, b.scheme), b.kv_mp10_repl2, 0.01) << b.scheme;
+  }
+}
 
 }  // namespace
 }  // namespace partdb
