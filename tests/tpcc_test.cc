@@ -35,6 +35,37 @@ NewOrderArgs MakeOrderArgs(int32_t w, int32_t d, int32_t c, std::vector<int32_t>
   return a;
 }
 
+/// A replicated row's bytes: its fields in declaration order.
+std::string RowBytes(const ItemRow& r) {
+  std::string out;
+  WireWriter w(&out);
+  w.Field(r.i_id);
+  w.Field(r.im_id);
+  w.Field(r.name);
+  w.Field(r.price);
+  w.Field(r.data);
+  return out;
+}
+std::string RowBytes(const StockInfoRow& r) {
+  std::string out;
+  WireWriter w(&out);
+  w.Field(r.i_id);
+  w.Field(r.w_id);
+  for (const auto& d : r.dist) w.Field(d);
+  w.Field(r.data);
+  return out;
+}
+
+/// Order-independent hash over every row of a replicated table.
+template <typename Table>
+uint64_t RowsHash(const Table& table) {
+  uint64_t h = 0;
+  table.ForEach([&h](const uint64_t& k, const auto& row) {
+    h ^= Mix64(Mix64(k) ^ Crc32(RowBytes(row)));
+  });
+  return h;
+}
+
 TEST(TpccLoader, DeterministicAndPartitioned) {
   const TpccScale scale = TinyScale(4, 2);
   TpccEngine e0(scale, 0, 42), e0b(scale, 0, 42), e1(scale, 1, 42);
@@ -63,6 +94,28 @@ TEST(TpccLoader, DeterministicAndPartitioned) {
   // A third of the loaded orders are undelivered.
   EXPECT_EQ(e0.db().new_orders.size(),
             static_cast<size_t>(2 * 10 * scale.initial_orders_per_district / 3));
+}
+
+// The loaded population is pinned: the replicated tables' rows and each
+// partition's state, for a standalone engine and for one the factory makes.
+// A change to the generator's stream, to the order the loader draws in, or
+// to which copy of the replicated tables an engine reads moves them.
+TEST(TpccLoader, ReplicatedTablesArePinned) {
+  const TpccScale scale = TinyScale(4, 2);
+  const EngineFactory factory = MakeTpccEngineFactory(scale, 42);
+  const uint64_t kStateHash[2] = {0x81672bdc1a8bef76ull, 0xe24ae532792252fcull};
+  for (PartitionId p = 0; p < 2; ++p) {
+    const TpccEngine standalone(scale, p, 42);
+    const std::unique_ptr<Engine> made = factory(p);
+    const TpccEngine& from_factory = static_cast<const TpccEngine&>(*made);
+    for (const TpccEngine* e : {&standalone, &from_factory}) {
+      EXPECT_EQ(e->db().items.size(), static_cast<size_t>(scale.items));
+      EXPECT_EQ(e->db().stock_info.size(), static_cast<size_t>(scale.items * 4));
+      EXPECT_EQ(RowsHash(e->db().items), 0xdca0ea67811a8335ull) << "partition " << p;
+      EXPECT_EQ(RowsHash(e->db().stock_info), 0x0d4a5c3ddcb54bc5ull) << "partition " << p;
+      EXPECT_EQ(e->StateHash(), kStateHash[p]) << "partition " << p;
+    }
+  }
 }
 
 TEST(TpccLoader, FreshDatabaseIsConsistent) {
