@@ -19,35 +19,6 @@ void Rng::Seed(uint64_t seed) {
   for (auto& word : s_) word = SplitMix64(&s);
 }
 
-static inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-uint64_t Rng::Uniform(uint64_t n) {
-  PARTDB_DCHECK(n > 0);
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t threshold = -n % n;
-  for (;;) {
-    const uint64_t r = Next();
-    if (r >= threshold) return r % n;
-  }
-}
-
-int64_t Rng::UniformRange(int64_t lo, int64_t hi) {
-  PARTDB_DCHECK(lo <= hi);
-  return lo + static_cast<int64_t>(Uniform(static_cast<uint64_t>(hi - lo + 1)));
-}
-
 double Rng::NextDouble() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }

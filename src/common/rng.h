@@ -32,14 +32,38 @@ class Rng {
 
   void Seed(uint64_t seed);
 
+  // Next, Uniform and UniformRange are inline: the TPC-C loader draws
+  // every character of its tables through Uniform.
+
   /// Uniform 64-bit value.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, n). n must be > 0.
-  uint64_t Uniform(uint64_t n);
+  uint64_t Uniform(uint64_t n) {
+    PARTDB_DCHECK(n > 0);
+    // Rejection sampling to avoid modulo bias.
+    const uint64_t threshold = -n % n;
+    for (;;) {
+      const uint64_t r = Next();
+      if (r >= threshold) return r % n;
+    }
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t UniformRange(int64_t lo, int64_t hi);
+  int64_t UniformRange(int64_t lo, int64_t hi) {
+    PARTDB_DCHECK(lo <= hi);
+    return lo + static_cast<int64_t>(Uniform(static_cast<uint64_t>(hi - lo + 1)));
+  }
 
   /// Uniform double in [0, 1).
   double NextDouble();
@@ -48,6 +72,8 @@ class Rng {
   bool Bernoulli(double p);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t s_[4];
 };
 

@@ -40,8 +40,10 @@ class HashTable {
   bool empty() const { return size_ == 0; }
   size_t capacity() const { return slots_.size(); }
 
-  /// Returns the value for `key`, or nullptr. Probes counted into `m`.
-  V* Find(const K& key, WorkMeter* m = nullptr) {
+  /// Returns the value for `key`, or nullptr. Probes counted into `m`. The
+  /// probe loop is the const overload's, so a shared read-only table is read
+  /// only through code that cannot write it.
+  const V* Find(const K& key, WorkMeter* m = nullptr) const {
     const size_t mask = slots_.size() - 1;
     size_t i = hasher_(key) & mask;
     uint32_t probes = 1;
@@ -56,8 +58,8 @@ class HashTable {
     Meter(m, probes);
     return nullptr;
   }
-  const V* Find(const K& key, WorkMeter* m = nullptr) const {
-    return const_cast<HashTable*>(this)->Find(key, m);
+  V* Find(const K& key, WorkMeter* m = nullptr) {
+    return const_cast<V*>(std::as_const(*this).Find(key, m));
   }
 
   /// Inserts (key, value). Returns {value*, true} if inserted, or

@@ -2,11 +2,16 @@
 // represented as either a B-Tree, a binary tree, or hash table, as
 // appropriate"). Warehouses are range-partitioned; the items table and the
 // read-only stock columns are replicated to every partition (paper §5.5).
-// A checkpoint image is the partitioned tables in one fixed order, each row
-// written by its one field list (msg/wire.h), which restore runs too.
+// Inside one process the replicated tables are one immutable copy
+// (ReplicatedTables) that every partition's TpccDb shares and reads as
+// const tables. A checkpoint image is the partitioned tables in one fixed
+// order, each row written by its one field list (msg/wire.h), which restore
+// runs too.
 #ifndef PARTDB_TPCC_TPCC_DB_H_
 #define PARTDB_TPCC_TPCC_DB_H_
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -44,9 +49,22 @@ struct TpccScale {
   }
 };
 
+/// The replicated tables (read-only in the TPC-C mix; identical on every
+/// partition). Filled once by LoadReplicated and shared, const, by every
+/// engine of a database: primaries, backups and replay engines.
+struct ReplicatedTables {
+  const HashTable<uint64_t, ItemRow> items;
+  const HashTable<uint64_t, StockInfoRow> stock_info;  // StockKey -> read-only cols
+};
+
 class TpccDb {
  public:
-  explicit TpccDb(TpccScale scale, PartitionId pid) : scale_(scale), pid_(pid) {}
+  TpccDb(TpccScale scale, PartitionId pid, std::shared_ptr<const ReplicatedTables> replicated)
+      : items(replicated->items),
+        stock_info(replicated->stock_info),
+        scale_(scale),
+        pid_(pid),
+        replicated_(std::move(replicated)) {}
 
   const TpccScale& scale() const { return scale_; }
   PartitionId pid() const { return pid_; }
@@ -67,10 +85,9 @@ class TpccDb {
   BPlusTree<uint64_t, OrderLineRow, 16> order_lines;
   HashTable<uint64_t, StockRow> stock;  // updatable columns, partitioned
 
-  // Replicated tables (read-only in the TPC-C mix; identical on all
-  // partitions).
-  HashTable<uint64_t, ItemRow> items;
-  HashTable<uint64_t, StockInfoRow> stock_info;  // StockKey -> read-only cols
+  // The shared replicated tables, read-only.
+  const HashTable<uint64_t, ItemRow>& items;
+  const HashTable<uint64_t, StockInfoRow>& stock_info;
 
   /// Order-independent hash over all partitioned (mutable) state.
   uint64_t StateHash() const;
@@ -78,7 +95,7 @@ class TpccDb {
   /// Checkpoint serialization of all partitioned (mutable) tables: both
   /// directions walk one list of the tables, in a fixed order. The
   /// replicated read-only tables (items, stock_info) are not written: the
-  /// engine factory reloads them deterministically, and RestoreFrom leaves
+  /// engine factory loads them deterministically, and RestoreFrom leaves
   /// them untouched. customers_by_name is rebuilt from the customer rows.
   void SerializeTo(WireWriter& w) const;
   bool RestoreFrom(WireReader& r);
@@ -86,6 +103,7 @@ class TpccDb {
  private:
   TpccScale scale_;
   PartitionId pid_;
+  std::shared_ptr<const ReplicatedTables> replicated_;  // keeps items, stock_info alive
 };
 
 }  // namespace tpcc

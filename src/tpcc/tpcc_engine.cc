@@ -1,6 +1,8 @@
 #include "tpcc/tpcc_engine.h"
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 
 #include "common/logging.h"
 #include "tpcc/tpcc_loader.h"
@@ -224,9 +226,14 @@ const std::span<const TpccProcedure> kTpccProcedures = kTable;
 
 // --- the engine --------------------------------------------------------------
 
-TpccEngine::TpccEngine(TpccScale scale, PartitionId pid, uint64_t seed) : db_(scale, pid) {
+TpccEngine::TpccEngine(TpccScale scale, PartitionId pid, uint64_t seed,
+                       std::shared_ptr<const ReplicatedTables> replicated)
+    : db_(scale, pid, std::move(replicated)) {
   LoadPartition(&db_, seed);
 }
+
+TpccEngine::TpccEngine(TpccScale scale, PartitionId pid, uint64_t seed)
+    : TpccEngine(scale, pid, seed, LoadReplicated(scale, seed)) {}
 
 ExecResult TpccEngine::Execute(const Payload& payload, int round, const Payload* /*round_input*/,
                                UndoBuffer* undo, WorkMeter* meter) {
@@ -242,8 +249,9 @@ void TpccEngine::LockSet(const Payload& payload, int /*round*/,
 }
 
 EngineFactory MakeTpccEngineFactory(const TpccScale& scale, uint64_t seed) {
-  return [scale, seed](PartitionId pid) -> std::unique_ptr<Engine> {
-    return std::make_unique<TpccEngine>(scale, pid, seed);
+  std::shared_ptr<const ReplicatedTables> replicated = LoadReplicated(scale, seed);
+  return [scale, seed, replicated](PartitionId pid) -> std::unique_ptr<Engine> {
+    return std::make_unique<TpccEngine>(scale, pid, seed, replicated);
   };
 }
 

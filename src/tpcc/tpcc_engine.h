@@ -136,6 +136,11 @@ inline const TpccProcedure& TpccProcedureOf(TpccArgs::Kind kind) {
 
 class TpccEngine : public Engine {
  public:
+  /// Loads partition `pid`'s warehouses from `seed` and reads `replicated`,
+  /// which must have been loaded from the same scale and seed.
+  TpccEngine(TpccScale scale, PartitionId pid, uint64_t seed,
+             std::shared_ptr<const ReplicatedTables> replicated);
+  /// Loads its own copy of the replicated tables (tests, microbenchmarks).
   TpccEngine(TpccScale scale, PartitionId pid, uint64_t seed);
 
   TpccDb& db() { return db_; }
@@ -154,8 +159,10 @@ class TpccEngine : public Engine {
   TpccDb db_;
 };
 
-/// Engine factory for database construction: every partition loads its own
-/// warehouses plus the replicated tables, deterministically from `seed`.
+/// Engine factory for database construction. The replicated tables are
+/// loaded once, when the factory is made, and every engine it makes shares
+/// them (primaries, backups, replay engines); each engine loads only its own
+/// partition's warehouses. Both loads are deterministic from `seed`.
 EngineFactory MakeTpccEngineFactory(const TpccScale& scale, uint64_t seed);
 
 // The individual procedures (exposed for direct unit testing).

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <numeric>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -26,30 +28,34 @@ Str16 LastName(int n) {
 
 namespace {
 
-void LoadItems(TpccDb* db, Rng& rng) {
-  for (int32_t i = 1; i <= db->scale().items; ++i) {
+HashTable<uint64_t, ItemRow> LoadItems(const TpccScale& scale, Rng& rng) {
+  HashTable<uint64_t, ItemRow> items;
+  for (int32_t i = 1; i <= scale.items; ++i) {
     ItemRow item;
     item.i_id = i;
     item.im_id = static_cast<int32_t>(rng.UniformRange(1, 10000));
     item.name = RandAlpha<24>(rng, 14, 24);
     item.price = static_cast<double>(rng.UniformRange(100, 10000)) / 100.0;
     item.data = RandAlpha<32>(rng, 16, 32);
-    db->items.Put(static_cast<uint64_t>(i), item);
+    items.Put(static_cast<uint64_t>(i), item);
   }
+  return items;
 }
 
-void LoadStockInfo(TpccDb* db, Rng& rng) {
+HashTable<uint64_t, StockInfoRow> LoadStockInfo(const TpccScale& scale, Rng& rng) {
   // Replicated read-only stock columns for every (warehouse, item) pair.
-  for (int32_t w = 1; w <= db->scale().num_warehouses; ++w) {
-    for (int32_t i = 1; i <= db->scale().items; ++i) {
+  HashTable<uint64_t, StockInfoRow> stock_info;
+  for (int32_t w = 1; w <= scale.num_warehouses; ++w) {
+    for (int32_t i = 1; i <= scale.items; ++i) {
       StockInfoRow info;
       info.i_id = i;
       info.w_id = w;
       for (auto& d : info.dist) d = RandAlpha<24>(rng, 24, 24);
       info.data = RandAlpha<32>(rng, 16, 32);
-      db->stock_info.Put(StockKey(w, i), info);
+      stock_info.Put(StockKey(w, i), info);
     }
   }
+  return stock_info;
 }
 
 void LoadWarehouse(TpccDb* db, int32_t w, Rng& rng) {
@@ -163,12 +169,16 @@ void LoadWarehouse(TpccDb* db, int32_t w, Rng& rng) {
 
 }  // namespace
 
-void LoadPartition(TpccDb* db, uint64_t seed) {
-  // Replicated tables must be identical on every partition: fixed seed.
-  Rng replicated_rng(Mix64(seed ^ 0x5eedf00dull));
-  LoadItems(db, replicated_rng);
-  LoadStockInfo(db, replicated_rng);
+std::shared_ptr<const ReplicatedTables> LoadReplicated(const TpccScale& scale, uint64_t seed) {
+  // One stream, items first: every copy loaded from `seed` is identical.
+  Rng rng(Mix64(seed ^ 0x5eedf00dull));
+  HashTable<uint64_t, ItemRow> items = LoadItems(scale, rng);
+  HashTable<uint64_t, StockInfoRow> stock_info = LoadStockInfo(scale, rng);
+  return std::shared_ptr<const ReplicatedTables>(
+      new ReplicatedTables{std::move(items), std::move(stock_info)});
+}
 
+void LoadPartition(TpccDb* db, uint64_t seed) {
   for (int32_t w : db->scale().WarehousesOf(db->pid())) {
     // Per-warehouse seed: identical regardless of which partition loads it.
     Rng rng(Mix64(seed ^ (0xabcdefull + static_cast<uint64_t>(w) * 0x9e3779b9ull)));

@@ -1,9 +1,13 @@
 // TPC-C initial population (spec clause 4.3, scaled) and the spec's random
 // primitives (NURand, last-name syllables). Loading is deterministic per
 // (scale, seed, partition) so primaries, backups, and replay engines start
-// identical.
+// identical. The replicated tables are loaded once per (scale, seed) by
+// LoadReplicated and shared; LoadPartition loads a partition's own
+// warehouses.
 #ifndef PARTDB_TPCC_TPCC_LOADER_H_
 #define PARTDB_TPCC_TPCC_LOADER_H_
+
+#include <memory>
 
 #include "common/rng.h"
 #include "tpcc/tpcc_db.h"
@@ -30,8 +34,11 @@ InlineString<N> RandAlpha(Rng& rng, int lo, int hi) {
   return InlineString<N>(std::string_view(buf, len));
 }
 
-/// Populates the partition-owned warehouses of `db`, plus the replicated
-/// items and read-only stock columns for all warehouses.
+/// Loads the replicated tables: the items and the read-only stock columns of
+/// every warehouse, drawn from one stream seeded by `seed`.
+std::shared_ptr<const ReplicatedTables> LoadReplicated(const TpccScale& scale, uint64_t seed);
+
+/// Populates the partition-owned warehouses of `db`.
 void LoadPartition(TpccDb* db, uint64_t seed);
 
 }  // namespace tpcc
