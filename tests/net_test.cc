@@ -6,7 +6,7 @@
 // remote Execute result payloads, measurement windows over the wire,
 // admission-control parity between embedded and remote sessions, a
 // custom (non-KV, non-TPC-C) procedure served over TCP, and the event
-// loop's scheduling policy.
+// loop's scheduling policy and wakes.
 #include <poll.h>
 #include <sched.h>
 #include <unistd.h>
@@ -23,6 +23,7 @@
 #include "gtest/gtest.h"
 #include "net/db_server.h"
 #include "net/remote_db.h"
+#include "one_cpu_scope.h"
 #include "test_util.h"
 #include "tpcc/tpcc_consistency.h"
 #include "tpcc/tpcc_procedures.h"
@@ -836,6 +837,100 @@ TEST(NetMux, LoopThreadRunsUnderBatchPolicy) {
   }
   loop.Stop();
   EXPECT_EQ(policy.load(), SCHED_BATCH);
+}
+
+// --- loop wakes --------------------------------------------------------------
+
+// Runs `round_trips` sequential Execute calls on one remote session and
+// returns the client's plus the server's loop counters, read before either
+// side stops. Every thread it starts inherits the caller's CPU mask.
+EventLoopStats PingPongLoopStats(int round_trips) {
+  KvWorkloadOptions mb = NetKvConfig();
+  mb.abort_prob = 0.0;
+  auto db = Database::Open(KvDbOptions(mb, "speculation", RunMode::kParallel, 12345));
+  DbServer server(db.get());
+  ConnectOptions copts;
+  copts.procedures.push_back(KvReadUpdateProcedure(mb));
+  auto remote = Connect("127.0.0.1", server.port(), std::move(copts));
+  auto session = remote->CreateSession();
+  int committed = 0;
+  for (int i = 0; i < round_trips; ++i) {
+    committed += session->Execute(kKvReadUpdateProc, OneKeyArgs(mb)).committed ? 1 : 0;
+  }
+  EXPECT_EQ(committed, round_trips);
+  EventLoopStats io = remote->IoStats();
+  io += server.Stats().io;
+  session.reset();
+  remote.reset();
+  server.Stop();
+  db->Close();
+  return io;
+}
+
+// Each round trip crosses four loop hops: the client loop sends the request,
+// the server loop reads it, the server loop sends the response, the client
+// loop reads it. A loop that parked as soon as it ran dry would take an
+// eventfd wake for each send, about one per frame on each side. A loop that
+// yield-spins first sees the next frame inside the spin and takes none. On
+// one CPU that holds only because the spinner yields to the thread it waits
+// for.
+TEST(NetMux, PingPongTakesFewLoopWakes) {
+  constexpr int kRoundTrips = 2000;
+  {
+    const EventLoopStats io = PingPongLoopStats(kRoundTrips);
+    EXPECT_LT(io.wakeups, 1000u) << "unpinned";
+  }
+  {
+    OneCpuScope one_cpu;
+    ASSERT_TRUE(one_cpu.pinned()) << "cannot pin the test thread";
+    const EventLoopStats io = PingPongLoopStats(kRoundTrips);
+    EXPECT_LT(io.wakeups, 1000u) << "one CPU";
+  }
+}
+
+// A loop that idled past its spin is parked in epoll_wait. A request from a
+// thread that never sent before must still wake the client loop, its
+// response must wake the server loop, and Stop must wake a parked server: a
+// lost wake shows here as a request or a Stop that hangs.
+TEST(NetMux, ParkedLoopWakesForForeignSend) {
+  constexpr auto kIdle = std::chrono::milliseconds(20);
+  constexpr auto kBound = std::chrono::seconds(1);
+  KvWorkloadOptions mb = NetKvConfig();
+  mb.abort_prob = 0.0;
+  auto db = Database::Open(KvDbOptions(mb, "speculation", RunMode::kParallel, 12345));
+  DbServer server(db.get());
+  ConnectOptions copts;
+  copts.procedures.push_back(KvReadUpdateProcedure(mb));
+  auto remote = Connect("127.0.0.1", server.port(), std::move(copts));
+  auto session = remote->CreateSession();
+  ASSERT_TRUE(session->Execute(kKvReadUpdateProc, OneKeyArgs(mb)).committed);
+
+  std::this_thread::sleep_for(kIdle);
+  std::atomic<bool> done{false};
+  const auto sent_at = std::chrono::steady_clock::now();
+  std::thread foreign([&] {
+    const SubmitResult sr =
+        session->Submit(kKvReadUpdateProc, OneKeyArgs(mb), [&done](const TxnResult& r) {
+          EXPECT_TRUE(r.committed);
+          done.store(true);
+        });
+    EXPECT_TRUE(sr.accepted);
+  });
+  foreign.join();
+  while (!done.load() && std::chrono::steady_clock::now() - sent_at < kBound) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EXPECT_TRUE(done.load()) << "a request to parked loops did not complete within 1 s";
+  session->Drain();
+
+  session.reset();
+  remote.reset();
+  std::this_thread::sleep_for(kIdle);
+  const auto stop_at = std::chrono::steady_clock::now();
+  server.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_at, kBound)
+      << "Stop did not wake a parked server loop within 1 s";
+  db->Close();
 }
 
 }  // namespace

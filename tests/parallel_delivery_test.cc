@@ -5,8 +5,6 @@
 // ping-pong between two workers also takes few futex wakes: each worker
 // yield-spins before it parks, so a reply that comes back inside the spin
 // needs no notify, on many CPUs or on one.
-#include <sched.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -14,9 +12,9 @@
 #include <string>
 #include <thread>
 
-#include "common/affinity.h"
 #include "counting_new.h"
 #include "gtest/gtest.h"
+#include "one_cpu_scope.h"
 #include "runtime/actor.h"
 #include "runtime/parallel_runtime.h"
 
@@ -114,32 +112,6 @@ std::optional<ParallelRuntime::Stats> RunBounce() {
   if (!finished) return std::nullopt;
   return rt.GetStats();
 }
-
-// Pins the calling thread to the first CPU of its affinity mask for the
-// scope; threads it starts meanwhile inherit the one-CPU mask.
-class OneCpuScope {
- public:
-  OneCpuScope() {
-    if (sched_getaffinity(0, sizeof(saved_), &saved_) != 0) return;
-    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-      if (CPU_ISSET(cpu, &saved_)) {
-        pinned_ = PinCurrentThreadToCpu(cpu);
-        return;
-      }
-    }
-  }
-  ~OneCpuScope() {
-    if (pinned_) sched_setaffinity(0, sizeof(saved_), &saved_);
-  }
-  OneCpuScope(const OneCpuScope&) = delete;
-  OneCpuScope& operator=(const OneCpuScope&) = delete;
-
-  bool pinned() const { return pinned_; }
-
- private:
-  cpu_set_t saved_{};
-  bool pinned_ = false;
-};
 
 // Each hop empties the sender's mailbox, so without the pre-park spin every
 // hop would park a worker and the next hop would wake it. With the spin the
