@@ -15,6 +15,7 @@
 #include "common/types.h"
 #include "db/database.h"
 #include "db/serializability.h"
+#include "net/event_loop.h"
 
 namespace partdb {
 
@@ -53,12 +54,14 @@ struct SchemeResult {
   std::string scheme;
   Metrics m;
   /// Report-only, never gated; set by the in-process parallel benches
-  /// (WithWindowCost). Workers yield-spin before they park, trading CPU for
-  /// wakes, and the first two show that trade; the third shows how many
+  /// (WithWindowCost) and the net benches (WithNetCost). Workers and event
+  /// loops yield-spin before they park, trading CPU for wakes, and the wake
+  /// rates and the CPU show that trade; msgs_per_push shows how many
   /// messages each mailbox lock acquisition carried.
-  std::optional<double> wakes_per_kmsg;  // mailbox wakes per 1000 pushed messages
-  std::optional<double> cpu_us_per_txn;  // process CPU per committed transaction
-  std::optional<double> msgs_per_push;   // pushed messages per producer lock
+  std::optional<double> wakes_per_kmsg;    // mailbox wakes per 1000 pushed messages
+  std::optional<double> wakes_per_kframe;  // loop eventfd wakes per 1000 frames
+  std::optional<double> cpu_us_per_txn;    // process CPU per committed transaction
+  std::optional<double> msgs_per_push;     // pushed messages per producer lock
 };
 
 /// A row for `m` with the report-only costs of the window that produced it
@@ -72,6 +75,21 @@ inline SchemeResult WithWindowCost(std::string scheme, const Metrics& m,
   r.cpu_us_per_txn = txns > 0 ? w.cpu_s * 1e6 / txns : 0.0;
   r.msgs_per_push =
       w.mailbox_push_batches > 0 ? msgs / static_cast<double>(w.mailbox_push_batches) : 0.0;
+  return r;
+}
+
+/// A row for `m` served over loopback TCP, with report-only costs: the
+/// eventfd wakes of the server's and the client's loops per 1000 frames they
+/// moved (`io` sums both sides over the whole run), and the process CPU per
+/// committed transaction over the window (the server database's
+/// last_window_cost; client and server share the process).
+inline SchemeResult WithNetCost(std::string scheme, const Metrics& m, const EventLoopStats& io,
+                                const Database::WindowCost& w) {
+  SchemeResult r(std::move(scheme), m);
+  const double frames = static_cast<double>(io.frames_in + io.frames_out);
+  const double txns = static_cast<double>(m.committed);
+  r.wakes_per_kframe = frames > 0 ? static_cast<double>(io.wakeups) * 1e3 / frames : 0.0;
+  r.cpu_us_per_txn = txns > 0 ? w.cpu_s * 1e6 / txns : 0.0;
   return r;
 }
 
@@ -108,6 +126,9 @@ inline bool WriteSchemeJson(const std::string& path, const char* bench_name,
                  m.mp_latency.Percentile(50) / 1000.0, m.mp_latency.Percentile(99) / 1000.0);
     if (results[i].wakes_per_kmsg) {
       std::fprintf(f, ", \"wakes_per_kmsg\": %.2f", *results[i].wakes_per_kmsg);
+    }
+    if (results[i].wakes_per_kframe) {
+      std::fprintf(f, ", \"wakes_per_kframe\": %.2f", *results[i].wakes_per_kframe);
     }
     if (results[i].cpu_us_per_txn) {
       std::fprintf(f, ", \"cpu_us_per_txn\": %.2f", *results[i].cpu_us_per_txn);

@@ -78,6 +78,8 @@ int main(int argc, char** argv) {
     Metrics m = RunClosedLoop(*remote, loop);
 
     const DbServerStats stats = server.Stats();
+    EventLoopStats io = remote->IoStats();
+    io += stats.io;
     remote.reset();
     server.Stop();
     db->Close();
@@ -111,7 +113,7 @@ int main(int argc, char** argv) {
     if (*verify != 0) {
       ok = ReportSerializable(*db, scheme.c_str()) && ok;
     }
-    results.push_back({scheme, m});
+    results.push_back(WithNetCost(scheme, m, io, db->last_window_cost()));
   }
 
   if (!json->empty()) {

@@ -72,6 +72,8 @@ int main(int argc, char** argv) {
 
     const size_t conns = remote->conn_count();
     const DbServerStats stats = server.Stats();
+    EventLoopStats io = remote->IoStats();
+    io += stats.io;
     remote.reset();
     server.Stop();
     db->Close();
@@ -92,7 +94,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(stats.rejected_requests));
       ok = false;
     }
-    results.push_back({label, m});
+    results.push_back(WithNetCost(label, m, io, db->last_window_cost()));
   };
 
   std::printf("connection sweep: one session per TCP connection, %lld server loop(s)\n",

@@ -11,6 +11,7 @@
 
 #include "common/affinity.h"
 #include "common/logging.h"
+#include "common/spin_wait.h"
 
 namespace partdb {
 
@@ -25,9 +26,6 @@ constexpr size_t kReadChunk = 64 * 1024;
 constexpr size_t kCompactThreshold = 256 * 1024;
 
 constexpr int kMaxEvents = 128;
-
-/// The loop whose Run() occupies this thread (null off the loop threads).
-thread_local const EventLoop* t_running_loop = nullptr;
 
 }  // namespace
 
@@ -77,9 +75,9 @@ void EventLoop::Stop() {
     MutexLock lock(inbox_mu_);
     if (stop_queued_) return;
     stop_queued_ = true;
-    inbox_.push_back({Item::Kind::kStop, nullptr});
+    AppendLocked({Item::Kind::kStop, nullptr});
   }
-  Wake();
+  Wake();  // parked or not: Stop is rare, and the eventfd ends a spin too
   if (thread_.joinable()) thread_.join();
 }
 
@@ -91,6 +89,7 @@ EventLoopStats EventLoop::stats() const {
   s.bytes_out = stats_.bytes_out.load(std::memory_order_relaxed);
   s.flush_batches = stats_.flush_batches.load(std::memory_order_relaxed);
   s.wakeups = stats_.wakeups.load(std::memory_order_relaxed);
+  s.parks = stats_.parks.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -100,16 +99,49 @@ void EventLoop::Wake() {
   [[maybe_unused]] const ssize_t r = ::write(wakefd_, &one, sizeof(one));
 }
 
+void EventLoop::AppendLocked(Item item) {
+  inbox_.push_back(std::move(item));
+  pushed_.store(pushed_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+}
+
 void EventLoop::Push(Item item) {
+  bool parked = false;
   {
     MutexLock lock(inbox_mu_);
-    inbox_.push_back(std::move(item));
+    AppendLocked(std::move(item));
+    parked = parked_.load(std::memory_order_relaxed);
   }
-  // The loop swaps its inbox at the end of every iteration, so a push the
-  // loop thread makes before that swap needs no eventfd. One made while the
-  // swapped batch runs (an on_close sending elsewhere) lands after the swap
-  // and needs the wake, as does every push from another thread.
-  if (t_running_loop != this || in_drain_) Wake();
+  // A loop that is not parked needs no eventfd: its spin sees the push
+  // counter move, and it checks the inbox under this lock before it parks.
+  // That covers the loop thread's own pushes too.
+  if (parked) Wake();
+}
+
+bool EventLoop::InboxPending() const {
+  return pushed_.load(std::memory_order_acquire) != swapped_;
+}
+
+int EventLoop::Poll(epoll_event* events, int timeout_ms) {
+  const int n = ::epoll_wait(epfd_, events, kMaxEvents, timeout_ms);
+  if (n < 0) {
+    PARTDB_CHECK(errno == EINTR);
+    return 0;
+  }
+  return n;
+}
+
+int EventLoop::Park(epoll_event* events) {
+  {
+    MutexLock lock(inbox_mu_);
+    if (!inbox_.empty()) return 0;  // pushed after the spin's last look
+    parked_.store(true, std::memory_order_relaxed);
+  }
+  stats_.parks.fetch_add(1, std::memory_order_relaxed);
+  const int n = Poll(events, -1);
+  // Lowered without the lock: a producer that still reads true only writes
+  // an eventfd the next poll drains.
+  parked_.store(false, std::memory_order_relaxed);
+  return n;
 }
 
 void EventLoop::Run() {
@@ -119,14 +151,17 @@ void EventLoop::Run() {
     pinned_.store(true, std::memory_order_relaxed);
   }
   SetCurrentThreadBatchPolicy();  // see the header
-  t_running_loop = this;
   epoll_event events[kMaxEvents];
   while (true) {
-    const int n = ::epoll_wait(epfd_, events, kMaxEvents, -1);
-    if (n < 0) {
-      PARTDB_CHECK(errno == EINTR);
-      continue;
-    }
+    // A busy loop polls once per iteration. One that ran dry polls the
+    // sockets and the push counter on every turn of the spin, and parks in
+    // a blocking epoll_wait only when the spin ends with nothing ready.
+    int n = 0;
+    const bool ready = SpinBeforePark([&] {
+      n = Poll(events, 0);
+      return n > 0 || InboxPending();
+    });
+    if (!ready) n = Park(events);
     for (int i = 0; i < n; ++i) {
       LoopConn* c = static_cast<LoopConn*>(events[i].data.ptr);
       if (c == nullptr) {
@@ -169,8 +204,8 @@ bool EventLoop::DrainInbox() {
     MutexLock lock(inbox_mu_);
     draining_.swap(inbox_);
   }
+  swapped_ += draining_.size();
   bool keep_running = true;
-  in_drain_ = true;
   for (Item& item : draining_) {
     switch (item.kind) {
       case Item::Kind::kAdd: {
@@ -191,7 +226,6 @@ bool EventLoop::DrainInbox() {
         break;
     }
   }
-  in_drain_ = false;
   draining_.clear();
   return keep_running;
 }

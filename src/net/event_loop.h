@@ -5,8 +5,20 @@
 // — one writev-style syscall per ready set, not one per frame. Producers on
 // other threads (session-worker completion callbacks, client submitters)
 // never touch the socket: SendFrame encodes straight into the connection's
-// reusable outbox buffer and wakes the owning loop via an eventfd; wakes
-// coalesce, so a burst of frames costs one wakeup and one flush syscall.
+// reusable outbox buffer and queues a flush in the owning loop's inbox.
+//
+// Wakes follow the mailbox's discipline (runtime/mailbox.h), with the same
+// spin (common/spin_wait.h). A loop that has handled its ready set and its
+// inbox polls epoll_wait(…, 0) and the inbox's push counter once per
+// sched_yield for up to kSpinBeforePark, and leaves the spin as soon as an
+// event or an inbox item arrives. Only then does it park in a blocking
+// epoll_wait, after it found the inbox empty under the inbox lock, and only
+// a push that finds it parked writes the eventfd. So a request and its
+// response that cross the loop within the spin cost no wake and no eventfd
+// syscall, and an idle loop still parks and frees its CPU; the spin costs
+// CPU time instead. Wakes of a parked loop coalesce: a burst of frames
+// costs one wakeup and one flush syscall.
+//
 // The loop thread runs under SCHED_BATCH, so that holds on a shared CPU too:
 // its wakeup does not preempt the worker that sent the first frame of a
 // burst, and the loop runs once that worker yields or parks. A worker that
@@ -47,6 +59,8 @@
 #include "net/frame.h"
 #include "net/socket.h"
 
+struct epoll_event;
+
 namespace partdb {
 
 class EventLoop;
@@ -62,6 +76,7 @@ struct EventLoopStats {
   uint64_t bytes_out = 0;       // payload bytes sent
   uint64_t flush_batches = 0;   // flush syscalls (each may carry many frames)
   uint64_t wakeups = 0;         // eventfd wakes (coalesced producer signals)
+  uint64_t parks = 0;           // blocking epoll_waits; a wake needs a park
 
   EventLoopStats& operator+=(const EventLoopStats& o) {
     frames_in += o.frames_in;
@@ -70,6 +85,7 @@ struct EventLoopStats {
     bytes_out += o.bytes_out;
     flush_batches += o.flush_batches;
     wakeups += o.wakeups;
+    parks += o.parks;
     return *this;
   }
 };
@@ -176,14 +192,21 @@ class EventLoop {
 
   void Run();
   void Wake();
+  /// One epoll_wait into `events` (an EINTR returns 0 events).
+  int Poll(epoll_event* events, int timeout_ms);
+  /// Parks in a blocking epoll_wait unless the inbox is non-empty; returns
+  /// the ready events.
+  int Park(epoll_event* events);
   void HandleReadable(LoopConn* c);
   void HandleWritable(LoopConn* c);
   void FlushConn(LoopConn* c);
   void UpdateEpollOut(LoopConn* c, bool want);
   void CloseNow(LoopConn* c);
-  /// Appends to the inbox and wakes the loop unless the loop thread itself
-  /// pushed before its next inbox swap.
+  /// Appends to the inbox and wakes the loop if it is parked.
   void Push(Item item);
+  void AppendLocked(Item item) PARTDB_REQUIRES(inbox_mu_);
+  /// True when an item was pushed since the last inbox swap (no lock).
+  bool InboxPending() const;
   bool DrainInbox();  // false once a kStop item was seen
 
   std::string name_;
@@ -197,16 +220,18 @@ class EventLoop {
   std::vector<Item> inbox_ PARTDB_GUARDED_BY(inbox_mu_);
   /// Makes Stop idempotent.
   bool stop_queued_ PARTDB_GUARDED_BY(inbox_mu_) = false;
+  std::atomic<uint64_t> pushed_{0};   // items ever pushed; written under inbox_mu_
+  std::atomic<bool> parked_{false};   // raised under inbox_mu_ on an empty inbox
 
   // --- loop-thread-owned state ------------------------------------------------
   std::vector<Item> draining_;  // the swapped-out inbox (capacity reused)
-  bool in_drain_ = false;       // DrainInbox is running its batch
+  uint64_t swapped_ = 0;        // items ever swapped out of the inbox
   std::unordered_map<LoopConn*, LoopConnPtr> conns_;
 
   struct StatCells {
     std::atomic<uint64_t> frames_in{0}, frames_out{0};
     std::atomic<uint64_t> bytes_in{0}, bytes_out{0};
-    std::atomic<uint64_t> flush_batches{0}, wakeups{0};
+    std::atomic<uint64_t> flush_batches{0}, wakeups{0}, parks{0};
   };
   StatCells stats_;
 

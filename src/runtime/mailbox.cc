@@ -1,8 +1,5 @@
 #include "runtime/mailbox.h"
 
-#include <algorithm>
-#include <thread>
-
 namespace partdb {
 
 using std::chrono::steady_clock;
@@ -15,13 +12,13 @@ bool Mailbox::Refill(bool block, steady_clock::time_point deadline) {
   // The batch is fully handed out, so an item pushed but not yet popped sits
   // in `pending_`: yield-spin on the counters, without the lock, before
   // parking.
-  auto nothing_pending = [this] {
-    return pushed_.load(std::memory_order_acquire) == popped_.load(std::memory_order_relaxed);
-  };
-  if (block && nothing_pending()) {
-    const steady_clock::time_point spin_end =
-        std::min(deadline, steady_clock::now() + kSpinBeforePark);
-    while (nothing_pending() && steady_clock::now() < spin_end) std::this_thread::yield();
+  if (block) {
+    SpinBeforePark(
+        [this] {
+          return pushed_.load(std::memory_order_acquire) !=
+                 popped_.load(std::memory_order_relaxed);
+        },
+        deadline);
   }
   MutexLock lock(mu_);
   if (pending_.empty()) {

@@ -19,8 +19,9 @@
 //
 // A consumer that finds nothing to drain first yield-spins on the push
 // counter for a short fixed time (`kSpinBeforePark`, never past the drain
-// deadline); a push that lands during the spin is swapped in with no
-// notify. Only then does it park on the condvar, after finding `pending_`
+// deadline; the spin is common/spin_wait.h's, the same one the net event
+// loops run before they park); a push that lands during the spin is swapped
+// in with no notify. Only then does it park on the condvar, after finding `pending_`
 // empty under the lock, and a producer notifies only when its push makes
 // `pending_` non-empty while the consumer is parked. A busy worker takes no
 // wakes, and neither does a message round trip between workers that closes
@@ -46,6 +47,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/spin_wait.h"
 #include "msg/message.h"
 
 namespace partdb {
@@ -131,12 +133,9 @@ class Mailbox {
   };
 
   /// How long a consumer that found its mailbox empty yield-spins before it
-  /// parks. Long enough to cover a message round trip to another worker, so
-  /// a ping-pong between partitions takes no futex wake; short enough that
-  /// an idle worker soon parks and frees its CPU. Each spin iteration
-  /// yields, so on an oversubscribed host the spinner hands its CPU to a
-  /// runnable thread.
-  static constexpr std::chrono::microseconds kSpinBeforePark{50};
+  /// parks: the process-wide spin (common/spin_wait.h), which the net event
+  /// loops use too.
+  static constexpr std::chrono::microseconds kSpinBeforePark = partdb::kSpinBeforePark;
 
   Mailbox() = default;
   Mailbox(const Mailbox&) = delete;

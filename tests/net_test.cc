@@ -878,13 +878,15 @@ TEST(NetMux, PingPongTakesFewLoopWakes) {
   constexpr int kRoundTrips = 2000;
   {
     const EventLoopStats io = PingPongLoopStats(kRoundTrips);
-    EXPECT_LT(io.wakeups, 1000u) << "unpinned";
+    EXPECT_LT(io.wakeups, 1000u) << "unpinned, parks=" << io.parks;
+    EXPECT_LE(io.wakeups, io.parks) << "unpinned";
   }
   {
     OneCpuScope one_cpu;
     ASSERT_TRUE(one_cpu.pinned()) << "cannot pin the test thread";
     const EventLoopStats io = PingPongLoopStats(kRoundTrips);
-    EXPECT_LT(io.wakeups, 1000u) << "one CPU";
+    EXPECT_LT(io.wakeups, 1000u) << "one CPU, parks=" << io.parks;
+    EXPECT_LE(io.wakeups, io.parks) << "one CPU";
   }
 }
 
@@ -906,6 +908,7 @@ TEST(NetMux, ParkedLoopWakesForForeignSend) {
   ASSERT_TRUE(session->Execute(kKvReadUpdateProc, OneKeyArgs(mb)).committed);
 
   std::this_thread::sleep_for(kIdle);
+  const uint64_t client_wakes = remote->IoStats().wakeups;
   std::atomic<bool> done{false};
   const auto sent_at = std::chrono::steady_clock::now();
   std::thread foreign([&] {
@@ -922,6 +925,11 @@ TEST(NetMux, ParkedLoopWakesForForeignSend) {
   }
   EXPECT_TRUE(done.load()) << "a request to parked loops did not complete within 1 s";
   session->Drain();
+  const EventLoopStats client_io = remote->IoStats();
+  const EventLoopStats server_io = server.Stats().io;
+  EXPECT_GT(client_io.wakeups, client_wakes) << "the request did not find the client loop parked";
+  EXPECT_LE(client_io.wakeups, client_io.parks);
+  EXPECT_LE(server_io.wakeups, server_io.parks);
 
   session.reset();
   remote.reset();

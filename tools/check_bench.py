@@ -6,8 +6,8 @@ bench/tpcc_parallel.cc via WriteSchemeJson) against the committed baseline
 under bench/baselines/ and fails when any scheme's throughput regressed by
 more than the threshold (default 30%). Only txn_per_sec is gated; a row's
 other fields (latency percentiles, the report-only wakes_per_kmsg,
-cpu_us_per_txn and msgs_per_push) are carried for the reader and never
-compared.
+wakes_per_kframe, cpu_us_per_txn and msgs_per_push) are carried for the
+reader and never compared.
 
 Baselines are conservative: they are refreshed whenever a PR deliberately
 changes performance, and a baseline captured on slower hardware than the CI
