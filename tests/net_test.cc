@@ -841,6 +841,22 @@ TEST(NetMux, LoopThreadRunsUnderBatchPolicy) {
 
 // --- loop wakes --------------------------------------------------------------
 
+// ASan and TSan slow every request down past the loops' spin: a ping-pong
+// round trip takes about 200 and 500 us there, against about 21 us in a
+// Release build on a 4-CPU host, so the loops park on most hops. Those
+// builds skip the wake bound below and keep every other check.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kHopsOutlastTheSpin = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kHopsOutlastTheSpin = true;
+#else
+constexpr bool kHopsOutlastTheSpin = false;
+#endif
+#else
+constexpr bool kHopsOutlastTheSpin = false;
+#endif
+
 // Runs `round_trips` sequential Execute calls on one remote session and
 // returns the client's plus the server's loop counters, read before either
 // side stops. Every thread it starts inherits the caller's CPU mask.
@@ -873,19 +889,23 @@ EventLoopStats PingPongLoopStats(int round_trips) {
 // eventfd wake for each send, about one per frame on each side. A loop that
 // yield-spins first sees the next frame inside the spin and takes none. On
 // one CPU that holds only because the spinner yields to the thread it waits
-// for.
+// for. Without the spin the two loops take about 4000 wakes.
 TEST(NetMux, PingPongTakesFewLoopWakes) {
   constexpr int kRoundTrips = 2000;
   {
     const EventLoopStats io = PingPongLoopStats(kRoundTrips);
-    EXPECT_LT(io.wakeups, 1000u) << "unpinned, parks=" << io.parks;
+    if (!kHopsOutlastTheSpin) {
+      EXPECT_LT(io.wakeups, 1000u) << "unpinned, parks=" << io.parks;
+    }
     EXPECT_LE(io.wakeups, io.parks) << "unpinned";
   }
   {
     OneCpuScope one_cpu;
     ASSERT_TRUE(one_cpu.pinned()) << "cannot pin the test thread";
     const EventLoopStats io = PingPongLoopStats(kRoundTrips);
-    EXPECT_LT(io.wakeups, 1000u) << "one CPU, parks=" << io.parks;
+    if (!kHopsOutlastTheSpin) {
+      EXPECT_LT(io.wakeups, 1000u) << "one CPU, parks=" << io.parks;
+    }
     EXPECT_LE(io.wakeups, io.parks) << "one CPU";
   }
 }
