@@ -26,8 +26,7 @@ inline constexpr std::chrono::microseconds kSpinBeforePark{50};
 /// on an oversubscribed CPU the spinner hands its slice to a runnable thread,
 /// often the one it waits for.
 template <typename Ready>
-bool SpinBeforePark(Ready&& ready, std::chrono::steady_clock::time_point deadline =
-                                      std::chrono::steady_clock::time_point::max()) {
+bool SpinBeforePark(std::chrono::steady_clock::time_point deadline, Ready&& ready) {
   if (ready()) return true;
   const std::chrono::steady_clock::time_point spin_end =
       std::min(deadline, std::chrono::steady_clock::now() + kSpinBeforePark);

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "common/affinity.h"
@@ -157,7 +158,7 @@ void EventLoop::Run() {
     // sockets and the push counter on every turn of the spin, and parks in
     // a blocking epoll_wait only when the spin ends with nothing ready.
     int n = 0;
-    const bool ready = SpinBeforePark([&] {
+    const bool ready = SpinBeforePark(std::chrono::steady_clock::time_point::max(), [&] {
       n = Poll(events, 0);
       return n > 0 || InboxPending();
     });

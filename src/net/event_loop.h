@@ -220,8 +220,8 @@ class EventLoop {
   std::vector<Item> inbox_ PARTDB_GUARDED_BY(inbox_mu_);
   /// Makes Stop idempotent.
   bool stop_queued_ PARTDB_GUARDED_BY(inbox_mu_) = false;
-  std::atomic<uint64_t> pushed_{0};   // items ever pushed; written under inbox_mu_
-  std::atomic<bool> parked_{false};   // raised under inbox_mu_ on an empty inbox
+  std::atomic<uint64_t> pushed_{0};  // items ever pushed; written under inbox_mu_
+  std::atomic<bool> parked_{false};  // raised under inbox_mu_ on an empty inbox
 
   // --- loop-thread-owned state ------------------------------------------------
   std::vector<Item> draining_;  // the swapped-out inbox (capacity reused)

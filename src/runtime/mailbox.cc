@@ -13,12 +13,9 @@ bool Mailbox::Refill(bool block, steady_clock::time_point deadline) {
   // in `pending_`: yield-spin on the counters, without the lock, before
   // parking.
   if (block) {
-    SpinBeforePark(
-        [this] {
-          return pushed_.load(std::memory_order_acquire) !=
-                 popped_.load(std::memory_order_relaxed);
-        },
-        deadline);
+    SpinBeforePark(deadline, [this] {
+      return pushed_.load(std::memory_order_acquire) != popped_.load(std::memory_order_relaxed);
+    });
   }
   MutexLock lock(mu_);
   if (pending_.empty()) {

@@ -21,14 +21,14 @@
 // counter for a short fixed time (`kSpinBeforePark`, never past the drain
 // deadline; the spin is common/spin_wait.h's, the same one the net event
 // loops run before they park); a push that lands during the spin is swapped
-// in with no notify. Only then does it park on the condvar, after finding `pending_`
-// empty under the lock, and a producer notifies only when its push makes
-// `pending_` non-empty while the consumer is parked. A busy worker takes no
-// wakes, and neither does a message round trip between workers that closes
-// inside the spin; an idle worker still parks and frees its CPU. Each yield
-// pushes the spinner's scheduler deadline out, so on a shared CPU a thread
-// woken while the worker then runs may preempt it; the net EventLoop runs
-// under SCHED_BATCH for that reason (event_loop.h).
+// in with no notify. Only then does it park on the condvar, after finding
+// `pending_` empty under the lock, and a producer notifies only when its
+// push makes `pending_` non-empty while the consumer is parked. A busy
+// worker takes no wakes, and neither does a message round trip between
+// workers that closes inside the spin; an idle worker still parks and frees
+// its CPU. Each yield pushes the spinner's scheduler deadline out, so on a
+// shared CPU a thread woken while the worker then runs may preempt it; the
+// net EventLoop runs under SCHED_BATCH for that reason (event_loop.h).
 //
 // A node carries a tagged union — message | control — so the hot item kind
 // (actor messages, session submissions among them) costs no type-erased
