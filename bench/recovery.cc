@@ -118,15 +118,19 @@ int main(int argc, char** argv) {
   struct Phase1Row {
     DurabilityMode mode;
     int clients;
+    std::string label;
   };
-  std::vector<Phase1Row> rows = {{DurabilityMode::kOff, mb.num_clients},
-                                 {DurabilityMode::kAsync, mb.num_clients},
-                                 {DurabilityMode::kGroupCommit, mb.num_clients}};
-  for (const int clients : {64, 256}) rows.push_back({DurabilityMode::kGroupCommit, clients});
+  std::vector<Phase1Row> rows;
+  for (const DurabilityMode mode :
+       {DurabilityMode::kOff, DurabilityMode::kAsync, DurabilityMode::kGroupCommit}) {
+    rows.push_back({mode, mb.num_clients, ModeFlagName(mode)});
+  }
+  for (const int clients : {64, 256}) {
+    const std::string label = "group_commit_c" + std::to_string(clients);
+    rows.push_back({DurabilityMode::kGroupCommit, clients, label});
+  }
   double off_tps = 0;
-  for (const auto& [mode, clients] : rows) {
-    std::string label = ModeFlagName(mode);
-    if (clients != mb.num_clients) label += "_c" + std::to_string(clients);
+  for (const auto& [mode, clients, label] : rows) {
     KvWorkloadOptions row_mb = mb;
     row_mb.num_clients = clients;
     const std::string mode_dir = dir + "_" + label;
