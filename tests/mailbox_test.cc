@@ -226,5 +226,56 @@ TEST(Mailbox, DeadlineInsideSpinReturnsWithoutParking) {
   EXPECT_LT(fastest, Mailbox::kSpinBeforePark);
 }
 
+// Pushes race parks that time out. The consumer drains with deadlines of
+// 100-300 us, past the spin, so it parks and times out over and over, while
+// a producer pushes with jittered gaps: some land inside the spin, some on a
+// parked consumer, and some just after a park's wait ended, where the wake
+// they send must neither be lost nor wake a later park twice. Every item
+// arrives once and in order, each wake needs a park, and the run ends well
+// within its bound, so no item waited for a wake that never came.
+TEST(Mailbox, PushRacingTimedOutParkIsDelivered) {
+  constexpr uint32_t kItems = 20000;
+  Mailbox box;
+  const auto start = Clock::now();
+  std::thread producer([&box]() {
+    uint64_t x = 88172645463325252ull;  // xorshift64: a fixed jitter stream
+    for (uint32_t seq = 0; seq < kItems; ++seq) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      const auto gap = std::chrono::microseconds(x % 250);
+      if (gap < Mailbox::kSpinBeforePark) {
+        const auto until = Clock::now() + gap;
+        while (Clock::now() < until) {
+        }
+      } else {
+        std::this_thread::sleep_for(gap);
+      }
+      box.PushMessage(MakeItem(0, seq));
+    }
+  });
+
+  uint32_t next = 0;
+  uint32_t turn = 0;
+  const auto give_up = start + std::chrono::seconds(30);
+  while (next < kItems && Clock::now() < give_up) {
+    const auto deadline = Clock::now() + std::chrono::microseconds(100 + (turn++ * 37) % 201);
+    box.DrainUntil(deadline, 64, [&](MailboxNode* n) {
+      ASSERT_EQ(n->kind, MailboxNode::Kind::kMessage);
+      ASSERT_EQ(TxnSeq(std::get<TimerFire>(n->msg.body).txn_id), next) << "out of order";
+      ++next;
+    });
+  }
+  producer.join();
+  const auto elapsed = Clock::now() - start;
+
+  EXPECT_EQ(next, kItems);
+  EXPECT_TRUE(box.Empty());
+  const Mailbox::Stats s = box.stats();
+  EXPECT_GT(s.parks, 0u);
+  EXPECT_LE(s.wakes, s.parks);
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
+}
+
 }  // namespace
 }  // namespace partdb

@@ -3,6 +3,7 @@
 // guarantees, its worker outboxes (nothing stranded at a park, per-sender
 // FIFO under batching, sends into another runtime), and sim-vs-parallel
 // commit-log replay equivalence.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -304,6 +305,59 @@ TEST(ParallelRuntime, TimerArmedByATimerHandlerFires) {
     EXPECT_EQ(f.thread, chain.owner) << "link " << f.link;
   }
   rt.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// A worker with nothing to drain parks until its next timer is due, not until
+// a push or its 100 ms cap: an idle worker arms a 2 ms timer, parks, and
+// must fire it on time. The median lateness of 20 tries must stay under
+// 20 ms, which a park that ignores its deadline fails.
+
+class TimerProbe : public Actor {
+ public:
+  static constexpr Duration kDelay = 2 * kMillisecond;
+
+  TimerProbe() : Actor("timer-probe") {}
+
+  // Written on the owner's worker only; read after WaitQuiescent.
+  Time armed_at = 0;
+  Time fired_at = 0;
+
+ protected:
+  void OnMessage(Message& msg, ActorContext& ctx) override {
+    if (std::holds_alternative<TimerFire>(msg.body)) {
+      fired_at = ctx.start();
+      return;
+    }
+    armed_at = ctx.now();
+    ctx.SetTimer(kDelay, TimerFire{0, 0});
+  }
+};
+
+TEST(ParallelRuntime, ParkedWorkerFiresItsTimerOnTime) {
+  constexpr int kTries = 20;
+  TimerProbe probe;
+  ParallelRuntime rt(1);
+  rt.MapNode(0, 0);
+  probe.Bind(&rt, 0);
+  rt.Start();
+  std::vector<Time> late;
+  for (int i = 0; i < kTries; ++i) {
+    probe.fired_at = 0;
+    Message kick;
+    kick.src = 0;
+    kick.dst = 0;
+    kick.body = DecisionMessage{static_cast<TxnId>(i), 0, true};
+    rt.Send(std::move(kick), 0);
+    ASSERT_TRUE(rt.WaitQuiescent(std::chrono::seconds(30))) << "try " << i;
+    ASSERT_GE(probe.fired_at, probe.armed_at + TimerProbe::kDelay) << "try " << i;
+    late.push_back(probe.fired_at - probe.armed_at - TimerProbe::kDelay);
+  }
+  EXPECT_GT(rt.GetStats().mailbox_parks, 0u);
+  rt.Stop();
+  std::sort(late.begin(), late.end());
+  EXPECT_LT(late[kTries / 2], 20 * kMillisecond)
+      << "median lateness " << late[kTries / 2] / kMillisecond << " ms";
 }
 
 // ---------------------------------------------------------------------------
