@@ -11,7 +11,6 @@
 
 #include "bench_util.h"
 #include "cc/scheme_registry.h"
-#include "common/affinity.h"
 #include "common/flags.h"
 #include "db/closed_loop.h"
 #include "kv/kv_procedures.h"
@@ -33,8 +32,6 @@ int main(int argc, char** argv) {
   int64_t* max_inflight =
       flags.AddInt64("max_inflight", 0, "per-session admission bound (0 = unlimited)");
   int64_t* verify = flags.AddInt64("verify", 1, "replay commit logs on the server");
-  int64_t* pin = flags.AddInt64(
-      "pin", 0, "pin workers and event loops round-robin over all CPUs");
   std::string* json =
       flags.AddString("json", "BENCH_net_loopback.json", "machine-readable results");
   if (!flags.Parse(argc, argv)) return 0;
@@ -55,11 +52,9 @@ int main(int argc, char** argv) {
     DbOptions opts = KvDbOptions(mb, scheme, RunMode::kParallel, seed);
     opts.log_commits = *verify != 0;
     opts.max_inflight_per_session = static_cast<uint64_t>(*max_inflight);
-    opts.worker_affinity.pin = *pin != 0;
     auto db = Database::Open(std::move(opts));
     DbServerOptions sopts;
     sopts.num_loops = static_cast<int>(*num_loops);
-    sopts.loop_affinity.pin = *pin != 0;
     DbServer server(db.get(), sopts);
 
     ConnectOptions copts;
@@ -105,7 +100,6 @@ int main(int argc, char** argv) {
                           static_cast<double>(stats.io.flush_batches),
                 static_cast<unsigned long long>(stats.io.bytes_in >> 20),
                 static_cast<unsigned long long>(stats.io.bytes_out >> 20));
-    std::printf("  pinned=%d loop threads\n", static_cast<int>(stats.pinned_loops));
     if (m.committed == 0) {
       std::printf("ERROR: no transactions committed under %s\n", scheme.c_str());
       ok = false;
@@ -121,8 +115,7 @@ int main(int argc, char** argv) {
                          {{"partitions", mb.num_partitions},
                           {"clients", *clients},
                           {"mp_pct", *mp_pct},
-                          {"measure_ms", *bench.measure_ms},
-                          {"pin", *pin}},
+                          {"measure_ms", *bench.measure_ms}},
                          results) &&
          ok;
   }

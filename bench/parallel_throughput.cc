@@ -11,7 +11,6 @@
 
 #include "bench_util.h"
 #include "cc/scheme_registry.h"
-#include "common/affinity.h"
 #include "common/flags.h"
 #include "db/closed_loop.h"
 #include "kv/kv_procedures.h"
@@ -27,7 +26,6 @@ int main(int argc, char** argv) {
   int64_t* read_only_pct =
       flags.AddInt64("read_only_pct", 50, "read-only transaction percentage");
   int64_t* verify = flags.AddInt64("verify", 1, "replay commit logs + sim cross-check");
-  int64_t* pin = flags.AddInt64("pin", 0, "pin partition workers round-robin over all CPUs");
   std::string* json =
       flags.AddString("json", "BENCH_parallel_throughput.json", "machine-readable results");
   if (!flags.Parse(argc, argv)) return 0;
@@ -49,7 +47,6 @@ int main(int argc, char** argv) {
   for (const std::string& scheme : CcSchemeRegistry::Global().Names()) {
     DbOptions opts = KvDbOptions(mb, scheme, RunMode::kParallel, seed);
     opts.log_commits = *verify != 0;
-    opts.worker_affinity.pin = *pin != 0;
     auto db = Database::Open(std::move(opts));
 
     ClosedLoopOptions loop;
@@ -73,11 +70,10 @@ int main(int argc, char** argv) {
     }
     // Hot-path anatomy: mailbox traffic and the park/wake discipline (wakes
     // per item ~ 0 at saturation), then the window's wake and CPU costs.
-    std::printf("  mailbox: pushed=%llu wakes=%llu parks=%llu  pinned=%d/%d workers\n",
+    std::printf("  mailbox: pushed=%llu wakes=%llu parks=%llu  workers=%d\n",
                 static_cast<unsigned long long>(rs.mailbox_pushed),
                 static_cast<unsigned long long>(rs.mailbox_wakes),
-                static_cast<unsigned long long>(rs.mailbox_parks), rs.pinned_workers,
-                rs.num_workers);
+                static_cast<unsigned long long>(rs.mailbox_parks), rs.num_workers);
     std::printf("  window: wakes_per_kmsg=%.2f cpu_us_per_txn=%.2f msgs_per_push=%.2f\n",
                 *row.wakes_per_kmsg, *row.cpu_us_per_txn, *row.msgs_per_push);
     if (m.committed == 0) {
@@ -119,8 +115,7 @@ int main(int argc, char** argv) {
                           {"clients", mb.num_clients},
                           {"mp_pct", *mp_pct},
                           {"read_only_pct", *read_only_pct},
-                          {"measure_ms", *bench.measure_ms},
-                          {"pin", *pin}},
+                          {"measure_ms", *bench.measure_ms}},
                          results) &&
          ok;
   }

@@ -31,16 +31,6 @@ bool PinCurrentThreadToCpu(int cpu) {
 #endif
 }
 
-int AffinityCpuFor(const CpuAffinity& a, int index) {
-  if (!a.enabled() || index < 0) return -1;
-  if (!a.cpus.empty()) {
-    return a.cpus[static_cast<size_t>(index) % a.cpus.size()];
-  }
-  const int n = OnlineCpuCount();
-  if (n <= 0) return -1;
-  return index % n;
-}
-
 void SetCurrentThreadBatchPolicy() {
 #if defined(__linux__)
   sched_param param{};

@@ -1,9 +1,10 @@
-// The one wake discipline of the process's consumer threads: a thread that
+// The spin half of the process's one wake discipline: a consumer thread that
 // runs dry yield-spins for a short fixed time before it parks. The mailbox
 // consumers (partition and session workers, runtime/mailbox.h) and the net
-// event loops (net/event_loop.h) both call SpinBeforePark, and each parks
-// only when it returns false, so a producer whose item lands inside the spin
-// pays no wake syscall and the consumer takes no wake.
+// event loops (net/event_loop.h) both call SpinBeforePark with their Inbox's
+// pending() as the test, and each parks on that Inbox (common/inbox.h, the
+// park half) only when it returns false, so a producer whose item lands
+// inside the spin pays no wake syscall and the consumer takes no wake.
 #ifndef PARTDB_COMMON_SPIN_WAIT_H_
 #define PARTDB_COMMON_SPIN_WAIT_H_
 

@@ -79,7 +79,6 @@ Database::Database(DbOptions options)
     // worker; session ingress actors spread round-robin over their own
     // worker pool.
     parallel_ = std::make_unique<ParallelRuntime>(P + num_backups + 1 + kSessionWorkers);
-    parallel_->set_affinity(options_.worker_affinity);
     const int coord_worker = P + num_backups;
     for (int p = 0; p < P; ++p) parallel_->MapNode(topology_.partition_primary[p], p);
     for (int b = 0; b < num_backups; ++b) parallel_->MapNode(coord_node + 1 + P + b, P + b);

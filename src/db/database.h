@@ -74,7 +74,7 @@ class Database : public DbHandle {
   Metrics EndMeasurement() override;
 
   /// Ingress hot-path counters (parallel mode: mailbox push/pop/wake/park
-  /// totals and worker pin outcomes — all zeros in simulated mode) plus the
+  /// totals — all zeros in simulated mode) plus the
   /// durability tier's log-writer counters (batches, fsyncs, bytes; zeros
   /// when durability is off). Thread-safe; monotonic since Open.
   struct DbStats {
@@ -85,7 +85,7 @@ class Database : public DbHandle {
 
   /// What the last finished measurement window cost beyond its throughput:
   /// mailbox messages pushed, the producer lock acquisitions that pushed
-  /// them and condvar wakes taken over the window (parallel mode; zeros in
+  /// them and eventfd wakes taken over the window (parallel mode; zeros in
   /// simulated mode) and the process's user plus
   /// system CPU time over it (getrusage). Snapshotted by BeginMeasurement
   /// and EndMeasurement; read it after EndMeasurement, on the same thread.

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/affinity.h"
 #include "common/types.h"
 #include "db/procedure_registry.h"
 #include "engine/cost_model.h"
@@ -69,11 +68,6 @@ struct DbOptions {
   bool local_speculation_only = false;
   /// Disable the locking scheme's no-lock fast path (§5.1 remark).
   bool force_locks = false;
-  /// Parallel mode: pin the runtime's worker threads (partitions, backups,
-  /// coordinator, session workers) round-robin over the CPU list, or over
-  /// all online CPUs when the list is empty with pin set. Advisory — failed
-  /// pins are counted in Stats().pinned_workers, never an error.
-  CpuAffinity worker_affinity;
   /// Builds the engine for each partition, primaries and backups alike.
   /// Required.
   EngineFactory engine_factory;

@@ -31,8 +31,7 @@ DbServer::DbServer(Database* db, DbServerOptions options) : db_(db) {
 
   loops_.reserve(static_cast<size_t>(options.num_loops));
   for (int i = 0; i < options.num_loops; ++i) {
-    loops_.push_back(std::make_unique<EventLoop>("server-loop-" + std::to_string(i),
-                                                 AffinityCpuFor(options.loop_affinity, i)));
+    loops_.push_back(std::make_unique<EventLoop>("server-loop-" + std::to_string(i)));
   }
 
   listener_ = TcpListener::Listen(options.host, options.port);
@@ -219,10 +218,7 @@ DbServerStats DbServer::Stats() const {
   s.rejected_requests = rejected_requests_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   s.payload_pool_misses = decoded_requests_.load(std::memory_order_relaxed);
-  for (const auto& loop : loops_) {
-    s.io += loop->stats();
-    if (loop->pinned()) ++s.pinned_loops;
-  }
+  for (const auto& loop : loops_) s.io += loop->stats();
   return s;
 }
 

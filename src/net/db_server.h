@@ -23,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/affinity.h"
 #include "common/mutex.h"
 #include "db/database.h"
 #include "net/event_loop.h"
@@ -38,12 +37,6 @@ struct DbServerOptions {
   int port = 0;
   /// Event-loop threads; connections are sharded across them round-robin.
   int num_loops = 1;
-  /// Pin the loop threads (round-robin over the CPU list, or over all online
-  /// CPUs when the list is empty). Advisory — refused pins are visible in
-  /// Stats().pinned_loops, never an error. Typically paired with
-  /// DbOptions::worker_affinity so ingress and execution land on disjoint
-  /// cores.
-  CpuAffinity loop_affinity;
 };
 
 /// Ingress counters, snapshotted by DbServer::Stats.
@@ -61,8 +54,6 @@ struct DbServerStats {
   /// request.
   uint64_t payload_pool_hits = 0;
   uint64_t payload_pool_misses = 0;
-  /// Loop threads that successfully pinned under loop_affinity.
-  uint64_t pinned_loops = 0;
   EventLoopStats io;               // aggregated over every loop
 };
 

@@ -1,7 +1,6 @@
 #include "net/event_loop.h"
 
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -33,7 +32,7 @@ constexpr int kMaxEvents = 128;
 // --- LoopConn ----------------------------------------------------------------
 
 void LoopConn::QueueFlush() {
-  loop_->Push({EventLoop::Item::Kind::kFlush, shared_from_this()});
+  loop_->inbox_.Push({EventLoop::Item::Kind::kFlush, shared_from_this()});
 }
 
 void LoopConn::CountFrameOut() {
@@ -42,24 +41,22 @@ void LoopConn::CountFrameOut() {
 
 // --- EventLoop ---------------------------------------------------------------
 
-EventLoop::EventLoop(std::string name, int pin_cpu) : name_(std::move(name)), pin_cpu_(pin_cpu) {
+EventLoop::EventLoop(std::string name) : name_(std::move(name)) {
   epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
   PARTDB_CHECK(epfd_ >= 0);
-  wakefd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  PARTDB_CHECK(wakefd_ >= 0);
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.ptr = nullptr;  // nullptr marks the wakeup fd
-  PARTDB_CHECK(::epoll_ctl(epfd_, EPOLL_CTL_ADD, wakefd_, &ev) == 0);
+  ev.data.ptr = nullptr;  // nullptr marks the inbox's eventfd
+  PARTDB_CHECK(::epoll_ctl(epfd_, EPOLL_CTL_ADD, inbox_.fd(), &ev) == 0);
   thread_ = std::thread([this] { Run(); });
 }
 
 EventLoop::~EventLoop() {
   Stop();
   // The fds outlive the join: a straggling SendFrame on an already-closed
-  // conn may still write the eventfd harmlessly until the owner destroys us.
+  // conn may still write the eventfd harmlessly until the owner destroys us
+  // (the inbox closes it).
   if (epfd_ >= 0) ::close(epfd_);
-  if (wakefd_ >= 0) ::close(wakefd_);
 }
 
 LoopConnPtr EventLoop::AddConn(TcpConn sock, LoopConnHandlers handlers) {
@@ -67,18 +64,14 @@ LoopConnPtr EventLoop::AddConn(TcpConn sock, LoopConnHandlers handlers) {
   sock.SetNonBlocking(true);
   LoopConnPtr conn(new LoopConn(this, std::move(sock)));
   conn->handlers_ = std::move(handlers);
-  Push({Item::Kind::kAdd, conn});
+  inbox_.Push({Item::Kind::kAdd, conn});
   return conn;
 }
 
 void EventLoop::Stop() {
-  {
-    MutexLock lock(inbox_mu_);
-    if (stop_queued_) return;
-    stop_queued_ = true;
-    AppendLocked({Item::Kind::kStop, nullptr});
-  }
-  Wake();  // parked or not: Stop is rare, and the eventfd ends a spin too
+  if (stop_queued_.exchange(true)) return;
+  inbox_.Push({Item::Kind::kStop, nullptr});
+  inbox_.Notify();  // parked or not: Stop is rare, and the eventfd ends a spin too
   if (thread_.joinable()) thread_.join();
 }
 
@@ -89,37 +82,10 @@ EventLoopStats EventLoop::stats() const {
   s.bytes_in = stats_.bytes_in.load(std::memory_order_relaxed);
   s.bytes_out = stats_.bytes_out.load(std::memory_order_relaxed);
   s.flush_batches = stats_.flush_batches.load(std::memory_order_relaxed);
-  s.wakeups = stats_.wakeups.load(std::memory_order_relaxed);
-  s.parks = stats_.parks.load(std::memory_order_relaxed);
+  const Inbox<Item>::Stats in = inbox_.stats();
+  s.wakeups = in.wakes;
+  s.parks = in.parks;
   return s;
-}
-
-void EventLoop::Wake() {
-  if (wake_armed_.exchange(true)) return;  // a wake is already in flight
-  const uint64_t one = 1;
-  [[maybe_unused]] const ssize_t r = ::write(wakefd_, &one, sizeof(one));
-}
-
-void EventLoop::AppendLocked(Item item) {
-  inbox_.push_back(std::move(item));
-  pushed_.store(pushed_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
-}
-
-void EventLoop::Push(Item item) {
-  bool parked = false;
-  {
-    MutexLock lock(inbox_mu_);
-    AppendLocked(std::move(item));
-    parked = parked_.load(std::memory_order_relaxed);
-  }
-  // A loop that is not parked needs no eventfd: its spin sees the push
-  // counter move, and it checks the inbox under this lock before it parks.
-  // That covers the loop thread's own pushes too.
-  if (parked) Wake();
-}
-
-bool EventLoop::InboxPending() const {
-  return pushed_.load(std::memory_order_acquire) != swapped_;
 }
 
 int EventLoop::Poll(epoll_event* events, int timeout_ms) {
@@ -131,46 +97,24 @@ int EventLoop::Poll(epoll_event* events, int timeout_ms) {
   return n;
 }
 
-int EventLoop::Park(epoll_event* events) {
-  {
-    MutexLock lock(inbox_mu_);
-    if (!inbox_.empty()) return 0;  // pushed after the spin's last look
-    parked_.store(true, std::memory_order_relaxed);
-  }
-  stats_.parks.fetch_add(1, std::memory_order_relaxed);
-  const int n = Poll(events, -1);
-  // Lowered without the lock: a producer that still reads true only writes
-  // an eventfd the next poll drains.
-  parked_.store(false, std::memory_order_relaxed);
-  return n;
-}
-
 void EventLoop::Run() {
-  // Advisory pin (same policy as the partition workers): a refused pin is
-  // reported through pinned(), never an error.
-  if (pin_cpu_ >= 0 && PinCurrentThreadToCpu(pin_cpu_)) {
-    pinned_.store(true, std::memory_order_relaxed);
-  }
   SetCurrentThreadBatchPolicy();  // see the header
   epoll_event events[kMaxEvents];
   while (true) {
     // A busy loop polls once per iteration. One that ran dry polls the
     // sockets and the push counter on every turn of the spin, and parks in
-    // a blocking epoll_wait only when the spin ends with nothing ready.
+    // a blocking epoll_wait only when the spin ends with nothing ready and
+    // the inbox is still empty under its lock.
     int n = 0;
     const bool ready = SpinBeforePark(std::chrono::steady_clock::time_point::max(), [&] {
       n = Poll(events, 0);
-      return n > 0 || InboxPending();
+      return n > 0 || inbox_.pending();
     });
-    if (!ready) n = Park(events);
+    if (!ready) inbox_.Park([&] { n = Poll(events, -1); });
     for (int i = 0; i < n; ++i) {
       LoopConn* c = static_cast<LoopConn*>(events[i].data.ptr);
       if (c == nullptr) {
-        uint64_t drain;
-        while (::read(wakefd_, &drain, sizeof(drain)) > 0) {
-        }
-        wake_armed_.store(false);
-        stats_.wakeups.fetch_add(1, std::memory_order_relaxed);
+        inbox_.ReadFd();
         continue;
       }
       // Pin the conn for the duration of this event: a handler-initiated
@@ -201,11 +145,7 @@ void EventLoop::Run() {
 }
 
 bool EventLoop::DrainInbox() {
-  {
-    MutexLock lock(inbox_mu_);
-    draining_.swap(inbox_);
-  }
-  swapped_ += draining_.size();
+  if (!inbox_.Swap(draining_)) return true;
   bool keep_running = true;
   for (Item& item : draining_) {
     switch (item.kind) {

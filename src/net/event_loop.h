@@ -7,17 +7,20 @@
 // never touch the socket: SendFrame encodes straight into the connection's
 // reusable outbox buffer and queues a flush in the owning loop's inbox.
 //
-// Wakes follow the mailbox's discipline (runtime/mailbox.h), with the same
-// spin (common/spin_wait.h). A loop that has handled its ready set and its
-// inbox polls epoll_wait(…, 0) and the inbox's push counter once per
-// sched_yield for up to kSpinBeforePark, and leaves the spin as soon as an
-// event or an inbox item arrives. Only then does it park in a blocking
-// epoll_wait, after it found the inbox empty under the inbox lock, and only
-// a push that finds it parked writes the eventfd. So a request and its
-// response that cross the loop within the spin cost no wake and no eventfd
-// syscall, and an idle loop still parks and frees its CPU; the spin costs
-// CPU time instead. Wakes of a parked loop coalesce: a burst of frames
-// costs one wakeup and one flush syscall.
+// Wakes follow the one park rule of common/inbox.h: every request from
+// another thread — add a connection, flush one, stop — is one item in the
+// loop's Inbox, whose eventfd sits in the loop's epoll set. A loop that has
+// handled its ready set and its inbox polls epoll_wait(…, 0) and the inbox's
+// push counter once per sched_yield for up to kSpinBeforePark
+// (common/spin_wait.h, the spin the runtime's workers run too), and leaves
+// the spin as soon as an event or an inbox item arrives. Only then does it
+// park in a blocking epoll_wait, after the inbox found itself empty under
+// its lock, and only a push that finds the inbox empty and the loop parked
+// writes the eventfd. So a request and its response that cross the loop
+// within the spin cost no wake and no eventfd syscall, and an idle loop
+// still parks and frees its CPU; the spin costs CPU time instead. A parked
+// loop takes one wake per park: a burst of frames costs one wakeup and one
+// flush syscall.
 //
 // The loop thread runs under SCHED_BATCH, so that holds on a shared CPU too:
 // its wakeup does not preempt the worker that sent the first frame of a
@@ -26,11 +29,9 @@
 // without this every frame of the burst would preempt it and leave in a
 // flush of its own.
 //
-// Every request from another thread — add a connection, flush one, stop —
-// is one item in the loop's single inbox (one mutex, one vector the loop
-// swaps out once per iteration), so requests run in push order: frames sent
-// before Stop() are flushed before the teardown closes their connection.
-// The connection table belongs to the loop thread alone.
+// The loop swaps its inbox out once per iteration, so requests run in push
+// order: frames sent before Stop() are flushed before the teardown closes
+// their connection. The connection table belongs to the loop thread alone.
 //
 // Thread contract:
 //  - on_frame / on_close run on the loop thread, exclusively and in order
@@ -54,6 +55,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/inbox.h"
 #include "common/mutex.h"
 #include "msg/wire.h"
 #include "net/frame.h"
@@ -75,7 +77,7 @@ struct EventLoopStats {
   uint64_t bytes_in = 0;        // payload bytes received
   uint64_t bytes_out = 0;       // payload bytes sent
   uint64_t flush_batches = 0;   // flush syscalls (each may carry many frames)
-  uint64_t wakeups = 0;         // eventfd wakes (coalesced producer signals)
+  uint64_t wakeups = 0;         // edge writes of the inbox's eventfd
   uint64_t parks = 0;           // blocking epoll_waits; a wake needs a park
 
   EventLoopStats& operator+=(const EventLoopStats& o) {
@@ -160,9 +162,8 @@ class LoopConn : public std::enable_shared_from_this<LoopConn> {
 
 class EventLoop {
  public:
-  /// Starts the loop thread immediately. `pin_cpu` >= 0 pins the loop thread
-  /// to that CPU (advisory — a refused pin is reported via pinned()).
-  explicit EventLoop(std::string name = "event-loop", int pin_cpu = -1);
+  /// Starts the loop thread immediately.
+  explicit EventLoop(std::string name = "event-loop");
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
@@ -177,9 +178,6 @@ class EventLoop {
 
   EventLoopStats stats() const;
 
-  /// True once the loop thread successfully pinned itself to `pin_cpu`.
-  bool pinned() const { return pinned_.load(std::memory_order_relaxed); }
-
  private:
   friend class LoopConn;
 
@@ -191,47 +189,29 @@ class EventLoop {
   };
 
   void Run();
-  void Wake();
   /// One epoll_wait into `events` (an EINTR returns 0 events).
   int Poll(epoll_event* events, int timeout_ms);
-  /// Parks in a blocking epoll_wait unless the inbox is non-empty; returns
-  /// the ready events.
-  int Park(epoll_event* events);
   void HandleReadable(LoopConn* c);
   void HandleWritable(LoopConn* c);
   void FlushConn(LoopConn* c);
   void UpdateEpollOut(LoopConn* c, bool want);
   void CloseNow(LoopConn* c);
-  /// Appends to the inbox and wakes the loop if it is parked.
-  void Push(Item item);
-  void AppendLocked(Item item) PARTDB_REQUIRES(inbox_mu_);
-  /// True when an item was pushed since the last inbox swap (no lock).
-  bool InboxPending() const;
   bool DrainInbox();  // false once a kStop item was seen
 
   std::string name_;
-  int pin_cpu_ = -1;
-  std::atomic<bool> pinned_{false};
   int epfd_ = -1;
-  int wakefd_ = -1;
-  std::atomic<bool> wake_armed_{false};
-
-  Mutex inbox_mu_;
-  std::vector<Item> inbox_ PARTDB_GUARDED_BY(inbox_mu_);
+  Inbox<Item> inbox_;
   /// Makes Stop idempotent.
-  bool stop_queued_ PARTDB_GUARDED_BY(inbox_mu_) = false;
-  std::atomic<uint64_t> pushed_{0};  // items ever pushed; written under inbox_mu_
-  std::atomic<bool> parked_{false};  // raised under inbox_mu_ on an empty inbox
+  std::atomic<bool> stop_queued_{false};
 
   // --- loop-thread-owned state ------------------------------------------------
   std::vector<Item> draining_;  // the swapped-out inbox (capacity reused)
-  uint64_t swapped_ = 0;        // items ever swapped out of the inbox
   std::unordered_map<LoopConn*, LoopConnPtr> conns_;
 
   struct StatCells {
     std::atomic<uint64_t> frames_in{0}, frames_out{0};
     std::atomic<uint64_t> bytes_in{0}, bytes_out{0};
-    std::atomic<uint64_t> flush_batches{0}, wakeups{0}, parks{0};
+    std::atomic<uint64_t> flush_batches{0};
   };
   StatCells stats_;
 

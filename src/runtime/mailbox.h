@@ -1,11 +1,10 @@
 // Unbounded MPSC mailbox for the parallel runtime. Any thread may push;
-// exactly one consumer thread drains. Producers append to `pending_` under
-// one mutex; the consumer swaps the whole pending vector into its private
-// `draining_` vector under the same mutex and runs that batch without it.
-// Both vectors keep their capacity, so steady-state delivery allocates
-// nothing. Appends happen in lock order, a total order consistent with each
-// producer's program order, so per-sender FIFO — the delivery guarantee the
-// simulated network provides and the CC schemes rely on — is preserved.
+// exactly one consumer thread drains. The queue and its park rule are
+// common/inbox.h's, the same Inbox the net event loops hold: producers
+// append under one mutex, the consumer swaps the whole pending vector into
+// its private `draining_` vector and runs that batch without the lock, and
+// per-sender FIFO — the delivery guarantee the simulated network provides
+// and the CC schemes rely on — holds because appends happen in lock order.
 //
 // Producers may push one item (PushMessage, PushControl) or a run of
 // messages (PushMessages: one lock, a bulk append in order, at most one
@@ -13,22 +12,18 @@
 // wait in its worker's outbox and leave together, one push per destination
 // mailbox, when the drained batch is fully handed out (DrainUntil's
 // `batch_done` hook runs then, before the consumer can spin or park). A sink
-// may still push to its own mailbox mid-drain; that push lands in
-// `pending_`, never in the vector being drained, so the node handed to the
-// sink stays put.
+// may still push to its own mailbox mid-drain; that push lands in the
+// inbox's pending vector, never in the vector being drained, so the node
+// handed to the sink stays put.
 //
-// A consumer that finds nothing to drain first yield-spins on the push
-// counter for a short fixed time (`kSpinBeforePark`, never past the drain
-// deadline; the spin is common/spin_wait.h's, the same one the net event
-// loops run before they park); a push that lands during the spin is swapped
-// in with no notify. Only then does it park on the condvar, after finding
-// `pending_` empty under the lock, and a producer notifies only when its
-// push makes `pending_` non-empty while the consumer is parked. A busy
-// worker takes no wakes, and neither does a message round trip between
-// workers that closes inside the spin; an idle worker still parks and frees
-// its CPU. Each yield pushes the spinner's scheduler deadline out, so on a
-// shared CPU a thread woken while the worker then runs may preempt it; the
-// net EventLoop runs under SCHED_BATCH for that reason (event_loop.h).
+// A consumer that finds nothing to drain first yield-spins for up to
+// `kSpinBeforePark`, never past the drain deadline, then parks in a timed
+// ppoll on the inbox's eventfd that ends at that deadline (inbox.h has the
+// park rule). A busy worker takes no wakes, and neither does a message round
+// trip between workers that closes inside the spin; an idle worker still
+// parks and frees its CPU. Each yield pushes the spinner's scheduler deadline
+// out, so on a shared CPU a thread woken while the worker then runs may
+// preempt it; the net EventLoop runs under SCHED_BATCH for that reason.
 //
 // A node carries a tagged union — message | control — so the hot item kind
 // (actor messages, session submissions among them) costs no type-erased
@@ -46,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/inbox.h"
 #include "common/mutex.h"
 #include "common/spin_wait.h"
 #include "msg/message.h"
@@ -127,8 +123,8 @@ class Mailbox {
     uint64_t popped = 0;
     uint64_t push_batches = 0;  // producer lock acquisitions; pushed /
                                 // push_batches is messages per lock
-    uint64_t wakes = 0;  // condvar notifies: empty->nonempty edges that
-                         // found the consumer parked
+    uint64_t wakes = 0;  // eventfd writes: empty->nonempty edges that found
+                         // the consumer parked
     uint64_t parks = 0;  // times the consumer parked; bounds wakes from above
   };
 
@@ -144,14 +140,16 @@ class Mailbox {
   // --- producers (any thread) -----------------------------------------------
 
   void PushMessage(Message m) {
-    Push(1, [&m](std::vector<MailboxNode>& q) { q.emplace_back().SetMessage(std::move(m)); });
+    inbox_.Push(1, [&m](std::vector<MailboxNode>& q) {
+      q.emplace_back().SetMessage(std::move(m));
+    });
   }
   /// Appends every message of `msgs`, in order, under one lock acquisition
   /// and with at most one wake. `msgs` comes back empty with its capacity
   /// kept.
   void PushMessages(std::vector<Message>& msgs) {
     if (msgs.empty()) return;
-    Push(msgs.size(), [&msgs](std::vector<MailboxNode>& q) {
+    inbox_.Push(msgs.size(), [&msgs](std::vector<MailboxNode>& q) {
       for (Message& m : msgs) q.emplace_back().SetMessage(std::move(m));
     });
     msgs.clear();
@@ -159,7 +157,9 @@ class Mailbox {
   /// Cold control plane only (rendezvous, stop, window flips): the closure
   /// itself may allocate.
   void PushControl(MailboxNode::ControlFn fn) {
-    Push(1, [&fn](std::vector<MailboxNode>& q) { q.emplace_back().SetControl(std::move(fn)); });
+    inbox_.Push(1, [&fn](std::vector<MailboxNode>& q) {
+      q.emplace_back().SetControl(std::move(fn));
+    });
   }
 
   // --- consumer (single thread) ---------------------------------------------
@@ -168,10 +168,11 @@ class Mailbox {
   /// drains up to `max_batch` items in FIFO order, invoking `sink(node)` on
   /// each. The node (and its payload) is valid only for the duration of the
   /// sink call; the payload should be moved out. The sink may push to this
-  /// mailbox. Each time a batch swapped in from `pending_` has been fully
+  /// mailbox. Each time a batch swapped in from the inbox has been fully
   /// handed out, `batch_done()` runs before the next swap, and so before
-  /// the consumer can spin or park. Returns the number of items drained (0
-  /// on timeout).
+  /// the consumer can spin or park. Returns the number of items drained: 0
+  /// on timeout, and now and then before it, when a wake meant for an
+  /// earlier park ends this one (common/inbox.h).
   template <typename Sink, typename BatchDone>
   size_t DrainUntil(std::chrono::steady_clock::time_point deadline, size_t max_batch,
                     Sink&& sink, BatchDone&& batch_done) {
@@ -197,25 +198,26 @@ class Mailbox {
 
   // --- observables (any thread; WaitQuiescent reads these) ------------------
 
-  /// True while the consumer is parked (it found `pending_` empty under the
+  /// True while the consumer is parked (it found the inbox empty under the
   /// lock before raising the flag, and lowers it before draining anything).
-  bool consumer_waiting() const { return waiting_.load(std::memory_order_acquire); }
+  bool consumer_waiting() const { return inbox_.parked(); }
 
   /// Total items ever pushed / popped. An item counts as popped when its
   /// sink call starts.
-  uint64_t pushed() const { return pushed_.load(std::memory_order_acquire); }
+  uint64_t pushed() const { return inbox_.pushed(); }
   uint64_t popped() const { return popped_.load(std::memory_order_acquire); }
 
   /// True when every item pushed so far has been handed to the sink.
   bool Empty() const { return popped() == pushed(); }
 
   Stats stats() const {
+    const Inbox<MailboxNode>::Stats in = inbox_.stats();
     Stats s;
-    s.pushed = pushed_.load(std::memory_order_relaxed);
+    s.pushed = in.pushed;
     s.popped = popped_.load(std::memory_order_relaxed);
-    s.push_batches = push_batches_.load(std::memory_order_relaxed);
-    s.wakes = wakes_.load(std::memory_order_relaxed);
-    s.parks = parks_.load(std::memory_order_relaxed);
+    s.push_batches = in.push_batches;
+    s.wakes = in.wakes;
+    s.parks = in.parks;
     return s;
   }
 
@@ -224,47 +226,19 @@ class Mailbox {
   void set_idle_signal(MailboxIdleSignal* s) { idle_signal_ = s; }
 
  private:
-  /// Appends the `n` items `append` adds to `pending_`, then wakes a parked
-  /// consumer if this push made `pending_` non-empty. The notify happens
-  /// after the unlock, so the woken consumer does not block on the mutex; it
-  /// cannot be lost, because the consumer checks `pending_` under the lock
-  /// before it waits.
-  template <typename Append>
-  void Push(size_t n, Append&& append) {
-    bool wake = false;
-    {
-      MutexLock lock(mu_);
-      wake = pending_.empty() && waiting_.load(std::memory_order_relaxed);
-      append(pending_);
-      pushed_.store(pushed_.load(std::memory_order_relaxed) + n, std::memory_order_release);
-      push_batches_.store(push_batches_.load(std::memory_order_relaxed) + 1,
-                          std::memory_order_relaxed);
-    }
-    if (wake) {
-      cv_.NotifyOne();
-      wakes_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Recycles the drained batch and swaps `pending_` in. When nothing is
+  /// Recycles the drained batch and swaps the inbox in. When nothing is
   /// pending, returns false unless `block`; if it does block, it
-  /// yield-spins, then parks, until an item arrives or `deadline` passes.
+  /// yield-spins, then parks once, until an item arrives or `deadline`
+  /// passes.
   bool Refill(bool block, std::chrono::steady_clock::time_point deadline);
 
-  alignas(64) Mutex mu_;
-  std::vector<MailboxNode> pending_ PARTDB_GUARDED_BY(mu_);
-  std::atomic<uint64_t> pushed_{0};        // written under mu_
-  std::atomic<uint64_t> push_batches_{0};  // written under mu_
-  std::atomic<bool> waiting_{false};       // written under mu_
-  std::atomic<uint64_t> wakes_{0};
-  CondVar cv_;
+  Inbox<MailboxNode> inbox_;
   MailboxIdleSignal* idle_signal_ = nullptr;
 
   // Consumer-owned: the batch being drained and its cursor.
   alignas(64) std::vector<MailboxNode> draining_;
   size_t next_ = 0;
   std::atomic<uint64_t> popped_{0};
-  std::atomic<uint64_t> parks_{0};
 };
 
 }  // namespace partdb

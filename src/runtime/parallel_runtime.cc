@@ -102,7 +102,7 @@ void ParallelRuntime::Start() {
   started_.store(true, std::memory_order_release);
   for (int i = 0; i < num_workers(); ++i) {
     Worker* worker = workers_[i].get();
-    worker->thread = std::thread([this, worker, i]() { WorkerLoop(worker, i); });
+    worker->thread = std::thread([this, worker]() { WorkerLoop(worker); });
   }
 }
 
@@ -150,11 +150,7 @@ void ParallelRuntime::FireDueTimers(Worker* w) {
   }
 }
 
-void ParallelRuntime::WorkerLoop(Worker* w, int index) {
-  const int cpu = AffinityCpuFor(affinity_, index);
-  if (cpu >= 0 && PinCurrentThreadToCpu(cpu)) {
-    pinned_workers_.fetch_add(1, std::memory_order_relaxed);
-  }
+void ParallelRuntime::WorkerLoop(Worker* w) {
   current_worker_ = w;
   while (!stop_.load(std::memory_order_relaxed)) {
     FireDueTimers(w);
@@ -238,7 +234,6 @@ bool ParallelRuntime::WaitQuiescent(std::chrono::steady_clock::duration timeout)
 ParallelRuntime::Stats ParallelRuntime::GetStats() const {
   Stats s;
   s.num_workers = num_workers();
-  s.pinned_workers = pinned_workers_.load(std::memory_order_relaxed);
   for (const auto& w : workers_) {
     const Mailbox::Stats ms = w->mailbox.stats();
     s.mailbox_pushed += ms.pushed;

@@ -4,8 +4,7 @@
 // wall-clock nanoseconds since Start(). An actor's handlers run only on
 // its owning worker, so the single-threaded CcScheme/Engine code runs
 // unchanged — concurrency control stays as cheap as the paper claims, now at
-// the speed the hardware allows. Workers can optionally be pinned to CPUs
-// (round-robin or an explicit list) to keep cache/NUMA locality stable.
+// the speed the hardware allows.
 #ifndef PARTDB_RUNTIME_PARALLEL_RUNTIME_H_
 #define PARTDB_RUNTIME_PARALLEL_RUNTIME_H_
 
@@ -16,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/affinity.h"
 #include "common/types.h"
 #include "runtime/execution_context.h"
 #include "runtime/mailbox.h"
@@ -31,7 +29,7 @@ class ParallelRuntime : public ExecutionContext {
     uint64_t mailbox_pushed = 0;
     uint64_t mailbox_popped = 0;
     uint64_t mailbox_push_batches = 0;  // producer lock acquisitions
-    uint64_t mailbox_wakes = 0;  // condvar notifies (empty->nonempty edges)
+    uint64_t mailbox_wakes = 0;  // eventfd writes (empty->nonempty edges)
     uint64_t mailbox_parks = 0;  // consumer park transitions
     /// Always 0: the mailbox is one mutex plus two vectors, with no CAS
     /// loop and no node cache. The fields remain because bench_partdb reads
@@ -39,7 +37,6 @@ class ParallelRuntime : public ExecutionContext {
     uint64_t mailbox_cas_retries = 0;
     uint64_t node_cache_hits = 0;
     uint64_t node_cache_misses = 0;
-    int pinned_workers = 0;  // workers whose CPU pin succeeded
     int num_workers = 0;
   };
 
@@ -54,10 +51,6 @@ class ParallelRuntime : public ExecutionContext {
   /// node; all wiring happens on the main thread before Start().
   void MapNode(NodeId node, int worker);
   int worker_of(NodeId node) const;
-
-  /// Worker CPU pinning policy. Set before Start(); each worker pins itself
-  /// as its thread comes up (failed pins are counted, never fatal).
-  void set_affinity(CpuAffinity a) { affinity_ = std::move(a); }
 
   /// Launches the worker threads. Items pushed before Start() (e.g. client
   /// kicks) are processed once the workers come up.
@@ -123,7 +116,7 @@ class ParallelRuntime : public ExecutionContext {
   /// may belong to another runtime: Send checks `owner`.
   static thread_local Worker* current_worker_;
 
-  void WorkerLoop(Worker* w, int index);
+  void WorkerLoop(Worker* w);
   void FireDueTimers(Worker* w);
   /// Pushes each non-empty outbox of `w` to its destination mailbox.
   void FlushOutbox(Worker* w);
@@ -135,8 +128,6 @@ class ParallelRuntime : public ExecutionContext {
   std::atomic<bool> stop_{false};
   std::atomic<bool> started_{false};
   std::chrono::steady_clock::time_point start_tp_;
-  CpuAffinity affinity_;  // set before Start
-  std::atomic<int> pinned_workers_{0};
   /// Park-event channel shared by every worker mailbox (WaitQuiescent).
   MailboxIdleSignal idle_signal_;
 };

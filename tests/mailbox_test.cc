@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/inbox.h"
 #include "gtest/gtest.h"
 #include "runtime/mailbox.h"
 
@@ -131,7 +132,7 @@ TEST(Mailbox, WakesOnlyOnEmptyToNonEmptyEdgeWhileParked) {
   Mailbox box;
 
   // Phase 1: burst into an unparked mailbox. No consumer is blocked, so no
-  // push may touch the condvar.
+  // push may write the eventfd.
   for (uint32_t i = 0; i < kBurst; ++i) box.PushMessage(MakeItem(0, i));
   EXPECT_EQ(box.stats().wakes, 0u);
 
@@ -205,6 +206,43 @@ TEST(Mailbox, PushMessagesKeepsOrderAndWakesOnce) {
   ASSERT_EQ(seqs.size(), kMessages);
   for (uint32_t i = 0; i < kMessages; ++i) EXPECT_EQ(seqs[i], i);
   EXPECT_TRUE(box.Empty());
+}
+
+// The Inbox's park rule, deterministically: the wait hook itself pushes, so
+// every push lands while the consumer is parked. Only the first finds the
+// inbox empty and writes the eventfd; the write lands after nobody read it,
+// so the next park returns at once and reads it, and the park after that
+// waits out its deadline. A park with items pending does not wait at all.
+TEST(Inbox, OnlyTheEdgePushWakesAPark) {
+  constexpr int kPushes = 100;
+  Inbox<int> inbox;
+  EXPECT_TRUE(inbox.Park([&] {
+    EXPECT_TRUE(inbox.parked());
+    for (int i = 0; i < kPushes; ++i) inbox.Push(i);
+  }));
+  EXPECT_FALSE(inbox.parked());
+  EXPECT_EQ(inbox.stats().wakes, 1u);
+  EXPECT_EQ(inbox.stats().parks, 1u);
+  std::vector<int> items;
+  ASSERT_TRUE(inbox.Swap(items));
+  ASSERT_EQ(items.size(), static_cast<size_t>(kPushes));
+  for (int i = 0; i < kPushes; ++i) EXPECT_EQ(items[i], i);
+
+  auto start = Clock::now();
+  inbox.Park([&] { inbox.WaitFd(start + std::chrono::seconds(30)); });
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(10)) << "the late write was lost";
+  start = Clock::now();
+  inbox.Park([&] { inbox.WaitFd(start + std::chrono::milliseconds(2)); });
+  EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(2)) << "a second wake was read";
+  EXPECT_EQ(inbox.stats().parks, 3u);
+
+  items.clear();
+  inbox.Push(kPushes);
+  EXPECT_FALSE(inbox.Park([] { ADD_FAILURE() << "waited with an item pending"; }));
+  EXPECT_EQ(inbox.stats().parks, 3u);
+  EXPECT_EQ(inbox.stats().wakes, 1u);
+  ASSERT_TRUE(inbox.Swap(items));
+  EXPECT_EQ(items, std::vector<int>{kPushes});
 }
 
 // A drain deadline that falls inside the pre-park spin ends the drain on

@@ -2,7 +2,7 @@
 // goes from the sender's mailbox node straight to the receiver's handler.
 // This executable replaces the global operator new with a counting one, so
 // the test sees every heap allocation any thread makes while it counts. A
-// ping-pong between two workers also takes few futex wakes: each worker
+// ping-pong between two workers also takes few eventfd wakes: each worker
 // yield-spins before it parks, so a reply that comes back inside the spin
 // needs no notify, on many CPUs or on one.
 #include <atomic>
